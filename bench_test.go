@@ -162,12 +162,7 @@ func BenchmarkCachedBackendSizes(b *testing.B) {
 	const distinctKeys = 8
 	for _, size := range []int{2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("pool%d", size), func(b *testing.B) {
-			store, err := model.NewStore(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
 			backend := harness.NewCachedBackend(size)
-			backend.Overflow = store
 			probe := d.Instances[0]
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

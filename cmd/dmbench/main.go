@@ -4,39 +4,33 @@
 //
 // Usage:
 //
-//	dmbench [-invocations 200] [-parallel-out BENCH_parallel.json]
+//	dmbench [-invocations 200]
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
 	"repro/internal/arff"
-	"repro/internal/assoc"
 	"repro/internal/attrsel"
 	"repro/internal/classify"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/soap"
-	"repro/internal/store"
 	"repro/internal/workflow"
 )
 
 func main() {
 	invocations := flag.Int("invocations", 200, "repeated invocations for the §4.5 experiment")
-	parallelOut := flag.String("parallel-out", "", "write the parallel-kernel speedup report to this JSON file")
 	flag.Parse()
 	w := os.Stdout
 
@@ -144,523 +138,8 @@ func main() {
 		"select data -> select algorithm -> select resource -> execute -> visualise/verify",
 		fmt.Sprintf("66/34 stratified split; held-out accuracy %.3f, kappa %.3f", ev.Accuracy(), ev.Kappa()))
 
-	// Baseline comparison: Apriori vs FP-growth.
-	trans := datagen.Baskets(1500, 20, 4, 0.9, 17)
-	aprioriMs := mineMs(func() error {
-		ap := assoc.NewApriori()
-		ap.MinSupport, ap.MinConfidence = 0.08, 0.8
-		_, err := ap.Mine(trans)
-		return err
-	})
-	fpMs := mineMs(func() error {
-		fp := assoc.NewFPGrowth()
-		fp.MinSupport, fp.MinConfidence = 0.08, 0.8
-		_, err := fp.Mine(trans)
-		return err
-	})
-	report("—", "Baseline: Apriori vs FP-growth",
-		"FP-growth avoids candidate generation and wins on dense data (literature)",
-		fmt.Sprintf("Apriori %.1f ms vs FP-growth %.1f ms per full mine (identical itemsets, property-tested)",
-			aprioriMs, fpMs))
-
-	// Tentpole: parallel compute kernels at P=1 vs P=GOMAXPROCS.
-	pr := parallelExperiment()
-	var lines []string
-	for _, k := range pr.Kernels {
-		lines = append(lines, fmt.Sprintf("%s %.1f ms @P=1 vs %.1f ms @P=%d (%.2fx)",
-			k.Kernel, k.P1Ms, k.PNMs, k.Workers, k.Speedup))
-	}
-	report("—", "Parallel kernels (internal/parallel)",
-		"fold/member/assignment fan-out scales with cores; results bit-identical at any worker count",
-		fmt.Sprintf("GOMAXPROCS=%d: %s", pr.GoMaxProcs, strings.Join(lines, "; ")))
-
-	// Tentpole: batched dmb1 scoring vs per-instance XML over live SOAP.
-	pr.Batch = batchExperiment(dep)
-	var batchLines []string
-	for _, b := range pr.Batch {
-		batchLines = append(batchLines, fmt.Sprintf("N=%d: XML %.0f rows/s vs dmb1 %.0f rows/s (%.1fx)",
-			b.BatchSize, b.XMLRowsPerSec, b.DMB1RowsPerSec, b.Speedup))
-	}
-	report("—", "Batched scoring (classifyBatch/dmb1)",
-		"per-call XML envelopes cap scoring throughput; one columnar block amortises parse, model restore and dispatch over N rows",
-		strings.Join(batchLines, "; "))
-
-	// Batched clustering: per-instance textual assign vs one clusterBatch.
-	pr.BatchCluster = batchClusterExperiment(dep)
-	var clusterLines []string
-	for _, b := range pr.BatchCluster {
-		clusterLines = append(clusterLines, fmt.Sprintf("N=%d: XML %.0f rows/s vs dmb1 %.0f rows/s (%.1fx)",
-			b.BatchSize, b.XMLRowsPerSec, b.DMB1RowsPerSec, b.Speedup))
-	}
-	report("—", "Batched clustering (clusterBatch/DMC1)",
-		"per-instance assign calls re-ship the build set and rebuild the model every row; clusterBatch builds once and assigns the block columnar",
-		strings.Join(clusterLines, "; "))
-
-	// Batched filtering: the ARFF apply round-trip vs one filterBatch hop.
-	pr.BatchFilter = batchFilterExperiment(dep)
-	var filterLines []string
-	for _, b := range pr.BatchFilter {
-		filterLines = append(filterLines, fmt.Sprintf("N=%d: XML %.0f rows/s vs dmb1 %.0f rows/s (%.1fx)",
-			b.BatchSize, b.XMLRowsPerSec, b.DMB1RowsPerSec, b.Speedup))
-	}
-	report("—", "Batched filtering (filterBatch/dmb1)",
-		"the textual apply op formats and re-parses ARFF at both ends of every hop; filterBatch moves the same rows as one binary block",
-		strings.Join(filterLines, "; "))
-
-	// Model store: snapshot codec throughput and warm resume vs cold retrain.
-	pr.Store = storeExperiment()
-	var storeLines []string
-	for _, r := range pr.Store {
-		storeLines = append(storeLines, fmt.Sprintf(
-			"%s %.0f KB snapshot, encode %.0f/decode %.0f MB/s, cold %.1f ms vs warm %.2f ms (%.0fx)",
-			r.Algorithm, r.SnapshotKB, r.EncodeMBs, r.DecodeMBs, r.ColdTrainMs, r.WarmResumeMs, r.Speedup))
-	}
-	report("—", "Model store (internal/store)",
-		"resume-from-snapshot must beat retraining for the store to pay for itself",
-		strings.Join(storeLines, "; "))
-
-	// Store GC: compaction throughput and reclaim on a half-dead store.
-	gcRes := storeGCExperiment()
-	pr.StoreGC = &gcRes
-	report("—", "Store GC (Compact)",
-		"a churned store accumulates superseded and tombstoned records; compaction must reclaim them faster than the workload creates them",
-		fmt.Sprintf("%d entries, %.0f%% dead: %d -> %d bytes (reclaimed %d) in %.1f ms, %.0f MB/s rewrite",
-			gcRes.Entries, gcRes.DeadFraction*100, gcRes.BytesBefore, gcRes.BytesAfter,
-			gcRes.ReclaimedBytes, gcRes.CompactMs, gcRes.ThroughputMBs))
-	// Hedged dispatch: the 3-step workflow's tail under one slow replica.
-	wh := workflowHedgeExperiment()
-	pr.WorkflowHedge = &wh
-	report("—", "Hedged dispatch (Pool.DoHedged)",
-		"a backup attempt on a second healthy replica bounds the tail a slow endpoint adds to every workflow step",
-		fmt.Sprintf("%d-step workflow x%d runs, %0.fms latency on 1 of 2 replicas: p50/p99 %.0f/%.0f ms unhedged vs %.0f/%.0f ms hedged (%d hedge wins, p99 %.1fx better)",
-			wh.Steps, wh.Runs, wh.InjectedLatencyMs, wh.UnhedgedP50Ms, wh.UnhedgedP99Ms,
-			wh.HedgedP50Ms, wh.HedgedP99Ms, wh.HedgeWins, wh.P99Speedup))
-
-	if *parallelOut != "" {
-		raw, err := json.MarshalIndent(pr, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*parallelOut, append(raw, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(w, "parallel-kernel report written to %s\n\n", *parallelOut)
-	}
-
 	fmt.Fprintln(w, "remaining experiments (E2, E7, E8, E10-E14) are asserted by the test suite;")
 	fmt.Fprintln(w, "run `go test ./...` and `go test -bench=. -benchmem` for the full evidence.")
-}
-
-// kernelResult is one row of the parallel-kernel report: the same kernel
-// timed single-threaded and at one worker per CPU.
-type kernelResult struct {
-	Kernel  string  `json:"kernel"`
-	Work    string  `json:"work"`
-	P1Ms    float64 `json:"p1Ms"`
-	PNMs    float64 `json:"pNMs"`
-	Workers int     `json:"workers"`
-	Speedup float64 `json:"speedup"`
-}
-
-// storeResult is one row of the model-store report: the cost of writing
-// and restoring a trained snapshot vs training it again from scratch.
-type storeResult struct {
-	Algorithm    string  `json:"algorithm"`
-	Work         string  `json:"work"`
-	SnapshotKB   float64 `json:"snapshotKB"`
-	EncodeMBs    float64 `json:"encodeMBs"`
-	DecodeMBs    float64 `json:"decodeMBs"`
-	ColdTrainMs  float64 `json:"coldTrainMs"`
-	WarmResumeMs float64 `json:"warmResumeMs"`
-	Speedup      float64 `json:"speedup"`
-}
-
-// batchResult is one row of the batched-scoring report: the same rows
-// scored through a live session per-instance over XML and as one dmb1
-// columnar block.
-type batchResult struct {
-	BatchSize      int     `json:"batchSize"`
-	XMLRowsPerSec  float64 `json:"xmlRowsPerSec"`
-	DMB1RowsPerSec float64 `json:"dmb1RowsPerSec"`
-	Speedup        float64 `json:"speedup"`
-}
-
-// storeGCResult is the store_gc section of the report: what one forced
-// compaction of a half-dead store costs and reclaims.
-type storeGCResult struct {
-	Entries        int     `json:"entries"`
-	DeadFraction   float64 `json:"deadFraction"`
-	BytesBefore    int64   `json:"bytesBefore"`
-	BytesAfter     int64   `json:"bytesAfter"`
-	ReclaimedBytes int64   `json:"reclaimedBytes"`
-	CompactMs      float64 `json:"compactMs"`
-	ThroughputMBs  float64 `json:"throughputMBs"`
-}
-
-// parallelReport is the BENCH_parallel.json document.
-type parallelReport struct {
-	GoMaxProcs    int                  `json:"goMaxProcs"`
-	Note          string               `json:"note"`
-	Kernels       []kernelResult       `json:"kernels"`
-	Batch         []batchResult        `json:"batch,omitempty"`
-	BatchCluster  []batchResult        `json:"batch_cluster,omitempty"`
-	BatchFilter   []batchResult        `json:"batch_filter,omitempty"`
-	Store         []storeResult        `json:"store,omitempty"`
-	StoreGC       *storeGCResult       `json:"store_gc,omitempty"`
-	WorkflowHedge *workflowHedgeResult `json:"workflow_hedge,omitempty"`
-}
-
-// parallelExperiment times the three headline kernels (cross-validation
-// folds, Bagging member training, the k-means assignment scan) at P=1 and
-// P=GOMAXPROCS. On a single-CPU machine both levels take the sequential
-// path and the speedup column reads ~1.0 by construction.
-func parallelExperiment() parallelReport {
-	n := runtime.GOMAXPROCS(0)
-	timeMs := func(fn func(p int), p int) float64 {
-		const runs = 3
-		fn(p) // warm-up
-		began := time.Now()
-		for i := 0; i < runs; i++ {
-			fn(p)
-		}
-		return float64(time.Since(began).Microseconds()) / 1e3 / runs
-	}
-	kernel := func(name, work string, fn func(p int)) kernelResult {
-		p1 := timeMs(fn, 1)
-		pn := timeMs(fn, n)
-		return kernelResult{Kernel: name, Work: work, P1Ms: p1, PNMs: pn,
-			Workers: n, Speedup: p1 / pn}
-	}
-	cvData := datagen.RandomNominal(1200, 10, 4, 0.3, 29)
-	bagData := datagen.RandomNominal(1000, 10, 4, 0.2, 31)
-	kmData := datagen.GaussianClusters(8, 8000, 8, 6, 19)
-	return parallelReport{
-		GoMaxProcs: n,
-		Note:       "speedup = p1Ms/pNMs; on a 1-CPU host both levels run the sequential path",
-		Kernels: []kernelResult{
-			kernel("CrossValidate", "10-fold J48, 1200x10 nominal", func(p int) {
-				_, err := classify.CrossValidateContext(context.Background(),
-					func() classify.Classifier { return classify.NewJ48() },
-					cvData, 10, 1, classify.Parallelism(p))
-				if err != nil {
-					log.Fatal(err)
-				}
-			}),
-			kernel("Bagging", "16 random-tree members, 1000x10 nominal", func(p int) {
-				bag := &classify.Bagging{Size: 16, Seed: 7, Parallelism: p}
-				if err := bag.Train(bagData); err != nil {
-					log.Fatal(err)
-				}
-			}),
-			kernel("KMeans", "K=8 over 8000x8 numeric, 40 iterations", func(p int) {
-				km := &cluster.KMeans{K: 8, MaxIter: 40, Seed: 3, Parallelism: p}
-				if err := km.Build(kmData); err != nil {
-					log.Fatal(err)
-				}
-			}),
-		},
-	}
-}
-
-// batchExperiment measures scoring throughput through a live session:
-// the same rows labelled one envelope per instance over the XML path
-// (client.Classify, N HTTP calls, N ARFF parses, N model lookups) and as
-// one dmb1 columnar block (client.ClassifyBatch, one call, one decode,
-// one batch scoring pass). Rows/sec at N=1 shows the fixed per-call
-// floor; N=1024 shows the amortised fast path.
-func batchExperiment(dep *core.Deployment) []batchResult {
-	d := datagen.RandomNominal(1024, 10, 4, 0.2, 41)
-	client := core.NewClient(dep.BaseURL)
-	ctx := context.Background()
-	token, err := client.CreateSession(ctx, core.TrainOptions{Dataset: d, Classifier: "J48"})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer client.CloseSession(ctx, token)
-
-	// Reusable single-row dataset for the per-instance XML calls.
-	one := d.CloneSchema()
-	one.MustAdd(d.Instances[0])
-
-	var out []batchResult
-	for _, n := range []int{1, 64, 1024} {
-		rows := make([]int, n)
-		for i := range rows {
-			rows[i] = i
-		}
-		v := dataset.NewView(d, rows)
-		runs := 3
-		if n >= 1024 {
-			runs = 1
-		}
-
-		if _, err := client.ClassifyBatch(ctx, token, v); err != nil { // warm-up
-			log.Fatal(err)
-		}
-		began := time.Now()
-		for r := 0; r < runs; r++ {
-			labels, err := client.ClassifyBatch(ctx, token, v)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if len(labels) != n {
-				log.Fatalf("batch returned %d labels for %d rows", len(labels), n)
-			}
-		}
-		dmb1Sec := time.Since(began).Seconds() / float64(runs)
-
-		began = time.Now()
-		for r := 0; r < runs; r++ {
-			for i := 0; i < n; i++ {
-				one.Instances[0] = d.Instances[i]
-				if _, err := client.Classify(ctx, token, one); err != nil {
-					log.Fatal(err)
-				}
-			}
-		}
-		xmlSec := time.Since(began).Seconds() / float64(runs)
-
-		out = append(out, batchResult{
-			BatchSize:      n,
-			XMLRowsPerSec:  float64(n) / xmlSec,
-			DMB1RowsPerSec: float64(n) / dmb1Sec,
-			Speedup:        xmlSec / dmb1Sec,
-		})
-	}
-	return out
-}
-
-// batchClusterExperiment measures clustering throughput both ways the
-// services offer it: the textual composition (one assign call per row,
-// each shipping the full build-set ARFF and rebuilding the model — what
-// chaining XML services costs) against one clusterBatch call (build set
-// once, all rows as a single dmb1 block, one columnar assignment pass).
-func batchClusterExperiment(dep *core.Deployment) []batchResult {
-	build := datagen.GaussianClusters(3, 96, 6, 3.0, 42)
-	pool := datagen.GaussianClusters(3, 1024, 6, 3.0, 7)
-	client := core.NewClient(dep.BaseURL)
-	ctx := context.Background()
-	buildARFF := arff.Format(build)
-	url := dep.EndpointURL("Clusterer")
-
-	// Reusable single-row dataset for the per-instance XML calls.
-	one := pool.CloneSchema()
-	one.MustAdd(pool.Instances[0])
-
-	var out []batchResult
-	for _, n := range []int{1, 64, 1024} {
-		batch := pool.CloneSchema()
-		for i := 0; i < n; i++ {
-			batch.MustAdd(pool.Instances[i])
-		}
-		runs := 3
-		if n >= 1024 {
-			runs = 1
-		}
-		opts := core.ClusterBatchOptions{
-			Batch: batch, Train: build,
-			Clusterer: "SimpleKMeans", Options: map[string]string{"k": "3"},
-		}
-
-		if _, err := client.ClusterBatch(ctx, opts); err != nil { // warm-up
-			log.Fatal(err)
-		}
-		began := time.Now()
-		for r := 0; r < runs; r++ {
-			res, err := client.ClusterBatch(ctx, opts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if len(res.Assignments) != n {
-				log.Fatalf("clusterBatch returned %d assignments for %d rows", len(res.Assignments), n)
-			}
-		}
-		dmb1Sec := time.Since(began).Seconds() / float64(runs)
-
-		began = time.Now()
-		for r := 0; r < runs; r++ {
-			for i := 0; i < n; i++ {
-				one.Instances[0] = batch.Instances[i]
-				if _, err := soap.CallContext(ctx, url, "assign", map[string]string{
-					"dataset":   buildARFF,
-					"instances": arff.Format(one),
-					"clusterer": "SimpleKMeans",
-					"options":   "k=3",
-				}); err != nil {
-					log.Fatal(err)
-				}
-			}
-		}
-		xmlSec := time.Since(began).Seconds() / float64(runs)
-
-		out = append(out, batchResult{
-			BatchSize:      n,
-			XMLRowsPerSec:  float64(n) / xmlSec,
-			DMB1RowsPerSec: float64(n) / dmb1Sec,
-			Speedup:        xmlSec / dmb1Sec,
-		})
-	}
-	return out
-}
-
-// batchFilterExperiment measures one filter hop both ways: the textual
-// apply op (format N rows as ARFF, parse the transformed ARFF reply —
-// the serialisation a chained pipeline pays at every stage) against
-// filterBatch moving the same rows as a dmb1 block each way.
-func batchFilterExperiment(dep *core.Deployment) []batchResult {
-	pool := datagen.GaussianClusters(3, 1024, 6, 3.0, 11)
-	client := core.NewClient(dep.BaseURL)
-	ctx := context.Background()
-	url := dep.EndpointURL("Filter")
-
-	var out []batchResult
-	for _, n := range []int{1, 64, 1024} {
-		batch := pool.CloneSchema()
-		for i := 0; i < n; i++ {
-			batch.MustAdd(pool.Instances[i])
-		}
-		runs := 5
-		fopts := core.FilterBatchOptions{Dataset: batch, Filter: "Normalize"}
-
-		if _, err := client.FilterBatch(ctx, fopts); err != nil { // warm-up
-			log.Fatal(err)
-		}
-		began := time.Now()
-		for r := 0; r < runs; r++ {
-			res, err := client.FilterBatch(ctx, fopts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if res.Rows != n {
-				log.Fatalf("filterBatch returned %d rows for %d", res.Rows, n)
-			}
-		}
-		dmb1Sec := time.Since(began).Seconds() / float64(runs)
-
-		began = time.Now()
-		for r := 0; r < runs; r++ {
-			reply, err := soap.CallContext(ctx, url, "apply", map[string]string{
-				"dataset": arff.Format(batch),
-				"filter":  "Normalize",
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			if _, err := arff.ParseString(reply["arff"]); err != nil {
-				log.Fatal(err)
-			}
-		}
-		xmlSec := time.Since(began).Seconds() / float64(runs)
-
-		out = append(out, batchResult{
-			BatchSize:      n,
-			XMLRowsPerSec:  float64(n) / xmlSec,
-			DMB1RowsPerSec: float64(n) / dmb1Sec,
-			Speedup:        xmlSec / dmb1Sec,
-		})
-	}
-	return out
-}
-
-// storeExperiment measures the model store's economics per algorithm:
-// gob encode/decode throughput for a trained snapshot, and the wall-clock
-// of a warm resume (store Get + decode) against a cold retrain — the
-// latency a failed-over replica saves on the first call of a resumed
-// session.
-func storeExperiment() []storeResult {
-	dir, err := os.MkdirTemp("", "dmbench-store")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	st, err := store.Open(dir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer st.Close()
-
-	trainData := datagen.RandomNominal(2000, 12, 4, 0.2, 23)
-	const runs = 5
-	row := func(name, work string, train func() classify.Classifier) storeResult {
-		began := time.Now()
-		var c classify.Classifier
-		for i := 0; i < runs; i++ {
-			c = train()
-		}
-		coldMs := float64(time.Since(began).Microseconds()) / 1e3 / runs
-
-		blob, err := model.Marshal(c)
-		if err != nil {
-			log.Fatal(err)
-		}
-		began = time.Now()
-		for i := 0; i < runs; i++ {
-			if _, err := model.Marshal(c); err != nil {
-				log.Fatal(err)
-			}
-		}
-		encSec := time.Since(began).Seconds() / runs
-
-		key := store.Key(name, nil, dataset.Digest(trainData), "")
-		if err := st.Put(key, store.Meta{Algorithm: name, Kind: "classifier"}, blob); err != nil {
-			log.Fatal(err)
-		}
-		began = time.Now()
-		for i := 0; i < runs; i++ {
-			got, _, err := st.Get(key)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if _, err := model.Unmarshal(got); err != nil {
-				log.Fatal(err)
-			}
-		}
-		warmMs := float64(time.Since(began).Microseconds()) / 1e3 / runs
-		decSec := warmMs / 1e3 // Get is dwarfed by the decode; close enough for MB/s
-
-		mb := float64(len(blob)) / (1 << 20)
-		return storeResult{
-			Algorithm:    name,
-			Work:         work,
-			SnapshotKB:   float64(len(blob)) / 1024,
-			EncodeMBs:    mb / encSec,
-			DecodeMBs:    mb / decSec,
-			ColdTrainMs:  coldMs,
-			WarmResumeMs: warmMs,
-			Speedup:      coldMs / warmMs,
-		}
-	}
-	return []storeResult{
-		row("J48", "2000x12 nominal", func() classify.Classifier {
-			j := classify.NewJ48()
-			if err := j.Train(trainData); err != nil {
-				log.Fatal(err)
-			}
-			return j
-		}),
-		row("RandomForest", "20 trees over 2000x12 nominal", func() classify.Classifier {
-			f, err := classify.New("RandomForest")
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Train(trainData); err != nil {
-				log.Fatal(err)
-			}
-			return f
-		}),
-	}
-}
-
-// mineMs times fn over three runs and returns the mean in milliseconds.
-func mineMs(fn func() error) float64 {
-	const runs = 3
-	began := time.Now()
-	for i := 0; i < runs; i++ {
-		if err := fn(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	return float64(time.Since(began).Milliseconds()) / runs
 }
 
 func distincts(s dataset.Summary) string {
@@ -688,59 +167,6 @@ func contains(xs []string, v string) bool {
 		}
 	}
 	return false
-}
-
-// storeGCExperiment builds a store where half the indexed bytes are
-// dead — the steady state of a deployment that retrains and supersedes
-// models under churn — and times one forced Compact: how many bytes come
-// back, and at what rewrite throughput.
-func storeGCExperiment() storeGCResult {
-	dir, err := os.MkdirTemp("", "dmbench-gc")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	st, err := store.Open(dir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer st.Close()
-
-	const entries = 256
-	const blobSize = 32 << 10
-	rng := rand.New(rand.NewSource(7))
-	blob := make([]byte, blobSize)
-	keys := make([]string, entries)
-	for i := range keys {
-		rng.Read(blob)
-		keys[i] = store.Key("J48", map[string]string{"i": fmt.Sprint(i)}, "dmbench-gc", "")
-		if err := st.Put(keys[i], store.Meta{Algorithm: "J48", Kind: "classifier"}, blob); err != nil {
-			log.Fatal(err)
-		}
-	}
-	// Tombstone every other entry: ~half the store goes dead.
-	for i := 0; i < entries; i += 2 {
-		if err := st.Delete(keys[i]); err != nil {
-			log.Fatal(err)
-		}
-	}
-	before := st.Bytes()
-	deadFrac := float64(st.DeadBytes()) / float64(before)
-	began := time.Now()
-	cs, err := st.Compact()
-	if err != nil {
-		log.Fatal(err)
-	}
-	ms := float64(time.Since(began).Microseconds()) / 1e3
-	return storeGCResult{
-		Entries:        entries,
-		DeadFraction:   deadFrac,
-		BytesBefore:    cs.BytesBefore,
-		BytesAfter:     cs.BytesAfter,
-		ReclaimedBytes: cs.ReclaimedBytes,
-		CompactMs:      ms,
-		ThroughputMBs:  float64(cs.BytesBefore) / (1 << 20) / (ms / 1e3),
-	}
 }
 
 // invocationExperiment measures ns/invocation for both §4.5 backends.

@@ -243,16 +243,29 @@ func reportCmd(args []string) {
 	if *journalPath == "" {
 		fatal("dmexp: -journal is required")
 	}
-	journal, err := experiment.OpenJournal(*journalPath)
+	out, err := report(*journalPath)
 	if err != nil {
 		fatal(err)
+	}
+	fmt.Print(out)
+}
+
+// report renders the ranking tables of an existing journal. It never
+// creates the file: a mistyped path is an error, not an empty report.
+func report(path string) (string, error) {
+	if _, err := os.Stat(path); err != nil {
+		return "", fmt.Errorf("dmexp: no such journal: %w", err)
+	}
+	journal, err := experiment.OpenJournal(path)
+	if err != nil {
+		return "", err
 	}
 	defer journal.Close()
 	results := experiment.ResultsFromRecords(journal.Records())
 	if len(results) == 0 {
-		fatal(fmt.Sprintf("dmexp: journal %s is empty", *journalPath))
+		return "", fmt.Errorf("dmexp: journal %s is empty", path)
 	}
-	fmt.Print(experiment.Report(results))
+	return experiment.Report(results), nil
 }
 
 func fatal(v any) {

@@ -126,8 +126,12 @@ func main() {
 
 // printReport renders the journal's step outcomes: one line per record
 // in journal order, then a summary. The journal is the source of truth —
-// the workflow XML is not needed.
+// the workflow XML is not needed. Reporting never creates the file: a
+// mistyped path is an error, not an empty report.
 func printReport(path string) error {
+	if _, err := os.Stat(path); err != nil {
+		return fmt.Errorf("no such journal: %w", err)
+	}
 	j, err := workflow.OpenJournal(path)
 	if err != nil {
 		return err

@@ -45,7 +45,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// One typed client serves every node: TrainAt takes the explicit
+	// One typed client serves every node: At pins each call to an explicit
 	// Classifier endpoint, so the endpoint pool stays the caller's concern.
 	client := core.NewClient(nodes[0].BaseURL)
 	ctx := context.Background()
@@ -70,7 +70,7 @@ func main() {
 		var lastErr error
 		for attempt := 0; attempt < len(endpoints); attempt++ {
 			ep := endpoints[(i+attempt)%len(endpoints)]
-			res, lastErr = client.TrainAt(ctx, ep, opts)
+			res, lastErr = client.At(ep).Train(ctx, opts)
 			if lastErr == nil {
 				break
 			}

@@ -53,12 +53,12 @@ func main() {
 	}
 	fmt.Printf("stage 3: resource %s\n", entry.Endpoint)
 
-	// Stages 4-5: execute each candidate remotely (TrainAt against the
+	// Stages 4-5: execute each candidate remotely (At pins Train to the
 	// registry-selected endpoint), then verify locally on the held-out
 	// share.
 	var plotPoints strings.Builder
 	for i, name := range candidates {
-		if _, err := client.TrainAt(context.Background(), entry.Endpoint, core.TrainOptions{
+		if _, err := client.At(entry.Endpoint).Train(context.Background(), core.TrainOptions{
 			Dataset: train, Classifier: name, Class: "Class",
 		}); err != nil {
 			log.Fatalf("remote %s: %v", name, err)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -20,11 +19,12 @@ import (
 // facade does not cover — Client methods take and return Go values:
 // datasets go out as ARFF or dmb1 binary batches, results come back as
 // structs. One Client targets one base URL (a dmserver or anything
-// hosting the same services); TrainAt-style variants accept an explicit
-// endpoint for callers running their own endpoint pools.
+// hosting the same services); callers running their own endpoint pools
+// pin individual calls to a replica with At.
 type Client struct {
-	base string
-	soap *soap.Client
+	base   string
+	pinned string // set by At: the endpoint every call goes to
+	soap   *soap.Client
 }
 
 // ClientOption configures a Client.
@@ -50,8 +50,24 @@ func NewClient(baseURL string, opts ...ClientOption) *Client {
 // low-level escape hatch for operations without a typed wrapper.
 func (c *Client) Raw() *soap.Client { return c.soap }
 
-// Endpoint returns the URL of a named service on this deployment.
+// At returns a client whose calls all go to endpoint — a service URL
+// from a registry or endpoint pool — instead of being routed by service
+// name under the base URL: client.At(ep).Train(ctx, opts). The receiver
+// is not modified and the copy shares its SOAP client (connection pool,
+// resilience policy, breakers), so At is cheap enough to call per
+// request and safe from concurrent goroutines.
+func (c *Client) At(endpoint string) *Client {
+	pinned := *c
+	pinned.pinned = endpoint
+	return &pinned
+}
+
+// Endpoint returns the URL of a named service on this deployment, or
+// the pinned endpoint for a client made by At.
 func (c *Client) Endpoint(service string) string {
+	if c.pinned != "" {
+		return c.pinned
+	}
 	return c.base + "/services/" + service
 }
 
@@ -111,12 +127,8 @@ func (o TrainOptions) parts() (map[string]string, error) {
 		services.PartClassifier: o.Classifier,
 		services.PartAttribute:  class,
 	}
-	if len(o.Options) > 0 {
-		js, err := json.Marshal(o.Options)
-		if err != nil {
-			return nil, fmt.Errorf("dm: encoding options: %w", err)
-		}
-		parts[services.PartOptions] = string(js)
+	if err := optionsPart(parts, o.Options); err != nil {
+		return nil, err
 	}
 	return parts, nil
 }
@@ -132,18 +144,11 @@ type TrainResult struct {
 // Train trains o.Classifier on o.Dataset via the deployment's
 // Classifier service and returns the model text plus evaluation.
 func (c *Client) Train(ctx context.Context, o TrainOptions) (*TrainResult, error) {
-	return c.TrainAt(ctx, c.Endpoint("Classifier"), o)
-}
-
-// TrainAt is Train against an explicit Classifier-service endpoint, for
-// callers spreading work over their own endpoint pools (the experiment
-// engine's remote executor).
-func (c *Client) TrainAt(ctx context.Context, endpoint string, o TrainOptions) (*TrainResult, error) {
 	parts, err := o.parts()
 	if err != nil {
 		return nil, err
 	}
-	out, err := c.call(ctx, endpoint, "classifyInstance", parts)
+	out, err := c.call(ctx, c.Endpoint("Classifier"), "classifyInstance", parts)
 	if err != nil {
 		return nil, err
 	}
@@ -193,17 +198,11 @@ func (c *Client) CrossValidate(ctx context.Context, o TrainOptions, folds, seed 
 // CreateSession trains once and mints a replica-portable session token
 // for interactive use.
 func (c *Client) CreateSession(ctx context.Context, o TrainOptions) (string, error) {
-	return c.CreateSessionAt(ctx, c.Endpoint("Session"), o)
-}
-
-// CreateSessionAt is CreateSession against an explicit Session-service
-// endpoint, for callers spreading work over their own endpoint pools.
-func (c *Client) CreateSessionAt(ctx context.Context, endpoint string, o TrainOptions) (string, error) {
 	parts, err := o.parts()
 	if err != nil {
 		return "", err
 	}
-	out, err := c.call(ctx, endpoint, "createSession", parts)
+	out, err := c.call(ctx, c.Endpoint("Session"), "createSession", parts)
 	if err != nil {
 		return "", err
 	}
@@ -223,16 +222,11 @@ func (c *Client) CloseSession(ctx context.Context, token string) error {
 
 // Classify labels instances with the session's model over the XML row
 // path: one ARFF document in, newline-separated label names out. For
-// high-throughput scoring use ClassifyBatch.
+// high-throughput scoring use ClassifyBatch. Session tokens are
+// replica-portable, so under At the endpoint may be any replica sharing
+// the model store — not just the one that trained.
 func (c *Client) Classify(ctx context.Context, token string, d *dataset.Dataset) ([]string, error) {
-	return c.ClassifyAt(ctx, c.Endpoint("Session"), token, d)
-}
-
-// ClassifyAt is Classify against an explicit Session-service endpoint.
-// Session tokens are replica-portable, so the endpoint may be any
-// replica sharing the model store — not just the one that trained.
-func (c *Client) ClassifyAt(ctx context.Context, endpoint, token string, d *dataset.Dataset) ([]string, error) {
-	out, err := c.call(ctx, endpoint, "classify", map[string]string{
+	out, err := c.call(ctx, c.Endpoint("Session"), "classify", map[string]string{
 		services.PartSession:   token,
 		services.PartInstances: arff.Format(d),
 	})
@@ -258,21 +252,12 @@ type Label struct {
 // single invocation, and the DMR1 reply carries every label plus its
 // per-class distribution.
 func (c *Client) ClassifyBatch(ctx context.Context, token string, v *dataset.View) ([]Label, error) {
-	return c.ClassifyBatchAt(ctx, c.Endpoint("Session"), token, v)
-}
-
-// ClassifyBatchAt is ClassifyBatch against an explicit Session-service
-// endpoint, for callers running their own endpoint pools.
-func (c *Client) ClassifyBatchAt(ctx context.Context, endpoint, token string, v *dataset.View) ([]Label, error) {
-	payload, n, err := marshalView(v)
+	parts := map[string]string{services.PartSession: token}
+	n, err := viewPart(parts, v)
 	if err != nil {
 		return nil, err
 	}
-	out, err := c.call(ctx, endpoint, "classifyBatch", map[string]string{
-		services.PartSession:  token,
-		services.PartPayload:  payload,
-		services.PartEncoding: wire.Encoding,
-	})
+	out, err := c.call(ctx, c.Endpoint("Session"), "classifyBatch", parts)
 	if err != nil {
 		return nil, err
 	}
@@ -287,12 +272,10 @@ func (c *Client) TrainClassifyBatch(ctx context.Context, o TrainOptions, v *data
 	if err != nil {
 		return nil, err
 	}
-	payload, n, err := marshalView(v)
+	n, err := viewPart(parts, v)
 	if err != nil {
 		return nil, err
 	}
-	parts[services.PartPayload] = payload
-	parts[services.PartEncoding] = wire.Encoding
 	out, err := c.call(ctx, c.Endpoint("Classifier"), "classifyBatch", parts)
 	if err != nil {
 		return nil, err
@@ -300,17 +283,26 @@ func (c *Client) TrainClassifyBatch(ctx context.Context, o TrainOptions, v *data
 	return decodeLabels(out, n)
 }
 
-// marshalView encodes a view's selection as a base64 dmb1 block.
-func marshalView(v *dataset.View) (string, int, error) {
+// viewPart adds a view's selection to parts as the batch payload and
+// returns how many rows it holds.
+func viewPart(parts map[string]string, v *dataset.View) (int, error) {
 	if v == nil {
-		return "", 0, fmt.Errorf("dm: batch call needs a non-nil view")
+		return 0, fmt.Errorf("dm: batch call needs a non-nil view")
 	}
 	d := v.Materialize()
+	return d.NumInstances(), batchPart(parts, d)
+}
+
+// batchPart adds d to parts as the batch payload: one base64 dmb1 block
+// plus the encoding part that selects the codec.
+func batchPart(parts map[string]string, d *dataset.Dataset) error {
 	payload, err := wire.MarshalBase64(d)
 	if err != nil {
-		return "", 0, fmt.Errorf("dm: encoding batch: %w", err)
+		return fmt.Errorf("dm: encoding batch: %w", err)
 	}
-	return payload, d.NumInstances(), nil
+	parts[services.PartPayload] = payload
+	parts[services.PartEncoding] = wire.Encoding
+	return nil
 }
 
 // decodeLabels parses a classifyBatch reply into per-row labels.

@@ -72,26 +72,15 @@ type ClusterBatchResult struct {
 // ClusterBatch builds a clusterer and assigns every batch row in one
 // dmb1 round trip via the deployment's Clusterer service.
 func (c *Client) ClusterBatch(ctx context.Context, o ClusterBatchOptions) (*ClusterBatchResult, error) {
-	return c.ClusterBatchAt(ctx, c.Endpoint("Clusterer"), o)
-}
-
-// ClusterBatchAt is ClusterBatch against an explicit Clusterer-service
-// endpoint, for callers running their own endpoint pools.
-func (c *Client) ClusterBatchAt(ctx context.Context, endpoint string, o ClusterBatchOptions) (*ClusterBatchResult, error) {
 	if o.Batch == nil {
 		return nil, fmt.Errorf("dm: ClusterBatch needs a non-nil batch dataset")
 	}
 	if o.Clusterer == "" {
 		return nil, fmt.Errorf("dm: ClusterBatch needs a clusterer name")
 	}
-	payload, err := wire.MarshalBase64(o.Batch)
-	if err != nil {
-		return nil, fmt.Errorf("dm: encoding batch: %w", err)
-	}
-	parts := map[string]string{
-		services.PartClusterer: o.Clusterer,
-		services.PartPayload:   payload,
-		services.PartEncoding:  wire.Encoding,
+	parts := map[string]string{services.PartClusterer: o.Clusterer}
+	if err := batchPart(parts, o.Batch); err != nil {
+		return nil, err
 	}
 	if o.Train != nil {
 		parts[services.PartDataset] = arff.Format(o.Train)
@@ -99,7 +88,7 @@ func (c *Client) ClusterBatchAt(ctx context.Context, endpoint string, o ClusterB
 	if err := optionsPart(parts, o.Options); err != nil {
 		return nil, err
 	}
-	out, err := c.call(ctx, endpoint, "clusterBatch", parts)
+	out, err := c.call(ctx, c.Endpoint("Clusterer"), "clusterBatch", parts)
 	if err != nil {
 		return nil, err
 	}
@@ -144,27 +133,18 @@ type RegressBatchResult struct {
 // RegressBatch trains a regressor and predicts every batch row in one
 // dmb1 round trip via the deployment's Regressor service.
 func (c *Client) RegressBatch(ctx context.Context, o RegressBatchOptions) (*RegressBatchResult, error) {
-	return c.RegressBatchAt(ctx, c.Endpoint("Regressor"), o)
-}
-
-// RegressBatchAt is RegressBatch against an explicit Regressor-service
-// endpoint.
-func (c *Client) RegressBatchAt(ctx context.Context, endpoint string, o RegressBatchOptions) (*RegressBatchResult, error) {
 	if o.Train == nil || o.Batch == nil {
 		return nil, fmt.Errorf("dm: RegressBatch needs train and batch datasets")
 	}
 	if o.Regressor == "" {
 		return nil, fmt.Errorf("dm: RegressBatch needs a regressor name")
 	}
-	payload, err := wire.MarshalBase64(o.Batch)
-	if err != nil {
-		return nil, fmt.Errorf("dm: encoding batch: %w", err)
-	}
 	parts := map[string]string{
 		services.PartDataset:   arff.Format(o.Train),
 		services.PartRegressor: o.Regressor,
-		services.PartPayload:   payload,
-		services.PartEncoding:  wire.Encoding,
+	}
+	if err := batchPart(parts, o.Batch); err != nil {
+		return nil, err
 	}
 	if o.Target != "" {
 		parts[services.PartAttribute] = o.Target
@@ -172,7 +152,7 @@ func (c *Client) RegressBatchAt(ctx context.Context, endpoint string, o RegressB
 	if err := optionsPart(parts, o.Options); err != nil {
 		return nil, err
 	}
-	out, err := c.call(ctx, endpoint, "regressBatch", parts)
+	out, err := c.call(ctx, c.Endpoint("Regressor"), "regressBatch", parts)
 	if err != nil {
 		return nil, err
 	}
@@ -223,29 +203,20 @@ type FilterBatchResult struct {
 // deployment's Filter service — the binary replacement for the textual
 // apply op's ARFF round-trip.
 func (c *Client) FilterBatch(ctx context.Context, o FilterBatchOptions) (*FilterBatchResult, error) {
-	return c.FilterBatchAt(ctx, c.Endpoint("Filter"), o)
-}
-
-// FilterBatchAt is FilterBatch against an explicit Filter-service
-// endpoint.
-func (c *Client) FilterBatchAt(ctx context.Context, endpoint string, o FilterBatchOptions) (*FilterBatchResult, error) {
 	if o.Filter == "" {
 		return nil, fmt.Errorf("dm: FilterBatch needs a filter name")
 	}
-	payload := o.Payload
-	if o.Dataset != nil {
-		var err error
-		if payload, err = wire.MarshalBase64(o.Dataset); err != nil {
-			return nil, fmt.Errorf("dm: encoding batch: %w", err)
-		}
-	}
-	if payload == "" {
-		return nil, fmt.Errorf("dm: FilterBatch needs a dataset or a payload")
-	}
 	parts := map[string]string{
-		services.PartPayload:  payload,
+		services.PartPayload:  o.Payload,
 		services.PartFilter:   o.Filter,
 		services.PartEncoding: wire.Encoding,
+	}
+	if o.Dataset != nil {
+		if err := batchPart(parts, o.Dataset); err != nil {
+			return nil, err
+		}
+	} else if o.Payload == "" {
+		return nil, fmt.Errorf("dm: FilterBatch needs a dataset or a payload")
 	}
 	if o.Bins > 0 {
 		parts[services.PartBins] = strconv.Itoa(o.Bins)
@@ -256,7 +227,7 @@ func (c *Client) FilterBatchAt(ctx context.Context, endpoint string, o FilterBat
 	if len(o.Attributes) > 0 {
 		parts[services.PartAttributes] = strings.Join(o.Attributes, ",")
 	}
-	out, err := c.call(ctx, endpoint, "filterBatch", parts)
+	out, err := c.call(ctx, c.Endpoint("Filter"), "filterBatch", parts)
 	if err != nil {
 		return nil, err
 	}

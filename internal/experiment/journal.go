@@ -1,13 +1,9 @@
 package experiment
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-	"sync"
 	"time"
+
+	"repro/internal/journal"
 )
 
 // Job statuses recorded in the journal and in JobResult.
@@ -34,111 +30,16 @@ type Record struct {
 	TraceID   string    `json:"traceId,omitempty"`
 }
 
-// Journal is the append-only JSON-lines checkpoint of a batch. Every
-// terminal job outcome is one line, fsynced on write, so a killed batch
-// loses at most the jobs that were still in flight. Reopening the same
-// path loads the completed set; the scheduler skips jobs whose ID has a
-// StatusOK record (failed jobs are retried on resume).
-type Journal struct {
-	path string
+// Journal is the append-only JSON-lines checkpoint of a batch (see
+// internal/journal for the file discipline). Every terminal job outcome
+// is one fsynced line, so a killed batch loses at most the jobs that were
+// still in flight. Reopening the same path loads the completed set; the
+// scheduler skips jobs whose ID has a StatusOK record (failed jobs are
+// retried on resume).
+type Journal = journal.Log[Record]
 
-	mu      sync.Mutex
-	f       *os.File
-	records []Record
-	done    map[string]Record // JobID -> latest StatusOK record
-}
-
-// OpenJournal opens (creating if absent) the journal at path and loads its
-// existing records. A torn final line — the signature of a killed writer —
-// is truncated away so subsequent appends stay well-formed.
+// OpenJournal opens (creating if absent) the journal at path and loads
+// its existing records, dropping a torn or malformed tail.
 func OpenJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: journal: %w", err)
-	}
-	j := &Journal{path: path, f: f, done: map[string]Record{}}
-	var goodOffset int64
-	r := bufio.NewReader(f)
-	for {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF {
-			break // no trailing newline: torn write, drop it
-		}
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("experiment: journal %s: %w", path, err)
-		}
-		var rec Record
-		if json.Unmarshal(line, &rec) != nil || rec.JobID == "" {
-			break // malformed line: truncate from here
-		}
-		goodOffset += int64(len(line))
-		j.add(rec)
-	}
-	if err := f.Truncate(goodOffset); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("experiment: journal %s: %w", path, err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("experiment: journal %s: %w", path, err)
-	}
-	return j, nil
-}
-
-func (j *Journal) add(rec Record) {
-	j.records = append(j.records, rec)
-	if rec.Status == StatusOK {
-		j.done[rec.JobID] = rec
-	}
-}
-
-// Append writes one record and syncs it to disk.
-func (j *Journal) Append(rec Record) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("experiment: journal: %w", err)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("experiment: journal: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("experiment: journal: %w", err)
-	}
-	j.add(rec)
-	return nil
-}
-
-// Completed returns the StatusOK record for a job ID, if one exists.
-func (j *Journal) Completed(jobID string) (Record, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	rec, ok := j.done[jobID]
-	return rec, ok
-}
-
-// Records returns a copy of every journal record in append order.
-func (j *Journal) Records() []Record {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]Record(nil), j.records...)
-}
-
-// Len returns the number of journal records.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.records)
-}
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
-// Close closes the underlying file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
+	return journal.Open(path, func(r Record) (string, bool) { return r.JobID, r.Status == StatusOK })
 }

@@ -24,7 +24,7 @@ import (
 // registry-discovered Remote re-inquires periodically so newly published
 // services join and withdrawn ones leave (the paper's UDDI failover).
 // Calls go through the typed core.Client facade: each job becomes one
-// TrainAt invocation (the Classifier service's classifyInstance op —
+// At(endpoint).Train invocation (the Classifier service's classifyInstance op —
 // dataset ARFF + classifier + options JSON + class attribute), and the
 // returned accuracy becomes the job metric.
 // Note the service evaluates on its training data (resubstitution), not by
@@ -115,7 +115,7 @@ func (r *Remote) ensurePool() *resilience.Pool {
 
 // typedClient builds the core.Client facade jobs are dispatched
 // through, honouring a caller-supplied SOAP client. The base URL is
-// irrelevant — every call goes through TrainAt with an explicit
+// irrelevant — every call is pinned with At to an explicit
 // endpoint from the pool.
 func (r *Remote) typedClient() *core.Client {
 	r.typedOnce.Do(func() {
@@ -201,7 +201,7 @@ func (r *Remote) Execute(ctx context.Context, job Job, d *dataset.Dataset) (Metr
 	if ca := d.ClassAttribute(); ca != nil {
 		class = ca.Name
 	}
-	res, err := r.typedClient().TrainAt(ctx, endpoint, core.TrainOptions{
+	res, err := r.typedClient().At(endpoint).Train(ctx, core.TrainOptions{
 		DatasetARFF: r.arffText(job.Dataset, d),
 		Classifier:  job.Algorithm,
 		Options:     job.Options,

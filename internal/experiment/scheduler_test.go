@@ -315,53 +315,6 @@ func (c countingExec) Execute(ctx context.Context, job Job, d *dataset.Dataset) 
 	return c.inner.Execute(ctx, job, d)
 }
 
-// A torn trailing line (killed mid-write) must not poison the journal.
-func TestJournalTruncatesTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "torn.jsonl")
-	jl, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := Record{JobID: "classify:d/A", Status: StatusOK, Attempts: 1, Metrics: &Metrics{Accuracy: 0.9}}
-	if err := jl.Append(rec); err != nil {
-		t.Fatal(err)
-	}
-	jl.Close()
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"job":"classify:d/B","sta`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	jl2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jl2.Close()
-	if jl2.Len() != 1 {
-		t.Fatalf("journal has %d records after torn tail, want 1", jl2.Len())
-	}
-	if _, ok := jl2.Completed("classify:d/A"); !ok {
-		t.Fatal("intact record lost")
-	}
-	// Appending after truncation must produce a parseable journal.
-	if err := jl2.Append(Record{JobID: "classify:d/C", Status: StatusOK, Attempts: 1}); err != nil {
-		t.Fatal(err)
-	}
-	jl2.Close()
-	jl3, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jl3.Close()
-	if jl3.Len() != 2 {
-		t.Fatalf("journal has %d records after re-append, want 2", jl3.Len())
-	}
-}
-
 // Per-attempt timeouts must count as transient: a slow first attempt is
 // retried and a fast second attempt completes the job.
 func TestSchedulerAttemptTimeoutIsRetried(t *testing.T) {

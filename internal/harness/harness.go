@@ -96,8 +96,7 @@ func (b *SerialisingBackend) Invocations() int64 {
 }
 
 // CachedBackend is the paper's harness: instances stay in memory between
-// invocations, bounded by an LRU pool. Evicted instances are serialised to
-// the optional overflow store so no state is lost.
+// invocations, bounded by an LRU pool.
 //
 // With Durable set, the pool demotes to the memory tier of a two-level
 // read-through hierarchy over the content-addressed artifact store: a
@@ -108,8 +107,6 @@ func (b *SerialisingBackend) Invocations() int64 {
 type CachedBackend struct {
 	// MaxEntries bounds the pool (0 = unbounded).
 	MaxEntries int
-	// Overflow, when set, receives evicted instances.
-	Overflow *model.Store
 	// Durable, when set, is the persistent snapshot tier under the pool.
 	Durable *store.Store
 	// Obs receives the pool's hit/miss/eviction metrics; nil means
@@ -156,16 +153,10 @@ func (b *CachedBackend) Acquire(key string, build Builder) (classify.Classifier,
 		return el.Value.(*cacheItem).c, nil
 	}
 	reg.Counter("harness_cache_misses_total").Inc()
-	// Read through the tiers before building from scratch: the legacy
-	// overflow store, then the durable snapshot store (which another
-	// replica may have populated).
+	// Read through the durable snapshot store (which another replica may
+	// have populated) before building from scratch.
 	var c classify.Classifier
-	if b.Overflow != nil {
-		if loaded, err := b.Overflow.Load(key); err == nil {
-			c = loaded
-		}
-	}
-	if c == nil && b.Durable != nil {
+	if b.Durable != nil {
 		if blob, _, err := b.Durable.Get(key); err == nil {
 			if loaded, err := model.Unmarshal(blob); err == nil {
 				c = loaded
@@ -197,11 +188,6 @@ func (b *CachedBackend) Acquire(key string, build Builder) (classify.Classifier,
 		it := oldest.Value.(*cacheItem)
 		delete(b.items, it.key)
 		reg.Counter("harness_cache_evictions_total").Inc()
-		if b.Overflow != nil {
-			if err := b.Overflow.Save(it.key, it.c); err != nil {
-				return nil, err
-			}
-		}
 	}
 	reg.Gauge("harness_cache_entries").Set(int64(b.ll.Len()))
 	return c, nil

@@ -111,34 +111,12 @@ func TestCachedBackendLRUEviction(t *testing.T) {
 		t.Fatalf("pool holds %d, want 2", cache.Len())
 	}
 	before := builds
-	// "a" was evicted without an overflow store: it must rebuild.
+	// "a" was evicted and there is no durable tier: it must rebuild.
 	if err := Invoke(cache, "a", build, func(classify.Classifier) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if builds != before+1 {
 		t.Fatalf("evicted key did not rebuild (builds %d -> %d)", before, builds)
-	}
-}
-
-func TestCachedBackendOverflowStore(t *testing.T) {
-	var builds int64
-	store, _ := model.NewStore(t.TempDir())
-	cache := NewCachedBackend(1)
-	cache.Overflow = store
-	build := j48Builder(t, &builds)
-	if err := Invoke(cache, "a", build, func(classify.Classifier) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if err := Invoke(cache, "b", build, func(classify.Classifier) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	// "a" was evicted to the overflow store: re-acquiring must load, not build.
-	before := builds
-	if err := Invoke(cache, "a", build, func(classify.Classifier) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if builds != before {
-		t.Fatalf("overflowed key rebuilt instead of loading")
 	}
 }
 

@@ -75,12 +75,19 @@ func scoreBatch(c classify.Classifier, d *dataset.Dataset) (map[string]string, e
 		Labels:        labels,
 		Distributions: cols,
 	})
+	return blockReply(res, err, len(labels))
+}
+
+// blockReply renders the reply every block-returning batch op shares —
+// the base64 block, its row count and the encoding — from the outcome of
+// encoding the block; an encoding failure is the server's fault.
+func blockReply(payload string, err error, rows int) (map[string]string, error) {
 	if err != nil {
 		return nil, &soap.Fault{Code: "soap:Server", String: err.Error()}
 	}
 	return map[string]string{
-		PartPayload:  res,
-		PartRows:     strconv.Itoa(len(labels)),
+		PartPayload:  payload,
+		PartRows:     strconv.Itoa(rows),
 		PartEncoding: wire.Encoding,
 	}, nil
 }

@@ -241,16 +241,6 @@ func trainFromParts(ctx context.Context, backend harness.Backend, parts map[stri
 	return trained, d, key, nil
 }
 
-// TrainBuilder returns a harness.Builder that constructs, configures and
-// trains the named classifier on d. It is exported so the benchmark harness
-// can replay the exact per-invocation work of the service layer.
-//
-// Deprecated: use TrainBuilderContext so a caller's deadline can cancel
-// in-flight training. Kept one release as a shim.
-func TrainBuilder(name string, opts map[string]string, d *dataset.Dataset) harness.Builder {
-	return TrainBuilderContext(context.Background(), name, opts, d)
-}
-
 // TrainBuilderContext returns a harness.Builder that constructs,
 // configures and trains the named classifier on d under ctx: context-
 // aware learners (Bagging, RandomForest) stop member training promptly

@@ -204,15 +204,11 @@ func NewClustererService() *Service {
 						Assignments: assign,
 						Scores:      scores,
 					})
-					if err != nil {
-						return nil, &soap.Fault{Code: "soap:Server", String: err.Error()}
+					out, err := blockReply(res, err, len(assign))
+					if err == nil {
+						out[PartClusters] = strconv.Itoa(c.NumClusters())
 					}
-					return map[string]string{
-						PartPayload:  res,
-						PartRows:     strconv.Itoa(len(assign)),
-						PartClusters: strconv.Itoa(c.NumClusters()),
-						PartEncoding: wire.Encoding,
-					}, nil
+					return out, err
 				},
 			},
 		},

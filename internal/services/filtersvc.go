@@ -137,14 +137,7 @@ func NewFilterService() *Service {
 						return nil, &soap.Fault{Code: "soap:Client", String: err.Error()}
 					}
 					res, err := wire.MarshalBase64(out)
-					if err != nil {
-						return nil, &soap.Fault{Code: "soap:Server", String: err.Error()}
-					}
-					return map[string]string{
-						PartPayload:  res,
-						PartRows:     strconv.Itoa(out.NumInstances()),
-						PartEncoding: wire.Encoding,
-					}, nil
+					return blockReply(res, err, out.NumInstances())
 				},
 			},
 		},

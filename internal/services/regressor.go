@@ -3,7 +3,6 @@ package services
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"repro/internal/dataset"
@@ -174,14 +173,7 @@ func NewRegressorService() *Service {
 						Target: d.ClassAttribute().Name,
 						Values: values,
 					})
-					if err != nil {
-						return nil, &soap.Fault{Code: "soap:Server", String: err.Error()}
-					}
-					return map[string]string{
-						PartPayload:  res,
-						PartRows:     strconv.Itoa(len(values)),
-						PartEncoding: wire.Encoding,
-					}, nil
+					return blockReply(res, err, len(values))
 				},
 			},
 		},

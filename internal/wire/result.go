@@ -1,7 +1,5 @@
 package wire
 
-import "encoding/base64"
-
 // Result-block kinds beyond classification. clusterBatch replies carry a
 // "DMC1" block (per-row cluster assignments plus one score column per
 // cluster — centroid distances or mixture responsibilities), regressBatch
@@ -12,9 +10,6 @@ import "encoding/base64"
 const (
 	magicCluster = "DMC1"
 	magicRegress = "DMV1"
-
-	// noAssign encodes a negative assignment (DBSCAN noise) on the wire.
-	noAssign = 0xFFFFFFFF
 )
 
 // Score-kind names for ClusterResult.ScoreKind: what the per-cluster
@@ -98,16 +93,8 @@ func MarshalClusterResult(res *ClusterResult) ([]byte, error) {
 	w.u8(kc)
 	w.u32(uint32(res.Clusters))
 	w.u32(uint32(rows))
-	w.u32(uint32(4 * rows))
-	for _, a := range res.Assignments {
-		if a < 0 {
-			w.u32(noAssign)
-			continue
-		}
-		if a >= res.Clusters {
-			return nil, errf("assignment %d out of range for %d clusters", a, res.Clusters)
-		}
-		w.u32(uint32(a))
+	if err := writeIndexColumn(w, res.Assignments, res.Clusters, true, "assignment"); err != nil {
+		return nil, err
 	}
 	for _, col := range res.Scores {
 		writeColumn(w, col)
@@ -118,19 +105,8 @@ func MarshalClusterResult(res *ClusterResult) ([]byte, error) {
 // UnmarshalClusterResult decodes one DMC1 block.
 func UnmarshalClusterResult(b []byte) (*ClusterResult, error) {
 	r := &reader{buf: b}
-	if err := r.need(4); err != nil {
+	if err := r.header(magicCluster); err != nil {
 		return nil, err
-	}
-	if string(r.buf[:4]) != magicCluster {
-		return nil, errf("bad magic %q, want %q", r.buf[:4], magicCluster)
-	}
-	r.off = 4
-	v, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if v != version {
-		return nil, errf("unsupported dmc1 version %d", v)
 	}
 	kc, err := r.u8()
 	if err != nil {
@@ -151,30 +127,9 @@ func UnmarshalClusterResult(b []byte) (*ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := r.u32()
+	assign, err := readIndexColumn(r, int(rows), clusters, true, "assignment")
 	if err != nil {
 		return nil, err
-	}
-	if n > maxBlockBytes {
-		return nil, errf("assignment block of %d bytes exceeds limit", n)
-	}
-	if int(n) != 4*int(rows) {
-		return nil, errf("assignment block is %d bytes, want %d for %d rows", n, 4*rows, rows)
-	}
-	assign := make([]int, rows)
-	for i := range assign {
-		a, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if a == noAssign {
-			assign[i] = -1
-			continue
-		}
-		if a >= clusters {
-			return nil, errf("row %d assignment %d out of range for %d clusters", i, a, clusters)
-		}
-		assign[i] = int(a)
 	}
 	var scores [][]float64
 	if kind != ScoreNone {
@@ -189,8 +144,8 @@ func UnmarshalClusterResult(b []byte) (*ClusterResult, error) {
 			}
 		}
 	}
-	if r.off != len(b) {
-		return nil, errf("%d trailing bytes after cluster result", len(b)-r.off)
+	if err := r.end(); err != nil {
+		return nil, err
 	}
 	return &ClusterResult{
 		Clusters:    int(clusters),
@@ -226,19 +181,8 @@ func MarshalRegressResult(res *RegressResult) ([]byte, error) {
 // UnmarshalRegressResult decodes one DMV1 block.
 func UnmarshalRegressResult(b []byte) (*RegressResult, error) {
 	r := &reader{buf: b}
-	if err := r.need(4); err != nil {
+	if err := r.header(magicRegress); err != nil {
 		return nil, err
-	}
-	if string(r.buf[:4]) != magicRegress {
-		return nil, errf("bad magic %q, want %q", r.buf[:4], magicRegress)
-	}
-	r.off = 4
-	v, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if v != version {
-		return nil, errf("unsupported dmv1 version %d", v)
 	}
 	target, err := r.str()
 	if err != nil {
@@ -255,44 +199,28 @@ func UnmarshalRegressResult(b []byte) (*RegressResult, error) {
 	if err != nil {
 		return nil, errf("predictions: %v", err)
 	}
-	if r.off != len(b) {
-		return nil, errf("%d trailing bytes after regression result", len(b)-r.off)
+	if err := r.end(); err != nil {
+		return nil, err
 	}
 	return &RegressResult{Target: target, Values: vals}, nil
 }
 
 // MarshalClusterResultBase64 encodes a cluster result base64-wrapped.
 func MarshalClusterResultBase64(res *ClusterResult) (string, error) {
-	b, err := MarshalClusterResult(res)
-	if err != nil {
-		return "", err
-	}
-	return base64.StdEncoding.EncodeToString(b), nil
+	return wrap64(MarshalClusterResult(res))
 }
 
 // UnmarshalClusterResultBase64 decodes a base64-wrapped DMC1 block.
 func UnmarshalClusterResultBase64(s string) (*ClusterResult, error) {
-	b, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return nil, errf("cluster result is not valid base64: %v", err)
-	}
-	return UnmarshalClusterResult(b)
+	return unwrap64(s, "cluster result", UnmarshalClusterResult)
 }
 
 // MarshalRegressResultBase64 encodes a regression result base64-wrapped.
 func MarshalRegressResultBase64(res *RegressResult) (string, error) {
-	b, err := MarshalRegressResult(res)
-	if err != nil {
-		return "", err
-	}
-	return base64.StdEncoding.EncodeToString(b), nil
+	return wrap64(MarshalRegressResult(res))
 }
 
 // UnmarshalRegressResultBase64 decodes a base64-wrapped DMV1 block.
 func UnmarshalRegressResultBase64(s string) (*RegressResult, error) {
-	b, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return nil, errf("regression result is not valid base64: %v", err)
-	}
-	return UnmarshalRegressResult(b)
+	return unwrap64(s, "regression result", UnmarshalRegressResult)
 }

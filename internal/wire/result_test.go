@@ -76,61 +76,6 @@ func TestClusterResultRoundTripRandom(t *testing.T) {
 	}
 }
 
-func TestClusterResultTruncationAtEveryPrefix(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	res := randomClusterResult(rng, 8)
-	res.ScoreKind = ScoreDistance
-	if res.Scores == nil {
-		res.Scores = make([][]float64, res.Clusters)
-		for c := range res.Scores {
-			res.Scores[c] = make([]float64, 8)
-		}
-	}
-	b, err := MarshalClusterResult(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 0; n < len(b); n++ {
-		if _, err := UnmarshalClusterResult(b[:n]); err == nil {
-			t.Fatalf("cluster-result prefix of %d/%d bytes decoded without error", n, len(b))
-		}
-	}
-}
-
-func TestClusterResultCorruptHeaderRejected(t *testing.T) {
-	valid, err := MarshalClusterResult(&ClusterResult{
-		Clusters:    2,
-		ScoreKind:   ScoreDistance,
-		Assignments: []int{0, 1, -1},
-		Scores:      [][]float64{{1, 2, 3}, {4, 5, 6}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	corrupt := func(mutate func(b []byte)) error {
-		b := append([]byte(nil), valid...)
-		mutate(b)
-		_, err := UnmarshalClusterResult(b)
-		return err
-	}
-	if err := corrupt(func(b []byte) { b[0] = 'X' }); err == nil {
-		t.Error("corrupt magic accepted")
-	}
-	if err := corrupt(func(b []byte) { b[4] = 99 }); err == nil {
-		t.Error("unknown version accepted")
-	}
-	if err := corrupt(func(b []byte) { b[5] = 7 }); err == nil {
-		t.Error("unknown score-kind code accepted")
-	}
-	// First assignment (offset 18) overwritten with an out-of-range index.
-	if err := corrupt(func(b []byte) { b[18] = 9 }); err == nil {
-		t.Error("out-of-range assignment accepted")
-	}
-	if _, err := UnmarshalClusterResult(append(append([]byte(nil), valid...), 0xBE)); err == nil {
-		t.Error("trailing bytes accepted")
-	}
-}
-
 func TestClusterResultValidation(t *testing.T) {
 	if _, err := MarshalClusterResult(&ClusterResult{
 		Clusters:    1,
@@ -191,75 +136,5 @@ func TestRegressResultRoundTripRandom(t *testing.T) {
 				t.Fatalf("trial %d row %d: %v, want %v", trial, i, got.Values[i], vals[i])
 			}
 		}
-	}
-}
-
-func TestRegressResultTruncationAndCorruption(t *testing.T) {
-	valid, err := MarshalRegressResult(&RegressResult{Target: "y", Values: []float64{1, 2, 3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 0; n < len(valid); n++ {
-		if _, err := UnmarshalRegressResult(valid[:n]); err == nil {
-			t.Fatalf("regress-result prefix of %d/%d bytes decoded without error", n, len(valid))
-		}
-	}
-	corrupt := func(mutate func(b []byte)) error {
-		b := append([]byte(nil), valid...)
-		mutate(b)
-		_, err := UnmarshalRegressResult(b)
-		return err
-	}
-	if err := corrupt(func(b []byte) { b[0] = 'X' }); err == nil {
-		t.Error("corrupt magic accepted")
-	}
-	if err := corrupt(func(b []byte) { b[4] = 99 }); err == nil {
-		t.Error("unknown version accepted")
-	}
-	// Row count (after magic+version+str "y") inflated past the column.
-	if err := corrupt(func(b []byte) { b[10] = 200 }); err == nil {
-		t.Error("row/column length mismatch accepted")
-	}
-	if _, err := UnmarshalRegressResult(append(append([]byte(nil), valid...), 0xEF)); err == nil {
-		t.Error("trailing bytes accepted")
-	}
-}
-
-func TestResultBlockBase64RoundTrip(t *testing.T) {
-	cres := &ClusterResult{
-		Clusters:    2,
-		ScoreKind:   ScoreResponsibility,
-		Assignments: []int{1, 0},
-		Scores:      [][]float64{{0.3, 0.8}, {0.7, 0.2}},
-	}
-	s, err := MarshalClusterResultBase64(cres)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalClusterResultBase64(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Clusters != 2 || got.Assignments[0] != 1 || got.Scores[1][0] != 0.7 {
-		t.Fatalf("cluster base64 round trip = %+v", got)
-	}
-	if _, err := UnmarshalClusterResultBase64("!!!"); err == nil {
-		t.Error("invalid base64 accepted")
-	}
-
-	rres := &RegressResult{Target: "y", Values: []float64{2.5}}
-	rs, err := MarshalRegressResultBase64(rres)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rgot, err := UnmarshalRegressResultBase64(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rgot.Target != "y" || rgot.Values[0] != 2.5 {
-		t.Fatalf("regress base64 round trip = %+v", rgot)
-	}
-	if _, err := UnmarshalRegressResultBase64("!!!"); err == nil {
-		t.Error("invalid base64 accepted")
 	}
 }

@@ -58,6 +58,9 @@ const (
 	flagWeights = 1 << 0
 
 	noClass = 0xFFFFFFFF
+	// noIndex encodes a negative row index (DBSCAN noise in a DMC1
+	// assignment column) on the wire.
+	noIndex = 0xFFFFFFFF
 
 	// maxBlockBytes bounds any single length-prefixed block so a corrupt
 	// length cannot drive a multi-gigabyte allocation. It comfortably
@@ -146,6 +149,35 @@ func (r *reader) f64() (float64, error) {
 		return 0, err
 	}
 	return math.Float64frombits(v), nil
+}
+
+// header checks the frame every block kind opens with — the kind's
+// 4-byte magic, then the version byte — and leaves r just past it.
+func (r *reader) header(magic string) error {
+	if err := r.need(4); err != nil {
+		return err
+	}
+	if string(r.buf[:4]) != magic {
+		return errf("bad magic %q, want %q", r.buf[:4], magic)
+	}
+	r.off = 4
+	v, err := r.u8()
+	if err != nil {
+		return err
+	}
+	if v != version {
+		return errf("unsupported %s version %d", magic, v)
+	}
+	return nil
+}
+
+// end closes the frame: a block is exactly its declared contents, so
+// anything after them is a framing error.
+func (r *reader) end() error {
+	if r.off != len(r.buf) {
+		return errf("%d trailing bytes after %s block", len(r.buf)-r.off, r.buf[:4])
+	}
+	return nil
 }
 
 func kindCode(k dataset.Kind) (uint8, error) {
@@ -316,6 +348,58 @@ func readColumn(r *reader, rows int) ([]float64, error) {
 	return col, nil
 }
 
+// writeIndexColumn appends a length-prefixed u32 block of row indices
+// (DMR1 labels, DMC1 assignments), each below limit. With none set a
+// negative index is legal and encodes as noIndex; what names the column
+// in errors.
+func writeIndexColumn(w *writer, idx []int, limit int, none bool, what string) error {
+	buf := binary.LittleEndian.AppendUint32(w.buf, uint32(4*len(idx)))
+	for _, v := range idx {
+		u := uint32(v)
+		if v < 0 && none {
+			u = noIndex
+		} else if v < 0 || v >= limit {
+			return errf("%s %d out of range [0,%d)", what, v, limit)
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, u)
+	}
+	w.buf = buf
+	return nil
+}
+
+// readIndexColumn parses a length-prefixed u32 index block of exactly
+// rows values, the inverse of writeIndexColumn: noIndex decodes as -1
+// when none is set, and is out of range like any other index >= limit
+// when it is not.
+func readIndexColumn(r *reader, rows int, limit uint32, none bool, what string) ([]int, error) {
+	n, err := r.u32()
+	if err != nil {
+		return nil, err
+	}
+	if n > maxBlockBytes {
+		return nil, errf("%s block of %d bytes exceeds limit", what, n)
+	}
+	if int(n) != 4*rows {
+		return nil, errf("%s block is %d bytes, want %d for %d rows", what, n, 4*rows, rows)
+	}
+	if err := r.need(int(n)); err != nil {
+		return nil, err
+	}
+	block := r.buf[r.off : r.off+int(n)]
+	r.off += int(n)
+	idx := make([]int, rows)
+	for i := range idx {
+		v := binary.LittleEndian.Uint32(block[4*i:])
+		idx[i] = int(v)
+		if v == noIndex && none {
+			idx[i] = -1
+		} else if v >= limit {
+			return nil, errf("row %d %s %d out of range [0,%d)", i, what, v, limit)
+		}
+	}
+	return idx, nil
+}
+
 // Marshal encodes the dataset as one dmb1 block. Weights are encoded
 // only when any instance weight differs from 1.
 func Marshal(d *dataset.Dataset) ([]byte, error) {
@@ -356,19 +440,8 @@ func Marshal(d *dataset.Dataset) ([]byte, error) {
 // surface as errors, never panics.
 func Unmarshal(b []byte) (*dataset.Dataset, error) {
 	r := &reader{buf: b}
-	if err := r.need(4); err != nil {
+	if err := r.header(magicDataset); err != nil {
 		return nil, err
-	}
-	if string(r.buf[:4]) != magicDataset {
-		return nil, errf("bad magic %q, want %q", r.buf[:4], magicDataset)
-	}
-	r.off = 4
-	v, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if v != version {
-		return nil, errf("unsupported dmb1 version %d", v)
 	}
 	flags, err := r.u8()
 	if err != nil {
@@ -399,8 +472,8 @@ func Unmarshal(b []byte) (*dataset.Dataset, error) {
 			return nil, errf("weights: %v", err)
 		}
 	}
-	if r.off != len(b) {
-		return nil, errf("%d trailing bytes after payload", len(b)-r.off)
+	if err := r.end(); err != nil {
+		return nil, err
 	}
 	d, err := dataset.FromColumns(relation, attrs, classIndex, cols, weights)
 	if err != nil {
@@ -443,12 +516,8 @@ func MarshalResult(res *Result) ([]byte, error) {
 		w.str(name)
 	}
 	w.u32(uint32(rows))
-	w.u32(uint32(4 * rows))
-	for _, l := range res.Labels {
-		if l < 0 || l >= len(res.Classes) {
-			return nil, errf("label %d out of range for %d classes", l, len(res.Classes))
-		}
-		w.u32(uint32(l))
+	if err := writeIndexColumn(w, res.Labels, len(res.Classes), false, "label"); err != nil {
+		return nil, err
 	}
 	for _, col := range res.Distributions {
 		writeColumn(w, col)
@@ -459,19 +528,8 @@ func MarshalResult(res *Result) ([]byte, error) {
 // UnmarshalResult decodes one DMR1 block.
 func UnmarshalResult(b []byte) (*Result, error) {
 	r := &reader{buf: b}
-	if err := r.need(4); err != nil {
+	if err := r.header(magicResult); err != nil {
 		return nil, err
-	}
-	if string(r.buf[:4]) != magicResult {
-		return nil, errf("bad magic %q, want %q", r.buf[:4], magicResult)
-	}
-	r.off = 4
-	v, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if v != version {
-		return nil, errf("unsupported dmr1 version %d", v)
 	}
 	classCount, err := r.u32()
 	if err != nil {
@@ -492,26 +550,9 @@ func UnmarshalResult(b []byte) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := r.u32()
+	labels, err := readIndexColumn(r, int(rows), classCount, false, "label")
 	if err != nil {
 		return nil, err
-	}
-	if n > maxBlockBytes {
-		return nil, errf("label block of %d bytes exceeds limit", n)
-	}
-	if int(n) != 4*int(rows) {
-		return nil, errf("label block is %d bytes, want %d for %d rows", n, 4*rows, rows)
-	}
-	labels := make([]int, rows)
-	for i := range labels {
-		l, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if l >= classCount {
-			return nil, errf("row %d label %d out of range for %d classes", i, l, classCount)
-		}
-		labels[i] = int(l)
 	}
 	dists := make([][]float64, classCount)
 	for c := range dists {
@@ -520,45 +561,38 @@ func UnmarshalResult(b []byte) (*Result, error) {
 			return nil, errf("class %q distribution: %v", classes[c], err)
 		}
 	}
-	if r.off != len(b) {
-		return nil, errf("%d trailing bytes after result", len(b)-r.off)
+	if err := r.end(); err != nil {
+		return nil, err
 	}
 	return &Result{Classes: classes, Labels: labels, Distributions: dists}, nil
 }
 
-// MarshalBase64 encodes the dataset and wraps it in standard base64 for
-// transport as an XML-safe SOAP part.
-func MarshalBase64(d *dataset.Dataset) (string, error) {
-	b, err := Marshal(d)
+// wrap64 base64-wraps a freshly marshalled block for transport as an
+// XML-safe SOAP part.
+func wrap64(b []byte, err error) (string, error) {
 	if err != nil {
 		return "", err
 	}
 	return base64.StdEncoding.EncodeToString(b), nil
 }
+
+// unwrap64 strips the base64 wrap and hands the block to its decoder.
+func unwrap64[T any](s, what string, decode func([]byte) (*T, error)) (*T, error) {
+	b, err := base64.StdEncoding.DecodeString(s)
+	if err != nil {
+		return nil, errf("%s is not valid base64: %v", what, err)
+	}
+	return decode(b)
+}
+
+// MarshalBase64 encodes the dataset and wraps it in standard base64.
+func MarshalBase64(d *dataset.Dataset) (string, error) { return wrap64(Marshal(d)) }
 
 // UnmarshalBase64 decodes a base64-wrapped dmb1 block.
-func UnmarshalBase64(s string) (*dataset.Dataset, error) {
-	b, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return nil, errf("payload is not valid base64: %v", err)
-	}
-	return Unmarshal(b)
-}
+func UnmarshalBase64(s string) (*dataset.Dataset, error) { return unwrap64(s, "payload", Unmarshal) }
 
 // MarshalResultBase64 encodes a scoring result base64-wrapped.
-func MarshalResultBase64(res *Result) (string, error) {
-	b, err := MarshalResult(res)
-	if err != nil {
-		return "", err
-	}
-	return base64.StdEncoding.EncodeToString(b), nil
-}
+func MarshalResultBase64(res *Result) (string, error) { return wrap64(MarshalResult(res)) }
 
 // UnmarshalResultBase64 decodes a base64-wrapped DMR1 block.
-func UnmarshalResultBase64(s string) (*Result, error) {
-	b, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return nil, errf("result is not valid base64: %v", err)
-	}
-	return UnmarshalResult(b)
-}
+func UnmarshalResultBase64(s string) (*Result, error) { return unwrap64(s, "result", UnmarshalResult) }

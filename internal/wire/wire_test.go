@@ -216,71 +216,6 @@ func TestRoundTripOver64kRows(t *testing.T) {
 	}
 }
 
-func TestRoundTripBase64(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	d := randomDataset(rng, 10)
-	s, err := MarshalBase64(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalBase64(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertEqualDatasets(t, d, got)
-
-	if _, err := UnmarshalBase64("!!!not base64!!!"); err == nil {
-		t.Fatal("no error for invalid base64")
-	}
-}
-
-// TestTruncationAtEveryPrefix asserts every proper prefix of a valid
-// payload is rejected with a FormatError and never panics.
-func TestTruncationAtEveryPrefix(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	d := randomDataset(rng, 8)
-	b, err := Marshal(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 0; n < len(b); n++ {
-		if _, err := Unmarshal(b[:n]); err == nil {
-			t.Fatalf("prefix of %d/%d bytes decoded without error", n, len(b))
-		}
-	}
-}
-
-func TestCorruptHeaderRejected(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	d := randomDataset(rng, 4)
-	valid, err := Marshal(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	corrupt := func(mutate func(b []byte)) error {
-		b := append([]byte(nil), valid...)
-		mutate(b)
-		_, err := Unmarshal(b)
-		return err
-	}
-
-	if err := corrupt(func(b []byte) { b[0] = 'X' }); err == nil {
-		t.Error("corrupt magic accepted")
-	}
-	if err := corrupt(func(b []byte) { b[4] = 99 }); err == nil {
-		t.Error("unknown version accepted")
-	}
-	// Flip one byte inside the relation string: schema digest must catch it.
-	if err := corrupt(func(b []byte) { b[10] ^= 0xFF }); err == nil {
-		t.Error("corrupt schema accepted despite digest")
-	}
-	// Trailing garbage must be rejected.
-	if _, err := Unmarshal(append(append([]byte(nil), valid...), 0xDE, 0xAD)); err == nil {
-		t.Error("trailing bytes accepted")
-	}
-}
-
 func TestCorruptNominalIndexRejected(t *testing.T) {
 	attrs := []*dataset.Attribute{dataset.NewNominalAttribute("class", "a", "b")}
 	cols := [][]float64{{0, 1}}
@@ -366,16 +301,6 @@ func TestResultValidation(t *testing.T) {
 		Distributions: [][]float64{{1}},
 	}); err == nil {
 		t.Error("ragged distribution marshalled")
-	}
-}
-
-func TestFormatErrorType(t *testing.T) {
-	_, err := Unmarshal([]byte("nope"))
-	if err == nil {
-		t.Fatal("no error")
-	}
-	if _, ok := err.(*FormatError); !ok {
-		t.Fatalf("error type %T, want *FormatError", err)
 	}
 }
 

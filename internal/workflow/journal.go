@@ -1,16 +1,14 @@
 package workflow
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
-	"sync"
 	"time"
+
+	"repro/internal/journal"
 )
 
 // Step statuses recorded in the journal.
@@ -39,115 +37,18 @@ type StepRecord struct {
 	TraceID     string    `json:"traceId,omitempty"`
 }
 
-// Journal is the append-only JSON-lines checkpoint of a workflow run.
-// Every terminal step outcome is one line, fsynced on write, so a killed
-// enactor loses at most the steps that were still in flight; reopening
-// the same path and passing it to Engine.Resume replays the completed
-// steps' outputs and re-runs only the rest. The format follows the
-// experiment journal: a torn final line — the signature of a SIGKILLed
-// writer — is truncated away on open so subsequent appends stay
-// well-formed.
-type Journal struct {
-	path string
-
-	mu      sync.Mutex
-	f       *os.File
-	records []StepRecord
-	done    map[string]StepRecord // Step -> latest StepOK record
-}
+// Journal is the append-only JSON-lines checkpoint of a workflow run (see
+// internal/journal for the file discipline). Every terminal step outcome
+// is one fsynced line, so a killed enactor loses at most the steps that
+// were still in flight; reopening the same path and passing it to
+// Engine.Resume replays the completed steps' outputs and re-runs only the
+// rest.
+type Journal = journal.Log[StepRecord]
 
 // OpenJournal opens (creating if absent) the step journal at path and
 // loads its existing records, dropping a torn or malformed tail.
 func OpenJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("workflow: journal: %w", err)
-	}
-	j := &Journal{path: path, f: f, done: map[string]StepRecord{}}
-	var goodOffset int64
-	r := bufio.NewReader(f)
-	for {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF {
-			break // no trailing newline: torn write, drop it
-		}
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("workflow: journal %s: %w", path, err)
-		}
-		var rec StepRecord
-		if json.Unmarshal(line, &rec) != nil || rec.Step == "" {
-			break // malformed line: truncate from here
-		}
-		goodOffset += int64(len(line))
-		j.add(rec)
-	}
-	if err := f.Truncate(goodOffset); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("workflow: journal %s: %w", path, err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("workflow: journal %s: %w", path, err)
-	}
-	return j, nil
-}
-
-func (j *Journal) add(rec StepRecord) {
-	j.records = append(j.records, rec)
-	if rec.Status == StepOK {
-		j.done[rec.Step] = rec
-	}
-}
-
-// Append writes one record and syncs it to disk.
-func (j *Journal) Append(rec StepRecord) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("workflow: journal: %w", err)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("workflow: journal: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("workflow: journal: %w", err)
-	}
-	j.add(rec)
-	return nil
-}
-
-// Completed returns the StepOK record for a step, if one exists.
-func (j *Journal) Completed(step string) (StepRecord, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	rec, ok := j.done[step]
-	return rec, ok
-}
-
-// Records returns a copy of every journal record in append order.
-func (j *Journal) Records() []StepRecord {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]StepRecord(nil), j.records...)
-}
-
-// Len returns the number of journal records.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.records)
-}
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
-// Close closes the underlying file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
+	return journal.Open(path, func(r StepRecord) (string, bool) { return r.Step, r.Status == StepOK })
 }
 
 // StepDigest fingerprints a task execution: the unit's identity (its

@@ -1,83 +1,66 @@
 #!/bin/sh
-# verify.sh — the full local gate: formatting, build, vet (gated on any
-# finding), tests (including the admission goroutine-leak check and the
-# registry sweep races under -race), then the end-to-end smoke: live
-# dmserver probes, traced dmexp batch, chaos failover, the admission
-# flood + graceful-drain drill, the model-store replica-failover drill,
-# the 1024-row dmb1 classifyBatch drill, the 30s replica-churn soak,
-# the journaled-workflow kill/resume drill, and the chained
-# filterBatch -> clusterBatch binary-pipeline drill. The columnar batch
-# kernels (cluster/regress/filter) get a targeted -race sweep of their
-# bit-identity tests.
+# verify.sh — the full local gate, with the elapsed time of each stage:
+# formatting, build, vet of the repo and of the benchmark module (so a
+# change that breaks an API benchmark/ pins fails here, not in the
+# benchmark run), one plain and one -race pass over every test, the
+# deterministic short-mode replica-churn soak, then the end-to-end smoke
+# (scripts/smoke.sh: live dmserver probes, traced dmexp batch, chaos
+# failover, the admission flood + graceful-drain drill, the model-store
+# replica-failover drill, the 1024-row dmb1 classifyBatch drill, the
+# replica-churn soak, the journaled-workflow kill/resume drill, and the
+# chained filterBatch -> clusterBatch binary-pipeline drill).
 # Run from the repo root.
-set -eux
+set -eu
 
-unformatted=$(gofmt -l .)
-if [ -n "$unformatted" ]; then
-	echo "gofmt needed on:" >&2
-	echo "$unformatted" >&2
-	exit 1
-fi
+# stage NAME CMD...: run one gate stage and print how long it took.
+stage() {
+	name=$1
+	shift
+	began=$(date +%s)
+	echo "== $name"
+	"$@"
+	echo "== $name: $(($(date +%s) - began))s"
+}
 
-go build ./...
+check_gofmt() {
+	unformatted=$(gofmt -l .)
+	if [ -n "$unformatted" ]; then
+		echo "gofmt needed on:" >&2
+		echo "$unformatted" >&2
+		return 1
+	fi
+}
 
 # vet gates on output, not just exit code: anything it prints is a
 # finding, and findings fail the gate.
-vetout=$(go vet ./... 2>&1) || {
-	echo "$vetout" >&2
-	exit 1
+check_vet() {
+	vetout=$("$@" 2>&1) || {
+		echo "$vetout" >&2
+		return 1
+	}
+	if [ -n "$vetout" ]; then
+		echo "go vet findings:" >&2
+		echo "$vetout" >&2
+		return 1
+	fi
 }
-if [ -n "$vetout" ]; then
-	echo "go vet findings:" >&2
-	echo "$vetout" >&2
-	exit 1
-fi
 
-go test ./...
-go test -race ./...
+# Two real dmserver replicas on one store directory, a SIGKILL every
+# 2.5s, background GC on — the run must end inside its error budget
+# (exit 0) with zero failed requests and at least one kill survived.
+soak() {
+	out=$(mktemp)
+	go run ./cmd/dmsoak -short -out "$out"
+	grep -q '"failed": 0' "$out"
+	grep -Eq '"kills": [1-9]' "$out"
+	rm -f "$out"
+}
 
-# The parallel kernels get a dedicated -race pass: the determinism and
-# cancellation tests must hold when the fold/member/assignment fan-out
-# actually interleaves.
-go test -race -run 'Parallel|ForEach|Cancellation' \
-	./internal/parallel/ ./internal/classify/ ./internal/cluster/ ./internal/attrsel/
-
-# The model store gets its own -race pass: torn-tail recovery, concurrent
-# Put/Get, the compaction protocol (two writers racing a compactor, the
-# SIGKILL-at-every-byte crash sweep), and the two-replica session-resume
-# paths must hold when store and harness access actually interleaves.
-# dmsoak's report/quantile/scraper plumbing rides along.
-go test -race ./internal/store/ ./internal/harness/ ./internal/services/ ./cmd/dmsoak/
-
-# A deterministic short-mode soak: two real dmserver replicas on one
-# store directory, a SIGKILL every 2.5s, background GC on — the run must
-# end inside its error budget (exit 0) with zero failed requests and at
-# least one kill survived.
-SOAK_OUT=$(mktemp)
-go run ./cmd/dmsoak -short -out "$SOAK_OUT"
-grep -q '"failed": 0' "$SOAK_OUT"
-grep -Eq '"kills": [1-9]' "$SOAK_OUT"
-rm -f "$SOAK_OUT"
-
-# The batched scoring path gets its own -race pass: the dmb1 codec's
-# property/truncation tests and the dataset package's lazy column cache
-# (built on first access, invalidated by row mutation) must hold under
-# the race detector.
-go test -race ./internal/wire/ ./internal/dataset/
-
-# The columnar batch kernels ride the same gate: every registered
-# clusterer, regressor and filter's batch path is swept for Float64bits
-# identity against its row path, under -race so the column snapshots
-# and the lazy cache interleave for real.
-go test -race -run 'Batch' ./internal/cluster/ ./internal/regress/ ./internal/filter/
-
-# Durable workflows and hedged dispatch get their own -race pass: the
-# crash-at-every-step resume sweep, the journal torn-tail recovery, and
-# the hedged-race cancellation/goroutine-leak checks must hold when the
-# parallel scheduler and the hedge race actually interleave. The -short
-# gate re-runs just the resume and hedge suites as a quick regression
-# anchor.
-go test -race ./internal/workflow/ ./internal/resilience/
-go test -short -run 'Resume|Hedge|Journal' ./internal/workflow/ ./internal/resilience/
-
-./scripts/smoke.sh
+stage gofmt check_gofmt
+stage build go build ./...
+stage vet check_vet go vet ./...
+stage "vet benchmark" check_vet go -C benchmark vet ./...
+stage test go test ./...
+stage "test -race" go test -race ./...
+stage soak soak
+stage smoke ./scripts/smoke.sh

@@ -11,6 +11,7 @@
 package repro_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -32,6 +33,7 @@ import (
 	"repro/internal/soap"
 	"repro/internal/stream"
 	"repro/internal/viz"
+	"repro/internal/wire"
 	"repro/internal/workflow"
 )
 
@@ -254,21 +256,38 @@ func BenchmarkClassifyRoundtrip(b *testing.B) {
 	}
 }
 
-// Ablation: SOAP envelope encode/decode cost (DESIGN.md).
+// Ablation: SOAP envelope encode/decode cost (DESIGN.md), on the paper's
+// textual payload (the 286-instance ARFF) and on the binary data plane's
+// (one 4096-row x 11-attribute dmb1 block, the classify_bulk request).
 func BenchmarkSOAPEncode(b *testing.B) {
-	arffText := arff.Format(datagen.BreastCancer())
-	msg := soap.Message{Operation: "classifyInstance", Parts: map[string]string{
-		"dataset": arffText, "classifier": "J48", "attribute": "Class",
-	}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		raw, err := soap.Marshal(msg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := soap.Unmarshal(strings.NewReader(string(raw))); err != nil {
-			b.Fatal(err)
-		}
+	block, err := wire.MarshalBase64(datagen.RandomNominal(4096, 10, 4, 0.3, 21))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, msg := range []soap.Message{
+		{Operation: "classifyInstance", Parts: map[string]string{
+			"dataset": arff.Format(datagen.BreastCancer()), "classifier": "J48", "attribute": "Class"}},
+		{Operation: "classifyBatch", Parts: map[string]string{
+			"session": "s-0123456789abcdef", "payload": block, "encoding": wire.Encoding}},
+	} {
+		b.Run(msg.Operation, func(b *testing.B) {
+			raw, err := soap.Marshal(msg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				raw, err := soap.Marshal(msg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := soap.Unmarshal(bytes.NewReader(raw)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

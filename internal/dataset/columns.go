@@ -103,11 +103,13 @@ func FromColumns(relation string, attrs []*Attribute, classIndex int, cols [][]f
 	}
 	d := New(relation, attrs...)
 	d.ClassIndex = classIndex
-	// One slab for every row view; each Instance aliases its n-th stripe.
+	// Two slabs serve every row view: one of cells, each Instance aliasing
+	// its stripe, and one of the Instances themselves.
 	m := len(attrs)
 	slab := make([]float64, rows*m)
+	instances := make([]Instance, rows)
 	d.Instances = make([]*Instance, rows)
-	for i := 0; i < rows; i++ {
+	for i := range instances {
 		vals := slab[i*m : (i+1)*m : (i+1)*m]
 		for j := 0; j < m; j++ {
 			vals[j] = cols[j][i]
@@ -116,7 +118,8 @@ func FromColumns(relation string, attrs []*Attribute, classIndex int, cols [][]f
 		if weights != nil {
 			w = weights[i]
 		}
-		d.Instances[i] = &Instance{Values: vals, Weight: w}
+		instances[i] = Instance{Values: vals, Weight: w}
+		d.Instances[i] = &instances[i]
 	}
 	d.cols = cols
 	d.colsRows = rows

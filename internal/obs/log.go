@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -60,12 +62,35 @@ func ParseLevel(s string) (Level, error) {
 }
 
 var (
-	logMu        sync.RWMutex
-	logOut       io.Writer = os.Stderr
-	defaultLevel           = LevelWarn
-	levels                 = map[string]Level{}
-	loggers                = map[string]*Logger{}
+	logMu   sync.Mutex // serialises writes to logOut and updates of the tables below
+	logOut  io.Writer  = os.Stderr
+	loggers            = map[string]*Logger{}
+	// logLevels is the level table Enabled consults on every log call. It
+	// is replaced whole, never written in place, so reading it takes no
+	// lock.
+	logLevels atomic.Pointer[levelTable]
 )
+
+// levelTable is one immutable snapshot of the configured levels.
+type levelTable struct {
+	def       Level
+	component map[string]Level
+}
+
+func init() { logLevels.Store(&levelTable{def: LevelWarn}) }
+
+// setLevels publishes the current table as changed by edit.
+func setLevels(edit func(*levelTable)) {
+	logMu.Lock()
+	defer logMu.Unlock()
+	old := logLevels.Load()
+	next := &levelTable{def: old.def, component: make(map[string]Level, len(old.component)+1)}
+	for c, l := range old.component {
+		next.component[c] = l
+	}
+	edit(next)
+	logLevels.Store(next)
+}
 
 // SetOutput redirects all structured log output (default os.Stderr).
 func SetOutput(w io.Writer) {
@@ -76,16 +101,12 @@ func SetOutput(w io.Writer) {
 
 // SetDefaultLevel sets the level for components without an override.
 func SetDefaultLevel(l Level) {
-	logMu.Lock()
-	defer logMu.Unlock()
-	defaultLevel = l
+	setLevels(func(t *levelTable) { t.def = l })
 }
 
 // SetLevel overrides the level for one component (e.g. "soap.server").
 func SetLevel(component string, l Level) {
-	logMu.Lock()
-	defer logMu.Unlock()
-	levels[component] = l
+	setLevels(func(t *levelTable) { t.component[component] = l })
 }
 
 // Logger emits structured events for one component.
@@ -105,11 +126,10 @@ func L(component string) *Logger {
 
 // Enabled reports whether events at lvl would be written.
 func (l *Logger) Enabled(lvl Level) bool {
-	logMu.RLock()
-	defer logMu.RUnlock()
-	min, ok := levels[l.component]
+	t := logLevels.Load()
+	min, ok := t.component[l.component]
 	if !ok {
-		min = defaultLevel
+		min = t.def
 	}
 	return lvl >= min && min != LevelOff
 }
@@ -118,8 +138,11 @@ func (l *Logger) Enabled(lvl Level) bool {
 //
 //	2026-08-05T09:00:00.000Z INFO soap.server classifyInstance trace=4bf9… service=Classifier dur_ms=12.3
 //
-// kv are alternating key, value pairs; the trace context in ctx (if any)
-// is appended automatically so one grep by trace ID crosses components.
+// kv are alternating key, value pairs; a float64 value is a measurement
+// and is written to one decimal place, so callers pass the number and pay
+// for formatting only when the line is written. The trace context in ctx
+// (if any) is appended automatically so one grep by trace ID crosses
+// components.
 func (l *Logger) Log(ctx context.Context, lvl Level, event string, kv ...any) {
 	if !l.Enabled(lvl) {
 		return
@@ -131,7 +154,12 @@ func (l *Logger) Log(ctx context.Context, lvl Level, event string, kv ...any) {
 		fmt.Fprintf(&b, " trace=%s span=%s", tc.TraceID, tc.SpanID)
 	}
 	for i := 0; i+1 < len(kv); i += 2 {
-		val := fmt.Sprint(kv[i+1])
+		var val string
+		if f, ok := kv[i+1].(float64); ok {
+			val = strconv.FormatFloat(f, 'f', 1, 64)
+		} else {
+			val = fmt.Sprint(kv[i+1])
+		}
 		if strings.ContainsAny(val, " \t\n\"") {
 			val = fmt.Sprintf("%q", val)
 		}

@@ -268,7 +268,7 @@ func TestLogLevelsAndTraceStamping(t *testing.T) {
 	}
 
 	ctx := ContextWithTrace(context.Background(), TraceContext{TraceID: "tid", SpanID: "sid"})
-	lg.Info(ctx, "event", "key", "a value")
+	lg.Info(ctx, "event", "key", "a value", "dur_ms", 12.3456, "n", 7)
 	line := buf.String()
 	if !strings.Contains(line, "INFO") || !strings.Contains(line, "obstest event") {
 		t.Errorf("log line = %q", line)
@@ -278,6 +278,9 @@ func TestLogLevelsAndTraceStamping(t *testing.T) {
 	}
 	if !strings.Contains(line, `key="a value"`) {
 		t.Errorf("value with spaces not quoted: %q", line)
+	}
+	if !strings.HasSuffix(line, " dur_ms=12.3 n=7\n") {
+		t.Errorf("float64 value not written to one decimal place: %q", line)
 	}
 
 	SetLevel("obstest", LevelOff)

@@ -1,7 +1,6 @@
 package soap
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -13,10 +12,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/resilience"
 )
-
-// maxEnvelopeBytes bounds how much of a response body the client reads —
-// plot PNGs and large ARFF replies fit comfortably, runaway bodies do not.
-const maxEnvelopeBytes = 64 << 20
 
 // Client invokes SOAP operations over HTTP. Construct it with NewClient;
 // the zero value behaves like NewClient() with no options.
@@ -148,7 +143,7 @@ func (c *Client) CallContext(ctx context.Context, url, operation string, parts m
 		clientLog.Warn(ctx, operation, "endpoint", url, "err", err)
 	} else {
 		clientLog.Info(ctx, operation, "endpoint", url, "status", "ok",
-			"dur_ms", fmt.Sprintf("%.1f", span.DurationMS()))
+			"dur_ms", span.DurationMS())
 	}
 	return out, err
 }
@@ -158,18 +153,24 @@ func (c *Client) CallContext(ctx context.Context, url, operation string, parts m
 // retryable failures against the same URL with backoff. Without a policy
 // it is a single (still breaker-gated) attempt.
 func (c *Client) invoke(ctx context.Context, url, operation string, msg Message) (map[string]string, error) {
+	// One envelope, rendered once into a pooled buffer, serves every
+	// attempt.
+	envelope, err := newSharedEnvelope(msg)
+	if err != nil {
+		return nil, err
+	}
+	defer envelope.release()
 	attempts := 1
 	if c.policy != nil {
 		attempts = c.policy.Attempts()
 	}
 	var out map[string]string
-	var err error
 	for attempt := 1; ; attempt++ {
 		br := c.breakers.For(url) // nil set hands out nil (always-allow) breakers
 		if !br.Allow() {
 			err = fmt.Errorf("soap: %s %s: %w", operation, url, resilience.ErrOpen)
 		} else {
-			out, err = c.do(ctx, url, operation, msg)
+			out, err = c.do(ctx, url, operation, msg.Trace, envelope)
 			br.Record(resilience.Classify(ctx, err))
 		}
 		cls := resilience.Classify(ctx, err)
@@ -187,25 +188,24 @@ func (c *Client) invoke(ctx context.Context, url, operation string, msg Message)
 	}
 }
 
-// do performs the marshalled HTTP round trip.
-func (c *Client) do(ctx context.Context, url, operation string, msg Message) (map[string]string, error) {
-	body, err := Marshal(msg)
-	if err != nil {
-		return nil, err
-	}
+// do performs one HTTP round trip of the marshalled envelope.
+func (c *Client) do(ctx context.Context, url, operation, trace string, envelope *sharedEnvelope) (map[string]string, error) {
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline && c.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.timeout)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, envelope.reader())
 	if err != nil {
 		return nil, fmt.Errorf("soap: %w", err)
 	}
+	// What NewRequest works out by itself for a bytes.Reader body.
+	req.ContentLength = int64(len(envelope.buf.data))
+	req.GetBody = func() (io.ReadCloser, error) { return envelope.reader(), nil }
 	req.Header.Set("Content-Type", "text/xml; charset=utf-8")
 	req.Header.Set("SOAPAction", `"`+operation+`"`)
-	if msg.Trace != "" {
-		req.Header.Set(obs.TraceHeaderName, msg.Trace)
+	if trace != "" {
+		req.Header.Set(obs.TraceHeaderName, trace)
 	}
 	// Propagate the effective deadline so the server can cancel work the
 	// caller has already given up on instead of computing it.
@@ -218,12 +218,18 @@ func (c *Client) do(ctx context.Context, url, operation string, msg Message) (ma
 	}
 	// Read the body fully before parsing: a partially-consumed body keeps
 	// the pooled connection from being reused for the next call.
-	raw, readErr := io.ReadAll(io.LimitReader(resp.Body, maxEnvelopeBytes))
+	raw, readErr := readBody(resp.Body, resp.ContentLength, maxEnvelopeBytes)
 	_ = resp.Body.Close()
 	if readErr != nil {
+		var tooLarge *errTooLarge
+		if errors.As(readErr, &tooLarge) {
+			return nil, &Fault{Code: "soap:Server",
+				String: fmt.Sprintf("response from %s %v", url, tooLarge)}
+		}
 		return nil, fmt.Errorf("soap: reading %s response from %s: %w", operation, url, readErr)
 	}
-	reply, err := Unmarshal(bytes.NewReader(raw))
+	defer raw.release()
+	reply, err := unmarshalBytes(raw.data)
 	if err != nil {
 		if f, isFault := err.(*Fault); isFault {
 			// A shedding server says when a retry is worth trying; carry
@@ -241,7 +247,7 @@ func (c *Client) do(ctx context.Context, url, operation string, msg Message) (ma
 			}
 			return nil, &Fault{Code: code,
 				String: fmt.Sprintf("HTTP %s from %s", resp.Status, url),
-				Detail: bodySnippet(raw)}
+				Detail: bodySnippet(raw.data)}
 		}
 		// A 2xx whose body is not a well-formed envelope: the server (or
 		// something between) garbled the response. Type it soap:Server so

@@ -2,9 +2,11 @@ package soap
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/obs"
@@ -73,8 +75,14 @@ func (e *Endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "soap endpoint: POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	msg, err := Unmarshal(r.Body)
+	msg, err := readEnvelope(r.Body, r.ContentLength)
 	if err != nil {
+		var tooLarge *errTooLarge
+		if errors.As(err, &tooLarge) {
+			e.writeFault(r.Context(), w, "", http.StatusRequestEntityTooLarge,
+				&Fault{Code: "soap:Client", String: fmt.Sprintf("request envelope %v", tooLarge)})
+			return
+		}
 		e.fault(r.Context(), w, "", &Fault{Code: "soap:Client", String: "malformed envelope", Detail: err.Error()})
 		return
 	}
@@ -132,15 +140,24 @@ func (e *Endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		e.fault(ctx, w, msg.Operation, &Fault{Code: "soap:Server", String: err.Error()})
 		return
 	}
-	reply, err := Marshal(Message{Operation: msg.Operation + "Response", Parts: out, Trace: msg.Trace})
+	reply, err := marshalPooled(Message{Operation: msg.Operation + "Response", Parts: out, Trace: msg.Trace})
 	if err != nil {
 		e.fault(ctx, w, msg.Operation, &Fault{Code: "soap:Server", String: "marshalling response", Detail: err.Error()})
 		return
 	}
+	defer reply.release() // Write has copied or sent the bytes by the time it returns
 	serverLog.Info(ctx, msg.Operation, "service", e.ServiceName, "status", "ok",
-		"dur_ms", fmt.Sprintf("%.1f", span.DurationMS()))
+		"dur_ms", span.DurationMS())
+	writeEnvelope(w, http.StatusOK, reply.data)
+}
+
+// writeEnvelope sends one envelope with its length declared, so a large
+// reply is not chunked and the client can size its read buffer up front.
+func writeEnvelope(w http.ResponseWriter, status int, envelope []byte) {
 	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
-	_, _ = w.Write(reply)
+	w.Header().Set("Content-Length", strconv.Itoa(len(envelope)))
+	w.WriteHeader(status)
+	_, _ = w.Write(envelope)
 }
 
 // safeCall invokes a handler, converting a panic into a soap:Server
@@ -181,9 +198,12 @@ func (e *Endpoint) observe(operation string, durMS float64, err error) {
 	}
 }
 
+// fault answers with f on HTTP 500, the status SOAP 1.1 gives every fault.
 func (e *Endpoint) fault(ctx context.Context, w http.ResponseWriter, operation string, f *Fault) {
+	e.writeFault(ctx, w, operation, http.StatusInternalServerError, f)
+}
+
+func (e *Endpoint) writeFault(ctx context.Context, w http.ResponseWriter, operation string, status int, f *Fault) {
 	serverLog.Warn(ctx, operation, "service", e.ServiceName, "fault", f.Code, "err", f.String)
-	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
-	w.WriteHeader(http.StatusInternalServerError)
-	_, _ = w.Write(MarshalFault(f))
+	writeEnvelope(w, status, MarshalFault(f))
 }

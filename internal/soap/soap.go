@@ -3,16 +3,20 @@
 // them through "pre-defined SOAP messages" (§4.5); this package provides
 // the same wire model on net/http: document-style envelopes whose body
 // element names the operation and whose children carry named string parts.
+//
+// Envelopes are written by an append-only writer (this file) and read by
+// a single-pass byte scanner (scan.go); encoding/xml is not on the call
+// path. The scanner accepts the XML a SOAP 1.1 message is allowed to be
+// and rejects what the specification forbids — see unmarshalBytes.
 package soap
 
 import (
-	"bytes"
-	"encoding/xml"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // EnvelopeNS is the SOAP 1.1 envelope namespace.
@@ -32,7 +36,9 @@ type Message struct {
 	Trace     string
 }
 
-// Fault is a SOAP fault, also used as the Go error for failed calls.
+// Fault is a SOAP fault, also used as the Go error for failed calls. The
+// struct tags name the wire elements; only the encoding/xml test oracle
+// reads them.
 type Fault struct {
 	Code   string `xml:"faultcode"`
 	String string `xml:"faultstring"`
@@ -58,25 +64,54 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("soap fault %s: %s", f.Code, f.String)
 }
 
+const (
+	xmlDecl      = `<?xml version="1.0" encoding="UTF-8"?>` + "\n"
+	envelopeOpen = xmlDecl + `<soap:Envelope xmlns:soap="` + EnvelopeNS + `">`
+	traceOpen    = `<soap:Header><TraceContext xmlns="` + TraceNS + `">`
+	traceClose   = `</TraceContext></soap:Header>`
+	bodyClose    = `</soap:Body></soap:Envelope>`
+	faultOpen    = envelopeOpen + `<soap:Body><soap:Fault>`
+	faultClose   = `</soap:Fault>` + bodyClose
+)
+
 // Marshal renders a message as a SOAP 1.1 envelope. Parts are emitted in
 // sorted order for deterministic wire bytes.
 func Marshal(m Message) ([]byte, error) {
+	return appendEnvelope(make([]byte, 0, envelopeSizeHint(m)), m)
+}
+
+// envelopeSizeHint is the envelope's exact size when no part value needs
+// escaping (a base64 block never does); escapes grow the buffer by append.
+func envelopeSizeHint(m Message) int {
+	n := len(envelopeOpen) + len(`<soap:Body>`) + 2*len(m.Operation) + len(`<></>`) + len(bodyClose)
+	if m.Trace != "" {
+		n += len(traceOpen) + len(m.Trace) + len(traceClose)
+	}
+	for k, v := range m.Parts {
+		n += 2*len(k) + len(`<></>`) + len(v)
+	}
+	return n
+}
+
+// appendEnvelope appends the envelope of m to dst, so callers can render
+// into a buffer they own and reuse.
+func appendEnvelope(dst []byte, m Message) ([]byte, error) {
 	if m.Operation == "" {
 		return nil, fmt.Errorf("soap: message has no operation")
 	}
-	var b bytes.Buffer
-	b.WriteString(xml.Header)
-	fmt.Fprintf(&b, `<soap:Envelope xmlns:soap=%q>`, EnvelopeNS)
+	dst = append(dst, envelopeOpen...)
 	if m.Trace != "" {
-		fmt.Fprintf(&b, `<soap:Header><TraceContext xmlns=%q>`, TraceNS)
-		if err := xml.EscapeText(&b, []byte(m.Trace)); err != nil {
-			return nil, fmt.Errorf("soap: %w", err)
-		}
-		b.WriteString(`</TraceContext></soap:Header>`)
+		dst = append(dst, traceOpen...)
+		dst = appendEscaped(dst, m.Trace)
+		dst = append(dst, traceClose...)
 	}
-	b.WriteString(`<soap:Body>`)
-	fmt.Fprintf(&b, "<%s>", m.Operation)
-	keys := make([]string, 0, len(m.Parts))
+	dst = append(dst, `<soap:Body><`...)
+	dst = append(dst, m.Operation...)
+	dst = append(dst, '>')
+	// Sorting the part names costs one small slice; the 8-name array keeps
+	// that off the heap for every operation the toolkit defines.
+	var few [8]string
+	keys := few[:0]
 	for k := range m.Parts {
 		keys = append(keys, k)
 	}
@@ -85,123 +120,138 @@ func Marshal(m Message) ([]byte, error) {
 		if !validName(k) {
 			return nil, fmt.Errorf("soap: invalid part name %q", k)
 		}
-		fmt.Fprintf(&b, "<%s>", k)
-		if err := xml.EscapeText(&b, []byte(m.Parts[k])); err != nil {
-			return nil, fmt.Errorf("soap: %w", err)
-		}
-		fmt.Fprintf(&b, "</%s>", k)
+		dst = append(dst, '<')
+		dst = append(dst, k...)
+		dst = append(dst, '>')
+		dst = appendEscaped(dst, m.Parts[k])
+		dst = append(dst, '<', '/')
+		dst = append(dst, k...)
+		dst = append(dst, '>')
 	}
-	fmt.Fprintf(&b, "</%s>", m.Operation)
-	b.WriteString(`</soap:Body></soap:Envelope>`)
-	return b.Bytes(), nil
+	dst = append(dst, '<', '/')
+	dst = append(dst, m.Operation...)
+	dst = append(dst, '>')
+	return append(dst, bodyClose...), nil
 }
 
 // MarshalFault renders a fault envelope.
 func MarshalFault(f *Fault) []byte {
-	var b bytes.Buffer
-	b.WriteString(xml.Header)
-	fmt.Fprintf(&b, `<soap:Envelope xmlns:soap=%q><soap:Body><soap:Fault>`, EnvelopeNS)
-	fmt.Fprintf(&b, "<faultcode>%s</faultcode>", f.Code)
-	b.WriteString("<faultstring>")
-	_ = xml.EscapeText(&b, []byte(f.String))
-	b.WriteString("</faultstring>")
+	n := len(faultOpen) + len(faultClose) + len(f.Code) + len(f.String) + len(f.Detail) +
+		len(`<faultcode></faultcode><faultstring></faultstring><detail></detail>`)
+	dst := append(make([]byte, 0, n), faultOpen...)
+	dst = append(dst, `<faultcode>`...)
+	dst = append(dst, f.Code...)
+	dst = append(dst, `</faultcode><faultstring>`...)
+	dst = appendEscaped(dst, f.String)
+	dst = append(dst, `</faultstring>`...)
 	if f.Detail != "" {
-		b.WriteString("<detail>")
-		_ = xml.EscapeText(&b, []byte(f.Detail))
-		b.WriteString("</detail>")
+		dst = append(dst, `<detail>`...)
+		dst = appendEscaped(dst, f.Detail)
+		dst = append(dst, `</detail>`...)
 	}
-	b.WriteString(`</soap:Fault></soap:Body></soap:Envelope>`)
-	return b.Bytes()
+	return append(dst, faultClose...)
+}
+
+// Escape classes of a text byte. escPlain bytes are copied in runs; the
+// named classes are replaced by their entry in escapes; escMulti bytes
+// start (or break) a multi-byte UTF-8 sequence and are decoded.
+const (
+	escPlain = iota
+	escQuot
+	escApos
+	escAmp
+	escLT
+	escGT
+	escTab
+	escNL
+	escCR
+	escBad // a control character XML cannot carry
+	escMulti
+)
+
+// escapes holds the replacement text per class, exactly the strings
+// encoding/xml's EscapeText emits, so envelope bytes do not depend on
+// which of the two wrote them.
+var escapes = [...]string{
+	escQuot: "&#34;",
+	escApos: "&#39;",
+	escAmp:  "&amp;",
+	escLT:   "&lt;",
+	escGT:   "&gt;",
+	escTab:  "&#x9;",
+	escNL:   "&#xA;",
+	escCR:   "&#xD;",
+	escBad:  "\uFFFD",
+}
+
+var escClass = func() (t [256]uint8) {
+	for b := 0; b < 0x20; b++ {
+		t[b] = escBad
+	}
+	for b := 0x80; b < 0x100; b++ {
+		t[b] = escMulti
+	}
+	t['"'], t['\''], t['&'], t['<'], t['>'] = escQuot, escApos, escAmp, escLT, escGT
+	t['\t'], t['\n'], t['\r'] = escTab, escNL, escCR
+	return t
+}()
+
+// appendEscaped appends s as XML character data: the five markup
+// characters and tab, newline and carriage return as references, and
+// anything XML cannot carry (other control characters, U+FFFE, U+FFFF,
+// invalid UTF-8 one byte at a time) as U+FFFD. Stretches that need no
+// escaping are copied with one append each.
+func appendEscaped(dst []byte, s string) []byte {
+	last := 0
+	for i := 0; i < len(s); {
+		// Whole ordinary words first, then the word that stopped them a
+		// byte at a time.
+		i += ordinaryPrefix(s[i:])
+		for end := min(i+8, len(s)); i < end; {
+			c := escClass[s[i]]
+			if c == escPlain {
+				i++
+				continue
+			}
+			width := 1
+			if c == escMulti {
+				var r rune
+				r, width = utf8.DecodeRuneInString(s[i:])
+				if !(r == utf8.RuneError && width == 1) && inCharacterRange(r) {
+					i += width
+					continue
+				}
+				c = escBad
+			}
+			dst = append(dst, s[last:i]...)
+			dst = append(dst, escapes[c]...)
+			i += width
+			last = i
+		}
+	}
+	return append(dst, s[last:]...)
 }
 
 // Unmarshal parses a SOAP envelope into a message. A fault body returns a
 // *Fault error.
 func Unmarshal(r io.Reader) (Message, error) {
-	dec := xml.NewDecoder(r)
-	msg := Message{Parts: map[string]string{}}
-	// States: looking for Envelope -> (Header) -> Body -> operation element.
-	depth := 0
-	inBody := false
-	inHeader := false
-	var opName string
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return msg, fmt.Errorf("soap: malformed envelope: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			depth++
-			switch {
-			case depth == 1:
-				if t.Name.Local != "Envelope" {
-					return msg, fmt.Errorf("soap: root element %q is not Envelope", t.Name.Local)
-				}
-			case depth == 2 && t.Name.Local == "Header":
-				inHeader = true
-			case depth == 2 && t.Name.Local == "Body":
-				inBody = true
-			case depth == 3 && inHeader:
-				if t.Name.Local == "TraceContext" {
-					var v string
-					if err := dec.DecodeElement(&v, &t); err != nil {
-						return msg, fmt.Errorf("soap: malformed trace header: %w", err)
-					}
-					msg.Trace = strings.TrimSpace(v)
-				} else if err := dec.Skip(); err != nil { // tolerate unknown header blocks
-					return msg, fmt.Errorf("soap: malformed header: %w", err)
-				}
-				depth-- // the block's end element was consumed
-			case depth == 3 && inBody:
-				if t.Name.Local == "Fault" {
-					var f Fault
-					if err := dec.DecodeElement(&f, &t); err != nil {
-						return msg, fmt.Errorf("soap: malformed fault: %w", err)
-					}
-					return msg, &f
-				}
-				opName = t.Name.Local
-				msg.Operation = opName
-				if err := decodeParts(dec, &msg); err != nil {
-					return msg, err
-				}
-				depth-- // decodeParts consumed the end element
-			}
-		case xml.EndElement:
-			depth--
-			if depth == 1 && t.Name.Local == "Header" {
-				inHeader = false
-			}
-		}
+	declared := int64(-1)
+	if l, ok := r.(interface{ Len() int }); ok { // bytes.Reader, strings.Reader, bytes.Buffer
+		declared = int64(l.Len())
 	}
-	if msg.Operation == "" {
-		return msg, fmt.Errorf("soap: envelope has no operation element")
-	}
-	return msg, nil
+	return readEnvelope(r, declared)
 }
 
-// decodeParts reads <name>value</name> children until the operation's end
-// element.
-func decodeParts(dec *xml.Decoder, msg *Message) error {
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return fmt.Errorf("soap: malformed body: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			var value string
-			if err := dec.DecodeElement(&value, &t); err != nil {
-				return fmt.Errorf("soap: malformed part %q: %w", t.Name.Local, err)
-			}
-			msg.Parts[t.Name.Local] = value
-		case xml.EndElement:
-			return nil
-		}
+// readEnvelope reads one envelope whole, bounded at maxEnvelopeBytes,
+// into a pooled buffer and parses it; the message's strings are copies,
+// so the buffer is recycled on return.
+func readEnvelope(r io.Reader, declared int64) (Message, error) {
+	body, err := readBody(r, declared, maxEnvelopeBytes)
+	if err != nil {
+		return Message{}, fmt.Errorf("soap: malformed envelope: %w", err)
 	}
+	defer body.release()
+	return unmarshalBytes(body.data)
 }
 
 // validName reports whether s is usable as an XML element name.

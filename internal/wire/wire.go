@@ -35,6 +35,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
+	"sync"
 
 	"repro/internal/dataset"
 )
@@ -76,16 +79,18 @@ type writer struct{ buf []byte }
 
 func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
 func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+
+// extend lengthens the buffer by n bytes and returns them for the caller
+// to overwrite, every one: they are not zeroed.
+func (w *writer) extend(n int) []byte {
+	off := len(w.buf)
+	w.buf = slices.Grow(w.buf, n)[:off+n]
+	return w.buf[off:]
+}
+
 func (w *writer) str(s string) {
 	w.u32(uint32(len(s)))
 	w.buf = append(w.buf, s...)
-}
-func (w *writer) f64(v float64) {
-	if math.IsNaN(v) {
-		v = math.NaN() // canonical NaN for missing
-	}
-	w.u64(math.Float64bits(v))
 }
 
 type reader struct {
@@ -118,15 +123,6 @@ func (r *reader) u32() (uint32, error) {
 	return v, nil
 }
 
-func (r *reader) u64() (uint64, error) {
-	if err := r.need(8); err != nil {
-		return 0, err
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v, nil
-}
-
 func (r *reader) str() (string, error) {
 	n, err := r.u32()
 	if err != nil {
@@ -141,14 +137,6 @@ func (r *reader) str() (string, error) {
 	s := string(r.buf[r.off : r.off+int(n)])
 	r.off += int(n)
 	return s, nil
-}
-
-func (r *reader) f64() (float64, error) {
-	v, err := r.u64()
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(v), nil
 }
 
 // header checks the frame every block kind opens with — the kind's
@@ -232,6 +220,18 @@ func writeSchema(w *writer, relation string, classIndex int, attrs []*dataset.At
 	sum := sha256.Sum256(w.buf[start:])
 	w.buf = append(w.buf, sum[:8]...)
 	return nil
+}
+
+// schemaSize is the number of bytes writeSchema appends, digest included.
+func schemaSize(relation string, attrs []*dataset.Attribute) int {
+	n := 4 + len(relation) + 4 + 4 + 8
+	for _, a := range attrs {
+		n += 4 + len(a.Name) + 1 + 4
+		for i := 0; i < a.NumValues(); i++ {
+			n += 4 + len(a.Value(i))
+		}
+	}
+	return n
 }
 
 // readSchema parses the schema section, verifying its digest.
@@ -318,15 +318,23 @@ func readSchema(r *reader) (relation string, classIndex int, attrs []*dataset.At
 	return relation, classIndex, attrs, nil
 }
 
-// writeColumn appends a length-prefixed float64 block.
+// writeColumn appends a length-prefixed float64 block: the buffer grows
+// once for the whole column, then each value is stored in place. NaNs of
+// any payload are written as the one canonical NaN that stands for
+// "missing".
 func writeColumn(w *writer, col []float64) {
 	w.u32(uint32(8 * len(col)))
-	for _, v := range col {
-		w.f64(v)
+	block := w.extend(8 * len(col))
+	for i, v := range col {
+		if v != v {
+			v = math.NaN()
+		}
+		binary.LittleEndian.PutUint64(block[8*i:], math.Float64bits(v))
 	}
 }
 
-// readColumn parses a length-prefixed float64 block of exactly rows values.
+// readColumn parses a length-prefixed float64 block of exactly rows
+// values: one bounds check for the column, then a straight load per value.
 func readColumn(r *reader, rows int) ([]float64, error) {
 	n, err := r.u32()
 	if err != nil {
@@ -338,12 +346,14 @@ func readColumn(r *reader, rows int) ([]float64, error) {
 	if int(n) != 8*rows {
 		return nil, errf("column block is %d bytes, want %d for %d rows", n, 8*rows, rows)
 	}
+	if err := r.need(int(n)); err != nil {
+		return nil, err
+	}
+	block := r.buf[r.off : r.off+int(n)]
+	r.off += int(n)
 	col := make([]float64, rows)
 	for i := range col {
-		col[i], err = r.f64()
-		if err != nil {
-			return nil, err
-		}
+		col[i] = math.Float64frombits(binary.LittleEndian.Uint64(block[8*i:]))
 	}
 	return col, nil
 }
@@ -401,37 +411,71 @@ func readIndexColumn(r *reader, rows int, limit uint32, none bool, what string) 
 }
 
 // Marshal encodes the dataset as one dmb1 block. Weights are encoded
-// only when any instance weight differs from 1.
-func Marshal(d *dataset.Dataset) ([]byte, error) {
-	w := &writer{buf: make([]byte, 0, 64+8*len(d.Instances)*len(d.Attrs))}
-	w.buf = append(w.buf, magicDataset...)
-	w.u8(version)
+// only when any instance weight differs from 1. The block is allocated
+// once, at its exact size.
+func Marshal(d *dataset.Dataset) ([]byte, error) { return appendDataset(nil, d) }
 
-	weights := d.WeightsSlice()
-	hasWeights := false
-	for _, wt := range weights {
-		if wt != 1 {
-			hasWeights = true
+// appendDataset is Marshal into dst's storage when that is large enough.
+func appendDataset(dst []byte, d *dataset.Dataset) ([]byte, error) {
+	rows := len(d.Instances)
+	var weights []float64
+	for _, in := range d.Instances {
+		if in.Weight != 1 {
+			weights = d.WeightsSlice()
 			break
 		}
 	}
+	blocks := len(d.Attrs)
 	flags := uint8(0)
-	if hasWeights {
+	if weights != nil {
 		flags |= flagWeights
+		blocks++
 	}
-	w.u8(flags)
+	size := len(magicDataset) + 2 + schemaSize(d.Relation, d.Attrs) + 4 + blocks*(4+8*rows)
+	if cap(dst) < size {
+		dst = make([]byte, 0, size)
+	}
 
+	w := &writer{buf: append(dst[:0], magicDataset...)}
+	w.u8(version)
+	w.u8(flags)
 	if err := writeSchema(w, d.Relation, d.ClassIndex, d.Attrs); err != nil {
 		return nil, err
 	}
-	w.u32(uint32(len(d.Instances)))
-	for _, col := range d.Columns() {
-		writeColumn(w, col)
+	w.u32(uint32(rows))
+	if d.HasColumns() {
+		for _, col := range d.Columns() {
+			writeColumn(w, col)
+		}
+	} else {
+		writeRows(w, d.Instances, len(d.Attrs))
 	}
-	if hasWeights {
+	if weights != nil {
 		writeColumn(w, weights)
 	}
 	return w.buf, nil
+}
+
+// writeRows appends what writeColumn would for every column of a
+// row-backed dataset, gathering the cells straight from the rows: the
+// column mirror d.Columns() would build first is never materialised.
+func writeRows(w *writer, rows []*dataset.Instance, attrs int) {
+	stride := 4 + 8*len(rows)
+	blocks := w.extend(attrs * stride)
+	for j := 0; j < attrs; j++ {
+		binary.LittleEndian.PutUint32(blocks[j*stride:], uint32(8*len(rows)))
+	}
+	for i, in := range rows {
+		for j, v := range in.Values {
+			if v != v {
+				v = math.NaN()
+			}
+			binary.LittleEndian.PutUint64(blocks[j*stride+4+8*i:], math.Float64bits(v))
+		}
+		for j := len(in.Values); j < attrs; j++ { // a short row reads as zeros, as in the mirror
+			binary.LittleEndian.PutUint64(blocks[j*stride+4+8*i:], 0)
+		}
+	}
 }
 
 // Unmarshal decodes one dmb1 block into a column-backed dataset. The
@@ -568,25 +612,52 @@ func UnmarshalResult(b []byte) (*Result, error) {
 }
 
 // wrap64 base64-wraps a freshly marshalled block for transport as an
-// XML-safe SOAP part.
+// XML-safe SOAP part. The text is encoded straight into the string's own
+// storage, allocated once at its exact size.
 func wrap64(b []byte, err error) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return base64.StdEncoding.EncodeToString(b), nil
+	var s strings.Builder
+	s.Grow(base64.StdEncoding.EncodedLen(len(b)))
+	enc := base64.NewEncoder(base64.StdEncoding, &s)
+	_, _ = enc.Write(b) // a strings.Builder does not fail
+	_ = enc.Close()
+	return s.String(), nil
 }
 
-// unwrap64 strips the base64 wrap and hands the block to its decoder.
+// blockPool recycles the storage of binary blocks that live only between
+// a codec and the base64 wrap: the 360 KB a 4096-row dataset takes is
+// otherwise allocated, zeroed and collected once per call in each
+// direction.
+var blockPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// unwrap64 strips the base64 wrap and hands the block to its decoder,
+// which must not keep a reference into it: the block is recycled.
 func unwrap64[T any](s, what string, decode func([]byte) (*T, error)) (*T, error) {
-	b, err := base64.StdEncoding.DecodeString(s)
+	block := blockPool.Get().(*[]byte)
+	defer blockPool.Put(block)
+	if need := base64.StdEncoding.DecodedLen(len(s)); cap(*block) < need {
+		*block = make([]byte, need)
+	}
+	n, err := base64.StdEncoding.Decode((*block)[:cap(*block)], []byte(s))
 	if err != nil {
 		return nil, errf("%s is not valid base64: %v", what, err)
 	}
-	return decode(b)
+	return decode((*block)[:n])
 }
 
 // MarshalBase64 encodes the dataset and wraps it in standard base64.
-func MarshalBase64(d *dataset.Dataset) (string, error) { return wrap64(Marshal(d)) }
+func MarshalBase64(d *dataset.Dataset) (string, error) {
+	block := blockPool.Get().(*[]byte)
+	defer blockPool.Put(block)
+	b, err := appendDataset(*block, d)
+	if err != nil {
+		return "", err
+	}
+	*block = b
+	return wrap64(b, nil)
+}
 
 // UnmarshalBase64 decodes a base64-wrapped dmb1 block.
 func UnmarshalBase64(s string) (*dataset.Dataset, error) { return unwrap64(s, "payload", Unmarshal) }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -111,6 +112,19 @@ func TestRoundTripRandomSchemas(t *testing.T) {
 		b, err := Marshal(d)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if len(b) != cap(b) {
+			t.Fatalf("trial %d: block of %d bytes was sized %d", trial, len(b), cap(b))
+		}
+		// The same rows without the column mirror take the row-gathering
+		// path, recycled storage included: same bytes.
+		rowBacked := d.ShallowWith(d.Instances)
+		stale := bytes.Repeat([]byte{0xAA}, len(b))
+		if fromRows, err := appendDataset(stale, rowBacked); err != nil || !bytes.Equal(fromRows, b) {
+			t.Fatalf("trial %d: row-backed encoding differs from column-backed (err %v)", trial, err)
+		}
+		if rowBacked.HasColumns() {
+			t.Fatalf("trial %d: encoding a row-backed dataset built its column mirror", trial)
 		}
 		got, err := Unmarshal(b)
 		if err != nil {
@@ -329,5 +343,59 @@ func BenchmarkUnmarshal1024(b *testing.B) {
 		if _, err := Unmarshal(buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestBulkBlockAllocations is the copy guard on the dmb1 codec at the
+// classify_bulk block size, 4096 rows x 11 attributes: encoding allocates
+// the block and nothing else, at its exact size, and decoding allocates
+// per column and per slab, never per row or per value.
+func TestBulkBlockAllocations(t *testing.T) {
+	const rows, attrs = 4096, 11
+	cols := make([][]float64, attrs)
+	schema := make([]*dataset.Attribute, attrs)
+	for j := range cols {
+		schema[j] = dataset.NewNumericAttribute(fmt.Sprintf("a%d", j))
+		cols[j] = make([]float64, rows)
+		for i := range cols[j] {
+			cols[j][i] = float64(i * j)
+		}
+	}
+	d, err := dataset.FromColumns("bulk", schema, -1, cols, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var block []byte
+	if n := testing.AllocsPerRun(10, func() { block, _ = Marshal(d) }); n != 1 {
+		t.Errorf("Marshal allocates %v times, want once", n)
+	}
+	if len(block) != cap(block) {
+		t.Errorf("Marshal sized its block %d bytes for %d", cap(block), len(block))
+	}
+	n := testing.AllocsPerRun(10, func() {
+		if _, err := Unmarshal(block); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRow := n / rows; perRow > 0.05 {
+		t.Errorf("Unmarshal allocates %v times, %.3f per row; want <= 0.05 per row", n, perRow)
+	}
+}
+
+// A row with fewer cells than the schema has attributes encodes the
+// missing cells as zeros, whatever the recycled block held before.
+func TestShortRowEncodesZeros(t *testing.T) {
+	d := dataset.New("short", dataset.NewNumericAttribute("a"), dataset.NewNumericAttribute("b"))
+	d.Instances = []*dataset.Instance{dataset.NewInstance([]float64{1, 2}), dataset.NewInstance([]float64{3})}
+	b, err := appendDataset(bytes.Repeat([]byte{0xAA}, 256), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Unmarshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if col := got.Column(1); col[0] != 2 || col[1] != 0 {
+		t.Fatalf("column b decodes as %v, want [2 0]", col)
 	}
 }

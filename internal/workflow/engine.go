@@ -232,7 +232,7 @@ func (e *Engine) run(ctx context.Context, g *Graph, j *Journal) (*Result, error)
 		return nil, firstErr
 	}
 	wfLog.Info(ctx, "run", "graph", g.Name, "tasks", len(order),
-		"dur_ms", fmt.Sprintf("%.1f", float64(time.Since(began))/float64(time.Millisecond)))
+		"dur_ms", float64(time.Since(began))/float64(time.Millisecond))
 	return res, nil
 }
 
@@ -412,7 +412,7 @@ func (e *Engine) runTask(ctx context.Context, g *Graph, id string, in Values, up
 			span.SetAttr("attempt", strconv.Itoa(attempt))
 			span.End(nil)
 			wfLog.Debug(ctx, "task", "id", id, "unit", u.Name(), "attempt", attempt,
-				"dur_ms", fmt.Sprintf("%.1f", float64(dur)/float64(time.Millisecond)))
+				"dur_ms", float64(dur)/float64(time.Millisecond))
 			return out, attempt + 1, nil
 		}
 		lastErr = err

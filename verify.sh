@@ -2,8 +2,11 @@
 # verify.sh — the full local gate, with the elapsed time of each stage:
 # formatting, build, vet of the repo and of the benchmark module (so a
 # change that breaks an API benchmark/ pins fails here, not in the
-# benchmark run), one plain and one -race pass over every test, the
-# deterministic short-mode replica-churn soak, then the end-to-end smoke
+# benchmark run), the benchmark's own smoke (every workload for half a
+# second, replies checked against the oracle: correctness only, no
+# timing), one plain and one -race pass over every test, ten seconds of
+# each fuzz target of the SOAP envelope codec, the deterministic
+# short-mode replica-churn soak, then the end-to-end smoke
 # (scripts/smoke.sh: live dmserver probes, traced dmexp batch, chaos
 # failover, the admission flood + graceful-drain drill, the model-store
 # replica-failover drill, the 1024-row dmb1 classifyBatch drill, the
@@ -56,11 +59,21 @@ soak() {
 	rm -f "$out"
 }
 
+# The envelope scanner against its encoding/xml oracle, and the writer
+# against xml.EscapeText; a failing input lands in
+# internal/soap/testdata/fuzz/ and fails every later `go test`.
+fuzz() {
+	go test -run '^$' -fuzz FuzzUnmarshal -fuzztime 10s ./internal/soap/
+	go test -run '^$' -fuzz FuzzEscape -fuzztime 10s ./internal/soap/
+}
+
 stage gofmt check_gofmt
 stage build go build ./...
 stage vet check_vet go vet ./...
 stage "vet benchmark" check_vet go -C benchmark vet ./...
+stage "benchmark smoke" bash benchmark/run.sh --smoke
 stage test go test ./...
 stage "test -race" go test -race ./...
+stage fuzz fuzz
 stage soak soak
 stage smoke ./scripts/smoke.sh

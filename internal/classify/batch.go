@@ -3,7 +3,6 @@ package classify
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/dataset"
 )
@@ -55,109 +54,6 @@ func PredictBatch(c Classifier, d *dataset.Dataset) ([]int, [][]float64, error) 
 		labels[i] = best
 	}
 	return labels, dists, nil
-}
-
-// DistributionBatch implements BatchScorer for IBk. The case base is
-// transposed into column slices once per call; distances then
-// accumulate column-outer over all cases, which reads each case column
-// contiguously while preserving the per-(query,case) accumulation order
-// of distance() — same additions, same order, bit-identical results.
-func (k *IBk) DistributionBatch(d *dataset.Dataset) ([][]float64, error) {
-	if len(k.cases) == 0 {
-		return nil, fmt.Errorf("classify: IBk is untrained")
-	}
-	cols := d.Columns()
-	nq, nc := d.NumInstances(), len(k.cases)
-	m := k.schema.NumAttributes()
-	if len(cols) < m {
-		return nil, fmt.Errorf("classify: IBk batch has %d attributes, model expects %d", len(cols), m)
-	}
-
-	// Transpose the case base once; caseCls caches the class of each case.
-	caseSlab := make([]float64, nc*m)
-	caseCols := make([][]float64, m)
-	for col := range caseCols {
-		caseCols[col] = caseSlab[col*nc : (col+1)*nc]
-	}
-	caseCls := make([]int, nc)
-	for j, c := range k.cases {
-		for col := 0; col < m; col++ {
-			caseCols[col][j] = c.Values[col]
-		}
-		caseCls[j] = int(c.Values[k.schema.ClassIndex])
-	}
-
-	out := make([][]float64, nq)
-	dists := make([]float64, nc)
-	for i := 0; i < nq; i++ {
-		for j := range dists {
-			dists[j] = 0
-		}
-		// Column-outer accumulation: per case the contributions still
-		// arrive in increasing column order, matching distance().
-		for col, a := range k.schema.Attrs {
-			if col == k.schema.ClassIndex {
-				continue
-			}
-			qv := cols[col][i]
-			qm := dataset.IsMissing(qv)
-			cc := caseCols[col]
-			switch {
-			case a.IsNumeric():
-				span := k.max[col] - k.min[col]
-				for j, cv := range cc {
-					if qm || dataset.IsMissing(cv) {
-						dists[j]++
-						continue
-					}
-					if span <= 0 {
-						continue
-					}
-					diff := (qv - cv) / span
-					dists[j] += diff * diff
-				}
-			default:
-				for j, cv := range cc {
-					if qm || dataset.IsMissing(cv) {
-						dists[j]++
-						continue
-					}
-					if qv != cv {
-						dists[j]++
-					}
-				}
-			}
-		}
-		out[i] = k.voteSorted(dists, caseCls)
-	}
-	return out, nil
-}
-
-// voteSorted finishes an IBk query from raw squared distances: sqrt,
-// sort, top-K vote — the same code shape as the tail of Distribution.
-func (k *IBk) voteSorted(sq []float64, cls []int) []float64 {
-	type nb struct {
-		dist float64
-		cls  int
-	}
-	nbs := make([]nb, len(sq))
-	for j := range sq {
-		nbs[j] = nb{math.Sqrt(sq[j]), cls[j]}
-	}
-	sort.Slice(nbs, func(i, j int) bool { return nbs[i].dist < nbs[j].dist })
-	kk := k.K
-	if kk > len(nbs) {
-		kk = len(nbs)
-	}
-	out := make([]float64, k.schema.NumClasses())
-	for i := 0; i < kk; i++ {
-		w := 1.0
-		if k.DistanceWeight {
-			w = 1 / (nbs[i].dist + 1e-9)
-		}
-		out[nbs[i].cls] += w
-	}
-	return normalize(out)
 }
 
 // DistributionBatch implements BatchScorer for NaiveBayes. Per-(column,

@@ -136,6 +136,27 @@ func TestBatchIBkVariants(t *testing.T) {
 	}
 }
 
+// BenchmarkIBkBatch scores one 32-row column-first block with IBk k=5
+// over 2000 cases × 16 numerics: kernel_heavy's shape.
+func BenchmarkIBkBatch(b *testing.B) {
+	c := &classify.IBk{K: 5}
+	if err := c.Train(datagen.GaussianClusters(4, 2000, 16, 3.0, 1)); err != nil {
+		b.Fatal(err)
+	}
+	q := datagen.GaussianClusters(4, 32, 16, 3.0, 2)
+	qc, err := dataset.FromColumns(q.Relation, q.Attrs, q.ClassIndex, q.Columns(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.DistributionBatch(qc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkRowScore1024(b *testing.B) {
 	benchScore(b, false)
 }

@@ -3,6 +3,7 @@ package classify
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 
 	"repro/internal/dataset"
 )
@@ -78,9 +79,10 @@ func (k *IBk) GobEncode() ([]byte, error) {
 		w.Relation = k.schema.Relation
 		w.Attrs = k.schema.Attrs
 		w.ClassIndex = k.schema.ClassIndex
-		for _, in := range k.cases {
-			w.Rows = append(w.Rows, in.Values)
-			w.Weights = append(w.Weights, in.Weight)
+		w.Weights = k.weights
+		m := k.schema.NumAttributes()
+		for i := range k.cls {
+			w.Rows = append(w.Rows, k.cases[i*m:(i+1)*m])
 		}
 	}
 	var buf bytes.Buffer
@@ -88,24 +90,29 @@ func (k *IBk) GobEncode() ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// GobDecode implements gob.GobDecoder.
+// GobDecode implements gob.GobDecoder. The case base is replayed through
+// Update, which validates each row and rebuilds the ranges the snapshot
+// also carries.
 func (k *IBk) GobDecode(b []byte) error {
 	var w ibkWire
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
 		return err
 	}
-	k.K = w.K
-	k.DistanceWeight = w.DistanceWeight
-	k.min = w.Min
-	k.max = w.Max
-	k.cases = nil
-	if w.Attrs != nil {
-		sc := dataset.New(w.Relation, w.Attrs...)
-		sc.ClassIndex = w.ClassIndex
-		k.schema = sc
-		for i, row := range w.Rows {
-			in := &dataset.Instance{Values: row, Weight: w.Weights[i]}
-			k.cases = append(k.cases, in)
+	*k = IBk{K: w.K, DistanceWeight: w.DistanceWeight}
+	if w.Attrs == nil {
+		return nil
+	}
+	if len(w.Weights) != len(w.Rows) {
+		return fmt.Errorf("classify: IBk snapshot has %d weights for %d rows", len(w.Weights), len(w.Rows))
+	}
+	sc := dataset.New(w.Relation, w.Attrs...)
+	sc.ClassIndex = w.ClassIndex
+	if err := k.Begin(sc); err != nil {
+		return err
+	}
+	for i, row := range w.Rows {
+		if err := k.Update(&dataset.Instance{Values: row, Weight: w.Weights[i]}); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package classify
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"testing"
 
 	"repro/internal/datagen"
@@ -119,6 +120,39 @@ func TestIBkGobRoundTrip(t *testing.T) {
 		b, _ := Predict(k2, in)
 		if a != b {
 			t.Fatal("IBk predictions diverge after round trip")
+		}
+	}
+}
+
+// TestIBkGobDecodeRejectsMalformed: a snapshot whose case base cannot be
+// laid out over its schema is an error at decode, not a panic at scoring.
+func TestIBkGobDecodeRejectsMalformed(t *testing.T) {
+	d := datagen.WeatherNumeric()
+	valid := func() ibkWire {
+		w := ibkWire{K: 1, Attrs: d.Attrs, ClassIndex: d.ClassIndex}
+		for _, in := range d.Instances {
+			w.Rows = append(w.Rows, append([]float64(nil), in.Values...))
+			w.Weights = append(w.Weights, in.Weight)
+		}
+		return w
+	}
+	for name, corrupt := range map[string]func(*ibkWire){
+		"none":           func(*ibkWire) {},
+		"short row":      func(w *ibkWire) { w.Rows[2] = w.Rows[2][:1] },
+		"class range":    func(w *ibkWire) { w.Rows[0][d.ClassIndex] = 7 },
+		"infinite class": func(w *ibkWire) { w.Rows[0][d.ClassIndex] = math.Inf(1) },
+		"weights":        func(w *ibkWire) { w.Weights = w.Weights[1:] },
+		"class index":    func(w *ibkWire) { w.ClassIndex = 1 },
+	} {
+		w := valid()
+		corrupt(&w)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+			t.Fatal(err)
+		}
+		err := (&IBk{}).GobDecode(buf.Bytes())
+		if (err == nil) != (name == "none") {
+			t.Errorf("%s: GobDecode error = %v", name, err)
 		}
 	}
 }

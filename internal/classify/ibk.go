@@ -1,35 +1,36 @@
 package classify
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 
 	"repro/internal/dataset"
-	"repro/internal/parallel"
 )
-
-// ibkParallelThreshold is the case-base size below which a parallel
-// distance scan costs more in goroutine handoff than it saves.
-const ibkParallelThreshold = 1024
 
 // IBk is a k-nearest-neighbour classifier with heterogeneous distance
 // (normalised absolute difference on numerics, 0/1 overlap on nominals) and
 // optional inverse-distance vote weighting. It is updateable: new instances
 // simply join the case base.
+//
+// Neighbours are ordered by (squared distance, case index): of two cases at
+// the same distance the one that joined the case base first ranks first,
+// and a NaN distance ranks after every number. Distribution and
+// DistributionBatch run the same kernel, so the two agree bit for bit.
 type IBk struct {
 	K              int
 	DistanceWeight bool
-	// Parallelism bounds the distance-scan workers; <= 0 means one per
-	// CPU. Small case bases always scan sequentially.
-	Parallelism int
 
 	schema *dataset.Dataset
-	cases  []*dataset.Instance
-	min    []float64
-	max    []float64
+	// The case base, copied in by Update and GobDecode and never written on
+	// the scoring path, so concurrent readers of one model need no lock:
+	// cases holds one schema-wide row per case (class cell included), cls
+	// and weights one entry per case.
+	cases   []float64
+	cls     []int
+	weights []float64
+	min     []float64
+	max     []float64
 }
 
 func init() { Register("IBk", func() Classifier { return &IBk{K: 1} }) }
@@ -42,7 +43,6 @@ func (k *IBk) Options() []Option {
 	return []Option{
 		{Name: "k", Description: "number of neighbours", Default: "1"},
 		{Name: "distanceWeighting", Description: "weight votes by inverse distance (true/false)", Default: "false"},
-		{Name: "parallelism", Description: "distance-scan workers (<=0: one per CPU)", Default: "0"},
 	}
 }
 
@@ -61,12 +61,6 @@ func (k *IBk) SetOption(name, value string) error {
 			return fmt.Errorf("classify: IBk distanceWeighting must be boolean, got %q", value)
 		}
 		k.DistanceWeight = b
-	case "parallelism":
-		n, err := strconv.Atoi(value)
-		if err != nil {
-			return fmt.Errorf("classify: IBk parallelism must be an integer, got %q", value)
-		}
-		k.Parallelism = n
 	default:
 		return fmt.Errorf("classify: IBk has no option %q", name)
 	}
@@ -80,7 +74,7 @@ func (k *IBk) Begin(schema *dataset.Dataset) error {
 		return fmt.Errorf("classify: IBk needs a nominal class with >=2 labels")
 	}
 	k.schema = schema
-	k.cases = nil
+	k.cases, k.cls, k.weights = nil, nil, nil
 	n := schema.NumAttributes()
 	k.min = make([]float64, n)
 	k.max = make([]float64, n)
@@ -91,15 +85,25 @@ func (k *IBk) Begin(schema *dataset.Dataset) error {
 	return nil
 }
 
-// Update implements Updateable.
+// Update implements Updateable. The case is copied in, so the caller may
+// reuse or edit in afterwards.
 func (k *IBk) Update(in *dataset.Instance) error {
 	if k.schema == nil {
 		return fmt.Errorf("classify: IBk.Update before Begin/Train")
 	}
-	if dataset.IsMissing(in.Values[k.schema.ClassIndex]) {
+	if len(in.Values) != k.schema.NumAttributes() {
+		return fmt.Errorf("classify: IBk instance has %d values, schema has %d", len(in.Values), k.schema.NumAttributes())
+	}
+	c := in.Values[k.schema.ClassIndex]
+	if dataset.IsMissing(c) {
 		return nil
 	}
-	k.cases = append(k.cases, in)
+	if !(c >= 0 && c < float64(k.schema.NumClasses())) {
+		return fmt.Errorf("classify: IBk instance class %v is not a label index", c)
+	}
+	k.cases = append(k.cases, in.Values...)
+	k.cls = append(k.cls, int(c))
+	k.weights = append(k.weights, in.Weight)
 	for col, a := range k.schema.Attrs {
 		if !a.IsNumeric() {
 			continue
@@ -131,78 +135,165 @@ func (k *IBk) Train(d *dataset.Dataset) error {
 			return err
 		}
 	}
-	if len(k.cases) == 0 {
+	if len(k.cls) == 0 {
 		return fmt.Errorf("classify: IBk: no instances with a known class")
 	}
 	return nil
 }
 
-// distance computes the heterogeneous distance between a query and a case.
-func (k *IBk) distance(q, c *dataset.Instance) float64 {
-	var d float64
+// ibkColumn is one attribute's term of the distance, resolved once per
+// call rather than once per cell.
+type ibkColumn struct {
+	col  int
+	kind int // ibkNumeric, ibkConstant or ibkNominal
+	span float64
+}
+
+const (
+	ibkNumeric  = iota // ((q-c)/span)^2
+	ibkConstant        // numeric with span <= 0: only a missing cell counts
+	ibkNominal         // 0/1 overlap
+)
+
+// plan resolves every non-class attribute's term against the current ranges.
+func (k *IBk) plan() []ibkColumn {
+	p := make([]ibkColumn, 0, len(k.schema.Attrs))
 	for col, a := range k.schema.Attrs {
 		if col == k.schema.ClassIndex {
 			continue
 		}
-		qv, cv := q.Values[col], c.Values[col]
-		qm, cm := dataset.IsMissing(qv), dataset.IsMissing(cv)
-		switch {
-		case qm || cm:
-			d++ // maximal difference when either side is unknown
-		case a.IsNumeric():
-			span := k.max[col] - k.min[col]
-			if span <= 0 {
-				continue
-			}
-			diff := (qv - cv) / span
-			d += diff * diff
-		default:
-			if qv != cv {
-				d++
+		c := ibkColumn{col: col, kind: ibkNominal}
+		if a.IsNumeric() {
+			c.kind, c.span = ibkNumeric, k.max[col]-k.min[col]
+			if c.span <= 0 {
+				c.kind = ibkConstant
 			}
 		}
+		p = append(p, c)
 	}
-	return math.Sqrt(d)
+	return p
+}
+
+// neighbour is a selected case: its squared distance and its index.
+type neighbour struct {
+	sq  float64
+	idx int
+}
+
+// ranksBefore reports whether a case at squared distance a outranks an
+// earlier-indexed case at b: strictly nearer, or a number against a NaN.
+func ranksBefore(a, b float64) bool { return a < b || (b != b && a == a) }
+
+// slots is the number of neighbours a query votes with.
+func (k *IBk) slots() int { return max(0, min(k.K, len(k.cls))) }
+
+// nearest fills best with the len(best) nearest cases to the row q, in
+// (squared distance, case index) order. Cases are scanned in index order
+// and each distance accumulates in increasing column order with the
+// expressions of the distance definition; once best is full a case is
+// abandoned as soon as its partial sum reaches the k-th best. That is
+// exact: the remaining terms are non-negative, so the full sum could only
+// tie or exceed it (and a later index loses a tie), or become NaN (which
+// ranks last).
+func (k *IBk) nearest(q []float64, plan []ibkColumn, best []neighbour) {
+	if len(best) == 0 {
+		return
+	}
+	m := len(k.schema.Attrs)
+	// While best is not full nothing may be abandoned; every comparison
+	// with NaN is false, so NaN doubles as "no bound yet".
+	bound, n := math.NaN(), 0
+cases:
+	for j := range k.cls {
+		row := k.cases[j*m : (j+1)*m]
+		var s float64
+		for _, c := range plan {
+			qv, cv := q[c.col], row[c.col]
+			switch {
+			case dataset.IsMissing(qv) || dataset.IsMissing(cv):
+				s++ // maximal difference when either side is unknown
+			case c.kind == ibkNumeric:
+				diff := (qv - cv) / c.span
+				s += diff * diff
+			case c.kind == ibkNominal && qv != cv:
+				s++
+			}
+			if s >= bound {
+				continue cases
+			}
+		}
+		i := n
+		switch {
+		case n < len(best):
+			n++
+		case ranksBefore(s, best[n-1].sq):
+			i = n - 1 // the current k-th best drops out
+		default:
+			continue
+		}
+		for ; i > 0 && ranksBefore(s, best[i-1].sq); i-- {
+			best[i] = best[i-1]
+		}
+		best[i] = neighbour{s, j}
+		if n == len(best) {
+			bound = best[n-1].sq
+		}
+	}
+}
+
+// vote adds the selected neighbours' votes into out, nearest first, and
+// normalises it.
+func (k *IBk) vote(best []neighbour, out []float64) []float64 {
+	for _, nb := range best {
+		w := 1.0
+		if k.DistanceWeight {
+			w = 1 / (math.Sqrt(nb.sq) + 1e-9)
+		}
+		out[k.cls[nb.idx]] += w
+	}
+	return normalize(out)
 }
 
 // Distribution implements Classifier.
 func (k *IBk) Distribution(in *dataset.Instance) ([]float64, error) {
-	if len(k.cases) == 0 {
+	if len(k.cls) == 0 {
 		return nil, fmt.Errorf("classify: IBk is untrained")
 	}
-	type nb struct {
-		dist float64
-		cls  int
+	if len(in.Values) < k.schema.NumAttributes() {
+		return nil, fmt.Errorf("classify: IBk instance has %d values, model expects %d", len(in.Values), k.schema.NumAttributes())
 	}
-	nbs := make([]nb, len(k.cases))
-	if len(k.cases) >= ibkParallelThreshold && parallel.Workers(k.Parallelism) > 1 {
-		// Index-addressed writes keep the scan deterministic; the sort
-		// below then sees the same array the sequential fill produces.
-		_ = parallel.ForEach(context.Background(), len(k.cases), k.Parallelism, func(i int) error {
-			c := k.cases[i]
-			nbs[i] = nb{k.distance(in, c), int(c.Values[k.schema.ClassIndex])}
-			return nil
-		})
-	} else {
-		for i, c := range k.cases {
-			nbs[i] = nb{k.distance(in, c), int(c.Values[k.schema.ClassIndex])}
+	best := make([]neighbour, k.slots())
+	k.nearest(in.Values, k.plan(), best)
+	return k.vote(best, make([]float64, k.schema.NumClasses())), nil
+}
+
+// DistributionBatch implements BatchScorer for IBk: each row is gathered
+// from the dataset's columns into one query buffer and run through the
+// same kernel as Distribution.
+func (k *IBk) DistributionBatch(d *dataset.Dataset) ([][]float64, error) {
+	if len(k.cls) == 0 {
+		return nil, fmt.Errorf("classify: IBk is untrained")
+	}
+	cols := d.Columns()
+	m := k.schema.NumAttributes()
+	if len(cols) < m {
+		return nil, fmt.Errorf("classify: IBk batch has %d attributes, model expects %d", len(cols), m)
+	}
+	plan := k.plan()
+	nq, nc := d.NumInstances(), k.schema.NumClasses()
+	q := make([]float64, m)
+	best := make([]neighbour, k.slots())
+	slab := make([]float64, nq*nc)
+	out := make([][]float64, nq)
+	for i := range out {
+		for _, c := range plan {
+			q[c.col] = cols[c.col][i]
 		}
+		k.nearest(q, plan, best)
+		out[i] = k.vote(best, slab[i*nc:(i+1)*nc:(i+1)*nc])
 	}
-	sort.Slice(nbs, func(i, j int) bool { return nbs[i].dist < nbs[j].dist })
-	kk := k.K
-	if kk > len(nbs) {
-		kk = len(nbs)
-	}
-	out := make([]float64, k.schema.NumClasses())
-	for i := 0; i < kk; i++ {
-		w := 1.0
-		if k.DistanceWeight {
-			w = 1 / (nbs[i].dist + 1e-9)
-		}
-		out[nbs[i].cls] += w
-	}
-	return normalize(out), nil
+	return out, nil
 }
 
 // NumCases returns the current size of the case base.
-func (k *IBk) NumCases() int { return len(k.cases) }
+func (k *IBk) NumCases() int { return len(k.cls) }

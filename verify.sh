@@ -5,7 +5,8 @@
 # benchmark run), the benchmark's own smoke (every workload for half a
 # second, replies checked against the oracle: correctness only, no
 # timing), one plain and one -race pass over every test, ten seconds of
-# each fuzz target of the SOAP envelope codec, the deterministic
+# each fuzz target (the SOAP envelope codec, the IBk neighbour kernel),
+# the deterministic
 # short-mode replica-churn soak, then the end-to-end smoke
 # (scripts/smoke.sh: live dmserver probes, traced dmexp batch, chaos
 # failover, the admission flood + graceful-drain drill, the model-store
@@ -59,12 +60,14 @@ soak() {
 	rm -f "$out"
 }
 
-# The envelope scanner against its encoding/xml oracle, and the writer
-# against xml.EscapeText; a failing input lands in
-# internal/soap/testdata/fuzz/ and fails every later `go test`.
+# The envelope scanner against its encoding/xml oracle, the writer
+# against xml.EscapeText, and IBk's neighbour kernel against its
+# full-sort reference; a failing input lands in the package's
+# testdata/fuzz/ and fails every later `go test`.
 fuzz() {
 	go test -run '^$' -fuzz FuzzUnmarshal -fuzztime 10s ./internal/soap/
 	go test -run '^$' -fuzz FuzzEscape -fuzztime 10s ./internal/soap/
+	go test -run '^$' -fuzz FuzzIBkNearest -fuzztime 10s ./internal/classify/
 }
 
 stage gofmt check_gofmt

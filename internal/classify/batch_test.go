@@ -81,16 +81,21 @@ func TestBatchMatchesRowPathAllClassifiers(t *testing.T) {
 	}
 }
 
-// TestBatchScorersRegistered pins the classifiers that carry a columnar
-// fast path so a refactor silently dropping one fails loudly.
+// TestBatchScorersRegistered pins the classifiers that carry a block entry
+// point (per-block setup worth amortising) so a refactor silently adding or
+// dropping one fails loudly; every other classifier is scored row by row.
 func TestBatchScorersRegistered(t *testing.T) {
-	for _, name := range []string{"IBk", "NaiveBayes", "J48"} {
+	want := map[string]bool{"IBk": true, "NaiveBayes": true}
+	for _, name := range classify.Names() {
 		c, err := classify.New(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := c.(classify.BatchScorer); !ok {
-			t.Errorf("%s does not implement BatchScorer", name)
+		_, ok := c.(interface {
+			DistributionBatch(*dataset.Dataset) ([][]float64, error)
+		})
+		if ok != want[name] {
+			t.Errorf("%s: has DistributionBatch = %v, want %v", name, ok, want[name])
 		}
 	}
 }
@@ -186,6 +191,27 @@ func benchScore(b *testing.B, batch bool) {
 					b.Fatal(err)
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkJ48Batch scores one 4096-row column-first block with J48:
+// classify_bulk's shape.
+func BenchmarkJ48Batch(b *testing.B) {
+	c := classify.NewJ48()
+	if err := c.Train(datagen.RandomNominal(4096, 10, 4, 0.2, 1)); err != nil {
+		b.Fatal(err)
+	}
+	q := datagen.RandomNominal(4096, 10, 4, 0.2, 2)
+	qc, err := dataset.FromColumns(q.Relation, q.Attrs, q.ClassIndex, q.Columns(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := classify.PredictBatch(c, qc); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

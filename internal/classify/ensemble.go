@@ -21,6 +21,7 @@ type RandomTree struct {
 	root       *TreeNode
 	classAttr  *dataset.Attribute
 	classIndex int
+	width      int // see treeWidth
 	rng        *rand.Rand
 }
 
@@ -43,6 +44,7 @@ func (t *RandomTree) Train(d *dataset.Dataset) error {
 	work := make([]*dataset.Instance, d.NumInstances())
 	copy(work, d.Instances)
 	t.root = t.grow(d, work, 0)
+	t.width = treeWidth(t.root, t.classIndex)
 	return nil
 }
 
@@ -123,10 +125,12 @@ func (t *RandomTree) Distribution(in *dataset.Instance) ([]float64, error) {
 	if t.root == nil {
 		return nil, fmt.Errorf("classify: RandomTree is untrained")
 	}
-	helper := &J48{}
-	helper.classAttr = t.classAttr
-	helper.root = t.root
-	return helper.Distribution(in)
+	if err := checkWidth(t.Name(), in, t.width); err != nil {
+		return nil, err
+	}
+	out := make([]float64, t.classAttr.NumValues())
+	descend(t.root, in.Values, 1, out)
+	return normalize(out), nil
 }
 
 // Bagging trains Size base classifiers on bootstrap resamples and averages

@@ -47,6 +47,7 @@ func (j *J48) GobDecode(b []byte) error {
 	j.root = w.Root
 	j.classAttr = w.ClassAttr
 	j.classIndex = w.ClassIndex
+	j.width = treeWidth(w.Root, w.ClassIndex)
 	return nil
 }
 

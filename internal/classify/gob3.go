@@ -174,6 +174,7 @@ func (t *RandomTree) GobDecode(b []byte) error {
 	}
 	t.Seed, t.MinLeaf = w.Seed, w.MinLeaf
 	t.root, t.classAttr, t.classIndex = w.Root, w.ClassAttr, w.ClassIndex
+	t.width = treeWidth(w.Root, w.ClassIndex)
 	t.rng = nil
 	return nil
 }

@@ -1,0 +1,91 @@
+package classify_test
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"strings"
+	"testing"
+
+	"repro/internal/classify"
+	"repro/internal/datagen"
+	"repro/internal/dataset"
+)
+
+// scoresDigest is SHA-256 over every label and the Float64bits of every
+// distribution cell.
+func scoresDigest(labels []int, dists [][]float64) string {
+	h := sha256.New()
+	var b [8]byte
+	for i, dist := range dists {
+		binary.LittleEndian.PutUint64(b[:], uint64(labels[i]))
+		h.Write(b[:])
+		for _, p := range dist {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(p))
+			h.Write(b[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestScoresMatchGoldenDigests holds NaiveBayes and J48 to digests of their
+// self-scoring on four datasets, recorded from the tree in which each still
+// had separate row and columnar bodies (and both agreed). The single body
+// must reproduce them through Distribution and PredictBatch, on row-backed
+// and column-backed input alike.
+func TestScoresMatchGoldenDigests(t *testing.T) {
+	sets := map[string]*dataset.Dataset{
+		"Weather":       datagen.Weather(),
+		"ContactLenses": datagen.ContactLenses(),
+		"BreastCancer":  datagen.BreastCancer(),
+		"IrisLike":      datagen.IrisLike(30, 7),
+	}
+	golden := map[string]string{
+		"NaiveBayes/Weather":       "c5500e4748e748328b15ac3449c091c7aede614011e4ea4d5ba129d312c12556",
+		"NaiveBayes/ContactLenses": "6a0ef88e323536be671151a51bba4043971ceaeb0ef0a3862f42f6eebe972243",
+		"NaiveBayes/BreastCancer":  "30ef1af0d7a6e1f1cc6336c23a755ec9ded32270887ec08008a073c237b2f861",
+		"NaiveBayes/IrisLike":      "11077fcd282ff8d6ffac10c19132a11984086baa385b6d701df287ecf9c75ab9",
+		"J48/Weather":              "f598cd39779e60666a88cce80012d6d8e4e0a365fa717dc66c38c14060253ea0",
+		"J48/ContactLenses":        "9e355180dcf0e50f175a99ec6851f23a616ebc3c23624d642edaee9b728d00da",
+		"J48/BreastCancer":         "f071f448abd8995fee226181421773ff2e5ba47910a8459742f5de829b9dc970",
+		"J48/IrisLike":             "25db3d42c52da48e4b7a6225886341e50d6e5c4f1656ab565b3211ad57113f11",
+	}
+	for key, want := range golden {
+		name, set, _ := strings.Cut(key, "/")
+		d := sets[set]
+		c, err := classify.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Train(d); err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		cd, err := dataset.FromColumns(d.Relation, d.Attrs, d.ClassIndex, d.Columns(), d.WeightsSlice())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for backing, in := range map[string]*dataset.Dataset{"rows": d, "columns": cd} {
+			labels := make([]int, in.NumInstances())
+			dists := make([][]float64, in.NumInstances())
+			for i, x := range in.Instances {
+				if dists[i], err = c.Distribution(x); err != nil {
+					t.Fatal(err)
+				}
+				if labels[i], err = classify.Predict(c, x); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := scoresDigest(labels, dists); got != want {
+				t.Errorf("%s Distribution (%s-backed): digest %s, want %s", key, backing, got, want)
+			}
+			bl, bd, err := classify.PredictBatch(c, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := scoresDigest(bl, bd); got != want {
+				t.Errorf("%s PredictBatch (%s-backed): digest %s, want %s", key, backing, got, want)
+			}
+		}
+	}
+}

@@ -259,15 +259,15 @@ func (k *IBk) Distribution(in *dataset.Instance) ([]float64, error) {
 	if len(k.cls) == 0 {
 		return nil, fmt.Errorf("classify: IBk is untrained")
 	}
-	if len(in.Values) < k.schema.NumAttributes() {
-		return nil, fmt.Errorf("classify: IBk instance has %d values, model expects %d", len(in.Values), k.schema.NumAttributes())
+	if err := checkWidth(k.Name(), in, k.schema.NumAttributes()); err != nil {
+		return nil, err
 	}
 	best := make([]neighbour, k.slots())
 	k.nearest(in.Values, k.plan(), best)
 	return k.vote(best, make([]float64, k.schema.NumClasses())), nil
 }
 
-// DistributionBatch implements BatchScorer for IBk: each row is gathered
+// DistributionBatch implements batchScorer for IBk: each row is gathered
 // from the dataset's columns into one query buffer and run through the
 // same kernel as Distribution.
 func (k *IBk) DistributionBatch(d *dataset.Dataset) ([][]float64, error) {

@@ -32,6 +32,7 @@ type J48 struct {
 	root       *TreeNode
 	classAttr  *dataset.Attribute
 	classIndex int
+	width      int // see treeWidth
 }
 
 // TreeNode is one node of a trained decision tree. Fields are exported so
@@ -132,6 +133,7 @@ func (j *J48) Train(d *dataset.Dataset) error {
 	if !j.Unpruned {
 		j.prune(j.root)
 	}
+	j.width = treeWidth(j.root, j.classIndex)
 	return nil
 }
 
@@ -503,16 +505,17 @@ func (j *J48) Distribution(in *dataset.Instance) ([]float64, error) {
 	if j.root == nil {
 		return nil, fmt.Errorf("classify: J48 is untrained")
 	}
+	if err := checkWidth(j.Name(), in, j.width); err != nil {
+		return nil, err
+	}
 	out := make([]float64, j.classAttr.NumValues())
-	j.descendCells(j.root, func(col int) float64 { return in.Values[col] }, 1, out)
+	descend(j.root, in.Values, 1, out)
 	return normalize(out), nil
 }
 
-// descendCells walks the tree reading split values through the cell
-// accessor, so the per-instance row path and the columnar batch path
-// (DistributionBatch) run the exact same arithmetic in the exact same
-// order — predictions are bit-identical by construction.
-func (j *J48) descendCells(n *TreeNode, cell func(col int) float64, w float64, acc []float64) {
+// descend adds the weight w reaching n into acc, reading split values
+// from the row. J48 and RandomTree both score through it.
+func descend(n *TreeNode, row []float64, w float64, acc []float64) {
 	if n.Attr < 0 {
 		dist := n.Dist
 		total := sum(dist)
@@ -525,7 +528,7 @@ func (j *J48) descendCells(n *TreeNode, cell func(col int) float64, w float64, a
 		}
 		return
 	}
-	v := cell(n.Attr)
+	v := row[n.Attr]
 	if dataset.IsMissing(v) {
 		var totalW float64
 		childW := make([]float64, len(n.Children))
@@ -534,12 +537,12 @@ func (j *J48) descendCells(n *TreeNode, cell func(col int) float64, w float64, a
 			totalW += childW[i]
 		}
 		if totalW <= 0 {
-			j.descendCells(n.Children[0], cell, w, acc)
+			descend(n.Children[0], row, w, acc)
 			return
 		}
 		for i, c := range n.Children {
 			if childW[i] > 0 {
-				j.descendCells(c, cell, w*childW[i]/totalW, acc)
+				descend(c, row, w*childW[i]/totalW, acc)
 			}
 		}
 		return
@@ -555,25 +558,25 @@ func (j *J48) descendCells(n *TreeNode, cell func(col int) float64, w float64, a
 			b = len(n.Children) - 1
 		}
 	}
-	j.descendCells(n.Children[b], cell, w, acc)
+	descend(n.Children[b], row, w, acc)
 }
 
-// DistributionBatch implements BatchScorer: every row descends the tree
-// through the columnar backing via the shared descendCells walk.
-func (j *J48) DistributionBatch(d *dataset.Dataset) ([][]float64, error) {
-	if j.root == nil {
-		return nil, fmt.Errorf("classify: J48 is untrained")
+// treeWidth is the row width scoring needs: one past the highest column
+// the tree splits on or the class occupies.
+func treeWidth(n *TreeNode, classIndex int) int {
+	w := classIndex + 1
+	if n == nil {
+		return w
 	}
-	cols := d.Columns()
-	n := d.NumInstances()
-	out := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		row := i
-		acc := make([]float64, j.classAttr.NumValues())
-		j.descendCells(j.root, func(col int) float64 { return cols[col][row] }, 1, acc)
-		out[i] = normalize(acc)
+	if n.Attr >= w {
+		w = n.Attr + 1
 	}
-	return out, nil
+	for _, c := range n.Children {
+		if cw := treeWidth(c, classIndex); cw > w {
+			w = cw
+		}
+	}
+	return w
 }
 
 // Tree returns the trained tree root (nil before Train).

@@ -108,39 +108,64 @@ func (nb *NaiveBayes) Train(d *dataset.Dataset) error {
 	return nil
 }
 
-// Distribution implements Classifier.
-func (nb *NaiveBayes) Distribution(in *dataset.Instance) ([]float64, error) {
-	if nb.classCount == nil {
-		return nil, fmt.Errorf("classify: NaiveBayes is untrained")
-	}
+// nbScorer is what scoring derives from the counts: the Laplace-smoothed
+// log priors, each nominal column's per-class mass (row weight + value
+// count) and each numeric column's per-class Gaussian, the last two flat
+// and indexed [col*numClasses+class], plus the per-row log scratch. prepare
+// builds it per call, never on the model, so an Update is visible to the
+// next score and concurrent readers share nothing.
+type nbScorer struct {
+	nb       *NaiveBayes
+	logPrior []float64
+	logp     []float64
+	nomMass  []float64
+	gauss    []nbGauss
+}
+
+type nbGauss struct {
+	ok             bool
+	mean, variance float64
+	logNorm        float64 // -0.5*log(2*pi*variance)
+}
+
+// prepare builds the scorer in mass and gauss when their capacity allows
+// (Distribution passes fixed-size arrays, so one row allocates only its
+// result) and in fresh slices otherwise.
+func (nb *NaiveBayes) prepare(mass []float64, gauss []nbGauss) nbScorer {
 	var totalW float64
 	for _, w := range nb.classCount {
 		totalW += w
 	}
-	logp := make([]float64, nb.numClasses)
-	for c := 0; c < nb.numClasses; c++ {
-		// Laplace-smoothed log prior.
-		logp[c] = math.Log((nb.classCount[c] + 1) / (totalW + float64(nb.numClasses)))
-		for col, a := range nb.attrs {
-			if col == nb.classIndex || col >= len(in.Values) {
-				continue
-			}
-			v := in.Values[col]
-			if dataset.IsMissing(v) {
-				continue
-			}
-			switch {
-			case a.IsNominal():
+	k, m := nb.numClasses, len(nb.attrs)
+	if cap(mass) < (2+m)*k {
+		mass = make([]float64, (2+m)*k)
+	}
+	if cap(gauss) < m*k {
+		gauss = make([]nbGauss, m*k)
+	}
+	s := nbScorer{nb: nb, logPrior: mass[:k], logp: mass[k : 2*k], nomMass: mass[2*k : (2+m)*k], gauss: gauss[:m*k]}
+	for c := range s.logPrior {
+		s.logPrior[c] = math.Log((nb.classCount[c] + 1) / (totalW + float64(k)))
+	}
+	for col, a := range nb.attrs {
+		if col == nb.classIndex {
+			continue
+		}
+		switch {
+		case a.IsNominal():
+			for c := 0; c < k; c++ {
 				row := nb.nominal[col][c]
 				var rowW float64
 				for _, w := range row {
 					rowW += w
 				}
-				k := float64(len(row))
-				logp[c] += math.Log((row[int(v)] + 1) / (rowW + k))
-			case a.IsNumeric():
+				s.nomMass[col*k+c] = rowW + float64(len(row))
+			}
+		case a.IsNumeric():
+			for c := 0; c < k; c++ {
 				n := nb.cnt[col][c]
 				if n < 2 {
+					s.gauss[col*k+c] = nbGauss{}
 					continue
 				}
 				mean := nb.sum[col][c] / n
@@ -148,21 +173,83 @@ func (nb *NaiveBayes) Distribution(in *dataset.Instance) ([]float64, error) {
 				if variance < 1e-6 {
 					variance = 1e-6
 				}
-				diff := v - mean
-				logp[c] += -0.5*math.Log(2*math.Pi*variance) - diff*diff/(2*variance)
+				s.gauss[col*k+c] = nbGauss{ok: true, mean: mean, variance: variance,
+					logNorm: -0.5 * math.Log(2*math.Pi*variance)}
 			}
 		}
 	}
-	// Soft-max in log space for numeric stability.
+	return s
+}
+
+// score writes the class distribution of one row into out. Each class's
+// log joint is its prior plus the columns in
+// ascending order; the soft-max runs in log space for numeric stability.
+func (s *nbScorer) score(vals, out []float64) []float64 {
+	nb, logp := s.nb, s.logp
+	for c := 0; c < nb.numClasses; c++ {
+		lp := s.logPrior[c]
+		for col, a := range nb.attrs {
+			if col == nb.classIndex {
+				continue
+			}
+			v := vals[col]
+			if dataset.IsMissing(v) {
+				continue
+			}
+			switch {
+			case a.IsNominal():
+				lp += math.Log((nb.nominal[col][c][int(v)] + 1) / s.nomMass[col*nb.numClasses+c])
+			case a.IsNumeric():
+				g := s.gauss[col*nb.numClasses+c]
+				if !g.ok {
+					continue
+				}
+				diff := v - g.mean
+				lp += g.logNorm - diff*diff/(2*g.variance)
+			}
+		}
+		logp[c] = lp
+	}
 	maxLog := math.Inf(-1)
 	for _, lp := range logp {
 		if lp > maxLog {
 			maxLog = lp
 		}
 	}
-	out := make([]float64, nb.numClasses)
 	for c, lp := range logp {
 		out[c] = math.Exp(lp - maxLog)
 	}
-	return normalize(out), nil
+	return normalize(out)
+}
+
+// Distribution implements Classifier.
+func (nb *NaiveBayes) Distribution(in *dataset.Instance) ([]float64, error) {
+	if nb.classCount == nil {
+		return nil, fmt.Errorf("classify: NaiveBayes is untrained")
+	}
+	if err := checkWidth(nb.Name(), in, len(nb.attrs)); err != nil {
+		return nil, err
+	}
+	var mass [48]float64
+	var gauss [24]nbGauss
+	s := nb.prepare(mass[:0], gauss[:0])
+	return s.score(in.Values, make([]float64, nb.numClasses)), nil
+}
+
+// DistributionBatch implements batchScorer: prepare runs once per block
+// instead of once per row, and the rows are carved from one slab.
+func (nb *NaiveBayes) DistributionBatch(d *dataset.Dataset) ([][]float64, error) {
+	if nb.classCount == nil {
+		return nil, fmt.Errorf("classify: NaiveBayes is untrained")
+	}
+	s, k := nb.prepare(nil, nil), nb.numClasses
+	slab := make([]float64, d.NumInstances()*k)
+	out := make([][]float64, d.NumInstances())
+	for i, in := range d.Instances {
+		if err := checkWidth(nb.Name(), in, len(nb.attrs)); err != nil {
+			return nil, fmt.Errorf("row %d: %w", i, err)
+		}
+		out[i] = s.score(in.Values, slab[i*k:(i+1)*k:(i+1)*k])
+	}
+	return out, nil
 }

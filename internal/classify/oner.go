@@ -199,6 +199,11 @@ func (o *OneR) Distribution(in *dataset.Instance) ([]float64, error) {
 	if o.valueClass == nil {
 		return nil, fmt.Errorf("classify: OneR is untrained")
 	}
+	// The rule reads one column; the class cell bounds the width as well,
+	// as it does for J48.
+	if err := checkWidth(o.Name(), in, max(o.attr, o.classIndex)+1); err != nil {
+		return nil, err
+	}
 	v := in.Values[o.attr]
 	var row []float64
 	switch {

@@ -34,12 +34,12 @@ func (k ScoreKind) String() string {
 	}
 }
 
-// BatchAssigner marks clusterers with a columnar assignment fast path.
+// batchAssigner marks clusterers with a columnar assignment kernel.
 // AssignBatch must produce assignments bit-identical to calling Assign on
 // every row — the batch path is an optimisation, never a different model
 // — which the column-outer loops below achieve by preserving the row
 // path's per-(row,cluster) float accumulation order exactly.
-type BatchAssigner interface {
+type batchAssigner interface {
 	Clusterer
 	// AssignBatch assigns every row of d in one columnar pass, returning
 	// per-row cluster indices plus one score column per cluster
@@ -48,10 +48,10 @@ type BatchAssigner interface {
 }
 
 // AssignAll assigns every row of d with c: the columnar batch path when c
-// implements BatchAssigner, otherwise the per-row Assign loop (which
+// implements batchAssigner, otherwise the per-row Assign loop (which
 // yields no score columns).
 func AssignAll(c Clusterer, d *dataset.Dataset) ([]int, [][]float64, ScoreKind, error) {
-	if ba, ok := c.(BatchAssigner); ok {
+	if ba, ok := c.(batchAssigner); ok {
 		return ba.AssignBatch(d)
 	}
 	assign, err := Assignments(c, d)
@@ -116,7 +116,7 @@ func centroidAssignBatch(name string, d *dataset.Dataset, centroids [][]float64,
 	return assign, scores, nil
 }
 
-// AssignBatch implements BatchAssigner; the score columns are euclidean
+// AssignBatch implements batchAssigner; the score columns are euclidean
 // centroid distances.
 func (km *KMeans) AssignBatch(d *dataset.Dataset) ([]int, [][]float64, ScoreKind, error) {
 	if km.Centroids == nil {
@@ -129,7 +129,7 @@ func (km *KMeans) AssignBatch(d *dataset.Dataset) ([]int, [][]float64, ScoreKind
 	return assign, scores, ScoreDistance, nil
 }
 
-// AssignBatch implements BatchAssigner; the score columns are euclidean
+// AssignBatch implements batchAssigner; the score columns are euclidean
 // centroid distances.
 func (ff *FarthestFirst) AssignBatch(d *dataset.Dataset) ([]int, [][]float64, ScoreKind, error) {
 	if ff.Centroids == nil {
@@ -142,7 +142,7 @@ func (ff *FarthestFirst) AssignBatch(d *dataset.Dataset) ([]int, [][]float64, Sc
 	return assign, scores, ScoreDistance, nil
 }
 
-// AssignBatch implements BatchAssigner; the score columns are euclidean
+// AssignBatch implements batchAssigner; the score columns are euclidean
 // distances to the dendrogram's cut centroids.
 func (h *Hierarchical) AssignBatch(d *dataset.Dataset) ([]int, [][]float64, ScoreKind, error) {
 	if h.Centroids == nil {
@@ -155,7 +155,7 @@ func (h *Hierarchical) AssignBatch(d *dataset.Dataset) ([]int, [][]float64, Scor
 	return assign, scores, ScoreDistance, nil
 }
 
-// AssignBatch implements BatchAssigner; the score columns are the
+// AssignBatch implements batchAssigner; the score columns are the
 // mixture responsibilities (posterior component probabilities). The
 // per-component log joint accumulates column-outer in the same order as
 // logGauss's row loop, so the strict-> argmax matches Assign bit for bit.

@@ -36,7 +36,7 @@ func columnFirst(t *testing.T, d *dataset.Dataset) *dataset.Dataset {
 }
 
 // TestBatchMatchesRowPathAllClusterers is the sweep gate for the
-// BatchAssigner contract: for every registered clusterer, AssignAll must
+// batchAssigner contract: for every registered clusterer, AssignAll must
 // reproduce the per-row Assign loop exactly — same assignments on both
 // row-backed and column-backed datasets, and bit-identical score columns
 // across the two backings.
@@ -129,7 +129,7 @@ func TestBatchDistanceScoresMatchEuclidean(t *testing.T) {
 		}
 		for cl, cent := range cents {
 			for i, in := range d.Instances {
-				want := euclidean(in, cent, cols)
+				want := euclidean(in.Values, cent, cols)
 				if math.Float64bits(scores[cl][i]) != math.Float64bits(want) {
 					t.Fatalf("%s score (%d,%d) = %v, want euclidean %v", name, cl, i, scores[cl][i], want)
 				}
@@ -204,7 +204,7 @@ func TestAssignBatchRejectsNarrowSchema(t *testing.T) {
 // TestAssignBatchUnbuilt pins the unbuilt error on every fast path.
 func TestAssignBatchUnbuilt(t *testing.T) {
 	d := batchTestData(t)
-	for _, c := range []BatchAssigner{&KMeans{}, &FarthestFirst{}, &Hierarchical{}, &EM{}} {
+	for _, c := range []batchAssigner{&KMeans{}, &FarthestFirst{}, &Hierarchical{}, &EM{}} {
 		if _, _, _, err := c.AssignBatch(d); err == nil {
 			t.Fatalf("%T: unbuilt AssignBatch succeeded", c)
 		}

@@ -133,12 +133,12 @@ func numericColumns(d *dataset.Dataset) ([]int, error) {
 	return cols, nil
 }
 
-// euclidean computes the distance between an instance and a centroid over
-// the given columns; missing cells contribute nothing.
-func euclidean(in *dataset.Instance, centroid []float64, cols []int) float64 {
+// euclidean computes the distance between a row and a centroid over the
+// given columns; missing cells contribute nothing.
+func euclidean(values, centroid []float64, cols []int) float64 {
 	var s float64
 	for j, col := range cols {
-		v := in.Values[col]
+		v := values[col]
 		if dataset.IsMissing(v) {
 			continue
 		}
@@ -146,6 +146,18 @@ func euclidean(in *dataset.Instance, centroid []float64, cols []int) float64 {
 		s += diff * diff
 	}
 	return math.Sqrt(s)
+}
+
+// nearestCentroid returns the index of the centroid closest to the row;
+// on a tie the lower index wins (strict <).
+func nearestCentroid(values []float64, centroids [][]float64, cols []int) int {
+	best, bestD := 0, math.Inf(1)
+	for c, cent := range centroids {
+		if dd := euclidean(values, cent, cols); dd < bestD {
+			best, bestD = c, dd
+		}
+	}
+	return best
 }
 
 // Assignments applies c to every instance of d.
@@ -198,7 +210,7 @@ func SSE(d *dataset.Dataset, assign []int, k int) (float64, error) {
 		if c < 0 || c >= k {
 			continue
 		}
-		dist := euclidean(in, cent[c], cols)
+		dist := euclidean(in.Values, cent[c], cols)
 		sse += dist * dist
 	}
 	return sse, nil

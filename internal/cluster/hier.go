@@ -250,13 +250,7 @@ func (h *Hierarchical) Assign(in *dataset.Instance) (int, error) {
 	if h.Centroids == nil {
 		return -1, fmt.Errorf("cluster: Hierarchical is unbuilt")
 	}
-	best, bestD := 0, math.Inf(1)
-	for c, cent := range h.Centroids {
-		if dd := euclidean(in, cent, h.cols); dd < bestD {
-			best, bestD = c, dd
-		}
-	}
-	return best, nil
+	return nearestCentroid(in.Values, h.Centroids, h.cols), nil
 }
 
 // DBSCAN is density-based clustering with parameters Eps and MinPts; noise

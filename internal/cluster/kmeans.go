@@ -107,13 +107,7 @@ func (km *KMeans) BuildContext(ctx context.Context, d *dataset.Dataset) error {
 		// the changed flag is an order-independent OR across workers.
 		var changedFlag atomic.Bool
 		err := parallel.ForEach(ctx, d.NumInstances(), km.Parallelism, func(i int) error {
-			in := d.Instances[i]
-			best, bestD := 0, math.Inf(1)
-			for c, cent := range km.Centroids {
-				if dd := euclidean(in, cent, cols); dd < bestD {
-					best, bestD = c, dd
-				}
-			}
+			best := nearestCentroid(d.Instances[i].Values, km.Centroids, cols)
 			if assign[i] != best {
 				assign[i] = best
 				changedFlag.Store(true)
@@ -184,7 +178,7 @@ func (km *KMeans) seedPlusPlus(d *dataset.Dataset, rng *rand.Rand) [][]float64 {
 		_ = parallel.ForEach(context.Background(), d.NumInstances(), km.Parallelism, func(i int) error {
 			best := math.Inf(1)
 			for _, c := range cents {
-				if dd := euclidean(d.Instances[i], c, km.cols); dd < best {
+				if dd := euclidean(d.Instances[i].Values, c, km.cols); dd < best {
 					best = dd
 				}
 			}
@@ -224,13 +218,7 @@ func (km *KMeans) Assign(in *dataset.Instance) (int, error) {
 	if km.Centroids == nil {
 		return -1, fmt.Errorf("cluster: SimpleKMeans is unbuilt")
 	}
-	best, bestD := 0, math.Inf(1)
-	for c, cent := range km.Centroids {
-		if dd := euclidean(in, cent, km.cols); dd < bestD {
-			best, bestD = c, dd
-		}
-	}
-	return best, nil
+	return nearestCentroid(in.Values, km.Centroids, km.cols), nil
 }
 
 // FarthestFirst implements Hochbaum–Shmoys farthest-first traversal, a fast
@@ -304,7 +292,7 @@ func (ff *FarthestFirst) Build(d *dataset.Dataset) error {
 		for i, in := range d.Instances {
 			nearest := math.Inf(1)
 			for _, c := range ff.Centroids {
-				if dd := euclidean(in, c, cols); dd < nearest {
+				if dd := euclidean(in.Values, c, cols); dd < nearest {
 					nearest = dd
 				}
 			}
@@ -325,11 +313,5 @@ func (ff *FarthestFirst) Assign(in *dataset.Instance) (int, error) {
 	if ff.Centroids == nil {
 		return -1, fmt.Errorf("cluster: FarthestFirst is unbuilt")
 	}
-	best, bestD := 0, math.Inf(1)
-	for c, cent := range ff.Centroids {
-		if dd := euclidean(in, cent, ff.cols); dd < bestD {
-			best, bestD = c, dd
-		}
-	}
-	return best, nil
+	return nearestCentroid(in.Values, ff.Centroids, ff.cols), nil
 }

@@ -31,7 +31,7 @@ func TestClientBatchPipeline(t *testing.T) {
 	if f1.Rows != raw.NumInstances() || f1.Encoding != wire.Encoding {
 		t.Fatalf("hop 1 rows %d encoding %q", f1.Rows, f1.Encoding)
 	}
-	wantF1, err := filter.ApplyColumns(filter.Normalize{}, raw)
+	wantF1, err := filter.Normalize{}.Apply(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,9 +94,9 @@ func sweepFilters() []Filter {
 	}
 }
 
-// TestBatchMatchesRowPathAllFilters is the sweep gate for the
-// BatchApplier contract: ApplyBatch must equal Apply bit for bit on
-// row-backed and column-backed inputs alike.
+// TestBatchMatchesRowPathAllFilters holds every filter to the same output
+// on a row-built input and on its column-first rebuild (the shape a dmb1
+// decode produces). The golden digests pin what that output is.
 func TestBatchMatchesRowPathAllFilters(t *testing.T) {
 	d := batchFilterData(t, 80, 3)
 	cd, err := dataset.FromColumns(d.Relation, d.Attrs, d.ClassIndex, d.Columns(), d.WeightsSlice())
@@ -106,36 +106,67 @@ func TestBatchMatchesRowPathAllFilters(t *testing.T) {
 	for _, f := range sweepFilters() {
 		want, err := f.Apply(d)
 		if err != nil {
-			t.Fatalf("%s: row path: %v", f.Name(), err)
+			t.Fatalf("%s (rows-backed): %v", f.Name(), err)
 		}
-		for backing, in := range map[string]*dataset.Dataset{"rows": d, "columns": cd} {
-			got, err := ApplyColumns(f, in)
-			if err != nil {
-				t.Fatalf("%s (%s-backed): batch path: %v", f.Name(), backing, err)
-			}
-			assertDatasetsBitIdentical(t, f.Name()+"/"+backing, want, got)
+		got, err := f.Apply(cd)
+		if err != nil {
+			t.Fatalf("%s (columns-backed): %v", f.Name(), err)
 		}
+		assertDatasetsBitIdentical(t, f.Name(), want, got)
 	}
 }
 
-// TestBatchDoesNotMutateInput pins the no-mutation contract on the
-// in-place column transforms.
+// cellBits snapshots every cell and weight of d, through both its row
+// view and its column view.
+func cellBits(d *dataset.Dataset) []uint64 {
+	var out []uint64
+	for _, in := range d.Instances {
+		for _, v := range in.Values {
+			out = append(out, math.Float64bits(v))
+		}
+		out = append(out, math.Float64bits(in.Weight))
+	}
+	for _, col := range d.Columns() {
+		for _, v := range col {
+			out = append(out, math.Float64bits(v))
+		}
+	}
+	return out
+}
+
+// TestBatchDoesNotMutateInput pins the no-mutation contract: after every
+// filter and chain has run, the input's schema, class index, row count,
+// weights and cells are bit-for-bit what they were, through both views,
+// on row-backed and column-backed inputs.
 func TestBatchDoesNotMutateInput(t *testing.T) {
 	d := batchFilterData(t, 30, 9)
-	before, err := d.Clone(), error(nil)
+	cd, err := dataset.FromColumns(d.Relation, d.Attrs, d.ClassIndex, d.ColumnsCopy(), d.WeightsSlice())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range sweepFilters() {
-		if _, err := ApplyColumns(f, d); err != nil {
-			t.Fatalf("%s: %v", f.Name(), err)
+	for backing, in := range map[string]*dataset.Dataset{"rows": d, "columns": cd} {
+		snapshot := in.Clone()
+		before := cellBits(in)
+		for _, f := range sweepFilters() {
+			if _, err := f.Apply(in); err != nil {
+				t.Fatalf("%s: %v", f.Name(), err)
+			}
+			assertDatasetsBitIdentical(t, f.Name()+"/"+backing+" input", snapshot, in)
+			after := cellBits(in)
+			if len(after) != len(before) {
+				t.Fatalf("%s changed the size of its %s-backed input", f.Name(), backing)
+			}
+			for i := range before {
+				if after[i] != before[i] {
+					t.Fatalf("%s mutated its %s-backed input (cell %d)", f.Name(), backing, i)
+				}
+			}
 		}
 	}
-	assertDatasetsBitIdentical(t, "input", before, d)
 }
 
-// TestBatchErrorsMatchRowPath pins that invalid configurations fail on
-// both paths rather than diverging.
+// TestBatchErrorsMatchRowPath pins that invalid configurations fail
+// through Apply and ApplyColumns alike.
 func TestBatchErrorsMatchRowPath(t *testing.T) {
 	d := batchFilterData(t, 10, 5)
 	for _, f := range []Filter{
@@ -146,28 +177,27 @@ func TestBatchErrorsMatchRowPath(t *testing.T) {
 		KeepAttributes{Names: []string{"ghost"}},
 	} {
 		if _, err := f.Apply(d); err == nil {
-			t.Fatalf("%s: row path accepted invalid config", f.Name())
+			t.Fatalf("%s: Apply accepted invalid config", f.Name())
 		}
 		if _, err := ApplyColumns(f, d); err == nil {
-			t.Fatalf("%s: batch path accepted invalid config", f.Name())
+			t.Fatalf("%s: ApplyColumns accepted invalid config", f.Name())
 		}
 	}
 }
 
 // TestChainBatchUsesColumnsEndToEnd: a chain ending in a schema change
-// still produces a dataset the wire codec can round-trip.
+// hands back a column-backed dataset, ready for the wire codec without a
+// transpose.
 func TestChainBatchUsesColumnsEndToEnd(t *testing.T) {
 	d := batchFilterData(t, 40, 17)
 	chain := Chain{ReplaceMissing{}, Normalize{}, &Discretize{Bins: 3}}
-	got, err := chain.ApplyBatch(d)
+	got, err := chain.Apply(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := chain.Apply(d)
-	if err != nil {
-		t.Fatal(err)
+	if !got.HasColumns() {
+		t.Fatal("chain output is not column-backed")
 	}
-	assertDatasetsBitIdentical(t, chain.Name(), want, got)
 	for c, a := range got.Attrs {
 		if c != got.ClassIndex && c != 2 && !a.IsNominal() {
 			t.Fatalf("col %d still numeric after discretize", c)

@@ -3,7 +3,9 @@
 // conversion: discretisation, normalisation, standardisation,
 // missing-value replacement and attribute removal, in the style of WEKA's
 // unsupervised filters. Filters return new datasets; inputs are never
-// mutated.
+// mutated. Each filter has one body: it transforms a copy of the input's
+// columns and returns a column-first dataset (dataset.FromColumns), which
+// serves row-built and wire-decoded inputs alike.
 package filter
 
 import (
@@ -15,10 +17,30 @@ import (
 	"repro/internal/dataset"
 )
 
-// Filter transforms a dataset.
+// Filter transforms a dataset. Apply never changes the input's schema or
+// cells, but it reads the input through d.Columns(), which builds and
+// caches a row-built input's column mirror; an input shared between
+// goroutines must be guarded (or have its mirror built) before concurrent
+// Apply calls.
 type Filter interface {
 	Name() string
 	Apply(d *dataset.Dataset) (*dataset.Dataset, error)
+}
+
+// ApplyColumns is f.Apply(d). Every filter builds its output column-first
+// (dataset.FromColumns), so there is no separate columnar path to select;
+// the function remains as the entry point the benchmark module calls.
+func ApplyColumns(f Filter, d *dataset.Dataset) (*dataset.Dataset, error) {
+	return f.Apply(d)
+}
+
+// cloneAttrs deep-copies the schema for a filter output.
+func cloneAttrs(d *dataset.Dataset) []*dataset.Attribute {
+	attrs := make([]*dataset.Attribute, len(d.Attrs))
+	for i, a := range d.Attrs {
+		attrs[i] = a.Clone()
+	}
+	return attrs
 }
 
 // Discretize bins numeric attributes into nominal ranges.
@@ -42,26 +64,20 @@ func (f *Discretize) Apply(d *dataset.Dataset) (*dataset.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := dataset.New(d.Relation, attrs...)
-	out.ClassIndex = d.ClassIndex
-	for _, in := range d.Instances {
-		vals := make([]float64, len(in.Values))
-		copy(vals, in.Values)
-		for c := range target {
-			v := in.Values[c]
+	cols := d.ColumnsCopy()
+	for c := range target {
+		for i, v := range cols[c] {
 			if dataset.IsMissing(v) {
 				continue
 			}
-			vals[c] = float64(binOf(cuts[c], v))
+			cols[c][i] = float64(binOf(cuts[c], v))
 		}
-		out.Instances = append(out.Instances, &dataset.Instance{Values: vals, Weight: in.Weight})
 	}
-	return out, nil
+	return dataset.FromColumns(d.Relation, attrs, d.ClassIndex, cols, d.WeightsSlice())
 }
 
 // plan computes the target columns, their cutpoints, and the output
-// schema — shared by the row path and the columnar batch path so both
-// bin against identical boundaries.
+// schema.
 func (f *Discretize) plan(d *dataset.Dataset) (map[int]bool, map[int][]float64, []*dataset.Attribute, error) {
 	bins := f.Bins
 	if bins <= 0 {
@@ -169,12 +185,12 @@ func (Normalize) Name() string { return "Normalize" }
 
 // Apply implements Filter.
 func (Normalize) Apply(d *dataset.Dataset) (*dataset.Dataset, error) {
-	out := d.Clone()
-	for c, a := range out.Attrs {
-		if c == out.ClassIndex || !a.IsNumeric() {
+	cols := d.ColumnsCopy()
+	for c, a := range d.Attrs {
+		if c == d.ClassIndex || !a.IsNumeric() {
 			continue
 		}
-		vals := out.NumericColumn(c)
+		vals := d.NumericColumn(c)
 		if len(vals) == 0 {
 			continue
 		}
@@ -183,20 +199,18 @@ func (Normalize) Apply(d *dataset.Dataset) (*dataset.Dataset, error) {
 			min, max = math.Min(min, v), math.Max(max, v)
 		}
 		span := max - min
-		for _, in := range out.Instances {
-			v := in.Values[c]
+		for i, v := range cols[c] {
 			if dataset.IsMissing(v) {
 				continue
 			}
 			if span == 0 {
-				in.Values[c] = 0
+				cols[c][i] = 0
 			} else {
-				in.Values[c] = (v - min) / span
+				cols[c][i] = (v - min) / span
 			}
 		}
 	}
-	out.InvalidateColumns()
-	return out, nil
+	return dataset.FromColumns(d.Relation, cloneAttrs(d), d.ClassIndex, cols, d.WeightsSlice())
 }
 
 // Standardize rescales numeric attributes to zero mean, unit variance.
@@ -207,12 +221,12 @@ func (Standardize) Name() string { return "Standardize" }
 
 // Apply implements Filter.
 func (Standardize) Apply(d *dataset.Dataset) (*dataset.Dataset, error) {
-	out := d.Clone()
-	for c, a := range out.Attrs {
-		if c == out.ClassIndex || !a.IsNumeric() {
+	cols := d.ColumnsCopy()
+	for c, a := range d.Attrs {
+		if c == d.ClassIndex || !a.IsNumeric() {
 			continue
 		}
-		vals := out.NumericColumn(c)
+		vals := d.NumericColumn(c)
 		if len(vals) < 2 {
 			continue
 		}
@@ -225,20 +239,18 @@ func (Standardize) Apply(d *dataset.Dataset) (*dataset.Dataset, error) {
 		mean := sum / n
 		variance := sumSq/n - mean*mean
 		sd := math.Sqrt(math.Max(variance, 0))
-		for _, in := range out.Instances {
-			v := in.Values[c]
+		for i, v := range cols[c] {
 			if dataset.IsMissing(v) {
 				continue
 			}
 			if sd == 0 {
-				in.Values[c] = 0
+				cols[c][i] = 0
 			} else {
-				in.Values[c] = (v - mean) / sd
+				cols[c][i] = (v - mean) / sd
 			}
 		}
 	}
-	out.InvalidateColumns()
-	return out, nil
+	return dataset.FromColumns(d.Relation, cloneAttrs(d), d.ClassIndex, cols, d.WeightsSlice())
 }
 
 // ReplaceMissing fills missing cells with the column mean (numeric) or mode
@@ -250,15 +262,15 @@ func (ReplaceMissing) Name() string { return "ReplaceMissingValues" }
 
 // Apply implements Filter.
 func (ReplaceMissing) Apply(d *dataset.Dataset) (*dataset.Dataset, error) {
-	out := d.Clone()
-	for c, a := range out.Attrs {
-		if c == out.ClassIndex {
+	cols := d.ColumnsCopy()
+	for c, a := range d.Attrs {
+		if c == d.ClassIndex {
 			continue
 		}
 		var fill float64
 		switch {
 		case a.IsNumeric():
-			vals := out.NumericColumn(c)
+			vals := d.NumericColumn(c)
 			if len(vals) == 0 {
 				continue
 			}
@@ -269,9 +281,8 @@ func (ReplaceMissing) Apply(d *dataset.Dataset) (*dataset.Dataset, error) {
 			fill = sum / float64(len(vals))
 		case a.IsNominal():
 			// Ascending scan with a strict > makes the mode tie-break
-			// deterministic (smallest index wins) — the batch path
-			// reproduces it exactly.
-			counts := out.ValueCounts(c)
+			// deterministic (smallest index wins).
+			counts := d.ValueCounts(c)
 			best, bestW := -1, -1.0
 			for v, w := range counts {
 				if w > bestW {
@@ -285,14 +296,13 @@ func (ReplaceMissing) Apply(d *dataset.Dataset) (*dataset.Dataset, error) {
 		default:
 			continue
 		}
-		for _, in := range out.Instances {
-			if dataset.IsMissing(in.Values[c]) {
-				in.Values[c] = fill
+		for i, v := range cols[c] {
+			if dataset.IsMissing(v) {
+				cols[c][i] = fill
 			}
 		}
 	}
-	out.InvalidateColumns()
-	return out, nil
+	return dataset.FromColumns(d.Relation, cloneAttrs(d), d.ClassIndex, cols, d.WeightsSlice())
 }
 
 // RemoveAttributes drops the named columns (the class attribute cannot be
@@ -310,11 +320,10 @@ func (f RemoveAttributes) Apply(d *dataset.Dataset) (*dataset.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d.Project(keep)
+	return projectColumns(d, keep)
 }
 
-// keepColumns resolves the surviving column indices — shared by the row
-// path and the columnar batch path.
+// keepColumns resolves the surviving column indices.
 func (f RemoveAttributes) keepColumns(d *dataset.Dataset) ([]int, error) {
 	drop := map[string]bool{}
 	for _, n := range f.Names {
@@ -336,6 +345,25 @@ func (f RemoveAttributes) keepColumns(d *dataset.Dataset) ([]int, error) {
 	return keep, nil
 }
 
+// projectColumns builds a column-backed projection of d onto keep.
+func projectColumns(d *dataset.Dataset, keep []int) (*dataset.Dataset, error) {
+	src := d.Columns()
+	rows := d.NumInstances()
+	attrs := make([]*dataset.Attribute, len(keep))
+	cols := make([][]float64, len(keep))
+	slab := make([]float64, rows*len(keep))
+	classAt := -1
+	for i, c := range keep {
+		attrs[i] = d.Attrs[c].Clone()
+		cols[i] = slab[i*rows : (i+1)*rows : (i+1)*rows]
+		copy(cols[i], src[c])
+		if c == d.ClassIndex {
+			classAt = i
+		}
+	}
+	return dataset.FromColumns(d.Relation, attrs, classAt, cols, d.WeightsSlice())
+}
+
 // KeepAttributes is the complement of RemoveAttributes: it projects onto
 // the named columns plus the class.
 type KeepAttributes struct {
@@ -347,15 +375,14 @@ func (KeepAttributes) Name() string { return "Keep" }
 
 // Apply implements Filter.
 func (f KeepAttributes) Apply(d *dataset.Dataset) (*dataset.Dataset, error) {
-	cols, err := f.keepColumns(d)
+	keep, err := f.keepColumns(d)
 	if err != nil {
 		return nil, err
 	}
-	return d.Project(cols)
+	return projectColumns(d, keep)
 }
 
-// keepColumns resolves the surviving column indices — shared by the row
-// path and the columnar batch path.
+// keepColumns resolves the surviving column indices.
 func (f KeepAttributes) keepColumns(d *dataset.Dataset) ([]int, error) {
 	var cols []int
 	for _, n := range f.Names {

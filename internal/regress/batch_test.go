@@ -3,6 +3,7 @@ package regress
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -10,7 +11,7 @@ import (
 
 // regressTestData builds a mixed-schema numeric-target workload with
 // missing cells in both features and target.
-func regressTestData(t *testing.T, rows int, seed int64) *dataset.Dataset {
+func regressTestData(t testing.TB, rows int, seed int64) *dataset.Dataset {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	d := dataset.New("rents",
@@ -41,10 +42,10 @@ func regressTestData(t *testing.T, rows int, seed int64) *dataset.Dataset {
 	return d
 }
 
-// TestBatchMatchesRowPathAllRegressors is the sweep gate for the
-// BatchPredictor contract: for every registered regressor, PredictBatch
-// must equal per-row Predict bit for bit, on both row-backed and
-// column-backed batches.
+// TestBatchMatchesRowPathAllRegressors holds every registered regressor
+// to the same predictions on a row-built batch and on its column-first
+// rebuild (the layout a dmb1 decode produces). The golden digests pin what
+// those predictions are.
 func TestBatchMatchesRowPathAllRegressors(t *testing.T) {
 	train := regressTestData(t, 60, 4)
 	batch := regressTestData(t, 40, 11)
@@ -57,36 +58,30 @@ func TestBatchMatchesRowPathAllRegressors(t *testing.T) {
 			t.Fatalf("%s: train: %v", name, err)
 		}
 		for _, d := range []*dataset.Dataset{train, batch} {
-			want := make([]float64, d.NumInstances())
-			for i, in := range d.Instances {
-				want[i], err = r.Predict(in)
-				if err != nil {
-					t.Fatalf("%s: row %d: %v", name, i, err)
-				}
-			}
-			got, err := PredictBatch(r, d)
-			if err != nil {
-				t.Fatalf("%s: batch: %v", name, err)
-			}
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s row %d: batch %v, row path %v", name, i, got[i], want[i])
-				}
-			}
-			// Column-first backing, the layout a dmb1 decode produces.
-			cd, err := dataset.FromColumns(d.Relation, d.Attrs, d.ClassIndex, d.Columns(), d.WeightsSlice())
-			if err != nil {
-				t.Fatal(err)
-			}
-			colGot, err := PredictBatch(r, cd)
-			if err != nil {
-				t.Fatalf("%s: column-backed batch: %v", name, err)
-			}
-			for i := range want {
-				if math.Float64bits(colGot[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s row %d: column-backed batch %v, want %v", name, i, colGot[i], want[i])
-				}
-			}
+			assertBackingsAgree(t, r, d)
+		}
+	}
+}
+
+// assertBackingsAgree predicts d row-backed and column-backed and
+// compares the two bit for bit.
+func assertBackingsAgree(t *testing.T, r Regressor, d *dataset.Dataset) {
+	t.Helper()
+	want, err := PredictBatch(r, d)
+	if err != nil {
+		t.Fatalf("%s: %v", r.Name(), err)
+	}
+	cd, err := dataset.FromColumns(d.Relation, d.Attrs, d.ClassIndex, d.Columns(), d.WeightsSlice())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := PredictBatch(r, cd)
+	if err != nil {
+		t.Fatalf("%s: column-backed batch: %v", r.Name(), err)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s row %d: column-backed %v, row-backed %v", r.Name(), i, got[i], want[i])
 		}
 	}
 }
@@ -94,52 +89,43 @@ func TestBatchMatchesRowPathAllRegressors(t *testing.T) {
 // TestBatchDistanceWeightedKNN re-runs the sweep with the k-NN options
 // changed, so the weighted-mean tail is held to the same contract.
 func TestBatchDistanceWeightedKNN(t *testing.T) {
-	train := regressTestData(t, 50, 7)
 	k := &KNNRegressor{K: 5, DistanceWeight: true}
-	if err := k.Train(train); err != nil {
+	if err := k.Train(regressTestData(t, 50, 7)); err != nil {
 		t.Fatal(err)
 	}
-	batch := regressTestData(t, 30, 13)
-	got, err := k.PredictBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, in := range batch.Instances {
-		want, err := k.Predict(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(got[i]) != math.Float64bits(want) {
-			t.Fatalf("row %d: batch %v, row path %v", i, got[i], want)
-		}
-	}
+	assertBackingsAgree(t, k, regressTestData(t, 30, 13))
 }
 
-// TestPredictBatchUntrained pins the untrained error on both fast paths.
+// TestPredictBatchUntrained pins the untrained error.
 func TestPredictBatchUntrained(t *testing.T) {
 	d := regressTestData(t, 5, 1)
-	if _, err := (&LinearRegression{}).PredictBatch(d); err == nil {
+	if _, err := PredictBatch(&LinearRegression{}, d); err == nil {
 		t.Error("untrained LinearRegression batch succeeded")
 	}
-	if _, err := (&KNNRegressor{}).PredictBatch(d); err == nil {
+	if _, err := PredictBatch(&KNNRegressor{}, d); err == nil {
 		t.Error("untrained KNNRegressor batch succeeded")
 	}
 }
 
 // TestPredictBatchRejectsNarrowSchema: a wire-decoded batch narrower
-// than the fitted schema must error, not panic.
+// than the fitted schema must error, not panic or drop columns.
 func TestPredictBatchRejectsNarrowSchema(t *testing.T) {
 	train := regressTestData(t, 40, 2)
 	narrow, err := train.Project([]int{0, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := &KNNRegressor{K: 3}
-	if err := k.Train(train); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.PredictBatch(narrow); err == nil {
-		t.Error("narrow batch accepted by KNNRegressor")
+	for _, r := range []Regressor{&KNNRegressor{K: 3}, &LinearRegression{}} {
+		if err := r.Train(train); err != nil {
+			t.Fatal(err)
+		}
+		want := r.Name() + " instance has 2 values, model expects 4"
+		if _, err := PredictBatch(r, narrow); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s on a narrow batch: %v, want %q", r.Name(), err, want)
+		}
+		if _, err := r.Predict(narrow.Instances[0]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s on a narrow row: %v, want %q", r.Name(), err, want)
+		}
 	}
 }
 
@@ -182,5 +168,29 @@ func TestRegistry(t *testing.T) {
 	}
 	if len(kp.Options()) == 0 {
 		t.Error("KNNRegressor reports no options")
+	}
+}
+
+// BenchmarkRegress predicts one 1024-row column-first block with each
+// regressor trained on 200 rows.
+func BenchmarkRegress(b *testing.B) {
+	train := regressTestData(b, 200, 4)
+	q := regressTestData(b, 1024, 11)
+	qc, err := dataset.FromColumns(q.Relation, q.Attrs, q.ClassIndex, q.Columns(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, r := range []Regressor{&LinearRegression{}, &KNNRegressor{K: 3}} {
+		if err := r.Train(train); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(r.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := PredictBatch(r, qc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -25,6 +25,28 @@ type Regressor interface {
 	Predict(in *dataset.Instance) (float64, error)
 }
 
+// PredictBatch predicts every row of d with r.
+func PredictBatch(r Regressor, d *dataset.Dataset) ([]float64, error) {
+	out := make([]float64, d.NumInstances())
+	for i, in := range d.Instances {
+		y, err := r.Predict(in)
+		if err != nil {
+			return nil, fmt.Errorf("regress: row %d: %w", i, err)
+		}
+		out[i] = y
+	}
+	return out, nil
+}
+
+// checkWidth rejects an instance narrower than the schema the model was
+// fitted on: a wire-decoded batch can carry any schema.
+func checkWidth(name string, in *dataset.Instance, want int) error {
+	if len(in.Values) < want {
+		return fmt.Errorf("regress: %s instance has %d values, model expects %d", name, len(in.Values), want)
+	}
+	return nil
+}
+
 // checkTrainable validates a dataset for regression.
 func checkTrainable(d *dataset.Dataset) error {
 	if d == nil || d.NumInstances() == 0 {
@@ -53,8 +75,8 @@ type LinearRegression struct {
 // Name implements Regressor.
 func (lr *LinearRegression) Name() string { return "LinearRegression" }
 
-// encode maps an instance onto the feature vector (numerics direct,
-// nominals one-hot, missing = 0).
+// encode maps a training instance onto the feature vector (numerics
+// direct, nominals one-hot, missing = 0).
 func (lr *LinearRegression) encode(in *dataset.Instance, x []float64) {
 	for i := range x {
 		x[i] = 0
@@ -190,12 +212,25 @@ func (lr *LinearRegression) Predict(in *dataset.Instance) (float64, error) {
 	if lr.weights == nil {
 		return 0, fmt.Errorf("regress: LinearRegression is untrained")
 	}
-	x := make([]float64, lr.width)
-	lr.encode(in, x)
-	y := lr.weights[lr.width] // intercept
-	for i, v := range x {
-		if v != 0 {
-			y += lr.weights[i] * v
+	if err := checkWidth(lr.Name(), in, len(lr.schema.Attrs)); err != nil {
+		return 0, err
+	}
+	// The intercept, then each feature in ascending column order: the
+	// order of encode's feature vector, without building it. A nominal
+	// column's one-hot feature is 1, and w*1 == w bitwise.
+	y := lr.weights[lr.width]
+	for col, a := range lr.schema.Attrs {
+		off := lr.offset[col]
+		v := in.Values[col]
+		if off < 0 || dataset.IsMissing(v) {
+			continue
+		}
+		if a.IsNumeric() {
+			if v != 0 {
+				y += lr.weights[off] * v
+			}
+		} else if idx := int(v); idx >= 0 && idx < a.NumValues() {
+			y += lr.weights[off+idx]
 		}
 	}
 	return y, nil
@@ -302,10 +337,13 @@ func (k *KNNRegressor) Predict(in *dataset.Instance) (float64, error) {
 	if k.schema == nil {
 		return 0, fmt.Errorf("regress: KNNRegressor is untrained")
 	}
+	if err := checkWidth(k.Name(), in, len(k.schema.Attrs)); err != nil {
+		return 0, err
+	}
 	type nb struct {
 		d, y float64
 	}
-	var nbs []nb
+	nbs := make([]nb, 0, len(k.schema.Instances))
 	for _, c := range k.schema.Instances {
 		y := c.Values[k.schema.ClassIndex]
 		if dataset.IsMissing(y) {

@@ -222,3 +222,38 @@ func soapFaultAs(err error, f **soap.Fault) bool {
 	}
 	return false
 }
+
+// TestClassifyBatchNarrowBlock: a block narrower than the model's schema
+// comes back as a fault naming both widths, raised by the scorer's own
+// check rather than by the server's panic recovery.
+func TestClassifyBatchNarrowBlock(t *testing.T) {
+	base := hostServices(t, NewClassifierService(harness.NewCachedBackend(8)))
+	train := datagen.BreastCancer()
+	narrow, err := train.Project([]int{0, 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := wire.MarshalBase64(narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	panics := obs.Default.Counter("soap_server_panics_total", "service=Classifier", "op=classifyBatch")
+	before := panics.Value()
+	_, err = soap.CallContext(context.Background(), base+"/services/Classifier", "classifyBatch", map[string]string{
+		PartDataset:    arff.Format(train),
+		PartClassifier: "J48",
+		PartAttribute:  "Class",
+		PartPayload:    payload,
+		PartEncoding:   wire.Encoding,
+	})
+	var f *soap.Fault
+	if !soapFaultAs(err, &f) {
+		t.Fatalf("error %v, want a SOAP fault", err)
+	}
+	if want := "J48 instance has 2 values, model expects 10"; !strings.Contains(f.String, want) {
+		t.Fatalf("fault %q, want it to carry %q", f.String, want)
+	}
+	if strings.Contains(f.Detail, "panic") || panics.Value() != before {
+		t.Fatalf("fault came from a recovered panic: %+v", f)
+	}
+}

@@ -132,7 +132,7 @@ func NewFilterService() *Service {
 					if err != nil {
 						return nil, err
 					}
-					out, err := filter.ApplyColumns(f, d)
+					out, err := f.Apply(d)
 					if err != nil {
 						return nil, &soap.Fault{Code: "soap:Client", String: err.Error()}
 					}

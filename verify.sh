@@ -5,8 +5,7 @@
 # benchmark run), the benchmark's own smoke (every workload for half a
 # second, replies checked against the oracle: correctness only, no
 # timing), one plain and one -race pass over every test, ten seconds of
-# each fuzz target (the SOAP envelope codec, the IBk neighbour kernel),
-# the deterministic
+# every fuzz target the packages declare, the deterministic
 # short-mode replica-churn soak, then the end-to-end smoke
 # (scripts/smoke.sh: live dmserver probes, traced dmexp batch, chaos
 # failover, the admission flood + graceful-drain drill, the model-store
@@ -60,14 +59,18 @@ soak() {
 	rm -f "$out"
 }
 
-# The envelope scanner against its encoding/xml oracle, the writer
-# against xml.EscapeText, and IBk's neighbour kernel against its
-# full-sort reference; a failing input lands in the package's
+# Ten seconds of every fuzz target in the module, found by
+# `go test -list '^Fuzz'` rather than named here, so a new target joins
+# the stage without an edit. A failing input lands in the package's
 # testdata/fuzz/ and fails every later `go test`.
 fuzz() {
-	go test -run '^$' -fuzz FuzzUnmarshal -fuzztime 10s ./internal/soap/
-	go test -run '^$' -fuzz FuzzEscape -fuzztime 10s ./internal/soap/
-	go test -run '^$' -fuzz FuzzIBkNearest -fuzztime 10s ./internal/classify/
+	list=$(go test -list '^Fuzz' ./...)
+	targets=$(printf '%s\n' "$list" | awk '
+		/^Fuzz/ { names = names " " $1; next }
+		/^ok/ { n = split(names, f, " "); for (i = 1; i <= n; i++) print $2 ":" f[i]; names = "" }')
+	for t in $targets; do
+		go test -run '^$' -fuzz "^${t#*:}\$" -fuzztime 10s "${t%%:*}"
+	done
 }
 
 stage gofmt check_gofmt

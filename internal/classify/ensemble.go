@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strconv"
 
+	"repro/internal/binfmt"
 	"repro/internal/dataset"
 	"repro/internal/parallel"
 )
@@ -18,11 +19,8 @@ type RandomTree struct {
 	Seed    int64
 	MinLeaf float64
 
-	root       *TreeNode
-	classAttr  *dataset.Attribute
-	classIndex int
-	width      int // see treeWidth
-	rng        *rand.Rand
+	treeModel
+	rng *rand.Rand
 }
 
 func init() {
@@ -31,6 +29,13 @@ func init() {
 
 // Name implements Classifier.
 func (t *RandomTree) Name() string { return "RandomTree" }
+
+// Snapshot codes the trained model for the model store.
+func (t *RandomTree) Snapshot(c binfmt.Codec) {
+	c.Int64(&t.Seed)
+	c.F64(&t.MinLeaf)
+	t.treeModel.snapshot(c)
+}
 
 // Train implements Classifier.
 func (t *RandomTree) Train(d *dataset.Dataset) error {
@@ -122,15 +127,7 @@ func (t *RandomTree) grow(d *dataset.Dataset, ins []*dataset.Instance, depth int
 
 // Distribution implements Classifier.
 func (t *RandomTree) Distribution(in *dataset.Instance) ([]float64, error) {
-	if t.root == nil {
-		return nil, fmt.Errorf("classify: RandomTree is untrained")
-	}
-	if err := checkWidth(t.Name(), in, t.width); err != nil {
-		return nil, err
-	}
-	out := make([]float64, t.classAttr.NumValues())
-	descend(t.root, in.Values, 1, out)
-	return normalize(out), nil
+	return t.distribution(t.Name(), in)
 }
 
 // Bagging trains Size base classifiers on bootstrap resamples and averages
@@ -232,35 +229,37 @@ func (b *Bagging) TrainContext(ctx context.Context, d *dataset.Dataset) error {
 	return nil
 }
 
-// Distribution implements Classifier. Member votes are collected in
-// parallel (bounded by Parallelism) and summed in member order, so the
-// result is bit-identical to a sequential poll.
+// Distribution implements Classifier: the members' votes summed in
+// member order. Polling them in parallel costs more per row than it saves.
 func (b *Bagging) Distribution(in *dataset.Instance) ([]float64, error) {
 	if len(b.members) == 0 {
 		return nil, fmt.Errorf("classify: Bagging is untrained")
 	}
-	dists := make([][]float64, len(b.members))
-	err := parallel.ForEach(context.Background(), len(b.members), b.Parallelism, func(i int) error {
-		dist, err := b.members[i].Distribution(in)
-		if err != nil {
-			return err
-		}
-		dists[i] = dist
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	var out []float64
-	for _, dist := range dists {
+	for _, m := range b.members {
+		dist, err := m.Distribution(in)
+		if err != nil {
+			return nil, err
+		}
 		if out == nil {
 			out = make([]float64, len(dist))
+		}
+		if len(dist) != len(out) {
+			return nil, fmt.Errorf("classify: Bagging members disagree on the class count (%d, %d)", len(out), len(dist))
 		}
 		for c, p := range dist {
 			out[c] += p
 		}
 	}
 	return normalize(out), nil
+}
+
+// Snapshot codes the trained model for the model store.
+func (b *Bagging) Snapshot(c binfmt.Codec) {
+	c.Int(&b.Size)
+	c.Int64(&b.Seed)
+	c.Signed(&b.Parallelism)
+	codeMembers(c, &b.members)
 }
 
 // RandomForest is Bagging over RandomTree members.
@@ -297,6 +296,18 @@ func init() { Register("AdaBoostM1", func() Classifier { return &AdaBoostM1{Roun
 
 // Name implements Classifier.
 func (a *AdaBoostM1) Name() string { return "AdaBoostM1" }
+
+// Snapshot codes the trained model for the model store.
+func (a *AdaBoostM1) Snapshot(c binfmt.Codec) {
+	c.Int(&a.Rounds)
+	c.Int64(&a.Seed)
+	// Scoring sizes its votes by the class count: hold it to the input.
+	c.Count(&a.numCls, 1)
+	c.F64s(&a.alphas)
+	if codeMembers(c, &a.members); len(a.members) != len(a.alphas) {
+		c.Failf("AdaBoostM1 has %d members for %d weights", len(a.members), len(a.alphas))
+	}
+}
 
 // Options implements Parameterized.
 func (a *AdaBoostM1) Options() []Option {
@@ -414,6 +425,9 @@ func (a *AdaBoostM1) Distribution(in *dataset.Instance) ([]float64, error) {
 		p, err := Predict(m, in)
 		if err != nil {
 			return nil, err
+		}
+		if p >= len(votes) {
+			return nil, fmt.Errorf("classify: AdaBoostM1 member voted for class %d of %d", p, len(votes))
 		}
 		votes[p] += a.alphas[i]
 	}

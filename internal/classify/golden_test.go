@@ -89,3 +89,48 @@ func TestScoresMatchGoldenDigests(t *testing.T) {
 		}
 	}
 }
+
+// TestBaggingMatchesGoldenDigests holds RandomForest and Bagging scoring to
+// digests recorded while Distribution still polled the members in
+// parallel: the sequential member loop must sum the same votes in the same
+// order, bit for bit.
+func TestBaggingMatchesGoldenDigests(t *testing.T) {
+	golden := map[string]string{
+		"RandomForest": "ca91657958c374ad8b10c1d0dace028d4aff28fced9b9f47de0d3092202a884e",
+		"Bagging":      "230b9ba1415d8c5439a1d6e22e89c30a39b5f8684ba1c06def31b01fa7b66a30",
+	}
+	q := datagen.RandomNominal(256, 10, 4, 0.2, 12)
+	for name, want := range golden {
+		c, err := classify.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Train(datagen.RandomNominal(512, 10, 4, 0.2, 11)); err != nil {
+			t.Fatal(err)
+		}
+		labels, dists, err := classify.PredictBatch(c, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := scoresDigest(labels, dists); got != want {
+			t.Errorf("%s: digest %s, want %s", name, got, want)
+		}
+	}
+}
+
+// BenchmarkRandomForestDistribution scores one row with model_resume's
+// 20-tree forest.
+func BenchmarkRandomForestDistribution(b *testing.B) {
+	c, _ := classify.New("RandomForest")
+	if err := c.Train(datagen.RandomNominal(512, 10, 4, 0.2, 11)); err != nil {
+		b.Fatal(err)
+	}
+	rows := datagen.RandomNominal(64, 10, 4, 0.2, 12).Instances
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Distribution(rows[i%len(rows)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 
+	"repro/internal/binfmt"
 	"repro/internal/dataset"
 )
 
@@ -22,10 +23,10 @@ type IBk struct {
 	DistanceWeight bool
 
 	schema *dataset.Dataset
-	// The case base, copied in by Update and GobDecode and never written on
-	// the scoring path, so concurrent readers of one model need no lock:
-	// cases holds one schema-wide row per case (class cell included), cls
-	// and weights one entry per case.
+	// The case base, copied in by Update (snapshots restore through it)
+	// and never written on the scoring path, so concurrent readers of one
+	// model need no lock: cases holds one schema-wide row per case (class
+	// cell included), cls and weights one entry per case.
 	cases   []float64
 	cls     []int
 	weights []float64
@@ -37,6 +38,38 @@ func init() { Register("IBk", func() Classifier { return &IBk{K: 1} }) }
 
 // Name implements Classifier.
 func (k *IBk) Name() string { return "IBk" }
+
+// Snapshot codes the trained model — the case base itself — for the model
+// store, restoring it through Update, which validates every case.
+func (k *IBk) Snapshot(c binfmt.Codec) {
+	c.Int(&k.K)
+	c.Bool(&k.DistanceWeight)
+	if !c.Has(k.schema != nil) {
+		return
+	}
+	schema, weights, cases := k.schema, k.weights, k.cases
+	codeSchema(c, &schema)
+	c.F64s(&weights)
+	c.F64s(&cases)
+	if !c.Reading() || c.R.Err() != nil {
+		return
+	}
+	m := schema.NumAttributes()
+	if len(cases) != m*len(weights) {
+		c.Failf("IBk snapshot has %d values for %d cases of %d attributes", len(cases), len(weights), m)
+		return
+	}
+	if err := k.Begin(schema); err != nil {
+		c.Failf("%v", err)
+		return
+	}
+	for i, wt := range weights {
+		if err := k.Update(&dataset.Instance{Values: cases[i*m : (i+1)*m], Weight: wt}); err != nil {
+			c.Failf("case %d: %v", i, err)
+			return
+		}
+	}
+}
 
 // Options implements Parameterized.
 func (k *IBk) Options() []Option {

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/binfmt"
 	"repro/internal/dataset"
 )
 
@@ -29,15 +30,10 @@ type J48 struct {
 	// many-valued attributes).
 	UseInfoGain bool
 
-	root       *TreeNode
-	classAttr  *dataset.Attribute
-	classIndex int
-	width      int // see treeWidth
+	treeModel
 }
 
-// TreeNode is one node of a trained decision tree. Fields are exported so
-// trees survive gob serialisation (the §4.5 harness experiment round-trips
-// trained models through their serialised state).
+// TreeNode is one node of a trained decision tree.
 type TreeNode struct {
 	// Attr is the splitting column, or -1 for a leaf.
 	Attr int
@@ -69,6 +65,15 @@ func NewJ48() *J48 {
 
 // Name implements Classifier.
 func (j *J48) Name() string { return "J48" }
+
+// Snapshot codes the trained model for the model store.
+func (j *J48) Snapshot(c binfmt.Codec) {
+	c.F64(&j.ConfidenceFactor)
+	c.F64(&j.MinLeaf)
+	c.Bool(&j.Unpruned)
+	c.Bool(&j.UseInfoGain)
+	j.treeModel.snapshot(c)
+}
 
 // Options implements Parameterized, mirroring WEKA's -C and -M flags.
 func (j *J48) Options() []Option {
@@ -502,14 +507,19 @@ func normalInverse(p float64) float64 {
 // Distribution implements Classifier; missing split values descend all
 // branches with weights proportional to the training mass of each branch.
 func (j *J48) Distribution(in *dataset.Instance) ([]float64, error) {
-	if j.root == nil {
-		return nil, fmt.Errorf("classify: J48 is untrained")
+	return j.distribution(j.Name(), in)
+}
+
+// distribution scores in for the tree learner named name.
+func (t *treeModel) distribution(name string, in *dataset.Instance) ([]float64, error) {
+	if t.root == nil {
+		return nil, fmt.Errorf("classify: %s is untrained", name)
 	}
-	if err := checkWidth(j.Name(), in, j.width); err != nil {
+	if err := checkWidth(name, in, t.width); err != nil {
 		return nil, err
 	}
-	out := make([]float64, j.classAttr.NumValues())
-	descend(j.root, in.Values, 1, out)
+	out := make([]float64, t.classAttr.NumValues())
+	descend(t.root, in.Values, 1, out)
 	return normalize(out), nil
 }
 

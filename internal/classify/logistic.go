@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strconv"
 
+	"repro/internal/binfmt"
 	"repro/internal/dataset"
 )
 
@@ -61,6 +62,23 @@ func newEncoder(d *dataset.Dataset) *encoder {
 	return e
 }
 
+// codeEncoder codes the feature encoder: its schema, from which a restored
+// encoder lays out its features, then the moments.
+func codeEncoder(c binfmt.Codec, e **encoder) {
+	var schema *dataset.Dataset
+	if !c.Reading() {
+		schema = (*e).schema
+	}
+	if codeSchema(c, &schema); c.Reading() {
+		*e = newEncoder(schema)
+	}
+	c.F64s(&(*e).mean)
+	c.F64s(&(*e).std)
+	if m := schema.NumAttributes(); len((*e).mean) != m || len((*e).std) != m {
+		c.Failf("feature encoder has %d means and %d deviations for %d attributes", len((*e).mean), len((*e).std), m)
+	}
+}
+
 func (e *encoder) encode(in *dataset.Instance, out []float64) {
 	for i := range out {
 		out[i] = 0
@@ -111,6 +129,24 @@ func init() {
 
 // Name implements Classifier.
 func (l *Logistic) Name() string { return "Logistic" }
+
+// Snapshot codes the trained model for the model store.
+func (l *Logistic) Snapshot(c binfmt.Codec) {
+	c.Int(&l.Epochs)
+	c.F64(&l.LearningRate)
+	c.F64(&l.Lambda)
+	c.Int64(&l.Seed)
+	if !c.Has(l.enc != nil) {
+		return
+	}
+	codeEncoder(c, &l.enc)
+	if c.F64s(&l.bias); c.Reading() {
+		l.numClasses = len(l.bias)
+	}
+	if c.F64Rows(&l.weights, l.enc.width); len(l.weights) != l.numClasses {
+		c.Failf("Logistic has %d weight rows for %d classes", len(l.weights), l.numClasses)
+	}
+}
 
 // Options implements Parameterized.
 func (l *Logistic) Options() []Option {

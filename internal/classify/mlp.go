@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strconv"
 
+	"repro/internal/binfmt"
 	"repro/internal/dataset"
 )
 
@@ -38,6 +39,28 @@ func init() {
 
 // Name implements Classifier.
 func (m *MLP) Name() string { return "MultilayerPerceptron" }
+
+// Snapshot codes the trained model for the model store.
+func (m *MLP) Snapshot(c binfmt.Codec) {
+	c.Int(&m.Hidden)
+	c.F64(&m.LearningRate)
+	c.F64(&m.Momentum)
+	c.Int(&m.Epochs)
+	c.Int64(&m.Seed)
+	if !c.Has(m.enc != nil) {
+		return
+	}
+	codeEncoder(c, &m.enc)
+	c.F64s(&m.b1)
+	if c.F64s(&m.b2); c.Reading() {
+		m.numClasses = len(m.b2)
+	}
+	c.F64Rows(&m.w1, m.enc.width)
+	c.F64Rows(&m.w2, m.Hidden)
+	if len(m.b1) != m.Hidden || len(m.w1) != m.Hidden || len(m.w2) != m.numClasses {
+		c.Failf("MultilayerPerceptron layers do not match %d hidden units and %d classes", m.Hidden, m.numClasses)
+	}
+}
 
 // Options implements Parameterized.
 func (m *MLP) Options() []Option {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/binfmt"
 	"repro/internal/dataset"
 )
 
@@ -26,6 +27,39 @@ func init() { Register("NaiveBayes", func() Classifier { return &NaiveBayes{} })
 
 // Name implements Classifier.
 func (nb *NaiveBayes) Name() string { return "NaiveBayes" }
+
+// Snapshot codes the trained model for the model store. Restored counts
+// take the shapes the snapshot declares, which must be Begin's.
+func (nb *NaiveBayes) Snapshot(c binfmt.Codec) {
+	if !c.Has(nb.classCount != nil) {
+		return
+	}
+	schema := &dataset.Dataset{Attrs: nb.attrs, ClassIndex: nb.classIndex}
+	if codeSchema(c, &schema); c.Reading() {
+		nb.attrs, nb.classIndex = schema.Attrs, schema.ClassIndex
+		n := len(nb.attrs)
+		nb.nominal, nb.sum, nb.sumSq, nb.cnt = make([][][]float64, n), make([][]float64, n), make([][]float64, n), make([][]float64, n)
+	}
+	c.F64s(&nb.classCount)
+	k := len(nb.classCount)
+	for col, a := range nb.attrs {
+		c.F64Rows(&nb.nominal[col], a.NumValues())
+		c.F64s(&nb.sum[col])
+		c.F64s(&nb.sumSq[col])
+		c.F64s(&nb.cnt[col])
+		nominal, numeric := col != nb.classIndex && a.IsNominal(), col != nb.classIndex && a.IsNumeric()
+		if (len(nb.nominal[col]) == k) != nominal || (len(nb.sum[col]) == k) != numeric ||
+			len(nb.sumSq[col]) != len(nb.sum[col]) || len(nb.cnt[col]) != len(nb.sum[col]) {
+			c.Failf("NaiveBayes counts for attribute %d do not match its kind", col)
+			return
+		}
+	}
+	if ca := schema.ClassAttribute(); ca == nil || !ca.IsNominal() || ca.NumValues() != k || k < 2 {
+		c.Failf("NaiveBayes needs a nominal class of its %d counts' labels", k)
+	} else if c.Reading() {
+		nb.numClasses = k
+	}
+}
 
 // Begin implements Updateable.
 func (nb *NaiveBayes) Begin(schema *dataset.Dataset) error {

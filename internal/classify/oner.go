@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 
+	"repro/internal/binfmt"
 	"repro/internal/dataset"
 )
 
@@ -29,6 +30,19 @@ func init() { Register("OneR", func() Classifier { return &OneR{minBucket: 6} })
 
 // Name implements Classifier.
 func (o *OneR) Name() string { return "OneR" }
+
+// Snapshot codes the trained model for the model store.
+func (o *OneR) Snapshot(c binfmt.Codec) {
+	c.Int(&o.minBucket)
+	c.Int(&o.classIndex)
+	if c.F64s(&o.fallback); c.Reading() {
+		o.numClasses = len(o.fallback)
+	}
+	c.Int(&o.attr)
+	c.Bool(&o.numeric)
+	c.F64s(&o.cutpoints)
+	c.F64Rows(&o.valueClass, o.numClasses)
+}
 
 // Options implements Parameterized.
 func (o *OneR) Options() []Option {

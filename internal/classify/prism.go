@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/binfmt"
 	"repro/internal/dataset"
 )
 
@@ -34,6 +35,32 @@ func init() { Register("Prism", func() Classifier { return &Prism{} }) }
 
 // Name implements Classifier.
 func (p *Prism) Name() string { return "Prism" }
+
+// Snapshot codes the trained model for the model store.
+func (p *Prism) Snapshot(c binfmt.Codec) {
+	if !c.Has(p.rules != nil) {
+		return
+	}
+	codeAttr(c, &p.classAttr)
+	c.Int(&p.classIndex)
+	c.F64s(&p.fallback)
+	binfmt.List(c, &p.rules, 2)
+	for i := range p.rules {
+		rule := &p.rules[i]
+		if c.Int(&rule.Class); rule.Class >= p.classAttr.NumValues() {
+			c.Failf("Prism rule %d predicts class %d of %d", i, rule.Class, p.classAttr.NumValues())
+			return
+		}
+		binfmt.List(c, &rule.Conds, 4)
+		for j := range rule.Conds {
+			cond := &rule.Conds[j]
+			c.Int(&cond.Attr)
+			c.Sym(&cond.Name)
+			c.Int(&cond.Value)
+			c.Sym(&cond.Label)
+		}
+	}
+}
 
 // Train implements Classifier.
 func (p *Prism) Train(d *dataset.Dataset) error {

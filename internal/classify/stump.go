@@ -3,6 +3,7 @@ package classify
 import (
 	"fmt"
 
+	"repro/internal/binfmt"
 	"repro/internal/dataset"
 )
 
@@ -16,6 +17,16 @@ func init() { Register("DecisionStump", func() Classifier { return &DecisionStum
 
 // Name implements Classifier.
 func (s *DecisionStump) Name() string { return "DecisionStump" }
+
+// Snapshot codes the trained model for the model store.
+func (s *DecisionStump) Snapshot(c binfmt.Codec) {
+	if c.Has(s.inner != nil) {
+		if c.Reading() {
+			s.inner = &J48{}
+		}
+		s.inner.Snapshot(c)
+	}
+}
 
 // Train implements Classifier.
 func (s *DecisionStump) Train(d *dataset.Dataset) error {

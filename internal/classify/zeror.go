@@ -3,6 +3,7 @@ package classify
 import (
 	"fmt"
 
+	"repro/internal/binfmt"
 	"repro/internal/dataset"
 )
 
@@ -17,6 +18,12 @@ func init() { Register("ZeroR", func() Classifier { return &ZeroR{} }) }
 
 // Name implements Classifier.
 func (z *ZeroR) Name() string { return "ZeroR" }
+
+// Snapshot codes the trained model for the model store.
+func (z *ZeroR) Snapshot(c binfmt.Codec) {
+	c.F64s(&z.counts)
+	c.Int(&z.classIndex)
+}
 
 // Train implements Classifier.
 func (z *ZeroR) Train(d *dataset.Dataset) error {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strconv"
 
+	"repro/internal/binfmt"
 	"repro/internal/dataset"
 	"repro/internal/parallel"
 )
@@ -35,6 +36,24 @@ func init() { Register("EM", func() Clusterer { return &EM{K: 2, MaxIter: 100, S
 
 // Name implements Clusterer.
 func (em *EM) Name() string { return "EM" }
+
+// Snapshot codes the fitted model for the model store (see KMeans.Snapshot).
+func (em *EM) Snapshot(c binfmt.Codec) {
+	c.Int(&em.K)
+	c.Int(&em.MaxIter)
+	c.Int64(&em.Seed)
+	c.F64(&em.Tol)
+	c.Signed(&em.Parallelism)
+	c.F64(&em.logLik)
+	c.Ints(&em.cols)
+	c.F64s(&em.weights)
+	c.F64Rows(&em.means, len(em.cols))
+	c.F64Rows(&em.vars, len(em.cols))
+	if em.means != nil && (len(em.weights) != em.K || len(em.means) != em.K || len(em.vars) != em.K) {
+		c.Failf("EM has %d weights, %d means and %d variances for %d components",
+			len(em.weights), len(em.means), len(em.vars), em.K)
+	}
+}
 
 // Options implements Parameterized.
 func (em *EM) Options() []Option {

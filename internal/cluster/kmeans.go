@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"sync/atomic"
 
+	"repro/internal/binfmt"
 	"repro/internal/dataset"
 	"repro/internal/parallel"
 )
@@ -35,6 +36,18 @@ func init() {
 
 // Name implements Clusterer.
 func (km *KMeans) Name() string { return "SimpleKMeans" }
+
+// Snapshot codes the fitted model for the model store, where re-fitting at
+// production scale is what it saves. A restored clusterer only assigns.
+func (km *KMeans) Snapshot(c binfmt.Codec) {
+	c.Int(&km.K)
+	c.Int(&km.MaxIter)
+	c.Int64(&km.Seed)
+	c.Signed(&km.Parallelism)
+	c.Int(&km.iters)
+	c.Ints(&km.cols)
+	c.F64Rows(&km.Centroids, len(km.cols))
+}
 
 // Options implements Parameterized.
 func (km *KMeans) Options() []Option {

@@ -25,6 +25,8 @@ import (
 	"repro/internal/store"
 )
 
+var harnessLog = obs.L("harness")
+
 // Builder constructs (typically: trains) a fresh algorithm instance. It is
 // invoked only when no prior state exists for the key.
 type Builder func() (classify.Classifier, error)
@@ -157,14 +159,19 @@ func (b *CachedBackend) Acquire(key string, build Builder) (classify.Classifier,
 	// have populated) before building from scratch.
 	var c classify.Classifier
 	if b.Durable != nil {
-		if blob, _, err := b.Durable.Get(key); err == nil {
+		if blob, meta, err := b.Durable.Get(key); err == nil {
 			if loaded, err := model.Unmarshal(blob); err == nil {
 				c = loaded
 				reg.Counter("harness_store_restores_total").Inc()
 			} else {
-				// A snapshot that no longer decodes (schema drift) is not
-				// fatal: fall through to a rebuild.
+				// An undecodable snapshot (older codec, corrupt blob) is a
+				// miss; drop it, or the rebuild's Put would dedup against it.
 				reg.Counter("harness_store_decode_errors_total").Inc()
+				harnessLog.Warn(context.Background(), "snapshot undecodable",
+					"key", key, "algorithm", meta.Algorithm, "cause", err)
+				if err := b.Durable.Delete(key); err != nil {
+					reg.Counter("harness_snapshot_errors_total").Inc()
+				}
 			}
 		}
 	}

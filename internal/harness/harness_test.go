@@ -1,13 +1,17 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/classify"
 	"repro/internal/datagen"
 	"repro/internal/model"
+	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 func j48Builder(t *testing.T, builds *int64) Builder {
@@ -152,5 +156,55 @@ func TestLRUOrdering(t *testing.T) {
 	mustInvoke("b") // must rebuild
 	if builds != before+1 {
 		t.Fatal("LRU key not evicted")
+	}
+}
+
+// TestUndecodableSnapshotIsReplaced: a record in the store that no longer
+// decodes — here the gob-encoded IBk snapshot earlier releases wrote — is
+// a miss. The first acquire builds once and replaces the record with the
+// current codec, so after an eviction the key restores with no build.
+func TestUndecodableSnapshotIsReplaced(t *testing.T) {
+	old, err := os.ReadFile("../classify/testdata/ibk-parent.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Put("ibk", store.Meta{Algorithm: "IBk", Kind: "classifier"}, old); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	cache := NewCachedBackend(1)
+	cache.Durable, cache.Obs = st, reg
+	var builds int64
+	ibk := func() (classify.Classifier, error) {
+		builds++
+		k := &classify.IBk{K: 5, DistanceWeight: true}
+		return k, k.Train(datagen.GaussianClusters(3, 150, 4, 2.0, 7))
+	}
+	if _, err := cache.Acquire("ibk", ibk); err != nil {
+		t.Fatal(err)
+	}
+	if builds != 1 || reg.Counter("harness_store_decode_errors_total").Value() != 1 {
+		t.Fatalf("first acquire: %d builds, %d decode errors; want 1 and 1",
+			builds, reg.Counter("harness_store_decode_errors_total").Value())
+	}
+	blob, _, err := st.Get("ibk")
+	if err != nil || !bytes.HasPrefix(blob, []byte("DMM1")) {
+		t.Fatalf("record after rebuild starts %q (err %v), want DMM1", blob[:min(4, len(blob))], err)
+	}
+	if _, err := cache.Acquire("other", j48Builder(t, nil)); err != nil { // evicts ibk
+		t.Fatal(err)
+	}
+	builds = 0
+	if _, err := cache.Acquire("ibk", ibk); err != nil {
+		t.Fatal(err)
+	}
+	if builds != 0 || reg.Counter("harness_store_restores_total").Value() != 1 {
+		t.Fatalf("after eviction: %d builds, %d restores; want 0 and 1",
+			builds, reg.Counter("harness_store_restores_total").Value())
 	}
 }

@@ -7,73 +7,88 @@
 package model
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 
+	"repro/internal/binfmt"
 	"repro/internal/classify"
 	"repro/internal/cluster"
 )
 
-func init() {
-	// Concrete classifier types that can cross a serialisation boundary.
-	// Every registered algorithm with a gob form belongs here, so the
-	// content-addressed model store can snapshot any trained instance.
-	gob.Register(&classify.J48{})
-	gob.Register(&classify.NaiveBayes{})
-	gob.Register(&classify.ZeroR{})
-	gob.Register(&classify.OneR{})
-	gob.Register(&classify.IBk{})
-	gob.Register(&classify.Prism{})
-	gob.Register(&classify.DecisionStump{})
-	gob.Register(&classify.Logistic{})
-	gob.Register(&classify.MLP{})
-	gob.Register(&classify.RandomTree{})
-	gob.Register(&classify.Bagging{})
-	gob.Register(&classify.RandomForest{})
-	gob.Register(&classify.AdaBoostM1{})
-	// Clusterer snapshots (the iterative fitters worth persisting).
-	gob.Register(&cluster.KMeans{})
-	gob.Register(&cluster.EM{})
-}
+// A snapshot is one frame (integers little-endian, uvarints as in
+// encoding/binary):
+//
+//	"DMM1"        magic
+//	u8  version   currently 1
+//	str tag       the algorithm's registry name (u32 length)
+//	string table  uvarint count, each entry's uvarint length, the bytes
+//	body          the algorithm's Snapshot, strings as string-table
+//	              indices
+//
+// Any change to the bytes an algorithm writes bumps the version. The
+// durable store caches derived state, so a snapshot in another codec or
+// version is a miss that rebuilds; there is no compatibility path.
+const (
+	magic   = "DMM1"
+	version = 1
+)
 
-// Marshal serialises a trained classifier, interface type included.
-func Marshal(c classify.Classifier) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&c); err != nil {
-		return nil, fmt.Errorf("model: marshal %s: %w", c.Name(), err)
-	}
-	return buf.Bytes(), nil
-}
+// snapshotter is the codec every registered classifier, SimpleKMeans and
+// EM carry: one Snapshot method, run once to write and once to read.
+type snapshotter interface{ Snapshot(c binfmt.Codec) }
 
-// Unmarshal reverses Marshal.
-func Unmarshal(b []byte) (classify.Classifier, error) {
-	var c classify.Classifier
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&c); err != nil {
-		return nil, fmt.Errorf("model: unmarshal: %w", err)
-	}
-	return c, nil
-}
+// Marshal serialises a trained classifier, algorithm tag included.
+func Marshal(c classify.Classifier) ([]byte, error) { return marshal(c.Name(), c) }
 
-// MarshalClusterer serialises a fitted clusterer, interface type included.
-func MarshalClusterer(c cluster.Clusterer) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&c); err != nil {
-		return nil, fmt.Errorf("model: marshal clusterer %s: %w", c.Name(), err)
-	}
-	return buf.Bytes(), nil
-}
+// Unmarshal reverses Marshal. Malformed input is a *binfmt.FormatError,
+// never a panic.
+func Unmarshal(b []byte) (classify.Classifier, error) { return unmarshal(b, classify.New) }
+
+// MarshalClusterer serialises a fitted clusterer, algorithm tag included.
+func MarshalClusterer(c cluster.Clusterer) ([]byte, error) { return marshal(c.Name(), c) }
 
 // UnmarshalClusterer reverses MarshalClusterer.
-func UnmarshalClusterer(b []byte) (cluster.Clusterer, error) {
-	var c cluster.Clusterer
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&c); err != nil {
-		return nil, fmt.Errorf("model: unmarshal clusterer: %w", err)
+func UnmarshalClusterer(b []byte) (cluster.Clusterer, error) { return unmarshal(b, cluster.New) }
+
+func marshal(tag string, m any) ([]byte, error) {
+	s, ok := m.(snapshotter)
+	if !ok {
+		return nil, fmt.Errorf("model: %s has no snapshot form", tag)
 	}
-	return c, nil
+	var w binfmt.Writer
+	if s.Snapshot(binfmt.Codec{W: &w}); w.Err() != nil {
+		return nil, fmt.Errorf("model: marshal %s: %w", tag, w.Err())
+	}
+	f := binfmt.Writer{Buf: make([]byte, 0, len(magic)+5+len(tag)+len(w.Buf)+256)}
+	f.Buf = append(f.Buf, magic...)
+	f.U8(version)
+	f.Str(tag)
+	f.Buf = append(w.AppendSyms(f.Buf), w.Buf...)
+	return f.Buf, nil
+}
+
+// unmarshal restores a model of the frame's tag from its registry factory,
+// so fields a snapshot does not carry (an ensemble's Base learner) keep
+// their defaults.
+func unmarshal[T any](b []byte, newModel func(string) (T, error)) (T, error) {
+	var zero T
+	r := binfmt.NewReader("model", b)
+	r.Header(magic, version)
+	tag := r.Str()
+	if r.ReadSyms(); r.Err() != nil {
+		return zero, r.Err()
+	}
+	m, err := newModel(tag)
+	s, ok := any(m).(snapshotter)
+	if err != nil || !ok {
+		return zero, binfmt.Errorf("model", "no snapshot form for %q", tag)
+	}
+	if s.Snapshot(binfmt.Codec{R: r}); r.End() != nil {
+		return zero, r.Err()
+	}
+	return m, nil
 }
 
 // Store is a disk-backed model store keyed by model ID — the "serialised

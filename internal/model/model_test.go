@@ -1,11 +1,20 @@
 package model
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
+	"repro/internal/binfmt"
 	"repro/internal/classify"
 	"repro/internal/cluster"
 	"repro/internal/datagen"
+	"repro/internal/dataset"
 )
 
 func trainedJ48(t *testing.T) *classify.J48 {
@@ -41,85 +50,277 @@ func TestMarshalUnmarshalPreservesBehaviour(t *testing.T) {
 	}
 }
 
+func columnBacked(t testing.TB, d *dataset.Dataset) *dataset.Dataset {
+	t.Helper()
+	cd, err := dataset.FromColumns(d.Relation, d.Attrs, d.ClassIndex, d.Columns(), d.WeightsSlice())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cd
+}
+
 // TestMarshalAllRegisteredAlgorithms is the store's coverage contract:
 // every classifier the service registry can train must survive a
-// marshal/unmarshal round trip with its predictions intact, otherwise a
-// replica restoring that snapshot would silently misbehave.
+// marshal/unmarshal round trip with every distribution bit intact, on
+// row-backed and column-backed input, with its textual model unchanged and
+// its bytes reproduced by re-marshalling — otherwise a replica restoring
+// that snapshot would silently misbehave. The sets are nominal, numeric,
+// missing-valued and multi-class.
 func TestMarshalAllRegisteredAlgorithms(t *testing.T) {
-	d := datagen.Weather()
+	sets := map[string]*dataset.Dataset{
+		"Weather":        datagen.Weather(),
+		"WeatherNumeric": datagen.WeatherNumeric(),
+		"BreastCancer":   datagen.BreastCancer(),
+		"IrisLike":       datagen.IrisLike(30, 7),
+	}
 	for _, name := range classify.Names() {
 		t.Run(name, func(t *testing.T) {
-			c, err := classify.New(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Train(d); err != nil {
-				t.Fatal(err)
-			}
-			b, err := Marshal(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c2, err := Unmarshal(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c2.Name() != c.Name() {
-				t.Fatalf("round trip changed type: %s -> %s", c.Name(), c2.Name())
-			}
-			for _, in := range d.Instances {
-				want, err := classify.Predict(c, in)
+			trained := 0
+			for set, d := range sets {
+				c, err := classify.New(name)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := classify.Predict(c2, in)
+				if c.Train(d) != nil {
+					continue // Prism trains on nominal attributes only
+				}
+				trained++
+				b, err := Marshal(c)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want != got {
-					t.Fatalf("prediction changed through serialisation (%s)", name)
+				c2, err := Unmarshal(b)
+				if err != nil {
+					t.Fatalf("%s: %v", set, err)
 				}
+				if c2.Name() != c.Name() {
+					t.Fatalf("round trip changed type: %s -> %s", c.Name(), c2.Name())
+				}
+				if again, err := Marshal(c2); err != nil || !bytes.Equal(again, b) {
+					t.Fatalf("%s: re-marshalling the restored model changed its bytes (err %v)", set, err)
+				}
+				if s, ok := c.(fmt.Stringer); ok && s.String() != c2.(fmt.Stringer).String() {
+					t.Fatalf("%s: textual model changed:\n%s\n---\n%s", set, s, c2)
+				}
+				for backing, in := range map[string]*dataset.Dataset{"rows": d, "columns": columnBacked(t, d)} {
+					for i, x := range in.Instances {
+						want, err := c.Distribution(x)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := c2.Distribution(x)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(got) != len(want) {
+							t.Fatalf("%s/%s row %d: %d classes, want %d", set, backing, i, len(got), len(want))
+						}
+						for cl := range want {
+							if math.Float64bits(got[cl]) != math.Float64bits(want[cl]) {
+								t.Fatalf("%s/%s row %d class %d: %v, live model %v", set, backing, i, cl, got[cl], want[cl])
+							}
+						}
+					}
+				}
+			}
+			if trained == 0 {
+				t.Fatal("trained on none of the sets")
 			}
 		})
 	}
 }
 
+// TestRestoredForestRetrainsWithRandomTrees: a snapshot restores through
+// the registry factory, so a restored RandomForest keeps its RandomTree
+// base learner and retrains exactly like a fresh one.
+func TestRestoredForestRetrainsWithRandomTrees(t *testing.T) {
+	d := datagen.RandomNominal(200, 6, 3, 0.2, 5)
+	fresh, _ := classify.New("RandomForest")
+	if err := fresh.Train(d); err != nil {
+		t.Fatal(err)
+	}
+	b, err := Marshal(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Unmarshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Train(d); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := Marshal(restored); !bytes.Equal(again, b) {
+		t.Fatal("restored forest retrained into a different model")
+	}
+}
+
+// TestClustererRoundTrip holds restored SimpleKMeans and EM to the live
+// fit: row assignments, and batch assignments and score columns bit for
+// bit.
 func TestClustererRoundTrip(t *testing.T) {
 	d := datagen.GaussianClusters(3, 60, 4, 3.0, 11)
-	km := &cluster.KMeans{K: 3, MaxIter: 20, Seed: 7}
-	if err := km.Build(d); err != nil {
-		t.Fatal(err)
-	}
-	b, err := MarshalClusterer(km)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := UnmarshalClusterer(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	km2, ok := c2.(*cluster.KMeans)
-	if !ok {
-		t.Fatalf("round trip returned %T", c2)
-	}
-	for _, in := range d.Instances {
-		a, err := km.Assign(in)
+	for _, c := range []cluster.Clusterer{
+		&cluster.KMeans{K: 3, MaxIter: 20, Seed: 7},
+		&cluster.EM{K: 3, MaxIter: 20, Seed: 7, Tol: 1e-6},
+	} {
+		if err := c.Build(d); err != nil {
+			t.Fatal(err)
+		}
+		b, err := MarshalClusterer(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b2, err := km2.Assign(in)
+		c2, err := UnmarshalClusterer(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a != b2 {
-			t.Fatal("cluster assignment changed through serialisation")
+		if c2.Name() != c.Name() || c2.NumClusters() != c.NumClusters() {
+			t.Fatalf("round trip returned %s with %d clusters", c2.Name(), c2.NumClusters())
+		}
+		for _, in := range d.Instances {
+			a, err := c.Assign(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b2, err := c2.Assign(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a != b2 {
+				t.Fatalf("%s: cluster assignment changed through serialisation", c.Name())
+			}
+		}
+		wantA, wantS, wantK, err := cluster.AssignAll(c, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotA, gotS, gotK, err := cluster.AssignAll(c2, columnBacked(t, d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotK != wantK || len(gotS) != len(wantS) {
+			t.Fatalf("%s: score kind %v x %d, want %v x %d", c.Name(), gotK, len(gotS), wantK, len(wantS))
+		}
+		for i := range wantA {
+			if gotA[i] != wantA[i] {
+				t.Fatalf("%s row %d: batch cluster %d, want %d", c.Name(), i, gotA[i], wantA[i])
+			}
+			for k := range wantS {
+				if math.Float64bits(gotS[k][i]) != math.Float64bits(wantS[k][i]) {
+					t.Fatalf("%s row %d cluster %d: score %v, want %v", c.Name(), i, k, gotS[k][i], wantS[k][i])
+				}
+			}
 		}
 	}
 }
 
+// goldenSnapshots are SHA-256 digests of the snapshot each algorithm
+// writes for a model trained on Weather (ContactLenses where Weather does
+// not train) or, for clusterers, fitted on GaussianClusters(3, 60, 4, 3.0,
+// 11). The version byte is inside every digest: a change to any
+// algorithm's bytes bumps the version and these digests together.
+var goldenSnapshots = map[string]string{
+	"AdaBoostM1":           "6a2b833579924064f7b1f934034183f7ad25418e56b1fb334a2cdcbac04172b8",
+	"Bagging":              "cee854366df508b0e02d83b3ea3d0bf7bb23eda14ce18ce81a343077fe90ce48",
+	"DecisionStump":        "ba74c00cb312cd64b4973eda572bfb62881c8743ec5c5da64a6f021337011171",
+	"IBk":                  "21dc3203cd30d99af9ae7231c7815a3a2830c704200517e1ba38c000e23dc26e",
+	"J48":                  "f000e1c35e46bfa1a591b44e7b1c602f2dd90e624e3bc55cafc2f115df874b6c",
+	"Logistic":             "062e3648790285a3a4bbc3adad242f154482c03fcd6c5b1a57fd7994d8676a51",
+	"MultilayerPerceptron": "9892ebbbe5e1af3a67eb9b83959e96a4148eb376f3d25a177d07295ea79915f1",
+	"NaiveBayes":           "721673935fbeeadb0e6fa2ad597bd2d0bab37e2272fb59710459093f031ec897",
+	"OneR":                 "88ead01f42223fcdd0650d5174d2a0a064688e42e102134579beaa860cb8e682",
+	"Prism":                "e231c3abbd929be99c50187d3a2c644d746212fd447e4679da3cf4133c3eea3c",
+	"RandomForest":         "58659d9d2ea884942228a46805efbfb5273c65f40bbb5b25cecca952d29a40c7",
+	"RandomTree":           "f35660ef631641b4d2a9efaa4d4c6c02292ff03a83f9555ea84b7aa2dfcaf02d",
+	"ZeroR":                "02ad543374628ffd84fbedfddeb893acd3013244012ba5a12195f95736fa6dcc",
+	"SimpleKMeans":         "3050dd6b60b891bd1c6346bbe09b0f0506c8813507d6b2045598f3bd28f964e8",
+	"EM":                   "64fe99fdf0b219ce56a933b2b9216721ba05f93d567a3bcb2e4b046aa76e4216",
+}
+
+// snapshots returns one snapshot per registered classifier and per
+// clusterer with a snapshot form, keyed by registry name.
+func snapshots(t testing.TB) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	for _, name := range classify.Names() {
+		c, err := classify.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Train(datagen.Weather()) != nil {
+			c, _ = classify.New(name)
+			if err := c.Train(datagen.ContactLenses()); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		if out[name], err = Marshal(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"SimpleKMeans", "EM"} {
+		c, err := cluster.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Build(datagen.GaussianClusters(3, 60, 4, 3.0, 11)); err != nil {
+			t.Fatal(err)
+		}
+		if out[name], err = MarshalClusterer(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+func TestSnapshotGoldenDigests(t *testing.T) {
+	snaps := snapshots(t)
+	if len(snaps) != len(goldenSnapshots) {
+		t.Errorf("%d algorithms snapshot, %d have golden digests", len(snaps), len(goldenSnapshots))
+	}
+	for name, b := range snaps {
+		if b[len(magic)] != version {
+			t.Fatalf("%s: version byte %d, want %d", name, b[len(magic)], version)
+		}
+		sum := sha256.Sum256(b)
+		if got := hex.EncodeToString(sum[:]); got != goldenSnapshots[name] {
+			t.Errorf("%s: snapshot digest %s, want %s", name, got, goldenSnapshots[name])
+		}
+	}
+}
+
+// FuzzModelUnmarshal: whatever the bytes, both decoders return a model or
+// a *FormatError — never a panic — and allocate at most a constant
+// multiple of the input.
+func FuzzModelUnmarshal(f *testing.F) {
+	for _, b := range snapshots(f) {
+		f.Add(b)
+		f.Add(b[:len(b)/2])
+		f.Add(b[:len(b)-1])
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := Unmarshal(b)
+		k, kerr := UnmarshalClusterer(b)
+		runtime.ReadMemStats(&after)
+		var fe *binfmt.FormatError
+		if (c == nil) == (err == nil) || (err != nil && !errors.As(err, &fe)) {
+			t.Fatalf("Unmarshal = %v, %v", c, err)
+		}
+		if (k == nil) == (kerr == nil) || (kerr != nil && !errors.As(kerr, &fe)) {
+			t.Fatalf("UnmarshalClusterer = %v, %v", k, kerr)
+		}
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 256*uint64(len(b))+1<<16 {
+			t.Fatalf("decoding %d bytes allocated %d", len(b), grown)
+		}
+	})
+}
+
 func TestUnmarshalGarbage(t *testing.T) {
-	if _, err := Unmarshal([]byte("junk")); err == nil {
-		t.Fatal("garbage deserialised")
+	var fe *binfmt.FormatError
+	if _, err := Unmarshal([]byte("junk")); !errors.As(err, &fe) {
+		t.Fatalf("garbage: err = %v, want a *FormatError", err)
 	}
 }
 
@@ -196,4 +397,34 @@ func TestStoreOverwrite(t *testing.T) {
 	if c.Name() != "NaiveBayes" {
 		t.Fatalf("overwrite failed: %s", c.Name())
 	}
+}
+
+// BenchmarkRandomForestSnapshot marshals and restores the 20-tree forest
+// a model_resume session holds (512 rows, 10 nominal attributes).
+func BenchmarkRandomForestSnapshot(b *testing.B) {
+	c, _ := classify.New("RandomForest")
+	if err := c.Train(datagen.RandomNominal(512, 10, 4, 0.2, 11)); err != nil {
+		b.Fatal(err)
+	}
+	snap, err := Marshal(c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("marshal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Marshal(c); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(snap)), "snapshot-bytes")
+	})
+	b.Run("unmarshal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Unmarshal(snap); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -564,49 +564,49 @@ func (s *Store) Put(key string, meta Meta, blob []byte) error {
 	if meta.Created == 0 {
 		meta.Created = time.Now().Unix()
 	}
-	metaJSON, err := json.Marshal(meta)
+	e, err := s.appendRecord(key, meta, blob)
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if len(metaJSON) > maxMetaLen {
-		return fmt.Errorf("store: meta for %q exceeds %d bytes", key, maxMetaLen)
-	}
-	if err := s.ensureSegment(); err != nil {
-		return err
-	}
-	rec := make([]byte, 0, headerSize+len(key)+len(metaJSON)+len(blob))
-	var hdr [headerSize]byte
-	binary.BigEndian.PutUint32(hdr[0:4], Magic)
-	binary.BigEndian.PutUint16(hdr[4:6], uint16(len(key)))
-	binary.BigEndian.PutUint16(hdr[6:8], uint16(len(metaJSON)))
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(len(blob)))
-	body := make([]byte, 0, len(key)+len(metaJSON)+len(blob))
-	body = append(body, key...)
-	body = append(body, metaJSON...)
-	body = append(body, blob...)
-	binary.BigEndian.PutUint32(hdr[12:16], crc32.ChecksumIEEE(body))
-	rec = append(rec, hdr[:]...)
-	rec = append(rec, body...)
-
-	off := s.activeSize
-	if _, err := s.active.WriteAt(rec, off); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := s.active.Sync(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	s.activeSize += int64(len(rec))
-	e := &Entry{Key: key, Meta: meta, Size: len(blob),
-		Segment: s.activeName, Offset: off, recLen: int64(len(rec))}
-	if err := s.appendIndexLine(e, false); err != nil {
 		return err
 	}
 	s.addEntry(e)
 	s.stats.Puts++
-	reg := s.obsReg()
-	reg.Counter("store_puts_total").Inc()
+	s.obsReg().Counter("store_puts_total").Inc()
 	s.publishGauges()
 	return nil
+}
+
+// appendRecord writes, syncs and indexes one record, built in one buffer:
+// the header, then the key, meta and blob its CRC covers.
+func (s *Store) appendRecord(key string, meta Meta, blob []byte) (*Entry, error) {
+	metaJSON, err := json.Marshal(meta)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	if len(metaJSON) > maxMetaLen {
+		return nil, fmt.Errorf("store: meta for %q exceeds %d bytes", key, maxMetaLen)
+	}
+	if err := s.ensureSegment(); err != nil {
+		return nil, err
+	}
+	rec := make([]byte, headerSize, headerSize+len(key)+len(metaJSON)+len(blob))
+	binary.BigEndian.PutUint32(rec[0:4], Magic)
+	binary.BigEndian.PutUint16(rec[4:6], uint16(len(key)))
+	binary.BigEndian.PutUint16(rec[6:8], uint16(len(metaJSON)))
+	binary.BigEndian.PutUint32(rec[8:12], uint32(len(blob)))
+	rec = append(append(append(rec, key...), metaJSON...), blob...)
+	binary.BigEndian.PutUint32(rec[12:16], crc32.ChecksumIEEE(rec[headerSize:]))
+
+	off := s.activeSize
+	if _, err := s.active.WriteAt(rec, off); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	if err := s.active.Sync(); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	s.activeSize += int64(len(rec))
+	e := &Entry{Key: key, Meta: meta, Size: len(blob),
+		Segment: s.activeName, Offset: off, recLen: int64(len(rec))}
+	return e, s.appendIndexLine(e, meta.Deleted)
 }
 
 // Delete appends a tombstone for key. The key's record and the tombstone
@@ -629,39 +629,11 @@ func (s *Store) Delete(key string) error {
 	if _, ok := s.index[key]; !ok {
 		return nil
 	}
-	meta := Meta{Created: time.Now().Unix(), Deleted: true}
-	metaJSON, err := json.Marshal(meta)
+	e, err := s.appendRecord(key, Meta{Created: time.Now().Unix(), Deleted: true}, nil)
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := s.ensureSegment(); err != nil {
 		return err
 	}
-	var hdr [headerSize]byte
-	binary.BigEndian.PutUint32(hdr[0:4], Magic)
-	binary.BigEndian.PutUint16(hdr[4:6], uint16(len(key)))
-	binary.BigEndian.PutUint16(hdr[6:8], uint16(len(metaJSON)))
-	binary.BigEndian.PutUint32(hdr[8:12], 0)
-	body := make([]byte, 0, len(key)+len(metaJSON))
-	body = append(body, key...)
-	body = append(body, metaJSON...)
-	binary.BigEndian.PutUint32(hdr[12:16], crc32.ChecksumIEEE(body))
-	rec := append(hdr[:], body...)
-
-	off := s.activeSize
-	if _, err := s.active.WriteAt(rec, off); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := s.active.Sync(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	s.activeSize += int64(len(rec))
-	e := &Entry{Key: key, Meta: meta, Size: 0,
-		Segment: s.activeName, Offset: off, recLen: int64(len(rec))}
-	if err := s.appendIndexLine(e, true); err != nil {
-		return err
-	}
-	s.tombSeen[fmt.Sprintf("%s:%d", e.Segment, e.Offset)] = off + e.recLen
+	s.tombSeen[fmt.Sprintf("%s:%d", e.Segment, e.Offset)] = e.Offset + e.recLen
 	s.applyTombstone(key, e.recLen)
 	s.stats.Deletes++
 	s.obsReg().Counter("store_deletes_total").Inc()

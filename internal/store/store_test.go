@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -353,5 +354,32 @@ func TestInvalidKeys(t *testing.T) {
 		if err := s.Put(k, Meta{}, []byte("v")); err == nil {
 			t.Fatalf("Put(%q) accepted", k)
 		}
+	}
+}
+
+// TestPutCopiesBlobOnce: Put builds each record in one buffer, so a
+// snapshot-sized blob is copied once per write, not once into a CRC body
+// and again into the record.
+func TestPutCopiesBlobOnce(t *testing.T) {
+	s, err := Open(t.TempDir(), WithObs(testObs()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	blob := bytes.Repeat([]byte{0xA5}, 150<<10)
+	n := 0
+	next := func() {
+		n++
+		put(t, s, fmt.Sprintf("k%03d", n), blob)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(20, next)
+	runtime.ReadMemStats(&after)
+	if perPut := (after.TotalAlloc - before.TotalAlloc) / uint64(n); perPut > uint64(len(blob))+16<<10 {
+		t.Errorf("Put allocated %d bytes per %d-byte blob, want one copy", perPut, len(blob))
+	}
+	if allocs > 16 { // 11 in a plain build; the race detector adds a few
+		t.Errorf("Put made %v allocations, want at most 16", allocs)
 	}
 }

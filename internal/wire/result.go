@@ -1,5 +1,7 @@
 package wire
 
+import "repro/internal/binfmt"
+
 // Result-block kinds beyond classification. clusterBatch replies carry a
 // "DMC1" block (per-row cluster assignments plus one score column per
 // cluster — centroid distances or mixture responsibilities), regressBatch
@@ -87,64 +89,45 @@ func MarshalClusterResult(res *ClusterResult) ([]byte, error) {
 			}
 		}
 	}
-	w := &writer{buf: make([]byte, 0, 16+4*rows+8*rows*len(res.Scores))}
-	w.buf = append(w.buf, magicCluster...)
-	w.u8(version)
-	w.u8(kc)
-	w.u32(uint32(res.Clusters))
-	w.u32(uint32(rows))
+	w := &binfmt.Writer{Buf: make([]byte, 0, 16+4*rows+8*rows*len(res.Scores))}
+	w.Buf = append(w.Buf, magicCluster...)
+	w.U8(version)
+	w.U8(kc)
+	w.U32(uint32(res.Clusters))
+	w.U32(uint32(rows))
 	if err := writeIndexColumn(w, res.Assignments, res.Clusters, true, "assignment"); err != nil {
 		return nil, err
 	}
 	for _, col := range res.Scores {
 		writeColumn(w, col)
 	}
-	return w.buf, nil
+	return w.Buf, nil
 }
 
 // UnmarshalClusterResult decodes one DMC1 block.
 func UnmarshalClusterResult(b []byte) (*ClusterResult, error) {
-	r := &reader{buf: b}
-	if err := r.header(magicCluster); err != nil {
-		return nil, err
-	}
-	kc, err := r.u8()
+	r := newReader(b)
+	r.Header(magicCluster, version)
+	kind, err := scoreKindFromCode(r.U8())
 	if err != nil {
 		return nil, err
 	}
-	kind, err := scoreKindFromCode(kc)
-	if err != nil {
-		return nil, err
-	}
-	clusters, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
+	clusters, rows := r.U32(), int(r.U32())
 	if clusters > 1<<24 {
-		return nil, errf("cluster count %d exceeds limit", clusters)
+		r.Failf("cluster count %d exceeds limit", clusters)
 	}
-	rows, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	assign, err := readIndexColumn(r, int(rows), clusters, true, "assignment")
-	if err != nil {
-		return nil, err
-	}
+	assign := readIndexColumn(r, rows, clusters, true, "assignment")
 	var scores [][]float64
-	if kind != ScoreNone {
-		if uint64(clusters)*uint64(rows)*8 > maxBlockBytes {
-			return nil, errf("%d clusters x %d rows of scores exceeds payload limit", clusters, rows)
+	if kind != ScoreNone && r.Err() == nil {
+		if uint64(clusters)*(4+8*uint64(rows)) > uint64(r.Len()) {
+			return nil, errf("%d clusters x %d rows of scores exceeds the payload", clusters, rows)
 		}
 		scores = make([][]float64, clusters)
 		for c := range scores {
-			scores[c], err = readColumn(r, int(rows))
-			if err != nil {
-				return nil, errf("cluster %d scores: %v", c, err)
-			}
+			scores[c] = readColumn(r, rows)
 		}
 	}
-	if err := r.end(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, err
 	}
 	return &ClusterResult{
@@ -169,37 +152,25 @@ type RegressResult struct {
 //	u32 rows
 //	length-prefixed float64 column of rows predictions
 func MarshalRegressResult(res *RegressResult) ([]byte, error) {
-	w := &writer{buf: make([]byte, 0, 16+len(res.Target)+8*len(res.Values))}
-	w.buf = append(w.buf, magicRegress...)
-	w.u8(version)
-	w.str(res.Target)
-	w.u32(uint32(len(res.Values)))
+	w := &binfmt.Writer{Buf: make([]byte, 0, 16+len(res.Target)+8*len(res.Values))}
+	w.Buf = append(w.Buf, magicRegress...)
+	w.U8(version)
+	w.Str(res.Target)
+	w.U32(uint32(len(res.Values)))
 	writeColumn(w, res.Values)
-	return w.buf, nil
+	return w.Buf, nil
 }
 
 // UnmarshalRegressResult decodes one DMV1 block.
 func UnmarshalRegressResult(b []byte) (*RegressResult, error) {
-	r := &reader{buf: b}
-	if err := r.header(magicRegress); err != nil {
-		return nil, err
-	}
-	target, err := r.str()
-	if err != nil {
-		return nil, err
-	}
-	rows, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
+	r := newReader(b)
+	r.Header(magicRegress, version)
+	target, rows := r.Str(), int(r.U32())
 	if uint64(rows)*8 > maxBlockBytes {
-		return nil, errf("%d rows exceeds payload limit", rows)
+		r.Failf("%d rows exceeds payload limit", rows)
 	}
-	vals, err := readColumn(r, int(rows))
-	if err != nil {
-		return nil, errf("predictions: %v", err)
-	}
-	if err := r.end(); err != nil {
+	vals := readColumn(r, rows)
+	if err := r.End(); err != nil {
 		return nil, err
 	}
 	return &RegressResult{Target: target, Values: vals}, nil

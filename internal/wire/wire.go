@@ -33,25 +33,22 @@ import (
 	"crypto/sha256"
 	"encoding/base64"
 	"encoding/binary"
-	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"sync"
 
+	"repro/internal/binfmt"
 	"repro/internal/dataset"
 )
 
-// Format errors. Decoders wrap them with positional context; transports
-// map any *FormatError to a caller fault (the payload is wrong, not the
-// server).
-type FormatError struct{ msg string }
+// FormatError reports a malformed block. Decoders wrap it with positional
+// context; transports map any *FormatError to a caller fault (the payload
+// is wrong, not the server).
+type FormatError = binfmt.FormatError
 
-func (e *FormatError) Error() string { return "wire: " + e.msg }
+func errf(format string, args ...any) error { return binfmt.Errorf("wire", format, args...) }
 
-func errf(format string, args ...any) error {
-	return &FormatError{msg: fmt.Sprintf(format, args...)}
-}
+func newReader(b []byte) *binfmt.Reader { return binfmt.NewReader("wire", b) }
 
 const (
 	magicDataset = "DMB1"
@@ -75,150 +72,30 @@ const (
 // codec on batch operations.
 const Encoding = "dmb1"
 
-type writer struct{ buf []byte }
-
-func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-
-// extend lengthens the buffer by n bytes and returns them for the caller
-// to overwrite, every one: they are not zeroed.
-func (w *writer) extend(n int) []byte {
-	off := len(w.buf)
-	w.buf = slices.Grow(w.buf, n)[:off+n]
-	return w.buf[off:]
-}
-
-func (w *writer) str(s string) {
-	w.u32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-type reader struct {
-	buf []byte
-	off int
-}
-
-func (r *reader) need(n int) error {
-	if n < 0 || r.off+n > len(r.buf) {
-		return errf("truncated payload at offset %d (need %d of %d bytes)", r.off, n, len(r.buf))
-	}
-	return nil
-}
-
-func (r *reader) u8() (uint8, error) {
-	if err := r.need(1); err != nil {
-		return 0, err
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v, nil
-}
-
-func (r *reader) u32() (uint32, error) {
-	if err := r.need(4); err != nil {
-		return 0, err
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *reader) str() (string, error) {
-	n, err := r.u32()
-	if err != nil {
-		return "", err
-	}
-	if n > maxBlockBytes {
-		return "", errf("string block of %d bytes exceeds limit", n)
-	}
-	if err := r.need(int(n)); err != nil {
-		return "", err
-	}
-	s := string(r.buf[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, nil
-}
-
-// header checks the frame every block kind opens with — the kind's
-// 4-byte magic, then the version byte — and leaves r just past it.
-func (r *reader) header(magic string) error {
-	if err := r.need(4); err != nil {
-		return err
-	}
-	if string(r.buf[:4]) != magic {
-		return errf("bad magic %q, want %q", r.buf[:4], magic)
-	}
-	r.off = 4
-	v, err := r.u8()
-	if err != nil {
-		return err
-	}
-	if v != version {
-		return errf("unsupported %s version %d", magic, v)
-	}
-	return nil
-}
-
-// end closes the frame: a block is exactly its declared contents, so
-// anything after them is a framing error.
-func (r *reader) end() error {
-	if r.off != len(r.buf) {
-		return errf("%d trailing bytes after %s block", len(r.buf)-r.off, r.buf[:4])
-	}
-	return nil
-}
-
-func kindCode(k dataset.Kind) (uint8, error) {
-	switch k {
-	case dataset.Numeric:
-		return 0, nil
-	case dataset.Nominal:
-		return 1, nil
-	case dataset.String:
-		return 2, nil
-	default:
-		return 0, errf("unsupported attribute kind %v", k)
-	}
-}
-
-func kindFromCode(c uint8) (dataset.Kind, error) {
-	switch c {
-	case 0:
-		return dataset.Numeric, nil
-	case 1:
-		return dataset.Nominal, nil
-	case 2:
-		return dataset.String, nil
-	default:
-		return 0, errf("unknown attribute kind code %d", c)
-	}
-}
-
 // writeSchema appends the schema section (relation through attribute
 // table) and returns the byte range it occupies, for digesting.
-func writeSchema(w *writer, relation string, classIndex int, attrs []*dataset.Attribute) error {
-	start := len(w.buf)
-	w.str(relation)
+func writeSchema(w *binfmt.Writer, relation string, classIndex int, attrs []*dataset.Attribute) error {
+	start := len(w.Buf)
+	w.Str(relation)
 	ci := uint32(noClass)
 	if classIndex >= 0 {
 		ci = uint32(classIndex)
 	}
-	w.u32(ci)
-	w.u32(uint32(len(attrs)))
+	w.U32(ci)
+	w.U32(uint32(len(attrs)))
 	for _, a := range attrs {
-		w.str(a.Name)
-		kc, err := kindCode(a.Kind)
-		if err != nil {
-			return err
+		if a.Kind < dataset.Numeric || a.Kind > dataset.String {
+			return errf("unsupported attribute kind %v", a.Kind)
 		}
-		w.u8(kc)
-		w.u32(uint32(a.NumValues()))
+		w.Str(a.Name)
+		w.U8(uint8(a.Kind))
+		w.U32(uint32(a.NumValues()))
 		for i := 0; i < a.NumValues(); i++ {
-			w.str(a.Value(i))
+			w.Str(a.Value(i))
 		}
 	}
-	sum := sha256.Sum256(w.buf[start:])
-	w.buf = append(w.buf, sum[:8]...)
+	sum := sha256.Sum256(w.Buf[start:])
+	w.Buf = append(w.Buf, sum[:8]...)
 	return nil
 }
 
@@ -235,96 +112,60 @@ func schemaSize(relation string, attrs []*dataset.Attribute) int {
 }
 
 // readSchema parses the schema section, verifying its digest.
-func readSchema(r *reader) (relation string, classIndex int, attrs []*dataset.Attribute, err error) {
-	start := r.off
-	relation, err = r.str()
-	if err != nil {
-		return "", 0, nil, err
-	}
-	ci, err := r.u32()
-	if err != nil {
-		return "", 0, nil, err
-	}
-	classIndex = -1
-	if ci != noClass {
+func readSchema(r *binfmt.Reader) (relation string, classIndex int, attrs []*dataset.Attribute) {
+	start := r.Offset()
+	relation, classIndex = r.Str(), -1
+	if ci := r.U32(); ci != noClass {
 		classIndex = int(ci)
 	}
-	attrCount, err := r.u32()
-	if err != nil {
-		return "", 0, nil, err
-	}
-	if attrCount > 1<<20 {
-		return "", 0, nil, errf("attribute count %d exceeds limit", attrCount)
-	}
-	attrs = make([]*dataset.Attribute, 0, attrCount)
-	for i := uint32(0); i < attrCount; i++ {
-		name, err := r.str()
-		if err != nil {
-			return "", 0, nil, err
-		}
-		kc, err := r.u8()
-		if err != nil {
-			return "", 0, nil, err
-		}
-		kind, err := kindFromCode(kc)
-		if err != nil {
-			return "", 0, nil, err
-		}
-		valCount, err := r.u32()
-		if err != nil {
-			return "", 0, nil, err
-		}
-		if valCount > 1<<24 {
-			return "", 0, nil, errf("attribute %q declares %d values", name, valCount)
-		}
-		vals := make([]string, 0, valCount)
-		for v := uint32(0); v < valCount; v++ {
-			s, err := r.str()
-			if err != nil {
-				return "", 0, nil, err
-			}
-			vals = append(vals, s)
-		}
-		var a *dataset.Attribute
-		switch kind {
-		case dataset.Numeric:
-			a = dataset.NewNumericAttribute(name)
-		case dataset.Nominal:
-			a = dataset.NewNominalAttribute(name, vals...)
-		case dataset.String:
-			a = dataset.NewStringAttribute(name)
-			for _, s := range vals {
-				if _, err := a.Intern(s); err != nil {
-					return "", 0, nil, errf("attribute %q: %v", name, err)
-				}
-			}
-		}
-		attrs = append(attrs, a)
-	}
-	schemaEnd := r.off
-	if err := r.need(8); err != nil {
-		return "", 0, nil, err
-	}
-	sum := sha256.Sum256(r.buf[start:schemaEnd])
-	for i := 0; i < 8; i++ {
-		if r.buf[schemaEnd+i] != sum[i] {
-			return "", 0, nil, errf("schema digest mismatch: payload corrupt")
+	if n := r.U32(); n > 1<<20 {
+		r.Failf("attribute count %d exceeds limit", n)
+	} else {
+		attrs = make([]*dataset.Attribute, 0, min(n, uint32(r.Len()/9)))
+		for i := uint32(0); i < n && r.Err() == nil; i++ {
+			attrs = append(attrs, readAttr(r))
 		}
 	}
-	r.off += 8
+	sum := sha256.Sum256(r.Since(start))
+	if digest := r.Take(8); digest != nil && string(digest) != string(sum[:8]) {
+		r.Failf("schema digest mismatch: payload corrupt")
+	}
 	if classIndex >= len(attrs) {
-		return "", 0, nil, errf("class index %d out of range for %d attributes", classIndex, len(attrs))
+		r.Failf("class index %d out of range for %d attributes", classIndex, len(attrs))
 	}
-	return relation, classIndex, attrs, nil
+	return relation, classIndex, attrs
+}
+
+// readAttr parses one attribute of the schema table; it never returns nil.
+func readAttr(r *binfmt.Reader) *dataset.Attribute {
+	name, kind, n := r.Str(), dataset.Kind(r.U8()), r.U32()
+	if n > 1<<24 {
+		r.Failf("attribute %q declares %d values", name, n)
+		n = 0
+	}
+	vals := make([]string, 0, min(n, uint32(r.Len()/4)))
+	for v := uint32(0); v < n && r.Err() == nil; v++ {
+		vals = append(vals, r.Str())
+	}
+	switch kind {
+	case dataset.Nominal, dataset.String: // both keep their labels in order
+		a := dataset.NewNominalAttribute(name, vals...)
+		a.Kind = kind
+		return a
+	case dataset.Numeric:
+	default:
+		r.Failf("unknown attribute kind code %d", kind)
+	}
+	return dataset.NewNumericAttribute(name)
 }
 
 // writeColumn appends a length-prefixed float64 block: the buffer grows
 // once for the whole column, then each value is stored in place. NaNs of
 // any payload are written as the one canonical NaN that stands for
 // "missing".
-func writeColumn(w *writer, col []float64) {
-	w.u32(uint32(8 * len(col)))
-	block := w.extend(8 * len(col))
+func writeColumn(w *binfmt.Writer, col []float64) {
+	w.U32(uint32(8 * len(col)))
+	block := w.Extend(8 * len(col))
 	for i, v := range col {
 		if v != v {
 			v = math.NaN()
@@ -335,35 +176,33 @@ func writeColumn(w *writer, col []float64) {
 
 // readColumn parses a length-prefixed float64 block of exactly rows
 // values: one bounds check for the column, then a straight load per value.
-func readColumn(r *reader, rows int) ([]float64, error) {
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
+func readColumn(r *binfmt.Reader, rows int) []float64 {
+	block := readBlock(r, rows, 8, "column")
+	if block == nil {
+		return nil
 	}
-	if n > maxBlockBytes {
-		return nil, errf("column block of %d bytes exceeds limit", n)
-	}
-	if int(n) != 8*rows {
-		return nil, errf("column block is %d bytes, want %d for %d rows", n, 8*rows, rows)
-	}
-	if err := r.need(int(n)); err != nil {
-		return nil, err
-	}
-	block := r.buf[r.off : r.off+int(n)]
-	r.off += int(n)
 	col := make([]float64, rows)
 	for i := range col {
 		col[i] = math.Float64frombits(binary.LittleEndian.Uint64(block[8*i:]))
 	}
-	return col, nil
+	return col
+}
+
+// readBlock reads a u32 byte length, which must be rows*width, and returns
+// the block it prefixes, or nil once reading has failed.
+func readBlock(r *binfmt.Reader, rows, width int, what string) []byte {
+	if n := r.U32(); r.Err() == nil && uint64(n) != uint64(width)*uint64(rows) {
+		r.Failf("%s block is %d bytes, want %d for %d rows", what, n, width*rows, rows)
+	}
+	return r.Take(width * rows)
 }
 
 // writeIndexColumn appends a length-prefixed u32 block of row indices
 // (DMR1 labels, DMC1 assignments), each below limit. With none set a
 // negative index is legal and encodes as noIndex; what names the column
 // in errors.
-func writeIndexColumn(w *writer, idx []int, limit int, none bool, what string) error {
-	buf := binary.LittleEndian.AppendUint32(w.buf, uint32(4*len(idx)))
+func writeIndexColumn(w *binfmt.Writer, idx []int, limit int, none bool, what string) error {
+	buf := binary.LittleEndian.AppendUint32(w.Buf, uint32(4*len(idx)))
 	for _, v := range idx {
 		u := uint32(v)
 		if v < 0 && none {
@@ -373,7 +212,7 @@ func writeIndexColumn(w *writer, idx []int, limit int, none bool, what string) e
 		}
 		buf = binary.LittleEndian.AppendUint32(buf, u)
 	}
-	w.buf = buf
+	w.Buf = buf
 	return nil
 }
 
@@ -381,22 +220,11 @@ func writeIndexColumn(w *writer, idx []int, limit int, none bool, what string) e
 // rows values, the inverse of writeIndexColumn: noIndex decodes as -1
 // when none is set, and is out of range like any other index >= limit
 // when it is not.
-func readIndexColumn(r *reader, rows int, limit uint32, none bool, what string) ([]int, error) {
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
+func readIndexColumn(r *binfmt.Reader, rows int, limit uint32, none bool, what string) []int {
+	block := readBlock(r, rows, 4, what)
+	if block == nil {
+		return nil
 	}
-	if n > maxBlockBytes {
-		return nil, errf("%s block of %d bytes exceeds limit", what, n)
-	}
-	if int(n) != 4*rows {
-		return nil, errf("%s block is %d bytes, want %d for %d rows", what, n, 4*rows, rows)
-	}
-	if err := r.need(int(n)); err != nil {
-		return nil, err
-	}
-	block := r.buf[r.off : r.off+int(n)]
-	r.off += int(n)
 	idx := make([]int, rows)
 	for i := range idx {
 		v := binary.LittleEndian.Uint32(block[4*i:])
@@ -404,10 +232,11 @@ func readIndexColumn(r *reader, rows int, limit uint32, none bool, what string) 
 		if v == noIndex && none {
 			idx[i] = -1
 		} else if v >= limit {
-			return nil, errf("row %d %s %d out of range [0,%d)", i, what, v, limit)
+			r.Failf("row %d %s %d out of range [0,%d)", i, what, v, limit)
+			return nil
 		}
 	}
-	return idx, nil
+	return idx
 }
 
 // Marshal encodes the dataset as one dmb1 block. Weights are encoded
@@ -436,13 +265,13 @@ func appendDataset(dst []byte, d *dataset.Dataset) ([]byte, error) {
 		dst = make([]byte, 0, size)
 	}
 
-	w := &writer{buf: append(dst[:0], magicDataset...)}
-	w.u8(version)
-	w.u8(flags)
+	w := &binfmt.Writer{Buf: append(dst[:0], magicDataset...)}
+	w.U8(version)
+	w.U8(flags)
 	if err := writeSchema(w, d.Relation, d.ClassIndex, d.Attrs); err != nil {
 		return nil, err
 	}
-	w.u32(uint32(rows))
+	w.U32(uint32(rows))
 	if d.HasColumns() {
 		for _, col := range d.Columns() {
 			writeColumn(w, col)
@@ -453,15 +282,15 @@ func appendDataset(dst []byte, d *dataset.Dataset) ([]byte, error) {
 	if weights != nil {
 		writeColumn(w, weights)
 	}
-	return w.buf, nil
+	return w.Buf, nil
 }
 
 // writeRows appends what writeColumn would for every column of a
 // row-backed dataset, gathering the cells straight from the rows: the
 // column mirror d.Columns() would build first is never materialised.
-func writeRows(w *writer, rows []*dataset.Instance, attrs int) {
+func writeRows(w *binfmt.Writer, rows []*dataset.Instance, attrs int) {
 	stride := 4 + 8*len(rows)
-	blocks := w.extend(attrs * stride)
+	blocks := w.Extend(attrs * stride)
 	for j := 0; j < attrs; j++ {
 		binary.LittleEndian.PutUint32(blocks[j*stride:], uint32(8*len(rows)))
 	}
@@ -483,40 +312,23 @@ func writeRows(w *writer, rows []*dataset.Instance, attrs int) {
 // dataset.FromColumns validates nominal indices so corrupt payloads
 // surface as errors, never panics.
 func Unmarshal(b []byte) (*dataset.Dataset, error) {
-	r := &reader{buf: b}
-	if err := r.header(magicDataset); err != nil {
-		return nil, err
-	}
-	flags, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	relation, classIndex, attrs, err := readSchema(r)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
+	r := newReader(b)
+	r.Header(magicDataset, version)
+	flags := r.U8()
+	relation, classIndex, attrs := readSchema(r)
+	rows := int(r.U32())
 	if uint64(rows)*uint64(len(attrs))*8 > maxBlockBytes {
-		return nil, errf("%d rows x %d attributes exceeds payload limit", rows, len(attrs))
+		r.Failf("%d rows x %d attributes exceeds payload limit", rows, len(attrs))
 	}
 	cols := make([][]float64, len(attrs))
 	for j := range cols {
-		cols[j], err = readColumn(r, int(rows))
-		if err != nil {
-			return nil, errf("attribute %q: %v", attrs[j].Name, err)
-		}
+		cols[j] = readColumn(r, rows)
 	}
 	var weights []float64
 	if flags&flagWeights != 0 {
-		weights, err = readColumn(r, int(rows))
-		if err != nil {
-			return nil, errf("weights: %v", err)
-		}
+		weights = readColumn(r, rows)
 	}
-	if err := r.end(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, err
 	}
 	d, err := dataset.FromColumns(relation, attrs, classIndex, cols, weights)
@@ -552,60 +364,42 @@ func MarshalResult(res *Result) ([]byte, error) {
 			return nil, errf("class %d distribution has %d rows, want %d", c, len(col), rows)
 		}
 	}
-	w := &writer{buf: make([]byte, 0, 32+4*rows+8*rows*len(res.Classes))}
-	w.buf = append(w.buf, magicResult...)
-	w.u8(version)
-	w.u32(uint32(len(res.Classes)))
+	w := &binfmt.Writer{Buf: make([]byte, 0, 32+4*rows+8*rows*len(res.Classes))}
+	w.Buf = append(w.Buf, magicResult...)
+	w.U8(version)
+	w.U32(uint32(len(res.Classes)))
 	for _, name := range res.Classes {
-		w.str(name)
+		w.Str(name)
 	}
-	w.u32(uint32(rows))
+	w.U32(uint32(rows))
 	if err := writeIndexColumn(w, res.Labels, len(res.Classes), false, "label"); err != nil {
 		return nil, err
 	}
 	for _, col := range res.Distributions {
 		writeColumn(w, col)
 	}
-	return w.buf, nil
+	return w.Buf, nil
 }
 
 // UnmarshalResult decodes one DMR1 block.
 func UnmarshalResult(b []byte) (*Result, error) {
-	r := &reader{buf: b}
-	if err := r.header(magicResult); err != nil {
-		return nil, err
-	}
-	classCount, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
+	r := newReader(b)
+	r.Header(magicResult, version)
+	classCount := r.U32()
 	if classCount > 1<<24 {
-		return nil, errf("class count %d exceeds limit", classCount)
+		r.Failf("class count %d exceeds limit", classCount)
 	}
-	classes := make([]string, 0, classCount)
-	for i := uint32(0); i < classCount; i++ {
-		s, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		classes = append(classes, s)
+	classes := make([]string, 0, min(classCount, uint32(r.Len()/4)))
+	for i := uint32(0); i < classCount && r.Err() == nil; i++ {
+		classes = append(classes, r.Str())
 	}
-	rows, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	labels, err := readIndexColumn(r, int(rows), classCount, false, "label")
-	if err != nil {
-		return nil, err
-	}
-	dists := make([][]float64, classCount)
+	rows := int(r.U32())
+	labels := readIndexColumn(r, rows, classCount, false, "label")
+	dists := make([][]float64, len(classes))
 	for c := range dists {
-		dists[c], err = readColumn(r, int(rows))
-		if err != nil {
-			return nil, errf("class %q distribution: %v", classes[c], err)
-		}
+		dists[c] = readColumn(r, rows)
 	}
-	if err := r.end(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, err
 	}
 	return &Result{Classes: classes, Labels: labels, Distributions: dists}, nil

@@ -1,8 +1,8 @@
 #!/bin/sh
 # verify.sh — the full local gate, with the elapsed time of each stage:
-# formatting, build, vet of the repo and of the benchmark module (so a
-# change that breaks an API benchmark/ pins fails here, not in the
-# benchmark run), the benchmark's own smoke (every workload for half a
+# formatting, build, no encoding/gob import, vet of the repo and of the
+# benchmark module (so a change that breaks an API benchmark/ pins fails
+# here, not in the benchmark run), the benchmark's own smoke (every workload for half a
 # second, replies checked against the oracle: correctness only, no
 # timing), one plain and one -race pass over every test, ten seconds of
 # every fuzz target the packages declare, the deterministic
@@ -48,6 +48,19 @@ check_vet() {
 	fi
 }
 
+# Model snapshots have their own codec (internal/model); encoding/gob may
+# not come back, in code or tests. benchmark/ is its own module, outside
+# ./... here.
+check_no_gob() {
+	importers=$(go list -f '{{.ImportPath}}: {{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./... |
+		grep -w 'encoding/gob' || true)
+	if [ -n "$importers" ]; then
+		echo "encoding/gob imported by:" >&2
+		echo "$importers" | cut -d: -f1 >&2
+		return 1
+	fi
+}
+
 # Two real dmserver replicas on one store directory, a SIGKILL every
 # 2.5s, background GC on — the run must end inside its error budget
 # (exit 0) with zero failed requests and at least one kill survived.
@@ -75,6 +88,7 @@ fuzz() {
 
 stage gofmt check_gofmt
 stage build go build ./...
+stage "no gob" check_no_gob
 stage vet check_vet go vet ./...
 stage "vet benchmark" check_vet go -C benchmark vet ./...
 stage "benchmark smoke" bash benchmark/run.sh --smoke

@@ -56,7 +56,7 @@ func PredictBatch(c Classifier, d *dataset.Dataset) ([]int, [][]float64, error) 
 // trained on: a wire-decoded block can carry any schema.
 func checkWidth(name string, in *dataset.Instance, want int) error {
 	if len(in.Values) < want {
-		return fmt.Errorf("classify: %s instance has %d values, model expects %d", name, len(in.Values), want)
+		return fmt.Errorf("classify: %w: %s instance has %d values, model expects %d", dataset.ErrWidth, name, len(in.Values), want)
 	}
 	return nil
 }

@@ -310,7 +310,7 @@ func (k *IBk) DistributionBatch(d *dataset.Dataset) ([][]float64, error) {
 	cols := d.Columns()
 	m := k.schema.NumAttributes()
 	if len(cols) < m {
-		return nil, fmt.Errorf("classify: IBk batch has %d attributes, model expects %d", len(cols), m)
+		return nil, fmt.Errorf("classify: %w: IBk batch has %d attributes, model expects %d", dataset.ErrWidth, len(cols), m)
 	}
 	plan := k.plan()
 	nq, nc := d.NumInstances(), k.schema.NumClasses()

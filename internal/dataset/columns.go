@@ -18,12 +18,20 @@ import "fmt"
 // authoritative backing from birth, with the Instances row view carved
 // out of a single slab so the legacy row API keeps working.
 
+// columnMirror is a published column mirror and the instance count it
+// reflects.
+type columnMirror struct {
+	cols [][]float64
+	rows int
+}
+
 // Columns returns the dataset's column-major backing, one contiguous
 // slice per attribute. The result is cached; callers must treat it as
-// read-only unless they own the dataset exclusively.
+// read-only unless they own the dataset exclusively. Concurrent first
+// callers may each build the mirror, but every one gets equal cells.
 func (d *Dataset) Columns() [][]float64 {
-	if d.cols != nil && d.colsRows == len(d.Instances) {
-		return d.cols
+	if m := d.cols.Load(); m != nil && m.rows == len(d.Instances) {
+		return m.cols
 	}
 	n, m := len(d.Instances), len(d.Attrs)
 	slab := make([]float64, n*m)
@@ -36,8 +44,7 @@ func (d *Dataset) Columns() [][]float64 {
 			cols[j][i] = v
 		}
 	}
-	d.cols = cols
-	d.colsRows = n
+	d.cols.Store(&columnMirror{cols: cols, rows: n})
 	return cols
 }
 
@@ -48,16 +55,14 @@ func (d *Dataset) Column(j int) []float64 { return d.Columns()[j] }
 // building one — true for column-first datasets and for row-first
 // datasets whose mirror is cached and not stale.
 func (d *Dataset) HasColumns() bool {
-	return d.cols != nil && d.colsRows == len(d.Instances)
+	m := d.cols.Load()
+	return m != nil && m.rows == len(d.Instances)
 }
 
 // InvalidateColumns drops the cached column mirror. Call it after
 // writing Instance.Values cells in place (filters do); the next Columns
 // call rebuilds the mirror from the rows.
-func (d *Dataset) InvalidateColumns() {
-	d.cols = nil
-	d.colsRows = 0
-}
+func (d *Dataset) InvalidateColumns() { d.cols.Store(nil) }
 
 // FromColumns builds a dataset directly from column-major storage:
 // cols[j] holds attribute j's values for every row. The slices are
@@ -121,8 +126,7 @@ func FromColumns(relation string, attrs []*Attribute, classIndex int, cols [][]f
 		instances[i] = Instance{Values: vals, Weight: w}
 		d.Instances[i] = &instances[i]
 	}
-	d.cols = cols
-	d.colsRows = rows
+	d.cols.Store(&columnMirror{cols: cols, rows: rows})
 	return d, nil
 }
 

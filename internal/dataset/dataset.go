@@ -1,12 +1,18 @@
 package dataset
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
+
+// ErrWidth is wrapped by a model's error for an instance or block narrower
+// than its training schema: a caller mistake, not a server fault.
+var ErrWidth = errors.New("schema width mismatch")
 
 // Instance is a single data row. Values are parallel to the dataset's
 // attributes: numeric cells hold the measurement, nominal/string cells hold
@@ -42,10 +48,10 @@ type Dataset struct {
 	// cols is the columnar (struct-of-arrays) mirror served by Columns:
 	// one contiguous []float64 per attribute. It is authoritative for
 	// column-first datasets (FromColumns) and a lazily built cache for
-	// row-first ones; colsRows records the instance count it reflects so
-	// appends invalidate it implicitly.
-	cols     [][]float64
-	colsRows int
+	// row-first ones. It is published atomically with the instance count
+	// it reflects, so appends invalidate it implicitly and concurrent
+	// first readers never race.
+	cols atomic.Pointer[columnMirror]
 
 	// slab is the spare row storage AddRow and Project carve
 	// Instance.Values from, so bulk loading costs one allocation per

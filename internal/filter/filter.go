@@ -18,10 +18,7 @@ import (
 )
 
 // Filter transforms a dataset. Apply never changes the input's schema or
-// cells, but it reads the input through d.Columns(), which builds and
-// caches a row-built input's column mirror; an input shared between
-// goroutines must be guarded (or have its mirror built) before concurrent
-// Apply calls.
+// cells; it reads the input through d.Columns().
 type Filter interface {
 	Name() string
 	Apply(d *dataset.Dataset) (*dataset.Dataset, error)

@@ -15,8 +15,10 @@ package harness
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/classify"
@@ -115,11 +117,20 @@ type CachedBackend struct {
 	// obs.Default.
 	Obs *obs.Registry
 
-	mu     sync.Mutex
-	ll     *list.List // front = most recent
-	items  map[string]*list.Element
-	calls  int64
-	builds int64
+	mu      sync.Mutex // guards ll, items and flights
+	ll      *list.List // front = most recent
+	items   map[string]*list.Element
+	flights map[string]*flight
+	calls   atomic.Int64
+	builds  atomic.Int64
+}
+
+// flight is one in-progress restore or build of a key. c and err are
+// written before done is closed and read only after it is.
+type flight struct {
+	done chan struct{}
+	c    classify.Classifier
+	err  error
 }
 
 func (b *CachedBackend) obsReg() *obs.Registry {
@@ -137,81 +148,119 @@ type cacheItem struct {
 // NewCachedBackend returns a harness with the given pool bound.
 func NewCachedBackend(maxEntries int) *CachedBackend {
 	return &CachedBackend{MaxEntries: maxEntries,
-		ll: list.New(), items: map[string]*list.Element{}}
+		ll: list.New(), items: map[string]*list.Element{}, flights: map[string]*flight{}}
 }
 
-// Acquire implements Backend.
+// Acquire implements Backend. A hit touches only the LRU. The first miss
+// on a key leads a flight: it restores or builds (and snapshots) outside
+// the lock, and returns once the instance is pooled and any snapshot is
+// durable. Later misses on the key wait for the flight and share its
+// outcome, except a cancellation or deadline error, which belonged to the
+// leader's context: those callers retry with their own builder.
 func (b *CachedBackend) Acquire(key string, build Builder) (classify.Classifier, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.ll == nil {
-		b.ll = list.New()
-		b.items = map[string]*list.Element{}
-	}
 	reg := b.obsReg()
-	if el, ok := b.items[key]; ok {
-		b.ll.MoveToFront(el)
-		reg.Counter("harness_cache_hits_total").Inc()
-		return el.Value.(*cacheItem).c, nil
+	for {
+		b.mu.Lock()
+		if b.ll == nil {
+			b.ll = list.New()
+			b.items = map[string]*list.Element{}
+			b.flights = map[string]*flight{}
+		}
+		if el, ok := b.items[key]; ok {
+			b.ll.MoveToFront(el)
+			c := el.Value.(*cacheItem).c
+			b.mu.Unlock()
+			reg.Counter("harness_cache_hits_total").Inc()
+			return c, nil
+		}
+		f, joined := b.flights[key]
+		if !joined {
+			f = &flight{done: make(chan struct{})}
+			b.flights[key] = f
+		}
+		b.mu.Unlock()
+		reg.Counter("harness_cache_misses_total").Inc()
+		if !joined {
+			return b.lead(reg, key, build, f)
+		}
+		began := time.Now()
+		<-f.done
+		reg.Histogram("harness_acquire_wait_ms").Observe(float64(time.Since(began).Microseconds()) / 1e3)
+		if !errors.Is(f.err, context.Canceled) && !errors.Is(f.err, context.DeadlineExceeded) {
+			return f.c, f.err
+		}
 	}
-	reg.Counter("harness_cache_misses_total").Inc()
-	// Read through the durable snapshot store (which another replica may
-	// have populated) before building from scratch.
-	var c classify.Classifier
+}
+
+// lead runs flight f for key: the miss path outside the lock, then, under
+// it, pools a success (evicting past the bound) and retires the flight.
+// The publish is deferred so a panicking builder still releases the
+// waiters, with f's preset error.
+func (b *CachedBackend) lead(reg *obs.Registry, key string, build Builder, f *flight) (classify.Classifier, error) {
+	f.err = fmt.Errorf("harness: building instance %q panicked", key)
+	defer func() {
+		b.mu.Lock()
+		delete(b.flights, key)
+		if f.err == nil {
+			b.items[key] = b.ll.PushFront(&cacheItem{key: key, c: f.c})
+			if b.MaxEntries > 0 && b.ll.Len() > b.MaxEntries {
+				oldest := b.ll.Back()
+				b.ll.Remove(oldest)
+				delete(b.items, oldest.Value.(*cacheItem).key)
+				reg.Counter("harness_cache_evictions_total").Inc()
+			}
+			reg.Gauge("harness_cache_entries").Set(int64(b.ll.Len()))
+		}
+		b.mu.Unlock()
+		close(f.done)
+	}()
+	f.c, f.err = b.load(reg, key, build)
+	return f.c, f.err
+}
+
+// load is the miss path: read through the durable snapshot store (which
+// another replica may have populated), else build and snapshot.
+func (b *CachedBackend) load(reg *obs.Registry, key string, build Builder) (classify.Classifier, error) {
 	if b.Durable != nil {
 		if blob, meta, err := b.Durable.Get(key); err == nil {
-			if loaded, err := model.Unmarshal(blob); err == nil {
-				c = loaded
+			c, err := model.Unmarshal(blob)
+			if err == nil {
 				reg.Counter("harness_store_restores_total").Inc()
-			} else {
-				// An undecodable snapshot (older codec, corrupt blob) is a
-				// miss; drop it, or the rebuild's Put would dedup against it.
-				reg.Counter("harness_store_decode_errors_total").Inc()
-				harnessLog.Warn(context.Background(), "snapshot undecodable",
-					"key", key, "algorithm", meta.Algorithm, "cause", err)
-				if err := b.Durable.Delete(key); err != nil {
-					reg.Counter("harness_snapshot_errors_total").Inc()
-				}
+				return c, nil
+			}
+			// An undecodable snapshot (older codec, corrupt blob) is a
+			// miss; drop it, or the rebuild's Put would dedup against it.
+			reg.Counter("harness_store_decode_errors_total").Inc()
+			harnessLog.Warn(context.Background(), "snapshot undecodable",
+				"key", key, "algorithm", meta.Algorithm, "cause", err)
+			if err := b.Durable.Delete(key); err != nil {
+				reg.Counter("harness_snapshot_errors_total").Inc()
 			}
 		}
 	}
-	if c == nil {
-		built, err := build()
-		if err != nil {
-			return nil, fmt.Errorf("harness: building instance %q: %w", key, err)
-		}
-		c = built
-		b.builds++
-		reg.Counter("harness_builds_total").Inc()
-		if b.Durable != nil {
-			b.snapshot(reg, key, c)
-		}
+	c, err := build()
+	if err != nil {
+		return nil, fmt.Errorf("harness: building instance %q: %w", key, err)
 	}
-	el := b.ll.PushFront(&cacheItem{key: key, c: c})
-	b.items[key] = el
-	if b.MaxEntries > 0 && b.ll.Len() > b.MaxEntries {
-		oldest := b.ll.Back()
-		b.ll.Remove(oldest)
-		it := oldest.Value.(*cacheItem)
-		delete(b.items, it.key)
-		reg.Counter("harness_cache_evictions_total").Inc()
+	b.builds.Add(1)
+	reg.Counter("harness_builds_total").Inc()
+	if b.Durable != nil {
+		b.snapshot(reg, key, c)
 	}
-	reg.Gauge("harness_cache_entries").Set(int64(b.ll.Len()))
 	return c, nil
 }
 
 // Release implements Backend: a no-op beyond accounting — the instance
 // stays live in memory, which is the entire point of the harness.
 func (b *CachedBackend) Release(key string, c classify.Classifier) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.calls++
+	b.calls.Add(1)
 	return nil
 }
 
 // snapshot persists a freshly built instance into the durable store,
 // best-effort: a model without a serialised form stays memory-only (the
-// §4.5 behaviour), it does not fail the invocation. Caller holds b.mu.
+// §4.5 behaviour), it does not fail the invocation. It runs inside the
+// flight, so the snapshot is durable before Acquire returns.
 func (b *CachedBackend) snapshot(reg *obs.Registry, key string, c classify.Classifier) {
 	began := time.Now()
 	blob, err := model.Marshal(c)
@@ -227,21 +276,13 @@ func (b *CachedBackend) snapshot(reg *obs.Registry, key string, c classify.Class
 }
 
 // Invocations implements Backend.
-func (b *CachedBackend) Invocations() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.calls
-}
+func (b *CachedBackend) Invocations() int64 { return b.calls.Load() }
 
 // Builds returns how many times Acquire had to invoke a builder — i.e.
 // actually (re)train — instead of serving the instance from memory or a
 // snapshot tier. The cross-replica failover drill asserts this stays 0 on
 // the replica that resumes a session it never trained.
-func (b *CachedBackend) Builds() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.builds
-}
+func (b *CachedBackend) Builds() int64 { return b.builds.Load() }
 
 // Len returns the number of pooled instances.
 func (b *CachedBackend) Len() int {

@@ -42,7 +42,7 @@ func PredictBatch(r Regressor, d *dataset.Dataset) ([]float64, error) {
 // fitted on: a wire-decoded batch can carry any schema.
 func checkWidth(name string, in *dataset.Instance, want int) error {
 	if len(in.Values) < want {
-		return fmt.Errorf("regress: %s instance has %d values, model expects %d", name, len(in.Values), want)
+		return fmt.Errorf("regress: %w: %s instance has %d values, model expects %d", dataset.ErrWidth, name, len(in.Values), want)
 	}
 	return nil
 }

@@ -53,7 +53,7 @@ func scoreBatch(c classify.Classifier, d *dataset.Dataset) (map[string]string, e
 	}
 	labels, dists, err := classify.PredictBatch(c, d)
 	if err != nil {
-		return nil, &soap.Fault{Code: "soap:Server", String: err.Error()}
+		return nil, asFault(err)
 	}
 	classes := ca.Values()
 	// Transpose row-major distributions into DMR1's per-class columns.
@@ -93,11 +93,15 @@ func blockReply(payload string, err error, rows int) (map[string]string, error) 
 }
 
 // asFault maps an error into a SOAP fault, preserving an existing
-// fault's code and defaulting to soap:Server.
+// fault's code, reporting a block narrower than the model's schema as
+// soap:Client and defaulting to soap:Server.
 func asFault(err error) *soap.Fault {
 	var f *soap.Fault
 	if errors.As(err, &f) {
 		return f
+	}
+	if errors.Is(err, dataset.ErrWidth) {
+		return &soap.Fault{Code: "soap:Client", String: err.Error()}
 	}
 	return &soap.Fault{Code: "soap:Server", String: err.Error()}
 }

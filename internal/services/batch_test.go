@@ -10,6 +10,7 @@ import (
 	"repro/internal/arff"
 	"repro/internal/classify"
 	"repro/internal/datagen"
+	"repro/internal/dataset"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/soap"
@@ -224,36 +225,50 @@ func soapFaultAs(err error, f **soap.Fault) bool {
 }
 
 // TestClassifyBatchNarrowBlock: a block narrower than the model's schema
-// comes back as a fault naming both widths, raised by the scorer's own
-// check rather than by the server's panic recovery.
+// comes back as a soap:Client fault naming both widths, raised by the
+// scorer's own check rather than by the server's panic recovery, on
+// classifyBatch and regressBatch alike.
 func TestClassifyBatchNarrowBlock(t *testing.T) {
-	base := hostServices(t, NewClassifierService(harness.NewCachedBackend(8)))
-	train := datagen.BreastCancer()
-	narrow, err := train.Project([]int{0, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := wire.MarshalBase64(narrow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	panics := obs.Default.Counter("soap_server_panics_total", "service=Classifier", "op=classifyBatch")
-	before := panics.Value()
-	_, err = soap.CallContext(context.Background(), base+"/services/Classifier", "classifyBatch", map[string]string{
-		PartDataset:    arff.Format(train),
-		PartClassifier: "J48",
-		PartAttribute:  "Class",
-		PartPayload:    payload,
-		PartEncoding:   wire.Encoding,
-	})
-	var f *soap.Fault
-	if !soapFaultAs(err, &f) {
-		t.Fatalf("error %v, want a SOAP fault", err)
-	}
-	if want := "J48 instance has 2 values, model expects 10"; !strings.Contains(f.String, want) {
-		t.Fatalf("fault %q, want it to carry %q", f.String, want)
-	}
-	if strings.Contains(f.Detail, "panic") || panics.Value() != before {
-		t.Fatalf("fault came from a recovered panic: %+v", f)
+	base := hostServices(t, NewClassifierService(harness.NewCachedBackend(8)), NewRegressorService())
+	bc := datagen.BreastCancer()
+	wn := datagen.WeatherNumeric()
+	for _, tc := range []struct {
+		service, op string
+		train       *dataset.Dataset
+		keep        []int
+		parts       map[string]string
+		want        string
+	}{
+		{"Classifier", "classifyBatch", bc, []int{0, 9},
+			map[string]string{PartClassifier: "J48", PartAttribute: "Class"},
+			"J48 instance has 2 values, model expects 10"},
+		{"Regressor", "regressBatch", wn, []int{0, 2},
+			map[string]string{PartRegressor: "LinearRegression", PartAttribute: "humidity"},
+			"LinearRegression instance has 2 values, model expects 5"},
+	} {
+		narrow, err := tc.train.Project(tc.keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := wire.MarshalBase64(narrow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.parts[PartDataset] = arff.Format(tc.train)
+		tc.parts[PartPayload] = payload
+		tc.parts[PartEncoding] = wire.Encoding
+		panics := obs.Default.Counter("soap_server_panics_total", "service="+tc.service, "op="+tc.op)
+		before := panics.Value()
+		_, err = soap.CallContext(context.Background(), base+"/services/"+tc.service, tc.op, tc.parts)
+		var f *soap.Fault
+		if !soapFaultAs(err, &f) {
+			t.Fatalf("%s: error %v, want a SOAP fault", tc.op, err)
+		}
+		if f.Code != "soap:Client" || !strings.Contains(f.String, tc.want) {
+			t.Fatalf("%s: fault %s %q, want soap:Client carrying %q", tc.op, f.Code, f.String, tc.want)
+		}
+		if strings.Contains(f.Detail, "panic") || panics.Value() != before {
+			t.Fatalf("%s: fault came from a recovered panic: %+v", tc.op, f)
+		}
 	}
 }

@@ -167,7 +167,7 @@ func NewRegressorService() *Service {
 					}
 					values, err := regress.PredictBatch(r, batch)
 					if err != nil {
-						return nil, &soap.Fault{Code: "soap:Server", String: err.Error()}
+						return nil, asFault(err)
 					}
 					res, err := wire.MarshalRegressResultBase64(&wire.RegressResult{
 						Target: d.ClassAttribute().Name,

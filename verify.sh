@@ -4,7 +4,9 @@
 # benchmark module (so a change that breaks an API benchmark/ pins fails
 # here, not in the benchmark run), the benchmark's own smoke (every workload for half a
 # second, replies checked against the oracle: correctness only, no
-# timing), one plain and one -race pass over every test, ten seconds of
+# timing), one plain and one -race pass over every test, twenty -race
+# passes over the model pool and the dataset column mirror (the code
+# concurrent requests share), ten seconds of
 # every fuzz target the packages declare, the deterministic
 # short-mode replica-churn soak, then the end-to-end smoke
 # (scripts/smoke.sh: live dmserver probes, traced dmexp batch, chaos
@@ -94,6 +96,7 @@ stage "vet benchmark" check_vet go -C benchmark vet ./...
 stage "benchmark smoke" bash benchmark/run.sh --smoke
 stage test go test ./...
 stage "test -race" go test -race ./...
+stage "race harness" go test -race -count=20 ./internal/harness ./internal/dataset
 stage fuzz fuzz
 stage soak soak
 stage smoke ./scripts/smoke.sh

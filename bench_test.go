@@ -14,7 +14,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -386,51 +385,60 @@ func BenchmarkCrossValidation(b *testing.B) {
 	}
 }
 
-// --- Tentpole: parallel compute kernels, P=1 vs P=GOMAXPROCS ---
+// --- Parallel compute kernels ---
 //
-// These benches quantify the internal/parallel fan-out on the three
-// kernels the README's Performance section reports: cross-validation
-// folds, ensemble member training and the k-means assignment scan. Each
-// kernel is bit-identical at any worker count (see the determinism
-// tests), so the sub-benchmark pair measures pure scheduling win. On a
-// single-CPU machine both levels collapse to the sequential path.
-
-// parallelLevels reports the worker counts worth benchmarking: 1 and, on
-// multi-core machines, one worker per CPU.
-func parallelLevels() []int {
-	levels := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		levels = append(levels, n)
-	}
-	return levels
-}
+// These benches quantify the internal/parallel fan-out on the kernels
+// that use it: cross-validation folds, ensemble member training, and the
+// k-means and EM loops. The worker count is GOMAXPROCS, so compare
+// levels with -cpu:
+//
+//	go test -run '^$' -bench Parallel -benchmem -cpu 1,2 .
+//
+// Each kernel is bit-identical at any GOMAXPROCS (see the determinism
+// tests), so the difference between the -1 and -2 lines is pure
+// scheduling.
 
 func BenchmarkCrossValidateParallel(b *testing.B) {
 	d := datagen.RandomNominal(2000, 12, 4, 0.3, 29)
 	factory := func() classify.Classifier { return classify.NewJ48() }
-	for _, p := range parallelLevels() {
-		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ev, err := classify.CrossValidateContext(context.Background(), factory, d, 10, 1,
-					classify.Parallelism(p))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if ev.Accuracy() <= 0 {
-					b.Fatal("degenerate CV")
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		ev, err := classify.CrossValidateContext(context.Background(), factory, d, 10, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ev.Accuracy() <= 0 {
+			b.Fatal("degenerate CV")
+		}
 	}
 }
 
 func BenchmarkBaggingParallel(b *testing.B) {
 	d := datagen.RandomNominal(1500, 10, 4, 0.2, 31)
-	for _, p := range parallelLevels() {
-		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		bag := &classify.Bagging{Size: 16, Seed: 7}
+		if err := bag.Train(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkKMeansParallel runs the fit at two shapes: 10k × 8 with k=8,
+// and pipeline_chain's clusterBatch model (1024 × 8, k=3, registry
+// defaults otherwise), where the fan-out is at its smallest.
+func BenchmarkKMeansParallel(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		d    *dataset.Dataset
+		km   cluster.KMeans
+	}{
+		{"10000x8k8", datagen.GaussianClusters(8, 10000, 8, 6, 19), cluster.KMeans{K: 8, MaxIter: 40, Seed: 3}},
+		{"1024x8k3", datagen.GaussianClusters(3, 1024, 8, 3.0, 1), cluster.KMeans{K: 3, MaxIter: 100, Seed: 1}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				bag := &classify.Bagging{Size: 16, Seed: 7, Parallelism: p}
-				if err := bag.Train(d); err != nil {
+				km := tc.km
+				if err := km.Build(tc.d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -438,17 +446,13 @@ func BenchmarkBaggingParallel(b *testing.B) {
 	}
 }
 
-func BenchmarkKMeansParallel(b *testing.B) {
-	d := datagen.GaussianClusters(8, 10000, 8, 6, 19)
-	for _, p := range parallelLevels() {
-		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				km := &cluster.KMeans{K: 8, MaxIter: 40, Seed: 3, Parallelism: p}
-				if err := km.Build(d); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+func BenchmarkEMParallel(b *testing.B) {
+	d := datagen.GaussianClusters(4, 4000, 8, 3.0, 23)
+	for i := 0; i < b.N; i++ {
+		em := &cluster.EM{K: 4, MaxIter: 30, Seed: 3, Tol: 1e-6}
+		if err := em.Build(d); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -85,7 +85,6 @@ func runCmd(args []string, resumeDefault bool) {
 	specPath := fs.String("spec", "", "experiment spec JSON file")
 	journalPath := fs.String("journal", "", "checkpoint journal path (JSON lines)")
 	workers := fs.Int("workers", 0, "worker pool size (0 = NumCPU)")
-	parallelism := fs.Int("parallelism", 1, "per-job kernel workers for the local executor (0 = one per CPU; keep 1 when -workers already saturates the machine)")
 	timeout := fs.Duration("timeout", 0, "per-job-attempt timeout (0 = none)")
 	retries := fs.Int("retries", 2, "retries per job on transient errors")
 	registryURL := fs.String("registry", "", "registry URL for remote dispatch")
@@ -140,7 +139,7 @@ func runCmd(args []string, resumeDefault bool) {
 		fatal("dmexp: -resume needs -journal")
 	}
 
-	var exec experiment.Executor = experiment.Local{Parallelism: *parallelism}
+	var exec experiment.Executor = experiment.Local{}
 	switch {
 	case *registryURL != "":
 		remote, err := experiment.DiscoverRemote(*registryURL, nil)

@@ -51,7 +51,7 @@ func RankAttributes(eval AttributeEvaluator, d *dataset.Dataset) (Ranking, error
 		merit float64
 	}
 	ss := make([]scored, len(cols))
-	err := parallel.ForEach(context.Background(), len(cols), 0, func(i int) error {
+	err := parallel.ForEach(context.Background(), len(cols), func(i int) error {
 		m, err := eval.Evaluate(cols[i])
 		if err != nil {
 			return err
@@ -73,14 +73,14 @@ func RankAttributes(eval AttributeEvaluator, d *dataset.Dataset) (Ranking, error
 }
 
 // evalSubsets scores every candidate subset, fanning the evaluations
-// across workers (<= 0 means one per CPU). Each merit lands in its
-// candidate's slot so callers reduce in candidate order — a parallel
-// search therefore visits improvements in exactly the sequence the
-// sequential loop did, and on failure the lowest-indexed error is
-// returned, matching the sequential loop's first error.
-func evalSubsets(eval SubsetEvaluator, sets [][]int, workers int) ([]float64, error) {
+// across the machine's CPUs. Each merit lands in its candidate's slot so
+// callers reduce in candidate order — a parallel search therefore visits
+// improvements in exactly the sequence the sequential loop did, and on
+// failure the lowest-indexed error is returned, matching the sequential
+// loop's first error.
+func evalSubsets(eval SubsetEvaluator, sets [][]int) ([]float64, error) {
 	merits := make([]float64, len(sets))
-	err := parallel.ForEach(context.Background(), len(sets), workers, func(i int) error {
+	err := parallel.ForEach(context.Background(), len(sets), func(i int) error {
 		m, err := eval.EvaluateSubset(sets[i])
 		if err != nil {
 			return err
@@ -95,18 +95,16 @@ func evalSubsets(eval SubsetEvaluator, sets [][]int, workers int) ([]float64, er
 }
 
 // GreedyForward adds the best attribute until no addition improves merit.
-// Each round's candidate evaluations run on Parallelism workers (<= 0
-// means one per CPU); the winner is picked in column order afterwards, so
-// the selected subset is identical at any worker count.
-type GreedyForward struct {
-	Parallelism int
-}
+// Each round's candidate evaluations run in parallel; the winner is
+// picked in column order afterwards, so the selected subset is identical
+// at any GOMAXPROCS.
+type GreedyForward struct{}
 
 // Name implements Search.
 func (GreedyForward) Name() string { return "GreedyStepwise(forward)" }
 
 // Search implements Search.
-func (g GreedyForward) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
+func (GreedyForward) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
 	if err := eval.Prepare(d); err != nil {
 		return nil, err
 	}
@@ -122,7 +120,7 @@ func (g GreedyForward) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, 
 			}
 			trials = append(trials, append(append([]int(nil), current...), c))
 		}
-		merits, err := evalSubsets(eval, trials, g.Parallelism)
+		merits, err := evalSubsets(eval, trials)
 		if err != nil {
 			return nil, err
 		}
@@ -146,19 +144,17 @@ func (g GreedyForward) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, 
 }
 
 // GreedyBackward starts from the full set and removes attributes while
-// removal does not hurt merit. Each round's removal trials run on
-// Parallelism workers (<= 0 means one per CPU) with the pick reduced in
-// index order afterwards, so later indices still win ties exactly as the
-// sequential loop's >= comparison did.
-type GreedyBackward struct {
-	Parallelism int
-}
+// removal does not hurt merit. Each round's removal trials run in
+// parallel with the pick reduced in index order afterwards, so later
+// indices still win ties exactly as the sequential loop's >= comparison
+// did.
+type GreedyBackward struct{}
 
 // Name implements Search.
 func (GreedyBackward) Name() string { return "GreedyStepwise(backward)" }
 
 // Search implements Search.
-func (g GreedyBackward) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
+func (GreedyBackward) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
 	if err := eval.Prepare(d); err != nil {
 		return nil, err
 	}
@@ -175,7 +171,7 @@ func (g GreedyBackward) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int,
 			trial = append(trial, current[i+1:]...)
 			trials[i] = trial
 		}
-		merits, err := evalSubsets(eval, trials, g.Parallelism)
+		merits, err := evalSubsets(eval, trials)
 		if err != nil {
 			return nil, err
 		}
@@ -198,12 +194,11 @@ func (g GreedyBackward) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int,
 // BestFirst is greedy forward search with limited backtracking: it keeps an
 // open list of expanded subsets and stops after MaxStale non-improving
 // expansions (WEKA's default search). The children of each expanded node
-// are generated (and marked visited) sequentially, then scored on
-// Parallelism workers (<= 0 means one per CPU) and reduced in column
-// order, so the frontier evolves identically at any worker count.
+// are generated (and marked visited) sequentially, then scored in
+// parallel and reduced in column order, so the frontier evolves
+// identically at any GOMAXPROCS.
 type BestFirst struct {
-	MaxStale    int
-	Parallelism int
+	MaxStale int
 }
 
 // Name implements Search.
@@ -258,7 +253,7 @@ func (b BestFirst) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, erro
 			visited[k] = true
 			children = append(children, child)
 		}
-		merits, err := evalSubsets(eval, children, b.Parallelism)
+		merits, err := evalSubsets(eval, children)
 		if err != nil {
 			return nil, err
 		}
@@ -293,13 +288,12 @@ func containsInt(xs []int, v int) bool {
 
 // RandomSearch samples random subsets and keeps the best. All trial
 // subsets are drawn from the seeded rng up front (so the random stream is
-// untouched by worker count), scored on Parallelism workers (<= 0 means
-// one per CPU), and reduced in trial order — the selected subset is the
-// one the sequential scan would have kept.
+// untouched by scheduling), scored in parallel, and reduced in trial
+// order — the selected subset is the one the sequential scan would have
+// kept.
 type RandomSearch struct {
-	Trials      int
-	Seed        int64
-	Parallelism int
+	Trials int
+	Seed   int64
 }
 
 // Name implements Search.
@@ -328,7 +322,7 @@ func (r RandomSearch) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, e
 		}
 		trials = append(trials, set)
 	}
-	merits, err := evalSubsets(eval, trials, r.Parallelism)
+	merits, err := evalSubsets(eval, trials)
 	if err != nil {
 		return nil, err
 	}
@@ -344,19 +338,17 @@ func (r RandomSearch) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, e
 }
 
 // Exhaustive enumerates every non-empty subset (guarded to <= 20 columns).
-// Masks are scored in fixed-size chunks on Parallelism workers (<= 0
-// means one per CPU) and reduced in ascending mask order, preserving the
-// sequential tie-break (equal merit keeps the earlier, smaller subset)
-// while bounding memory to one chunk of candidate slices.
-type Exhaustive struct {
-	Parallelism int
-}
+// Masks are scored in parallel in fixed-size chunks and reduced in
+// ascending mask order, preserving the sequential tie-break (equal merit
+// keeps the earlier, smaller subset) while bounding memory to one chunk
+// of candidate slices.
+type Exhaustive struct{}
 
 // Name implements Search.
 func (Exhaustive) Name() string { return "Exhaustive" }
 
 // Search implements Search.
-func (e Exhaustive) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
+func (Exhaustive) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
 	if err := eval.Prepare(d); err != nil {
 		return nil, err
 	}
@@ -382,7 +374,7 @@ func (e Exhaustive) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, err
 			}
 			sets = append(sets, set)
 		}
-		merits, err := evalSubsets(eval, sets, e.Parallelism)
+		merits, err := evalSubsets(eval, sets)
 		if err != nil {
 			return nil, err
 		}
@@ -403,16 +395,14 @@ func (e Exhaustive) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, err
 //
 // Each generation's genomes are bred sequentially from the seeded rng
 // (fitness consumes no randomness, so the stream is identical at any
-// worker count), then scored together on Parallelism workers (<= 0 means
-// one per CPU) and reduced in breeding order — the evolved subset is
-// byte-identical to a sequential run.
+// GOMAXPROCS), then scored together in parallel and reduced in breeding
+// order — the evolved subset is byte-identical to a sequential run.
 type GeneticSearch struct {
 	Population  int
 	Generations int
 	CrossonProb float64
 	MutateProb  float64
 	Seed        int64
-	Parallelism int
 }
 
 // Name implements Search.
@@ -458,7 +448,7 @@ func (g GeneticSearch) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, 
 	// fitness into its genome's slot (an empty subset scores 0, as the
 	// sequential fitness helper did).
 	scoreAll := func(batch []genome) error {
-		return parallel.ForEach(context.Background(), len(batch), g.Parallelism, func(i int) error {
+		return parallel.ForEach(context.Background(), len(batch), func(i int) error {
 			set := decode(batch[i].bits)
 			if len(set) == 0 {
 				batch[i].fit = 0

@@ -154,8 +154,7 @@ func (e *Wrapper) EvaluateSubset(cols []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ev, err := classify.CrossValidateContext(context.Background(), e.Factory, proj, e.Folds, e.Seed+1,
-		classify.Parallelism(1))
+	ev, err := classify.CrossValidateContext(context.Background(), e.Factory, proj, e.Folds, e.Seed+1)
 	if err != nil {
 		return 0, err
 	}

@@ -135,12 +135,10 @@ func (t *RandomTree) Distribution(in *dataset.Instance) ([]float64, error) {
 // the "multiple computational resources" idea of Grid WEKA realised on a
 // shared-memory host. Each member draws its bootstrap sample from its
 // own RNG seeded by parallel.DeriveSeed(Seed, i), so member i's model is
-// reproducible regardless of training order or worker count.
+// reproducible regardless of training order or GOMAXPROCS.
 type Bagging struct {
 	Size int
 	Seed int64
-	// Parallelism bounds member-training workers; <= 0 means one per CPU.
-	Parallelism int
 	// Base constructs each base learner; defaults to unpruned J48.
 	Base func() Classifier
 
@@ -157,7 +155,6 @@ func (b *Bagging) Options() []Option {
 	return []Option{
 		{Name: "size", Description: "number of bagged models", Default: "10"},
 		{Name: "seed", Description: "bootstrap seed", Default: "1"},
-		{Name: "parallelism", Description: "member-training workers (<=0: one per CPU)", Default: "0"},
 	}
 }
 
@@ -176,12 +173,6 @@ func (b *Bagging) SetOption(name, value string) error {
 			return fmt.Errorf("classify: Bagging seed must be an integer, got %q", value)
 		}
 		b.Seed = n
-	case "parallelism":
-		n, err := strconv.Atoi(value)
-		if err != nil {
-			return fmt.Errorf("classify: Bagging parallelism must be an integer, got %q", value)
-		}
-		b.Parallelism = n
 	default:
 		return fmt.Errorf("classify: Bagging has no option %q", name)
 	}
@@ -208,7 +199,7 @@ func (b *Bagging) TrainContext(ctx context.Context, d *dataset.Dataset) error {
 		}
 	}
 	members := make([]Classifier, b.Size)
-	err := parallel.ForEach(ctx, b.Size, b.Parallelism, func(i int) error {
+	err := parallel.ForEach(ctx, b.Size, func(i int) error {
 		seed := parallel.DeriveSeed(b.Seed, i)
 		rng := rand.New(rand.NewSource(seed))
 		sample := dataset.ResampleView(d, d.NumInstances(), rng).Materialize()
@@ -258,7 +249,8 @@ func (b *Bagging) Distribution(in *dataset.Instance) ([]float64, error) {
 func (b *Bagging) Snapshot(c binfmt.Codec) {
 	c.Int(&b.Size)
 	c.Int64(&b.Seed)
-	c.Signed(&b.Parallelism)
+	var reserved int // was the parallelism setting: written as 0, ignored on read
+	c.Signed(&reserved)
 	codeMembers(c, &b.members)
 }
 

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"repro/internal/dataset"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -156,28 +155,6 @@ func (e *Evaluation) String() string {
 	return b.String()
 }
 
-// CVOption configures CrossValidateContext.
-type CVOption func(*cvConfig)
-
-type cvConfig struct {
-	parallelism int
-	metrics     *obs.Registry
-}
-
-// Parallelism sets the fold worker count: p <= 0 (the default) means one
-// worker per CPU, 1 forces the sequential path. Results are bit-identical
-// at every setting — parallel folds record predictions per fold and the
-// pooled Evaluation replays them in fold order, preserving the float
-// accumulation order of the sequential loop.
-func Parallelism(p int) CVOption {
-	return func(c *cvConfig) { c.parallelism = p }
-}
-
-// WithMetrics routes kernel instrumentation to reg instead of obs.Default.
-func WithMetrics(reg *obs.Registry) CVOption {
-	return func(c *cvConfig) { c.metrics = reg }
-}
-
 // record is one labelled prediction, buffered so parallel folds can
 // replay into the pooled Evaluation in deterministic order.
 type record struct {
@@ -187,15 +164,12 @@ type record struct {
 
 // CrossValidateContext runs stratified k-fold cross-validation,
 // constructing a fresh classifier via factory for each fold, training
-// folds in parallel (see Parallelism), and returns the pooled
-// evaluation. Fold membership depends only on (d, k, seed); the result
-// is bit-identical at any worker count. Cancelling ctx aborts remaining
+// folds in parallel, and returns the pooled evaluation. Fold membership
+// depends only on (d, k, seed). Each fold buffers its predictions and
+// the pooled Evaluation replays them in fold order, so the float sums
+// are bit-identical at any GOMAXPROCS. Cancelling ctx aborts remaining
 // folds and returns ctx.Err().
-func CrossValidateContext(ctx context.Context, factory Factory, d *dataset.Dataset, k int, seed int64, opts ...CVOption) (*Evaluation, error) {
-	var cfg cvConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+func CrossValidateContext(ctx context.Context, factory Factory, d *dataset.Dataset, k int, seed int64) (*Evaluation, error) {
 	if err := checkTrainable(d); err != nil {
 		return nil, err
 	}
@@ -207,48 +181,24 @@ func CrossValidateContext(ctx context.Context, factory Factory, d *dataset.Datas
 	if err != nil {
 		return nil, err
 	}
-	workers := parallel.Workers(cfg.parallelism)
-	if workers <= 1 {
-		// Sequential fast path: accumulate straight into the evaluation,
-		// no record buffers — allocation parity with the pre-parallel code.
-		for i := range folds {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			train, test := dataset.TrainTestViewForFold(d, folds, i)
-			c := factory()
-			if err := TrainWith(ctx, c, train.Materialize()); err != nil {
-				return nil, foldErr(i, err)
-			}
-			if err := testFold(e.Record, c, test); err != nil {
-				return nil, foldErr(i, err)
-			}
-		}
-		return e, nil
-	}
 	recs := make([][]record, len(folds))
-	st, err := parallel.ForEachStats(ctx, len(folds), workers, func(i int) error {
+	st, err := parallel.ForEachStats(ctx, len(folds), func(i int) error {
 		train, test := dataset.TrainTestViewForFold(d, folds, i)
 		c := factory()
 		if err := TrainWith(ctx, c, train.Materialize()); err != nil {
 			return foldErr(i, err)
 		}
-		buf := make([]record, 0, test.NumInstances())
-		err := testFold(func(actual, predicted int, weight float64) {
-			buf = append(buf, record{actual, predicted, weight})
-		}, c, test)
+		buf, err := testFold(c, test)
 		if err != nil {
 			return foldErr(i, err)
 		}
 		recs[i] = buf
 		return nil
 	})
-	parallel.Observe(cfg.metrics, "crossvalidate", st)
+	parallel.Observe(nil, "crossvalidate", st)
 	if err != nil {
 		return nil, err
 	}
-	// Replay in fold order — the exact accumulation order of the
-	// sequential path, so the floating-point sums match bit for bit.
 	for _, buf := range recs {
 		for _, r := range buf {
 			e.Record(r.actual, r.predicted, r.weight)
@@ -264,10 +214,11 @@ func foldErr(i int, err error) error {
 	return fmt.Errorf("classify: fold %d: %w", i, err)
 }
 
-// testFold evaluates a trained classifier over a test view, emitting one
-// (actual, predicted, weight) triple per labelled instance in row order.
-func testFold(emit func(actual, predicted int, weight float64), c Classifier, test *dataset.View) error {
+// testFold evaluates a trained classifier over a test view, returning one
+// record per labelled instance in row order.
+func testFold(c Classifier, test *dataset.View) ([]record, error) {
 	classIdx := test.Parent().ClassIndex
+	out := make([]record, 0, test.NumInstances())
 	for i := 0; i < test.NumInstances(); i++ {
 		in := test.Instance(i)
 		actual := in.Values[classIdx]
@@ -276,11 +227,11 @@ func testFold(emit func(actual, predicted int, weight float64), c Classifier, te
 		}
 		pred, err := Predict(c, in)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		emit(int(actual), pred, in.Weight)
+		out = append(out, record{int(actual), pred, in.Weight})
 	}
-	return nil
+	return out, nil
 }
 
 // Label predicts a class name for every instance of unlabelled (its class

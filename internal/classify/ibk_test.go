@@ -277,9 +277,6 @@ func TestIBkOptions(t *testing.T) {
 	if fmt.Sprint(names) != "[k distanceWeighting]" {
 		t.Fatalf("IBk options = %v", names)
 	}
-	if err := (&IBk{}).SetOption("parallelism", "4"); err == nil {
-		t.Fatal("parallelism is no longer an IBk option")
-	}
 }
 
 // TestIBkConcurrentScoring scores one trained model from four goroutines

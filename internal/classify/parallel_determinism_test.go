@@ -12,44 +12,56 @@ import (
 	"repro/internal/dataset"
 )
 
+// setProcs sets GOMAXPROCS to p, restoring the original when t ends.
+// Kernels take their worker count from GOMAXPROCS, so this is how a test
+// varies it.
+func setProcs(t *testing.T, p int) {
+	prev := runtime.GOMAXPROCS(p)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestCrossValidateParallelDeterminism checks the tentpole guarantee: the
 // parallel fold kernel replays fold records in order, so the evaluation is
-// byte-identical at any worker count.
+// byte-identical at any GOMAXPROCS.
 func TestCrossValidateParallelDeterminism(t *testing.T) {
 	d := datagen.IrisLike(30, 7)
 	factory := func() Classifier { return &NaiveBayes{} }
-	base, err := CrossValidateContext(context.Background(), factory, d, 5, 42, Parallelism(1))
+	setProcs(t, 1)
+	base, err := CrossValidateContext(context.Background(), factory, d, 5, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 8} {
-		ev, err := CrossValidateContext(context.Background(), factory, d, 5, 42, Parallelism(p))
+		runtime.GOMAXPROCS(p)
+		ev, err := CrossValidateContext(context.Background(), factory, d, 5, 42)
 		if err != nil {
-			t.Fatalf("parallelism %d: %v", p, err)
+			t.Fatalf("GOMAXPROCS %d: %v", p, err)
 		}
 		if math.Float64bits(ev.Accuracy()) != math.Float64bits(base.Accuracy()) {
-			t.Fatalf("parallelism %d: accuracy %v != %v", p, ev.Accuracy(), base.Accuracy())
+			t.Fatalf("GOMAXPROCS %d: accuracy %v != %v", p, ev.Accuracy(), base.Accuracy())
 		}
 		if math.Float64bits(ev.Kappa()) != math.Float64bits(base.Kappa()) {
-			t.Fatalf("parallelism %d: kappa %v != %v", p, ev.Kappa(), base.Kappa())
+			t.Fatalf("GOMAXPROCS %d: kappa %v != %v", p, ev.Kappa(), base.Kappa())
 		}
 		if ev.String() != base.String() {
-			t.Fatalf("parallelism %d: evaluation text differs from sequential:\n%s\n---\n%s",
+			t.Fatalf("GOMAXPROCS %d: evaluation text differs from sequential:\n%s\n---\n%s",
 				p, ev.String(), base.String())
 		}
 	}
 }
 
-// TestBaggingParallelDeterminism trains the ensemble at several worker
-// counts and demands bit-identical class distributions on every instance:
-// each member derives its bootstrap rng from the member index, not from
-// scheduling order.
+// TestBaggingParallelDeterminism trains the ensemble at several
+// GOMAXPROCS settings and demands bit-identical class distributions on
+// every instance: each member derives its bootstrap rng from the member
+// index, not from scheduling order.
 func TestBaggingParallelDeterminism(t *testing.T) {
 	d := datagen.IrisLike(25, 3)
+	setProcs(t, 1)
 	train := func(p int) *Bagging {
-		b := &Bagging{Size: 8, Seed: 11, Parallelism: p}
+		runtime.GOMAXPROCS(p)
+		b := &Bagging{Size: 8, Seed: 11}
 		if err := b.Train(d); err != nil {
-			t.Fatalf("parallelism %d: %v", p, err)
+			t.Fatalf("GOMAXPROCS %d: %v", p, err)
 		}
 		return b
 	}
@@ -66,11 +78,11 @@ func TestBaggingParallelDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("parallelism %d: distribution length %d != %d", p, len(got), len(want))
+				t.Fatalf("GOMAXPROCS %d: distribution length %d != %d", p, len(got), len(want))
 			}
 			for c := range got {
 				if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
-					t.Fatalf("parallelism %d instance %d class %d: %v != %v",
+					t.Fatalf("GOMAXPROCS %d instance %d class %d: %v != %v",
 						p, i, c, got[c], want[c])
 				}
 			}
@@ -104,6 +116,7 @@ func TestCrossValidateCancellation(t *testing.T) {
 	d := datagen.Weather()
 	started := make(chan struct{}, 1)
 	factory := func() Classifier { return &blockingTrainer{started: started} }
+	setProcs(t, 4)
 	before := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -112,7 +125,7 @@ func TestCrossValidateCancellation(t *testing.T) {
 		cancel()
 	}()
 	begin := time.Now()
-	ev, err := CrossValidateContext(ctx, factory, d, 5, 1, Parallelism(4))
+	ev, err := CrossValidateContext(ctx, factory, d, 5, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"strconv"
 
 	"repro/internal/binfmt"
@@ -16,14 +15,12 @@ import (
 // maximisation over the numeric attributes, initialised from k-means.
 // The E step parallelises per instance (responsibilities are written to
 // index-addressed rows, log-likelihood summed in index order) and the M
-// step per component, so the fit is bit-identical at any worker count.
+// step per component, so the fit is bit-identical at any GOMAXPROCS.
 type EM struct {
 	K       int
 	MaxIter int
 	Seed    int64
 	Tol     float64
-	// Parallelism bounds E/M-step workers; <= 0 means one per CPU.
-	Parallelism int
 
 	cols    []int
 	weights []float64
@@ -43,7 +40,8 @@ func (em *EM) Snapshot(c binfmt.Codec) {
 	c.Int(&em.MaxIter)
 	c.Int64(&em.Seed)
 	c.F64(&em.Tol)
-	c.Signed(&em.Parallelism)
+	var reserved int // was the parallelism setting: written as 0, ignored on read
+	c.Signed(&reserved)
 	c.F64(&em.logLik)
 	c.Ints(&em.cols)
 	c.F64s(&em.weights)
@@ -61,7 +59,6 @@ func (em *EM) Options() []Option {
 		{Name: "k", Description: "number of mixture components", Default: "2", Required: true},
 		{Name: "maxIterations", Description: "EM iteration cap", Default: "100"},
 		{Name: "seed", Description: "initialisation seed", Default: "1"},
-		{Name: "parallelism", Description: "E/M-step workers (<=0: one per CPU)", Default: "0"},
 	}
 }
 
@@ -86,12 +83,6 @@ func (em *EM) SetOption(name, value string) error {
 			return fmt.Errorf("cluster: EM seed must be an integer, got %q", value)
 		}
 		em.Seed = n
-	case "parallelism":
-		n, err := strconv.Atoi(value)
-		if err != nil {
-			return fmt.Errorf("cluster: EM parallelism must be an integer, got %q", value)
-		}
-		em.Parallelism = n
 	default:
 		return fmt.Errorf("cluster: EM has no option %q", name)
 	}
@@ -115,7 +106,7 @@ func (em *EM) BuildContext(ctx context.Context, d *dataset.Dataset) error {
 	}
 	em.cols = cols
 	// Initialise from k-means.
-	km := &KMeans{K: em.K, MaxIter: 20, Seed: em.Seed, Parallelism: em.Parallelism}
+	km := &KMeans{K: em.K, MaxIter: 20, Seed: em.Seed}
 	if err := km.BuildContext(ctx, d); err != nil {
 		return err
 	}
@@ -136,7 +127,6 @@ func (em *EM) BuildContext(ctx context.Context, d *dataset.Dataset) error {
 	for i := range resp {
 		resp[i] = make([]float64, em.K)
 	}
-	_ = rand.New(rand.NewSource(em.Seed))
 	prevLL := math.Inf(-1)
 	// Per-instance log-likelihood contributions, summed sequentially in
 	// index order so the total matches the sequential fit bit for bit.
@@ -144,7 +134,7 @@ func (em *EM) BuildContext(ctx context.Context, d *dataset.Dataset) error {
 	for iter := 0; iter < em.MaxIter; iter++ {
 		// E step: each instance's responsibilities depend only on the
 		// current parameters, so rows fill in parallel.
-		err := parallel.ForEach(ctx, n, em.Parallelism, func(i int) error {
+		err := parallel.ForEach(ctx, n, func(i int) error {
 			in := d.Instances[i]
 			logs := make([]float64, em.K)
 			for c := 0; c < em.K; c++ {
@@ -176,7 +166,7 @@ func (em *EM) BuildContext(ctx context.Context, d *dataset.Dataset) error {
 		}
 		em.logLik = ll / float64(n)
 		// M step: components update independently (disjoint writes).
-		err = parallel.ForEach(ctx, em.K, em.Parallelism, func(c int) error {
+		err = parallel.ForEach(ctx, em.K, func(c int) error {
 			var rc float64
 			mean := make([]float64, dim)
 			for i, in := range d.Instances {

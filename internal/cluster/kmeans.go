@@ -14,16 +14,14 @@ import (
 )
 
 // KMeans is Lloyd's algorithm with k-means++ seeding over the numeric
-// attributes. The per-instance assignment scan parallelises across
-// Parallelism workers with index-addressed writes, so the fit is
-// bit-identical at any worker count (centroid recomputation stays
-// sequential to preserve float accumulation order).
+// attributes. The per-instance assignment scan runs in parallel with
+// index-addressed writes, so the fit is bit-identical at any GOMAXPROCS
+// (centroid recomputation stays sequential to preserve float
+// accumulation order).
 type KMeans struct {
 	K       int
 	MaxIter int
 	Seed    int64
-	// Parallelism bounds assignment-scan workers; <= 0 means one per CPU.
-	Parallelism int
 
 	cols      []int
 	Centroids [][]float64
@@ -43,7 +41,8 @@ func (km *KMeans) Snapshot(c binfmt.Codec) {
 	c.Int(&km.K)
 	c.Int(&km.MaxIter)
 	c.Int64(&km.Seed)
-	c.Signed(&km.Parallelism)
+	var reserved int // was the parallelism setting: written as 0, ignored on read
+	c.Signed(&reserved)
 	c.Int(&km.iters)
 	c.Ints(&km.cols)
 	c.F64Rows(&km.Centroids, len(km.cols))
@@ -55,7 +54,6 @@ func (km *KMeans) Options() []Option {
 		{Name: "k", Description: "number of clusters", Default: "2", Required: true},
 		{Name: "maxIterations", Description: "iteration cap", Default: "100"},
 		{Name: "seed", Description: "k-means++ seeding RNG seed", Default: "1"},
-		{Name: "parallelism", Description: "assignment-scan workers (<=0: one per CPU)", Default: "0"},
 	}
 }
 
@@ -80,12 +78,6 @@ func (km *KMeans) SetOption(name, value string) error {
 			return fmt.Errorf("cluster: SimpleKMeans seed must be an integer, got %q", value)
 		}
 		km.Seed = n
-	case "parallelism":
-		n, err := strconv.Atoi(value)
-		if err != nil {
-			return fmt.Errorf("cluster: SimpleKMeans parallelism must be an integer, got %q", value)
-		}
-		km.Parallelism = n
 	default:
 		return fmt.Errorf("cluster: SimpleKMeans has no option %q", name)
 	}
@@ -119,7 +111,7 @@ func (km *KMeans) BuildContext(ctx context.Context, d *dataset.Dataset) error {
 		// centroids, so the scan parallelises with index-addressed writes;
 		// the changed flag is an order-independent OR across workers.
 		var changedFlag atomic.Bool
-		err := parallel.ForEach(ctx, d.NumInstances(), km.Parallelism, func(i int) error {
+		err := parallel.ForEach(ctx, d.NumInstances(), func(i int) error {
 			best := nearestCentroid(d.Instances[i].Values, km.Centroids, cols)
 			if assign[i] != best {
 				assign[i] = best
@@ -188,7 +180,7 @@ func (km *KMeans) seedPlusPlus(d *dataset.Dataset, rng *rand.Rand) [][]float64 {
 		// Parallel fill of per-instance distances, then a sequential
 		// index-order sum so the float total (and hence the rng draw
 		// mapping) matches the sequential fit exactly.
-		_ = parallel.ForEach(context.Background(), d.NumInstances(), km.Parallelism, func(i int) error {
+		_ = parallel.ForEach(context.Background(), d.NumInstances(), func(i int) error {
 			best := math.Inf(1)
 			for _, c := range cents {
 				if dd := euclidean(d.Instances[i].Values, c, km.cols); dd < best {

@@ -50,25 +50,19 @@ type Executor interface {
 // Local executes jobs in-process against the algorithm substrates:
 // classify jobs run stratified cross-validation, cluster jobs build and
 // score the clustering, attrsel jobs rank attributes.
-type Local struct {
-	// Parallelism bounds the compute-kernel workers inside each job
-	// (cross-validation folds, clustering scans); <= 0 means one per
-	// CPU, 1 keeps a job single-threaded — the right setting when the
-	// scheduler already saturates the machine with concurrent jobs.
-	Parallelism int
-}
+type Local struct{}
 
 // Name implements Executor.
 func (Local) Name() string { return "local" }
 
 // Execute implements Executor.
-func (l Local) Execute(ctx context.Context, job Job, d *dataset.Dataset) (Metrics, error) {
+func (Local) Execute(ctx context.Context, job Job, d *dataset.Dataset) (Metrics, error) {
 	if d == nil {
 		return Metrics{}, fmt.Errorf("experiment: job %s: no dataset %q", job.ID, job.Dataset)
 	}
 	switch job.Task {
 	case "", TaskClassify:
-		return l.localClassify(ctx, job, d)
+		return localClassify(ctx, job, d)
 	case TaskCluster:
 		return localCluster(ctx, job, d)
 	case TaskAttrSel:
@@ -80,11 +74,11 @@ func (l Local) Execute(ctx context.Context, job Job, d *dataset.Dataset) (Metric
 
 // localClassify cross-validates the configured classifier through
 // classify.CrossValidateContext, so a per-job timeout interrupts
-// long CPU-bound training and folds run on the executor's Parallelism.
+// long CPU-bound training and folds run in parallel.
 // With Folds < 2 the classifier is trained and evaluated on the full
 // dataset (resubstitution), matching the Classifier service's
 // classifyInstance semantics.
-func (l Local) localClassify(ctx context.Context, job Job, d *dataset.Dataset) (Metrics, error) {
+func localClassify(ctx context.Context, job Job, d *dataset.Dataset) (Metrics, error) {
 	// Validate name and options once; CrossValidateContext's factory
 	// cannot return an error, so it re-applies the already-validated,
 	// deterministic configuration below.
@@ -121,8 +115,7 @@ func (l Local) localClassify(ctx context.Context, job Job, d *dataset.Dataset) (
 		_ = classify.Configure(c, job.Options)
 		return c
 	}
-	ev, err := classify.CrossValidateContext(ctx, factory, d, k, seed,
-		classify.Parallelism(l.Parallelism))
+	ev, err := classify.CrossValidateContext(ctx, factory, d, k, seed)
 	if err != nil {
 		return Metrics{}, err
 	}

@@ -1,14 +1,15 @@
 // Package parallel provides the bounded, context-cancellable worker
 // helpers behind every compute kernel in the toolkit (cross-validation
-// folds, ensemble members, clustering assignment loops, neighbour and
-// subset scans). The design constraint is determinism: work is
+// folds, ensemble members, the k-means and EM loops, attribute-subset
+// scans). It is the only code that decides how many goroutines a kernel
+// uses: one per GOMAXPROCS, capped at the number of items. No caller
+// passes a worker count. The design constraint is determinism: work is
 // partitioned into contiguous index blocks, results are written to
 // index-addressed slots, and callers reduce them in index order, so a
-// parallel kernel produces bit-identical output to its sequential form
-// at any worker count. FlexDM (PAPERS.md) demonstrates the throughput
-// case for parallel WEKA experiment execution; this package supplies
-// the primitive the ROADMAP's "as fast as the hardware allows" goal
-// needs without giving up reproducibility.
+// kernel produces bit-identical output at any GOMAXPROCS. FlexDM
+// (PAPERS.md) demonstrates the throughput case for parallel WEKA
+// experiment execution; this package supplies the primitive without
+// giving up reproducibility.
 package parallel
 
 import (
@@ -20,13 +21,24 @@ import (
 	"repro/internal/obs"
 )
 
-// Workers normalises a parallelism request: values <= 0 mean "one worker
-// per available CPU" (GOMAXPROCS), anything else is returned unchanged.
-func Workers(p int) int {
-	if p <= 0 {
-		return runtime.GOMAXPROCS(0)
+// workers is the goroutine count for a kernel over n items: GOMAXPROCS,
+// capped at n.
+func workers(n int) int {
+	return min(runtime.GOMAXPROCS(0), n)
+}
+
+// block is worker w's contiguous index range [lo, hi) when n items are
+// split over k workers: the first n%k workers take one extra item. The
+// partition depends only on (n, k), so per-index work placement is
+// stable from run to run.
+func block(n, k, w int) (lo, hi int) {
+	q, r := n/k, n%k
+	lo = w*q + min(w, r)
+	hi = lo + q
+	if w < r {
+		hi++
 	}
-	return p
+	return lo, hi
 }
 
 // DeriveSeed mixes a base seed with a stream index into an independent
@@ -59,32 +71,29 @@ func (s Stats) Utilisation() float64 {
 	return 100 * float64(s.Busy) / (float64(s.Workers) * float64(s.Wall))
 }
 
-// ForEach runs fn(i) for every i in [0, n) on at most workers
-// goroutines, partitioning the index space into contiguous blocks (one
-// per worker). It returns the error from the lowest index that failed,
-// or ctx.Err() if the context was cancelled first. With workers <= 1
-// (or nothing to parallelise) it runs inline on the calling goroutine,
-// checking ctx between items — the sequential path allocates nothing.
-func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
-	_, err := forEach(ctx, n, workers, fn, false)
+// ForEach runs fn(i) for every i in [0, n) on one goroutine per
+// GOMAXPROCS (at most n), partitioning the index space into contiguous
+// blocks (one per worker). It returns the error from the lowest index
+// that failed, or ctx.Err() if the context was cancelled first. With one
+// worker it runs inline on the calling goroutine, checking ctx between
+// items — the sequential path allocates nothing.
+func ForEach(ctx context.Context, n int, fn func(i int) error) error {
+	_, err := forEach(ctx, n, workers(n), fn, false)
 	return err
 }
 
 // ForEachStats is ForEach plus worker-granularity timing for obs
 // instrumentation.
-func ForEachStats(ctx context.Context, n, workers int, fn func(i int) error) (Stats, error) {
-	return forEach(ctx, n, workers, fn, true)
+func ForEachStats(ctx context.Context, n int, fn func(i int) error) (Stats, error) {
+	return forEach(ctx, n, workers(n), fn, true)
 }
 
-func forEach(ctx context.Context, n, workers int, fn func(i int) error, timed bool) (Stats, error) {
+// forEach is ForEach on k workers.
+func forEach(ctx context.Context, n, k int, fn func(i int) error, timed bool) (Stats, error) {
 	if n <= 0 {
 		return Stats{Workers: 1}, ctx.Err()
 	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n == 1 {
+	if k <= 1 {
 		return sequential(ctx, n, fn, timed)
 	}
 
@@ -105,16 +114,8 @@ func forEach(ctx context.Context, n, workers int, fn func(i int) error, timed bo
 		}
 		mu.Unlock()
 	}
-	// Contiguous blocks: worker w gets [w*q + min(w,r), ...) — the same
-	// partition at every run, so per-index work placement is stable.
-	q, r := n/workers, n%workers
-	lo := 0
-	for w := 0; w < workers; w++ {
-		size := q
-		if w < r {
-			size++
-		}
-		hi := lo + size
+	for w := 0; w < k; w++ {
+		lo, hi := block(n, k, w)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
@@ -139,10 +140,9 @@ func forEach(ctx context.Context, n, workers int, fn func(i int) error, timed bo
 				mu.Unlock()
 			}
 		}(lo, hi)
-		lo = hi
 	}
 	wg.Wait()
-	st := Stats{Workers: workers, Busy: busy}
+	st := Stats{Workers: k, Busy: busy}
 	if timed {
 		st.Wall = time.Since(start)
 	}

@@ -11,15 +11,19 @@ import (
 	"repro/internal/obs"
 )
 
+// forEachN is ForEach at an explicit worker count.
+func forEachN(ctx context.Context, n, workers int, fn func(i int) error) error {
+	_, err := forEach(ctx, n, workers, fn, false)
+	return err
+}
+
 func TestWorkers(t *testing.T) {
-	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := Workers(-3); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers(-3) = %d", got)
-	}
-	if got := Workers(5); got != 5 {
-		t.Fatalf("Workers(5) = %d", got)
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	for n, want := range map[int]int{0: 0, 1: 1, 3: 3, 4: 4, 1000: 4} {
+		if got := workers(n); got != want {
+			t.Fatalf("workers(%d) at GOMAXPROCS 4 = %d, want %d", n, got, want)
+		}
 	}
 }
 
@@ -27,7 +31,7 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8, 100} {
 		n := 57
 		hits := make([]int32, n)
-		err := ForEach(context.Background(), n, workers, func(i int) error {
+		err := forEachN(context.Background(), n, workers, func(i int) error {
 			atomic.AddInt32(&hits[i], 1)
 			return nil
 		})
@@ -43,7 +47,7 @@ func TestForEachCoversAllIndices(t *testing.T) {
 }
 
 func TestForEachZeroItems(t *testing.T) {
-	if err := ForEach(context.Background(), 0, 4, func(int) error {
+	if err := forEachN(context.Background(), 0, 4, func(int) error {
 		t.Fatal("fn called for n=0")
 		return nil
 	}); err != nil {
@@ -57,7 +61,7 @@ func TestForEachLowestErrorWins(t *testing.T) {
 	// Run repeatedly: with racing workers the lowest failing index must
 	// still win every time.
 	for trial := 0; trial < 20; trial++ {
-		err := ForEach(context.Background(), 64, 8, func(i int) error {
+		err := forEachN(context.Background(), 64, 8, func(i int) error {
 			switch i {
 			case 3:
 				return errLow
@@ -77,7 +81,7 @@ func TestForEachCancellation(t *testing.T) {
 	var started atomic.Int32
 	done := make(chan error, 1)
 	go func() {
-		done <- ForEach(ctx, 1000, 4, func(i int) error {
+		done <- forEachN(ctx, 1000, 4, func(i int) error {
 			if started.Add(1) == 1 {
 				cancel()
 			}
@@ -100,7 +104,7 @@ func TestForEachCancellation(t *testing.T) {
 func TestSequentialPathChecksContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran int
-	err := ForEach(ctx, 100, 1, func(i int) error {
+	err := forEachN(ctx, 100, 1, func(i int) error {
 		ran++
 		if i == 4 {
 			cancel()
@@ -136,10 +140,10 @@ func TestDeriveSeedDistinct(t *testing.T) {
 }
 
 func TestForEachStatsAndObserve(t *testing.T) {
-	st, err := ForEachStats(context.Background(), 32, 4, func(i int) error {
+	st, err := forEach(context.Background(), 32, 4, func(i int) error {
 		time.Sleep(time.Millisecond)
 		return nil
-	})
+	}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,38 +170,23 @@ func TestForEachStatsAndObserve(t *testing.T) {
 	}
 }
 
+// TestForEachPartitionStable holds block, the partition forEach runs
+// its workers over, to fixed bounds: contiguous, in order, covering
+// [0, n) exactly once, the larger blocks first.
 func TestForEachPartitionStable(t *testing.T) {
-	// The block partition must assign each index to the same worker on
-	// every run: record worker block bounds via the goroutine-local loop.
-	assign := func() []int64 {
-		out := make([]int64, 10)
-		var block atomic.Int64
-		_ = ForEach(context.Background(), 10, 3, func(i int) error {
-			// Workers process contiguous ranges; tag each index with a
-			// monotonically increasing per-call stamp to detect blocks.
-			out[i] = block.Add(1)
-			return nil
-		})
-		return out
-	}
-	// Can't observe goroutine identity directly; instead verify by
-	// construction: 10 items over 3 workers yields blocks [0,4) [4,7) [7,10).
-	_ = assign()
-	q, r := 10/3, 10%3
-	bounds := []int{0}
-	lo := 0
-	for w := 0; w < 3; w++ {
-		size := q
-		if w < r {
-			size++
-		}
-		lo += size
-		bounds = append(bounds, lo)
-	}
-	want := []int{0, 4, 7, 10}
-	for i, b := range bounds {
-		if b != want[i] {
-			t.Fatalf("partition bounds %v, want %v", bounds, want)
+	for _, tc := range []struct {
+		n, k int
+		want [][2]int
+	}{
+		{10, 3, [][2]int{{0, 4}, {4, 7}, {7, 10}}},
+		{2, 4, [][2]int{{0, 1}, {1, 2}, {2, 2}, {2, 2}}},
+		{0, 3, [][2]int{{0, 0}, {0, 0}, {0, 0}}},
+		{8, 1, [][2]int{{0, 8}}},
+	} {
+		for w, want := range tc.want {
+			if lo, hi := block(tc.n, tc.k, w); lo != want[0] || hi != want[1] {
+				t.Fatalf("block(%d, %d, %d) = [%d,%d), want [%d,%d)", tc.n, tc.k, w, lo, hi, want[0], want[1])
+			}
 		}
 	}
 }

@@ -92,7 +92,7 @@ func NewClassifierService(backend harness.Backend) *Service {
 			{
 				Name: "crossValidate",
 				Doc:  "Stratified k-fold cross-validation of the named classifier, with parallel folds.",
-				In:   []string{PartDataset, PartClassifier, PartOptions, PartAttribute, PartFolds, PartSeed, PartParallelism},
+				In:   []string{PartDataset, PartClassifier, PartOptions, PartAttribute, PartFolds, PartSeed},
 				Out:  []string{PartEvaluation, PartAccuracy, PartFolds},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					d, err := parseDataset(parts, "dataset")
@@ -120,10 +120,6 @@ func NewClassifierService(backend harness.Backend) *Service {
 					if err != nil {
 						return nil, err
 					}
-					par, err := intPart(parts, "parallelism", 0)
-					if err != nil {
-						return nil, err
-					}
 					// Validate algorithm and options once; the factory then
 					// re-applies them (deterministic after this check).
 					if probe, err := classify.New(name); err != nil {
@@ -136,8 +132,7 @@ func NewClassifierService(backend harness.Backend) *Service {
 						_ = classify.Configure(c, opts)
 						return c
 					}
-					ev, err := classify.CrossValidateContext(ctx, factory, d, folds, int64(seed),
-						classify.Parallelism(par))
+					ev, err := classify.CrossValidateContext(ctx, factory, d, folds, int64(seed))
 					if err != nil {
 						if ctx.Err() != nil {
 							return nil, err // deadline faults are mapped by the server layer

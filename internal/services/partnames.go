@@ -49,7 +49,6 @@ const (
 	PartMissing        = "missing"
 	PartModel          = "model"
 	PartOptions        = "options"
-	PartParallelism    = "parallelism"
 	PartPayload        = "payload"
 	PartPlot           = "plot"
 	PartPoints         = "points"
@@ -100,7 +99,7 @@ var knownPartNames = map[string]bool{
 	PartKind: true, PartLabels: true, PartLeaves: true,
 	PartLimit: true, PartMaxRules: true, PartMinConfidence: true,
 	PartMinSupport: true, PartMissing: true, PartModel: true,
-	PartOptions: true, PartParallelism: true, PartPayload: true,
+	PartOptions: true, PartPayload: true,
 	PartPlot: true, PartPoints: true, PartRanking: true,
 	PartRegressor: true, PartRegressors: true,
 	PartRelation: true, PartRoot: true, PartRows: true,

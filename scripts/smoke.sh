@@ -10,7 +10,7 @@
 # control: flood one dmserver at many times its -max-inflight, assert the
 # overflow is shed as ServerBusy, the batch still completes via retries,
 # the in-flight bound held, and SIGINT drains gracefully. Phase 4 covers
-# the parallel kernels: a crossValidate call with parallelism=4 against
+# the parallel kernels: a crossValidate call against
 # the live phase-1 dmserver must finish under the client's propagated
 # deadline and leave the kernel_ms metric on /metrics. Phase 5 covers the
 # model store: two dmservers share a -store-dir behind a registry, a
@@ -324,7 +324,7 @@ go build -o "$WORK/dminfo" ./cmd/dminfo
 "$WORK/dmclient" -url "$BASE/services/Classifier" -op crossValidate \
 	-timeout 30s -file "dataset=$WORK/breast.arff" \
 	-part classifier=J48 -part attribute=Class \
-	-part folds=5 -part parallelism=4 >"$WORK/cv.out" 2>"$WORK/cv.err" || {
+	-part folds=5 >"$WORK/cv.out" 2>"$WORK/cv.err" || {
 	echo "smoke: parallel crossValidate failed under the 30s deadline" >&2
 	cat "$WORK/cv.out" "$WORK/cv.err" >&2
 	exit 1

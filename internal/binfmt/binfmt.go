@@ -1,5 +1,7 @@
-// Package binfmt is the one bounds-checked little-endian reader and writer
-// behind wire's dmb1 blocks and model snapshots. Reader errors are sticky:
+// Package binfmt is the bounds-checked little-endian reader and writer
+// behind model snapshots, and the FormatError that wire's block codec
+// shares (wire keeps its own reader and writer, because they also run
+// over base64 text a window at a time). Reader errors are sticky:
 // the first failure is kept, later reads return zero values, and Err or End
 // reports it, so a decoder reads a whole structure and checks once. Every
 // count is held to the bytes left before anything is sized from it, so a
@@ -10,7 +12,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 )
 
 // FormatError reports bytes that are not a valid encoding. Codec names the
@@ -65,14 +66,6 @@ func (w *Writer) Bool(v bool) {
 func (w *Writer) Str(s string) {
 	w.U32(uint32(len(s)))
 	w.Buf = append(w.Buf, s...)
-}
-
-// Extend lengthens Buf by n bytes and returns them for the caller to
-// overwrite, every one: they are not zeroed.
-func (w *Writer) Extend(n int) []byte {
-	off := len(w.Buf)
-	w.Buf = slices.Grow(w.Buf, n)[:off+n]
-	return w.Buf[off:]
 }
 
 // F64s writes a uvarint count, then each value's bits.
@@ -134,12 +127,6 @@ func (r *Reader) Err() error { return r.err }
 
 // Len returns the number of unread bytes.
 func (r *Reader) Len() int { return len(r.buf) - r.off }
-
-// Offset returns the number of bytes read so far.
-func (r *Reader) Offset() int { return r.off }
-
-// Since returns the bytes read from offset from to here.
-func (r *Reader) Since(from int) []byte { return r.buf[from:r.off] }
 
 // Take returns the next n bytes, or nil once reading has failed.
 func (r *Reader) Take(n int) []byte {

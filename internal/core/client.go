@@ -314,11 +314,15 @@ func decodeLabels(out map[string]string, wantRows int) ([]Label, error) {
 	if len(res.Labels) != wantRows {
 		return nil, fmt.Errorf("dm: batch result has %d rows, sent %d", len(res.Labels), wantRows)
 	}
+	// Every row's distribution is carved from one rows x k slab, capped
+	// at its k cells so an append to one row cannot spill into the next.
+	k := len(res.Classes)
+	slab := make([]float64, len(res.Labels)*k)
 	labels := make([]Label, len(res.Labels))
 	for i, l := range res.Labels {
-		dist := make([]float64, len(res.Classes))
-		for cl := range res.Classes {
-			dist[cl] = res.Distributions[cl][i]
+		dist := slab[i*k : (i+1)*k : (i+1)*k]
+		for cl, col := range res.Distributions {
+			dist[cl] = col[i]
 		}
 		labels[i] = Label{Index: l, Name: res.Classes[l], Distribution: dist}
 	}

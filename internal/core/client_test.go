@@ -9,6 +9,8 @@ import (
 	"repro/internal/classify"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
+	"repro/internal/services"
+	"repro/internal/wire"
 )
 
 // TestClientTrainAndCrossValidate drives the typed client's training-
@@ -169,5 +171,36 @@ func TestClientTrainClassifyBatch(t *testing.T) {
 	}
 	if agree < train.NumInstances()/2 {
 		t.Fatalf("only %d/%d labels agree with ground truth", agree, train.NumInstances())
+	}
+}
+
+// TestDecodeLabelsSlab: decodeLabels carves every row's distribution from
+// one slab, in class order, and no row's slice reaches into the next.
+func TestDecodeLabelsSlab(t *testing.T) {
+	payload, err := wire.MarshalResultBase64(&wire.Result{
+		Classes:       []string{"no", "yes"},
+		Labels:        []int{1, 0, 1},
+		Distributions: [][]float64{{0.25, 0.75, 0.5}, {0.75, 0.25, 0.5}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels, err := decodeLabels(map[string]string{services.PartPayload: payload}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]float64{{0.25, 0.75}, {0.75, 0.25}, {0.5, 0.5}}
+	for i, l := range labels {
+		if l.Name != []string{"yes", "no", "yes"}[i] || cap(l.Distribution) != 2 ||
+			l.Distribution[0] != want[i][0] || l.Distribution[1] != want[i][1] {
+			t.Fatalf("row %d = %+v, want distribution %v", i, l, want[i])
+		}
+	}
+	_ = append(labels[0].Distribution, 9)
+	if labels[1].Distribution[0] != 0.75 {
+		t.Fatal("appending to row 0's distribution overwrote row 1's")
+	}
+	if _, err := decodeLabels(map[string]string{services.PartPayload: payload}, 4); err == nil {
+		t.Fatal("a 3-row result was accepted for 4 rows")
 	}
 }

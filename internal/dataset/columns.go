@@ -84,9 +84,63 @@ func FromColumns(relation string, attrs []*Attribute, classIndex int, cols [][]f
 	if len(cols) > 0 {
 		rows = len(cols[0])
 	}
+	for _, col := range cols {
+		if len(col) != rows {
+			return nil, checkColumns(attrs, cols, weights, rows)
+		}
+	}
+	if weights != nil && len(weights) != rows {
+		return nil, checkColumns(attrs, cols, weights, rows)
+	}
+	d := New(relation, attrs...)
+	d.ClassIndex = classIndex
+	// Two slabs serve every row view: one of cells, each Instance aliasing
+	// its stripe, and one of the Instances themselves. The cells are
+	// transposed a tile of rows at a time, so each column is read once,
+	// sequentially — its nominal indices validated on the way — while the
+	// strided writes stay inside a tile small enough to sit in L1.
+	m := len(attrs)
+	slab := make([]float64, rows*m)
+	const tile = 64
+	for i0 := 0; i0 < rows; i0 += tile {
+		i1 := min(i0+tile, rows)
+		for j, col := range cols {
+			if attrs[j].Kind == Numeric {
+				for i, v := range col[i0:i1] {
+					slab[(i0+i)*m+j] = v
+				}
+				continue
+			}
+			labels := uint(attrs[j].NumValues())
+			for i, v := range col[i0:i1] {
+				if idx := int(v); (float64(idx) != v || uint(idx) >= labels) && !IsMissing(v) {
+					return nil, checkColumns(attrs, cols, weights, rows)
+				}
+				slab[(i0+i)*m+j] = v
+			}
+		}
+	}
+	instances := make([]Instance, rows)
+	d.Instances = make([]*Instance, rows)
+	for i := range instances {
+		w := 1.0
+		if weights != nil {
+			w = weights[i]
+		}
+		instances[i] = Instance{Values: slab[i*m : (i+1)*m : (i+1)*m], Weight: w}
+		d.Instances[i] = &instances[i]
+	}
+	d.cols.Store(&columnMirror{cols: cols, rows: rows})
+	return d, nil
+}
+
+// checkColumns returns the error FromColumns reports for columns that
+// fail it, in the order it promises: column by column, a length mismatch
+// or the first invalid nominal index, then the weights.
+func checkColumns(attrs []*Attribute, cols [][]float64, weights []float64, rows int) error {
 	for j, col := range cols {
 		if len(col) != rows {
-			return nil, fmt.Errorf("dataset: column %q has %d rows, column %q has %d",
+			return fmt.Errorf("dataset: column %q has %d rows, column %q has %d",
 				attrs[j].Name, len(col), attrs[0].Name, rows)
 		}
 		a := attrs[j]
@@ -99,35 +153,11 @@ func FromColumns(relation string, attrs []*Attribute, classIndex int, cols [][]f
 			}
 			idx := int(v)
 			if float64(idx) != v || idx < 0 || idx >= a.NumValues() {
-				return nil, fmt.Errorf("dataset: row %d: invalid index %v for attribute %q", i, v, a.Name)
+				return fmt.Errorf("dataset: row %d: invalid index %v for attribute %q", i, v, a.Name)
 			}
 		}
 	}
-	if weights != nil && len(weights) != rows {
-		return nil, fmt.Errorf("dataset: %d weights for %d rows", len(weights), rows)
-	}
-	d := New(relation, attrs...)
-	d.ClassIndex = classIndex
-	// Two slabs serve every row view: one of cells, each Instance aliasing
-	// its stripe, and one of the Instances themselves.
-	m := len(attrs)
-	slab := make([]float64, rows*m)
-	instances := make([]Instance, rows)
-	d.Instances = make([]*Instance, rows)
-	for i := range instances {
-		vals := slab[i*m : (i+1)*m : (i+1)*m]
-		for j := 0; j < m; j++ {
-			vals[j] = cols[j][i]
-		}
-		w := 1.0
-		if weights != nil {
-			w = weights[i]
-		}
-		instances[i] = Instance{Values: vals, Weight: w}
-		d.Instances[i] = &instances[i]
-	}
-	d.cols.Store(&columnMirror{cols: cols, rows: rows})
-	return d, nil
+	return fmt.Errorf("dataset: %d weights for %d rows", len(weights), rows)
 }
 
 // ColumnsCopy returns a deep copy of the column mirror, every attribute's

@@ -160,6 +160,41 @@ func TestFromColumnsValidation(t *testing.T) {
 	}
 }
 
+// TestFromColumnsFirstError: with several defects the error names the
+// first in column order (a column's length or its first invalid index,
+// column by column, then the weights), though the cells are checked a
+// tile of rows at a time.
+func TestFromColumnsFirstError(t *testing.T) {
+	attrs := []*Attribute{NewNominalAttribute("a", "x", "y"), NewNumericAttribute("b"), NewNominalAttribute("c", "x", "y")}
+	col := func(bad int, v float64) []float64 {
+		c := make([]float64, 200)
+		if bad >= 0 {
+			c[bad] = v
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		name    string
+		cols    [][]float64
+		weights []float64
+		want    string
+	}{
+		{"later row of an earlier column", [][]float64{col(150, 2), col(-1, 0), col(1, 0.5)}, nil,
+			`dataset: row 150: invalid index 2 for attribute "a"`},
+		{"index before a ragged column", [][]float64{col(70, -1), col(-1, 0), col(-1, 0)[:10]}, nil,
+			`dataset: row 70: invalid index -1 for attribute "a"`},
+		{"ragged before an index", [][]float64{col(-1, 0), col(-1, 0)[:10], col(3, 7)}, nil,
+			`dataset: column "b" has 10 rows, column "a" has 200`},
+		{"index before the weights", [][]float64{col(-1, 0), col(-1, 0), col(199, math.NaN())}, []float64{1}, "dataset: 1 weights for 200 rows"},
+		{"index then weights", [][]float64{col(-1, 0), col(-1, 0), col(199, 9)}, []float64{1},
+			`dataset: row 199: invalid index 9 for attribute "c"`},
+	} {
+		if _, err := FromColumns("bad", attrs, 0, tc.cols, tc.weights); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %s", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestFromColumnsZeroRows(t *testing.T) {
 	d, err := FromColumns("empty", twoColSchema(), 1, [][]float64{{}, {}}, nil)
 	if err != nil {

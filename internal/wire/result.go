@@ -1,6 +1,6 @@
 package wire
 
-import "repro/internal/binfmt"
+import "strings"
 
 // Result-block kinds beyond classification. clusterBatch replies carry a
 // "DMC1" block (per-row cluster assignments plus one score column per
@@ -67,46 +67,98 @@ type ClusterResult struct {
 //	assignment block: u32 byte length, rows u32 indices (0xFFFFFFFF = noise)
 //	per cluster:      length-prefixed float64 column, present iff scoreKind != 0
 func MarshalClusterResult(res *ClusterResult) ([]byte, error) {
-	rows := len(res.Assignments)
-	if res.Clusters < 0 {
-		return nil, errf("negative cluster count %d", res.Clusters)
-	}
-	kc, err := scoreKindCode(res.ScoreKind)
+	kc, err := res.check()
 	if err != nil {
 		return nil, err
 	}
+	w := rawWriter(res.size())
+	if err := res.write(&w, kc); err != nil {
+		return nil, err
+	}
+	return w.buf, nil
+}
+
+// MarshalClusterResultBase64 encodes a cluster result straight into the
+// base64 text of its DMC1 block.
+func MarshalClusterResultBase64(res *ClusterResult) (string, error) {
+	kc, err := res.check()
+	if err != nil {
+		return "", err
+	}
+	var stage [stageBytes]byte
+	var text strings.Builder
+	w := textWriter(&text, stage[:], res.size(), 0)
+	if err := res.write(&w, kc); err != nil {
+		return "", err
+	}
+	return w.finish(), nil
+}
+
+// check validates res and returns its score-kind code.
+func (res *ClusterResult) check() (uint8, error) {
+	if res.Clusters < 0 {
+		return 0, errf("negative cluster count %d", res.Clusters)
+	}
+	kc, err := scoreKindCode(res.ScoreKind)
+	if err != nil {
+		return 0, err
+	}
 	if kc == 0 {
 		if len(res.Scores) != 0 {
-			return nil, errf("%d score columns with no score kind", len(res.Scores))
+			return 0, errf("%d score columns with no score kind", len(res.Scores))
 		}
 	} else {
 		if len(res.Scores) != res.Clusters {
-			return nil, errf("%d score columns for %d clusters", len(res.Scores), res.Clusters)
+			return 0, errf("%d score columns for %d clusters", len(res.Scores), res.Clusters)
 		}
 		for c, col := range res.Scores {
-			if len(col) != rows {
-				return nil, errf("cluster %d score column has %d rows, want %d", c, len(col), rows)
+			if len(col) != len(res.Assignments) {
+				return 0, errf("cluster %d score column has %d rows, want %d", c, len(col), len(res.Assignments))
 			}
 		}
 	}
-	w := &binfmt.Writer{Buf: make([]byte, 0, 16+4*rows+8*rows*len(res.Scores))}
-	w.Buf = append(w.Buf, magicCluster...)
-	w.U8(version)
-	w.U8(kc)
-	w.U32(uint32(res.Clusters))
-	w.U32(uint32(rows))
+	return kc, nil
+}
+
+// size is the exact length of res's DMC1 block.
+func (res *ClusterResult) size() int {
+	rows := len(res.Assignments)
+	return len(magicCluster) + 1 + 1 + 4 + 4 + 4 + 4*rows + len(res.Scores)*(4+8*rows)
+}
+
+func (res *ClusterResult) write(w *writer, kc uint8) error {
+	w.bytes(magicCluster)
+	w.u8(version)
+	w.u8(kc)
+	w.u32(uint32(res.Clusters))
+	w.u32(uint32(len(res.Assignments)))
 	if err := writeIndexColumn(w, res.Assignments, res.Clusters, true, "assignment"); err != nil {
-		return nil, err
+		return err
 	}
 	for _, col := range res.Scores {
 		writeColumn(w, col)
 	}
-	return w.Buf, nil
+	return nil
 }
 
 // UnmarshalClusterResult decodes one DMC1 block.
 func UnmarshalClusterResult(b []byte) (*ClusterResult, error) {
-	r := newReader(b)
+	r := rawReader(b)
+	return readClusterResult(&r)
+}
+
+// UnmarshalClusterResultBase64 decodes the base64 text of a DMC1 block
+// straight into its columns.
+func UnmarshalClusterResultBase64(s string) (*ClusterResult, error) {
+	var stage [stageBytes]byte
+	r := textReader(s, stage[:])
+	if res, err := readClusterResult(&r); err == nil {
+		return res, nil
+	}
+	return decodeText(s, "cluster result", UnmarshalClusterResult)
+}
+
+func readClusterResult(r *reader) (*ClusterResult, error) {
 	r.Header(magicCluster, version)
 	kind, err := scoreKindFromCode(r.U8())
 	if err != nil {
@@ -152,18 +204,52 @@ type RegressResult struct {
 //	u32 rows
 //	length-prefixed float64 column of rows predictions
 func MarshalRegressResult(res *RegressResult) ([]byte, error) {
-	w := &binfmt.Writer{Buf: make([]byte, 0, 16+len(res.Target)+8*len(res.Values))}
-	w.Buf = append(w.Buf, magicRegress...)
-	w.U8(version)
-	w.Str(res.Target)
-	w.U32(uint32(len(res.Values)))
+	w := rawWriter(res.size())
+	res.write(&w)
+	return w.buf, nil
+}
+
+// MarshalRegressResultBase64 encodes predictions straight into the base64
+// text of their DMV1 block.
+func MarshalRegressResultBase64(res *RegressResult) (string, error) {
+	var stage [stageBytes]byte
+	var text strings.Builder
+	w := textWriter(&text, stage[:], res.size(), 0)
+	res.write(&w)
+	return w.finish(), nil
+}
+
+// size is the exact length of res's DMV1 block.
+func (res *RegressResult) size() int {
+	return len(magicRegress) + 1 + 4 + len(res.Target) + 4 + 4 + 8*len(res.Values)
+}
+
+func (res *RegressResult) write(w *writer) {
+	w.bytes(magicRegress)
+	w.u8(version)
+	w.str(res.Target)
+	w.u32(uint32(len(res.Values)))
 	writeColumn(w, res.Values)
-	return w.Buf, nil
 }
 
 // UnmarshalRegressResult decodes one DMV1 block.
 func UnmarshalRegressResult(b []byte) (*RegressResult, error) {
-	r := newReader(b)
+	r := rawReader(b)
+	return readRegressResult(&r)
+}
+
+// UnmarshalRegressResultBase64 decodes the base64 text of a DMV1 block
+// straight into its column.
+func UnmarshalRegressResultBase64(s string) (*RegressResult, error) {
+	var stage [stageBytes]byte
+	r := textReader(s, stage[:])
+	if res, err := readRegressResult(&r); err == nil {
+		return res, nil
+	}
+	return decodeText(s, "regression result", UnmarshalRegressResult)
+}
+
+func readRegressResult(r *reader) (*RegressResult, error) {
 	r.Header(magicRegress, version)
 	target, rows := r.Str(), int(r.U32())
 	if uint64(rows)*8 > maxBlockBytes {
@@ -174,24 +260,4 @@ func UnmarshalRegressResult(b []byte) (*RegressResult, error) {
 		return nil, err
 	}
 	return &RegressResult{Target: target, Values: vals}, nil
-}
-
-// MarshalClusterResultBase64 encodes a cluster result base64-wrapped.
-func MarshalClusterResultBase64(res *ClusterResult) (string, error) {
-	return wrap64(MarshalClusterResult(res))
-}
-
-// UnmarshalClusterResultBase64 decodes a base64-wrapped DMC1 block.
-func UnmarshalClusterResultBase64(s string) (*ClusterResult, error) {
-	return unwrap64(s, "cluster result", UnmarshalClusterResult)
-}
-
-// MarshalRegressResultBase64 encodes a regression result base64-wrapped.
-func MarshalRegressResultBase64(res *RegressResult) (string, error) {
-	return wrap64(MarshalRegressResult(res))
-}
-
-// UnmarshalRegressResultBase64 decodes a base64-wrapped DMV1 block.
-func UnmarshalRegressResultBase64(s string) (*RegressResult, error) {
-	return unwrap64(s, "regression result", UnmarshalRegressResult)
 }

@@ -9,7 +9,7 @@
 //
 //	"DMB1"            magic (4 bytes)
 //	u8  version       currently 1
-//	u8  flags         bit0: weights block present
+//	u8  flags         bit0: weights block present; other bits must be 0
 //	str relation      length-prefixed UTF-8 (u32 length)
 //	u32 classIndex    0xFFFFFFFF encodes "no class"
 //	u32 attrCount
@@ -31,11 +31,9 @@ package wire
 
 import (
 	"crypto/sha256"
-	"encoding/base64"
 	"encoding/binary"
 	"math"
 	"strings"
-	"sync"
 
 	"repro/internal/binfmt"
 	"repro/internal/dataset"
@@ -47,8 +45,6 @@ import (
 type FormatError = binfmt.FormatError
 
 func errf(format string, args ...any) error { return binfmt.Errorf("wire", format, args...) }
-
-func newReader(b []byte) *binfmt.Reader { return binfmt.NewReader("wire", b) }
 
 const (
 	magicDataset = "DMB1"
@@ -72,34 +68,35 @@ const (
 // codec on batch operations.
 const Encoding = "dmb1"
 
-// writeSchema appends the schema section (relation through attribute
-// table) and returns the byte range it occupies, for digesting.
-func writeSchema(w *binfmt.Writer, relation string, classIndex int, attrs []*dataset.Attribute) error {
-	start := len(w.Buf)
-	w.Str(relation)
+// writeSchema writes the schema section (relation through attribute
+// table) and its digest. The writer must hold the whole section
+// unencoded: textWriter's contiguous bytes cover it.
+func writeSchema(w *writer, relation string, classIndex int, attrs []*dataset.Attribute) error {
+	start := len(w.buf)
+	w.str(relation)
 	ci := uint32(noClass)
 	if classIndex >= 0 {
 		ci = uint32(classIndex)
 	}
-	w.U32(ci)
-	w.U32(uint32(len(attrs)))
+	w.u32(ci)
+	w.u32(uint32(len(attrs)))
 	for _, a := range attrs {
 		if a.Kind < dataset.Numeric || a.Kind > dataset.String {
 			return errf("unsupported attribute kind %v", a.Kind)
 		}
-		w.Str(a.Name)
-		w.U8(uint8(a.Kind))
-		w.U32(uint32(a.NumValues()))
+		w.str(a.Name)
+		w.u8(uint8(a.Kind))
+		w.u32(uint32(a.NumValues()))
 		for i := 0; i < a.NumValues(); i++ {
-			w.Str(a.Value(i))
+			w.str(a.Value(i))
 		}
 	}
-	sum := sha256.Sum256(w.Buf[start:])
-	w.Buf = append(w.Buf, sum[:8]...)
+	sum := sha256.Sum256(w.buf[start:])
+	copy(w.space(8, 1), sum[:8])
 	return nil
 }
 
-// schemaSize is the number of bytes writeSchema appends, digest included.
+// schemaSize is the number of bytes writeSchema writes, digest included.
 func schemaSize(relation string, attrs []*dataset.Attribute) int {
 	n := 4 + len(relation) + 4 + 4 + 8
 	for _, a := range attrs {
@@ -112,8 +109,9 @@ func schemaSize(relation string, attrs []*dataset.Attribute) int {
 }
 
 // readSchema parses the schema section, verifying its digest.
-func readSchema(r *binfmt.Reader) (relation string, classIndex int, attrs []*dataset.Attribute) {
+func readSchema(r *reader) (relation string, classIndex int, attrs []*dataset.Attribute) {
 	start := r.Offset()
+	r.keep = start // the digest covers the section: keep it in the window
 	relation, classIndex = r.Str(), -1
 	if ci := r.U32(); ci != noClass {
 		classIndex = int(ci)
@@ -126,18 +124,21 @@ func readSchema(r *binfmt.Reader) (relation string, classIndex int, attrs []*dat
 			attrs = append(attrs, readAttr(r))
 		}
 	}
-	sum := sha256.Sum256(r.Since(start))
-	if digest := r.Take(8); digest != nil && string(digest) != string(sum[:8]) {
-		r.Failf("schema digest mismatch: payload corrupt")
+	if r.Err() == nil {
+		sum := sha256.Sum256(r.Since(start))
+		if digest := r.Take(8); digest != nil && string(digest) != string(sum[:8]) {
+			r.Failf("schema digest mismatch: payload corrupt")
+		}
 	}
 	if classIndex >= len(attrs) {
 		r.Failf("class index %d out of range for %d attributes", classIndex, len(attrs))
 	}
+	r.keep = noKeep
 	return relation, classIndex, attrs
 }
 
 // readAttr parses one attribute of the schema table; it never returns nil.
-func readAttr(r *binfmt.Reader) *dataset.Attribute {
+func readAttr(r *reader) *dataset.Attribute {
 	name, kind, n := r.Str(), dataset.Kind(r.U8()), r.U32()
 	if n > 1<<24 {
 		r.Failf("attribute %q declares %d values", name, n)
@@ -159,60 +160,65 @@ func readAttr(r *binfmt.Reader) *dataset.Attribute {
 	return dataset.NewNumericAttribute(name)
 }
 
-// writeColumn appends a length-prefixed float64 block: the buffer grows
-// once for the whole column, then each value is stored in place. NaNs of
-// any payload are written as the one canonical NaN that stands for
-// "missing".
-func writeColumn(w *binfmt.Writer, col []float64) {
-	w.U32(uint32(8 * len(col)))
-	block := w.Extend(8 * len(col))
-	for i, v := range col {
-		if v != v {
-			v = math.NaN()
+// writeColumn writes a length-prefixed float64 block, a window at a time.
+func writeColumn(w *writer, col []float64) {
+	w.u32(uint32(8 * len(col)))
+	for len(col) > 0 {
+		b := w.space(8, len(col))
+		for i, v := range col[:len(b)/8] {
+			putF64(b[8*i:], v)
 		}
-		binary.LittleEndian.PutUint64(block[8*i:], math.Float64bits(v))
+		col = col[len(b)/8:]
 	}
 }
 
 // readColumn parses a length-prefixed float64 block of exactly rows
-// values: one bounds check for the column, then a straight load per value.
-func readColumn(r *binfmt.Reader, rows int) []float64 {
-	block := readBlock(r, rows, 8, "column")
-	if block == nil {
+// values, a window at a time.
+func readColumn(r *reader, rows int) []float64 {
+	if !readPrefix(r, rows, 8, "column") {
 		return nil
 	}
 	col := make([]float64, rows)
-	for i := range col {
-		col[i] = math.Float64frombits(binary.LittleEndian.Uint64(block[8*i:]))
+	for i := 0; i < rows; {
+		b := r.next(8, rows-i)
+		if b == nil {
+			return nil
+		}
+		for k := 0; k < len(b); k, i = k+8, i+1 {
+			col[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[k:]))
+		}
 	}
 	return col
 }
 
-// readBlock reads a u32 byte length, which must be rows*width, and returns
-// the block it prefixes, or nil once reading has failed.
-func readBlock(r *binfmt.Reader, rows, width int, what string) []byte {
+// readPrefix reads a u32 byte length, which must be rows*width, and
+// reports whether the block it prefixes is there to read.
+func readPrefix(r *reader, rows, width int, what string) bool {
 	if n := r.U32(); r.Err() == nil && uint64(n) != uint64(width)*uint64(rows) {
 		r.Failf("%s block is %d bytes, want %d for %d rows", what, n, width*rows, rows)
 	}
-	return r.Take(width * rows)
+	return r.has(width * rows)
 }
 
-// writeIndexColumn appends a length-prefixed u32 block of row indices
+// writeIndexColumn writes a length-prefixed u32 block of row indices
 // (DMR1 labels, DMC1 assignments), each below limit. With none set a
 // negative index is legal and encodes as noIndex; what names the column
 // in errors.
-func writeIndexColumn(w *binfmt.Writer, idx []int, limit int, none bool, what string) error {
-	buf := binary.LittleEndian.AppendUint32(w.Buf, uint32(4*len(idx)))
-	for _, v := range idx {
-		u := uint32(v)
-		if v < 0 && none {
-			u = noIndex
-		} else if v < 0 || v >= limit {
-			return errf("%s %d out of range [0,%d)", what, v, limit)
+func writeIndexColumn(w *writer, idx []int, limit int, none bool, what string) error {
+	w.u32(uint32(4 * len(idx)))
+	for len(idx) > 0 {
+		b := w.space(4, len(idx))
+		for i, v := range idx[:len(b)/4] {
+			u := uint32(v)
+			if v < 0 && none {
+				u = noIndex
+			} else if v < 0 || v >= limit {
+				return errf("%s %d out of range [0,%d)", what, v, limit)
+			}
+			binary.LittleEndian.PutUint32(b[4*i:], u)
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, u)
+		idx = idx[len(b)/4:]
 	}
-	w.Buf = buf
 	return nil
 }
 
@@ -220,34 +226,34 @@ func writeIndexColumn(w *binfmt.Writer, idx []int, limit int, none bool, what st
 // rows values, the inverse of writeIndexColumn: noIndex decodes as -1
 // when none is set, and is out of range like any other index >= limit
 // when it is not.
-func readIndexColumn(r *binfmt.Reader, rows int, limit uint32, none bool, what string) []int {
-	block := readBlock(r, rows, 4, what)
-	if block == nil {
+func readIndexColumn(r *reader, rows int, limit uint32, none bool, what string) []int {
+	if !readPrefix(r, rows, 4, what) {
 		return nil
 	}
 	idx := make([]int, rows)
-	for i := range idx {
-		v := binary.LittleEndian.Uint32(block[4*i:])
-		idx[i] = int(v)
-		if v == noIndex && none {
-			idx[i] = -1
-		} else if v >= limit {
-			r.Failf("row %d %s %d out of range [0,%d)", i, what, v, limit)
+	for i := 0; i < rows; {
+		b := r.next(4, rows-i)
+		if b == nil {
 			return nil
+		}
+		for k := 0; k < len(b); k, i = k+4, i+1 {
+			v := binary.LittleEndian.Uint32(b[k:])
+			idx[i] = int(v)
+			if v == noIndex && none {
+				idx[i] = -1
+			} else if v >= limit {
+				r.Failf("row %d %s %d out of range [0,%d)", i, what, v, limit)
+				return nil
+			}
 		}
 	}
 	return idx
 }
 
-// Marshal encodes the dataset as one dmb1 block. Weights are encoded
-// only when any instance weight differs from 1. The block is allocated
-// once, at its exact size.
-func Marshal(d *dataset.Dataset) ([]byte, error) { return appendDataset(nil, d) }
-
-// appendDataset is Marshal into dst's storage when that is large enough.
-func appendDataset(dst []byte, d *dataset.Dataset) ([]byte, error) {
-	rows := len(d.Instances)
-	var weights []float64
+// datasetLayout returns what a dmb1 encode of d needs before it writes:
+// the weights column (nil when every weight is 1), the block's exact
+// size, and the size of the part the schema digest covers from the start.
+func datasetLayout(d *dataset.Dataset) (weights []float64, size, head int) {
 	for _, in := range d.Instances {
 		if in.Weight != 1 {
 			weights = d.WeightsSlice()
@@ -255,56 +261,83 @@ func appendDataset(dst []byte, d *dataset.Dataset) ([]byte, error) {
 		}
 	}
 	blocks := len(d.Attrs)
+	if weights != nil {
+		blocks++
+	}
+	head = len(magicDataset) + 2 + schemaSize(d.Relation, d.Attrs)
+	return weights, head + 4 + blocks*(4+8*len(d.Instances)), head
+}
+
+// writeDataset writes d as one dmb1 block. A row-backed dataset is
+// gathered column by column straight from its rows: the column mirror
+// d.Columns() would build first is never materialised.
+func writeDataset(w *writer, d *dataset.Dataset, weights []float64) error {
 	flags := uint8(0)
 	if weights != nil {
 		flags |= flagWeights
-		blocks++
 	}
-	size := len(magicDataset) + 2 + schemaSize(d.Relation, d.Attrs) + 4 + blocks*(4+8*rows)
-	if cap(dst) < size {
-		dst = make([]byte, 0, size)
-	}
-
-	w := &binfmt.Writer{Buf: append(dst[:0], magicDataset...)}
-	w.U8(version)
-	w.U8(flags)
+	w.bytes(magicDataset)
+	w.u8(version)
+	w.u8(flags)
 	if err := writeSchema(w, d.Relation, d.ClassIndex, d.Attrs); err != nil {
-		return nil, err
+		return err
 	}
-	w.U32(uint32(rows))
+	w.u32(uint32(len(d.Instances)))
 	if d.HasColumns() {
 		for _, col := range d.Columns() {
 			writeColumn(w, col)
 		}
 	} else {
-		writeRows(w, d.Instances, len(d.Attrs))
+		for j := range d.Attrs {
+			writeRowColumn(w, d.Instances, j)
+		}
 	}
 	if weights != nil {
 		writeColumn(w, weights)
 	}
-	return w.Buf, nil
+	return nil
 }
 
-// writeRows appends what writeColumn would for every column of a
-// row-backed dataset, gathering the cells straight from the rows: the
-// column mirror d.Columns() would build first is never materialised.
-func writeRows(w *binfmt.Writer, rows []*dataset.Instance, attrs int) {
-	stride := 4 + 8*len(rows)
-	blocks := w.Extend(attrs * stride)
-	for j := 0; j < attrs; j++ {
-		binary.LittleEndian.PutUint32(blocks[j*stride:], uint32(8*len(rows)))
-	}
-	for i, in := range rows {
-		for j, v := range in.Values {
-			if v != v {
-				v = math.NaN()
+// writeRowColumn writes attribute j of rows as writeColumn would its
+// column. A short row reads as zeros, as in the column mirror.
+func writeRowColumn(w *writer, rows []*dataset.Instance, j int) {
+	w.u32(uint32(8 * len(rows)))
+	for len(rows) > 0 {
+		b := w.space(8, len(rows))
+		for i, in := range rows[:len(b)/8] {
+			v := 0.0
+			if j < len(in.Values) {
+				v = in.Values[j]
 			}
-			binary.LittleEndian.PutUint64(blocks[j*stride+4+8*i:], math.Float64bits(v))
+			putF64(b[8*i:], v)
 		}
-		for j := len(in.Values); j < attrs; j++ { // a short row reads as zeros, as in the mirror
-			binary.LittleEndian.PutUint64(blocks[j*stride+4+8*i:], 0)
-		}
+		rows = rows[len(b)/8:]
 	}
+}
+
+// Marshal encodes the dataset as one dmb1 block. Weights are encoded
+// only when any instance weight differs from 1. The block is allocated
+// once, at its exact size.
+func Marshal(d *dataset.Dataset) ([]byte, error) {
+	weights, size, _ := datasetLayout(d)
+	w := rawWriter(size)
+	if err := writeDataset(&w, d, weights); err != nil {
+		return nil, err
+	}
+	return w.buf, nil
+}
+
+// MarshalBase64 encodes the dataset straight into the standard base64
+// text of its dmb1 block; the string is the one allocation.
+func MarshalBase64(d *dataset.Dataset) (string, error) {
+	weights, size, head := datasetLayout(d)
+	var stage [stageBytes]byte
+	var text strings.Builder
+	w := textWriter(&text, stage[:], size, head)
+	if err := writeDataset(&w, d, weights); err != nil {
+		return "", err
+	}
+	return w.finish(), nil
 }
 
 // Unmarshal decodes one dmb1 block into a column-backed dataset. The
@@ -312,9 +345,42 @@ func writeRows(w *binfmt.Writer, rows []*dataset.Instance, attrs int) {
 // dataset.FromColumns validates nominal indices so corrupt payloads
 // surface as errors, never panics.
 func Unmarshal(b []byte) (*dataset.Dataset, error) {
-	r := newReader(b)
+	r := rawReader(b)
+	return readDataset(&r)
+}
+
+// UnmarshalBase64 decodes the base64 text of a dmb1 block straight into
+// the dataset's columns.
+func UnmarshalBase64(s string) (*dataset.Dataset, error) {
+	var stage [stageBytes]byte
+	r := textReader(s, stage[:])
+	if d, err := readDataset(&r); err == nil {
+		return d, nil
+	}
+	return decodeText(s, "payload", Unmarshal)
+}
+
+// decodeText is where a *Base64 decoder goes when its text reader stops:
+// it decodes the text whole, as encoding/base64 would, and hands the
+// block to the kind's raw decoder, so that whatever the text — line
+// breaks, bad characters, a block that is itself malformed — the outcome
+// is exactly the two-pass codec's, error text included.
+func decodeText[T any](s, what string, decode func([]byte) (*T, error)) (*T, error) {
+	b, err := decode64(s)
+	if err != nil {
+		return nil, errf("%s is not valid base64: %v", what, err)
+	}
+	return decode(b)
+}
+
+func readDataset(r *reader) (*dataset.Dataset, error) {
 	r.Header(magicDataset, version)
-	flags := r.U8()
+	weighted := false
+	if flags := r.U8(); flags&^flagWeights != 0 {
+		r.Failf("unknown flags 0x%02x", flags)
+	} else {
+		weighted = flags != 0
+	}
 	relation, classIndex, attrs := readSchema(r)
 	rows := int(r.U32())
 	if uint64(rows)*uint64(len(attrs))*8 > maxBlockBytes {
@@ -325,7 +391,7 @@ func Unmarshal(b []byte) (*dataset.Dataset, error) {
 		cols[j] = readColumn(r, rows)
 	}
 	var weights []float64
-	if flags&flagWeights != 0 {
+	if weighted {
 		weights = readColumn(r, rows)
 	}
 	if err := r.End(); err != nil {
@@ -347,6 +413,16 @@ type Result struct {
 	Distributions [][]float64 // Distributions[c][i] = P(class c | row i)
 }
 
+// size is the exact length of res's DMR1 block.
+func (res *Result) size() int {
+	rows := len(res.Labels)
+	n := len(magicResult) + 1 + 4 + 4 + 4 + 4*rows + len(res.Distributions)*(4+8*rows)
+	for _, name := range res.Classes {
+		n += 4 + len(name)
+	}
+	return n
+}
+
 // MarshalResult encodes a scoring result as one DMR1 block:
 //
 //	"DMR1" u8 version
@@ -355,35 +431,78 @@ type Result struct {
 //	labels block: u32 byte length, rows u32 indices
 //	per class: length-prefixed float64 column of rows probabilities
 func MarshalResult(res *Result) ([]byte, error) {
-	rows := len(res.Labels)
+	if err := res.check(); err != nil {
+		return nil, err
+	}
+	w := rawWriter(res.size())
+	if err := res.write(&w); err != nil {
+		return nil, err
+	}
+	return w.buf, nil
+}
+
+// MarshalResultBase64 encodes a scoring result straight into the base64
+// text of its DMR1 block.
+func MarshalResultBase64(res *Result) (string, error) {
+	if err := res.check(); err != nil {
+		return "", err
+	}
+	var stage [stageBytes]byte
+	var text strings.Builder
+	w := textWriter(&text, stage[:], res.size(), 0)
+	if err := res.write(&w); err != nil {
+		return "", err
+	}
+	return w.finish(), nil
+}
+
+func (res *Result) check() error {
 	if len(res.Distributions) != len(res.Classes) {
-		return nil, errf("%d distribution columns for %d classes", len(res.Distributions), len(res.Classes))
+		return errf("%d distribution columns for %d classes", len(res.Distributions), len(res.Classes))
 	}
 	for c, col := range res.Distributions {
-		if len(col) != rows {
-			return nil, errf("class %d distribution has %d rows, want %d", c, len(col), rows)
+		if len(col) != len(res.Labels) {
+			return errf("class %d distribution has %d rows, want %d", c, len(col), len(res.Labels))
 		}
 	}
-	w := &binfmt.Writer{Buf: make([]byte, 0, 32+4*rows+8*rows*len(res.Classes))}
-	w.Buf = append(w.Buf, magicResult...)
-	w.U8(version)
-	w.U32(uint32(len(res.Classes)))
+	return nil
+}
+
+func (res *Result) write(w *writer) error {
+	w.bytes(magicResult)
+	w.u8(version)
+	w.u32(uint32(len(res.Classes)))
 	for _, name := range res.Classes {
-		w.Str(name)
+		w.str(name)
 	}
-	w.U32(uint32(rows))
+	w.u32(uint32(len(res.Labels)))
 	if err := writeIndexColumn(w, res.Labels, len(res.Classes), false, "label"); err != nil {
-		return nil, err
+		return err
 	}
 	for _, col := range res.Distributions {
 		writeColumn(w, col)
 	}
-	return w.Buf, nil
+	return nil
 }
 
 // UnmarshalResult decodes one DMR1 block.
 func UnmarshalResult(b []byte) (*Result, error) {
-	r := newReader(b)
+	r := rawReader(b)
+	return readResult(&r)
+}
+
+// UnmarshalResultBase64 decodes the base64 text of a DMR1 block straight
+// into its columns.
+func UnmarshalResultBase64(s string) (*Result, error) {
+	var stage [stageBytes]byte
+	r := textReader(s, stage[:])
+	if res, err := readResult(&r); err == nil {
+		return res, nil
+	}
+	return decodeText(s, "result", UnmarshalResult)
+}
+
+func readResult(r *reader) (*Result, error) {
 	r.Header(magicResult, version)
 	classCount := r.U32()
 	if classCount > 1<<24 {
@@ -404,60 +523,3 @@ func UnmarshalResult(b []byte) (*Result, error) {
 	}
 	return &Result{Classes: classes, Labels: labels, Distributions: dists}, nil
 }
-
-// wrap64 base64-wraps a freshly marshalled block for transport as an
-// XML-safe SOAP part. The text is encoded straight into the string's own
-// storage, allocated once at its exact size.
-func wrap64(b []byte, err error) (string, error) {
-	if err != nil {
-		return "", err
-	}
-	var s strings.Builder
-	s.Grow(base64.StdEncoding.EncodedLen(len(b)))
-	enc := base64.NewEncoder(base64.StdEncoding, &s)
-	_, _ = enc.Write(b) // a strings.Builder does not fail
-	_ = enc.Close()
-	return s.String(), nil
-}
-
-// blockPool recycles the storage of binary blocks that live only between
-// a codec and the base64 wrap: the 360 KB a 4096-row dataset takes is
-// otherwise allocated, zeroed and collected once per call in each
-// direction.
-var blockPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// unwrap64 strips the base64 wrap and hands the block to its decoder,
-// which must not keep a reference into it: the block is recycled.
-func unwrap64[T any](s, what string, decode func([]byte) (*T, error)) (*T, error) {
-	block := blockPool.Get().(*[]byte)
-	defer blockPool.Put(block)
-	if need := base64.StdEncoding.DecodedLen(len(s)); cap(*block) < need {
-		*block = make([]byte, need)
-	}
-	n, err := base64.StdEncoding.Decode((*block)[:cap(*block)], []byte(s))
-	if err != nil {
-		return nil, errf("%s is not valid base64: %v", what, err)
-	}
-	return decode((*block)[:n])
-}
-
-// MarshalBase64 encodes the dataset and wraps it in standard base64.
-func MarshalBase64(d *dataset.Dataset) (string, error) {
-	block := blockPool.Get().(*[]byte)
-	defer blockPool.Put(block)
-	b, err := appendDataset(*block, d)
-	if err != nil {
-		return "", err
-	}
-	*block = b
-	return wrap64(b, nil)
-}
-
-// UnmarshalBase64 decodes a base64-wrapped dmb1 block.
-func UnmarshalBase64(s string) (*dataset.Dataset, error) { return unwrap64(s, "payload", Unmarshal) }
-
-// MarshalResultBase64 encodes a scoring result base64-wrapped.
-func MarshalResultBase64(res *Result) (string, error) { return wrap64(MarshalResult(res)) }
-
-// UnmarshalResultBase64 decodes a base64-wrapped DMR1 block.
-func UnmarshalResultBase64(s string) (*Result, error) { return unwrap64(s, "result", UnmarshalResult) }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/base64"
 	"fmt"
 	"math"
 	"math/rand"
@@ -117,11 +118,16 @@ func TestRoundTripRandomSchemas(t *testing.T) {
 			t.Fatalf("trial %d: block of %d bytes was sized %d", trial, len(b), cap(b))
 		}
 		// The same rows without the column mirror take the row-gathering
-		// path, recycled storage included: same bytes.
+		// path: same bytes, and the same text as encoding/base64's.
 		rowBacked := d.ShallowWith(d.Instances)
-		stale := bytes.Repeat([]byte{0xAA}, len(b))
-		if fromRows, err := appendDataset(stale, rowBacked); err != nil || !bytes.Equal(fromRows, b) {
+		if fromRows, err := Marshal(rowBacked); err != nil || !bytes.Equal(fromRows, b) {
 			t.Fatalf("trial %d: row-backed encoding differs from column-backed (err %v)", trial, err)
+		}
+		want := base64.StdEncoding.EncodeToString(b)
+		for _, in := range []*dataset.Dataset{d, rowBacked} {
+			if text, err := MarshalBase64(in); err != nil || text != want {
+				t.Fatalf("trial %d: base64 text differs from encoding/base64's (err %v)", trial, err)
+			}
 		}
 		if rowBacked.HasColumns() {
 			t.Fatalf("trial %d: encoding a row-backed dataset built its column mirror", trial)
@@ -348,8 +354,10 @@ func BenchmarkUnmarshal1024(b *testing.B) {
 
 // TestBulkBlockAllocations is the copy guard on the dmb1 codec at the
 // classify_bulk block size, 4096 rows x 11 attributes: encoding allocates
-// the block and nothing else, at its exact size, and decoding allocates
-// per column and per slab, never per row or per value.
+// the block — or, straight into base64, the string — and nothing else, at
+// its exact size, whether the dataset is column- or row-backed; decoding
+// allocates per column and per slab, never per row or per value, and
+// from text no more than from the block.
 func TestBulkBlockAllocations(t *testing.T) {
 	const rows, attrs = 4096, 11
 	cols := make([][]float64, attrs)
@@ -372,22 +380,88 @@ func TestBulkBlockAllocations(t *testing.T) {
 	if len(block) != cap(block) {
 		t.Errorf("Marshal sized its block %d bytes for %d", cap(block), len(block))
 	}
-	n := testing.AllocsPerRun(10, func() {
+	for _, in := range []struct {
+		name string
+		d    *dataset.Dataset
+	}{{"column-backed", d}, {"row-backed", d.ShallowWith(d.Instances)}} {
+		if n := testing.AllocsPerRun(10, func() { _, _ = MarshalBase64(in.d) }); n != 1 {
+			t.Errorf("MarshalBase64 of a %s dataset allocates %v times, want once (the string)", in.name, n)
+		}
+	}
+	raw := testing.AllocsPerRun(10, func() {
 		if _, err := Unmarshal(block); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if perRow := n / rows; perRow > 0.05 {
-		t.Errorf("Unmarshal allocates %v times, %.3f per row; want <= 0.05 per row", n, perRow)
+	if perRow := raw / rows; perRow > 0.05 {
+		t.Errorf("Unmarshal allocates %v times, %.3f per row; want <= 0.05 per row", raw, perRow)
+	}
+	text := base64.StdEncoding.EncodeToString(block)
+	if n := testing.AllocsPerRun(10, func() {
+		if _, err := UnmarshalBase64(text); err != nil {
+			t.Fatal(err)
+		}
+	}); n > raw {
+		t.Errorf("UnmarshalBase64 allocates %v times, Unmarshal %v; want no more", n, raw)
+	}
+}
+
+// TestResultBlocksExactSize: each result kind, at 4096 rows (the DMR1
+// case is classify_bulk's reply), is encoded into one allocation of
+// exactly its length.
+func TestResultBlocksExactSize(t *testing.T) {
+	const rows = 4096
+	cols := func(k int) [][]float64 {
+		c := make([][]float64, k)
+		for i := range c {
+			c[i] = make([]float64, rows)
+		}
+		return c
+	}
+	labels := make([]int, rows)
+	res := &Result{Classes: []string{"c0", "c1", "c2", "c3"}, Labels: labels, Distributions: cols(4)}
+	cluster := &ClusterResult{Clusters: 3, ScoreKind: ScoreDistance, Assignments: labels, Scores: cols(3)}
+	regress := &RegressResult{Target: "price", Values: cols(1)[0]}
+	for _, tc := range []struct {
+		name    string
+		marshal func() ([]byte, error)
+	}{
+		{"DMR1", func() ([]byte, error) { return MarshalResult(res) }},
+		{"DMC1", func() ([]byte, error) { return MarshalClusterResult(cluster) }},
+		{"DMV1", func() ([]byte, error) { return MarshalRegressResult(regress) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var block []byte
+			n := testing.AllocsPerRun(10, func() {
+				var err error
+				if block, err = tc.marshal(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if n != 1 {
+				t.Errorf("allocates %v times, want once", n)
+			}
+			if len(block) != cap(block) {
+				t.Errorf("block of %d bytes was sized %d", len(block), cap(block))
+			}
+		})
 	}
 }
 
 // A row with fewer cells than the schema has attributes encodes the
-// missing cells as zeros, whatever the recycled block held before.
+// missing cells as zeros, in the block and in its text alike.
 func TestShortRowEncodesZeros(t *testing.T) {
 	d := dataset.New("short", dataset.NewNumericAttribute("a"), dataset.NewNumericAttribute("b"))
 	d.Instances = []*dataset.Instance{dataset.NewInstance([]float64{1, 2}), dataset.NewInstance([]float64{3})}
-	b, err := appendDataset(bytes.Repeat([]byte{0xAA}, 256), d)
+	b, err := Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := MarshalBase64(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromText, err := UnmarshalBase64(text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +469,9 @@ func TestShortRowEncodesZeros(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if col := got.Column(1); col[0] != 2 || col[1] != 0 {
-		t.Fatalf("column b decodes as %v, want [2 0]", col)
+	for _, got := range []*dataset.Dataset{got, fromText} {
+		if col := got.Column(1); col[0] != 2 || col[1] != 0 {
+			t.Fatalf("column b decodes as %v, want [2 0]", col)
+		}
 	}
 }

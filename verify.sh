@@ -1,6 +1,7 @@
 #!/bin/sh
 # verify.sh — the full local gate, with the elapsed time of each stage:
-# formatting, build, no encoding/gob import, vet of the repo and of the
+# formatting, build, no encoding/gob import, no encoding/base64 import in
+# non-test internal/wire, vet of the repo and of the
 # benchmark module (so a change that breaks an API benchmark/ pins fails
 # here, not in the benchmark run), the benchmark's own smoke (every workload for half a
 # second, replies checked against the oracle: correctness only, no
@@ -63,6 +64,16 @@ check_no_gob() {
 	fi
 }
 
+# The wire codec converts straight between columns and base64 text
+# (internal/wire/base64.go); encoding/base64 is only its test oracle, so a
+# second, two-pass codec path cannot come back in non-test wire code.
+check_wire_base64() {
+	if go list -f '{{join .Imports " "}}' ./internal/wire | grep -qw 'encoding/base64'; then
+		echo "internal/wire imports encoding/base64 outside its tests" >&2
+		return 1
+	fi
+}
+
 # Two real dmserver replicas on one store directory, a SIGKILL every
 # 2.5s, background GC on — the run must end inside its error budget
 # (exit 0) with zero failed requests and at least one kill survived.
@@ -91,6 +102,7 @@ fuzz() {
 stage gofmt check_gofmt
 stage build go build ./...
 stage "no gob" check_no_gob
+stage "no base64 in wire" check_wire_base64
 stage vet check_vet go vet ./...
 stage "vet benchmark" check_vet go -C benchmark vet ./...
 stage "benchmark smoke" bash benchmark/run.sh --smoke

@@ -292,6 +292,9 @@ func (r *Reader) Sym() string {
 	return ""
 }
 
+// Syms returns the string table ReadSyms read; a decoder may keep it.
+func (r *Reader) Syms() []string { return r.syms }
+
 // Codec runs one description of a structure both ways: each method writes
 // what its argument points at when W is set and reads into it when R is
 // set, so a snapshot's writer and reader cannot drift apart.

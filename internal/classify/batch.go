@@ -60,3 +60,9 @@ func checkWidth(name string, in *dataset.Instance, want int) error {
 	}
 	return nil
 }
+
+// errNegativeNominal rejects a nominal cell below zero, which only a block
+// declaring the column numeric can carry: like a narrow row, it misfits.
+func errNegativeNominal(col int, v float64) error {
+	return fmt.Errorf("classify: %w: nominal column %d holds %v", dataset.ErrWidth, col, v)
+}

@@ -48,15 +48,12 @@ func (t *RandomTree) Train(d *dataset.Dataset) error {
 	t.rng = rand.New(rand.NewSource(t.Seed))
 	work := make([]*dataset.Instance, d.NumInstances())
 	copy(work, d.Instances)
-	t.root = t.grow(d, work, 0)
-	t.width = treeWidth(t.root, t.classIndex)
+	t.flatten(t.grow(d, work, 0))
 	return nil
 }
 
 func (t *RandomTree) grow(d *dataset.Dataset, ins []*dataset.Instance, depth int) *TreeNode {
-	node := &TreeNode{Attr: -1, Dist: classDist(ins, t.classIndex, t.classAttr.NumValues())}
-	node.ClassIdx = maxIdx(node.Dist)
-	node.ClassName = t.classAttr.Value(node.ClassIdx)
+	node := newLeaf(classDist(ins, t.classIndex, t.classAttr.NumValues()))
 	total := sum(node.Dist)
 	if total < 2*t.MinLeaf || node.Dist[node.ClassIdx] == total || depth > 40 {
 		return node
@@ -69,25 +66,19 @@ func (t *RandomTree) grow(d *dataset.Dataset, ins []*dataset.Instance, depth int
 		}
 	}
 	t.rng.Shuffle(len(candidates), func(i, j int) { candidates[i], candidates[j] = candidates[j], candidates[i] })
-	m := int(math.Sqrt(float64(len(candidates)))) + 1
-	if m > len(candidates) {
-		m = len(candidates)
-	}
-	helper := &J48{MinLeaf: t.MinLeaf, ConfidenceFactor: 0.25}
-	helper.classAttr = t.classAttr
-	helper.classIndex = t.classIndex
+	m := min(int(math.Sqrt(float64(len(candidates))))+1, len(candidates))
+	helper := &J48{MinLeaf: t.MinLeaf, ConfidenceFactor: 0.25, treeModel: treeModel{classAttr: t.classAttr, classIndex: t.classIndex}}
 	baseH := dataset.Entropy(node.Dist)
 	totalW := weightOf(ins)
 	bestAttr, bestTh, bestGain := -1, 0.0, 0.0
 	for _, col := range candidates[:m] {
 		a := d.Attrs[col]
-		var g, si, th float64
+		var g, th float64
 		if a.IsNominal() {
-			g, si = helper.nominalGain(ins, col, a.NumValues(), baseH, totalW)
+			g, _ = helper.nominalGain(ins, col, a.NumValues(), baseH, totalW)
 		} else {
-			g, si, th = helper.numericGain(ins, col, baseH, totalW)
+			g, _, th = helper.numericGain(ins, col, baseH, totalW)
 		}
-		_ = si
 		if g > bestGain {
 			bestAttr, bestTh, bestGain = col, th, g
 		}
@@ -105,29 +96,13 @@ func (t *RandomTree) grow(d *dataset.Dataset, ins []*dataset.Instance, depth int
 	if nonEmpty < 2 {
 		return node
 	}
-	a := d.Attrs[bestAttr]
-	node.Attr = bestAttr
-	node.AttrName = a.Name
-	node.Numeric = a.IsNumeric()
-	node.Threshold = bestTh
-	node.Labels = labels
-	node.Children = make([]*TreeNode, len(branches))
-	for i, b := range branches {
-		if len(b) == 0 {
-			leaf := &TreeNode{Attr: -1, Dist: make([]float64, len(node.Dist))}
-			leaf.ClassIdx = node.ClassIdx
-			leaf.ClassName = node.ClassName
-			node.Children[i] = leaf
-			continue
-		}
-		node.Children[i] = t.grow(d, b, depth+1)
-	}
-	return node
+	return node.split(d.Attrs[bestAttr], bestAttr, bestTh, labels, branches,
+		func(b []*dataset.Instance) *TreeNode { return t.grow(d, b, depth+1) })
 }
 
 // Distribution implements Classifier.
 func (t *RandomTree) Distribution(in *dataset.Instance) ([]float64, error) {
-	return t.distribution(t.Name(), in)
+	return t.distribution(t.Name(), in, nil)
 }
 
 // Bagging trains Size base classifiers on bootstrap resamples and averages
@@ -226,9 +201,17 @@ func (b *Bagging) Distribution(in *dataset.Instance) ([]float64, error) {
 	if len(b.members) == 0 {
 		return nil, fmt.Errorf("classify: Bagging is untrained")
 	}
-	var out []float64
+	var out, scratch []float64
 	for _, m := range b.members {
-		dist, err := m.Distribution(in)
+		var dist []float64
+		var err error
+		if t, ok := m.(treeHolder); ok {
+			// A tree member scores into one scratch reused across members.
+			dist, err = t.tree().distribution(m.Name(), in, scratch)
+			scratch = dist
+		} else {
+			dist, err = m.Distribution(in)
+		}
 		if err != nil {
 			return nil, err
 		}

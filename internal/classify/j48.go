@@ -134,20 +134,17 @@ func (j *J48) Train(d *dataset.Dataset) error {
 	for i, in := range d.Instances {
 		work[i] = in.Clone()
 	}
-	j.root = j.grow(d, work)
+	root := j.grow(d, work)
 	if !j.Unpruned {
-		j.prune(j.root)
+		j.prune(root)
 	}
-	j.width = treeWidth(j.root, j.classIndex)
+	j.flatten(root)
 	return nil
 }
 
 // grow builds the subtree over instances ins.
 func (j *J48) grow(d *dataset.Dataset, ins []*dataset.Instance) *TreeNode {
-	node := &TreeNode{Attr: -1, Dist: classDist(ins, j.classIndex, j.classAttr.NumValues())}
-	node.ClassIdx = maxIdx(node.Dist)
-	node.ClassName = j.classAttr.Value(node.ClassIdx)
-
+	node := newLeaf(classDist(ins, j.classIndex, j.classAttr.NumValues()))
 	total := sum(node.Dist)
 	if total < 2*j.MinLeaf || node.Dist[node.ClassIdx] == total {
 		return node // too small or pure
@@ -156,7 +153,6 @@ func (j *J48) grow(d *dataset.Dataset, ins []*dataset.Instance) *TreeNode {
 	if !gainOK {
 		return node
 	}
-	a := d.Attrs[attr]
 	branches, labels := j.partition(d, ins, attr, threshold)
 	// Require at least two branches with MinLeaf weight (C4.5's -M).
 	nonTrivial := 0
@@ -168,24 +164,29 @@ func (j *J48) grow(d *dataset.Dataset, ins []*dataset.Instance) *TreeNode {
 	if nonTrivial < 2 {
 		return node
 	}
-	node.Attr = attr
-	node.AttrName = a.Name
-	node.Numeric = a.IsNumeric()
-	node.Threshold = threshold
-	node.Labels = labels
-	node.Children = make([]*TreeNode, len(branches))
+	return node.split(d.Attrs[attr], attr, threshold, labels, branches,
+		func(b []*dataset.Instance) *TreeNode { return j.grow(d, b) })
+}
+
+// newLeaf returns a leaf predicting the majority class of dist.
+func newLeaf(dist []float64) *TreeNode {
+	return &TreeNode{Attr: -1, Dist: dist, ClassIdx: maxIdx(dist)}
+}
+
+// split turns n into a split on a (column attr) with a child per branch:
+// grown by grow, or for an empty branch a leaf predicting n's majority.
+func (n *TreeNode) split(a *dataset.Attribute, attr int, threshold float64, labels []string,
+	branches [][]*dataset.Instance, grow func([]*dataset.Instance) *TreeNode) *TreeNode {
+	n.Attr, n.AttrName, n.Numeric, n.Threshold, n.Labels = attr, a.Name, a.IsNumeric(), threshold, labels
+	n.Children = make([]*TreeNode, len(branches))
 	for i, b := range branches {
 		if len(b) == 0 {
-			// Empty branch: leaf predicting the parent majority.
-			leaf := &TreeNode{Attr: -1, Dist: make([]float64, len(node.Dist))}
-			leaf.ClassIdx = node.ClassIdx
-			leaf.ClassName = node.ClassName
-			node.Children[i] = leaf
-			continue
+			n.Children[i] = &TreeNode{Attr: -1, Dist: make([]float64, len(n.Dist)), ClassIdx: n.ClassIdx}
+		} else {
+			n.Children[i] = grow(b)
 		}
-		node.Children[i] = j.grow(d, b)
 	}
-	return node
+	return n
 }
 
 // selectSplit chooses the attribute (and numeric threshold) with the best
@@ -507,131 +508,37 @@ func normalInverse(p float64) float64 {
 // Distribution implements Classifier; missing split values descend all
 // branches with weights proportional to the training mass of each branch.
 func (j *J48) Distribution(in *dataset.Instance) ([]float64, error) {
-	return j.distribution(j.Name(), in)
+	return j.distribution(j.Name(), in, nil)
 }
 
-// distribution scores in for the tree learner named name.
-func (t *treeModel) distribution(name string, in *dataset.Instance) ([]float64, error) {
-	if t.root == nil {
-		return nil, fmt.Errorf("classify: %s is untrained", name)
-	}
-	if err := checkWidth(name, in, t.width); err != nil {
-		return nil, err
-	}
-	out := make([]float64, t.classAttr.NumValues())
-	descend(t.root, in.Values, 1, out)
-	return normalize(out), nil
-}
-
-// descend adds the weight w reaching n into acc, reading split values
-// from the row. J48 and RandomTree both score through it.
-func descend(n *TreeNode, row []float64, w float64, acc []float64) {
-	if n.Attr < 0 {
-		dist := n.Dist
-		total := sum(dist)
-		if total <= 0 {
-			acc[n.ClassIdx] += w
-			return
-		}
-		for c, d := range dist {
-			acc[c] += w * d / total
-		}
-		return
-	}
-	v := row[n.Attr]
-	if dataset.IsMissing(v) {
-		var totalW float64
-		childW := make([]float64, len(n.Children))
-		for i, c := range n.Children {
-			childW[i] = sum(c.Dist)
-			totalW += childW[i]
-		}
-		if totalW <= 0 {
-			descend(n.Children[0], row, w, acc)
-			return
-		}
-		for i, c := range n.Children {
-			if childW[i] > 0 {
-				descend(c, row, w*childW[i]/totalW, acc)
-			}
-		}
-		return
-	}
-	b := 0
-	if n.Numeric {
-		if v > n.Threshold {
-			b = 1
-		}
-	} else {
-		b = int(v)
-		if b >= len(n.Children) {
-			b = len(n.Children) - 1
-		}
-	}
-	descend(n.Children[b], row, w, acc)
-}
-
-// treeWidth is the row width scoring needs: one past the highest column
-// the tree splits on or the class occupies.
-func treeWidth(n *TreeNode, classIndex int) int {
-	w := classIndex + 1
-	if n == nil {
-		return w
-	}
-	if n.Attr >= w {
-		w = n.Attr + 1
-	}
-	for _, c := range n.Children {
-		if cw := treeWidth(c, classIndex); cw > w {
-			w = cw
-		}
-	}
-	return w
-}
-
-// Tree returns the trained tree root (nil before Train).
-func (j *J48) Tree() *TreeNode { return j.root }
+// Tree returns a fresh *TreeNode copy of the trained tree (nil before
+// Train); changing it leaves the model as it was.
+func (j *J48) Tree() *TreeNode { return j.view(0) }
 
 // NumLeaves returns the number of leaves of the trained tree.
-func (j *J48) NumLeaves() int { return countLeaves(j.root) }
+func (j *J48) NumLeaves() int {
+	leaves := 0
+	for _, nd := range j.nodes {
+		if nd.attr < 0 {
+			leaves++
+		}
+	}
+	return leaves
+}
 
 // TreeSize returns the total number of nodes of the trained tree.
-func (j *J48) TreeSize() int { return countNodes(j.root) }
-
-func countLeaves(n *TreeNode) int {
-	if n == nil {
-		return 0
-	}
-	if n.Attr < 0 {
-		return 1
-	}
-	total := 0
-	for _, c := range n.Children {
-		total += countLeaves(c)
-	}
-	return total
-}
-
-func countNodes(n *TreeNode) int {
-	if n == nil {
-		return 0
-	}
-	total := 1
-	for _, c := range n.Children {
-		total += countNodes(c)
-	}
-	return total
-}
+func (j *J48) TreeSize() int { return len(j.nodes) }
 
 // String renders the tree in WEKA's textual J48 layout, the "textual output
 // specifying the classification decision tree" of §4.1.
 func (j *J48) String() string {
-	if j.root == nil {
+	root := j.Tree()
+	if root == nil {
 		return "J48: untrained"
 	}
 	var b strings.Builder
 	b.WriteString("J48 pruned tree\n------------------\n\n")
-	writeTree(&b, j.root, 0)
+	writeTree(&b, root, 0)
 	fmt.Fprintf(&b, "\nNumber of Leaves  : %d\n\nSize of the tree : %d\n",
 		j.NumLeaves(), j.TreeSize())
 	return b.String()

@@ -1,6 +1,10 @@
 package classify
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"math"
 	"strings"
 	"testing"
 
@@ -279,6 +283,68 @@ func TestSplitCriterionAblation(t *testing.T) {
 		}
 		if ev.Accuracy() <= 201.0/286 {
 			t.Fatalf("criterion failed to beat baseline: %v", ev.Accuracy())
+		}
+	}
+}
+
+// TestTreeIsAView: Tree builds a copy of the flat tree the model scores
+// from, so changing it moves neither Distribution nor the snapshot, and
+// the counts and textual tree read off the flat form are the ones the
+// pointer tree gave (recorded from the tree that still held one).
+func TestTreeIsAView(t *testing.T) {
+	d := datagen.BreastCancer()
+	for _, tc := range []struct {
+		name         string
+		unpruned     bool
+		size, leaves int
+		stringDigest string
+	}{
+		{"Figure 4", false, 18, 13, "58f1103cd11ec986299205c9ed67a9f867988d20a1ab594407d5982060990ab6"},
+		{"unpruned", true, 130, 104, "7eeeadda3361ba5247954dc57e0c4f6c0aab8df73f8f6c2cb0c205c4387812ed"},
+	} {
+		j := NewJ48()
+		j.Unpruned = tc.unpruned
+		if err := j.Train(d); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256([]byte(j.String()))
+		if j.TreeSize() != tc.size || j.NumLeaves() != tc.leaves || hex.EncodeToString(sum[:]) != tc.stringDigest {
+			t.Errorf("%s: size %d, %d leaves, text digest %x; want %d, %d, %s",
+				tc.name, j.TreeSize(), j.NumLeaves(), sum, tc.size, tc.leaves, tc.stringDigest)
+		}
+		score := func() (dists [][]float64) {
+			for _, in := range d.Instances {
+				dist, err := j.Distribution(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dists = append(dists, dist)
+			}
+			return dists
+		}
+		wantDists, wantSnap := score(), encodeBody(t, j)
+		root := j.Tree()
+		var zero func(n *TreeNode)
+		zero = func(n *TreeNode) {
+			clear(n.Dist)
+			for _, c := range n.Children {
+				zero(c)
+			}
+		}
+		zero(root)
+		root.Children, root.Labels = nil, nil
+		for i, dist := range score() {
+			for k := range dist {
+				if math.Float64bits(dist[k]) != math.Float64bits(wantDists[i][k]) {
+					t.Fatalf("%s row %d: %v after changing the view, want %v", tc.name, i, dist, wantDists[i])
+				}
+			}
+		}
+		if !bytes.Equal(encodeBody(t, j), wantSnap) {
+			t.Errorf("%s: snapshot changed with the view", tc.name)
+		}
+		if j.Tree().Children == nil {
+			t.Errorf("%s: a fresh view lost the root's children", tc.name)
 		}
 	}
 }

@@ -218,7 +218,9 @@ func (nb *NaiveBayes) prepare(mass []float64, gauss []nbGauss) nbScorer {
 // score writes the class distribution of one row into out. Each class's
 // log joint is its prior plus the columns in
 // ascending order; the soft-max runs in log space for numeric stability.
-func (s *nbScorer) score(vals, out []float64) []float64 {
+// A nominal value truncates to a label, and one past the last label
+// counts as the last, as in the trees; a negative one is an error.
+func (s *nbScorer) score(vals, out []float64) ([]float64, error) {
 	nb, logp := s.nb, s.logp
 	for c := 0; c < nb.numClasses; c++ {
 		lp := s.logPrior[c]
@@ -232,7 +234,11 @@ func (s *nbScorer) score(vals, out []float64) []float64 {
 			}
 			switch {
 			case a.IsNominal():
-				lp += math.Log((nb.nominal[col][c][int(v)] + 1) / s.nomMass[col*nb.numClasses+c])
+				counts := nb.nominal[col][c]
+				if v < 0 {
+					return nil, errNegativeNominal(col, v)
+				}
+				lp += math.Log((counts[int(min(v, float64(len(counts)-1)))] + 1) / s.nomMass[col*nb.numClasses+c])
 			case a.IsNumeric():
 				g := s.gauss[col*nb.numClasses+c]
 				if !g.ok {
@@ -253,7 +259,7 @@ func (s *nbScorer) score(vals, out []float64) []float64 {
 	for c, lp := range logp {
 		out[c] = math.Exp(lp - maxLog)
 	}
-	return normalize(out)
+	return normalize(out), nil
 }
 
 // Distribution implements Classifier.
@@ -267,7 +273,7 @@ func (nb *NaiveBayes) Distribution(in *dataset.Instance) ([]float64, error) {
 	var mass [48]float64
 	var gauss [24]nbGauss
 	s := nb.prepare(mass[:0], gauss[:0])
-	return s.score(in.Values, make([]float64, nb.numClasses)), nil
+	return s.score(in.Values, make([]float64, nb.numClasses))
 }
 
 // DistributionBatch implements batchScorer: prepare runs once per block
@@ -283,7 +289,10 @@ func (nb *NaiveBayes) DistributionBatch(d *dataset.Dataset) ([][]float64, error)
 		if err := checkWidth(nb.Name(), in, len(nb.attrs)); err != nil {
 			return nil, fmt.Errorf("row %d: %w", i, err)
 		}
-		out[i] = s.score(in.Values, slab[i*k:(i+1)*k:(i+1)*k])
+		var err error
+		if out[i], err = s.score(in.Values, slab[i*k:(i+1)*k:(i+1)*k]); err != nil {
+			return nil, fmt.Errorf("row %d: %w", i, err)
+		}
 	}
 	return out, nil
 }

@@ -1,6 +1,9 @@
 package classify_test
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -75,6 +78,107 @@ func TestNarrowInputRejected(t *testing.T) {
 		} {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("%s %s: %v, want an error containing %q", tc.name, path, err, tc.want)
+			}
+		}
+	}
+}
+
+// TestOutOfRangeNominal: a block that declares a model's nominal columns
+// numeric can carry any value in them. Every registered classifier
+// answers such a row, on the row and the block path, with a distribution
+// or an error wrapping dataset.ErrWidth, never a panic. The trees and
+// NaiveBayes reject a negative value and score one past the last label as
+// the last label.
+func TestOutOfRangeNominal(t *testing.T) {
+	bc := datagen.BreastCancer()
+	// block returns bc's first rows with every other column declared
+	// numeric and set to v.
+	block := func(v float64) *dataset.Dataset {
+		attrs := make([]*dataset.Attribute, len(bc.Attrs))
+		cols := bc.Columns()
+		for col, a := range bc.Attrs {
+			attrs[col] = a
+			if col != bc.ClassIndex {
+				attrs[col] = dataset.NewNumericAttribute(a.Name)
+				cols[col] = make([]float64, len(cols[col]))
+				for i := range cols[col] {
+					cols[col][i] = v
+				}
+			}
+		}
+		d, err := dataset.FromColumns(bc.Relation, attrs, bc.ClassIndex, cols, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	// The last label of every column: BreastCancer's columns differ in
+	// label count, so a clamped value is compared per column.
+	last := block(0)
+	for col, a := range bc.Attrs {
+		if col != bc.ClassIndex {
+			for _, in := range last.Instances {
+				in.Values[col] = float64(a.NumValues() - 1)
+			}
+		}
+	}
+	clamps := map[string]bool{"J48": true, "RandomTree": true, "RandomForest": true, "Bagging": true, "NaiveBayes": true}
+	for _, name := range classify.Names() {
+		c, err := classify.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Train(bc); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_, want, err := classify.PredictBatch(c, last)
+		if err != nil {
+			t.Fatalf("%s: last labels: %v", name, err)
+		}
+		for _, v := range []float64{-1, 2.5, 7, 1e300, -1e300, math.Inf(1), math.Inf(-1)} {
+			d := block(v)
+			var rowDists [][]float64
+			for path, score := range map[string]func() error{
+				"row": func() error {
+					for _, in := range d.Instances {
+						dist, err := c.Distribution(in)
+						if err != nil {
+							return err
+						}
+						rowDists = append(rowDists, dist)
+					}
+					return nil
+				},
+				"block": func() error { _, _, err := classify.PredictBatch(c, d); return err },
+			} {
+				err := func() (err error) {
+					defer func() {
+						if r := recover(); r != nil {
+							err = fmt.Errorf("panic: %v", r)
+						}
+					}()
+					return score()
+				}()
+				if err != nil && !errors.Is(err, dataset.ErrWidth) {
+					t.Errorf("%s %s at %v: %v, want a distribution or ErrWidth", name, path, v, err)
+				}
+				if !clamps[name] || path != "row" {
+					continue
+				}
+				switch {
+				case v < 0 && err == nil:
+					t.Errorf("%s at %v: scored, want ErrWidth", name, v)
+				case v > 7 && err != nil:
+					t.Errorf("%s at %v: %v, want the last label's score", name, v, err)
+				case v > 7:
+					for i, dist := range rowDists {
+						for k := range dist {
+							if math.Float64bits(dist[k]) != math.Float64bits(want[i][k]) {
+								t.Fatalf("%s at %v row %d: %v, want the last label's %v", name, v, i, dist, want[i])
+							}
+						}
+					}
+				}
 			}
 		}
 	}

@@ -229,13 +229,12 @@ func (o *OneR) Distribution(in *dataset.Instance) ([]float64, error) {
 			b = len(o.valueClass) - 1
 		}
 		row = o.valueClass[b]
+	case v < 0:
+		return nil, errNegativeNominal(o.attr, v)
+	case v >= float64(len(o.valueClass)):
+		row = o.fallback
 	default:
-		idx := int(v)
-		if idx >= len(o.valueClass) {
-			row = o.fallback
-		} else {
-			row = o.valueClass[idx]
-		}
+		row = o.valueClass[int(v)]
 	}
 	out := make([]float64, len(row))
 	copy(out, row)

@@ -36,14 +36,15 @@ func (s *DecisionStump) Train(d *dataset.Dataset) error {
 	if err := j.Train(d); err != nil {
 		return err
 	}
-	// Truncate to depth one: every child of the root becomes a leaf.
-	if r := j.Tree(); r != nil && r.Attr >= 0 {
+	// Truncate to depth one: every child of the root becomes a leaf. The
+	// width stays the grown tree's.
+	if r := j.Tree(); r.Attr >= 0 {
 		for _, c := range r.Children {
-			c.Attr = -1
-			c.AttrName = ""
-			c.Children = nil
-			c.Labels = nil
+			c.Attr, c.Children = -1, nil
 		}
+		width := j.width
+		j.flatten(r)
+		j.width = width
 	}
 	s.inner = j
 	return nil
@@ -60,8 +61,8 @@ func (s *DecisionStump) Distribution(in *dataset.Instance) ([]float64, error) {
 // Attribute returns the splitting column of the stump, or -1 when the stump
 // degenerated to a single leaf.
 func (s *DecisionStump) Attribute() int {
-	if s.inner == nil || s.inner.Tree() == nil {
+	if s.inner == nil || s.inner.nodes == nil {
 		return -1
 	}
-	return s.inner.Tree().Attr
+	return int(s.inner.nodes[0].attr)
 }

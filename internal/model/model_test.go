@@ -3,6 +3,7 @@ package model
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -289,6 +290,75 @@ func TestSnapshotGoldenDigests(t *testing.T) {
 	}
 }
 
+// TestForestShapeGoldenDigests holds the snapshots of model_resume's
+// shape, trained on RandomNominal(512, 10, 4, 0.2, 11), to digests
+// recorded while trees were still decoded into *TreeNode graphs: a
+// 20-tree RandomForest, a J48 (fractional weights: the float64 dist
+// block) and a Bagging of unpruned J48s.
+func TestForestShapeGoldenDigests(t *testing.T) {
+	golden := map[string]string{
+		"RandomForest": "23bcf6a969dab8598b7922c6f8094a541f6f9b5e5b629bbfd73dc2f98ba05c12",
+		"J48":          "a941db114d5c4306f84c7b5e3b60591fd8aa4955f6b1789d43f8d67d38bb881c",
+		"Bagging":      "bf2dd8aa360e3d5aa516235590bf3f2f6b0ca769c6c1c71fb2e1bd7e1229a4ec",
+	}
+	for name, want := range golden {
+		c, err := classify.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Train(datagen.RandomNominal(512, 10, 4, 0.2, 11)); err != nil {
+			t.Fatal(err)
+		}
+		b, err := Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s: snapshot digest %s, want %s", name, got, want)
+		}
+		if restored, err := Unmarshal(b); err != nil {
+			t.Fatal(err)
+		} else if again, _ := Marshal(restored); !bytes.Equal(again, b) {
+			t.Errorf("%s: a restored model re-marshals differently", name)
+		}
+	}
+}
+
+// TestRestoredForestScoresGolden: a forest restored from its snapshot
+// scores RandomNominal(256, 10, 4, 0.2, 12) to the digest the live forest
+// is held to in classify's TestBaggingMatchesGoldenDigests (SHA-256 over
+// each label and the Float64bits of each distribution cell).
+func TestRestoredForestScoresGolden(t *testing.T) {
+	const want = "ca91657958c374ad8b10c1d0dace028d4aff28fced9b9f47de0d3092202a884e"
+	c, _ := classify.New("RandomForest")
+	if err := c.Train(datagen.RandomNominal(512, 10, 4, 0.2, 11)); err != nil {
+		t.Fatal(err)
+	}
+	b, err := Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Unmarshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels, dists, err := classify.PredictBatch(restored, datagen.RandomNominal(256, 10, 4, 0.2, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for i, dist := range dists {
+		h.Write(binary.LittleEndian.AppendUint64(nil, uint64(labels[i])))
+		for _, p := range dist {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(p)))
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("restored forest: scores digest %s, want %s", got, want)
+	}
+}
+
 // FuzzModelUnmarshal: whatever the bytes, both decoders return a model or
 // a *FormatError — never a panic — and allocate at most a constant
 // multiple of the input.
@@ -427,4 +497,30 @@ func BenchmarkRandomForestSnapshot(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkRandomForestResume is one model_resume call's server work
+// without the transport: restore the 20-tree forest from its snapshot,
+// then score a 64-row block.
+func BenchmarkRandomForestResume(b *testing.B) {
+	c, _ := classify.New("RandomForest")
+	if err := c.Train(datagen.RandomNominal(512, 10, 4, 0.2, 11)); err != nil {
+		b.Fatal(err)
+	}
+	snap, err := Marshal(c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	block := datagen.RandomNominal(64, 10, 4, 0.2, 12)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := Unmarshal(snap)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := classify.PredictBatch(m, block); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

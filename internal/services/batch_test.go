@@ -272,3 +272,53 @@ func TestClassifyBatchNarrowBlock(t *testing.T) {
 		}
 	}
 }
+
+// TestClassifyBatchNegativeNominal: a block that declares a model's
+// nominal columns numeric and carries -1 in them comes back as a
+// soap:Client fault from the scorer's own check, not from the server's
+// panic recovery.
+func TestClassifyBatchNegativeNominal(t *testing.T) {
+	base := hostServices(t, NewClassifierService(harness.NewCachedBackend(8)))
+	bc := datagen.BreastCancer()
+	attrs := make([]*dataset.Attribute, len(bc.Attrs))
+	cols := bc.Columns()
+	for col, a := range bc.Attrs {
+		attrs[col] = a
+		if col != bc.ClassIndex {
+			attrs[col] = dataset.NewNumericAttribute(a.Name)
+			cols[col] = make([]float64, len(cols[col]))
+			for i := range cols[col] {
+				cols[col][i] = -1
+			}
+		}
+	}
+	block, err := dataset.FromColumns(bc.Relation, attrs, bc.ClassIndex, cols, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := wire.MarshalBase64(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	panics := obs.Default.Counter("soap_server_panics_total", "service=Classifier", "op=classifyBatch")
+	for _, name := range []string{"J48", "RandomForest", "NaiveBayes", "OneR"} {
+		before := panics.Value()
+		_, err := soap.CallContext(context.Background(), base+"/services/Classifier", "classifyBatch", map[string]string{
+			PartDataset:    arff.Format(bc),
+			PartClassifier: name,
+			PartAttribute:  "Class",
+			PartPayload:    payload,
+			PartEncoding:   wire.Encoding,
+		})
+		var f *soap.Fault
+		if !soapFaultAs(err, &f) {
+			t.Fatalf("%s: error %v, want a SOAP fault", name, err)
+		}
+		if f.Code != "soap:Client" || !strings.Contains(f.String, "holds -1") {
+			t.Errorf("%s: fault %s %q, want soap:Client naming the value", name, f.Code, f.String)
+		}
+		if strings.Contains(f.Detail, "panic") || panics.Value() != before {
+			t.Errorf("%s: fault came from a recovered panic: %+v", name, f)
+		}
+	}
+}

@@ -262,7 +262,8 @@ func (c *Controller) admit(ctx context.Context) (func(), *rejection) {
 	return func() {
 		once.Do(func() {
 			c.recordServiceTime(time.Since(start))
-			<-c.sem
+			// Off the books before the slot is handed on, so a waiter
+			// that takes it never sees inflight at limit + 1.
 			c.mu.Lock()
 			c.inflight--
 			c.observer.Gauge("admission_inflight").Set(int64(c.inflight))
@@ -270,6 +271,7 @@ func (c *Controller) admit(ctx context.Context) (func(), *rejection) {
 				c.observer.Counter("admission_drained_total").Inc()
 			}
 			c.mu.Unlock()
+			<-c.sem
 			c.wg.Done()
 		})
 	}, nil

@@ -340,3 +340,34 @@ func TestDrainLeaksNoGoroutines(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// TestInFlightPeakHoldsUnderChurn drives tight admit/release loops from
+// many goroutines at MaxInFlight 1: a request is off the in-flight books
+// before its slot is handed on, so the gauge never reads limit + 1.
+func TestInFlightPeakHoldsUnderChurn(t *testing.T) {
+	reg := obs.NewRegistry()
+	const workers, rounds = 8, 2000
+	c := NewController(Config{MaxInFlight: 1, MaxQueue: workers, Observer: reg})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				release, rej := c.admit(context.Background())
+				if rej != nil {
+					t.Errorf("admit rejected: %s", rej.reason)
+					return
+				}
+				release()
+			}
+		}()
+	}
+	wg.Wait()
+	if g := reg.Gauge("admission_inflight_peak").Value(); g > 1 {
+		t.Errorf("admission_inflight_peak = %d, want <= 1", g)
+	}
+	if n := c.InFlight(); n != 0 {
+		t.Errorf("%d requests still in flight after every release", n)
+	}
+}

@@ -54,9 +54,9 @@ func TestRegistryListsAllFamilies(t *testing.T) {
 
 func TestOptionsForEveryClassifier(t *testing.T) {
 	for _, n := range Names() {
-		opts, err := OptionsFor(n)
+		opts, err := Registry.Options(n)
 		if err != nil {
-			t.Fatalf("OptionsFor(%s): %v", n, err)
+			t.Fatalf("Registry.Options(%s): %v", n, err)
 		}
 		for _, o := range opts {
 			if o.Name == "" || o.Description == "" {

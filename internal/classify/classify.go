@@ -11,9 +11,8 @@ package classify
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 
+	"repro/internal/algo"
 	"repro/internal/dataset"
 )
 
@@ -31,12 +30,7 @@ type Classifier interface {
 
 // Parameterized exposes run-time options, mirroring the getOptions operation
 // of the general Classifier Web Service.
-type Parameterized interface {
-	// Options describes the parameters the algorithm accepts.
-	Options() []Option
-	// SetOption sets a parameter by name from its string spelling.
-	SetOption(name, value string) error
-}
+type Parameterized = algo.Parameterized
 
 // Updateable marks classifiers that can learn one instance at a time
 // (streamed data, §3's "streaming of data from a remote machine").
@@ -78,12 +72,7 @@ func TrainWith(ctx context.Context, c Classifier, d *dataset.Dataset) error {
 
 // Option describes one run-time parameter of an algorithm, the unit of the
 // getOptions reply.
-type Option struct {
-	Name        string `json:"name"`
-	Description string `json:"description"`
-	Default     string `json:"default"`
-	Required    bool   `json:"required"`
-}
+type Option = algo.Option
 
 // Predict returns the index of the most probable class label.
 func Predict(c Classifier, in *dataset.Instance) (int, error) {
@@ -106,81 +95,22 @@ func Predict(c Classifier, in *dataset.Instance) (int, error) {
 // Factory constructs a fresh, untrained classifier.
 type Factory func() Classifier
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Factory{}
-)
+// Registry holds every classifier the general Classifier Web Service
+// offers: getClassifiers lists it, getOptions describes its entries.
+var Registry = algo.NewRegistry[Classifier]("classify", "classifier")
 
-// Register adds a classifier factory under name. It panics on duplicates;
-// registration happens in package init functions.
-func Register(name string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic("classify: duplicate registration of " + name)
-	}
-	registry[name] = f
-}
+// Register adds a classifier factory under name; see algo.Registry.
+func Register(name string, f Factory) { Registry.Register(name, f) }
 
 // New constructs a registered classifier by name.
-func New(name string) (Classifier, error) {
-	regMu.RLock()
-	f, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("classify: unknown classifier %q (known: %v)", name, Names())
-	}
-	return f(), nil
-}
+func New(name string) (Classifier, error) { return Registry.New(name) }
 
 // Names returns the sorted registry names — the getClassifiers reply.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return Registry.Names() }
 
-// OptionsFor returns the option descriptors for a registered classifier, or
-// an empty list when it has no tunable parameters.
-func OptionsFor(name string) ([]Option, error) {
-	c, err := New(name)
-	if err != nil {
-		return nil, err
-	}
-	if p, ok := c.(Parameterized); ok {
-		return p.Options(), nil
-	}
-	return nil, nil
-}
-
-// Configure applies name=value options to a classifier, failing on unknown
-// names when the classifier is Parameterized and on any option otherwise.
-func Configure(c Classifier, opts map[string]string) error {
-	if len(opts) == 0 {
-		return nil
-	}
-	p, ok := c.(Parameterized)
-	if !ok {
-		return fmt.Errorf("classify: %s accepts no options", c.Name())
-	}
-	// Apply in sorted order for determinism of error reporting.
-	keys := make([]string, 0, len(opts))
-	for k := range opts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if err := p.SetOption(k, opts[k]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Configure applies name=value options to a classifier in sorted name
+// order; see algo.Registry.Configure.
+func Configure(c Classifier, opts map[string]string) error { return Registry.Configure(c, opts) }
 
 // checkTrainable validates a dataset for supervised training.
 func checkTrainable(d *dataset.Dataset) error {

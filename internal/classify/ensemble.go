@@ -255,6 +255,14 @@ func init() {
 // Name implements Classifier.
 func (f *RandomForest) Name() string { return "RandomForest" }
 
+// Options implements Parameterized: Bagging's options, advertising the
+// forest's own default of 20 trees.
+func (f *RandomForest) Options() []Option {
+	opts := f.Bagging.Options()
+	opts[0].Default = "20"
+	return opts
+}
+
 // AdaBoostM1 implements the AdaBoost.M1 boosting meta-algorithm over
 // decision stumps (or any supplied base learner).
 type AdaBoostM1 struct {

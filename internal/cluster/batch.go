@@ -47,12 +47,24 @@ type batchAssigner interface {
 	AssignBatch(d *dataset.Dataset) (assign []int, scores [][]float64, kind ScoreKind, err error)
 }
 
+// rowAssigner marks the clusterers without a batch kernel (Cobweb,
+// DBSCAN); fittedCols names the columns their Assign reads.
+type rowAssigner interface {
+	fittedCols() []int
+}
+
 // AssignAll assigns every row of d with c: the columnar batch path when c
 // implements batchAssigner, otherwise the per-row Assign loop (which
-// yields no score columns).
+// yields no score columns). Either way a block narrower than the fitted
+// schema is a dataset.ErrWidth error.
 func AssignAll(c Clusterer, d *dataset.Dataset) ([]int, [][]float64, ScoreKind, error) {
 	if ba, ok := c.(batchAssigner); ok {
 		return ba.AssignBatch(d)
+	}
+	if ra, ok := c.(rowAssigner); ok {
+		if err := checkBatchCols(c.Name(), ra.fittedCols(), d); err != nil {
+			return nil, nil, ScoreNone, err
+		}
 	}
 	assign, err := Assignments(c, d)
 	if err != nil {
@@ -66,8 +78,8 @@ func AssignAll(c Clusterer, d *dataset.Dataset) ([]int, [][]float64, ScoreKind, 
 func checkBatchCols(name string, cols []int, d *dataset.Dataset) error {
 	for _, col := range cols {
 		if col >= d.NumAttributes() {
-			return fmt.Errorf("cluster: %s was fitted on column %d; batch has only %d attributes",
-				name, col, d.NumAttributes())
+			return fmt.Errorf("cluster: %w: %s was fitted on column %d; batch has only %d attributes",
+				dataset.ErrWidth, name, col, d.NumAttributes())
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -208,5 +209,31 @@ func TestAssignBatchUnbuilt(t *testing.T) {
 		if _, _, _, err := c.AssignBatch(d); err == nil {
 			t.Fatalf("%T: unbuilt AssignBatch succeeded", c)
 		}
+	}
+}
+
+// TestAssignAllNarrowBlock: a block narrower than the fitted schema is a
+// dataset.ErrWidth error from every registered clusterer, on the batch
+// kernels and the row-path fallback alike — never an index panic.
+func TestAssignAllNarrowBlock(t *testing.T) {
+	d := datagen.GaussianClusters(3, 30, 4, 3.0, 42)
+	narrow, err := d.Project([]int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			c, err := New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Build(d.Clone()); err != nil {
+				t.Fatal(err)
+			}
+			_, _, _, err = AssignAll(c, narrow.Clone())
+			if !errors.Is(err, dataset.ErrWidth) {
+				t.Fatalf("AssignAll on a 1-attribute block: %v, want ErrWidth", err)
+			}
+		})
 	}
 }

@@ -8,9 +8,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 
+	"repro/internal/algo"
 	"repro/internal/dataset"
 )
 
@@ -51,60 +50,24 @@ func BuildWith(ctx context.Context, c Clusterer, d *dataset.Dataset) error {
 	return ctx.Err()
 }
 
-// Parameterized mirrors classify.Parameterized for clusterers.
-type Parameterized interface {
-	Options() []Option
-	SetOption(name, value string) error
-}
+// Parameterized exposes run-time options (the getOptions operation).
+type Parameterized = algo.Parameterized
 
 // Option describes one run-time parameter (getOptions reply unit).
-type Option struct {
-	Name        string `json:"name"`
-	Description string `json:"description"`
-	Default     string `json:"default"`
-	Required    bool   `json:"required"`
-}
+type Option = algo.Option
 
-// Factory constructs a fresh clusterer.
-type Factory func() Clusterer
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Factory{}
-)
+// Registry holds every clusterer the general Clustering Web Service
+// offers.
+var Registry = algo.NewRegistry[Clusterer]("cluster", "clusterer")
 
 // Register adds a clusterer factory; it panics on duplicate names.
-func Register(name string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic("cluster: duplicate registration of " + name)
-	}
-	registry[name] = f
-}
+func Register(name string, f func() Clusterer) { Registry.Register(name, f) }
 
 // New constructs a registered clusterer by name.
-func New(name string) (Clusterer, error) {
-	regMu.RLock()
-	f, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("cluster: unknown clusterer %q (known: %v)", name, Names())
-	}
-	return f(), nil
-}
+func New(name string) (Clusterer, error) { return Registry.New(name) }
 
 // Names returns the sorted registry names.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return Registry.Names() }
 
 // featureColumns returns the usable (numeric or nominal, non-class) columns.
 func featureColumns(d *dataset.Dataset) []int {

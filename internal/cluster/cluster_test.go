@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -286,5 +287,32 @@ func TestSilhouette(t *testing.T) {
 	}
 	if _, err := Silhouette(d, allNoise, 2); err == nil {
 		t.Fatal("all-noise assignment accepted")
+	}
+}
+
+// TestBuildIsDeterministic: every registered clusterer labels the same
+// data the same way on every build — no label depends on map order.
+func TestBuildIsDeterministic(t *testing.T) {
+	d := datagen.GaussianClusters(3, 60, 4, 3.0, 42)
+	for _, name := range Names() {
+		var first []int
+		for run := 0; run < 8; run++ {
+			c, err := New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Build(d.Clone()); err != nil {
+				t.Fatal(err)
+			}
+			assign, err := Assignments(c, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = assign
+			} else if !slices.Equal(first, assign) {
+				t.Fatalf("%s: build %d labels the data differently from build 0", name, run)
+			}
+		}
 	}
 }

@@ -357,6 +357,9 @@ func (cw *Cobweb) Assign(in *dataset.Instance) (int, error) {
 	return n.ID, nil
 }
 
+// fittedCols implements rowAssigner.
+func (cw *Cobweb) fittedCols() []int { return cw.cols }
+
 // GraphString renders the concept hierarchy as indented text, the textual
 // form of the getCobwebGraph reply.
 func (cw *Cobweb) GraphString() string {

@@ -215,13 +215,20 @@ func (h *Hierarchical) cut(d *dataset.Dataset, n int) [][]float64 {
 		parent[find(m.Left)] = root
 		parent[find(m.Right)] = root
 	}
+	// Clusters are numbered by their lowest member row, so the labels do
+	// not depend on map order.
 	groups := map[int][]int{}
+	var roots []int
 	for i := 0; i < n; i++ {
 		g := find(i)
+		if groups[g] == nil {
+			roots = append(roots, g)
+		}
 		groups[g] = append(groups[g], i)
 	}
 	cents := make([][]float64, 0, len(groups))
-	for _, idxs := range groups {
+	for _, g := range roots {
+		idxs := groups[g]
 		c := make([]float64, len(h.cols))
 		for _, i := range idxs {
 			for j, col := range h.cols {
@@ -377,6 +384,9 @@ func (db *DBSCAN) NumClusters() int { return db.k }
 
 // Labels returns the per-training-instance labels (-1 = noise).
 func (db *DBSCAN) Labels() []int { return db.labels }
+
+// fittedCols implements rowAssigner.
+func (db *DBSCAN) fittedCols() []int { return db.cols }
 
 // Assign implements Clusterer: the label of the nearest training point.
 func (db *DBSCAN) Assign(in *dataset.Instance) (int, error) {

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/algo"
 	"repro/internal/arff"
 	"repro/internal/csvconv"
 	"repro/internal/dataset"
@@ -365,12 +366,9 @@ func newOptionSelectorUnit() workflow.Unit {
 		In:       []string{"options"},
 		Out:      []string{"selected"},
 		Fn: func(ctx context.Context, in workflow.Values) (workflow.Values, error) {
-			// Parse the getOptions JSON descriptors, start from defaults,
-			// apply "set.<name>" overrides.
-			var descriptors []struct {
-				Name    string `json:"name"`
-				Default string `json:"default"`
-			}
+			// Parse the getOptions JSON descriptors, then collect the
+			// "set.<name>" overrides of offered options.
+			var descriptors []algo.Option
 			raw := strings.TrimSpace(in["options"])
 			if raw != "" && raw != "null" {
 				if err := json.Unmarshal([]byte(raw), &descriptors); err != nil {

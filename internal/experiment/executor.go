@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/attrsel"
@@ -79,25 +78,20 @@ func (Local) Execute(ctx context.Context, job Job, d *dataset.Dataset) (Metrics,
 // dataset (resubstitution), matching the Classifier service's
 // classifyInstance semantics.
 func localClassify(ctx context.Context, job Job, d *dataset.Dataset) (Metrics, error) {
-	// Validate name and options once; CrossValidateContext's factory
-	// cannot return an error, so it re-applies the already-validated,
-	// deterministic configuration below.
-	probe, err := classify.New(job.Algorithm)
+	factory, err := classify.Registry.Factory(job.Algorithm, job.Options)
 	if err != nil {
 		return Metrics{}, err
 	}
-	if err := classify.Configure(probe, job.Options); err != nil {
-		return Metrics{}, err
-	}
 	if job.Folds < 2 {
+		c := factory()
 		ev, err := classify.NewEvaluation(d)
 		if err != nil {
 			return Metrics{}, err
 		}
-		if err := classify.TrainWith(ctx, probe, d); err != nil {
+		if err := classify.TrainWith(ctx, c, d); err != nil {
 			return Metrics{}, err
 		}
-		if err := ev.TestModel(probe, d); err != nil {
+		if err := ev.TestModel(c, d); err != nil {
 			return Metrics{}, err
 		}
 		return classifyMetrics(ev), nil
@@ -109,11 +103,6 @@ func localClassify(ctx context.Context, job Job, d *dataset.Dataset) (Metrics, e
 	k := job.Folds
 	if k > d.NumInstances() {
 		k = d.NumInstances()
-	}
-	factory := func() classify.Classifier {
-		c, _ := classify.New(job.Algorithm)
-		_ = classify.Configure(c, job.Options)
-		return c
 	}
 	ev, err := classify.CrossValidateContext(ctx, factory, d, k, seed)
 	if err != nil {
@@ -129,11 +118,8 @@ func classifyMetrics(ev *classify.Evaluation) Metrics {
 // localCluster builds the configured clusterer and scores it with the
 // internal (and, when a class is designated, external) cluster measures.
 func localCluster(ctx context.Context, job Job, d *dataset.Dataset) (Metrics, error) {
-	c, err := cluster.New(job.Algorithm)
+	c, err := cluster.Registry.Build(job.Algorithm, job.Options)
 	if err != nil {
-		return Metrics{}, err
-	}
-	if err := configureClusterer(c, job.Options); err != nil {
 		return Metrics{}, err
 	}
 	if err := cluster.BuildWith(ctx, c, d); err != nil {
@@ -160,27 +146,6 @@ func localCluster(ctx context.Context, job Job, d *dataset.Dataset) (Metrics, er
 		}
 	}
 	return m, nil
-}
-
-func configureClusterer(c cluster.Clusterer, opts map[string]string) error {
-	if len(opts) == 0 {
-		return nil
-	}
-	p, ok := c.(cluster.Parameterized)
-	if !ok {
-		return fmt.Errorf("experiment: clusterer %s accepts no options", c.Name())
-	}
-	keys := make([]string, 0, len(opts))
-	for k := range opts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if err := p.SetOption(k, opts[k]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // localAttrSel ranks the dataset's attributes with the named evaluator and

@@ -147,10 +147,6 @@ func TestParallelismIsNotAnOption(t *testing.T) {
 			for _, o := range a.Options() {
 				names = append(names, o.Name)
 			}
-		case cluster.Parameterized:
-			for _, o := range a.Options() {
-				names = append(names, o.Name)
-			}
 		}
 		if len(names) == 0 || slices.Contains(names, "parallelism") {
 			t.Errorf("%s options = %v", tc.name, names)

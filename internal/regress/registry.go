@@ -2,66 +2,28 @@ package regress
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
-	"sync"
+
+	"repro/internal/algo"
 )
 
-// Option describes one run-time parameter (getOptions reply unit),
-// mirroring classify.Option and cluster.Option.
-type Option struct {
-	Name        string `json:"name"`
-	Description string `json:"description"`
-	Default     string `json:"default"`
-	Required    bool   `json:"required"`
-}
+// Option describes one run-time parameter (getOptions reply unit).
+type Option = algo.Option
 
-// Parameterized mirrors cluster.Parameterized for regressors.
-type Parameterized interface {
-	Options() []Option
-	SetOption(name, value string) error
-}
+// Parameterized exposes run-time options (the getOptions operation).
+type Parameterized = algo.Parameterized
 
-// Factory constructs a fresh regressor.
-type Factory func() Regressor
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Factory{}
-)
+// Registry holds every regressor the Regressor Web Service offers.
+var Registry = algo.NewRegistry[Regressor]("regress", "regressor")
 
 // Register adds a regressor factory; it panics on duplicate names.
-func Register(name string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic("regress: duplicate registration of " + name)
-	}
-	registry[name] = f
-}
+func Register(name string, f func() Regressor) { Registry.Register(name, f) }
 
 // New constructs a registered regressor by name.
-func New(name string) (Regressor, error) {
-	regMu.RLock()
-	f, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("regress: unknown regressor %q (known: %v)", name, Names())
-	}
-	return f(), nil
-}
+func New(name string) (Regressor, error) { return Registry.New(name) }
 
 // Names returns the sorted registry names.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return Registry.Names() }
 
 func init() {
 	Register("LinearRegression", func() Regressor { return &LinearRegression{} })

@@ -10,6 +10,7 @@ import (
 	"repro/internal/arff"
 	"repro/internal/cluster"
 	"repro/internal/datagen"
+	"repro/internal/dataset"
 	"repro/internal/filter"
 	"repro/internal/obs"
 	"repro/internal/regress"
@@ -304,5 +305,43 @@ func TestFilterServiceFilterBatch(t *testing.T) {
 	var f *soap.Fault
 	if err == nil || !soapFaultAs(err, &f) || f.Code != "soap:Client" {
 		t.Fatalf("unknown filter: error %v, want soap:Client fault", err)
+	}
+}
+
+// TestClusterBatchNarrowBlock: for every registered clusterer, a payload
+// narrower than the dataset the model was built on is answered with a
+// soap:Client fault from the width check, not a recovered panic and not
+// a retryable soap:Server fault.
+func TestClusterBatchNarrowBlock(t *testing.T) {
+	base := hostServices(t, NewClustererService())
+	url := base + "/services/Clusterer"
+	train := datagen.GaussianClusters(3, 30, 4, 3.0, 42)
+	narrow, err := train.Project([]int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := wire.MarshalBase64(narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	panics := obs.Default.Counter("soap_server_panics_total", "service=Clusterer", "op=clusterBatch")
+	for _, name := range cluster.Names() {
+		before := panics.Value()
+		_, err := soap.CallContext(context.Background(), url, "clusterBatch", map[string]string{
+			PartDataset:   arff.Format(train.Clone()),
+			PartClusterer: name,
+			PartPayload:   payload,
+			PartEncoding:  wire.Encoding,
+		})
+		var f *soap.Fault
+		if !soapFaultAs(err, &f) {
+			t.Fatalf("%s: error %v, want a SOAP fault", name, err)
+		}
+		if f.Code != "soap:Client" || !strings.Contains(f.String, dataset.ErrWidth.Error()) {
+			t.Errorf("%s: fault %s %q, want soap:Client carrying %q", name, f.Code, f.String, dataset.ErrWidth)
+		}
+		if panics.Value() != before {
+			t.Errorf("%s: the fault came from a recovered panic", name)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/classify"
 	"repro/internal/dataset"
@@ -36,35 +35,9 @@ func NewClassifierService(backend harness.Backend) *Service {
 		Category: "classifier",
 		Doc:      "General classifier wrapper: train any registered algorithm on an ARFF dataset (§4.1).",
 		Ops: []Op{
-			{
-				Name: "getClassifiers",
-				Doc:  "List the classification algorithms known to the service.",
-				Out:  []string{PartClassifiers},
-				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
-					return map[string]string{"classifiers": strings.Join(classify.Names(), "\n")}, nil
-				},
-			},
-			{
-				Name: "getOptions",
-				Doc:  "Describe the run-time options of a classifier.",
-				In:   []string{PartClassifier},
-				Out:  []string{PartOptions},
-				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
-					name, err := require(parts, "classifier")
-					if err != nil {
-						return nil, err
-					}
-					opts, err := classify.OptionsFor(name)
-					if err != nil {
-						return nil, &soap.Fault{Code: "soap:Client", String: err.Error()}
-					}
-					js, err := optionsJSON(opts)
-					if err != nil {
-						return nil, err
-					}
-					return map[string]string{"options": js}, nil
-				},
-			},
+			listOp("getClassifiers", "List the classification algorithms known to the service.",
+				PartClassifiers, classify.Registry),
+			optionsOp("Describe the run-time options of a classifier.", PartClassifier, classify.Registry),
 			{
 				Name: "classifyInstance",
 				Doc:  "Train the named classifier on an ARFF dataset and return the model and its evaluation.",
@@ -120,17 +93,9 @@ func NewClassifierService(backend harness.Backend) *Service {
 					if err != nil {
 						return nil, err
 					}
-					// Validate algorithm and options once; the factory then
-					// re-applies them (deterministic after this check).
-					if probe, err := classify.New(name); err != nil {
+					factory, err := classify.Registry.Factory(name, opts)
+					if err != nil {
 						return nil, &soap.Fault{Code: "soap:Client", String: err.Error()}
-					} else if err := classify.Configure(probe, opts); err != nil {
-						return nil, &soap.Fault{Code: "soap:Client", String: err.Error()}
-					}
-					factory := func() classify.Classifier {
-						c, _ := classify.New(name)
-						_ = classify.Configure(c, opts)
-						return c
 					}
 					ev, err := classify.CrossValidateContext(ctx, factory, d, folds, int64(seed))
 					if err != nil {
@@ -245,11 +210,8 @@ func TrainBuilderContext(ctx context.Context, name string, opts map[string]strin
 		// An unknown algorithm or bad option is the caller's mistake: fault
 		// it as soap:Client so clients (e.g. the experiment engine's remote
 		// executor) know not to retry.
-		c, err := classify.New(name)
+		c, err := classify.Registry.Build(name, opts)
 		if err != nil {
-			return nil, &soap.Fault{Code: "soap:Client", String: err.Error()}
-		}
-		if err := classify.Configure(c, opts); err != nil {
 			return nil, &soap.Fault{Code: "soap:Client", String: err.Error()}
 		}
 		if err := classify.TrainWith(ctx, c, d); err != nil {

@@ -12,37 +12,6 @@ import (
 	"repro/internal/wire"
 )
 
-// clustererFromParts constructs and configures the named clusterer from
-// the clusterer/options request parts — shared by every op that builds a
-// model.
-func clustererFromParts(parts map[string]string) (cluster.Clusterer, string, error) {
-	name, err := require(parts, "clusterer")
-	if err != nil {
-		return nil, "", err
-	}
-	c, err := cluster.New(name)
-	if err != nil {
-		return nil, "", &soap.Fault{Code: "soap:Client", String: err.Error()}
-	}
-	opts, err := parseOptions(parts, "options")
-	if err != nil {
-		return nil, "", err
-	}
-	if len(opts) > 0 {
-		p, ok := c.(cluster.Parameterized)
-		if !ok {
-			return nil, "", &soap.Fault{Code: "soap:Client",
-				String: fmt.Sprintf("clusterer %s accepts no options", name)}
-		}
-		for k, v := range opts {
-			if err := p.SetOption(k, v); err != nil {
-				return nil, "", &soap.Fault{Code: "soap:Client", String: err.Error()}
-			}
-		}
-	}
-	return c, name, nil
-}
-
 // NewClustererService builds the general Clustering Web Service (§4.1 names
 // clustering as the second service family):
 //
@@ -59,39 +28,9 @@ func NewClustererService() *Service {
 		Category: "clustering",
 		Doc:      "General clustering wrapper: apply any registered clusterer to an ARFF dataset (§4.1).",
 		Ops: []Op{
-			{
-				Name: "getClusterers",
-				Doc:  "List the clustering algorithms known to the service.",
-				Out:  []string{PartClusterers},
-				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
-					return map[string]string{"clusterers": strings.Join(cluster.Names(), "\n")}, nil
-				},
-			},
-			{
-				Name: "getOptions",
-				Doc:  "Describe the run-time options of a clusterer.",
-				In:   []string{PartClusterer},
-				Out:  []string{PartOptions},
-				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
-					name, err := require(parts, "clusterer")
-					if err != nil {
-						return nil, err
-					}
-					c, err := cluster.New(name)
-					if err != nil {
-						return nil, &soap.Fault{Code: "soap:Client", String: err.Error()}
-					}
-					var opts []cluster.Option
-					if p, ok := c.(cluster.Parameterized); ok {
-						opts = p.Options()
-					}
-					js, err := optionsJSON(opts)
-					if err != nil {
-						return nil, err
-					}
-					return map[string]string{"options": js}, nil
-				},
-			},
+			listOp("getClusterers", "List the clustering algorithms known to the service.",
+				PartClusterers, cluster.Registry),
+			optionsOp("Describe the run-time options of a clusterer.", PartClusterer, cluster.Registry),
 			{
 				Name: "cluster",
 				Doc:  "Apply the named clustering algorithm to an ARFF dataset.",
@@ -102,7 +41,7 @@ func NewClustererService() *Service {
 					if err != nil {
 						return nil, err
 					}
-					c, name, err := clustererFromParts(parts)
+					c, name, err := buildFromParts(cluster.Registry, parts, PartClusterer)
 					if err != nil {
 						return nil, err
 					}
@@ -140,7 +79,7 @@ func NewClustererService() *Service {
 					if err != nil {
 						return nil, err
 					}
-					c, _, err := clustererFromParts(parts)
+					c, _, err := buildFromParts(cluster.Registry, parts, PartClusterer)
 					if err != nil {
 						return nil, err
 					}
@@ -181,7 +120,7 @@ func NewClustererService() *Service {
 					if err != nil {
 						return nil, err
 					}
-					c, _, err := clustererFromParts(parts)
+					c, _, err := buildFromParts(cluster.Registry, parts, PartClusterer)
 					if err != nil {
 						return nil, err
 					}
@@ -196,7 +135,7 @@ func NewClustererService() *Service {
 					}
 					assign, scores, kind, err := cluster.AssignAll(c, batch)
 					if err != nil {
-						return nil, &soap.Fault{Code: "soap:Server", String: err.Error()}
+						return nil, asFault(err)
 					}
 					res, err := wire.MarshalClusterResultBase64(&wire.ClusterResult{
 						Clusters:    c.NumClusters(),
@@ -236,16 +175,15 @@ func NewCobwebService() *Service {
 		if err != nil {
 			return nil, err
 		}
-		cw := &cluster.Cobweb{Acuity: 1.0, Cutoff: 0.0028}
-		opts, err := parseOptions(parts, "options")
+		opts, err := parseOptions(parts, PartOptions)
 		if err != nil {
 			return nil, err
 		}
-		for k, v := range opts {
-			if err := cw.SetOption(k, v); err != nil {
-				return nil, &soap.Fault{Code: "soap:Client", String: err.Error()}
-			}
+		c, err := cluster.Registry.Build("Cobweb", opts)
+		if err != nil {
+			return nil, &soap.Fault{Code: "soap:Client", String: err.Error()}
 		}
+		cw := c.(*cluster.Cobweb)
 		if err := cluster.BuildWith(ctx, cw, d); err != nil {
 			return nil, &soap.Fault{Code: "soap:Server", String: err.Error()}
 		}

@@ -3,43 +3,12 @@ package services
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"repro/internal/dataset"
 	"repro/internal/regress"
 	"repro/internal/soap"
 	"repro/internal/wire"
 )
-
-// regressorFromParts constructs and configures the named regressor from
-// the regressor/options request parts.
-func regressorFromParts(parts map[string]string) (regress.Regressor, string, error) {
-	name, err := require(parts, "regressor")
-	if err != nil {
-		return nil, "", err
-	}
-	r, err := regress.New(name)
-	if err != nil {
-		return nil, "", &soap.Fault{Code: "soap:Client", String: err.Error()}
-	}
-	opts, err := parseOptions(parts, "options")
-	if err != nil {
-		return nil, "", err
-	}
-	if len(opts) > 0 {
-		p, ok := r.(regress.Parameterized)
-		if !ok {
-			return nil, "", &soap.Fault{Code: "soap:Client",
-				String: fmt.Sprintf("regressor %s accepts no options", name)}
-		}
-		for k, v := range opts {
-			if err := p.SetOption(k, v); err != nil {
-				return nil, "", &soap.Fault{Code: "soap:Client", String: err.Error()}
-			}
-		}
-	}
-	return r, name, nil
-}
 
 // retarget points d's class index at the attribute named in the optional
 // attribute part, and checks the resulting target is numeric.
@@ -73,35 +42,9 @@ func NewRegressorService() *Service {
 		Category: "regression",
 		Doc:      "Numeric prediction wrapper: apply any registered regressor to an ARFF dataset, with a dmb1 batch fast path.",
 		Ops: []Op{
-			{
-				Name: "getRegressors",
-				Doc:  "List the regression algorithms known to the service.",
-				Out:  []string{PartRegressors},
-				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
-					return map[string]string{PartRegressors: strings.Join(regress.Names(), "\n")}, nil
-				},
-			},
-			{
-				Name: "getOptions",
-				Doc:  "Describe the run-time options of a regressor.",
-				In:   []string{PartRegressor},
-				Out:  []string{PartOptions},
-				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
-					r, _, err := regressorFromParts(parts)
-					if err != nil {
-						return nil, err
-					}
-					var opts []regress.Option
-					if p, ok := r.(regress.Parameterized); ok {
-						opts = p.Options()
-					}
-					js, err := optionsJSON(opts)
-					if err != nil {
-						return nil, err
-					}
-					return map[string]string{PartOptions: js}, nil
-				},
-			},
+			listOp("getRegressors", "List the regression algorithms known to the service.",
+				PartRegressors, regress.Registry),
+			optionsOp("Describe the run-time options of a regressor.", PartRegressor, regress.Registry),
 			{
 				Name: "regress",
 				Doc: "Train the named regressor on an ARFF dataset (target = class " +
@@ -116,7 +59,7 @@ func NewRegressorService() *Service {
 					if err := retarget(d, parts); err != nil {
 						return nil, err
 					}
-					r, name, err := regressorFromParts(parts)
+					r, name, err := buildFromParts(regress.Registry, parts, PartRegressor)
 					if err != nil {
 						return nil, err
 					}
@@ -158,7 +101,7 @@ func NewRegressorService() *Service {
 					if err := retarget(d, parts); err != nil {
 						return nil, err
 					}
-					r, _, err := regressorFromParts(parts)
+					r, _, err := buildFromParts(regress.Registry, parts, PartRegressor)
 					if err != nil {
 						return nil, err
 					}

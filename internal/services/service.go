@@ -13,12 +13,14 @@
 package services
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
 
+	"repro/internal/algo"
 	"repro/internal/arff"
 	"repro/internal/dataset"
 	"repro/internal/soap"
@@ -184,6 +186,65 @@ func parseOptions(parts map[string]string, part string) (map[string]string, erro
 		m[strings.TrimSpace(pair[:eq])] = strings.TrimSpace(pair[eq+1:])
 	}
 	return m, nil
+}
+
+// listOp is a general service's catalogue op (§4.1): the registry's
+// sorted names, one a line, in the out part.
+func listOp[T algo.Named](name, doc, out string, reg *algo.Registry[T]) Op {
+	return Op{
+		Name: name,
+		Doc:  doc,
+		Out:  []string{out},
+		Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
+			return map[string]string{out: strings.Join(reg.Names(), "\n")}, nil
+		},
+	}
+}
+
+// optionsOp is a general service's getOptions op: the JSON option
+// descriptors of the algorithm named in the in part.
+func optionsOp[T algo.Named](doc, in string, reg *algo.Registry[T]) Op {
+	return Op{
+		Name: "getOptions",
+		Doc:  doc,
+		In:   []string{in},
+		Out:  []string{PartOptions},
+		Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
+			name, err := require(parts, in)
+			if err != nil {
+				return nil, err
+			}
+			opts, err := reg.Options(name)
+			if err != nil {
+				return nil, &soap.Fault{Code: "soap:Client", String: err.Error()}
+			}
+			js, err := optionsJSON(opts)
+			if err != nil {
+				return nil, err
+			}
+			return map[string]string{PartOptions: js}, nil
+		},
+	}
+}
+
+// buildFromParts constructs the algorithm named in the namePart part and
+// configures it from the options part. An unknown name or a bad option is
+// the caller's mistake, so it faults soap:Client.
+func buildFromParts[T algo.Named](reg *algo.Registry[T], parts map[string]string, namePart string) (T, string, error) {
+	var zero T
+	name, err := require(parts, namePart)
+	if err != nil {
+		return zero, "", err
+	}
+	opts, err := parseOptions(parts, PartOptions)
+	if err != nil {
+		return zero, "", err
+	}
+	m, err := reg.Build(name, opts)
+	if err != nil {
+		return zero, "", &soap.Fault{Code: "soap:Client", String: err.Error()}
+	}
+	return m, name, nil
 }
 
 // require fetches a mandatory part.

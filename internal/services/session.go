@@ -204,10 +204,7 @@ func NewSessionService(backend harness.Backend) *Service {
 						return err
 					})
 					if err != nil {
-						if f, ok := err.(*soap.Fault); ok {
-							return nil, f
-						}
-						return nil, &soap.Fault{Code: "soap:Server", String: err.Error()}
+						return nil, asFault(err)
 					}
 					return map[string]string{"labels": strings.Join(labels, "\n")}, nil
 				},
@@ -276,10 +273,7 @@ func NewSessionService(backend harness.Backend) *Service {
 						return nil
 					})
 					if err != nil {
-						if f, ok := err.(*soap.Fault); ok {
-							return nil, f
-						}
-						return nil, &soap.Fault{Code: "soap:Server", String: err.Error()}
+						return nil, asFault(err)
 					}
 					return out, nil
 				},
@@ -300,10 +294,7 @@ func NewSessionService(backend harness.Backend) *Service {
 						return nil
 					})
 					if err != nil {
-						if f, ok := err.(*soap.Fault); ok {
-							return nil, f
-						}
-						return nil, &soap.Fault{Code: "soap:Server", String: err.Error()}
+						return nil, asFault(err)
 					}
 					return out, nil
 				},

@@ -13,6 +13,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/soap"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 func TestSessionServiceInteractiveUse(t *testing.T) {
@@ -200,5 +201,63 @@ func TestSessionFaults(t *testing.T) {
 		"dataset": "junk", "classifier": "J48",
 	}); err == nil {
 		t.Fatal("malformed dataset accepted")
+	}
+}
+
+// TestSessionOpsAgreeOnBuildFaults rebuilds an evicted session whose token
+// names an unknown algorithm: every op that resumes a model must answer
+// the builder's own soap:Client fault, not a retryable soap:Server wrapper
+// around it.
+func TestSessionOpsAgreeOnBuildFaults(t *testing.T) {
+	backend := harness.NewCachedBackend(1)
+	base := hostServices(t, NewSessionService(backend))
+	url := base + "/services/Session"
+	bc := datagen.BreastCancer()
+	bcARFF := arff.Format(bc)
+
+	out, err := soap.CallContext(context.Background(), url, "createSession", map[string]string{
+		"dataset": bcARFF, "classifier": "J48", "attribute": "Class",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := soap.CallContext(context.Background(), url, "createSession", map[string]string{
+		"dataset": arff.Format(datagen.Weather()), "classifier": "NaiveBayes", "attribute": "play",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tok, err := decodeToken(out["session"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok.Alg = "Nope"
+	session := encodeToken(tok)
+	payload, err := wire.MarshalBase64(bc.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := []struct {
+		op    string
+		parts map[string]string
+	}{
+		{"classify", map[string]string{"session": session, "instances": bcARFF}},
+		{"evaluate", map[string]string{"session": session, "dataset": bcARFF}},
+		{"getModel", map[string]string{"session": session}},
+		{"classifyBatch", map[string]string{"session": session, "payload": payload, "encoding": wire.Encoding}},
+	}
+	faults := map[string][]string{}
+	for _, c := range calls {
+		_, err := soap.CallContext(context.Background(), url, c.op, c.parts)
+		f, ok := err.(*soap.Fault)
+		if !ok {
+			t.Fatalf("%s: want a fault, got %v", c.op, err)
+		}
+		if f.Code != "soap:Client" || !strings.HasPrefix(f.String, `classify: unknown classifier "Nope"`) {
+			t.Errorf("%s: fault %s | %s", c.op, f.Code, f.String)
+		}
+		faults[f.Code+" | "+f.String] = append(faults[f.Code+" | "+f.String], c.op)
+	}
+	if len(faults) != 1 {
+		t.Errorf("ops disagree on the fault: %v", faults)
 	}
 }

@@ -6,8 +6,9 @@
 # here, not in the benchmark run), the benchmark's own smoke (every workload for half a
 # second, replies checked against the oracle: correctness only, no
 # timing), one plain and one -race pass over every test, twenty -race
-# passes over the model pool and the dataset column mirror (the code
-# concurrent requests share), ten seconds of
+# passes over the model pool, the dataset column mirror (the code
+# concurrent requests share) and the admission in-flight bound, ten
+# seconds of
 # every fuzz target the packages declare, the deterministic
 # short-mode replica-churn soak, then the end-to-end smoke
 # (scripts/smoke.sh: live dmserver probes, traced dmexp batch, chaos
@@ -85,6 +86,14 @@ soak() {
 	rm -f "$out"
 }
 
+# Twenty -race passes over the shared-state code: the model pool, the
+# dataset column mirror, and the admission controller's in-flight tests
+# (the bound must hold on the handler and on the gauge).
+race_harness() {
+	go test -race -count=20 ./internal/harness ./internal/dataset
+	go test -race -count=20 -run 'InFlight' ./internal/admission
+}
+
 # Ten seconds of every fuzz target in the module, found by
 # `go test -list '^Fuzz'` rather than named here, so a new target joins
 # the stage without an edit. A failing input lands in the package's
@@ -108,7 +117,7 @@ stage "vet benchmark" check_vet go -C benchmark vet ./...
 stage "benchmark smoke" bash benchmark/run.sh --smoke
 stage test go test ./...
 stage "test -race" go test -race ./...
-stage "race harness" go test -race -count=20 ./internal/harness ./internal/dataset
+stage "race harness" race_harness
 stage fuzz fuzz
 stage soak soak
 stage smoke ./scripts/smoke.sh

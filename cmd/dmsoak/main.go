@@ -386,7 +386,7 @@ func (w *workload) worker(ctx context.Context, id int, samples *[]opSample) {
 		case roll < 0.2:
 			op = "train"
 			to := w.trains[rng.Intn(len(w.trains))]
-			_, err = w.clfPool.Do(ctx, pol, func(ctx context.Context, ep string) error {
+			_, err = w.clfPool.Do(ctx, pol, nil, func(ctx context.Context, ep string) error {
 				_, terr := w.client.At(ep).Train(ctx, to)
 				return terr
 			})
@@ -413,7 +413,7 @@ func (w *workload) worker(ctx context.Context, id int, samples *[]opSample) {
 }
 
 func (w *workload) classify(ctx context.Context, pol *resilience.Policy) error {
-	_, err := w.sessPool.Do(ctx, pol, func(ctx context.Context, ep string) error {
+	_, err := w.sessPool.Do(ctx, pol, nil, func(ctx context.Context, ep string) error {
 		_, cerr := w.client.At(ep).Classify(ctx, w.token, w.unl)
 		return cerr
 	})
@@ -421,7 +421,7 @@ func (w *workload) classify(ctx context.Context, pol *resilience.Policy) error {
 }
 
 func (w *workload) classifyBatch(ctx context.Context, pol *resilience.Policy, v *dataset.View) error {
-	_, err := w.sessPool.Do(ctx, pol, func(ctx context.Context, ep string) error {
+	_, err := w.sessPool.Do(ctx, pol, nil, func(ctx context.Context, ep string) error {
 		_, cerr := w.client.At(ep).ClassifyBatch(ctx, w.token, v)
 		return cerr
 	})
@@ -593,7 +593,7 @@ func run(cfg config) (*report, int) {
 
 	// Warm up the shared session before churn starts.
 	warmCtx, warmCancel := context.WithTimeout(ctx, 30*time.Second)
-	_, err = sessPool.Do(warmCtx, w.policy(-1), func(ctx context.Context, ep string) error {
+	_, err = sessPool.Do(warmCtx, w.policy(-1), nil, func(ctx context.Context, ep string) error {
 		token, serr := w.client.At(ep).CreateSession(ctx, core.TrainOptions{
 			Dataset: full, Classifier: "IBk",
 		})

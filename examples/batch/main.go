@@ -26,6 +26,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/harness"
 	"repro/internal/registry"
+	"repro/internal/resilience"
 	"repro/internal/services"
 )
 
@@ -147,7 +148,7 @@ func (f *flakyExecutor) Execute(ctx context.Context, job experiment.Job, d *data
 	fail := f.rng.Float64() < f.failProb
 	f.mu.Unlock()
 	if fail {
-		return experiment.Metrics{}, experiment.Transient(fmt.Errorf("injected transient fault for %s", job.ID))
+		return experiment.Metrics{}, resilience.Transient(fmt.Errorf("injected transient fault for %s", job.ID))
 	}
 	return f.inner.Execute(ctx, job, d)
 }

@@ -266,31 +266,47 @@ func TestDrainGraceExpires(t *testing.T) {
 }
 
 // TestRetryAfterHonored closes the client<->server loop: a single-slot
-// server sheds a concurrent call with a Retry-After hint, and a client
-// with a retry policy lands the retry after the hinted delay and
-// succeeds — the flood path dmexp relies on.
+// server sheds a concurrent call with a Retry-After hint, and a pool call
+// with a retry policy lands the retry after the hinted delay and succeeds
+// — the flood path dmexp's remote executor relies on (its scheduler
+// retries through the same resilience.Policy.Do).
 func TestRetryAfterHonored(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := NewController(Config{MaxInFlight: 1, MaxQueue: -1, Observer: reg})
 	srv, _ := slowEchoEndpoint(t, c, 40*time.Millisecond)
 
-	clientReg := obs.NewRegistry()
-	client := soap.NewClient(
-		soap.WithObserver(clientReg),
-		soap.WithResilience(&resilience.Policy{MaxAttempts: 10, BackoffBase: time.Millisecond}),
-	)
+	poolReg := obs.NewRegistry()
+	pool := resilience.NewPool([]string{srv.URL}, resilience.WithObserver(poolReg))
+	client := soap.NewClient()
 	blocker := make(chan struct{})
 	go func() {
 		defer close(blocker)
 		_, _ = client.CallContext(context.Background(), srv.URL, "echo", nil)
 	}()
 	time.Sleep(10 * time.Millisecond)
-	if _, err := client.CallContext(context.Background(), srv.URL, "echo", nil); err != nil {
-		t.Fatalf("retrying client should outlast the busy window: %v", err)
+	var shed error
+	var shedAt time.Time
+	var gap time.Duration // from the first shed to the next attempt
+	_, err := pool.Do(context.Background(), &resilience.Policy{MaxAttempts: 10, BackoffBase: time.Millisecond}, nil,
+		func(ctx context.Context, ep string) error {
+			if shed != nil && gap == 0 {
+				gap = time.Since(shedAt)
+			}
+			_, err := client.CallContext(ctx, ep, "echo", nil)
+			if err != nil && shed == nil {
+				shed, shedAt = err, time.Now()
+			}
+			return err
+		})
+	if err != nil {
+		t.Fatalf("retrying pool call should outlast the busy window: %v", err)
 	}
 	<-blocker
-	if got := clientReg.Counter("soap_client_retries_total", "op=echo").Value(); got == 0 {
-		t.Error("no client retries counted; the busy fault was not retried")
+	if got := poolReg.Counter("resilience_retries_total").Value(); got == 0 {
+		t.Error("no pool retries counted; the busy fault was not retried")
+	}
+	if hint := resilience.RetryAfter(shed); hint <= 0 || gap < hint {
+		t.Errorf("retried %v after a shed fault (%v) hinting %v", gap, shed, hint)
 	}
 	if got := reg.Counter("admission_shed_total", "reason=queue full").Value(); got == 0 {
 		t.Error("server shed nothing; the test raced")

@@ -40,9 +40,10 @@ type JobResult struct {
 type Executor interface {
 	// Name labels the executor in reports ("local", "remote").
 	Name() string
-	// Execute runs the job to completion or ctx expiry. Errors wrapped by
-	// Transient (or recognised by IsTransient) are retried by the
-	// scheduler; anything else fails the job immediately.
+	// Execute runs the job to completion or ctx expiry. Errors that
+	// resilience.ClassifyErr calls retryable (resilience.Transient
+	// marks any error so) are retried by the scheduler; anything else
+	// fails the job immediately.
 	Execute(ctx context.Context, job Job, d *dataset.Dataset) (Metrics, error)
 }
 

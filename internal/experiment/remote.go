@@ -194,7 +194,7 @@ func (r *Remote) Execute(ctx context.Context, job Job, d *dataset.Dataset) (Metr
 		// then report a transient failure so the scheduler backs off.
 		_ = pool.Refresh(ctx)
 		if endpoint, err = pool.Pick(r.failedFor(job.ID)...); err != nil {
-			return Metrics{}, Transient(fmt.Errorf("experiment: job %s: %w", job.ID, err))
+			return Metrics{}, resilience.Transient(fmt.Errorf("experiment: job %s: %w", job.ID, err))
 		}
 	}
 	class := ""
@@ -209,10 +209,10 @@ func (r *Remote) Execute(ctx context.Context, job Job, d *dataset.Dataset) (Metr
 	})
 	pool.Record(endpoint, err)
 	if err != nil {
-		if IsTransient(err) {
+		if resilience.ClassifyErr(err).Retries() {
 			r.markFailed(job.ID, endpoint)
 		}
-		return Metrics{}, err // IsTransient classifies faults vs transport errors
+		return Metrics{}, err // the scheduler's policy classifies faults vs transport errors
 	}
 	r.clearFailed(job.ID)
 	return Metrics{Accuracy: res.Accuracy, ErrorRate: 1 - res.Accuracy}, nil

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"math/rand"
 	"runtime"
 	"sort"
 	"strconv"
@@ -10,6 +9,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/obs"
+	"repro/internal/resilience"
 )
 
 var expLog = obs.L("experiment")
@@ -24,7 +24,7 @@ const (
 	JobFinished
 	// JobFailed fires when an attempt fails.
 	JobFailed
-	// JobRetrying fires before the backoff sleep preceding a retry.
+	// JobRetrying fires before the wait preceding a retry.
 	JobRetrying
 	// JobSkipped fires when a journal hit lets a job be skipped on resume.
 	JobSkipped
@@ -54,7 +54,8 @@ type Event struct {
 	Job     Job
 	Attempt int
 	Err     error
-	// Wait is the backoff delay before the next attempt (JobRetrying).
+	// Wait is the delay before the next attempt (JobRetrying): the
+	// backoff, or the server's Retry-After hint when that is longer.
 	Wait time.Duration
 	// Duration is the elapsed attempt time (JobFinished/JobFailed).
 	Duration time.Duration
@@ -62,8 +63,9 @@ type Event struct {
 
 // Scheduler runs a job set through an executor on a bounded worker pool
 // with per-job timeouts and retry with exponential backoff + jitter on
-// transient errors. The zero value is usable: NumCPU workers, no job
-// timeout, 2 retries, 100ms..5s backoff.
+// transient errors (resilience.Policy.Do). The zero value is usable:
+// NumCPU workers, no job timeout, one attempt (no retries), 100ms..5s
+// backoff.
 type Scheduler struct {
 	// Workers bounds concurrent jobs; <=0 means runtime.NumCPU().
 	Workers int
@@ -73,7 +75,8 @@ type Scheduler struct {
 	// (so a job runs at most MaxRetries+1 times). Negative means 0.
 	MaxRetries int
 	// BackoffBase is the first retry delay, doubling each retry up to
-	// BackoffMax; each delay is jittered to 50-150% of its nominal value.
+	// BackoffMax; each delay is jittered to 50-150% of its nominal value,
+	// and stretched to a shedding server's Retry-After hint.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// Monitor, when set, receives progress events; it must be safe for
@@ -101,10 +104,10 @@ func (s *Scheduler) maxAttempts() int {
 	return s.MaxRetries + 1
 }
 
-// backoff returns the jittered delay before retry number attempt (1-based
-// over completed attempts): base<<(attempt-1) capped at max, scaled by a
-// uniform factor in [0.5, 1.5).
-func (s *Scheduler) backoff(attempt int, rng *rand.Rand) time.Duration {
+// policy returns worker w's retry policy. Each worker owns its jitter
+// sequence (seeded w+1), so a run's waits do not depend on how the
+// workers interleave.
+func (s *Scheduler) policy(w int) *resilience.Policy {
 	base := s.BackoffBase
 	if base <= 0 {
 		base = 100 * time.Millisecond
@@ -113,15 +116,7 @@ func (s *Scheduler) backoff(attempt int, rng *rand.Rand) time.Duration {
 	if max <= 0 {
 		max = 5 * time.Second
 	}
-	d := base
-	for i := 1; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	// Jitter to de-synchronise workers hammering a recovering service.
-	return d/2 + time.Duration(rng.Int63n(int64(d)))
+	return &resilience.Policy{MaxAttempts: s.maxAttempts(), BackoffBase: base, BackoffMax: max, Seed: int64(w) + 1}
 }
 
 // Run executes jobs against exec, fanning out over the worker pool. Each
@@ -161,13 +156,12 @@ func (s *Scheduler) Run(ctx context.Context, jobs []Job, data map[string]*datase
 	workers := s.workers()
 	done := make(chan struct{})
 	for w := 0; w < workers; w++ {
-		rng := rand.New(rand.NewSource(int64(w) + 1))
-		go func(rng *rand.Rand) {
+		go func(pol *resilience.Policy) {
 			defer func() { done <- struct{}{} }()
 			for job := range jobCh {
-				resCh <- s.runJob(ctx, job, data[job.Dataset], exec, rng)
+				resCh <- s.runJob(ctx, job, data[job.Dataset], exec, pol)
 			}
-		}(rng)
+		}(s.policy(w))
 	}
 	go func() {
 		defer close(jobCh)
@@ -202,72 +196,58 @@ func (s *Scheduler) Run(ctx context.Context, jobs []Job, data map[string]*datase
 	return results, journalErr
 }
 
-// runJob drives one job through its attempt/backoff cycle. Every attempt
-// runs under its own span (child of the batch trace), and the attempt,
-// retry and backoff counts land in obs.Default.
-func (s *Scheduler) runJob(ctx context.Context, job Job, d *dataset.Dataset, exec Executor, rng *rand.Rand) JobResult {
+// runJob drives one job through pol's attempt/backoff cycle. Every
+// attempt runs under its own span (child of the batch trace), and the
+// attempt, retry and backoff counts land in obs.Default.
+func (s *Scheduler) runJob(ctx context.Context, job Job, d *dataset.Dataset, exec Executor, pol *resilience.Policy) JobResult {
 	started := time.Now()
-	maxAttempts := s.maxAttempts()
 	reg := obs.Default
 	inflight := reg.Gauge("experiment_inflight_jobs")
 	inflight.Add(1)
 	defer inflight.Add(-1)
 	tc, _ := obs.TraceFrom(ctx)
-	var lastErr error
+	var m Metrics
 	attempts := 0
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		if ctx.Err() != nil {
-			break
-		}
-		attempts = attempt
-		s.emit(Event{Kind: JobStarted, Job: job, Attempt: attempt})
+	err := pol.Do(ctx, func(ctx context.Context) error {
+		attempts++
+		s.emit(Event{Kind: JobStarted, Job: job, Attempt: attempts})
 		reg.Counter("experiment_attempts_total", "executor="+exec.Name()).Inc()
 		attemptCtx, span := obs.StartSpan(ctx, "experiment", "job:"+job.ID)
-		span.SetAttr("attempt", strconv.Itoa(attempt))
+		span.SetAttr("attempt", strconv.Itoa(attempts))
 		span.SetAttr("executor", exec.Name())
 		var cancel context.CancelFunc
 		if s.JobTimeout > 0 {
 			attemptCtx, cancel = context.WithTimeout(attemptCtx, s.JobTimeout)
 		}
 		began := time.Now()
-		m, err := exec.Execute(attemptCtx, job, d)
+		var err error
+		m, err = exec.Execute(attemptCtx, job, d)
 		if cancel != nil {
 			cancel()
 		}
 		span.End(err)
 		dur := time.Since(began)
 		if err == nil {
-			s.emit(Event{Kind: JobFinished, Job: job, Attempt: attempt, Duration: dur})
-			reg.Counter("experiment_jobs_total", "status=ok").Inc()
-			expLog.Debug(ctx, "job", "id", job.ID, "attempt", attempt, "status", "ok",
+			s.emit(Event{Kind: JobFinished, Job: job, Attempt: attempts, Duration: dur})
+			expLog.Debug(ctx, "job", "id", job.ID, "attempt", attempts, "status", "ok",
 				"dur_ms", dur.Milliseconds())
-			return JobResult{Job: job, Status: StatusOK, Attempts: attempt, Metrics: m,
-				Started: started, Wall: time.Since(started), TraceID: tc.TraceID}
+			return nil
 		}
-		lastErr = err
-		s.emit(Event{Kind: JobFailed, Job: job, Attempt: attempt, Err: err, Duration: dur})
-		expLog.Warn(ctx, "job", "id", job.ID, "attempt", attempt, "err", err)
-		if ctx.Err() != nil || !IsTransient(err) || attempt == maxAttempts {
-			break
-		}
-		wait := s.backoff(attempt, rng)
+		s.emit(Event{Kind: JobFailed, Job: job, Attempt: attempts, Err: err, Duration: dur})
+		expLog.Warn(ctx, "job", "id", job.ID, "attempt", attempts, "err", err)
+		return err
+	}, func(attempt int, _ error, wait time.Duration) {
 		s.emit(Event{Kind: JobRetrying, Job: job, Attempt: attempt + 1, Wait: wait})
 		reg.Counter("experiment_retries_total").Inc()
 		reg.Counter("experiment_backoff_sleeps_total").Inc()
-		select {
-		case <-time.After(wait):
-		case <-ctx.Done():
-		}
-	}
-	if lastErr == nil {
-		lastErr = ctx.Err()
-	}
-	errText := ""
-	if lastErr != nil {
-		errText = lastErr.Error()
+	})
+	if err == nil {
+		reg.Counter("experiment_jobs_total", "status=ok").Inc()
+		return JobResult{Job: job, Status: StatusOK, Attempts: attempts, Metrics: m,
+			Started: started, Wall: time.Since(started), TraceID: tc.TraceID}
 	}
 	reg.Counter("experiment_jobs_total", "status=failed").Inc()
-	return JobResult{Job: job, Status: StatusFailed, Attempts: attempts, Err: errText,
+	return JobResult{Job: job, Status: StatusFailed, Attempts: attempts, Err: err.Error(),
 		Started: started, Wall: time.Since(started), TraceID: tc.TraceID}
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/resilience"
 )
 
 // specForTest is a 24-job spec: 4 classifiers × 3 configs × 2 datasets.
@@ -72,7 +73,7 @@ func (f *flakyExec) Execute(ctx context.Context, job Job, d *dataset.Dataset) (M
 	n := f.attempts[job.ID]
 	f.mu.Unlock()
 	if n <= f.failures {
-		return Metrics{}, Transient(fmt.Errorf("injected failure %d for %s", n, job.ID))
+		return Metrics{}, resilience.Transient(fmt.Errorf("injected failure %d for %s", n, job.ID))
 	}
 	return f.inner.Execute(ctx, job, d)
 }

@@ -275,7 +275,7 @@ type Client struct {
 	BaseURL    string
 	HTTPClient *http.Client
 	// Policy retries retryable failures (network errors, 5xx) with
-	// backoff; nil means a single attempt.
+	// backoff (see resilience.Policy.Do); nil means a single attempt.
 	Policy *resilience.Policy
 }
 
@@ -286,24 +286,15 @@ func (c *Client) httpClient() *http.Client {
 	return &http.Client{Timeout: 10 * time.Second}
 }
 
-// withRetry runs fn under the client's retry policy.
+// withRetry runs fn once, or under the client's retry policy when set.
 func (c *Client) withRetry(ctx context.Context, op string, fn func(context.Context) error) error {
-	attempts := 1
-	if c.Policy != nil {
-		attempts = c.Policy.Attempts()
+	if c.Policy == nil {
+		return fn(ctx)
 	}
-	var err error
-	for attempt := 1; ; attempt++ {
-		err = fn(ctx)
-		if attempt >= attempts || resilience.Classify(ctx, err) != resilience.Retryable {
-			return err
-		}
+	return c.Policy.Do(ctx, fn, func(attempt int, err error, _ time.Duration) {
 		obs.Default.Counter("registry_client_retries_total", "op="+op).Inc()
 		regLog.Info(ctx, "retry", "op", op, "attempt", fmt.Sprint(attempt), "err", err)
-		if sleepErr := c.Policy.Sleep(ctx, attempt); sleepErr != nil {
-			return err
-		}
-	}
+	})
 }
 
 // PublishContext posts an entry to the remote registry, retrying under

@@ -11,8 +11,8 @@ import (
 )
 
 // busyErr mimics a ServerBusy soap fault: classified Busy, carrying a
-// Retry-After hint. (The real soap.Fault cannot appear here — soap
-// imports resilience — so the interfaces are exercised through a stub.)
+// Retry-After hint. (This package does not import soap, so the
+// interfaces are exercised through a stub.)
 type busyErr struct{ hint time.Duration }
 
 func (e *busyErr) Error() string                 { return "ServerBusy" }
@@ -82,21 +82,30 @@ func TestBreakerBusyIsNeutral(t *testing.T) {
 	}
 }
 
-func TestSleepHintStretchesBackoff(t *testing.T) {
-	p := &Policy{BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond}
-	start := time.Now()
-	if err := p.SleepHint(context.Background(), 1, 60*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 60*time.Millisecond {
-		t.Fatalf("SleepHint returned after %v, hint was 60ms", elapsed)
-	}
-	// Without a hint the policy backoff (~1-2ms) applies.
-	start = time.Now()
-	if err := p.SleepHint(context.Background(), 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
-		t.Fatalf("hintless SleepHint took %v, want the small policy backoff", elapsed)
+// TestDoHonoursRetryAfter: Policy.Do waits max(backoff, Retry-After)
+// between attempts, and the plain backoff when there is no hint.
+func TestDoHonoursRetryAfter(t *testing.T) {
+	p := &Policy{MaxAttempts: 2, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond}
+	for _, hint := range []time.Duration{60 * time.Millisecond, 0} {
+		calls := 0
+		var wait time.Duration
+		start := time.Now()
+		err := p.Do(context.Background(), func(context.Context) error {
+			if calls++; calls == 1 {
+				return &busyErr{hint: hint}
+			}
+			return nil
+		}, func(_ int, _ error, w time.Duration) { wait = w })
+		elapsed := time.Since(start)
+		if err != nil || calls != 2 {
+			t.Fatalf("hint %v: Do = %v after %d calls, want success on the retry", hint, err, calls)
+		}
+		if hint > 0 && (wait != hint || elapsed < hint) {
+			t.Fatalf("Do waited %v (returned after %v), hint was %v", wait, elapsed, hint)
+		}
+		// Without a hint the policy backoff (~1-2ms) applies.
+		if hint == 0 && (wait > 2*time.Millisecond || elapsed > 50*time.Millisecond) {
+			t.Fatalf("hintless Do waited %v (returned after %v), want the small policy backoff", wait, elapsed)
+		}
 	}
 }

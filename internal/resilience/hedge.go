@@ -7,67 +7,40 @@ import (
 	"time"
 )
 
-// HedgePolicy tunes Pool.DoHedged. The zero value (and a nil
-// *HedgePolicy) uses the defaults noted per field.
+// The derived hedge delay: hedgeEWMAFactor times the pool's latency
+// EWMA — hedge once the primary attempt has been in flight twice as long
+// as a typical call — clamped to [hedgeMinDelay, hedgeMaxDelay]. Before
+// the pool has any latency signal the delay is hedgeMaxDelay, so a cold
+// pool hedges only against a genuinely stuck attempt.
+const (
+	hedgeEWMAFactor = 2
+	hedgeMinDelay   = 20 * time.Millisecond
+	hedgeMaxDelay   = 2 * time.Second
+)
+
+// HedgePolicy turns on hedging in Pool.Do. Its zero value derives the
+// hedge delay from the pool's latency EWMA.
 type HedgePolicy struct {
 	// Delay fixes the hedge delay; 0 derives it from the pool's EWMA of
 	// successful call latency.
 	Delay time.Duration
-	// EWMAFactor scales the EWMA into a delay — hedge once the primary
-	// attempt has been in flight this many times longer than a typical
-	// call; <=0 means 2.
-	EWMAFactor float64
-	// MinDelay / MaxDelay clamp the derived delay; <=0 means 20ms / 2s.
-	// Before the pool has any latency signal the delay is MaxDelay, so a
-	// cold pool hedges only against a genuinely stuck attempt.
-	MinDelay time.Duration
-	MaxDelay time.Duration
-}
-
-func (hp *HedgePolicy) minDelay() time.Duration {
-	if hp == nil || hp.MinDelay <= 0 {
-		return 20 * time.Millisecond
-	}
-	return hp.MinDelay
-}
-
-func (hp *HedgePolicy) maxDelay() time.Duration {
-	if hp == nil || hp.MaxDelay <= 0 {
-		return 2 * time.Second
-	}
-	return hp.MaxDelay
-}
-
-func (hp *HedgePolicy) factor() float64 {
-	if hp == nil || hp.EWMAFactor <= 0 {
-		return 2
-	}
-	return hp.EWMAFactor
 }
 
 // HedgeDelay resolves the delay before a backup attempt launches: the
-// fixed Delay when set, otherwise EWMAFactor times the observed latency
-// EWMA clamped to [MinDelay, MaxDelay].
+// fixed Delay when set, otherwise the derived delay above.
 func (hp *HedgePolicy) HedgeDelay(ewma time.Duration) time.Duration {
 	if hp != nil && hp.Delay > 0 {
 		return hp.Delay
 	}
 	if ewma <= 0 {
-		return hp.maxDelay()
+		return hedgeMaxDelay
 	}
-	d := time.Duration(float64(ewma) * hp.factor())
-	if min := hp.minDelay(); d < min {
-		d = min
-	}
-	if max := hp.maxDelay(); d > max {
-		d = max
-	}
-	return d
+	return min(max(ewma*hedgeEWMAFactor, hedgeMinDelay), hedgeMaxDelay)
 }
 
 // HedgeStats accumulates hedge outcomes for one logical scope (a
-// workflow step, a request). Attach it with WithHedgeStats; DoHedged
-// increments it when present.
+// workflow step, a request). Attach it with WithHedgeStats; a hedged
+// Pool.Do increments it when present.
 type HedgeStats struct {
 	// Launched counts backup attempts started.
 	Launched atomic.Int64
@@ -125,64 +98,14 @@ type raceResult struct {
 	dur time.Duration
 }
 
-// DoHedged is Do with tail-latency hedging: each attempt round starts on
-// one healthy endpoint and, if no answer arrives within the hedge delay
-// (HedgePolicy.HedgeDelay over the pool's latency EWMA), launches one
-// backup attempt on a different healthy endpoint. The first success wins
-// and the loser's context is cancelled; DoHedged waits for the loser to
-// return before reporting, so no attempt goroutine outlives the call. A
-// cancelled loser records a breaker-neutral outcome — losing a race is
-// not evidence of endpoint failure.
-//
-// Hedging re-sends the same invocation, so fn MUST be idempotent: both
-// attempts can execute to completion on different replicas. Reserve it
-// for read and pure-compute operations (scoring, inquiry, deterministic
-// training against a content-addressed store) and keep mutating calls on
-// Do.
-func (p *Pool) DoHedged(ctx context.Context, pol *Policy, hp *HedgePolicy, fn func(ctx context.Context, endpoint string) error) (string, error) {
-	attempts := pol.Attempts()
-	var lastEp string
-	var lastErr error
-	for attempt := 1; attempt <= attempts; attempt++ {
-		if ctx.Err() != nil {
-			if lastErr == nil {
-				lastErr = ctx.Err()
-			}
-			return lastEp, lastErr
-		}
-		p.MaybeRefresh(ctx)
-		var skip []string
-		if lastEp != "" {
-			skip = []string{lastEp}
-		}
-		ep, pickErr := p.Pick(skip...)
-		if pickErr != nil {
-			lastErr = pickErr
-			_ = p.Refresh(ctx)
-		} else {
-			winEp, err := p.hedgedRace(ctx, hp, ep, fn)
-			if err == nil {
-				return winEp, nil
-			}
-			lastEp, lastErr = winEp, err
-			if cls := Classify(ctx, err); cls != Retryable && cls != Busy {
-				return winEp, err
-			}
-		}
-		if attempt < attempts {
-			p.observer.Counter("resilience_retries_total").Inc()
-			if err := pol.SleepHint(ctx, attempt, RetryAfter(lastErr)); err != nil {
-				return lastEp, lastErr
-			}
-		}
-	}
-	return lastEp, lastErr
-}
-
-// hedgedRace runs one attempt round: the primary attempt immediately, a
-// backup on a second healthy endpoint once the hedge delay elapses, the
-// first success winning. Every launched attempt is Recorded and awaited
-// before return.
+// hedgedRace runs one hedged attempt of Pool.Do: the primary attempt
+// immediately and, if no answer arrives within the hedge delay
+// (HedgeDelay over the pool's latency EWMA), one backup attempt on a
+// different healthy endpoint. The first success wins and the loser's
+// context is cancelled. Every launched attempt is Recorded and awaited
+// before return, so no attempt goroutine outlives the call; a cancelled
+// loser records a breaker-neutral outcome — losing a race is not
+// evidence of endpoint failure.
 func (p *Pool) hedgedRace(ctx context.Context, hp *HedgePolicy, primary string, fn func(ctx context.Context, endpoint string) error) (string, error) {
 	raceCtx, cancel := context.WithCancel(ctx)
 	defer cancel()

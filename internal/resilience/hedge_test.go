@@ -42,7 +42,7 @@ func TestHedgeDelay(t *testing.T) {
 		t.Fatalf("HedgeDelay(1ms) = %v, want the 20ms floor", got)
 	}
 	if got := hp.HedgeDelay(0); got != 2*time.Second {
-		t.Fatalf("HedgeDelay(0) = %v, want MaxDelay for a cold pool", got)
+		t.Fatalf("HedgeDelay(0) = %v, want the 2s ceiling for a cold pool", got)
 	}
 	if got := hp.HedgeDelay(10 * time.Second); got != 2*time.Second {
 		t.Fatalf("HedgeDelay(10s) = %v, want the 2s ceiling", got)
@@ -50,10 +50,6 @@ func TestHedgeDelay(t *testing.T) {
 	fixed := &HedgePolicy{Delay: 7 * time.Millisecond}
 	if got := fixed.HedgeDelay(50 * time.Millisecond); got != 7*time.Millisecond {
 		t.Fatalf("fixed HedgeDelay = %v, want 7ms", got)
-	}
-	tuned := &HedgePolicy{EWMAFactor: 4, MinDelay: time.Millisecond, MaxDelay: time.Minute}
-	if got := tuned.HedgeDelay(50 * time.Millisecond); got != 200*time.Millisecond {
-		t.Fatalf("tuned HedgeDelay = %v, want 200ms (4x EWMA)", got)
 	}
 }
 
@@ -72,7 +68,7 @@ func TestPoolLatencyEWMA(t *testing.T) {
 	}
 	// Do's success path must feed the EWMA.
 	p2 := NewPool([]string{"a"}, WithObserver(obs.NewRegistry()))
-	_, err := p2.Do(context.Background(), nil, func(ctx context.Context, ep string) error {
+	_, err := p2.Do(context.Background(), nil, nil, func(ctx context.Context, ep string) error {
 		time.Sleep(5 * time.Millisecond)
 		return nil
 	})
@@ -96,7 +92,7 @@ func TestDoHedgedBackupWins(t *testing.T) {
 	ctx := WithHedgeStats(context.Background(), &hs)
 
 	began := time.Now()
-	ep, err := p.DoHedged(ctx, nil, &HedgePolicy{Delay: 20 * time.Millisecond},
+	ep, err := p.Do(ctx, nil, &HedgePolicy{Delay: 20 * time.Millisecond},
 		slowFastFns(5*time.Second, &slowLived))
 	elapsed := time.Since(began)
 	if err != nil {
@@ -105,7 +101,7 @@ func TestDoHedgedBackupWins(t *testing.T) {
 	if ep != "fast" {
 		t.Fatalf("winner = %q, want the hedged backup", ep)
 	}
-	// DoHedged awaits the loser, so the cancellation must have landed.
+	// Do awaits the loser, so the cancellation must have landed.
 	if lived := slowLived.Load(); lived < 0 || time.Duration(lived) > time.Second {
 		t.Fatalf("slow attempt lived %v before cancel, want prompt cancellation", time.Duration(lived))
 	}
@@ -131,7 +127,7 @@ func TestDoHedgedPrimaryWins(t *testing.T) {
 	p := NewPool([]string{"fast", "other"}, WithObserver(reg))
 	var hs HedgeStats
 	ctx := WithHedgeStats(context.Background(), &hs)
-	ep, err := p.DoHedged(ctx, nil, &HedgePolicy{Delay: 500 * time.Millisecond},
+	ep, err := p.Do(ctx, nil, &HedgePolicy{Delay: 500 * time.Millisecond},
 		func(ctx context.Context, ep string) error { return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +149,7 @@ func TestDoHedgedPrimaryWins(t *testing.T) {
 func TestDoHedgedLoserBreakerNeutral(t *testing.T) {
 	p := NewPool([]string{"slow", "fast"}, WithObserver(obs.NewRegistry()))
 	for i := 0; i < 20; i++ {
-		_, err := p.DoHedged(context.Background(), nil, &HedgePolicy{Delay: 5 * time.Millisecond},
+		_, err := p.Do(context.Background(), nil, &HedgePolicy{Delay: 5 * time.Millisecond},
 			slowFastFns(5*time.Second, nil))
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
@@ -165,13 +161,13 @@ func TestDoHedgedLoserBreakerNeutral(t *testing.T) {
 }
 
 // TestDoHedgedNoGoroutineLeak: every attempt goroutine is awaited before
-// DoHedged returns, so repeated hedged calls leave the goroutine count
+// Do returns, so repeated hedged calls leave the goroutine count
 // where it started.
 func TestDoHedgedNoGoroutineLeak(t *testing.T) {
 	p := NewPool([]string{"slow", "fast"}, WithObserver(obs.NewRegistry()))
 	before := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
-		if _, err := p.DoHedged(context.Background(), nil, &HedgePolicy{Delay: time.Millisecond},
+		if _, err := p.Do(context.Background(), nil, &HedgePolicy{Delay: time.Millisecond},
 			slowFastFns(time.Minute, nil)); err != nil {
 			t.Fatal(err)
 		}
@@ -191,13 +187,13 @@ func TestDoHedgedNoGoroutineLeak(t *testing.T) {
 // to; the timer path must not wedge the call or poison the breaker.
 func TestDoHedgedSingleEndpoint(t *testing.T) {
 	p := NewPool([]string{"only"}, WithObserver(obs.NewRegistry()))
-	ep, err := p.DoHedged(context.Background(), nil, &HedgePolicy{Delay: time.Millisecond},
+	ep, err := p.Do(context.Background(), nil, &HedgePolicy{Delay: time.Millisecond},
 		func(ctx context.Context, ep string) error {
 			time.Sleep(20 * time.Millisecond)
 			return nil
 		})
 	if err != nil || ep != "only" {
-		t.Fatalf("DoHedged = %q, %v", ep, err)
+		t.Fatalf("hedged Do = %q, %v", ep, err)
 	}
 	if st := p.BreakerFor("only").State(); st != StateClosed {
 		t.Fatalf("breaker = %v, want closed", st)
@@ -215,7 +211,7 @@ func (f *testFault) FaultCode() string { return f.code }
 func TestDoHedgedRetriesAcrossRounds(t *testing.T) {
 	p := NewPool([]string{"a", "b"}, WithObserver(obs.NewRegistry()))
 	var calls atomic.Int64
-	ep, err := p.DoHedged(context.Background(), &Policy{MaxAttempts: 3, BackoffBase: time.Millisecond},
+	ep, err := p.Do(context.Background(), &Policy{MaxAttempts: 3, BackoffBase: time.Millisecond},
 		&HedgePolicy{Delay: 500 * time.Millisecond},
 		func(ctx context.Context, ep string) error {
 			if calls.Add(1) < 3 {
@@ -224,7 +220,7 @@ func TestDoHedgedRetriesAcrossRounds(t *testing.T) {
 			return nil
 		})
 	if err != nil {
-		t.Fatalf("DoHedged after retries: %v (endpoint %q)", err, ep)
+		t.Fatalf("hedged Do after retries: %v (endpoint %q)", err, ep)
 	}
 	if calls.Load() != 3 {
 		t.Fatalf("made %d calls, want 3", calls.Load())
@@ -236,7 +232,7 @@ func TestDoHedgedRetriesAcrossRounds(t *testing.T) {
 func TestDoHedgedPermanentErrorStops(t *testing.T) {
 	p := NewPool([]string{"a", "b"}, WithObserver(obs.NewRegistry()))
 	var calls atomic.Int64
-	_, err := p.DoHedged(context.Background(), &Policy{MaxAttempts: 5, BackoffBase: time.Millisecond},
+	_, err := p.Do(context.Background(), &Policy{MaxAttempts: 5, BackoffBase: time.Millisecond},
 		&HedgePolicy{Delay: 500 * time.Millisecond},
 		func(ctx context.Context, ep string) error {
 			calls.Add(1)

@@ -30,7 +30,7 @@ type Pool struct {
 	label        string
 
 	// latEWMAns smooths successful call latency (see observeLatency);
-	// DoHedged derives its backup-launch delay from it.
+	// a hedged Do derives its backup-launch delay from it.
 	latEWMAns atomic.Int64
 
 	mu          sync.Mutex
@@ -236,55 +236,50 @@ func (p *Pool) MaybeRefresh(ctx context.Context) {
 	}
 }
 
-// Do invokes fn against pool endpoints under the retry policy: each
-// retryable failure is re-attempted on a different endpoint when one is
-// available, with the policy's backoff between attempts. When every
-// endpoint is tripped it refreshes from the source (once) so newly
-// published equivalent services can rescue the call. It returns the
-// endpoint of the final attempt.
-func (p *Pool) Do(ctx context.Context, pol *Policy, fn func(ctx context.Context, endpoint string) error) (string, error) {
-	attempts := pol.Attempts()
+// Do invokes fn against pool endpoints under the retry policy (see
+// Policy.Do). Each attempt picks a healthy endpoint, preferring one other
+// than the endpoint that just failed, calls fn and records the outcome
+// in that endpoint's breaker. A failed pick refreshes the pool from its
+// source, so newly published equivalent services can rescue the call.
+// It returns the endpoint of the final attempt.
+//
+// With hp non-nil each attempt is a hedged race (see hedgedRace). Hedging
+// re-sends the same invocation, so fn MUST then be idempotent: both
+// attempts can execute to completion on different replicas. Reserve it
+// for read and pure-compute operations (scoring, inquiry, deterministic
+// training against a content-addressed store) and pass nil for mutating
+// calls.
+func (p *Pool) Do(ctx context.Context, pol *Policy, hp *HedgePolicy, fn func(ctx context.Context, endpoint string) error) (string, error) {
 	var lastEp string
-	var lastErr error
-	for attempt := 1; attempt <= attempts; attempt++ {
-		if ctx.Err() != nil {
-			if lastErr == nil {
-				lastErr = ctx.Err()
-			}
-			return lastEp, lastErr
-		}
+	err := pol.Do(ctx, func(ctx context.Context) error {
 		p.MaybeRefresh(ctx)
 		var skip []string
 		if lastEp != "" {
 			skip = []string{lastEp}
 		}
-		ep, pickErr := p.Pick(skip...)
-		if pickErr != nil {
-			lastErr = pickErr
+		ep, err := p.Pick(skip...)
+		if err != nil {
 			// Re-pull the source on every failed pick, not just the first:
 			// under replica churn a restarted server re-registers between
 			// attempts, and a pool that only refreshed once stays blind to
 			// it for the rest of the call.
 			_ = p.Refresh(ctx)
-		} else {
-			began := time.Now()
-			err := fn(ctx, ep)
-			p.Record(ep, err)
-			if err == nil {
-				p.observeLatency(time.Since(began))
-				return ep, nil
-			}
-			lastEp, lastErr = ep, err
-			if cls := Classify(ctx, err); cls != Retryable && cls != Busy {
-				return ep, err
-			}
+			return err
 		}
-		if attempt < attempts {
-			p.observer.Counter("resilience_retries_total").Inc()
-			if err := pol.SleepHint(ctx, attempt, RetryAfter(lastErr)); err != nil {
-				return lastEp, lastErr
-			}
+		if hp != nil {
+			lastEp, err = p.hedgedRace(ctx, hp, ep, fn)
+			return err
 		}
-	}
-	return lastEp, lastErr
+		began := time.Now()
+		err = fn(ctx, ep)
+		p.Record(ep, err)
+		if err == nil {
+			p.observeLatency(time.Since(began))
+		}
+		lastEp = ep
+		return err
+	}, func(int, error, time.Duration) {
+		p.observer.Counter("resilience_retries_total").Inc()
+	})
+	return lastEp, err
 }

@@ -140,7 +140,7 @@ func TestPoolDoFailsOverToHealthyEndpoint(t *testing.T) {
 		WithBreakerConfig(BreakerConfig{FailureThreshold: 2, Cooldown: time.Minute}))
 	pol := &Policy{MaxAttempts: 3, BackoffBase: time.Millisecond}
 	var tried []string
-	ep, err := p.Do(context.Background(), pol, func(ctx context.Context, endpoint string) error {
+	ep, err := p.Do(context.Background(), pol, nil, func(ctx context.Context, endpoint string) error {
 		tried = append(tried, endpoint)
 		if endpoint == "bad" {
 			return serverFault{}
@@ -165,7 +165,7 @@ func TestPoolDoStopsOnPermanentFault(t *testing.T) {
 	p := NewPool([]string{"a", "b"}, WithObserver(obs.NewRegistry()))
 	calls := 0
 	clientFault := &fault{"soap:Client"}
-	_, err := p.Do(context.Background(), &Policy{MaxAttempts: 4, BackoffBase: time.Millisecond},
+	_, err := p.Do(context.Background(), &Policy{MaxAttempts: 4, BackoffBase: time.Millisecond}, nil,
 		func(ctx context.Context, endpoint string) error {
 			calls++
 			return clientFault
@@ -189,7 +189,7 @@ func TestPoolDoRefreshesWhenAllTripped(t *testing.T) {
 	// it in. To exercise the all-tripped path, trip "fresh" too and
 	// point the source at a replacement.
 	p.Record("dead", serverFault{})
-	ep, err := p.Do(context.Background(), &Policy{MaxAttempts: 2, BackoffBase: time.Millisecond},
+	ep, err := p.Do(context.Background(), &Policy{MaxAttempts: 2, BackoffBase: time.Millisecond}, nil,
 		func(ctx context.Context, endpoint string) error { return nil })
 	if err != nil {
 		t.Fatal(err)

@@ -5,10 +5,10 @@
 // the UDDI registry and re-invokes it (§3, §4). This package provides
 // the three mechanisms that claim needs in practice:
 //
-//   - Policy: retry with exponential backoff + deterministic jitter and
-//     fault classification (network errors and soap:Server faults are
-//     retryable, soap:Client faults are not, a dead caller context
-//     aborts).
+//   - Policy: the one retry loop (Policy.Do) with exponential backoff +
+//     deterministic jitter, Retry-After hints and fault classification
+//     (network errors and soap:Server faults are retryable, soap:Client
+//     faults are not, a dead caller context aborts).
 //   - Breaker: a per-endpoint three-state circuit breaker (closed →
 //     open on consecutive-failure or error-rate threshold → half-open
 //     probe) so a dead service stops receiving traffic instead of
@@ -66,6 +66,10 @@ const (
 	Busy
 )
 
+// Retries reports whether an outcome of this class is worth another
+// attempt: Retryable and Busy are, everything else ends the call.
+func (c Class) Retries() bool { return c == Retryable || c == Busy }
+
 // String renders the class for logs and metric labels.
 func (c Class) String() string {
 	switch c {
@@ -102,6 +106,23 @@ func RetryAfter(err error) time.Duration {
 	return 0
 }
 
+// transientError marks a failure its producer knows to be worth
+// retrying, whatever its shape (see Transient).
+type transientError struct{ err error }
+
+func (e *transientError) Error() string { return e.err.Error() }
+func (e *transientError) Unwrap() error { return e.err }
+
+// Transient wraps err so ClassifyErr calls it Retryable — for failures
+// whose shape alone would read as permanent (an executor's own "try
+// again" condition). A nil err stays nil.
+func Transient(err error) error {
+	if err == nil {
+		return nil
+	}
+	return &transientError{err: err}
+}
+
 // ClassifyErr buckets an error by its shape alone. SOAP faults are
 // recognised through the FaultCode interface (the same contract
 // obs.FaultClass uses) so this package needs no dependency on the soap
@@ -116,6 +137,10 @@ func ClassifyErr(err error) Class {
 		return Aborted
 	}
 	if errors.Is(err, context.DeadlineExceeded) {
+		return Retryable
+	}
+	var te *transientError
+	if errors.As(err, &te) {
 		return Retryable
 	}
 	if errors.Is(err, ErrOpen) || errors.Is(err, ErrNoHealthyEndpoint) {
@@ -217,27 +242,40 @@ func (p *Policy) Backoff(attempt int) time.Duration {
 	return d/2 + jitter
 }
 
-// Sleep waits the attempt's backoff or until ctx ends, returning ctx's
-// error in the latter case.
-func (p *Policy) Sleep(ctx context.Context, attempt int) error {
-	return p.SleepHint(ctx, attempt, 0)
-}
-
-// SleepHint is Sleep honouring a server's Retry-After hint: the wait is
-// the larger of the policy's backoff and the hint, so a shedding server
-// is never re-approached before the moment it asked for.
-func (p *Policy) SleepHint(ctx context.Context, attempt int, hint time.Duration) error {
-	d := p.Backoff(attempt)
-	if hint > d {
-		d = hint
+// Do runs fn until it succeeds, fails in a class that does not retry
+// (see Class.Retries), spends the attempt budget or outlives ctx. Between
+// attempts it calls onRetry (when non-nil) and then waits
+// max(Backoff(attempt), RetryAfter(err)), so a shedding server is never
+// re-approached before the moment it asked for. It returns fn's last
+// error, or ctx's error when ctx ended before the first attempt. This is
+// the one retry loop: every caller that re-attempts a remote call does
+// so through it.
+func (p *Policy) Do(ctx context.Context, fn func(ctx context.Context) error, onRetry func(attempt int, err error, wait time.Duration)) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+	attempts := p.Attempts()
+	for attempt := 1; ; attempt++ {
+		err := fn(ctx)
+		if attempt >= attempts || !Classify(ctx, err).Retries() {
+			return err
+		}
+		wait := p.Backoff(attempt)
+		if hint := RetryAfter(err); hint > wait {
+			wait = hint
+		}
+		if onRetry != nil {
+			onRetry(attempt, err, wait)
+		}
+		t := time.NewTimer(wait)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+		}
+		t.Stop()
+		if ctx.Err() != nil {
+			return err
+		}
 	}
 }
 

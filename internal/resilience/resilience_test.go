@@ -40,6 +40,8 @@ func TestClassifyErr(t *testing.T) {
 		{"circuit open", fmt.Errorf("ep: %w", ErrOpen), Retryable},
 		{"no endpoints", fmt.Errorf("pool: %w", ErrNoHealthyEndpoint), Retryable},
 		{"plain error", errors.New("boom"), Permanent},
+		{"transient client fault", Transient(&fault{"soap:Client"}), Retryable},
+		{"transient cancelled", Transient(context.Canceled), Aborted},
 	}
 	for _, tc := range cases {
 		if got := ClassifyErr(tc.err); got != tc.want {
@@ -103,9 +105,10 @@ func TestPolicyDefaultsAndNil(t *testing.T) {
 	if d := p.Backoff(1); d <= 0 {
 		t.Fatalf("nil policy backoff = %v", d)
 	}
+	calls := 0
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := p.Sleep(ctx, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Sleep on dead ctx = %v, want Canceled", err)
+	if err := p.Do(ctx, func(context.Context) error { calls++; return nil }, nil); !errors.Is(err, context.Canceled) || calls != 0 {
+		t.Fatalf("Do on dead ctx = %v after %d calls, want Canceled and no attempt", err, calls)
 	}
 }

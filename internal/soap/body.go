@@ -78,10 +78,11 @@ func readBody(r io.Reader, declared int64, limit int) (*body, error) {
 }
 
 // sharedEnvelope is one rendered request envelope in a pooled buffer,
-// shared by the request bodies of every attempt of a call. The transport
-// may go on sending a request body after Do has returned (it closes the
-// body when it is done with it), so the buffer is recycled only when the
-// call and every body handed out have let go of it.
+// shared by every request body the transport asks for (GetBody re-reads
+// it when a redirect or a dead idle connection makes it resend). The
+// transport may go on sending a request body after Do has returned (it
+// closes the body when it is done with it), so the buffer is recycled
+// only when the call and every body handed out have let go of it.
 type sharedEnvelope struct {
 	buf  *body
 	refs atomic.Int32

@@ -10,19 +10,16 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/resilience"
 )
 
-// Client invokes SOAP operations over HTTP. Construct it with NewClient;
-// the zero value behaves like NewClient() with no options.
+// Client invokes SOAP operations over HTTP, one round trip per call:
+// retry, failover and hedging belong to resilience.Pool.Do, which calls
+// the client once per attempt. Construct it with NewClient; the zero
+// value behaves like NewClient() with no options.
 type Client struct {
-	httpClient  *http.Client
-	timeout     time.Duration
-	observer    *obs.Registry
-	traceHeader bool
-	configured  bool
-	policy      *resilience.Policy
-	breakers    *resilience.BreakerSet
+	httpClient *http.Client
+	timeout    time.Duration
+	observer   *obs.Registry
 }
 
 // Option configures a Client.
@@ -46,32 +43,9 @@ func WithObserver(reg *obs.Registry) Option {
 	return func(c *Client) { c.observer = reg }
 }
 
-// WithTraceHeader controls whether the client injects the obs trace
-// context as a TraceContext SOAP header block (default on).
-func WithTraceHeader(enabled bool) Option {
-	return func(c *Client) { c.traceHeader = enabled }
-}
-
-// WithResilience retries retryable failures (network errors, soap:Server
-// faults) against the same URL under the policy's attempt budget and
-// backoff. soap:Client faults and context cancellation never retry. The
-// default (no policy) is a single attempt, preserving the pre-resilience
-// behaviour for callers that run their own retry loops.
-func WithResilience(p *resilience.Policy) Option {
-	return func(c *Client) { c.policy = p }
-}
-
-// WithBreakers guards each called URL with a circuit breaker from the
-// set: calls to a tripped endpoint fail fast with resilience.ErrOpen
-// instead of burning a timeout. Share one set across clients to share
-// breaker state.
-func WithBreakers(s *resilience.BreakerSet) Option {
-	return func(c *Client) { c.breakers = s }
-}
-
 // NewClient builds a client over the shared pooled transport.
 func NewClient(opts ...Option) *Client {
-	c := &Client{traceHeader: true, configured: true}
+	c := &Client{}
 	for _, o := range opts {
 		o(c)
 	}
@@ -114,19 +88,18 @@ var clientLog = obs.L("soap.client")
 // parts. The request is bound to ctx, so callers can cancel an in-flight
 // call or impose a deadline; without a deadline the client's WithTimeout
 // applies. The obs trace context in ctx travels in a SOAP header block so
-// the server joins the same trace. Service-side failures come back as
-// *Fault errors; bare HTTP failures (a non-2xx status with no envelope)
-// are mapped to a *Fault too — soap:Server for 5xx (retryable),
-// soap:Client for 4xx.
+// the server joins the same trace. The call is a single attempt.
+// Service-side failures come back as *Fault errors; bare HTTP failures (a
+// non-2xx status with no envelope) are mapped to a *Fault too —
+// soap:Server for 5xx (retryable), soap:Client for 4xx.
 func (c *Client) CallContext(ctx context.Context, url, operation string, parts map[string]string) (map[string]string, error) {
-	traceHeader := c.traceHeader || !c.configured // zero-value Client propagates too
 	ctx, span := obs.StartSpan(ctx, "soap.client", operation)
 	span.SetAttr("endpoint", url)
 	msg := Message{Operation: operation, Parts: parts}
-	if tc, ok := obs.TraceFrom(ctx); ok && traceHeader {
+	if tc, ok := obs.TraceFrom(ctx); ok {
 		msg.Trace = tc.HeaderValue()
 	}
-	out, err := c.invoke(ctx, url, operation, msg)
+	out, err := c.do(ctx, url, operation, msg)
 	span.End(err)
 
 	reg := c.obsReg()
@@ -148,48 +121,13 @@ func (c *Client) CallContext(ctx context.Context, url, operation string, parts m
 	return out, err
 }
 
-// invoke runs do under the client's resilience settings: the URL's
-// breaker gates each attempt, and a configured retry policy re-attempts
-// retryable failures against the same URL with backoff. Without a policy
-// it is a single (still breaker-gated) attempt.
-func (c *Client) invoke(ctx context.Context, url, operation string, msg Message) (map[string]string, error) {
-	// One envelope, rendered once into a pooled buffer, serves every
-	// attempt.
+// do renders msg into a pooled envelope and performs one HTTP round trip.
+func (c *Client) do(ctx context.Context, url, operation string, msg Message) (map[string]string, error) {
 	envelope, err := newSharedEnvelope(msg)
 	if err != nil {
 		return nil, err
 	}
 	defer envelope.release()
-	attempts := 1
-	if c.policy != nil {
-		attempts = c.policy.Attempts()
-	}
-	var out map[string]string
-	for attempt := 1; ; attempt++ {
-		br := c.breakers.For(url) // nil set hands out nil (always-allow) breakers
-		if !br.Allow() {
-			err = fmt.Errorf("soap: %s %s: %w", operation, url, resilience.ErrOpen)
-		} else {
-			out, err = c.do(ctx, url, operation, msg.Trace, envelope)
-			br.Record(resilience.Classify(ctx, err))
-		}
-		cls := resilience.Classify(ctx, err)
-		if attempt >= attempts || (cls != resilience.Retryable && cls != resilience.Busy) {
-			return out, err
-		}
-		c.obsReg().Counter("soap_client_retries_total", "op="+operation).Inc()
-		clientLog.Info(ctx, "retry", "op", operation, "endpoint", url,
-			"attempt", fmt.Sprint(attempt), "err", err)
-		// A shedding server's Retry-After hint stretches the backoff so
-		// the retry lands after the admission queue has had time to drain.
-		if sleepErr := c.policy.SleepHint(ctx, attempt, resilience.RetryAfter(err)); sleepErr != nil {
-			return out, err
-		}
-	}
-}
-
-// do performs one HTTP round trip of the marshalled envelope.
-func (c *Client) do(ctx context.Context, url, operation, trace string, envelope *sharedEnvelope) (map[string]string, error) {
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline && c.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.timeout)
@@ -204,8 +142,8 @@ func (c *Client) do(ctx context.Context, url, operation, trace string, envelope 
 	req.GetBody = func() (io.ReadCloser, error) { return envelope.reader(), nil }
 	req.Header.Set("Content-Type", "text/xml; charset=utf-8")
 	req.Header.Set("SOAPAction", `"`+operation+`"`)
-	if trace != "" {
-		req.Header.Set(obs.TraceHeaderName, trace)
+	if msg.Trace != "" {
+		req.Header.Set(obs.TraceHeaderName, msg.Trace)
 	}
 	// Propagate the effective deadline so the server can cancel work the
 	// caller has already given up on instead of computing it.

@@ -88,8 +88,7 @@ func TestWithTimeout(t *testing.T) {
 }
 
 // TestTraceHeaderPropagation proves the client's trace context reaches the
-// server handler — via the SOAP header block and the HTTP fallback header —
-// and that WithTraceHeader(false) suppresses both.
+// server handler — via the SOAP header block and the HTTP fallback header.
 func TestTraceHeaderPropagation(t *testing.T) {
 	var mu sync.Mutex
 	var httpHeader string
@@ -121,20 +120,6 @@ func TestTraceHeaderPropagation(t *testing.T) {
 	mu.Unlock()
 	if !strings.HasPrefix(hdr, "trace-cafe-") {
 		t.Errorf("%s header = %q, want trace-cafe-<span>", obs.TraceHeaderName, hdr)
-	}
-
-	out, err = NewClient(WithTraceHeader(false)).CallContext(ctx, srv.URL, "whoami", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out["trace"] == "trace-cafe" {
-		t.Error("WithTraceHeader(false) still propagated the trace")
-	}
-	mu.Lock()
-	hdr = httpHeader
-	mu.Unlock()
-	if hdr != "" {
-		t.Errorf("WithTraceHeader(false) still sent %s=%q", obs.TraceHeaderName, hdr)
 	}
 }
 

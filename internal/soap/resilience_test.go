@@ -6,103 +6,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
-	"repro/internal/resilience"
 )
-
-// TestClientRetriesRetryableFaults: with WithResilience, a soap:Server
-// fault retries until the budget runs out; the server recovering mid-way
-// turns the call into a success.
-func TestClientRetriesRetryableFaults(t *testing.T) {
-	var calls atomic.Int64
-	ep := NewEndpoint("Flaky")
-	ep.Handle("work", func(ctx context.Context, parts map[string]string) (map[string]string, error) {
-		if calls.Add(1) < 3 {
-			return nil, &Fault{Code: "soap:Server", String: "warming up"}
-		}
-		return map[string]string{"ok": "yes"}, nil
-	})
-	srv := httptest.NewServer(ep)
-	defer srv.Close()
-
-	reg := obs.NewRegistry()
-	c := NewClient(WithObserver(reg),
-		WithResilience(&resilience.Policy{MaxAttempts: 3, BackoffBase: time.Millisecond}))
-	out, err := c.CallContext(context.Background(), srv.URL, "work", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out["ok"] != "yes" {
-		t.Fatalf("out = %v", out)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("server saw %d calls, want 3", got)
-	}
-	if got := reg.Counter("soap_client_retries_total", "op=work").Value(); got != 2 {
-		t.Fatalf("retries counter = %d, want 2", got)
-	}
-}
-
-// soap:Client faults mean the request itself is wrong — retrying cannot
-// help, so the client must not.
-func TestClientDoesNotRetryClientFaults(t *testing.T) {
-	var calls atomic.Int64
-	ep := NewEndpoint("Strict")
-	ep.Handle("work", func(ctx context.Context, parts map[string]string) (map[string]string, error) {
-		calls.Add(1)
-		return nil, &Fault{Code: "soap:Client", String: "bad request"}
-	})
-	srv := httptest.NewServer(ep)
-	defer srv.Close()
-
-	c := NewClient(WithObserver(obs.NewRegistry()),
-		WithResilience(&resilience.Policy{MaxAttempts: 5, BackoffBase: time.Millisecond}))
-	_, err := c.CallContext(context.Background(), srv.URL, "work", nil)
-	var f *Fault
-	if !errors.As(err, &f) || f.Code != "soap:Client" {
-		t.Fatalf("err = %v, want soap:Client fault", err)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("client fault retried: %d calls", got)
-	}
-}
-
-// TestClientBreakerFailsFast: once the endpoint's breaker opens, calls
-// short-circuit with resilience.ErrOpen instead of hitting the network.
-func TestClientBreakerFailsFast(t *testing.T) {
-	var calls atomic.Int64
-	ep := NewEndpoint("Down")
-	ep.Handle("work", func(ctx context.Context, parts map[string]string) (map[string]string, error) {
-		calls.Add(1)
-		return nil, &Fault{Code: "soap:Server", String: "down"}
-	})
-	srv := httptest.NewServer(ep)
-	defer srv.Close()
-
-	reg := obs.NewRegistry()
-	set := resilience.NewBreakerSet(
-		resilience.BreakerConfig{FailureThreshold: 2, Cooldown: time.Minute}, reg)
-	c := NewClient(WithObserver(reg), WithBreakers(set))
-	for i := 0; i < 2; i++ {
-		if _, err := c.CallContext(context.Background(), srv.URL, "work", nil); err == nil {
-			t.Fatal("down service succeeded")
-		}
-	}
-	_, err := c.CallContext(context.Background(), srv.URL, "work", nil)
-	if !errors.Is(err, resilience.ErrOpen) {
-		t.Fatalf("post-trip error = %v, want ErrOpen", err)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("open breaker let a call through: %d server calls", got)
-	}
-	if got := reg.Counter("resilience_breaker_opens_total", "endpoint="+srv.URL).Value(); got != 1 {
-		t.Fatalf("opens counter = %d, want 1", got)
-	}
-}
 
 // TestServerRecoversHandlerPanic: a panicking handler must produce a
 // soap:Server fault (and a panic counter), not kill the connection — the

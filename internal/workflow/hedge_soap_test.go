@@ -38,8 +38,7 @@ func TestSOAPUnitHedgesTailLatency(t *testing.T) {
 		Out:         []string{"classifiers"},
 		RegistryURL: regSrv.URL,
 		Category:    "classifier",
-		Hedge:       true,
-		HedgePolicy: &resilience.HedgePolicy{Delay: 25 * time.Millisecond},
+		Hedge:       &resilience.HedgePolicy{Delay: 25 * time.Millisecond},
 	}
 
 	var hs resilience.HedgeStats

@@ -40,15 +40,13 @@ type SOAPUnit struct {
 	// Policy governs in-task retries across pool endpoints; nil uses the
 	// resilience defaults when a pool is active.
 	Policy *resilience.Policy
-	// Hedge enables tail-latency hedging when a registry pool is active:
-	// an attempt that outlives the hedge delay races a backup attempt on
-	// a different healthy endpoint, first success wins, loser cancelled.
-	// Setting it asserts the operation is idempotent — both attempts may
-	// execute to completion on different replicas.
-	Hedge bool
-	// HedgePolicy tunes the hedge delay; nil derives it from the pool's
-	// latency EWMA with the resilience defaults.
-	HedgePolicy *resilience.HedgePolicy
+	// Hedge, when set, enables tail-latency hedging while a registry pool
+	// is active: an attempt that outlives the hedge delay races a backup
+	// attempt on a different healthy endpoint, first success wins, loser
+	// cancelled. A zero Delay derives the delay from the pool's latency
+	// EWMA. Setting it asserts the operation is idempotent — both
+	// attempts may execute to completion on different replicas.
+	Hedge *resilience.HedgePolicy
 
 	poolOnce sync.Once
 	pool     *resilience.Pool
@@ -110,13 +108,7 @@ func (u *SOAPUnit) Run(ctx context.Context, in Values) (Values, error) {
 			}
 			return callErr
 		}
-		var err error
-		if u.Hedge {
-			_, err = pool.DoHedged(ctx, u.Policy, u.HedgePolicy, attempt)
-		} else {
-			_, err = pool.Do(ctx, u.Policy, attempt)
-		}
-		if err != nil {
+		if _, err := pool.Do(ctx, u.Policy, u.Hedge, attempt); err != nil {
 			return nil, err
 		}
 		return Values(out), nil
@@ -141,10 +133,10 @@ func (u *SOAPUnit) Spec() Spec {
 	if u.Category != "" {
 		cfg["category"] = u.Category
 	}
-	if u.Hedge {
+	if u.Hedge != nil {
 		cfg["hedge"] = "true"
-		if u.HedgePolicy != nil && u.HedgePolicy.Delay > 0 {
-			cfg["hedgeDelay"] = u.HedgePolicy.Delay.String()
+		if u.Hedge.Delay > 0 {
+			cfg["hedgeDelay"] = u.Hedge.Delay.String()
 		}
 	}
 	for i, p := range u.In {
@@ -164,14 +156,18 @@ func init() {
 			Operation:   cfg["operation"],
 			RegistryURL: cfg["registry"],
 			Category:    cfg["category"],
-			Hedge:       cfg["hedge"] == "true",
+		}
+		if cfg["hedge"] == "true" {
+			u.Hedge = &resilience.HedgePolicy{}
 		}
 		if v := cfg["hedgeDelay"]; v != "" {
 			d, err := time.ParseDuration(v)
 			if err != nil {
 				return nil, fmt.Errorf("workflow: soap unit hedgeDelay %q: %w", v, err)
 			}
-			u.HedgePolicy = &resilience.HedgePolicy{Delay: d}
+			if u.Hedge != nil {
+				u.Hedge.Delay = d
+			}
 		}
 		for i := 0; ; i++ {
 			p, ok := cfg[fmt.Sprintf("in.%d", i)]

@@ -1,14 +1,15 @@
 #!/bin/sh
 # verify.sh — the full local gate, with the elapsed time of each stage:
 # formatting, build, no encoding/gob import, no encoding/base64 import in
-# non-test internal/wire, vet of the repo and of the
+# non-test internal/wire, no internal/resilience import in non-test
+# internal/soap, vet of the repo and of the
 # benchmark module (so a change that breaks an API benchmark/ pins fails
 # here, not in the benchmark run), the benchmark's own smoke (every workload for half a
 # second, replies checked against the oracle: correctness only, no
 # timing), one plain and one -race pass over every test, twenty -race
 # passes over the model pool, the dataset column mirror (the code
-# concurrent requests share) and the admission in-flight bound, ten
-# seconds of
+# concurrent requests share) and the admission in-flight bound, ten over
+# the retry loop's hedge/pool/retry tests, ten seconds of
 # every fuzz target the packages declare, the deterministic
 # short-mode replica-churn soak, then the end-to-end smoke
 # (scripts/smoke.sh: live dmserver probes, traced dmexp batch, chaos
@@ -75,6 +76,16 @@ check_wire_base64() {
 	fi
 }
 
+# Retry, backoff and failover live in resilience.Policy.Do alone; the SOAP
+# client is one HTTP round trip, so internal/soap may not import
+# internal/resilience outside its tests.
+check_soap_no_resilience() {
+	if go list -f '{{join .Imports " "}}' ./internal/soap | grep -qw 'repro/internal/resilience'; then
+		echo "internal/soap imports internal/resilience outside its tests" >&2
+		return 1
+	fi
+}
+
 # Two real dmserver replicas on one store directory, a SIGKILL every
 # 2.5s, background GC on — the run must end inside its error budget
 # (exit 0) with zero failed requests and at least one kill survived.
@@ -88,10 +99,12 @@ soak() {
 
 # Twenty -race passes over the shared-state code: the model pool, the
 # dataset column mirror, and the admission controller's in-flight tests
-# (the bound must hold on the handler and on the gauge).
+# (the bound must hold on the handler and on the gauge); then ten over the
+# retry loop's callers, since the hedged race runs inside it.
 race_harness() {
 	go test -race -count=20 ./internal/harness ./internal/dataset
 	go test -race -count=20 -run 'InFlight' ./internal/admission
+	go test -race -count=10 -run 'Hedge|PoolDo|Retry' ./internal/resilience ./internal/workflow ./internal/admission ./internal/experiment
 }
 
 # Ten seconds of every fuzz target in the module, found by
@@ -112,6 +125,7 @@ stage gofmt check_gofmt
 stage build go build ./...
 stage "no gob" check_no_gob
 stage "no base64 in wire" check_wire_base64
+stage "no resilience in soap" check_soap_no_resilience
 stage vet check_vet go vet ./...
 stage "vet benchmark" check_vet go -C benchmark vet ./...
 stage "benchmark smoke" bash benchmark/run.sh --smoke

@@ -17,7 +17,8 @@ import (
 // Neighbours are ordered by (squared distance, case index): of two cases at
 // the same distance the one that joined the case base first ranks first,
 // and a NaN distance ranks after every number. Distribution and
-// DistributionBatch run the same kernel, so the two agree bit for bit.
+// DistributionBatch run the same kernel, so the two agree bit for bit; its
+// box tree (ibk_tree.go) skips cases without changing which it selects.
 type IBk struct {
 	K              int
 	DistanceWeight bool
@@ -32,6 +33,7 @@ type IBk struct {
 	weights []float64
 	min     []float64
 	max     []float64
+	tree    *ibkTree // built by Train or a restore, then only read
 }
 
 func init() { Register("IBk", func() Classifier { return &IBk{K: 1} }) }
@@ -63,12 +65,15 @@ func (k *IBk) Snapshot(c binfmt.Codec) {
 		c.Failf("%v", err)
 		return
 	}
+	// Adopt the decoded slabs: Update copies each case onto itself or down.
+	k.cases, k.weights, k.cls = cases[:0], weights[:0], make([]int, 0, len(weights))
 	for i, wt := range weights {
 		if err := k.Update(&dataset.Instance{Values: cases[i*m : (i+1)*m], Weight: wt}); err != nil {
 			c.Failf("case %d: %v", i, err)
 			return
 		}
 	}
+	k.index(ibkLeaf)
 }
 
 // Options implements Parameterized.
@@ -107,7 +112,7 @@ func (k *IBk) Begin(schema *dataset.Dataset) error {
 		return fmt.Errorf("classify: IBk needs a nominal class with >=2 labels")
 	}
 	k.schema = schema
-	k.cases, k.cls, k.weights = nil, nil, nil
+	k.cases, k.cls, k.weights, k.tree = nil, nil, nil, ibkNone
 	n := schema.NumAttributes()
 	k.min = make([]float64, n)
 	k.max = make([]float64, n)
@@ -171,6 +176,7 @@ func (k *IBk) Train(d *dataset.Dataset) error {
 	if len(k.cls) == 0 {
 		return fmt.Errorf("classify: IBk: no instances with a known class")
 	}
+	k.index(ibkLeaf)
 	return nil
 }
 
@@ -213,32 +219,50 @@ type neighbour struct {
 	idx int
 }
 
-// ranksBefore reports whether a case at squared distance a outranks an
-// earlier-indexed case at b: strictly nearer, or a number against a NaN.
-func ranksBefore(a, b float64) bool { return a < b || (b != b && a == a) }
+// before reports whether a ranks before b: by squared distance, a NaN
+// after every number, then by case index.
+func (a neighbour) before(b neighbour) bool {
+	return a.sq < b.sq || a.sq == b.sq && a.idx < b.idx || b.sq != b.sq && (a.sq == a.sq || a.idx < b.idx)
+}
 
 // slots is the number of neighbours a query votes with.
 func (k *IBk) slots() int { return max(0, min(k.K, len(k.cls))) }
 
+// knn is one query's selection: best[:n] in rank order and, once best is
+// full, the k-th best's distance and index; until then kth is NaN.
+type knn struct {
+	best   []neighbour
+	n      int
+	kth    float64
+	kthIdx int
+}
+
 // nearest fills best with the len(best) nearest cases to the row q, in
-// (squared distance, case index) order. Cases are scanned in index order
-// and each distance accumulates in increasing column order with the
-// expressions of the distance definition; once best is full a case is
-// abandoned as soon as its partial sum reaches the k-th best. That is
-// exact: the remaining terms are non-negative, so the full sum could only
-// tie or exceed it (and a later index loses a tie), or become NaN (which
-// ranks last).
+// (squared distance, case index) order: the indexed cases through the
+// tree, then the tail that Update added after it was built.
 func (k *IBk) nearest(q []float64, plan []ibkColumn, best []neighbour) {
 	if len(best) == 0 {
 		return
 	}
-	m := len(k.schema.Attrs)
-	// While best is not full nothing may be abandoned; every comparison
-	// with NaN is false, so NaN doubles as "no bound yet".
-	bound, n := math.NaN(), 0
+	sel, m, from := knn{best: best, kth: math.NaN()}, len(k.schema.Attrs), len(k.tree.perm)
+	k.tree.visit(&sel, 0, m, q, plan)
+	sel.scan(q, plan, k.cases[from*m:], m, nil, from)
+}
+
+// scan offers the cases in rows, m cells each, numbered ids[i] (first+i
+// if ids is nil). A distance sums its defining terms in column order; a
+// case is abandoned once the partial sum passes the k-th best, or reaches
+// it with a later index. That is exact: the other terms are non-negative,
+// so the sum could only tie or exceed it, or become NaN, which ranks last.
+func (sel *knn) scan(q []float64, plan []ibkColumn, rows []float64, m int, ids []int, first int) {
+	kth, kthIdx := sel.kth, sel.kthIdx
 cases:
-	for j := range k.cls {
-		row := k.cases[j*m : (j+1)*m]
+	for i, r := 0, 0; r < len(rows); i, r = i+1, r+m {
+		j := first + i
+		if ids != nil {
+			j = ids[i]
+		}
+		row := rows[r : r+m]
 		var s float64
 		for _, c := range plan {
 			qv, cv := q[c.col], row[c.col]
@@ -251,25 +275,26 @@ cases:
 			case c.kind == ibkNominal && qv != cv:
 				s++
 			}
-			if s >= bound {
+			if s >= kth && (s > kth || j > kthIdx) {
 				continue cases
 			}
 		}
-		i := n
+		nb, best, at := neighbour{s, j}, sel.best, sel.n
 		switch {
-		case n < len(best):
-			n++
-		case ranksBefore(s, best[n-1].sq):
-			i = n - 1 // the current k-th best drops out
+		case sel.n < len(best):
+			sel.n++
+		case nb.before(best[at-1]):
+			at-- // the current k-th best drops out
 		default:
 			continue
 		}
-		for ; i > 0 && ranksBefore(s, best[i-1].sq); i-- {
-			best[i] = best[i-1]
+		for ; at > 0 && nb.before(best[at-1]); at-- {
+			best[at] = best[at-1]
 		}
-		best[i] = neighbour{s, j}
-		if n == len(best) {
-			bound = best[n-1].sq
+		best[at] = nb
+		if sel.n == len(best) {
+			kth, kthIdx = best[sel.n-1].sq, best[sel.n-1].idx
+			sel.kth, sel.kthIdx = kth, kthIdx
 		}
 	}
 }

@@ -97,6 +97,21 @@ func sameBits(a, b []float64) bool {
 // bit-identical answers on every row of queries.
 func checkIBk(t *testing.T, c *IBk, train, queries *dataset.Dataset) {
 	t.Helper()
+	checkIBkWant(t, c, queries, refDistributions(train, c.K, c.DistanceWeight, queries))
+}
+
+// refDistributions is refDistribution for every row of queries.
+func refDistributions(train *dataset.Dataset, k int, weighted bool, queries *dataset.Dataset) [][]float64 {
+	want := make([][]float64, queries.NumInstances())
+	for i, in := range queries.Instances {
+		want[i] = refDistribution(train, k, weighted, in.Values)
+	}
+	return want
+}
+
+// checkIBkWant is checkIBk against reference answers computed once.
+func checkIBkWant(t *testing.T, c *IBk, queries *dataset.Dataset, wants [][]float64) {
+	t.Helper()
 	qc, err := dataset.FromColumns(queries.Relation, queries.Attrs, queries.ClassIndex, queries.Columns(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +121,7 @@ func checkIBk(t *testing.T, c *IBk, train, queries *dataset.Dataset) {
 		t.Fatal(err)
 	}
 	for i, in := range queries.Instances {
-		want := refDistribution(train, c.K, c.DistanceWeight, in.Values)
+		want := wants[i]
 		row, err := c.Distribution(in)
 		if err != nil {
 			t.Fatal(err)
@@ -187,17 +202,21 @@ func TestIBkKernelMatchesReference(t *testing.T) {
 
 // FuzzIBkNearest decodes arbitrary bytes into a small case base and query
 // block — cells from a palette with NaN, ±Inf and many repeats, classes
-// that may be missing, k up to above the case count — and holds both
-// scoring paths to the reference. Layout: attributes-1 (mod 4), a nominal
-// bit mask, k-1 (mod 9), weighting bit + cases-1 (mod 8) in the high
-// bits, then cells row by row; what is left after the cases is queries.
+// that may be missing, k up to above the case count — indexes it with
+// leaves of 1 to 4 cases, so that the bounds prune, adds a tail of cases
+// after the index, and holds both scoring paths to the reference. Layout:
+// attributes-1 (mod 4); a byte of nominal bit mask (low 4 bits), leaf-1
+// (next 2) and tail cases (top 2); k-1 (mod 9); weighting bit + cases-1
+// (mod 64) in the high bits; then cells row by row. What is left after
+// the cases is queries.
 func FuzzIBkNearest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
 		}
 		nAttr, mask, k := 1+int(data[0]%4), data[1], 1+int(data[2]%9)
-		weighted, nCases := data[3]&1 == 1, 1+int(data[3]>>1)%8
+		leaf, tail := 1+int(data[1]>>4&3), int(data[1]>>6)
+		weighted, nCases := data[3]&1 == 1, 1+int(data[3]>>1)%64
 		data = data[4:]
 		next := func() byte {
 			if len(data) == 0 {
@@ -253,12 +272,81 @@ func FuzzIBkNearest(f *testing.F) {
 		if queries.NumInstances() == 0 {
 			queries.MustAdd(dataset.NewInstance(row(dataset.Missing)))
 		}
+		head := train.Clone()
+		head.Instances = head.Instances[:max(1, nCases-tail)]
 		c := &IBk{K: k, DistanceWeight: weighted}
-		if err := c.Train(train); err != nil {
+		if err := c.Train(head); err != nil {
 			return // every case has a missing class
+		}
+		c.index(leaf)
+		for _, in := range train.Instances[head.NumInstances():] {
+			if err := c.Update(in); err != nil {
+				t.Fatal(err)
+			}
 		}
 		checkIBk(t, c, train, queries)
 	})
+}
+
+// TestIBkPrunedMatchesReference holds TestIBkKernelMatchesReference's case
+// bases to the reference through indexes with leaves of 1, 2 and 32
+// cases, so that the bounds prune, both over the whole case base and with
+// its last third added by Update after the index was built, as an
+// unindexed tail.
+func TestIBkPrunedMatchesReference(t *testing.T) {
+	gauss := datagen.GaussianClusters(3, 90, 4, 2.0, 5)
+	zeroSpan := gauss.Clone()
+	for _, in := range zeroSpan.Instances {
+		in.Values[1] = 1.5
+	}
+	zeroSpan.InvalidateColumns()
+	trains := map[string]*dataset.Dataset{
+		"BreastCancer":     datagen.BreastCancer(),
+		"ContactLenses":    datagen.ContactLenses(),
+		"Weather":          datagen.Weather(),
+		"GaussianClusters": gauss,
+		"ZeroSpanColumn":   zeroSpan,
+		"NaNCases":         withCells(gauss, dataset.Missing, [2]int{0, 0}, [2]int{3, 2}, [2]int{7, 0}, [2]int{7, 1}),
+		"PlusInfCase":      withCells(gauss, math.Inf(1), [2]int{2, 0}),
+		"MinusInfCase":     withCells(gauss, math.Inf(-1), [2]int{4, 3}),
+		"InfBothEnds":      withCells(withCells(gauss, math.Inf(1), [2]int{1, 2}), math.Inf(-1), [2]int{5, 2}),
+		"OnlyInfInColumn":  withCells(gauss.Clone(), math.Inf(1), allRows(gauss, 0)...),
+	}
+	for name, train := range trains {
+		// The first 40 cases and their perturbations query each base,
+		// which keeps the test short enough to repeat under -race.
+		head, first := train.Clone(), train.Clone()
+		head.Instances = head.Instances[:2*train.NumInstances()/3]
+		first.Instances = first.Instances[:min(40, train.NumInstances())]
+		queries := perturbed(first)
+		// k above the case count is left out: best never fills, so
+		// nothing can be pruned.
+		for _, k := range []int{1, 3, 5} {
+			for _, dw := range []bool{false, true} {
+				want := refDistributions(train, k, dw, queries)
+				for _, leaf := range []int{1, 2, 32} {
+					t.Run(fmt.Sprintf("%s/k=%d/dw=%v/leaf=%d", name, k, dw, leaf), func(t *testing.T) {
+						whole, tailed := &IBk{K: k, DistanceWeight: dw}, &IBk{K: k, DistanceWeight: dw}
+						if err := whole.Train(train); err != nil {
+							t.Fatal(err)
+						}
+						if err := tailed.Train(head); err != nil {
+							t.Fatal(err)
+						}
+						whole.index(leaf)
+						tailed.index(leaf)
+						for _, in := range train.Instances[head.NumInstances():] {
+							if err := tailed.Update(in); err != nil {
+								t.Fatal(err)
+							}
+						}
+						checkIBkWant(t, whole, queries, want)
+						checkIBkWant(t, tailed, queries, want)
+					})
+				}
+			}
+		}
+	}
 }
 
 func allRows(d *dataset.Dataset, col int) [][2]int {

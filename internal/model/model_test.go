@@ -476,6 +476,21 @@ func BenchmarkRandomForestSnapshot(b *testing.B) {
 	if err := c.Train(datagen.RandomNominal(512, 10, 4, 0.2, 11)); err != nil {
 		b.Fatal(err)
 	}
+	benchSnapshot(b, c)
+}
+
+// BenchmarkIBkSnapshot marshals and restores the IBk k=5 model a
+// kernel_heavy session holds (2000 cases × 16 numerics); the restore
+// includes building the neighbour index.
+func BenchmarkIBkSnapshot(b *testing.B) {
+	c := &classify.IBk{K: 5}
+	if err := c.Train(datagen.GaussianClusters(4, 2000, 16, 3.0, 1)); err != nil {
+		b.Fatal(err)
+	}
+	benchSnapshot(b, c)
+}
+
+func benchSnapshot(b *testing.B, c classify.Classifier) {
 	snap, err := Marshal(c)
 	if err != nil {
 		b.Fatal(err)

@@ -100,11 +100,13 @@ soak() {
 # Twenty -race passes over the shared-state code: the model pool, the
 # dataset column mirror, and the admission controller's in-flight tests
 # (the bound must hold on the handler and on the gauge); then ten over the
-# retry loop's callers, since the hedged race runs inside it.
+# retry loop's callers, since the hedged race runs inside it; then twenty
+# over IBk scoring, whose neighbour index concurrent scorers share.
 race_harness() {
 	go test -race -count=20 ./internal/harness ./internal/dataset
 	go test -race -count=20 -run 'InFlight' ./internal/admission
 	go test -race -count=10 -run 'Hedge|PoolDo|Retry' ./internal/resilience ./internal/workflow ./internal/admission ./internal/experiment
+	go test -race -count=20 -run 'IBkConcurrent|IBkUpdate|IBkPruned' ./internal/classify
 }
 
 # Ten seconds of every fuzz target in the module, found by

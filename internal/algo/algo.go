@@ -1,10 +1,12 @@
 // Package algo is the one algorithm registry behind the general services
 // of §4.1. Classifiers, clusterers and regressors each keep a Registry:
 // list the algorithms (Names), describe one (Options, the getOptions
-// reply), then build a named algorithm from its options (Build). Options
-// are applied in one place, Configure, always in sorted name order, so a
-// request carrying several bad options is answered with the same error
-// every time.
+// reply), then build a named algorithm from its options (Build). Each
+// algorithm declares each option once, as an Option bound to the field it
+// sets; its descriptor, default, parse, range check and error text all
+// derive from that declaration. Options are applied in one place,
+// Configure, always in sorted name order, so a request carrying several
+// bad options is answered with the same error every time.
 package algo
 
 import (
@@ -12,15 +14,6 @@ import (
 	"sort"
 	"sync"
 )
-
-// Option describes one run-time parameter of an algorithm, the unit of the
-// getOptions reply.
-type Option struct {
-	Name        string `json:"name"`
-	Description string `json:"description"`
-	Default     string `json:"default"`
-	Required    bool   `json:"required"`
-}
 
 // Parameterized exposes run-time options, mirroring the getOptions
 // operation of the general services.
@@ -87,7 +80,8 @@ func (r *Registry[T]) Names() []string {
 }
 
 // Options returns the option descriptors of the named algorithm, or nil
-// when it has no tunable parameters.
+// when it has no tunable parameters. They come from a fresh instance, so
+// each Default is the registered default.
 func (r *Registry[T]) Options(name string) ([]Option, error) {
 	m, err := r.New(name)
 	if err != nil {
@@ -97,6 +91,23 @@ func (r *Registry[T]) Options(name string) ([]Option, error) {
 		return p.Options(), nil
 	}
 	return nil, nil
+}
+
+// Set implements Parameterized.SetOption for an algorithm whose Options
+// are declared with Int, Seed, Bool, Float and Enum: it parses, checks and
+// stores value through the option named name. Errors name the package,
+// m's registry name and the option.
+func (r *Registry[T]) Set(m T, name, value string) error {
+	for _, o := range any(m).(Parameterized).Options() {
+		if o.Name != name || o.set == nil {
+			continue
+		}
+		if !o.set(value) {
+			return fmt.Errorf("%s: %s %s must be %s, got %q", r.pkg, m.Name(), name, o.want, value)
+		}
+		return nil
+	}
+	return fmt.Errorf("%s: %s has no option %q", r.pkg, m.Name(), name)
 }
 
 // Configure applies name=value options to m in sorted name order, failing

@@ -146,66 +146,7 @@ func (ap *Apriori) Mine(transactions [][]string) ([]Rule, error) {
 		sort.Slice(level, func(i, j int) bool { return lessItems(level[i].Items, level[j].Items) })
 		ap.frequent = append(ap.frequent, level...)
 	}
-	return ap.rules(), nil
-}
-
-// rules derives all rules meeting MinConfidence from the frequent itemsets.
-func (ap *Apriori) rules() []Rule {
-	supports := map[string]int{}
-	for _, is := range ap.frequent {
-		supports[key(is.Items)] = is.Support
-	}
-	n := float64(len(ap.trans))
-	var out []Rule
-	for _, is := range ap.frequent {
-		if len(is.Items) < 2 {
-			continue
-		}
-		// Enumerate non-empty proper antecedent subsets.
-		subsets := enumerateSubsets(is.Items)
-		for _, ante := range subsets {
-			if len(ante) == 0 || len(ante) == len(is.Items) {
-				continue
-			}
-			anteSup, ok := supports[key(ante)]
-			if !ok || anteSup == 0 {
-				continue
-			}
-			conf := float64(is.Support) / float64(anteSup)
-			if conf+1e-12 < ap.MinConfidence {
-				continue
-			}
-			cons := difference(is.Items, ante)
-			consSup := supports[key(cons)]
-			consFreq := float64(consSup) / n
-			lift := 0.0
-			if consFreq > 0 {
-				lift = conf / consFreq
-			}
-			conviction := 0.0
-			if conf < 1 {
-				conviction = (1 - consFreq) / (1 - conf)
-			}
-			out = append(out, Rule{
-				Antecedent: ap.names(ante),
-				Consequent: ap.names(cons),
-				Support:    float64(is.Support) / n,
-				Confidence: conf,
-				Lift:       lift,
-				Conviction: conviction,
-			})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Confidence != out[j].Confidence {
-			return out[i].Confidence > out[j].Confidence
-		}
-		if out[i].Support != out[j].Support {
-			return out[i].Support > out[j].Support
-		}
-		return fmt.Sprint(out[i]) < fmt.Sprint(out[j])
-	})
-	return out
+	return DeriveRules(ap.frequent, ap.ItemName, len(ap.trans), ap.MinConfidence), nil
 }
 
 // FrequentItemsets returns the mined itemsets (after Mine).
@@ -213,14 +154,6 @@ func (ap *Apriori) FrequentItemsets() []Itemset { return ap.frequent }
 
 // ItemName resolves an item ID.
 func (ap *Apriori) ItemName(id int) string { return ap.items[id] }
-
-func (ap *Apriori) names(ids []int) []string {
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = ap.items[id]
-	}
-	return out
-}
 
 func key(items []int) string {
 	var b strings.Builder

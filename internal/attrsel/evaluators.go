@@ -259,8 +259,8 @@ func (e *OneRAccuracy) Evaluate(col int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	r := &classify.OneR{}
-	if err := r.SetOption("minBucket", "6"); err != nil {
+	r, err := classify.New("OneR")
+	if err != nil {
 		return 0, err
 	}
 	if err := r.Train(proj); err != nil {

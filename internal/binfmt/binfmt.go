@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // FormatError reports bytes that are not a valid encoding. Codec names the
@@ -71,6 +72,7 @@ func (w *Writer) Str(s string) {
 // F64s writes a uvarint count, then each value's bits.
 func (w *Writer) F64s(xs []float64) {
 	w.Uvarint(uint64(len(xs)))
+	w.Buf = slices.Grow(w.Buf, 8*len(xs))
 	for _, v := range xs {
 		w.F64(v)
 	}

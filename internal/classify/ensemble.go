@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
 
+	"repro/internal/algo"
 	"repro/internal/binfmt"
 	"repro/internal/dataset"
 	"repro/internal/parallel"
@@ -128,31 +128,13 @@ func (b *Bagging) Name() string { return "Bagging" }
 // Options implements Parameterized.
 func (b *Bagging) Options() []Option {
 	return []Option{
-		{Name: "size", Description: "number of bagged models", Default: "10"},
-		{Name: "seed", Description: "bootstrap seed", Default: "1"},
+		algo.Int("size", "number of bagged models", &b.Size, 1),
+		algo.Seed("seed", "bootstrap seed", &b.Seed),
 	}
 }
 
 // SetOption implements Parameterized.
-func (b *Bagging) SetOption(name, value string) error {
-	switch name {
-	case "size":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 1 {
-			return fmt.Errorf("classify: Bagging size must be a positive integer, got %q", value)
-		}
-		b.Size = n
-	case "seed":
-		n, err := strconv.ParseInt(value, 10, 64)
-		if err != nil {
-			return fmt.Errorf("classify: Bagging seed must be an integer, got %q", value)
-		}
-		b.Seed = n
-	default:
-		return fmt.Errorf("classify: Bagging has no option %q", name)
-	}
-	return nil
-}
+func (b *Bagging) SetOption(name, value string) error { return Registry.Set(b, name, value) }
 
 // Train implements Classifier.
 func (b *Bagging) Train(d *dataset.Dataset) error {
@@ -255,13 +237,9 @@ func init() {
 // Name implements Classifier.
 func (f *RandomForest) Name() string { return "RandomForest" }
 
-// Options implements Parameterized: Bagging's options, advertising the
-// forest's own default of 20 trees.
-func (f *RandomForest) Options() []Option {
-	opts := f.Bagging.Options()
-	opts[0].Default = "20"
-	return opts
-}
+// SetOption implements Parameterized: Bagging's options, under the
+// forest's name.
+func (f *RandomForest) SetOption(name, value string) error { return Registry.Set(f, name, value) }
 
 // AdaBoostM1 implements the AdaBoost.M1 boosting meta-algorithm over
 // decision stumps (or any supplied base learner).
@@ -295,31 +273,13 @@ func (a *AdaBoostM1) Snapshot(c binfmt.Codec) {
 // Options implements Parameterized.
 func (a *AdaBoostM1) Options() []Option {
 	return []Option{
-		{Name: "rounds", Description: "number of boosting rounds", Default: "10"},
-		{Name: "seed", Description: "resampling seed", Default: "1"},
+		algo.Int("rounds", "number of boosting rounds", &a.Rounds, 1),
+		algo.Seed("seed", "resampling seed", &a.Seed),
 	}
 }
 
 // SetOption implements Parameterized.
-func (a *AdaBoostM1) SetOption(name, value string) error {
-	switch name {
-	case "rounds":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 1 {
-			return fmt.Errorf("classify: AdaBoostM1 rounds must be a positive integer, got %q", value)
-		}
-		a.Rounds = n
-	case "seed":
-		n, err := strconv.ParseInt(value, 10, 64)
-		if err != nil {
-			return fmt.Errorf("classify: AdaBoostM1 seed must be an integer, got %q", value)
-		}
-		a.Seed = n
-	default:
-		return fmt.Errorf("classify: AdaBoostM1 has no option %q", name)
-	}
-	return nil
-}
+func (a *AdaBoostM1) SetOption(name, value string) error { return Registry.Set(a, name, value) }
 
 // Train implements Classifier.
 func (a *AdaBoostM1) Train(d *dataset.Dataset) error {

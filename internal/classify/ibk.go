@@ -3,8 +3,8 @@ package classify
 import (
 	"fmt"
 	"math"
-	"strconv"
 
+	"repro/internal/algo"
 	"repro/internal/binfmt"
 	"repro/internal/dataset"
 )
@@ -79,31 +79,13 @@ func (k *IBk) Snapshot(c binfmt.Codec) {
 // Options implements Parameterized.
 func (k *IBk) Options() []Option {
 	return []Option{
-		{Name: "k", Description: "number of neighbours", Default: "1"},
-		{Name: "distanceWeighting", Description: "weight votes by inverse distance (true/false)", Default: "false"},
+		algo.Int("k", "number of neighbours", &k.K, 1),
+		algo.Bool("distanceWeighting", "weight votes by inverse distance (true/false)", &k.DistanceWeight),
 	}
 }
 
 // SetOption implements Parameterized.
-func (k *IBk) SetOption(name, value string) error {
-	switch name {
-	case "k":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 1 {
-			return fmt.Errorf("classify: IBk k must be a positive integer, got %q", value)
-		}
-		k.K = n
-	case "distanceWeighting":
-		b, err := strconv.ParseBool(value)
-		if err != nil {
-			return fmt.Errorf("classify: IBk distanceWeighting must be boolean, got %q", value)
-		}
-		k.DistanceWeight = b
-	default:
-		return fmt.Errorf("classify: IBk has no option %q", name)
-	}
-	return nil
-}
+func (k *IBk) SetOption(name, value string) error { return Registry.Set(k, name, value) }
 
 // Begin implements Updateable.
 func (k *IBk) Begin(schema *dataset.Dataset) error {

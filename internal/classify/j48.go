@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 
+	"repro/internal/algo"
 	"repro/internal/binfmt"
 	"repro/internal/dataset"
 )
@@ -78,45 +78,15 @@ func (j *J48) Snapshot(c binfmt.Codec) {
 // Options implements Parameterized, mirroring WEKA's -C and -M flags.
 func (j *J48) Options() []Option {
 	return []Option{
-		{Name: "confidenceFactor", Description: "pruning confidence factor (smaller prunes more)", Default: "0.25"},
-		{Name: "minLeaf", Description: "minimum instance weight per split branch", Default: "2"},
-		{Name: "unpruned", Description: "disable pruning (true/false)", Default: "false"},
-		{Name: "useInfoGain", Description: "split on information gain instead of gain ratio (true/false)", Default: "false"},
+		algo.Float("confidenceFactor", "pruning confidence factor (smaller prunes more)", &j.ConfidenceFactor, algo.Above(0).AtMost(0.5)),
+		algo.Float("minLeaf", "minimum instance weight per split branch", &j.MinLeaf, algo.AtLeast(1)),
+		algo.Bool("unpruned", "disable pruning (true/false)", &j.Unpruned),
+		algo.Bool("useInfoGain", "split on information gain instead of gain ratio (true/false)", &j.UseInfoGain),
 	}
 }
 
 // SetOption implements Parameterized.
-func (j *J48) SetOption(name, value string) error {
-	switch name {
-	case "confidenceFactor":
-		f, err := strconv.ParseFloat(value, 64)
-		if err != nil || f <= 0 || f > 0.5 {
-			return fmt.Errorf("classify: J48 confidenceFactor must be in (0,0.5], got %q", value)
-		}
-		j.ConfidenceFactor = f
-	case "minLeaf":
-		f, err := strconv.ParseFloat(value, 64)
-		if err != nil || f < 1 {
-			return fmt.Errorf("classify: J48 minLeaf must be >= 1, got %q", value)
-		}
-		j.MinLeaf = f
-	case "unpruned":
-		b, err := strconv.ParseBool(value)
-		if err != nil {
-			return fmt.Errorf("classify: J48 unpruned must be boolean, got %q", value)
-		}
-		j.Unpruned = b
-	case "useInfoGain":
-		b, err := strconv.ParseBool(value)
-		if err != nil {
-			return fmt.Errorf("classify: J48 useInfoGain must be boolean, got %q", value)
-		}
-		j.UseInfoGain = b
-	default:
-		return fmt.Errorf("classify: J48 has no option %q", name)
-	}
-	return nil
-}
+func (j *J48) SetOption(name, value string) error { return Registry.Set(j, name, value) }
 
 // Train implements Classifier.
 func (j *J48) Train(d *dataset.Dataset) error {

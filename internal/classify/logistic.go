@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
 
+	"repro/internal/algo"
 	"repro/internal/binfmt"
 	"repro/internal/dataset"
 )
@@ -151,45 +151,15 @@ func (l *Logistic) Snapshot(c binfmt.Codec) {
 // Options implements Parameterized.
 func (l *Logistic) Options() []Option {
 	return []Option{
-		{Name: "epochs", Description: "SGD passes over the data", Default: "100"},
-		{Name: "learningRate", Description: "SGD step size", Default: "0.1"},
-		{Name: "lambda", Description: "L2 regularisation strength", Default: "0.0001"},
-		{Name: "seed", Description: "shuffle seed", Default: "1"},
+		algo.Int("epochs", "SGD passes over the data", &l.Epochs, 1),
+		algo.Float("learningRate", "SGD step size", &l.LearningRate, algo.Above(0)),
+		algo.Float("lambda", "L2 regularisation strength", &l.Lambda, algo.AtLeast(0)),
+		algo.Seed("seed", "shuffle seed", &l.Seed),
 	}
 }
 
 // SetOption implements Parameterized.
-func (l *Logistic) SetOption(name, value string) error {
-	switch name {
-	case "epochs":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 1 {
-			return fmt.Errorf("classify: Logistic epochs must be a positive integer, got %q", value)
-		}
-		l.Epochs = n
-	case "learningRate":
-		f, err := strconv.ParseFloat(value, 64)
-		if err != nil || f <= 0 {
-			return fmt.Errorf("classify: Logistic learningRate must be positive, got %q", value)
-		}
-		l.LearningRate = f
-	case "lambda":
-		f, err := strconv.ParseFloat(value, 64)
-		if err != nil || f < 0 {
-			return fmt.Errorf("classify: Logistic lambda must be >= 0, got %q", value)
-		}
-		l.Lambda = f
-	case "seed":
-		n, err := strconv.ParseInt(value, 10, 64)
-		if err != nil {
-			return fmt.Errorf("classify: Logistic seed must be an integer, got %q", value)
-		}
-		l.Seed = n
-	default:
-		return fmt.Errorf("classify: Logistic has no option %q", name)
-	}
-	return nil
-}
+func (l *Logistic) SetOption(name, value string) error { return Registry.Set(l, name, value) }
 
 // Train implements Classifier.
 func (l *Logistic) Train(d *dataset.Dataset) error {

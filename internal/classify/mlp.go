@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
 
+	"repro/internal/algo"
 	"repro/internal/binfmt"
 	"repro/internal/dataset"
 )
@@ -65,52 +65,16 @@ func (m *MLP) Snapshot(c binfmt.Codec) {
 // Options implements Parameterized.
 func (m *MLP) Options() []Option {
 	return []Option{
-		{Name: "hiddenNeurons", Description: "number of neurons in the hidden layer", Default: "8", Required: false},
-		{Name: "learningRate", Description: "backpropagation learning rate", Default: "0.3"},
-		{Name: "momentum", Description: "backpropagation momentum", Default: "0.2"},
-		{Name: "epochs", Description: "training passes", Default: "200"},
-		{Name: "seed", Description: "weight initialisation seed", Default: "1"},
+		algo.Int("hiddenNeurons", "number of neurons in the hidden layer", &m.Hidden, 1),
+		algo.Float("learningRate", "backpropagation learning rate", &m.LearningRate, algo.Above(0)),
+		algo.Float("momentum", "backpropagation momentum", &m.Momentum, algo.AtLeast(0).Below(1)),
+		algo.Int("epochs", "training passes", &m.Epochs, 1),
+		algo.Seed("seed", "weight initialisation seed", &m.Seed),
 	}
 }
 
 // SetOption implements Parameterized.
-func (m *MLP) SetOption(name, value string) error {
-	switch name {
-	case "hiddenNeurons":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 1 {
-			return fmt.Errorf("classify: MLP hiddenNeurons must be a positive integer, got %q", value)
-		}
-		m.Hidden = n
-	case "learningRate":
-		f, err := strconv.ParseFloat(value, 64)
-		if err != nil || f <= 0 {
-			return fmt.Errorf("classify: MLP learningRate must be positive, got %q", value)
-		}
-		m.LearningRate = f
-	case "momentum":
-		f, err := strconv.ParseFloat(value, 64)
-		if err != nil || f < 0 || f >= 1 {
-			return fmt.Errorf("classify: MLP momentum must be in [0,1), got %q", value)
-		}
-		m.Momentum = f
-	case "epochs":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 1 {
-			return fmt.Errorf("classify: MLP epochs must be a positive integer, got %q", value)
-		}
-		m.Epochs = n
-	case "seed":
-		n, err := strconv.ParseInt(value, 10, 64)
-		if err != nil {
-			return fmt.Errorf("classify: MLP seed must be an integer, got %q", value)
-		}
-		m.Seed = n
-	default:
-		return fmt.Errorf("classify: MLP has no option %q", name)
-	}
-	return nil
-}
+func (m *MLP) SetOption(name, value string) error { return Registry.Set(m, name, value) }
 
 // Train implements Classifier.
 func (m *MLP) Train(d *dataset.Dataset) error {

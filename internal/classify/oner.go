@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 
+	"repro/internal/algo"
 	"repro/internal/binfmt"
 	"repro/internal/dataset"
 )
@@ -46,27 +46,13 @@ func (o *OneR) Snapshot(c binfmt.Codec) {
 
 // Options implements Parameterized.
 func (o *OneR) Options() []Option {
-	return []Option{{
-		Name:        "minBucket",
-		Description: "minimum instances per bucket when discretising numeric attributes",
-		Default:     "6",
-	}}
+	return []Option{
+		algo.Int("minBucket", "minimum instances per bucket when discretising numeric attributes", &o.minBucket, 1),
+	}
 }
 
 // SetOption implements Parameterized.
-func (o *OneR) SetOption(name, value string) error {
-	switch name {
-	case "minBucket":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 1 {
-			return fmt.Errorf("classify: OneR minBucket must be a positive integer, got %q", value)
-		}
-		o.minBucket = n
-		return nil
-	default:
-		return fmt.Errorf("classify: OneR has no option %q", name)
-	}
-}
+func (o *OneR) SetOption(name, value string) error { return Registry.Set(o, name, value) }
 
 // Train implements Classifier.
 func (o *OneR) Train(d *dataset.Dataset) error {

@@ -3,9 +3,9 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 
+	"repro/internal/algo"
 	"repro/internal/dataset"
 )
 
@@ -48,31 +48,13 @@ func (cw *Cobweb) Name() string { return "Cobweb" }
 // Options implements Parameterized.
 func (cw *Cobweb) Options() []Option {
 	return []Option{
-		{Name: "acuity", Description: "minimum numeric standard deviation (CLASSIT)", Default: "1.0"},
-		{Name: "cutoff", Description: "category utility threshold for keeping concepts", Default: "0.0028"},
+		algo.Float("acuity", "minimum numeric standard deviation (CLASSIT)", &cw.Acuity, algo.Above(0)),
+		algo.Float("cutoff", "category utility threshold for keeping concepts", &cw.Cutoff, algo.AtLeast(0)),
 	}
 }
 
 // SetOption implements Parameterized.
-func (cw *Cobweb) SetOption(name, value string) error {
-	switch name {
-	case "acuity":
-		f, err := strconv.ParseFloat(value, 64)
-		if err != nil || f <= 0 {
-			return fmt.Errorf("cluster: Cobweb acuity must be positive, got %q", value)
-		}
-		cw.Acuity = f
-	case "cutoff":
-		f, err := strconv.ParseFloat(value, 64)
-		if err != nil || f < 0 {
-			return fmt.Errorf("cluster: Cobweb cutoff must be >= 0, got %q", value)
-		}
-		cw.Cutoff = f
-	default:
-		return fmt.Errorf("cluster: Cobweb has no option %q", name)
-	}
-	return nil
-}
+func (cw *Cobweb) SetOption(name, value string) error { return Registry.Set(cw, name, value) }
 
 // Begin prepares the tree for incremental updates.
 func (cw *Cobweb) Begin(schema *dataset.Dataset) error {

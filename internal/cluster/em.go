@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strconv"
 
+	"repro/internal/algo"
 	"repro/internal/binfmt"
 	"repro/internal/dataset"
 	"repro/internal/parallel"
@@ -56,38 +56,14 @@ func (em *EM) Snapshot(c binfmt.Codec) {
 // Options implements Parameterized.
 func (em *EM) Options() []Option {
 	return []Option{
-		{Name: "k", Description: "number of mixture components", Default: "2", Required: true},
-		{Name: "maxIterations", Description: "EM iteration cap", Default: "100"},
-		{Name: "seed", Description: "initialisation seed", Default: "1"},
+		algo.Int("k", "number of mixture components", &em.K, 1).Require(),
+		algo.Int("maxIterations", "EM iteration cap", &em.MaxIter, 1),
+		algo.Seed("seed", "initialisation seed", &em.Seed),
 	}
 }
 
 // SetOption implements Parameterized.
-func (em *EM) SetOption(name, value string) error {
-	switch name {
-	case "k":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 1 {
-			return fmt.Errorf("cluster: EM k must be a positive integer, got %q", value)
-		}
-		em.K = n
-	case "maxIterations":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 1 {
-			return fmt.Errorf("cluster: EM maxIterations must be a positive integer, got %q", value)
-		}
-		em.MaxIter = n
-	case "seed":
-		n, err := strconv.ParseInt(value, 10, 64)
-		if err != nil {
-			return fmt.Errorf("cluster: EM seed must be an integer, got %q", value)
-		}
-		em.Seed = n
-	default:
-		return fmt.Errorf("cluster: EM has no option %q", name)
-	}
-	return nil
-}
+func (em *EM) SetOption(name, value string) error { return Registry.Set(em, name, value) }
 
 // Build implements Clusterer.
 func (em *EM) Build(d *dataset.Dataset) error {

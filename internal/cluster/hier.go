@@ -3,8 +3,8 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"strconv"
 
+	"repro/internal/algo"
 	"repro/internal/dataset"
 )
 
@@ -64,36 +64,13 @@ func (h *Hierarchical) Name() string { return "Hierarchical" }
 // Options implements Parameterized.
 func (h *Hierarchical) Options() []Option {
 	return []Option{
-		{Name: "k", Description: "number of clusters after cutting", Default: "2", Required: true},
-		{Name: "linkage", Description: "single | complete | average", Default: "average"},
+		algo.Int("k", "number of clusters after cutting", &h.K, 1).Require(),
+		algo.Enum("linkage", "single | complete | average", &h.Linkage, SingleLink, CompleteLink, AverageLink),
 	}
 }
 
 // SetOption implements Parameterized.
-func (h *Hierarchical) SetOption(name, value string) error {
-	switch name {
-	case "k":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 1 {
-			return fmt.Errorf("cluster: Hierarchical k must be a positive integer, got %q", value)
-		}
-		h.K = n
-	case "linkage":
-		switch value {
-		case "single":
-			h.Linkage = SingleLink
-		case "complete":
-			h.Linkage = CompleteLink
-		case "average":
-			h.Linkage = AverageLink
-		default:
-			return fmt.Errorf("cluster: Hierarchical linkage must be single|complete|average, got %q", value)
-		}
-	default:
-		return fmt.Errorf("cluster: Hierarchical has no option %q", name)
-	}
-	return nil
-}
+func (h *Hierarchical) SetOption(name, value string) error { return Registry.Set(h, name, value) }
 
 // Build implements Clusterer. It runs the Lance-Williams update over a full
 // distance matrix (O(n^2) memory), adequate for the toolkit's workloads.
@@ -280,31 +257,13 @@ func (db *DBSCAN) Name() string { return "DBSCAN" }
 // Options implements Parameterized.
 func (db *DBSCAN) Options() []Option {
 	return []Option{
-		{Name: "eps", Description: "neighbourhood radius", Default: "0.9", Required: true},
-		{Name: "minPts", Description: "minimum neighbours for a core point", Default: "4"},
+		algo.Float("eps", "neighbourhood radius", &db.Eps, algo.Above(0)).Require(),
+		algo.Int("minPts", "minimum neighbours for a core point", &db.MinPts, 1),
 	}
 }
 
 // SetOption implements Parameterized.
-func (db *DBSCAN) SetOption(name, value string) error {
-	switch name {
-	case "eps":
-		f, err := strconv.ParseFloat(value, 64)
-		if err != nil || f <= 0 {
-			return fmt.Errorf("cluster: DBSCAN eps must be positive, got %q", value)
-		}
-		db.Eps = f
-	case "minPts":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 1 {
-			return fmt.Errorf("cluster: DBSCAN minPts must be a positive integer, got %q", value)
-		}
-		db.MinPts = n
-	default:
-		return fmt.Errorf("cluster: DBSCAN has no option %q", name)
-	}
-	return nil
-}
+func (db *DBSCAN) SetOption(name, value string) error { return Registry.Set(db, name, value) }
 
 // Build implements Clusterer.
 func (db *DBSCAN) Build(d *dataset.Dataset) error {

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
 	"sync/atomic"
 
+	"repro/internal/algo"
 	"repro/internal/binfmt"
 	"repro/internal/dataset"
 	"repro/internal/parallel"
@@ -51,38 +51,14 @@ func (km *KMeans) Snapshot(c binfmt.Codec) {
 // Options implements Parameterized.
 func (km *KMeans) Options() []Option {
 	return []Option{
-		{Name: "k", Description: "number of clusters", Default: "2", Required: true},
-		{Name: "maxIterations", Description: "iteration cap", Default: "100"},
-		{Name: "seed", Description: "k-means++ seeding RNG seed", Default: "1"},
+		algo.Int("k", "number of clusters", &km.K, 1).Require(),
+		algo.Int("maxIterations", "iteration cap", &km.MaxIter, 1),
+		algo.Seed("seed", "k-means++ seeding RNG seed", &km.Seed),
 	}
 }
 
 // SetOption implements Parameterized.
-func (km *KMeans) SetOption(name, value string) error {
-	switch name {
-	case "k":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 1 {
-			return fmt.Errorf("cluster: SimpleKMeans k must be a positive integer, got %q", value)
-		}
-		km.K = n
-	case "maxIterations":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 1 {
-			return fmt.Errorf("cluster: SimpleKMeans maxIterations must be a positive integer, got %q", value)
-		}
-		km.MaxIter = n
-	case "seed":
-		n, err := strconv.ParseInt(value, 10, 64)
-		if err != nil {
-			return fmt.Errorf("cluster: SimpleKMeans seed must be an integer, got %q", value)
-		}
-		km.Seed = n
-	default:
-		return fmt.Errorf("cluster: SimpleKMeans has no option %q", name)
-	}
-	return nil
-}
+func (km *KMeans) SetOption(name, value string) error { return Registry.Set(km, name, value) }
 
 // Build implements Clusterer.
 func (km *KMeans) Build(d *dataset.Dataset) error {
@@ -244,31 +220,13 @@ func (ff *FarthestFirst) Name() string { return "FarthestFirst" }
 // Options implements Parameterized.
 func (ff *FarthestFirst) Options() []Option {
 	return []Option{
-		{Name: "k", Description: "number of clusters", Default: "2", Required: true},
-		{Name: "seed", Description: "first-centre RNG seed", Default: "1"},
+		algo.Int("k", "number of clusters", &ff.K, 1).Require(),
+		algo.Seed("seed", "first-centre RNG seed", &ff.Seed),
 	}
 }
 
 // SetOption implements Parameterized.
-func (ff *FarthestFirst) SetOption(name, value string) error {
-	switch name {
-	case "k":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 1 {
-			return fmt.Errorf("cluster: FarthestFirst k must be a positive integer, got %q", value)
-		}
-		ff.K = n
-	case "seed":
-		n, err := strconv.ParseInt(value, 10, 64)
-		if err != nil {
-			return fmt.Errorf("cluster: FarthestFirst seed must be an integer, got %q", value)
-		}
-		ff.Seed = n
-	default:
-		return fmt.Errorf("cluster: FarthestFirst has no option %q", name)
-	}
-	return nil
-}
+func (ff *FarthestFirst) SetOption(name, value string) error { return Registry.Set(ff, name, value) }
 
 // Build implements Clusterer.
 func (ff *FarthestFirst) Build(d *dataset.Dataset) error {

@@ -100,6 +100,10 @@ func TestRegistryRoundtrip(t *testing.T) {
 	if names[0] != "Cobweb.cluster" || names[1] != "Cobweb.getCobwebGraph" {
 		t.Fatalf("tool names = %v", names)
 	}
+	// The tool keeps the operation's <documentation> from the WSDL.
+	if doc := tk.tools["Cobweb.cluster"].Doc; doc != "Apply the Cobweb algorithm to an ARFF dataset; returns a textual result." {
+		t.Fatalf("imported tool doc = %q", doc)
+	}
 	// The imported tool invokes the live service.
 	u, err := tk.NewUnit("Cobweb.cluster")
 	if err != nil {

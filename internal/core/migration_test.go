@@ -74,10 +74,11 @@ func TestJobMigrationAcrossDeployments(t *testing.T) {
 func TestWSDLDocumentsRoundTripAcrossDeployments(t *testing.T) {
 	d := deploy(t)
 	for _, name := range d.ServiceNames() {
-		units, err := workflow.ImportWSDL(d.WSDLURL(name))
+		desc, err := workflow.FetchWSDL(d.WSDLURL(name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		units := workflow.UnitsFromDescription(desc)
 		if len(units) == 0 {
 			t.Fatalf("%s: WSDL declares no operations", name)
 		}

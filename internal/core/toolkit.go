@@ -156,23 +156,12 @@ func (tk *Toolkit) ImportDescription(desc *wsdl.Description) ([]string, error) {
 
 // ImportWSDL fetches a WSDL document and imports its operations as tools.
 func (tk *Toolkit) ImportWSDL(url string) ([]string, error) {
-	units, err := workflow.ImportWSDL(url)
+	desc, err := workflow.FetchWSDL(url)
 	if err != nil {
 		return nil, err
 	}
-	if len(units) == 0 {
+	if len(desc.Ops) == 0 {
 		return nil, fmt.Errorf("core: WSDL at %s declares no operations", url)
-	}
-	desc := &wsdl.Description{Service: units[0].Service, Endpoint: units[0].Endpoint}
-	for _, u := range units {
-		op := wsdl.Operation{Name: u.Operation}
-		for _, p := range u.In {
-			op.Inputs = append(op.Inputs, wsdl.Part{Name: p})
-		}
-		for _, p := range u.Out {
-			op.Outputs = append(op.Outputs, wsdl.Part{Name: p})
-		}
-		desc.Ops = append(desc.Ops, op)
 	}
 	return tk.ImportDescription(desc)
 }

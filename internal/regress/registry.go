@@ -1,9 +1,6 @@
 package regress
 
 import (
-	"fmt"
-	"strconv"
-
 	"repro/internal/algo"
 )
 
@@ -26,57 +23,27 @@ func New(name string) (Regressor, error) { return Registry.New(name) }
 func Names() []string { return Registry.Names() }
 
 func init() {
-	Register("LinearRegression", func() Regressor { return &LinearRegression{} })
+	Register("LinearRegression", func() Regressor { return &LinearRegression{Ridge: 1e-8} })
 	Register("KNNRegressor", func() Regressor { return &KNNRegressor{K: 3} })
 }
 
 // Options implements Parameterized.
 func (lr *LinearRegression) Options() []Option {
 	return []Option{
-		{Name: "ridge", Description: "L2 regularisation strength on the normal-equation diagonal", Default: "1e-8"},
+		algo.Float("ridge", "L2 regularisation strength on the normal-equation diagonal", &lr.Ridge, algo.AtLeast(0)),
 	}
 }
 
 // SetOption implements Parameterized.
-func (lr *LinearRegression) SetOption(name, value string) error {
-	switch name {
-	case "ridge":
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil || v < 0 {
-			return fmt.Errorf("regress: LinearRegression ridge must be a non-negative number, got %q", value)
-		}
-		lr.Ridge = v
-	default:
-		return fmt.Errorf("regress: LinearRegression has no option %q", name)
-	}
-	return nil
-}
+func (lr *LinearRegression) SetOption(name, value string) error { return Registry.Set(lr, name, value) }
 
 // Options implements Parameterized.
 func (k *KNNRegressor) Options() []Option {
 	return []Option{
-		{Name: "k", Description: "number of neighbours", Default: "3", Required: true},
-		{Name: "distanceWeight", Description: "weight neighbours by inverse distance", Default: "false"},
+		algo.Int("k", "number of neighbours", &k.K, 1).Require(),
+		algo.Bool("distanceWeight", "weight neighbours by inverse distance", &k.DistanceWeight),
 	}
 }
 
 // SetOption implements Parameterized.
-func (k *KNNRegressor) SetOption(name, value string) error {
-	switch name {
-	case "k":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 1 {
-			return fmt.Errorf("regress: KNNRegressor k must be a positive integer, got %q", value)
-		}
-		k.K = n
-	case "distanceWeight":
-		b, err := strconv.ParseBool(value)
-		if err != nil {
-			return fmt.Errorf("regress: KNNRegressor distanceWeight must be boolean, got %q", value)
-		}
-		k.DistanceWeight = b
-	default:
-		return fmt.Errorf("regress: KNNRegressor has no option %q", name)
-	}
-	return nil
-}
+func (k *KNNRegressor) SetOption(name, value string) error { return Registry.Set(k, name, value) }

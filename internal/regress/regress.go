@@ -63,7 +63,7 @@ func checkTrainable(d *dataset.Dataset) error {
 // features with an L2 (ridge) term for numerical stability.
 type LinearRegression struct {
 	// Ridge is the regularisation strength added to the normal-equation
-	// diagonal (default 1e-8, i.e. effectively OLS).
+	// diagonal: 1e-8 as registered, effectively OLS; zero also means 1e-8.
 	Ridge float64
 
 	schema  *dataset.Dataset

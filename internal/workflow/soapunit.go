@@ -190,12 +190,9 @@ func init() {
 	})
 }
 
-// ImportWSDL fetches a WSDL document from url and creates one SOAPUnit per
-// operation, reproducing Triana's import flow: "a Web Service is imported
-// to the workspace by providing its WSDL interface. Once the interface is
-// provided Triana creates a tool for each operation provided by the
-// service" (§4).
-func ImportWSDL(url string) ([]*SOAPUnit, error) {
+// FetchWSDL fetches the WSDL document at url and parses it into a
+// description, documentation and part types included.
+func FetchWSDL(url string) (*wsdl.Description, error) {
 	client := &http.Client{Timeout: 15 * time.Second}
 	resp, err := client.Get(url)
 	if err != nil {
@@ -209,15 +206,14 @@ func ImportWSDL(url string) ([]*SOAPUnit, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workflow: reading WSDL: %w", err)
 	}
-	desc, err := wsdl.ParseBytes(body)
-	if err != nil {
-		return nil, err
-	}
-	return UnitsFromDescription(desc), nil
+	return wsdl.ParseBytes(body)
 }
 
 // UnitsFromDescription creates one SOAPUnit per operation of a parsed WSDL
-// description.
+// description, reproducing Triana's import flow: "a Web Service is
+// imported to the workspace by providing its WSDL interface. Once the
+// interface is provided Triana creates a tool for each operation provided
+// by the service" (§4).
 func UnitsFromDescription(desc *wsdl.Description) []*SOAPUnit {
 	units := make([]*SOAPUnit, 0, len(desc.Ops))
 	for _, op := range desc.Ops {

@@ -48,10 +48,11 @@ func echoServer(t *testing.T) (*httptest.Server, *wsdl.Description) {
 // WSDL interface creates one invocable tool per operation (§4).
 func TestWSDLImportCreatesTools(t *testing.T) {
 	_, desc := echoServer(t)
-	units, err := ImportWSDL(desc.Endpoint)
+	parsed, err := FetchWSDL(desc.Endpoint)
 	if err != nil {
 		t.Fatal(err)
 	}
+	units := UnitsFromDescription(parsed)
 	if len(units) != 1 {
 		t.Fatalf("imported %d units", len(units))
 	}
@@ -76,15 +77,15 @@ func TestWSDLImportCreatesTools(t *testing.T) {
 	}
 }
 
-func TestImportWSDLErrors(t *testing.T) {
-	if _, err := ImportWSDL("http://127.0.0.1:1/none"); err == nil {
+func TestFetchWSDLErrors(t *testing.T) {
+	if _, err := FetchWSDL("http://127.0.0.1:1/none"); err == nil {
 		t.Fatal("dead WSDL URL accepted")
 	}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write([]byte("not wsdl"))
 	}))
 	defer srv.Close()
-	if _, err := ImportWSDL(srv.URL); err == nil {
+	if _, err := FetchWSDL(srv.URL); err == nil {
 		t.Fatal("garbage WSDL accepted")
 	}
 }

@@ -335,15 +335,14 @@ func BenchmarkWorkflowScheduling(b *testing.B) {
 		}
 		return g
 	}
-	for _, parallel := range []bool{true, false} {
+	for _, workers := range []int{0, 1} {
 		name := "sequential"
-		if parallel {
+		if workers == 0 {
 			name = "parallel"
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				e := workflow.NewEngine()
-				e.Parallel = parallel
+				e := &workflow.Engine{Workers: workers}
 				if _, err := e.Run(context.Background(), mkGraph()); err != nil {
 					b.Fatal(err)
 				}
@@ -607,13 +606,14 @@ func BenchmarkModelSerialise(b *testing.B) {
 
 // --- Experiment batch engine (internal/experiment) ---
 
-// noopExecutor isolates the scheduler's own cost: worker pool dispatch,
-// journal-free bookkeeping and result collection.
+// noopExecutor isolates the batch runner's own cost: graph construction,
+// engine dispatch, the retry loop, journal-free bookkeeping and result
+// collection.
 type noopExecutor struct{}
 
 func (noopExecutor) Name() string { return "noop" }
-func (noopExecutor) Execute(ctx context.Context, job experiment.Job, d *dataset.Dataset) (experiment.Metrics, error) {
-	return experiment.Metrics{Accuracy: 1}, nil
+func (noopExecutor) Execute(ctx context.Context, t *experiment.Tries, job experiment.Job, d *dataset.Dataset) (experiment.Metrics, error) {
+	return t.Do(ctx, func(context.Context) (experiment.Metrics, error) { return experiment.Metrics{Accuracy: 1}, nil })
 }
 
 // BenchmarkExperimentScheduler measures per-job scheduling overhead: the
@@ -623,11 +623,11 @@ func BenchmarkExperimentScheduler(b *testing.B) {
 	for i := range jobs {
 		jobs[i] = experiment.Job{ID: fmt.Sprintf("job-%03d", i), Algorithm: "noop", Dataset: "none"}
 	}
-	s := &experiment.Scheduler{Workers: 8}
+	e := &workflow.Engine{Workers: 8}
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Run(ctx, jobs, nil, noopExecutor{}, nil); err != nil {
+		if _, err := experiment.Run(ctx, e, jobs, nil, noopExecutor{}, experiment.Retry{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -656,11 +656,11 @@ func BenchmarkExperimentSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := &experiment.Scheduler{}
+	e := workflow.NewEngine() // experiment.Run bounds it at NumCPU
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := s.Run(ctx, jobs, data, experiment.Local{}, nil)
+		results, err := experiment.Run(ctx, e, jobs, data, experiment.Local{}, experiment.Retry{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,7 +1,8 @@
 // Command dmexp is the batch experiment runner: it expands a declarative
 // algorithm × dataset × hyper-parameter spec into jobs and drives them
-// through the fault-tolerant parallel scheduler of internal/experiment,
-// checkpointing every outcome to a JSON-lines journal (FlexDM-style).
+// as one workflow graph without cables on the workflow engine, retrying
+// transient failures and checkpointing every outcome to a JSON-lines
+// step journal (FlexDM-style).
 //
 // Usage:
 //
@@ -28,6 +29,7 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/obs"
+	"repro/internal/workflow"
 )
 
 func main() {
@@ -73,7 +75,8 @@ run/resume flags:
   -metrics-out file write the client-side metrics snapshot (breaker
                     opens, ejections, retries) as JSON after the batch
   -resume           skip jobs already completed in the journal
-  -v                log per-job scheduler events
+  -v                log per-job events (started, finished, failed,
+                    replayed)
   -trace            print the batch's trace tree (per-job spans and their
                     SOAP calls) when the run finishes
   -log-level L      structured log level: debug|info|warn|error|off
@@ -92,7 +95,7 @@ func runCmd(args []string, resumeDefault bool) {
 	breakerFailures := fs.Int("breaker-failures", 0, "consecutive failures tripping an endpoint breaker (0 = default 5)")
 	metricsOut := fs.String("metrics-out", "", "write the client-side metrics snapshot as JSON to this file after the batch")
 	resume := fs.Bool("resume", resumeDefault, "skip jobs completed in the journal")
-	verbose := fs.Bool("v", false, "log scheduler events")
+	verbose := fs.Bool("v", false, "log per-job events")
 	trace := fs.Bool("trace", false, "collect spans and print the batch's trace tree on completion")
 	logLevel := fs.String("log-level", "", "structured log level: debug|info|warn|error|off (default warn, info with -v)")
 	_ = fs.Parse(args)
@@ -124,9 +127,9 @@ func runCmd(args []string, resumeDefault bool) {
 		fatal(err)
 	}
 
-	var journal *experiment.Journal
+	var journal *workflow.Journal
 	if *journalPath != "" {
-		journal, err = experiment.OpenJournal(*journalPath)
+		journal, err = workflow.OpenJournal(*journalPath)
 		if err != nil {
 			fatal(err)
 		}
@@ -159,23 +162,15 @@ func runCmd(args []string, resumeDefault bool) {
 		exec = remote
 	}
 
-	sched := &experiment.Scheduler{
-		Workers:    *workers,
-		JobTimeout: *timeout,
-		MaxRetries: *retries,
-	}
+	eng := &workflow.Engine{Workers: *workers}
 	if *verbose {
-		sched.Monitor = func(ev experiment.Event) {
-			switch ev.Kind {
-			case experiment.JobFailed:
-				fmt.Fprintf(os.Stderr, "[%s] %s attempt %d: %v (%s)\n",
-					ev.Kind, ev.Job.ID, ev.Attempt, ev.Err, ev.Duration.Round(time.Millisecond))
-			case experiment.JobRetrying:
-				fmt.Fprintf(os.Stderr, "[%s] %s attempt %d after %s\n",
-					ev.Kind, ev.Job.ID, ev.Attempt, ev.Wait.Round(time.Millisecond))
-			default:
-				fmt.Fprintf(os.Stderr, "[%s] %s\n", ev.Kind, ev.Job.ID)
+		eng.Monitor = func(ev workflow.Event) {
+			if ev.Err != nil {
+				fmt.Fprintf(os.Stderr, "[%s] %s: %v (%s)\n",
+					ev.Kind, ev.TaskID, ev.Err, ev.Duration.Round(time.Millisecond))
+				return
 			}
+			fmt.Fprintf(os.Stderr, "[%s] %s\n", ev.Kind, ev.TaskID)
 		}
 	}
 
@@ -183,8 +178,8 @@ func runCmd(args []string, resumeDefault bool) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// With -trace, collect every span the batch produces (scheduler jobs,
-	// SOAP client calls) and print the assembled trace tree afterwards.
+	// With -trace, collect every span the batch produces (job tasks, SOAP
+	// client calls) and print the assembled trace tree afterwards.
 	var collector *obs.Collector
 	if *trace {
 		collector = obs.NewCollector()
@@ -193,7 +188,8 @@ func runCmd(args []string, resumeDefault bool) {
 
 	fmt.Fprintf(os.Stderr, "dmexp: %s: %d jobs via %s executor\n", spec.Name, len(jobs), exec.Name())
 	began := time.Now()
-	results, err := sched.Run(ctx, jobs, data, exec, journal)
+	results, err := experiment.Run(ctx, eng, jobs, data, exec,
+		experiment.Retry{MaxRetries: *retries, JobTimeout: *timeout}, journal)
 	if collector != nil {
 		fmt.Fprint(os.Stderr, collector.TreeString())
 	}
@@ -228,7 +224,7 @@ func writeMetrics(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-func journalLen(j *experiment.Journal) int {
+func journalLen(j *workflow.Journal) int {
 	if j == nil {
 		return 0
 	}
@@ -255,7 +251,7 @@ func report(path string) (string, error) {
 	if _, err := os.Stat(path); err != nil {
 		return "", fmt.Errorf("dmexp: no such journal: %w", err)
 	}
-	journal, err := experiment.OpenJournal(path)
+	journal, err := workflow.OpenJournal(path)
 	if err != nil {
 		return "", err
 	}

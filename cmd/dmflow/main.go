@@ -69,11 +69,13 @@ func main() {
 		return
 	}
 	eng := workflow.NewEngine()
-	eng.Parallel = !*sequential
+	if *sequential {
+		eng.Workers = 1
+	}
 	eng.Monitor = func(ev workflow.Event) {
 		if ev.Err != nil {
-			fmt.Fprintf(os.Stderr, "[%s] %s (%s) attempt %d: %v\n",
-				ev.Kind, ev.TaskID, ev.UnitName, ev.Attempt, ev.Err)
+			fmt.Fprintf(os.Stderr, "[%s] %s (%s): %v\n",
+				ev.Kind, ev.TaskID, ev.UnitName, ev.Err)
 			return
 		}
 		fmt.Fprintf(os.Stderr, "[%s] %s (%s)\n", ev.Kind, ev.TaskID, ev.UnitName)

@@ -28,6 +28,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/resilience"
 	"repro/internal/services"
+	"repro/internal/workflow"
 )
 
 func spec() *experiment.Spec {
@@ -62,9 +63,9 @@ func main() {
 
 	// --- 1. Local parallel run across all cores.
 	fmt.Println("=== Local run (in-process executor, NumCPU workers) ===")
-	sched := &experiment.Scheduler{}
+	eng := workflow.NewEngine() // experiment.Run bounds it at NumCPU
 	began := time.Now()
-	results, err := sched.Run(context.Background(), jobs, data, experiment.Local{}, nil)
+	results, err := experiment.Run(context.Background(), eng, jobs, data, experiment.Local{}, experiment.Retry{}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,9 +74,9 @@ func main() {
 
 	// --- 2. The same batch with a 30% transient fault rate injected.
 	fmt.Println("=== Fault-injected run (30% transient failures, retried with backoff) ===")
-	flaky := &flakyExecutor{inner: experiment.Local{}, failProb: 0.3, rng: rand.New(rand.NewSource(11))}
-	sched2 := &experiment.Scheduler{MaxRetries: 4, BackoffBase: 5 * time.Millisecond, BackoffMax: 50 * time.Millisecond}
-	results2, err := sched2.Run(context.Background(), jobs, data, flaky, nil)
+	flaky := &flakyExecutor{failProb: 0.3, rng: rand.New(rand.NewSource(11))}
+	retry := experiment.Retry{MaxRetries: 4, BackoffBase: 5 * time.Millisecond, BackoffMax: 50 * time.Millisecond}
+	results2, err := experiment.Run(context.Background(), eng, jobs, data, flaky, retry, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -115,8 +116,8 @@ func main() {
 	}
 	fmt.Printf("discovered %d classifier services\n", len(remote.Endpoints()))
 	began = time.Now()
-	results3, err := (&experiment.Scheduler{JobTimeout: time.Minute}).
-		Run(context.Background(), jobs, data, remote, nil)
+	results3, err := experiment.Run(context.Background(), eng, jobs, data, remote,
+		experiment.Retry{JobTimeout: time.Minute}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -132,23 +133,25 @@ func main() {
 	}
 }
 
-// flakyExecutor injects transient faults with probability failProb.
+// flakyExecutor injects transient faults into local attempts with
+// probability failProb.
 type flakyExecutor struct {
-	inner    experiment.Executor
 	failProb float64
 
 	mu  sync.Mutex
 	rng *rand.Rand
 }
 
-func (f *flakyExecutor) Name() string { return "flaky-" + f.inner.Name() }
+func (f *flakyExecutor) Name() string { return "flaky-local" }
 
-func (f *flakyExecutor) Execute(ctx context.Context, job experiment.Job, d *dataset.Dataset) (experiment.Metrics, error) {
-	f.mu.Lock()
-	fail := f.rng.Float64() < f.failProb
-	f.mu.Unlock()
-	if fail {
-		return experiment.Metrics{}, resilience.Transient(fmt.Errorf("injected transient fault for %s", job.ID))
-	}
-	return f.inner.Execute(ctx, job, d)
+func (f *flakyExecutor) Execute(ctx context.Context, t *experiment.Tries, job experiment.Job, d *dataset.Dataset) (experiment.Metrics, error) {
+	return t.Do(ctx, func(ctx context.Context) (experiment.Metrics, error) {
+		f.mu.Lock()
+		fail := f.rng.Float64() < f.failProb
+		f.mu.Unlock()
+		if fail {
+			return experiment.Metrics{}, resilience.Transient(fmt.Errorf("injected transient fault for %s", job.ID))
+		}
+		return experiment.Local{}.Attempt(ctx, job, d)
+	})
 }

@@ -13,11 +13,14 @@ import (
 	"log"
 	"math/rand"
 	"strings"
+	"time"
 
 	"repro/internal/classify"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
+	"repro/internal/obs"
+	"repro/internal/resilience"
 )
 
 func main() {
@@ -45,8 +48,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// One typed client serves every node: At pins each call to an explicit
-	// Classifier endpoint, so the endpoint pool stays the caller's concern.
+	// One typed client serves every node: At pins each call to the
+	// Classifier endpoint the pool picked.
 	client := core.NewClient(nodes[0].BaseURL)
 	ctx := context.Background()
 	endpoints := make([]string, len(nodes))
@@ -54,10 +57,12 @@ func main() {
 		endpoints[i] = n.EndpointURL("Classifier")
 	}
 
-	// Dispatch each fold to its assigned node; on failure, migrate the job
-	// to the next endpoint in the ring (the workflow engine's alternates,
-	// spelled out with plain Go control flow over the typed API).
-	migrations := 0
+	// Dispatch each fold through a pool of the nodes' endpoints, which
+	// takes them in turn; a fold that lands on the dead node migrates to a
+	// live one on the pool's retry (resilience.Pool.Do).
+	reg := obs.NewRegistry()
+	pool := resilience.NewPool(endpoints, resilience.WithObserver(reg))
+	pol := &resilience.Policy{MaxAttempts: len(endpoints), BackoffBase: time.Millisecond}
 	var remote []string
 	for i := 0; i < k; i++ {
 		train, _ := dataset.TrainTestViewForFold(d, folds, i)
@@ -67,20 +72,15 @@ func main() {
 			Class:      "Class",
 		}
 		var res *core.TrainResult
-		var lastErr error
-		for attempt := 0; attempt < len(endpoints); attempt++ {
-			ep := endpoints[(i+attempt)%len(endpoints)]
-			res, lastErr = client.At(ep).Train(ctx, opts)
-			if lastErr == nil {
-				break
-			}
-			migrations++
-		}
-		if lastErr != nil {
-			log.Fatalf("fold %d failed on every node: %v", i, lastErr)
+		if _, err := pool.Do(ctx, pol, nil, func(ctx context.Context, ep string) (err error) {
+			res, err = client.At(ep).Train(ctx, opts)
+			return err
+		}); err != nil {
+			log.Fatalf("fold %d failed on every node: %v", i, err)
 		}
 		remote = append(remote, fmt.Sprintf("%.3f", res.Accuracy))
 	}
+	migrations := reg.Counter("resilience_retries_total").Value()
 	fmt.Printf("\n%d fold jobs completed, %d migrated off the dead node\n", k, migrations)
 	fmt.Printf("per-fold remote training accuracies: %s\n", strings.Join(remote, " "))
 

@@ -2,13 +2,18 @@ package core
 
 import (
 	"context"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/arff"
 	"repro/internal/datagen"
 	"repro/internal/harness"
 	"repro/internal/model"
+	"repro/internal/obs"
+	"repro/internal/registry"
+	"repro/internal/resilience"
 	"repro/internal/soap"
 	"repro/internal/workflow"
 	"repro/internal/wsdl"
@@ -17,28 +22,35 @@ import (
 // TestJobMigrationAcrossDeployments reproduces §3's fault-tolerance
 // requirement at the deployment level: "the framework must include the
 // ability to complete the task if a fault occurs by moving the job to
-// another resource". Two deployments host the same J48 service; the primary
-// is shut down, and the workflow task migrates to the alternate.
+// another resource". Two deployments host the same J48 service and a
+// registry lists both, the primary first; the primary is shut down
+// without withdrawing, and the task's endpoint pool moves the job to the
+// backup on its one retry.
 func TestJobMigrationAcrossDeployments(t *testing.T) {
 	primary, err := Deploy("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	backup := deploy(t)
-
-	// Build units for the same operation on both resources.
-	mkUnit := func(d *Deployment) *workflow.SOAPUnit {
-		return &workflow.SOAPUnit{
-			Endpoint:  d.EndpointURL("J48"),
-			Service:   "J48",
-			Operation: "classify",
-			In:        []string{"dataset", "options", "attribute"},
-			Out:       []string{"tree"},
+	reg := registry.New()
+	regSrv := httptest.NewServer(reg.Handler())
+	t.Cleanup(regSrv.Close)
+	for name, d := range map[string]*Deployment{"J48": primary, "J48-backup": backup} {
+		if err := reg.Publish(registry.Entry{Name: name, Category: "classification", Endpoint: d.EndpointURL("J48")}); err != nil {
+			t.Fatal(err)
 		}
 	}
+
 	g := workflow.NewGraph("migrating")
-	task := g.MustAdd("classify", mkUnit(primary))
-	task.Alternates = []workflow.Unit{mkUnit(backup)}
+	task := g.MustAdd("classify", &workflow.SOAPUnit{
+		Endpoint:    primary.EndpointURL("J48"),
+		Service:     "J48",
+		Operation:   "classify",
+		In:          []string{"dataset", "options", "attribute"},
+		Out:         []string{"tree"},
+		RegistryURL: regSrv.URL,
+		Policy:      &resilience.Policy{MaxAttempts: 3, BackoffBase: time.Millisecond},
+	})
 	task.Params["dataset"] = arff.Format(datagen.BreastCancer())
 	task.Params["attribute"] = "Class"
 
@@ -47,19 +59,14 @@ func TestJobMigrationAcrossDeployments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var migrations int
-	eng := workflow.NewEngine()
-	eng.Monitor = func(ev workflow.Event) {
-		if ev.Kind == workflow.TaskRetried {
-			migrations++
-		}
-	}
-	res, err := eng.Run(context.Background(), g)
+	retries := obs.Default.Counter("resilience_retries_total")
+	before := retries.Value()
+	res, err := workflow.NewEngine().Run(context.Background(), g)
 	if err != nil {
 		t.Fatalf("migration failed: %v", err)
 	}
-	if migrations != 1 {
-		t.Fatalf("migrations = %d, want 1", migrations)
+	if got := retries.Value() - before; got != 1 {
+		t.Fatalf("resilience_retries_total rose by %d, want 1 migration", got)
 	}
 	tree, _ := res.Value("classify", "tree")
 	if !strings.Contains(tree, "node-caps") {

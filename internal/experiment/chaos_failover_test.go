@@ -14,6 +14,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/resilience"
 	"repro/internal/services"
+	"repro/internal/workflow"
 )
 
 // breakerCfg is shorthand for a hair-trigger breaker in tests.
@@ -77,8 +78,8 @@ func TestBatchSurvivesChaoticEndpoint(t *testing.T) {
 		Algorithms: []AlgorithmSpec{{Name: "ZeroR"}, {Name: "OneR"}},
 	}
 	jobs, data := mustExpand(t, spec)
-	s := &Scheduler{Workers: 2, MaxRetries: 3, BackoffBase: time.Millisecond, JobTimeout: 30 * time.Second}
-	results, err := s.Run(context.Background(), jobs, data, remote, nil)
+	r := Retry{MaxRetries: 3, BackoffBase: time.Millisecond, JobTimeout: 30 * time.Second}
+	results, err := Run(context.Background(), &workflow.Engine{Workers: 2}, jobs, data, remote, r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +119,8 @@ func TestBatchRoutesAroundTruncation(t *testing.T) {
 		Algorithms: []AlgorithmSpec{{Name: "ZeroR"}, {Name: "OneR"}},
 	}
 	jobs, data := mustExpand(t, spec)
-	s := &Scheduler{Workers: 1, MaxRetries: 2, BackoffBase: time.Millisecond}
-	results, err := s.Run(context.Background(), jobs, data, remote, nil)
+	r := Retry{MaxRetries: 2, BackoffBase: time.Millisecond}
+	results, err := Run(context.Background(), &workflow.Engine{Workers: 1}, jobs, data, remote, r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +149,8 @@ func TestBatchReportsWhenAllEndpointsDown(t *testing.T) {
 		Algorithms: []AlgorithmSpec{{Name: "ZeroR"}},
 	}
 	jobs, data := mustExpand(t, spec)
-	s := &Scheduler{Workers: 1, MaxRetries: 2, BackoffBase: time.Millisecond}
-	results, err := s.Run(context.Background(), jobs, data, remote, nil)
+	r := Retry{MaxRetries: 2, BackoffBase: time.Millisecond}
+	results, err := Run(context.Background(), &workflow.Engine{Workers: 1}, jobs, data, remote, r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,23 +28,20 @@ type JobResult struct {
 	Attempts int
 	Metrics  Metrics
 	Err      string
-	Started  time.Time
 	Wall     time.Duration
-	// TraceID identifies the obs trace the job's attempts ran under, so a
-	// journal record can be matched to client and server logs.
-	TraceID string
 }
 
-// Executor runs one job against its dataset. Implementations must be safe
-// for concurrent use: the scheduler calls Execute from many workers.
+// Executor runs jobs against their datasets, retrying under the batch's
+// Retry. Implementations must be safe for concurrent use: a batch runs
+// many jobs at once.
 type Executor interface {
 	// Name labels the executor in reports ("local", "remote").
 	Name() string
-	// Execute runs the job to completion or ctx expiry. Errors that
-	// resilience.ClassifyErr calls retryable (resilience.Transient
-	// marks any error so) are retried by the scheduler; anything else
-	// fails the job immediately.
-	Execute(ctx context.Context, job Job, d *dataset.Dataset) (Metrics, error)
+	// Execute runs the job to completion or ctx expiry, making its
+	// attempts through t. Errors that resilience.ClassifyErr calls
+	// retryable (resilience.Transient marks any error so) are retried;
+	// anything else fails the job immediately.
+	Execute(ctx context.Context, t *Tries, job Job, d *dataset.Dataset) (Metrics, error)
 }
 
 // Local executes jobs in-process against the algorithm substrates:
@@ -55,8 +52,13 @@ type Local struct{}
 // Name implements Executor.
 func (Local) Name() string { return "local" }
 
-// Execute implements Executor.
-func (Local) Execute(ctx context.Context, job Job, d *dataset.Dataset) (Metrics, error) {
+// Execute implements Executor: every attempt is one Attempt.
+func (l Local) Execute(ctx context.Context, t *Tries, job Job, d *dataset.Dataset) (Metrics, error) {
+	return t.Do(ctx, func(ctx context.Context) (Metrics, error) { return l.Attempt(ctx, job, d) })
+}
+
+// Attempt makes one in-process attempt at the job.
+func (Local) Attempt(ctx context.Context, job Job, d *dataset.Dataset) (Metrics, error) {
 	if d == nil {
 		return Metrics{}, fmt.Errorf("experiment: job %s: no dataset %q", job.ID, job.Dataset)
 	}

@@ -23,6 +23,8 @@ import (
 // failing are ejected from the rotation until their cooldown, and a
 // registry-discovered Remote re-inquires periodically so newly published
 // services join and withdrawn ones leave (the paper's UDDI failover).
+// The pool's Do is a remote job's only retry loop: each attempt goes to
+// a healthy endpoint the job has not yet failed on.
 // Calls go through the typed core.Client facade: each job becomes one
 // At(endpoint).Train invocation (the Classifier service's classifyInstance op —
 // dataset ARFF + classifier + options JSON + class attribute), and the
@@ -44,15 +46,12 @@ type Remote struct {
 	endpoints []string
 	source    resilience.SourceFunc
 
-	poolOnce sync.Once
-	pool     *resilience.Pool
+	once  sync.Once
+	pool  *resilience.Pool
+	typed *core.Client
 
-	typedOnce sync.Once
-	typed     *core.Client
-
-	mu     sync.Mutex
-	arff   map[string]string   // dataset name -> formatted ARFF text
-	failed map[string][]string // job ID -> endpoints that failed this job
+	mu   sync.Mutex
+	arff map[string]string // dataset name -> formatted ARFF text
 }
 
 // NewRemote returns a remote executor over fixed service endpoints.
@@ -60,7 +59,7 @@ func NewRemote(endpoints ...string) (*Remote, error) {
 	if len(endpoints) == 0 {
 		return nil, fmt.Errorf("experiment: remote executor needs at least one endpoint")
 	}
-	return &Remote{endpoints: endpoints, arff: map[string]string{}, failed: map[string][]string{}}, nil
+	return &Remote{endpoints: endpoints, arff: map[string]string{}}, nil
 }
 
 // DiscoverRemote builds a remote executor from every classifier-category
@@ -94,14 +93,18 @@ func DiscoverRemote(registryURL string, httpClient *http.Client) (*Remote, error
 	return r, nil
 }
 
-// ensurePool builds the endpoint pool on first use, after the caller has
-// had the chance to set Breaker/Observer/RefreshInterval.
+// ensurePool builds the endpoint pool, and the core.Client facade jobs
+// are dispatched through, on first use: after the caller has had the
+// chance to set Client/Breaker/Observer/RefreshInterval. The facade's
+// base URL is irrelevant: every call is pinned with At to an endpoint
+// from the pool.
 func (r *Remote) ensurePool() *resilience.Pool {
-	r.poolOnce.Do(func() {
-		opts := []resilience.PoolOption{
-			resilience.WithObserver(r.observer()),
-			resilience.WithBreakerConfig(r.Breaker),
+	r.once.Do(func() {
+		reg := r.Observer
+		if reg == nil {
+			reg = obs.Default
 		}
+		opts := []resilience.PoolOption{resilience.WithObserver(reg), resilience.WithBreakerConfig(r.Breaker)}
 		if r.source != nil {
 			opts = append(opts, resilience.WithSource(r.source))
 		}
@@ -109,30 +112,13 @@ func (r *Remote) ensurePool() *resilience.Pool {
 			opts = append(opts, resilience.WithRefreshInterval(r.RefreshInterval))
 		}
 		r.pool = resilience.NewPool(r.endpoints, opts...)
+		var copts []core.ClientOption
+		if r.Client != nil {
+			copts = append(copts, core.WithSOAPClient(r.Client))
+		}
+		r.typed = core.NewClient("", copts...)
 	})
 	return r.pool
-}
-
-// typedClient builds the core.Client facade jobs are dispatched
-// through, honouring a caller-supplied SOAP client. The base URL is
-// irrelevant — every call is pinned with At to an explicit
-// endpoint from the pool.
-func (r *Remote) typedClient() *core.Client {
-	r.typedOnce.Do(func() {
-		if r.Client != nil {
-			r.typed = core.NewClient("", core.WithSOAPClient(r.Client))
-		} else {
-			r.typed = core.NewClient("")
-		}
-	})
-	return r.typed
-}
-
-func (r *Remote) observer() *obs.Registry {
-	if r.Observer != nil {
-		return r.Observer
-	}
-	return obs.Default
 }
 
 // Endpoints returns the service endpoints jobs are spread across.
@@ -153,33 +139,12 @@ func (r *Remote) arffText(name string, d *dataset.Dataset) string {
 	return text
 }
 
-// failedFor returns the endpoints that already failed this job, so the
-// scheduler's next attempt lands somewhere else.
-func (r *Remote) failedFor(jobID string) []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.failed[jobID]...)
-}
-
-func (r *Remote) markFailed(jobID, endpoint string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.failed[jobID] = append(r.failed[jobID], endpoint)
-}
-
-func (r *Remote) clearFailed(jobID string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.failed, jobID)
-}
-
-// Execute implements Executor: one classifyInstance call per job, against
-// a healthy endpoint the job has not already failed on. Transport
-// failures and soap:Server faults surface as transient (the scheduler
-// retries them, routed to a different endpoint); soap:Client faults are
-// permanent. When every endpoint's breaker is open the pool consults its
-// registry source for replacements before giving up for this attempt.
-func (r *Remote) Execute(ctx context.Context, job Job, d *dataset.Dataset) (Metrics, error) {
+// Execute implements Executor: the job's attempts go through the
+// endpoint pool's Do under t's policy, each attempt one classifyInstance
+// call on a healthy endpoint the job has not yet failed on. Transport
+// failures and soap:Server faults are retryable, soap:Client faults
+// permanent (resilience.ClassifyErr).
+func (r *Remote) Execute(ctx context.Context, t *Tries, job Job, d *dataset.Dataset) (Metrics, error) {
 	if job.Task != "" && job.Task != TaskClassify {
 		return Metrics{}, fmt.Errorf("experiment: remote executor supports classify jobs only, not %q", job.Task)
 	}
@@ -187,33 +152,24 @@ func (r *Remote) Execute(ctx context.Context, job Job, d *dataset.Dataset) (Metr
 		return Metrics{}, fmt.Errorf("experiment: job %s: no dataset %q", job.ID, job.Dataset)
 	}
 	pool := r.ensurePool()
-	pool.MaybeRefresh(ctx)
-	endpoint, err := pool.Pick(r.failedFor(job.ID)...)
-	if err != nil {
-		// All breakers open: ask the registry for fresh endpoints once,
-		// then report a transient failure so the scheduler backs off.
-		_ = pool.Refresh(ctx)
-		if endpoint, err = pool.Pick(r.failedFor(job.ID)...); err != nil {
-			return Metrics{}, resilience.Transient(fmt.Errorf("experiment: job %s: %w", job.ID, err))
-		}
-	}
-	class := ""
-	if ca := d.ClassAttribute(); ca != nil {
-		class = ca.Name
-	}
-	res, err := r.typedClient().At(endpoint).Train(ctx, core.TrainOptions{
+	opts := core.TrainOptions{
 		DatasetARFF: r.arffText(job.Dataset, d),
 		Classifier:  job.Algorithm,
 		Options:     job.Options,
-		Class:       class,
-	})
-	pool.Record(endpoint, err)
-	if err != nil {
-		if resilience.ClassifyErr(err).Retries() {
-			r.markFailed(job.ID, endpoint)
-		}
-		return Metrics{}, err // the scheduler's policy classifies faults vs transport errors
 	}
-	r.clearFailed(job.ID)
-	return Metrics{Accuracy: res.Accuracy, ErrorRate: 1 - res.Accuracy}, nil
+	if ca := d.ClassAttribute(); ca != nil {
+		opts.Class = ca.Name
+	}
+	var m Metrics
+	_, err := pool.Do(ctx, t.Policy, nil, func(ctx context.Context, endpoint string) (err error) {
+		m, err = t.Try(ctx, func(ctx context.Context) (Metrics, error) {
+			res, err := r.typed.At(endpoint).Train(ctx, opts)
+			if err != nil {
+				return Metrics{}, err
+			}
+			return Metrics{Accuracy: res.Accuracy, ErrorRate: 1 - res.Accuracy}, nil
+		})
+		return err
+	})
+	return m, err
 }

@@ -9,8 +9,12 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/obs"
 	"repro/internal/registry"
+	"repro/internal/resilience"
 	"repro/internal/services"
+	"repro/internal/soap"
+	"repro/internal/workflow"
 )
 
 // hostClassifier mounts the paper's Classifier service on a test server
@@ -71,8 +75,8 @@ func TestRemoteExecutorViaRegistry(t *testing.T) {
 	if len(jobs) != 8 {
 		t.Fatalf("%d jobs, want 8", len(jobs))
 	}
-	s := &Scheduler{Workers: 4, JobTimeout: 30 * time.Second}
-	results, err := s.Run(context.Background(), jobs, data, remote, nil)
+	results, err := Run(context.Background(), &workflow.Engine{Workers: 4}, jobs, data, remote,
+		Retry{JobTimeout: 30 * time.Second}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +118,8 @@ func TestRemoteErrorClassification(t *testing.T) {
 		Algorithms: []AlgorithmSpec{{Name: "NoSuchClassifier"}},
 	}
 	jobs, data := mustExpand(t, spec)
-	s := &Scheduler{Workers: 1, MaxRetries: 4, BackoffBase: time.Millisecond}
-	results, err := s.Run(context.Background(), jobs, data, remote, nil)
+	r := Retry{MaxRetries: 4, BackoffBase: time.Millisecond}
+	results, err := Run(context.Background(), &workflow.Engine{Workers: 1}, jobs, data, remote, r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,21 +138,15 @@ func TestRemoteErrorClassification(t *testing.T) {
 	}
 	spec.Algorithms = []AlgorithmSpec{{Name: "ZeroR"}}
 	jobs, data = mustExpand(t, spec)
-	var attempts atomic.Int64
-	s2 := &Scheduler{Workers: 1, MaxRetries: 2, BackoffBase: time.Millisecond,
-		Monitor: func(ev Event) {
-			if ev.Kind == JobStarted {
-				attempts.Add(1)
-			}
-		}}
-	results, err = s2.Run(context.Background(), jobs, data, remote2, nil)
+	r = Retry{MaxRetries: 2, BackoffBase: time.Millisecond}
+	results, err = Run(context.Background(), &workflow.Engine{Workers: 1}, jobs, data, remote2, r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if results[0].Status != StatusFailed {
 		t.Fatalf("dead endpoint: status %s, want failed", results[0].Status)
 	}
-	if got := attempts.Load(); got != 3 {
+	if got := results[0].Attempts; got != 3 {
 		t.Fatalf("dead endpoint: %d attempts, want 3 (transient error retried)", got)
 	}
 }
@@ -178,8 +176,7 @@ func TestRemoteCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	s := &Scheduler{Workers: 1}
-	results, err := s.Run(ctx, jobs, data, remote, nil)
+	results, err := Run(ctx, &workflow.Engine{Workers: 1}, jobs, data, remote, Retry{}, nil)
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")
 	}
@@ -188,5 +185,86 @@ func TestRemoteCancellation(t *testing.T) {
 	}
 	if len(results) != 1 || results[0].Status != StatusFailed {
 		t.Fatalf("want one failed result, got %+v", results)
+	}
+}
+
+// TestRetryRemoteAgainstBusyServer: a Remote job against a server that
+// sheds every call makes exactly MaxRetries+1 calls, because the endpoint
+// pool's Do is the job's one retry loop.
+func TestRetryRemoteAgainstBusyServer(t *testing.T) {
+	var calls atomic.Int64
+	ep := soap.NewEndpoint("Classifier")
+	ep.Handle("classifyInstance", func(context.Context, map[string]string) (map[string]string, error) {
+		calls.Add(1)
+		return nil, &soap.Fault{Code: resilience.BusyFaultCode, String: "shed"}
+	})
+	srv := httptest.NewServer(ep)
+	defer srv.Close()
+	remote, err := NewRemote(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote.Observer = obs.NewRegistry()
+	jobs, data := mustExpand(t, &Spec{
+		Name:       "busy",
+		Datasets:   []DatasetSpec{{Name: "weather", Builtin: "weather"}},
+		Algorithms: []AlgorithmSpec{{Name: "ZeroR"}},
+	})
+	r := Retry{MaxRetries: 3, BackoffBase: time.Millisecond}
+	results, err := Run(context.Background(), &workflow.Engine{Workers: 1}, jobs, data, remote, r, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Load(); got != 4 {
+		t.Fatalf("server saw %d calls, want MaxRetries+1 = 4", got)
+	}
+	if results[0].Status != StatusFailed || results[0].Attempts != 4 {
+		t.Fatalf("result %+v, want failed after 4 attempts", results[0])
+	}
+	if got := remote.Observer.Counter("resilience_retries_total").Value(); got != 3 {
+		t.Fatalf("resilience_retries_total = %d, want 3", got)
+	}
+}
+
+// TestRetryRemoteNeverReturnsToFailedEndpoint: with two of three replicas
+// always failing, two jobs at a time moving the shared rotation and the
+// default breaker, every job's third attempt at the latest reaches the
+// healthy replica, because no retry goes back to an endpoint its job
+// already failed on.
+func TestRetryRemoteNeverReturnsToFailedEndpoint(t *testing.T) {
+	var badCalls atomic.Int64
+	bad := soap.NewEndpoint("Classifier")
+	bad.Handle("classifyInstance", func(context.Context, map[string]string) (map[string]string, error) {
+		badCalls.Add(1)
+		return nil, &soap.Fault{Code: "soap:Server", String: "replica broken"}
+	})
+	bad1, bad2 := httptest.NewServer(bad), httptest.NewServer(bad)
+	defer bad1.Close()
+	defer bad2.Close()
+	remote, err := NewRemote(bad1.URL, bad2.URL, hostClassifier(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote.Observer = obs.NewRegistry()
+	jobs, data := mustExpand(t, &Spec{
+		Name:     "two-bad-replicas",
+		Datasets: []DatasetSpec{{Name: "weather", Builtin: "weather"}},
+		Algorithms: []AlgorithmSpec{
+			{Name: "OneR", Grid: map[string][]string{"minBucket": {"1", "2", "3", "4", "5", "6"}}},
+			{Name: "ZeroR"},
+		},
+	})
+	r := Retry{MaxRetries: 2, BackoffBase: time.Millisecond}
+	results, err := Run(context.Background(), &workflow.Engine{Workers: 2}, jobs, data, remote, r, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range results {
+		if res.Status != StatusOK || res.Attempts > 3 {
+			t.Fatalf("job %s: %s after %d attempts (%s), want ok within 3", res.Job.ID, res.Status, res.Attempts, res.Err)
+		}
+	}
+	if badCalls.Load() == 0 {
+		t.Fatal("no call reached a broken replica: the test exercised no retry")
 	}
 }

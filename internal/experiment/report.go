@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/workflow"
 )
 
 // Group is the rolled-up summary of every job sharing one algorithm:
@@ -120,30 +122,20 @@ func Report(results []JobResult) string {
 	return b.String()
 }
 
-// ResultsFromRecords reconstructs job results from journal records so
-// `dmexp report` works from the journal alone. Later records for the same
-// job ID supersede earlier ones (a failure journaled before a resumed
-// success).
-func ResultsFromRecords(recs []Record) []JobResult {
+// ResultsFromRecords reconstructs job results from a batch's journal
+// records so `dmexp report` works from the journal alone. Later records
+// for the same job ID supersede earlier ones (a failure journaled before
+// a resumed success).
+func ResultsFromRecords(recs []workflow.StepRecord) []JobResult {
 	latest := map[string]int{}
 	var results []JobResult
 	for _, rec := range recs {
-		res := JobResult{
-			Job:      Job{ID: rec.JobID, Task: rec.Task, Algorithm: rec.Algorithm, Dataset: rec.Dataset},
-			Status:   rec.Status,
-			Attempts: rec.Attempts,
-			Err:      rec.Error,
-			Started:  rec.Started,
-			Wall:     time.Duration(rec.WallMS * float64(time.Millisecond)),
-		}
-		if rec.Metrics != nil {
-			res.Metrics = *rec.Metrics
-		}
-		if i, ok := latest[rec.JobID]; ok {
+		res := resultOf(rec)
+		if i, ok := latest[rec.Step]; ok {
 			results[i] = res
 			continue
 		}
-		latest[rec.JobID] = len(results)
+		latest[rec.Step] = len(results)
 		results = append(results, res)
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].Job.ID < results[j].Job.ID })

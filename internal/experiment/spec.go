@@ -1,20 +1,20 @@
 // Package experiment is the batch experiment engine of the toolkit: it
 // expands a declarative specification into an algorithm × dataset ×
-// hyper-parameter grid of jobs and runs them through a fault-tolerant
-// parallel scheduler with checkpoint/resume, following the FlexDM shape
-// (Flannery et al., PAPERS.md) layered over the paper's FAEHIM services.
+// hyper-parameter grid of jobs and runs them, with retry and
+// checkpoint/resume, following the FlexDM shape (Flannery et al.,
+// PAPERS.md) layered over the paper's FAEHIM services.
 //
-// A batch run has five pieces:
+// A batch run has four pieces:
 //
 //   - Spec: the declarative experiment set, loadable from JSON (Expand
 //     turns it into concrete Jobs, Materialize resolves its datasets);
 //   - Executor: how one job runs — Local calls the in-process algorithm
 //     substrates, Remote dispatches to SOAP classifier services discovered
 //     through the registry;
-//   - Scheduler: bounded worker pool with per-job timeout and retry with
-//     exponential backoff + jitter on transient errors;
-//   - Journal: an append-only JSON-lines checkpoint so an interrupted
-//     batch resumes skipping completed jobs;
+//   - Run: the batch as a workflow graph without cables, one task per
+//     job, on a workflow.Engine (bounded workers, monitoring, and the step
+//     journal an interrupted batch resumes from), each job retried under
+//     Retry with exponential backoff + jitter on transient errors;
 //   - Aggregate/Report: per-job metrics rolled up into per-algorithm
 //     mean±stddev summaries and a ranking table.
 package experiment
@@ -266,7 +266,7 @@ func BuiltinDatasetNames() []string {
 }
 
 // Materialize resolves every DatasetSpec into a parsed dataset, keyed by
-// spec name — the scheduler hands each job the dataset it names.
+// spec name — Run hands each job the dataset it names.
 func (s *Spec) Materialize() (map[string]*dataset.Dataset, error) {
 	seed := s.Seed
 	if seed == 0 {

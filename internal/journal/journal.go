@@ -1,8 +1,8 @@
 // Package journal is the toolkit's append-only JSON-lines checkpoint
 // log: one record per line, fsynced on write, so a killed writer loses at
-// most the record that was in flight. The experiment scheduler journals
-// job outcomes in it and the workflow engine step outcomes; both resume
-// by reopening the same path.
+// most the record that was in flight. The workflow engine journals step
+// outcomes in it, an experiment batch's jobs included, and resumes by
+// reopening the same path.
 //
 // The file is owned by one process at a time. A torn or malformed tail —
 // the signature of a SIGKILLed writer — is truncated away on Open so

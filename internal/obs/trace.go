@@ -30,14 +30,17 @@ func NewTraceID() string { return randomHex(16) }
 // NewSpanID mints an 8-byte random span ID in hex.
 func NewSpanID() string { return randomHex(8) }
 
+// randomHex mints n (at most 16) random bytes in hex; the only
+// allocation is the returned string, since every span pays for one.
 func randomHex(n int) string {
-	b := make([]byte, n)
-	if _, err := rand.Read(b); err != nil {
+	var b [16]byte
+	var dst [32]byte
+	if _, err := rand.Read(b[:n]); err != nil {
 		// crypto/rand failing is effectively fatal elsewhere; degrade to a
 		// clock-derived ID rather than panicking in an observability path.
 		return fmt.Sprintf("%0*x", n*2, time.Now().UnixNano())
 	}
-	return hex.EncodeToString(b)
+	return string(dst[:hex.Encode(dst[:], b[:n])])
 }
 
 // HeaderValue renders the wire form "traceID-spanID".

@@ -146,8 +146,10 @@ func TestRegistry(t *testing.T) {
 	if err := p.SetOption("ridge", "0.5"); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SetOption("ridge", "-1"); err == nil {
-		t.Error("negative ridge accepted")
+	for _, v := range []string{"-1", "0"} {
+		if err := p.SetOption("ridge", v); err == nil {
+			t.Errorf("ridge %s accepted", v)
+		}
 	}
 	if err := p.SetOption("nope", "1"); err == nil {
 		t.Error("unknown option accepted")

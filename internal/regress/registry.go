@@ -30,7 +30,7 @@ func init() {
 // Options implements Parameterized.
 func (lr *LinearRegression) Options() []Option {
 	return []Option{
-		algo.Float("ridge", "L2 regularisation strength on the normal-equation diagonal", &lr.Ridge, algo.AtLeast(0)),
+		algo.Float("ridge", "L2 regularisation strength on the normal-equation diagonal", &lr.Ridge, algo.Above(0)),
 	}
 }
 

@@ -63,7 +63,8 @@ func checkTrainable(d *dataset.Dataset) error {
 // features with an L2 (ridge) term for numerical stability.
 type LinearRegression struct {
 	// Ridge is the regularisation strength added to the normal-equation
-	// diagonal: 1e-8 as registered, effectively OLS; zero also means 1e-8.
+	// diagonal: 1e-8 as registered, effectively OLS. The ridge option
+	// takes only values above zero; a zero-valued struct trains with 1e-8.
 	Ridge float64
 
 	schema  *dataset.Dataset

@@ -106,8 +106,8 @@ func (p *Pool) Endpoints() []string {
 func (p *Pool) BreakerFor(endpoint string) *Breaker { return p.breakers.For(endpoint) }
 
 // Pick returns the next endpoint whose breaker admits traffic,
-// preferring endpoints not in skip — the per-job "don't hand the retry
-// straight back to the endpoint that just failed" rule. A skipped
+// preferring endpoints not in skip — the per-call "don't hand a retry
+// back to an endpoint it already failed on" rule. A skipped
 // endpoint is still returned when it is the only healthy one. Every
 // successful Pick must be followed by a Record for that endpoint.
 func (p *Pool) Pick(skip ...string) (string, error) {
@@ -237,8 +237,8 @@ func (p *Pool) MaybeRefresh(ctx context.Context) {
 }
 
 // Do invokes fn against pool endpoints under the retry policy (see
-// Policy.Do). Each attempt picks a healthy endpoint, preferring one other
-// than the endpoint that just failed, calls fn and records the outcome
+// Policy.Do). Each attempt picks a healthy endpoint, preferring one the
+// call has not yet failed on, calls fn and records the outcome
 // in that endpoint's breaker. A failed pick refreshes the pool from its
 // source, so newly published equivalent services can rescue the call.
 // It returns the endpoint of the final attempt.
@@ -251,12 +251,9 @@ func (p *Pool) MaybeRefresh(ctx context.Context) {
 // calls.
 func (p *Pool) Do(ctx context.Context, pol *Policy, hp *HedgePolicy, fn func(ctx context.Context, endpoint string) error) (string, error) {
 	var lastEp string
+	var skip []string // every endpoint this call has failed on
 	err := pol.Do(ctx, func(ctx context.Context) error {
 		p.MaybeRefresh(ctx)
-		var skip []string
-		if lastEp != "" {
-			skip = []string{lastEp}
-		}
 		ep, err := p.Pick(skip...)
 		if err != nil {
 			// Re-pull the source on every failed pick, not just the first:
@@ -268,15 +265,18 @@ func (p *Pool) Do(ctx context.Context, pol *Policy, hp *HedgePolicy, fn func(ctx
 		}
 		if hp != nil {
 			lastEp, err = p.hedgedRace(ctx, hp, ep, fn)
-			return err
+		} else {
+			began := time.Now()
+			err = fn(ctx, ep)
+			p.Record(ep, err)
+			if err == nil {
+				p.observeLatency(time.Since(began))
+			}
+			lastEp = ep
 		}
-		began := time.Now()
-		err = fn(ctx, ep)
-		p.Record(ep, err)
-		if err == nil {
-			p.observeLatency(time.Since(began))
+		if err != nil {
+			skip = append(skip, lastEp)
 		}
-		lastEp = ep
 		return err
 	}, func(int, error, time.Duration) {
 		p.observer.Counter("resilience_retries_total").Inc()

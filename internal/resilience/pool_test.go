@@ -161,6 +161,48 @@ func TestPoolDoFailsOverToHealthyEndpoint(t *testing.T) {
 	}
 }
 
+// TestPoolDoNeverReturnsToAFailedEndpoint: a call's retries avoid every
+// endpoint the call has failed on, not just the last one, even when other
+// callers move the shared rotation between its attempts. Two of three
+// replicas always fail and the default breaker stays closed throughout.
+func TestPoolDoNeverReturnsToAFailedEndpoint(t *testing.T) {
+	p := NewPool([]string{"bad1", "bad2", "good"}, WithObserver(obs.NewRegistry()))
+	call := func(endpoint string) error {
+		if endpoint != "good" {
+			return serverFault{}
+		}
+		return nil
+	}
+	var tried []string
+	ep, err := p.Do(context.Background(), &Policy{MaxAttempts: 3, BackoffBase: time.Millisecond}, nil,
+		func(ctx context.Context, endpoint string) error {
+			tried = append(tried, endpoint)
+			err := call(endpoint)
+			if err != nil {
+				// Another job, served between this call's attempts, takes
+				// picks until it lands on the healthy replica.
+				for {
+					other, perr := p.Pick()
+					if perr != nil {
+						t.Fatal(perr)
+					}
+					oerr := call(other)
+					p.Record(other, oerr)
+					if oerr == nil {
+						break
+					}
+				}
+			}
+			return err
+		})
+	if err != nil {
+		t.Fatalf("Do failed after %v: %v", tried, err)
+	}
+	if ep != "good" || fmt.Sprint(tried) != "[bad1 bad2 good]" {
+		t.Fatalf("attempts went to %v, finishing on %q; want [bad1 bad2 good]", tried, ep)
+	}
+}
+
 func TestPoolDoStopsOnPermanentFault(t *testing.T) {
 	p := NewPool([]string{"a", "b"}, WithObserver(obs.NewRegistry()))
 	calls := 0

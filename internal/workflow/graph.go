@@ -7,18 +7,11 @@ import (
 
 // Task is a placed unit in a workflow graph. Params supply values for input
 // nodes that are not fed by a cable (the property panels of the Triana
-// workspace). Alternates are equivalent service instances tried in order
-// when the primary unit fails — the paper's fault-tolerance requirement
-// ("complete the task if a fault occurs by moving the job to another
-// resource", §3).
+// workspace).
 type Task struct {
-	ID         string
-	Unit       Unit
-	Params     Values
-	Alternates []Unit
-	// Retries is the number of additional attempts across Unit and
-	// Alternates (default: len(Alternates)).
-	Retries int
+	ID     string
+	Unit   Unit
+	Params Values
 }
 
 // Cable connects an output node of one task to an input node of another —
@@ -158,62 +151,25 @@ func (g *Graph) predecessors(id string) []string {
 // Validate checks the graph is executable: every cabled endpoint exists and
 // the cable relation is acyclic.
 func (g *Graph) Validate() error {
-	indeg := map[string]int{}
-	for id := range g.tasks {
-		indeg[id] = 0
-	}
-	for _, c := range g.cables {
-		if _, ok := g.tasks[c.FromTask]; !ok {
-			return fmt.Errorf("workflow: cable from unknown task %q", c.FromTask)
-		}
-		if _, ok := g.tasks[c.ToTask]; !ok {
-			return fmt.Errorf("workflow: cable to unknown task %q", c.ToTask)
-		}
-	}
-	for _, c := range g.cables {
-		indeg[c.ToTask]++
-	}
-	// Kahn's algorithm; leftover nodes indicate a cycle.
-	var queue []string
-	for id, d := range indeg {
-		if d == 0 {
-			queue = append(queue, id)
-		}
-	}
-	visited := 0
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		visited++
-		for _, c := range g.cables {
-			if c.FromTask != id {
-				continue
-			}
-			indeg[c.ToTask]--
-			if indeg[c.ToTask] == 0 {
-				queue = append(queue, c.ToTask)
-			}
-		}
-	}
-	if visited != len(g.tasks) {
-		return fmt.Errorf("workflow: graph %q contains a cycle", g.Name)
-	}
-	return nil
+	_, err := g.TopoOrder()
+	return err
 }
 
-// TopoOrder returns the tasks in a deterministic topological order.
+// TopoOrder returns the tasks in a deterministic topological order: at
+// each step the earliest added task none of whose cables is still
+// pending. It fails as Validate does.
 func (g *Graph) TopoOrder() ([]string, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	indeg := map[string]int{}
-	for id := range g.tasks {
-		indeg[id] = 0
-	}
+	indeg := make(map[string]int, len(g.tasks))
 	for _, c := range g.cables {
+		if _, ok := g.tasks[c.FromTask]; !ok {
+			return nil, fmt.Errorf("workflow: cable from unknown task %q", c.FromTask)
+		}
+		if _, ok := g.tasks[c.ToTask]; !ok {
+			return nil, fmt.Errorf("workflow: cable to unknown task %q", c.ToTask)
+		}
 		indeg[c.ToTask]++
 	}
-	var out []string
+	out := make([]string, 0, len(g.order))
 	remaining := append([]string(nil), g.order...)
 	for len(remaining) > 0 {
 		progressed := false

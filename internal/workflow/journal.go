@@ -1,11 +1,14 @@
 package workflow
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/journal"
@@ -37,6 +40,35 @@ type StepRecord struct {
 	TraceID     string    `json:"traceId,omitempty"`
 }
 
+// UnmarshalJSON reads a step line, and also a job line of the journal
+// dmexp wrote before a batch ran as a workflow graph:
+//
+//	{"job":"classify:weather/J48","algorithm":"J48","status":"ok","attempts":1,"metrics":{…},…}
+//
+// The job ID becomes the step, the algorithm the unit and the metrics
+// object the "metrics" output, which is where a batch's job steps keep
+// them. Such a record has no input digest.
+func (r *StepRecord) UnmarshalJSON(b []byte) error {
+	type step StepRecord // drops this method, so the fields decode plainly
+	var v struct {
+		step
+		Job       string          `json:"job"`
+		Algorithm string          `json:"algorithm"`
+		Metrics   json.RawMessage `json:"metrics"`
+	}
+	if err := json.Unmarshal(b, &v); err != nil {
+		return err
+	}
+	*r = StepRecord(v.step)
+	if r.Step == "" && v.Job != "" {
+		r.Step, r.Unit = v.Job, v.Algorithm
+		if len(v.Metrics) > 0 {
+			r.Outputs = Values{"metrics": string(v.Metrics)}
+		}
+	}
+	return nil
+}
+
 // Journal is the append-only JSON-lines checkpoint of a workflow run (see
 // internal/journal for the file discipline). Every terminal step outcome
 // is one fsynced line, so a killed enactor loses at most the steps that
@@ -49,6 +81,18 @@ type Journal = journal.Log[StepRecord]
 // loads its existing records, dropping a torn or malformed tail.
 func OpenJournal(path string) (*Journal, error) {
 	return journal.Open(path, func(r StepRecord) (string, bool) { return r.Step, r.Status == StepOK })
+}
+
+type attemptsKey struct{}
+
+// CountAttempt tells the engine that the step running under ctx made one
+// more attempt at its work. A unit that retries calls it once per
+// attempt, and the journal records the count in StepRecord.Attempts; a
+// step whose unit never calls it is journaled with one attempt.
+func CountAttempt(ctx context.Context) {
+	if n, ok := ctx.Value(attemptsKey{}).(*atomic.Int64); ok {
+		n.Add(1)
+	}
 }
 
 // StepDigest fingerprints a task execution: the unit's identity (its

@@ -105,7 +105,6 @@ func Replicate(g *Graph, taskID string, n int) ([]string, error) {
 		for k, v := range t.Params {
 			nt.Params[k] = v
 		}
-		nt.Alternates = append([]Unit(nil), t.Alternates...)
 		for _, c := range incoming {
 			if err := g.Connect(c.FromTask, c.FromPort, id, c.ToPort); err != nil {
 				return nil, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -84,10 +85,7 @@ func refWorkflow(counts *invokeCounts, crash *crashCtl) *Graph {
 }
 
 func seqEngine() *Engine {
-	e := NewEngine()
-	e.Parallel = false
-	e.Observer = obs.NewRegistry()
-	return e
+	return &Engine{Workers: 1, Observer: obs.NewRegistry()}
 }
 
 // TestResumeAfterCrashAtEveryStep is the SIGKILL-at-every-step sweep:
@@ -416,16 +414,31 @@ func TestDeadlineBudgetFailsSlowStepEarly(t *testing.T) {
 	if elapsed > 1800*time.Millisecond {
 		t.Fatalf("slow step survived %v, budget slice should have cut it at ~1s", elapsed)
 	}
-	// Budgeting off: the same step runs to the full caller deadline.
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 1*time.Second)
-	defer cancel2()
-	e := seqEngine()
-	e.BudgetDeadlines = false
-	began = time.Now()
-	if _, err := e.Run(ctx2, g); err == nil {
-		t.Fatal("unbudgeted slow chain completed inside an impossible budget")
+}
+
+// TestJournalFailureHaltsRun: a step whose outcome the journal cannot
+// persist fails the run with the journal's error, and no further step
+// starts.
+func TestJournalFailureHaltsRun(t *testing.T) {
+	j, err := OpenJournal(filepath.Join(t.TempDir(), "wf.jsonl"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if time.Since(began) < 900*time.Millisecond {
-		t.Fatalf("unbudgeted run failed after %v, want ~the full 1s deadline", time.Since(began))
+	j.Close() // every Append now fails
+	counts := newInvokeCounts()
+	g := NewGraph("halt")
+	for _, id := range []string{"a", "b", "c"} {
+		g.MustAdd(id, &FuncUnit{UnitName: id, Out: []string{"v"},
+			Fn: func(ctx context.Context, in Values) (Values, error) {
+				counts.inc(id)
+				return Values{"v": id}, nil
+			}})
+	}
+	_, err = seqEngine().Resume(context.Background(), g, j)
+	if !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Resume = %v, want the journal's write error", err)
+	}
+	if counts.get("a") != 1 || counts.get("b")+counts.get("c") != 0 {
+		t.Fatalf("ran a %d, b %d, c %d times; want only a, once", counts.get("a"), counts.get("b"), counts.get("c"))
 	}
 }

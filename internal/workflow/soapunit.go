@@ -23,8 +23,9 @@ import (
 // live registry entry whose name matches Service (and Category, if set)
 // joins a health-aware pool, and a failing call moves to the next healthy
 // endpoint — the paper's "complete the task if a fault occurs by moving
-// the job to another resource" (§3) at single-task granularity, on top of
-// the engine's static task alternates.
+// the job to another resource" (§3). The pool's Policy is the task's only
+// retry: the engine runs each unit once. A unit with a fixed Endpoint and
+// no registry makes one call.
 type SOAPUnit struct {
 	Endpoint  string
 	Service   string
@@ -37,7 +38,7 @@ type SOAPUnit struct {
 	RegistryURL string
 	// Category optionally narrows the registry inquiry.
 	Category string
-	// Policy governs in-task retries across pool endpoints; nil uses the
+	// Policy governs retries across pool endpoints; nil uses the
 	// resilience defaults when a pool is active.
 	Policy *resilience.Policy
 	// Hedge, when set, enables tail-latency hedging while a registry pool
@@ -96,10 +97,10 @@ func (u *SOAPUnit) Run(ctx context.Context, in Values) (Values, error) {
 		return soap.CallContext(ctx, endpoint, u.Operation, parts)
 	}
 	if pool := u.ensurePool(); pool != nil {
-		pool.MaybeRefresh(ctx)
 		var mu sync.Mutex
 		var out map[string]string
 		attempt := func(ctx context.Context, endpoint string) error {
+			CountAttempt(ctx)
 			res, callErr := call(ctx, endpoint)
 			if callErr == nil {
 				mu.Lock()

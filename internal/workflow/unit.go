@@ -3,8 +3,8 @@
 // output nodes, cables connecting them, graph execution with parallel
 // scheduling, tool import from a WSDL interface (one tool per operation),
 // service hierarchy via grouping, XML and GriPhyN-DAX export, the pattern
-// operators of ref [9], fault-tolerant re-dispatch to alternate service
-// instances, and progress monitoring.
+// operators of ref [9], fault-tolerant re-dispatch across a
+// registry-backed pool of equivalent services, and progress monitoring.
 package workflow
 
 import (
@@ -28,7 +28,9 @@ type Unit interface {
 	Inputs() []string
 	// Outputs returns the output node names.
 	Outputs() []string
-	// Run consumes the input values and produces output values.
+	// Run consumes the input values and produces output values. in is
+	// the unit's own copy, or nil when its task has neither params nor
+	// cabled inputs; a unit reads it and must not write to it.
 	Run(ctx context.Context, in Values) (Values, error)
 }
 

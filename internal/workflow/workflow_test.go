@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -154,7 +153,7 @@ func TestEngineSequentialMode(t *testing.T) {
 	g.MustAdd("a", &ConstUnit{UnitName: "a", Values: Values{"value": "1"}})
 	g.MustAdd("b", upperUnit("b"))
 	g.MustConnect("a", "value", "b", "value")
-	e := &Engine{Parallel: false}
+	e := &Engine{Workers: 1}
 	if _, err := e.Run(context.Background(), g); err != nil {
 		t.Fatal(err)
 	}
@@ -169,65 +168,6 @@ func TestEngineFailurePropagates(t *testing.T) {
 	_, err := NewEngine().Run(context.Background(), g)
 	if err == nil || !strings.Contains(err.Error(), "kaput") {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-// TestFaultToleranceMigratesToAlternate reproduces §3's fault-tolerance
-// requirement: on failure the task moves to an alternate service instance.
-func TestFaultToleranceMigratesToAlternate(t *testing.T) {
-	calls := 0
-	failing := &FuncUnit{UnitName: "primary", In: nil, Out: []string{"out"},
-		Fn: func(ctx context.Context, in Values) (Values, error) {
-			calls++
-			return nil, fmt.Errorf("resource down")
-		}}
-	backup := &FuncUnit{UnitName: "backup", In: nil, Out: []string{"out"},
-		Fn: func(ctx context.Context, in Values) (Values, error) {
-			return Values{"out": "rescued"}, nil
-		}}
-	g := NewGraph("ft")
-	task := g.MustAdd("job", failing)
-	task.Alternates = []Unit{backup}
-
-	var events []Event
-	var mu sync.Mutex
-	e := NewEngine()
-	e.Monitor = func(ev Event) {
-		mu.Lock()
-		events = append(events, ev)
-		mu.Unlock()
-	}
-	res, err := e.Run(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := res.Value("job", "out"); got != "rescued" {
-		t.Fatalf("output = %q", got)
-	}
-	if calls != 1 {
-		t.Fatalf("primary called %d times", calls)
-	}
-	kinds := map[EventKind]int{}
-	for _, ev := range events {
-		kinds[ev.Kind]++
-	}
-	if kinds[TaskFailed] != 1 || kinds[TaskRetried] != 1 || kinds[TaskFinished] != 1 {
-		t.Fatalf("event mix = %v", kinds)
-	}
-}
-
-func TestFaultToleranceExhaustsAlternates(t *testing.T) {
-	bad := func(name string) Unit {
-		return &FuncUnit{UnitName: name, Out: []string{"out"},
-			Fn: func(ctx context.Context, in Values) (Values, error) {
-				return nil, fmt.Errorf("%s down", name)
-			}}
-	}
-	g := NewGraph("ft2")
-	task := g.MustAdd("job", bad("primary"))
-	task.Alternates = []Unit{bad("backup")}
-	if _, err := NewEngine().Run(context.Background(), g); err == nil {
-		t.Fatal("all-failing task succeeded")
 	}
 }
 

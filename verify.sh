@@ -2,7 +2,8 @@
 # verify.sh — the full local gate, with the elapsed time of each stage:
 # formatting, build, no encoding/gob import, no encoding/base64 import in
 # non-test internal/wire, no internal/resilience import in non-test
-# internal/soap, vet of the repo and of the
+# internal/soap, no internal/journal import in non-test
+# internal/experiment, vet of the repo and of the
 # benchmark module (so a change that breaks an API benchmark/ pins fails
 # here, not in the benchmark run), the benchmark's own smoke (every workload for half a
 # second, replies checked against the oracle: correctness only, no
@@ -86,6 +87,17 @@ check_soap_no_resilience() {
 	fi
 }
 
+# The workflow engine is the one job runner that journals: an experiment
+# batch runs as an engine graph and resumes from the engine's step
+# journal, so non-test internal/experiment may not import
+# internal/journal.
+check_experiment_no_journal() {
+	if go list -f '{{join .Imports " "}}' ./internal/experiment | grep -qw 'repro/internal/journal'; then
+		echo "internal/experiment imports internal/journal outside its tests" >&2
+		return 1
+	fi
+}
+
 # Two real dmserver replicas on one store directory, a SIGKILL every
 # 2.5s, background GC on — the run must end inside its error budget
 # (exit 0) with zero failed requests and at least one kill survived.
@@ -105,6 +117,10 @@ soak() {
 race_harness() {
 	go test -race -count=20 ./internal/harness ./internal/dataset
 	go test -race -count=20 -run 'InFlight' ./internal/admission
+	if ! go test -list 'Hedge|PoolDo|Retry' ./internal/experiment | grep -q '^Test'; then
+		echo "race harness: no internal/experiment test matches 'Hedge|PoolDo|Retry'" >&2
+		return 1
+	fi
 	go test -race -count=10 -run 'Hedge|PoolDo|Retry' ./internal/resilience ./internal/workflow ./internal/admission ./internal/experiment
 	go test -race -count=20 -run 'IBkConcurrent|IBkUpdate|IBkPruned' ./internal/classify
 }
@@ -128,6 +144,7 @@ stage build go build ./...
 stage "no gob" check_no_gob
 stage "no base64 in wire" check_wire_base64
 stage "no resilience in soap" check_soap_no_resilience
+stage "no journal in experiment" check_experiment_no_journal
 stage vet check_vet go vet ./...
 stage "vet benchmark" check_vet go -C benchmark vet ./...
 stage "benchmark smoke" bash benchmark/run.sh --smoke

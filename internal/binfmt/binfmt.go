@@ -37,6 +37,14 @@ type Writer struct {
 	err  error
 	syms map[string]uint64
 	tab  []string
+	strs []string // SymAt's list; memo[i] is 1 + strs[i]'s table index, 0 until used
+	memo []uint64
+}
+
+// Reset empties w for reuse, keeping its buffers.
+func (w *Writer) Reset() {
+	clear(w.syms)
+	w.Buf, w.err, w.tab, w.strs = w.Buf[:0], nil, w.tab[:0], nil
 }
 
 // Failf records the first error that makes the encoding unusable.
@@ -79,7 +87,9 @@ func (w *Writer) F64s(xs []float64) {
 }
 
 // Sym writes s as the uvarint index of its entry in the string table.
-func (w *Writer) Sym(s string) {
+func (w *Writer) Sym(s string) { w.Uvarint(w.sym(s)) }
+
+func (w *Writer) sym(s string) uint64 {
 	i, ok := w.syms[s]
 	if !ok {
 		if w.syms == nil {
@@ -89,7 +99,22 @@ func (w *Writer) Sym(s string) {
 		w.syms[s] = i
 		w.tab = append(w.tab, s)
 	}
-	w.Uvarint(i)
+	return i
+}
+
+// SymsOf makes strs the list SymAt resolves.
+func (w *Writer) SymsOf(strs []string) {
+	w.strs, w.memo = strs, slices.Grow(w.memo[:0], len(strs))[:len(strs)]
+	clear(w.memo)
+}
+
+// SymAt returns the string-table index Sym would write for strs[i] of the
+// last SymsOf list, looking each entry up in the table only once.
+func (w *Writer) SymAt(i int32) uint64 {
+	if w.memo[i] == 0 {
+		w.memo[i] = w.sym(w.strs[i]) + 1
+	}
+	return w.memo[i] - 1
 }
 
 // AppendSyms appends the string table Sym built to dst: a uvarint count,
@@ -129,6 +154,15 @@ func (r *Reader) Err() error { return r.err }
 
 // Len returns the number of unread bytes.
 func (r *Reader) Len() int { return len(r.buf) - r.off }
+
+// Rest returns the unread bytes, or nil once reading has failed, for a
+// decoder with its own loop; Take then skips the bytes it used.
+func (r *Reader) Rest() []byte {
+	if r.err != nil {
+		return nil
+	}
+	return r.buf[r.off:]
+}
 
 // Take returns the next n bytes, or nil once reading has failed.
 func (r *Reader) Take(n int) []byte {
@@ -228,17 +262,6 @@ func (r *Reader) ReadF64s(dst []float64) {
 	if b := r.Take(8 * len(dst)); b != nil {
 		for i := range dst {
 			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-		}
-	}
-}
-
-// ReadCounts fills dst with uvarints, reading one-byte ones in line.
-func (r *Reader) ReadCounts(dst []float64) {
-	for i := range dst {
-		if off := r.off; off < len(r.buf) && r.buf[off] < 0x80 && r.err == nil {
-			dst[i], r.off = float64(r.buf[off]), off+1
-		} else {
-			dst[i] = float64(r.Uvarint())
 		}
 	}
 }

@@ -20,7 +20,9 @@ type RandomTree struct {
 	MinLeaf float64
 
 	treeModel
-	rng *rand.Rand
+	rng    *rand.Rand // training state, with the split search scratch nodes reuse
+	helper *J48
+	cands  []int
 }
 
 func init() {
@@ -46,6 +48,7 @@ func (t *RandomTree) Train(d *dataset.Dataset) error {
 	t.classAttr = d.ClassAttribute()
 	t.classIndex = d.ClassIndex
 	t.rng = rand.New(rand.NewSource(t.Seed))
+	t.helper = &J48{MinLeaf: t.MinLeaf, ConfidenceFactor: 0.25, treeModel: treeModel{classAttr: t.classAttr, classIndex: t.classIndex}}
 	work := make([]*dataset.Instance, d.NumInstances())
 	copy(work, d.Instances)
 	t.flatten(t.grow(d, work, 0))
@@ -59,15 +62,15 @@ func (t *RandomTree) grow(d *dataset.Dataset, ins []*dataset.Instance, depth int
 		return node
 	}
 	// Candidate attributes: a random sqrt-sized subset.
-	var candidates []int
+	candidates := t.cands[:0]
 	for col := range d.Attrs {
 		if col != t.classIndex && !d.Attrs[col].IsString() {
 			candidates = append(candidates, col)
 		}
 	}
+	t.cands = candidates
 	t.rng.Shuffle(len(candidates), func(i, j int) { candidates[i], candidates[j] = candidates[j], candidates[i] })
 	m := min(int(math.Sqrt(float64(len(candidates))))+1, len(candidates))
-	helper := &J48{MinLeaf: t.MinLeaf, ConfidenceFactor: 0.25, treeModel: treeModel{classAttr: t.classAttr, classIndex: t.classIndex}}
 	baseH := dataset.Entropy(node.Dist)
 	totalW := weightOf(ins)
 	bestAttr, bestTh, bestGain := -1, 0.0, 0.0
@@ -75,9 +78,9 @@ func (t *RandomTree) grow(d *dataset.Dataset, ins []*dataset.Instance, depth int
 		a := d.Attrs[col]
 		var g, th float64
 		if a.IsNominal() {
-			g, _ = helper.nominalGain(ins, col, a.NumValues(), baseH, totalW)
+			g, _ = t.helper.nominalGain(ins, col, a.NumValues(), baseH, totalW)
 		} else {
-			g, _, th = helper.numericGain(ins, col, baseH, totalW)
+			g, _, th = t.helper.numericGain(ins, col, baseH, totalW)
 		}
 		if g > bestGain {
 			bestAttr, bestTh, bestGain = col, th, g
@@ -86,7 +89,7 @@ func (t *RandomTree) grow(d *dataset.Dataset, ins []*dataset.Instance, depth int
 	if bestAttr < 0 {
 		return node
 	}
-	branches, labels := helper.partition(d, ins, bestAttr, bestTh)
+	branches, labels := t.helper.partition(d, ins, bestAttr, bestTh)
 	nonEmpty := 0
 	for _, b := range branches {
 		if len(b) > 0 {

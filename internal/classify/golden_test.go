@@ -134,3 +134,17 @@ func BenchmarkRandomForestDistribution(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRandomForestTrain trains the 20-tree forest a model_resume
+// createSession builds (256 rows, 10 nominal attributes).
+func BenchmarkRandomForestTrain(b *testing.B) {
+	d := datagen.RandomNominal(256, 10, 4, 0.2, 11)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, _ := classify.New("RandomForest")
+		if err := c.Train(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package classify
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -31,6 +32,7 @@ type J48 struct {
 	UseInfoGain bool
 
 	treeModel
+	counts []float64 // nominalGain's table, reused from call to call
 }
 
 // TreeNode is one node of a trained decision tree.
@@ -220,24 +222,24 @@ func (j *J48) selectSplit(d *dataset.Dataset, ins []*dataset.Instance) (attr int
 // (C4.5's treatment).
 func (j *J48) nominalGain(ins []*dataset.Instance, col, numValues int, baseH, totalW float64) (gain, splitInfo float64) {
 	k := j.classAttr.NumValues()
-	byValue := make([][]float64, numValues)
-	for i := range byValue {
-		byValue[i] = make([]float64, k)
-	}
+	byValue := slices.Grow(j.counts[:0], numValues*k)[:numValues*k] // k class weights per value
+	clear(byValue)
+	j.counts = byValue
 	var knownW float64
 	for _, in := range ins {
 		v := in.Values[col]
 		if dataset.IsMissing(v) {
 			continue
 		}
-		byValue[int(v)][int(in.Values[j.classIndex])] += in.Weight
+		byValue[int(v)*k : int(v)*k+k][int(in.Values[j.classIndex])] += in.Weight
 		knownW += in.Weight
 	}
 	if knownW <= 0 {
 		return 0, 0
 	}
 	var condH float64
-	for _, row := range byValue {
+	for r := 0; r < len(byValue); r += k {
+		row := byValue[r : r+k]
 		w := sum(row)
 		if w > 0 {
 			condH += w / knownW * dataset.Entropy(row)
@@ -340,38 +342,51 @@ func (j *J48) partition(d *dataset.Dataset, ins []*dataset.Instance, attr int, t
 		nBranch = a.NumValues()
 		labels = a.Values()
 	}
-	branches := make([][]*dataset.Instance, nBranch)
+	branchOf := func(v float64) int {
+		if !a.IsNumeric() {
+			return int(v)
+		}
+		if v > threshold {
+			return 1
+		}
+		return 0
+	}
+	sizes, branchW := make([]int, nBranch), make([]float64, nBranch)
 	var missing []*dataset.Instance
-	branchW := make([]float64, nBranch)
 	var knownW float64
 	for _, in := range ins {
-		v := in.Values[attr]
-		if dataset.IsMissing(v) {
+		if v := in.Values[attr]; dataset.IsMissing(v) {
 			missing = append(missing, in)
-			continue
-		}
-		b := 0
-		if a.IsNumeric() {
-			if v > threshold {
-				b = 1
-			}
 		} else {
-			b = int(v)
+			b := branchOf(v)
+			sizes[b]++
+			branchW[b] += in.Weight
+			knownW += in.Weight
 		}
-		branches[b] = append(branches[b], in)
-		branchW[b] += in.Weight
-		knownW += in.Weight
 	}
-	if len(missing) > 0 && knownW > 0 {
-		for _, in := range missing {
-			for b := range branches {
-				if branchW[b] <= 0 {
-					continue
-				}
-				frac := in.Clone()
-				frac.Weight = in.Weight * branchW[b] / knownW
-				branches[b] = append(branches[b], frac)
+	if knownW <= 0 {
+		missing = nil
+	}
+	// The branches are carved from one backing slice, each with room for
+	// its known instances and a fraction of every missing one.
+	backing, branches := make([]*dataset.Instance, len(ins)+(nBranch-1)*len(missing)), make([][]*dataset.Instance, nBranch)
+	for b, n := range sizes {
+		branches[b], backing = backing[:0:n+len(missing)], backing[n+len(missing):]
+	}
+	for _, in := range ins {
+		if v := in.Values[attr]; !dataset.IsMissing(v) {
+			b := branchOf(v)
+			branches[b] = append(branches[b], in)
+		}
+	}
+	for _, in := range missing {
+		for b := range branches {
+			if branchW[b] <= 0 {
+				continue
 			}
+			frac := in.Clone()
+			frac.Weight = in.Weight * branchW[b] / knownW
+			branches[b] = append(branches[b], frac)
 		}
 	}
 	return branches, labels

@@ -1,6 +1,7 @@
 package classify
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -29,13 +30,23 @@ type treeModel struct {
 	width int
 }
 
-// flatNode is one node of a treeModel. A split (attr >= 0) has the kids
-// nodes from first on as children; label is the branch label leading to
-// the node from its parent.
+// flatNode is one node of a treeModel. A split (attr >= 0) has kids children
+// from node first on, or, numeric with kids 0, two: values <= threshold
+// first. label is the branch label leading to the node from its parent.
 type flatNode struct {
 	attr, first, kids, class, name, label int32
-	numeric                               bool
 	threshold                             float64
+}
+
+// numeric reports whether split nd is a numeric one.
+func (nd *flatNode) numeric() bool { return nd.kids == 0 }
+
+// arity returns the child count of split nd.
+func (nd *flatNode) arity() int32 {
+	if nd.numeric() {
+		return 2
+	}
+	return nd.kids
 }
 
 // treeHolder is implemented by the classifiers that embed a treeModel.
@@ -47,23 +58,35 @@ func (t *treeModel) tree() *treeModel { return t }
 // its width with the one root needs.
 func (t *treeModel) flatten(root *TreeNode) {
 	order := []*TreeNode{root}
+	t.width = t.classIndex + 1
 	for i := 0; i < len(order); i++ {
 		order = append(order, order[i].Children...)
+		t.width = max(t.width, order[i].Attr+1)
 	}
 	t.nodes, t.dists, t.strs = make([]flatNode, len(order)), make([]float64, 0, len(order)*(len(root.Dist)+1)), nil
+	// A split reuses the name and labels its attribute's last stored run
+	// holds if they are equal, as a nominal split's are: named[a] is 1 +
+	// where that run starts.
+	named := make([]int32, t.width)
 	next := int32(1)
-	t.width = t.classIndex + 1
 	for i, n := range order {
 		nd := &t.nodes[i]
 		nd.attr, nd.class = int32(n.Attr), int32(n.ClassIdx)
 		if n.Attr >= 0 {
-			t.width = max(t.width, n.Attr+1)
-			nd.numeric, nd.threshold, nd.name = n.Numeric, n.Threshold, int32(len(t.strs))
-			nd.first, nd.kids = next, int32(len(n.Children))
-			t.strs = append(t.strs, n.AttrName)
-			for _, l := range n.Labels {
-				t.nodes[next].label = int32(len(t.strs))
-				t.strs = append(t.strs, l)
+			nd.threshold, nd.first, nd.kids = n.Threshold, next, int32(len(n.Children))
+			if n.Numeric {
+				nd.kids = 0
+			}
+			if at := int(named[n.Attr]) - 1; at >= 0 && t.strs[at] == n.AttrName &&
+				slices.Equal(t.strs[at+1:min(at+1+len(n.Labels), len(t.strs))], n.Labels) {
+				nd.name = int32(at)
+			} else {
+				nd.name = int32(len(t.strs))
+				t.strs = append(append(t.strs, n.AttrName), n.Labels...)
+				named[n.Attr] = nd.name + 1
+			}
+			for j := range n.Labels {
+				t.nodes[next].label = nd.name + 1 + int32(j)
 				next++
 			}
 		}
@@ -81,8 +104,8 @@ func (t *treeModel) view(i int32) *TreeNode {
 	n := &TreeNode{Attr: int(nd.attr), ClassIdx: int(nd.class), ClassName: t.classAttr.Value(int(nd.class)),
 		Dist: slices.Clone(t.dists[i*k+1 : (i+1)*k])}
 	if nd.attr >= 0 {
-		n.AttrName, n.Numeric, n.Threshold = t.strs[nd.name], nd.numeric, nd.threshold
-		for c := nd.first; c < nd.first+nd.kids; c++ {
+		n.AttrName, n.Numeric, n.Threshold = t.strs[nd.name], nd.numeric(), nd.threshold
+		for c := nd.first; c < nd.first+nd.arity(); c++ {
 			n.Children, n.Labels = append(n.Children, t.view(c)), append(n.Labels, t.strs[t.nodes[c].label])
 		}
 	}
@@ -112,44 +135,51 @@ func isCount(v float64) bool { return v >= 0 && v < 1<<53 && v == math.Trunc(v) 
 // one block: uvarints when every weight is a count, as with unit weights
 // and bootstrap samples, float64 bits otherwise.
 func (t *treeModel) encode(w *binfmt.Writer) {
-	k := t.classAttr.NumValues() + 1
+	k := t.classAttr.NumValues()
 	floats := false
-	for i, v := range t.dists {
-		floats = floats || (i%k != 0 && !isCount(v))
+	for i := 0; i < len(t.dists) && !floats; i += k + 1 {
+		for _, v := range t.dists[i+1 : i+1+k] {
+			floats = floats || !isCount(v)
+		}
 	}
 	w.Bool(floats)
 	w.Uvarint(uint64(len(t.nodes)))
+	w.SymsOf(t.strs)
+	b := w.Buf // appended to in place of w's methods, for speed
 	for _, nd := range t.nodes {
-		w.Uvarint(uint64(nd.attr + 1))
+		b = binary.AppendUvarint(b, uint64(nd.attr+1))
 		if nd.attr >= 0 {
-			w.Bool(nd.numeric)
-			w.Sym(t.strs[nd.name])
-			if nd.numeric {
-				w.F64(nd.threshold)
+			if !nd.numeric() {
+				b = binary.AppendUvarint(append(b, 0), w.SymAt(nd.name))
+			} else {
+				b = binary.AppendUvarint(append(b, 1), w.SymAt(nd.name))
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(nd.threshold))
 			}
-			w.Uvarint(uint64(nd.kids))
-			for _, c := range t.nodes[nd.first : nd.first+nd.kids] {
-				w.Sym(t.strs[c.label])
+			b = binary.AppendUvarint(b, uint64(nd.arity()))
+			for _, c := range t.nodes[nd.first : nd.first+nd.arity()] {
+				b = binary.AppendUvarint(b, w.SymAt(c.label))
 			}
 		}
-		w.Uvarint(uint64(nd.class))
+		b = binary.AppendUvarint(b, uint64(nd.class))
 	}
-	for i, v := range t.dists {
-		switch {
-		case i%k == 0:
-		case floats:
-			w.F64(v)
-		default:
-			w.Uvarint(uint64(v))
+	for i := 0; i < len(t.dists); i += k + 1 {
+		for _, v := range t.dists[i+1 : i+1+k] {
+			if floats {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+			} else {
+				b = binary.AppendUvarint(b, uint64(v))
+			}
 		}
 	}
+	w.Buf = b
 }
 
-// decode reads what encode writes into two slabs sized from the node
-// count, keeping the reader's string table, and validates every node: a
-// split's attribute lies inside the tree width, a numeric split has two
-// children, a node claims only later nodes, every node but the root is
-// claimed once, and the majority class is one of the classes.
+// decode reads what encode writes, in one pass over the reader's unread
+// bytes, into two slabs sized from the node count, keeping the reader's
+// string table. It checks every node: a split's attribute lies inside the
+// tree width, a numeric split has two children, a node claims only later
+// nodes, every node but the root is claimed once, and the majority class
+// is one of the classes.
 func (t *treeModel) decode(r *binfmt.Reader) {
 	k := t.classAttr.NumValues()
 	floats := r.Bool()
@@ -159,45 +189,110 @@ func (t *treeModel) decode(r *binfmt.Reader) {
 		return
 	}
 	nodes, dists, syms := make([]flatNode, n), make([]float64, n*(k+1)), r.Syms()
-	next := int32(1) // the first node no split has claimed
+	b := r.Rest()
+	p, err := readNodes(b, nodes, t.width, len(syms), k)
+	if err == nil && floats && len(b)-p < 8*k*n {
+		err = fmt.Errorf("truncated class weights")
+	}
+	for i := 0; i < len(dists) && err == nil; i += k + 1 {
+		var total float64 // summed in order, as sum does
+		for j := i + 1; j <= i+k; j++ {
+			if floats {
+				dists[j], p = math.Float64frombits(binary.LittleEndian.Uint64(b[p:])), p+8
+			} else {
+				var v uint64
+				v, p = uvarintAt(b, p)
+				dists[j] = float64(v)
+			}
+			total += dists[j]
+		}
+		dists[i] = total
+	}
+	if p > len(b) {
+		err = fmt.Errorf("truncated or overlong uvarint in a tree")
+	}
+	if err != nil {
+		r.Failf("%v", err)
+		return
+	}
+	r.Take(p)
+	t.nodes, t.dists, t.strs = nodes, dists, syms
+}
+
+// readNodes parses the node list b opens with into nodes, each field
+// checked against its bound as it is read, and returns the offset past it
+// (past len(b) after a bad uvarint).
+func readNodes(b []byte, nodes []flatNode, width, nsyms, k int) (int, error) {
+	n, next, p := len(nodes), int32(1), 0 // next: the first node no split has claimed
+	var v uint64
 	for i := range nodes {
 		nd := &nodes[i]
 		if int32(i) >= next {
-			r.Failf("tree node %d is unreachable", i)
-			return
+			return p, fmt.Errorf("tree node %d is unreachable", i)
 		}
-		if nd.attr = int32(r.Int(t.width+1)) - 1; nd.attr >= 0 {
-			nd.numeric = r.Bool()
-			nd.name = int32(r.Int(len(syms)))
-			if nd.numeric {
-				nd.threshold = r.F64()
+		if v, p = uvarintAt(b, p); v > uint64(width) {
+			return p, fmt.Errorf("tree node %d: attribute+1 %d out of range [0,%d]", i, v, width)
+		}
+		if nd.attr = int32(v) - 1; nd.attr >= 0 {
+			if p >= len(b) || b[p] > 1 {
+				return p, fmt.Errorf("tree node %d has no split kind", i)
 			}
-			nd.first, nd.kids = next, int32(r.Int(n-int(next)+1))
-			if nd.kids == 0 || (nd.numeric && nd.kids != 2) {
-				r.Failf("tree node %d splits into %d children", i, nd.kids)
-				return
+			numeric := b[p] == 1
+			if v, p = uvarintAt(b, p+1); v >= uint64(nsyms) {
+				return p, fmt.Errorf("tree node %d: name %d out of range [0,%d)", i, v, nsyms)
 			}
-			for ; next < nd.first+nd.kids; next++ {
-				nodes[next].label = int32(r.Int(len(syms)))
+			nd.name = int32(v)
+			if numeric {
+				if len(b)-p < 8 {
+					return p, fmt.Errorf("tree node %d: truncated threshold", i)
+				}
+				nd.threshold, p = math.Float64frombits(binary.LittleEndian.Uint64(b[p:])), p+8
+			}
+			if v, p = uvarintAt(b, p); v > uint64(n-int(next)) {
+				return p, fmt.Errorf("tree node %d: %d children, %d nodes left", i, v, n-int(next))
+			}
+			if v == 0 || (numeric && v != 2) {
+				return p, fmt.Errorf("tree node %d splits into %d children", i, v)
+			}
+			if nd.first, nd.kids = next, int32(v); numeric {
+				nd.kids = 0
+			}
+			for end := next + int32(v); next < end; next++ {
+				if v, p = uvarintAt(b, p); v >= uint64(nsyms) {
+					return p, fmt.Errorf("tree node %d: label %d out of range [0,%d)", next, v, nsyms)
+				}
+				nodes[next].label = int32(v)
 			}
 		}
-		if nd.class = int32(r.Int(k)); r.Err() != nil {
-			return
+		if v, p = uvarintAt(b, p); v >= uint64(k) {
+			return p, fmt.Errorf("tree node %d: class %d out of range [0,%d)", i, v, k)
 		}
+		nd.class = int32(v)
 	}
 	if int(next) != n {
-		r.Failf("tree claims %d of its %d nodes", next, n)
-		return
+		return p, fmt.Errorf("tree claims %d of its %d nodes", next, n)
 	}
-	for i := 0; i < len(dists); i += k + 1 {
-		if d := dists[i+1 : i+1+k]; floats {
-			r.ReadF64s(d)
-		} else {
-			r.ReadCounts(d)
+	return p, nil
+}
+
+// uvarintAt reads the uvarint at b[p:] as binary.Uvarint does, but inlined,
+// and returns it with the offset past it. A bad one reads as MaxUint64,
+// which no bound admits, at offset len(b)+1, where later reads fail too.
+func uvarintAt(b []byte, p int) (v uint64, next int) {
+	if p < len(b) && b[p] < 0x80 {
+		return uint64(b[p]), p + 1
+	}
+	for s := 0; p < len(b) && s < 64; s += 7 {
+		c := b[p]
+		p++
+		if v |= uint64(c&0x7f) << s; c < 0x80 {
+			if s == 63 && c > 1 {
+				break
+			}
+			return v, p
 		}
-		dists[i] = sum(dists[i+1 : i+1+k])
 	}
-	t.nodes, t.dists, t.strs = nodes, dists, syms
+	return math.MaxUint64, len(b) + 1
 }
 
 // distribution scores in for the tree learner named name, into dst when
@@ -239,14 +334,15 @@ func (t *treeModel) descend(i int32, row []float64, w float64, acc []float64) er
 		switch v := row[nd.attr]; {
 		case dataset.IsMissing(v):
 			var totalW float64
-			for c := nd.first; c < nd.first+nd.kids; c++ {
+			end := nd.first + nd.arity()
+			for c := nd.first; c < end; c++ {
 				totalW += t.dists[c*k]
 			}
 			if totalW <= 0 {
 				i = nd.first
 				continue
 			}
-			for c := nd.first; c < nd.first+nd.kids; c++ {
+			for c := nd.first; c < end; c++ {
 				if cw := t.dists[c*k]; cw > 0 {
 					if err := t.descend(c, row, w*cw/totalW, acc); err != nil {
 						return err
@@ -254,7 +350,7 @@ func (t *treeModel) descend(i int32, row []float64, w float64, acc []float64) er
 				}
 			}
 			return nil
-		case nd.numeric:
+		case nd.numeric():
 			if i = nd.first; v > nd.threshold {
 				i++
 			}

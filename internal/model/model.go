@@ -52,20 +52,27 @@ func MarshalClusterer(c cluster.Clusterer) ([]byte, error) { return marshal(c.Na
 // UnmarshalClusterer reverses MarshalClusterer.
 func UnmarshalClusterer(b []byte) (cluster.Clusterer, error) { return unmarshal(b, cluster.New) }
 
+// bodies recycles body writers: a snapshot's one lasting allocation is its frame.
+var bodies = sync.Pool{New: func() any { return new(binfmt.Writer) }}
+
 func marshal(tag string, m any) ([]byte, error) {
 	s, ok := m.(snapshotter)
 	if !ok {
 		return nil, fmt.Errorf("model: %s has no snapshot form", tag)
 	}
-	var w binfmt.Writer
-	if s.Snapshot(binfmt.Codec{W: &w}); w.Err() != nil {
+	w := bodies.Get().(*binfmt.Writer)
+	w.Reset()
+	defer bodies.Put(w)
+	if s.Snapshot(binfmt.Codec{W: w}); w.Err() != nil {
 		return nil, fmt.Errorf("model: marshal %s: %w", tag, w.Err())
 	}
-	f := binfmt.Writer{Buf: make([]byte, 0, len(magic)+5+len(tag)+len(w.Buf)+256)}
+	body := len(w.Buf)
+	w.Buf = w.AppendSyms(w.Buf) // the string table, after the body for now
+	f := binfmt.Writer{Buf: make([]byte, 0, len(magic)+5+len(tag)+len(w.Buf))}
 	f.Buf = append(f.Buf, magic...)
 	f.U8(version)
 	f.Str(tag)
-	f.Buf = append(w.AppendSyms(f.Buf), w.Buf...)
+	f.Buf = append(append(f.Buf, w.Buf[body:]...), w.Buf[:body]...)
 	return f.Buf, nil
 }
 

@@ -359,6 +359,27 @@ func TestRestoredForestScoresGolden(t *testing.T) {
 	}
 }
 
+// TestForestRestoreAllocs bounds the allocations of restoring
+// model_resume's 20-tree forest: per tree its model, its class attribute's
+// values and its two slabs, and a few for the forest.
+func TestForestRestoreAllocs(t *testing.T) {
+	c, _ := classify.New("RandomForest")
+	if err := c.Train(datagen.RandomNominal(512, 10, 4, 0.2, 11)); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := Unmarshal(snap); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 91 {
+		t.Errorf("restoring the forest allocates %v times, want <= 91", n)
+	}
+}
+
 // FuzzModelUnmarshal: whatever the bytes, both decoders return a model or
 // a *FormatError — never a panic — and allocate at most a constant
 // multiple of the input.

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -137,11 +138,15 @@ var Default = NewRegistry()
 // Key renders a metric identity: name{k=v,...} with labels sorted, or the
 // bare name without labels. Labels are "key=value" strings.
 func Key(name string, labels ...string) string {
-	if len(labels) == 0 {
+	switch len(labels) {
+	case 0:
 		return name
+	case 1:
+		return name + "{" + labels[0] + "}"
 	}
-	ls := append([]string(nil), labels...)
-	sort.Strings(ls)
+	var fixed [8]string // sorted on the stack; more labels allocate
+	ls := append(fixed[:0], labels...)
+	slices.Sort(ls)
 	return name + "{" + strings.Join(ls, ",") + "}"
 }
 

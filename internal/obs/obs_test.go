@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -25,6 +26,44 @@ func TestKey(t *testing.T) {
 	}
 	if want := "requests_total{op=classify,service=Classifier}"; a != want {
 		t.Errorf("Key = %q, want %q", a, want)
+	}
+}
+
+// TestKeyLabelCounts holds Key to the identities it rendered when it
+// copied, sorted and joined every label list.
+func TestKeyLabelCounts(t *testing.T) {
+	for _, c := range []struct {
+		labels []string
+		want   string
+	}{
+		{nil, "m"},
+		{[]string{"op=classify"}, "m{op=classify}"},
+		{[]string{"service=S", "op=classify"}, "m{op=classify,service=S}"},
+		{[]string{"op=b", "op=a"}, "m{op=a,op=b}"},
+		{[]string{"z=1", "class=caller", "a="}, "m{a=,class=caller,z=1}"},
+		{[]string{"b", "a", "c", "a"}, "m{a,a,b,c}"},
+	} {
+		in := slices.Clone(c.labels)
+		if got := Key("m", c.labels...); got != c.want {
+			t.Errorf("Key(m, %q) = %q, want %q", c.labels, got, c.want)
+		}
+		if !slices.Equal(in, c.labels) {
+			t.Errorf("Key reordered its argument %q", in)
+		}
+	}
+}
+
+// TestLabelledLookupAllocs: a registry hit builds its key in one
+// allocation with one label, in two with two.
+func TestLabelledLookupAllocs(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("requests_total", "op=classify")
+	r.Histogram("latency_ms", "service=S", "op=classify")
+	if n := testing.AllocsPerRun(100, func() { r.Counter("requests_total", "op=classify").Inc() }); n > 1 {
+		t.Errorf("one-label hit: %v allocations, want <= 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Histogram("latency_ms", "service=S", "op=classify").Observe(1) }); n > 2 {
+		t.Errorf("two-label hit: %v allocations, want <= 2", n)
 	}
 }
 

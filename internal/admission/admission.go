@@ -31,27 +31,27 @@ import (
 	"repro/internal/soap"
 )
 
-// State is the controller's position in the serving → draining →
+// state is the controller's position in the serving → draining →
 // stopped lifecycle.
-type State int32
+type state int32
 
 const (
-	// StateServing admits requests up to the configured bounds.
-	StateServing State = iota
-	// StateDraining rejects new work while in-flight requests finish.
-	StateDraining
-	// StateStopped rejects everything; the server is about to close.
-	StateStopped
+	// stateServing admits requests up to the configured bounds.
+	stateServing state = iota
+	// stateDraining rejects new work while in-flight requests finish.
+	stateDraining
+	// stateStopped rejects everything; the server is about to close.
+	stateStopped
 )
 
 // String renders the state for logs, metrics and /healthz.
-func (s State) String() string {
+func (s state) String() string {
 	switch s {
-	case StateServing:
+	case stateServing:
 		return "serving"
-	case StateDraining:
+	case stateDraining:
 		return "draining"
-	case StateStopped:
+	case stateStopped:
 		return "stopped"
 	default:
 		return "unknown"
@@ -67,9 +67,6 @@ type Config struct {
 	// 2×MaxInFlight, negative disables queueing (immediate shed at
 	// capacity).
 	MaxQueue int
-	// DefaultRetryAfter is the Retry-After hint used before any request
-	// has completed (no service-time estimate yet); <=0 means 500ms.
-	DefaultRetryAfter time.Duration
 	// Observer receives the controller's metrics; nil means obs.Default.
 	Observer *obs.Registry
 }
@@ -92,12 +89,9 @@ func (c Config) maxQueue() int {
 	}
 }
 
-func (c Config) defaultRetryAfter() time.Duration {
-	if c.DefaultRetryAfter <= 0 {
-		return 500 * time.Millisecond
-	}
-	return c.DefaultRetryAfter
-}
+// defaultRetryAfter is the Retry-After hint before any request has
+// completed (no service-time estimate yet).
+const defaultRetryAfter = 500 * time.Millisecond
 
 var admLog = obs.L("admission")
 
@@ -114,7 +108,7 @@ type Controller struct {
 	drainCh chan struct{}
 
 	mu       sync.Mutex
-	state    State
+	state    state
 	inflight int
 	peak     int
 	wg       sync.WaitGroup // one count per admitted request
@@ -131,12 +125,12 @@ func NewController(cfg Config) *Controller {
 	if c.observer == nil {
 		c.observer = obs.Default
 	}
-	c.observer.Gauge("admission_state").Set(int64(StateServing))
+	c.observer.Gauge("admission_state").Set(int64(stateServing))
 	return c
 }
 
-// State returns the current lifecycle state.
-func (c *Controller) State() State {
+// lifecycle returns the current lifecycle state.
+func (c *Controller) lifecycle() state {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.state
@@ -146,7 +140,7 @@ func (c *Controller) State() State {
 // state name otherwise, so health-checking pools eject a draining
 // endpoint before it stops answering.
 func (c *Controller) HealthStatus() string {
-	if s := c.State(); s != StateServing {
+	if s := c.lifecycle(); s != stateServing {
 		return s.String()
 	}
 	return "ok"
@@ -184,15 +178,15 @@ func busy(reason string, retryAfter time.Duration) *rejection {
 // retryable failure: breakers count it, so client pools eject a
 // draining endpoint from the rotation instead of politely waiting for a
 // capacity that will never return.
-func draining(state State, retryAfter time.Duration) *rejection {
+func draining(s state, retryAfter time.Duration) *rejection {
 	return &rejection{
 		fault: &soap.Fault{
 			Code:   "soap:Server.Draining",
 			String: "ServerDraining",
-			Detail: "admission: host is " + state.String(),
+			Detail: "admission: host is " + s.String(),
 		},
 		retryAfter: retryAfter,
-		reason:     state.String(),
+		reason:     s.String(),
 	}
 }
 
@@ -202,7 +196,7 @@ func draining(state State, retryAfter time.Duration) *rejection {
 func (c *Controller) estimateWait(ahead int64) time.Duration {
 	ewma := time.Duration(c.ewmaNS.Load())
 	if ewma <= 0 {
-		return c.cfg.defaultRetryAfter()
+		return defaultRetryAfter
 	}
 	waves := (ahead + int64(c.cfg.maxInFlight())) / int64(c.cfg.maxInFlight())
 	return ewma * time.Duration(waves)
@@ -227,7 +221,7 @@ func (c *Controller) recordServiceTime(d time.Duration) {
 // bounds. It returns a release function on success, or the rejection to
 // send. The request context must already carry any propagated deadline.
 func (c *Controller) admit(ctx context.Context) (func(), *rejection) {
-	if s := c.State(); s != StateServing {
+	if s := c.lifecycle(); s != stateServing {
 		return nil, draining(s, c.estimateWait(0))
 	}
 	select {
@@ -241,7 +235,7 @@ func (c *Controller) admit(ctx context.Context) (func(), *rejection) {
 	// Slot held; register the in-flight request unless a drain won the
 	// race between the state check above and slot acquisition.
 	c.mu.Lock()
-	if c.state != StateServing {
+	if c.state != stateServing {
 		s := c.state
 		c.mu.Unlock()
 		<-c.sem
@@ -267,7 +261,7 @@ func (c *Controller) admit(ctx context.Context) (func(), *rejection) {
 			c.mu.Lock()
 			c.inflight--
 			c.observer.Gauge("admission_inflight").Set(int64(c.inflight))
-			if c.state == StateDraining {
+			if c.state == stateDraining {
 				c.observer.Counter("admission_drained_total").Inc()
 			}
 			c.mu.Unlock()
@@ -315,7 +309,7 @@ func (c *Controller) enqueue(ctx context.Context) *rejection {
 		}
 	case <-c.drainCh:
 		dequeue()
-		return draining(StateDraining, 0)
+		return draining(stateDraining, 0)
 	}
 }
 
@@ -324,15 +318,15 @@ func (c *Controller) enqueue(ctx context.Context) *rejection {
 // run to completion. It is idempotent and safe before/after Stop.
 func (c *Controller) BeginDrain() {
 	c.mu.Lock()
-	if c.state != StateServing {
+	if c.state != stateServing {
 		c.mu.Unlock()
 		return
 	}
-	c.state = StateDraining
+	c.state = stateDraining
 	inflight := c.inflight
 	close(c.drainCh)
 	c.mu.Unlock()
-	c.observer.Gauge("admission_state").Set(int64(StateDraining))
+	c.observer.Gauge("admission_state").Set(int64(stateDraining))
 	admLog.Info(nil, "drain_begin", "inflight", fmt.Sprint(inflight))
 }
 
@@ -364,9 +358,9 @@ func (c *Controller) Drain(ctx context.Context) error {
 func (c *Controller) Stop() {
 	c.BeginDrain()
 	c.mu.Lock()
-	c.state = StateStopped
+	c.state = stateStopped
 	c.mu.Unlock()
-	c.observer.Gauge("admission_state").Set(int64(StateStopped))
+	c.observer.Gauge("admission_state").Set(int64(stateStopped))
 }
 
 // Wrap returns next behind the admission policy. Only POST requests (the

@@ -313,6 +313,30 @@ func TestRetryAfterHonored(t *testing.T) {
 	}
 }
 
+// TestDefaultRetryAfterBeforeService: before any request has completed
+// there is no service time to estimate from, so a rejection hints
+// defaultRetryAfter; after one has, the hint follows the service time.
+func TestDefaultRetryAfterBeforeService(t *testing.T) {
+	c := NewController(Config{MaxInFlight: 1, MaxQueue: -1, Observer: obs.NewRegistry()})
+	done, rej := c.admit(context.Background())
+	if rej != nil {
+		t.Fatalf("first request rejected: %v", rej.reason)
+	}
+	if _, rej := c.admit(context.Background()); rej == nil || rej.retryAfter != defaultRetryAfter {
+		t.Fatalf("rejection before any service time = %+v, want a %v hint", rej, defaultRetryAfter)
+	}
+	time.Sleep(2 * time.Millisecond)
+	done()
+	done, rej = c.admit(context.Background())
+	if rej != nil {
+		t.Fatalf("request after a freed slot rejected: %v", rej.reason)
+	}
+	defer done()
+	if _, rej := c.admit(context.Background()); rej == nil || rej.retryAfter == defaultRetryAfter || rej.retryAfter <= 0 {
+		t.Fatalf("rejection after one served request = %+v, want a hint from its service time", rej)
+	}
+}
+
 // TestDrainLeaksNoGoroutines is the leak gate verify.sh relies on: a
 // flood followed by a full drain must return the process to its
 // pre-flood goroutine count.

@@ -37,7 +37,7 @@ func newFamily(all []string, build func(string) (any, error)) family {
 var families = []family{
 	newFamily(classify.Names(), func(n string) (any, error) { return classify.New(n) }),
 	newFamily(cluster.Names(), func(n string) (any, error) { return cluster.New(n) }),
-	newFamily(regress.Names(), func(n string) (any, error) { return regress.New(n) }),
+	newFamily(regress.Registry.Names(), func(n string) (any, error) { return regress.Registry.New(n) }),
 }
 
 // TestOptionsRejectNonFinite: no option of any registered algorithm takes

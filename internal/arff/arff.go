@@ -184,8 +184,8 @@ func unescape(s string) string {
 	return b.String()
 }
 
-// Write renders d as an ARFF document.
-func Write(w io.Writer, d *dataset.Dataset) error {
+// write renders d as an ARFF document.
+func write(w io.Writer, d *dataset.Dataset) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "@relation %s\n\n", quoteToken(d.Relation))
 	for _, a := range d.Attrs {
@@ -207,7 +207,7 @@ func Write(w io.Writer, d *dataset.Dataset) error {
 // Format renders d as an ARFF string.
 func Format(d *dataset.Dataset) string {
 	var b strings.Builder
-	_ = Write(&b, d)
+	_ = write(&b, d)
 	return b.String()
 }
 

@@ -146,7 +146,7 @@ func (ap *Apriori) Mine(transactions [][]string) ([]Rule, error) {
 		sort.Slice(level, func(i, j int) bool { return lessItems(level[i].Items, level[j].Items) })
 		ap.frequent = append(ap.frequent, level...)
 	}
-	return DeriveRules(ap.frequent, ap.ItemName, len(ap.trans), ap.MinConfidence), nil
+	return deriveRules(ap.frequent, ap.ItemName, len(ap.trans), ap.MinConfidence), nil
 }
 
 // FrequentItemsets returns the mined itemsets (after Mine).

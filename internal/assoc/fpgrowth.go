@@ -126,7 +126,7 @@ func (fp *FPGrowth) Mine(transactions [][]string) ([]Rule, error) {
 		}
 		return lessItems(a, b)
 	})
-	rules := DeriveRules(fp.frequent, func(id int) string { return fp.items[id] },
+	rules := deriveRules(fp.frequent, func(id int) string { return fp.items[id] },
 		fp.nTrans, fp.MinConfidence)
 	return rules, nil
 }
@@ -219,12 +219,9 @@ func (fp *FPGrowth) mineTree(header []*fpNode, order []int, rank map[int]int, su
 // FrequentItemsets returns the mined itemsets (after Mine).
 func (fp *FPGrowth) FrequentItemsets() []Itemset { return fp.frequent }
 
-// ItemName resolves an item ID.
-func (fp *FPGrowth) ItemName(id int) string { return fp.items[id] }
-
-// DeriveRules generates all rules meeting minConfidence from a complete set
+// deriveRules generates all rules meeting minConfidence from a complete set
 // of frequent itemsets (shared by the Apriori and FP-growth miners).
-func DeriveRules(itemsets []Itemset, name func(int) string, nTrans int, minConfidence float64) []Rule {
+func deriveRules(itemsets []Itemset, name func(int) string, nTrans int, minConfidence float64) []Rule {
 	supports := map[string]int{}
 	for _, is := range itemsets {
 		supports[key(is.Items)] = is.Support

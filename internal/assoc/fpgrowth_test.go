@@ -42,7 +42,7 @@ func TestFPGrowthEquivalentToApriori(t *testing.T) {
 			return false
 		}
 		a := itemsetSet(ap.FrequentItemsets(), ap.ItemName)
-		b := itemsetSet(fp.FrequentItemsets(), fp.ItemName)
+		b := itemsetSet(fp.FrequentItemsets(), func(id int) string { return fp.items[id] })
 		if len(a) != len(b) {
 			return false
 		}
@@ -102,7 +102,7 @@ func TestFPGrowthBasics(t *testing.T) {
 	if _, err := fp.Mine(trans); err != nil {
 		t.Fatal(err)
 	}
-	sets := itemsetSet(fp.FrequentItemsets(), fp.ItemName)
+	sets := itemsetSet(fp.FrequentItemsets(), func(id int) string { return fp.items[id] })
 	if sets["[bread]"] != 3 || sets["[milk]"] != 3 || sets["[bread milk]"] != 2 {
 		t.Fatalf("itemsets = %v", sets)
 	}

@@ -37,7 +37,7 @@ func TestRankersPutNodeCapsFirst(t *testing.T) {
 
 func TestReliefFFindsSignal(t *testing.T) {
 	d := datagen.BreastCancer()
-	ev := &ReliefF{Samples: 60, Seed: 1}
+	ev := &reliefF{Samples: 60, Seed: 1}
 	r, err := RankAttributes(ev, d)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestReliefFFindsSignal(t *testing.T) {
 
 func TestCorrelationNumeric(t *testing.T) {
 	d := datagen.GaussianClusters(2, 200, 2, 8, 3)
-	ev := &Correlation{}
+	ev := &correlation{}
 	r, err := RankAttributes(ev, d)
 	if err != nil {
 		t.Fatal(err)
@@ -88,8 +88,8 @@ func TestGeneticSearchSelectsNodeCaps(t *testing.T) {
 
 func TestSearchesAgreeOnStrongSignal(t *testing.T) {
 	d := datagen.BreastCancer()
-	for _, s := range []Search{GreedyForward{}, BestFirst{MaxStale: 5},
-		GeneticSearch{Seed: 3}, RandomSearch{Trials: 60, Seed: 3}} {
+	for _, s := range []Search{greedyForward{}, BestFirst{MaxStale: 5},
+		GeneticSearch{Seed: 3}, randomSearch{Trials: 60, Seed: 3}} {
 		ev := &CFS{}
 		cols, err := s.Search(ev, d)
 		if err != nil {
@@ -114,7 +114,7 @@ func TestSearchesAgreeOnStrongSignal(t *testing.T) {
 func TestGreedyBackwardKeepsMerit(t *testing.T) {
 	d := datagen.BreastCancer()
 	ev := &CFS{}
-	cols, err := GreedyBackward{}.Search(ev, d)
+	cols, err := greedyBackward{}.Search(ev, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestGreedyBackwardKeepsMerit(t *testing.T) {
 func TestExhaustiveOnSmallData(t *testing.T) {
 	d := datagen.Weather()
 	ev := &CFS{}
-	cols, err := Exhaustive{}.Search(ev, d)
+	cols, err := exhaustive{}.Search(ev, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +160,14 @@ func TestExhaustiveOnSmallData(t *testing.T) {
 
 func TestExhaustiveGuardsWidth(t *testing.T) {
 	d := datagen.RandomNominal(10, 25, 2, 0, 1)
-	if _, err := (Exhaustive{}).Search(&Consistency{}, d); err == nil {
+	if _, err := (exhaustive{}).Search(&consistency{}, d); err == nil {
 		t.Fatal("25-attribute exhaustive search accepted")
 	}
 }
 
 func TestWrapperEvaluator(t *testing.T) {
 	d := datagen.BreastCancer()
-	w := &Wrapper{Folds: 3, Seed: 1}
+	w := &wrapper{Folds: 3, Seed: 1}
 	if err := w.Prepare(d); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestWrapperEvaluator(t *testing.T) {
 
 func TestConsistencyEvaluator(t *testing.T) {
 	d := datagen.ContactLenses()
-	c := &Consistency{}
+	c := &consistency{}
 	if err := c.Prepare(d); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestFactories(t *testing.T) {
 
 func TestRankerAdapterPrefersSmallSubsets(t *testing.T) {
 	d := datagen.BreastCancer()
-	ra := &RankerAdapter{Inner: &InfoGain{}}
+	ra := &rankerAdapter{Inner: &infoGain{}}
 	if err := ra.Prepare(d); err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestEvaluatorRequiresNominalClass(t *testing.T) {
 	d := dataset.New("r", dataset.NewNumericAttribute("x"), dataset.NewNumericAttribute("y"))
 	d.ClassIndex = 1
 	d.MustAdd(dataset.NewInstance([]float64{1, 2}))
-	ev := &InfoGain{}
+	ev := &infoGain{}
 	if err := ev.Prepare(d); err != nil {
 		t.Skip("Prepare rejects early")
 	}
@@ -353,7 +353,7 @@ func TestEvaluatorsOnNumericData(t *testing.T) {
 
 func TestWrapperDefaultFactory(t *testing.T) {
 	d := datagen.Weather()
-	w := &Wrapper{}
+	w := &wrapper{}
 	if err := w.Prepare(d); err != nil {
 		t.Fatal(err)
 	}

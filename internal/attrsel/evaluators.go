@@ -137,17 +137,17 @@ func sum(xs []float64) float64 {
 
 // ---------- single-attribute evaluators ----------
 
-// InfoGain ranks attributes by information gain.
-type InfoGain struct{ d *dataset.Dataset }
+// infoGain ranks attributes by information gain.
+type infoGain struct{ d *dataset.Dataset }
 
 // Name implements AttributeEvaluator.
-func (e *InfoGain) Name() string { return "InfoGain" }
+func (e *infoGain) Name() string { return "InfoGain" }
 
 // Prepare implements AttributeEvaluator.
-func (e *InfoGain) Prepare(d *dataset.Dataset) error { e.d = d; return nil }
+func (e *infoGain) Prepare(d *dataset.Dataset) error { e.d = d; return nil }
 
 // Evaluate implements AttributeEvaluator.
-func (e *InfoGain) Evaluate(col int) (float64, error) {
+func (e *infoGain) Evaluate(col int) (float64, error) {
 	tbl, err := contingency(e.d, col)
 	if err != nil {
 		return 0, err
@@ -156,17 +156,17 @@ func (e *InfoGain) Evaluate(col int) (float64, error) {
 	return g, nil
 }
 
-// GainRatio ranks attributes by C4.5's gain ratio.
-type GainRatio struct{ d *dataset.Dataset }
+// gainRatio ranks attributes by C4.5's gain ratio.
+type gainRatio struct{ d *dataset.Dataset }
 
 // Name implements AttributeEvaluator.
-func (e *GainRatio) Name() string { return "GainRatio" }
+func (e *gainRatio) Name() string { return "GainRatio" }
 
 // Prepare implements AttributeEvaluator.
-func (e *GainRatio) Prepare(d *dataset.Dataset) error { e.d = d; return nil }
+func (e *gainRatio) Prepare(d *dataset.Dataset) error { e.d = d; return nil }
 
 // Evaluate implements AttributeEvaluator.
-func (e *GainRatio) Evaluate(col int) (float64, error) {
+func (e *gainRatio) Evaluate(col int) (float64, error) {
 	tbl, err := contingency(e.d, col)
 	if err != nil {
 		return 0, err
@@ -178,17 +178,17 @@ func (e *GainRatio) Evaluate(col int) (float64, error) {
 	return g / si, nil
 }
 
-// SymmetricalUncertainty ranks attributes by 2*gain/(H(A)+H(C)).
-type SymmetricalUncertainty struct{ d *dataset.Dataset }
+// symmetricalUncertainty ranks attributes by 2*gain/(H(A)+H(C)).
+type symmetricalUncertainty struct{ d *dataset.Dataset }
 
 // Name implements AttributeEvaluator.
-func (e *SymmetricalUncertainty) Name() string { return "SymmetricalUncertainty" }
+func (e *symmetricalUncertainty) Name() string { return "SymmetricalUncertainty" }
 
 // Prepare implements AttributeEvaluator.
-func (e *SymmetricalUncertainty) Prepare(d *dataset.Dataset) error { e.d = d; return nil }
+func (e *symmetricalUncertainty) Prepare(d *dataset.Dataset) error { e.d = d; return nil }
 
 // Evaluate implements AttributeEvaluator.
-func (e *SymmetricalUncertainty) Evaluate(col int) (float64, error) {
+func (e *symmetricalUncertainty) Evaluate(col int) (float64, error) {
 	tbl, err := contingency(e.d, col)
 	if err != nil {
 		return 0, err
@@ -200,18 +200,18 @@ func (e *SymmetricalUncertainty) Evaluate(col int) (float64, error) {
 	return 2 * g / (attrH + classH), nil
 }
 
-// ChiSquared ranks attributes by the chi-squared statistic of their
+// chiSquared ranks attributes by the chi-squared statistic of their
 // contingency table with the class.
-type ChiSquared struct{ d *dataset.Dataset }
+type chiSquared struct{ d *dataset.Dataset }
 
 // Name implements AttributeEvaluator.
-func (e *ChiSquared) Name() string { return "ChiSquared" }
+func (e *chiSquared) Name() string { return "ChiSquared" }
 
 // Prepare implements AttributeEvaluator.
-func (e *ChiSquared) Prepare(d *dataset.Dataset) error { e.d = d; return nil }
+func (e *chiSquared) Prepare(d *dataset.Dataset) error { e.d = d; return nil }
 
 // Evaluate implements AttributeEvaluator.
-func (e *ChiSquared) Evaluate(col int) (float64, error) {
+func (e *chiSquared) Evaluate(col int) (float64, error) {
 	tbl, err := contingency(e.d, col)
 	if err != nil {
 		return 0, err
@@ -243,18 +243,18 @@ func (e *ChiSquared) Evaluate(col int) (float64, error) {
 	return chi, nil
 }
 
-// OneRAccuracy scores an attribute by the training accuracy of a OneR rule
+// oneRAccuracy scores an attribute by the training accuracy of a OneR rule
 // built on it alone.
-type OneRAccuracy struct{ d *dataset.Dataset }
+type oneRAccuracy struct{ d *dataset.Dataset }
 
 // Name implements AttributeEvaluator.
-func (e *OneRAccuracy) Name() string { return "OneRAccuracy" }
+func (e *oneRAccuracy) Name() string { return "OneRAccuracy" }
 
 // Prepare implements AttributeEvaluator.
-func (e *OneRAccuracy) Prepare(d *dataset.Dataset) error { e.d = d; return nil }
+func (e *oneRAccuracy) Prepare(d *dataset.Dataset) error { e.d = d; return nil }
 
 // Evaluate implements AttributeEvaluator.
-func (e *OneRAccuracy) Evaluate(col int) (float64, error) {
+func (e *oneRAccuracy) Evaluate(col int) (float64, error) {
 	proj, err := e.d.Project([]int{col, e.d.ClassIndex})
 	if err != nil {
 		return 0, err
@@ -276,26 +276,26 @@ func (e *OneRAccuracy) Evaluate(col int) (float64, error) {
 	return ev.Accuracy(), nil
 }
 
-// Correlation scores numeric attributes by |Pearson correlation| with the
+// correlation scores numeric attributes by |Pearson correlation| with the
 // class index treated as a numeric target (nominal attributes score by
 // symmetric uncertainty instead).
-type Correlation struct {
+type correlation struct {
 	d  *dataset.Dataset
-	su *SymmetricalUncertainty
+	su *symmetricalUncertainty
 }
 
 // Name implements AttributeEvaluator.
-func (e *Correlation) Name() string { return "Correlation" }
+func (e *correlation) Name() string { return "Correlation" }
 
 // Prepare implements AttributeEvaluator.
-func (e *Correlation) Prepare(d *dataset.Dataset) error {
+func (e *correlation) Prepare(d *dataset.Dataset) error {
 	e.d = d
-	e.su = &SymmetricalUncertainty{}
+	e.su = &symmetricalUncertainty{}
 	return e.su.Prepare(d)
 }
 
 // Evaluate implements AttributeEvaluator.
-func (e *Correlation) Evaluate(col int) (float64, error) {
+func (e *correlation) Evaluate(col int) (float64, error) {
 	if !e.d.Attrs[col].IsNumeric() {
 		return e.su.Evaluate(col)
 	}
@@ -324,10 +324,10 @@ func (e *Correlation) Evaluate(col int) (float64, error) {
 	return math.Abs(cov / math.Sqrt(vx*vy)), nil
 }
 
-// ReliefF estimates attribute relevance by contrasting each sampled
+// reliefF estimates attribute relevance by contrasting each sampled
 // instance's K nearest hits and K nearest misses per class (Kononenko's
 // ReliefF; K defaults to 5).
-type ReliefF struct {
+type reliefF struct {
 	Samples int
 	K       int
 	Seed    int64
@@ -337,10 +337,10 @@ type ReliefF struct {
 }
 
 // Name implements AttributeEvaluator.
-func (e *ReliefF) Name() string { return "ReliefF" }
+func (e *reliefF) Name() string { return "ReliefF" }
 
 // Prepare implements AttributeEvaluator.
-func (e *ReliefF) Prepare(d *dataset.Dataset) error {
+func (e *reliefF) Prepare(d *dataset.Dataset) error {
 	if d.NumClasses() == 0 {
 		return fmt.Errorf("attrsel: ReliefF needs a nominal class")
 	}
@@ -374,7 +374,7 @@ func (e *ReliefF) Prepare(d *dataset.Dataset) error {
 }
 
 // diff is ReliefF's per-attribute difference in [0,1].
-func (e *ReliefF) diff(col int, a, b *dataset.Instance) float64 {
+func (e *reliefF) diff(col int, a, b *dataset.Instance) float64 {
 	av, bv := a.Values[col], b.Values[col]
 	if dataset.IsMissing(av) || dataset.IsMissing(bv) {
 		return 1
@@ -391,7 +391,7 @@ func (e *ReliefF) diff(col int, a, b *dataset.Instance) float64 {
 	return 0
 }
 
-func (e *ReliefF) distance(a, b *dataset.Instance) float64 {
+func (e *reliefF) distance(a, b *dataset.Instance) float64 {
 	var s float64
 	for col := range e.d.Attrs {
 		if col == e.d.ClassIndex {
@@ -403,7 +403,7 @@ func (e *ReliefF) distance(a, b *dataset.Instance) float64 {
 }
 
 // Evaluate implements AttributeEvaluator.
-func (e *ReliefF) Evaluate(col int) (float64, error) {
+func (e *reliefF) Evaluate(col int) (float64, error) {
 	rng := rand.New(rand.NewSource(e.Seed + 1))
 	n := e.d.NumInstances()
 	samples := e.Samples

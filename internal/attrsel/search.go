@@ -94,17 +94,17 @@ func evalSubsets(eval SubsetEvaluator, sets [][]int) ([]float64, error) {
 	return merits, nil
 }
 
-// GreedyForward adds the best attribute until no addition improves merit.
+// greedyForward adds the best attribute until no addition improves merit.
 // Each round's candidate evaluations run in parallel; the winner is
 // picked in column order afterwards, so the selected subset is identical
 // at any GOMAXPROCS.
-type GreedyForward struct{}
+type greedyForward struct{}
 
 // Name implements Search.
-func (GreedyForward) Name() string { return "GreedyStepwise(forward)" }
+func (greedyForward) Name() string { return "GreedyStepwise(forward)" }
 
 // Search implements Search.
-func (GreedyForward) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
+func (greedyForward) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
 	if err := eval.Prepare(d); err != nil {
 		return nil, err
 	}
@@ -143,18 +143,18 @@ func (GreedyForward) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, er
 	return current, nil
 }
 
-// GreedyBackward starts from the full set and removes attributes while
+// greedyBackward starts from the full set and removes attributes while
 // removal does not hurt merit. Each round's removal trials run in
 // parallel with the pick reduced in index order afterwards, so later
 // indices still win ties exactly as the sequential loop's >= comparison
 // did.
-type GreedyBackward struct{}
+type greedyBackward struct{}
 
 // Name implements Search.
-func (GreedyBackward) Name() string { return "GreedyStepwise(backward)" }
+func (greedyBackward) Name() string { return "GreedyStepwise(backward)" }
 
 // Search implements Search.
-func (GreedyBackward) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
+func (greedyBackward) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
 	if err := eval.Prepare(d); err != nil {
 		return nil, err
 	}
@@ -286,21 +286,21 @@ func containsInt(xs []int, v int) bool {
 	return false
 }
 
-// RandomSearch samples random subsets and keeps the best. All trial
+// randomSearch samples random subsets and keeps the best. All trial
 // subsets are drawn from the seeded rng up front (so the random stream is
 // untouched by scheduling), scored in parallel, and reduced in trial
 // order — the selected subset is the one the sequential scan would have
 // kept.
-type RandomSearch struct {
+type randomSearch struct {
 	Trials int
 	Seed   int64
 }
 
 // Name implements Search.
-func (RandomSearch) Name() string { return "RandomSearch" }
+func (randomSearch) Name() string { return "RandomSearch" }
 
 // Search implements Search.
-func (r RandomSearch) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
+func (r randomSearch) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
 	if err := eval.Prepare(d); err != nil {
 		return nil, err
 	}
@@ -337,18 +337,18 @@ func (r RandomSearch) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, e
 	return bestSet, nil
 }
 
-// Exhaustive enumerates every non-empty subset (guarded to <= 20 columns).
+// exhaustive enumerates every non-empty subset (guarded to <= 20 columns).
 // Masks are scored in parallel in fixed-size chunks and reduced in
 // ascending mask order, preserving the sequential tie-break (equal merit
 // keeps the earlier, smaller subset) while bounding memory to one chunk
 // of candidate slices.
-type Exhaustive struct{}
+type exhaustive struct{}
 
 // Name implements Search.
-func (Exhaustive) Name() string { return "Exhaustive" }
+func (exhaustive) Name() string { return "Exhaustive" }
 
 // Search implements Search.
-func (Exhaustive) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
+func (exhaustive) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
 	if err := eval.Prepare(d); err != nil {
 		return nil, err
 	}
@@ -554,17 +554,17 @@ func NewSubsetEvaluator(name string) (SubsetEvaluator, error) {
 	case "CfsSubset":
 		return &CFS{}, nil
 	case "ConsistencySubset":
-		return &Consistency{}, nil
+		return &consistency{}, nil
 	case "WrapperSubset":
-		return &Wrapper{}, nil
+		return &wrapper{}, nil
 	case "InfoGain+mean":
-		return &RankerAdapter{Inner: &InfoGain{}}, nil
+		return &rankerAdapter{Inner: &infoGain{}}, nil
 	case "GainRatio+mean":
-		return &RankerAdapter{Inner: &GainRatio{}}, nil
+		return &rankerAdapter{Inner: &gainRatio{}}, nil
 	case "SymmetricalUncertainty+mean":
-		return &RankerAdapter{Inner: &SymmetricalUncertainty{}}, nil
+		return &rankerAdapter{Inner: &symmetricalUncertainty{}}, nil
 	case "ChiSquared+mean":
-		return &RankerAdapter{Inner: &ChiSquared{}}, nil
+		return &rankerAdapter{Inner: &chiSquared{}}, nil
 	default:
 		return nil, fmt.Errorf("attrsel: unknown subset evaluator %q", name)
 	}
@@ -574,19 +574,19 @@ func NewSubsetEvaluator(name string) (SubsetEvaluator, error) {
 func NewAttributeEvaluator(name string) (AttributeEvaluator, error) {
 	switch name {
 	case "InfoGain":
-		return &InfoGain{}, nil
+		return &infoGain{}, nil
 	case "GainRatio":
-		return &GainRatio{}, nil
+		return &gainRatio{}, nil
 	case "SymmetricalUncertainty":
-		return &SymmetricalUncertainty{}, nil
+		return &symmetricalUncertainty{}, nil
 	case "ChiSquared":
-		return &ChiSquared{}, nil
+		return &chiSquared{}, nil
 	case "OneRAccuracy":
-		return &OneRAccuracy{}, nil
+		return &oneRAccuracy{}, nil
 	case "Correlation":
-		return &Correlation{}, nil
+		return &correlation{}, nil
 	case "ReliefF":
-		return &ReliefF{}, nil
+		return &reliefF{}, nil
 	default:
 		return nil, fmt.Errorf("attrsel: unknown attribute evaluator %q", name)
 	}
@@ -598,15 +598,15 @@ func NewSearch(name string) (Search, error) {
 	case "BestFirst":
 		return BestFirst{}, nil
 	case "GreedyStepwise(forward)":
-		return GreedyForward{}, nil
+		return greedyForward{}, nil
 	case "GreedyStepwise(backward)":
-		return GreedyBackward{}, nil
+		return greedyBackward{}, nil
 	case "GeneticSearch":
 		return GeneticSearch{}, nil
 	case "RandomSearch":
-		return RandomSearch{}, nil
+		return randomSearch{}, nil
 	case "Exhaustive":
-		return Exhaustive{}, nil
+		return exhaustive{}, nil
 	default:
 		return nil, fmt.Errorf("attrsel: unknown search %q", name)
 	}

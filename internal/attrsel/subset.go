@@ -32,7 +32,7 @@ func (e *CFS) Prepare(d *dataset.Dataset) error {
 		return fmt.Errorf("attrsel: CFS needs a nominal class")
 	}
 	e.d = d
-	su := &SymmetricalUncertainty{}
+	su := &symmetricalUncertainty{}
 	if err := su.Prepare(d); err != nil {
 		return err
 	}
@@ -115,9 +115,9 @@ func (e *CFS) EvaluateSubset(cols []int) (float64, error) {
 // Nominal-class contingency over an attribute pair is computed against
 // an explicit class column (contingencyWith); see attrPairSU.
 
-// Wrapper evaluates subsets by the cross-validated accuracy of a classifier
+// wrapper evaluates subsets by the cross-validated accuracy of a classifier
 // trained on the projected dataset.
-type Wrapper struct {
+type wrapper struct {
 	// Factory builds the wrapped classifier; defaults to NaiveBayes.
 	Factory classify.Factory
 	// Folds for the inner cross-validation (default 3).
@@ -128,10 +128,10 @@ type Wrapper struct {
 }
 
 // Name implements SubsetEvaluator.
-func (e *Wrapper) Name() string { return "WrapperSubset" }
+func (e *wrapper) Name() string { return "WrapperSubset" }
 
 // Prepare implements SubsetEvaluator.
-func (e *Wrapper) Prepare(d *dataset.Dataset) error {
+func (e *wrapper) Prepare(d *dataset.Dataset) error {
 	if d.NumClasses() == 0 {
 		return fmt.Errorf("attrsel: Wrapper needs a nominal class")
 	}
@@ -146,7 +146,7 @@ func (e *Wrapper) Prepare(d *dataset.Dataset) error {
 }
 
 // EvaluateSubset implements SubsetEvaluator.
-func (e *Wrapper) EvaluateSubset(cols []int) (float64, error) {
+func (e *wrapper) EvaluateSubset(cols []int) (float64, error) {
 	if len(cols) == 0 {
 		return 0, nil
 	}
@@ -161,18 +161,18 @@ func (e *Wrapper) EvaluateSubset(cols []int) (float64, error) {
 	return ev.Accuracy(), nil
 }
 
-// Consistency scores a subset by the fraction of instance weight whose
+// consistency scores a subset by the fraction of instance weight whose
 // class equals the majority class of its attribute-value pattern (Liu &
 // Setiono's consistency measure).
-type Consistency struct {
+type consistency struct {
 	d *dataset.Dataset
 }
 
 // Name implements SubsetEvaluator.
-func (e *Consistency) Name() string { return "ConsistencySubset" }
+func (e *consistency) Name() string { return "ConsistencySubset" }
 
 // Prepare implements SubsetEvaluator.
-func (e *Consistency) Prepare(d *dataset.Dataset) error {
+func (e *consistency) Prepare(d *dataset.Dataset) error {
 	if d.NumClasses() == 0 {
 		return fmt.Errorf("attrsel: Consistency needs a nominal class")
 	}
@@ -181,7 +181,7 @@ func (e *Consistency) Prepare(d *dataset.Dataset) error {
 }
 
 // EvaluateSubset implements SubsetEvaluator.
-func (e *Consistency) EvaluateSubset(cols []int) (float64, error) {
+func (e *consistency) EvaluateSubset(cols []int) (float64, error) {
 	if len(cols) == 0 {
 		return 0, nil
 	}
@@ -246,10 +246,10 @@ func appendInt(b []byte, v int) []byte {
 	return append(b, tmp[i:]...)
 }
 
-// RankerAdapter lifts a single-attribute evaluator into a subset evaluator
+// rankerAdapter lifts a single-attribute evaluator into a subset evaluator
 // whose merit is the mean per-attribute merit minus a redundancy-free size
 // penalty; it lets every ranking evaluator drive every subset search.
-type RankerAdapter struct {
+type rankerAdapter struct {
 	Inner AttributeEvaluator
 	// SizePenalty is subtracted per attribute (default 0.001) to prefer
 	// smaller subsets at equal mean merit.
@@ -257,10 +257,10 @@ type RankerAdapter struct {
 }
 
 // Name implements SubsetEvaluator.
-func (e *RankerAdapter) Name() string { return e.Inner.Name() + "+mean" }
+func (e *rankerAdapter) Name() string { return e.Inner.Name() + "+mean" }
 
 // Prepare implements SubsetEvaluator.
-func (e *RankerAdapter) Prepare(d *dataset.Dataset) error {
+func (e *rankerAdapter) Prepare(d *dataset.Dataset) error {
 	if e.SizePenalty == 0 {
 		e.SizePenalty = 0.001
 	}
@@ -268,7 +268,7 @@ func (e *RankerAdapter) Prepare(d *dataset.Dataset) error {
 }
 
 // EvaluateSubset implements SubsetEvaluator.
-func (e *RankerAdapter) EvaluateSubset(cols []int) (float64, error) {
+func (e *rankerAdapter) EvaluateSubset(cols []int) (float64, error) {
 	if len(cols) == 0 {
 		return 0, nil
 	}

@@ -397,11 +397,3 @@ func (c Codec) F64Rows(p *[][]float64, width int) {
 		}
 	}
 }
-
-// Ints codes a list of non-negative ints below 1<<31.
-func (c Codec) Ints(p *[]int) {
-	List(c, p, 1)
-	for i := range *p {
-		c.Int(&(*p)[i])
-	}
-}

@@ -29,10 +29,10 @@ import (
 	"repro/internal/soap"
 )
 
-// HeaderName is the per-request override header: its value is a single
+// headerName is the per-request override header: its value is a single
 // rule in the -chaos syntax (e.g. "fault=1" or "latency=200ms") applied
 // to that request only, regardless of configured rules.
-const HeaderName = "X-DM-Chaos"
+const headerName = "X-DM-Chaos"
 
 // Rule is one fault-injection rule. Rates are probabilities in [0, 1];
 // a rate >= 1 always fires. Checks run in the order latency → drop →
@@ -54,9 +54,9 @@ type Rule struct {
 	TruncateRate float64
 }
 
-// ParseRule parses the "key=value,key=value" rule syntax: op=<name>,
+// parseRule parses the "key=value,key=value" rule syntax: op=<name>,
 // latency=<duration>, fault=<rate>, drop=<rate>, truncate=<rate>.
-func ParseRule(s string) (Rule, error) {
+func parseRule(s string) (Rule, error) {
 	var r Rule
 	for _, field := range strings.Split(s, ",") {
 		field = strings.TrimSpace(field)
@@ -105,7 +105,7 @@ func ParseRules(s string) ([]Rule, error) {
 		if strings.TrimSpace(part) == "" {
 			continue
 		}
-		r, err := ParseRule(part)
+		r, err := parseRule(part)
 		if err != nil {
 			return nil, err
 		}
@@ -185,11 +185,11 @@ func (inj *Injector) headerAllowed(r *http.Request) bool {
 // otherwise the first configured rule whose Op matches the request's
 // SOAPAction.
 func (inj *Injector) ruleFor(r *http.Request) (Rule, bool) {
-	if h := r.Header.Get(HeaderName); h != "" {
+	if h := r.Header.Get(headerName); h != "" {
 		if !inj.headerAllowed(r) {
 			inj.obsReg().Counter("chaos_header_denied_total").Inc()
 			chaosLog.Warn(r.Context(), "header_denied", "peer", r.RemoteAddr)
-		} else if rule, err := ParseRule(h); err == nil {
+		} else if rule, err := parseRule(h); err == nil {
 			return rule, true
 		} else {
 			chaosLog.Warn(r.Context(), "bad_header", "value", h, "err", err)

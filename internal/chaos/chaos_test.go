@@ -14,7 +14,7 @@ import (
 )
 
 func TestParseRule(t *testing.T) {
-	r, err := ParseRule("op=classifyInstance, latency=200ms, fault=0.5, drop=0.1, truncate=0.25")
+	r, err := parseRule("op=classifyInstance, latency=200ms, fault=0.5, drop=0.1, truncate=0.25")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestParseRule(t *testing.T) {
 		t.Fatalf("rule = %+v, want %+v", r, want)
 	}
 	for _, bad := range []string{"latency=fast", "fault=lots", "fault=-1", "what", "x=1"} {
-		if _, err := ParseRule(bad); err == nil {
+		if _, err := parseRule(bad); err == nil {
 			t.Errorf("ParseRule(%q) accepted", bad)
 		}
 	}
@@ -140,7 +140,7 @@ func TestHeaderOverride(t *testing.T) {
 	}
 	req.Header.Set("Content-Type", "text/xml; charset=utf-8")
 	req.Header.Set("SOAPAction", `"ping"`)
-	req.Header.Set(HeaderName, "fault=1")
+	req.Header.Set(headerName, "fault=1")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

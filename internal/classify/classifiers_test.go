@@ -88,7 +88,7 @@ func TestConfigure(t *testing.T) {
 
 func TestZeroRPredictsMajority(t *testing.T) {
 	d := datagen.BreastCancer() // 201 vs 85
-	z := &ZeroR{}
+	z := &zeroR{}
 	if err := z.Train(d); err != nil {
 		t.Fatal(err)
 	}
@@ -105,41 +105,17 @@ func TestZeroRPredictsMajority(t *testing.T) {
 	}
 }
 
-func TestZeroRIncremental(t *testing.T) {
-	d := datagen.Weather()
-	z := &ZeroR{}
-	if err := z.Begin(d); err != nil {
-		t.Fatal(err)
-	}
-	for _, in := range d.Instances {
-		if err := z.Update(in); err != nil {
-			t.Fatal(err)
-		}
-	}
-	batch := &ZeroR{}
-	if err := batch.Train(d); err != nil {
-		t.Fatal(err)
-	}
-	di, _ := z.Distribution(d.Instances[0])
-	db, _ := batch.Distribution(d.Instances[0])
-	for i := range di {
-		if math.Abs(di[i]-db[i]) > 1e-12 {
-			t.Fatalf("incremental %v != batch %v", di, db)
-		}
-	}
-}
-
 func TestOneRPicksMostPredictiveAttribute(t *testing.T) {
 	d := datagen.BreastCancer()
-	r := &OneR{minBucket: 6}
+	r := &oneR{minBucket: 6}
 	if err := r.Train(d); err != nil {
 		t.Fatal(err)
 	}
 	// node-caps (col 4) and deg-malig (col 5) are the informative columns.
-	if a := r.Attribute(); a != 4 && a != 5 {
+	if a := r.attr; a != 4 && a != 5 {
 		t.Fatalf("OneR chose column %d (%s)", a, d.Attrs[a].Name)
 	}
-	if acc := trainAcc(t, &OneR{minBucket: 6}, d); acc <= 201.0/286 {
+	if acc := trainAcc(t, &oneR{minBucket: 6}, d); acc <= 201.0/286 {
 		t.Fatalf("OneR accuracy %v no better than ZeroR", acc)
 	}
 }
@@ -156,7 +132,7 @@ func TestOneRNumeric(t *testing.T) {
 		}
 		d.MustAdd(dataset.NewInstance([]float64{float64(i), cls}))
 	}
-	r := &OneR{minBucket: 6}
+	r := &oneR{minBucket: 6}
 	if acc := trainAcc(t, r, d); acc != 1 {
 		t.Fatalf("OneR accuracy on linearly separable numeric data = %v", acc)
 	}
@@ -210,8 +186,8 @@ func TestIBkNearestNeighbour(t *testing.T) {
 	if acc := trainAcc(t, k, d); acc != 1 {
 		t.Fatalf("1-NN training accuracy = %v, want 1 (self-match)", acc)
 	}
-	if k.NumCases() != 100 {
-		t.Fatalf("case base = %d", k.NumCases())
+	if len(k.cls) != 100 {
+		t.Fatalf("case base = %d", len(k.cls))
 	}
 	k3 := &IBk{K: 3, DistanceWeight: true}
 	if acc := trainAcc(t, k3, d); acc < 0.97 {
@@ -228,7 +204,7 @@ func TestIBkMixedAttributes(t *testing.T) {
 
 func TestLogisticSeparable(t *testing.T) {
 	d := datagen.GaussianClusters(2, 200, 2, 6, 31)
-	l := &Logistic{Epochs: 50, LearningRate: 0.1, Lambda: 1e-4, Seed: 1}
+	l := &logistic{Epochs: 50, LearningRate: 0.1, Lambda: 1e-4, Seed: 1}
 	if acc := trainAcc(t, l, d); acc < 0.98 {
 		t.Fatalf("logistic on separable data = %v", acc)
 	}
@@ -236,7 +212,7 @@ func TestLogisticSeparable(t *testing.T) {
 
 func TestLogisticMulticlass(t *testing.T) {
 	d := datagen.IrisLike(40, 37)
-	l := &Logistic{Epochs: 80, LearningRate: 0.1, Lambda: 1e-4, Seed: 1}
+	l := &logistic{Epochs: 80, LearningRate: 0.1, Lambda: 1e-4, Seed: 1}
 	if acc := trainAcc(t, l, d); acc < 0.9 {
 		t.Fatalf("logistic on iris-like = %v", acc)
 	}
@@ -258,7 +234,7 @@ func TestMLPLearnsXOR(t *testing.T) {
 		}
 		d.MustAdd(dataset.NewInstance([]float64{a, b, cls}))
 	}
-	m := &MLP{Hidden: 8, LearningRate: 0.5, Momentum: 0.2, Epochs: 600, Seed: 3}
+	m := &mlp{Hidden: 8, LearningRate: 0.5, Momentum: 0.2, Epochs: 600, Seed: 3}
 	if acc := trainAcc(t, m, d); acc != 1 {
 		t.Fatalf("MLP on XOR = %v, want 1.0", acc)
 	}
@@ -267,7 +243,7 @@ func TestMLPLearnsXOR(t *testing.T) {
 func TestMLPOptionsMatchPaper(t *testing.T) {
 	// §4.4: "the number of neurons in the hidden layer, the momentum and
 	// the learning rate" must be exposed as run-time options.
-	m := &MLP{}
+	m := &mlp{}
 	names := map[string]bool{}
 	for _, o := range m.Options() {
 		names[o.Name] = true
@@ -281,21 +257,21 @@ func TestMLPOptionsMatchPaper(t *testing.T) {
 
 func TestDecisionStumpSingleSplit(t *testing.T) {
 	d := datagen.BreastCancer()
-	s := &DecisionStump{}
+	s := &decisionStump{}
 	if err := s.Train(d); err != nil {
 		t.Fatal(err)
 	}
-	if s.Attribute() < 0 {
+	if stumpAttr(s) < 0 {
 		t.Fatal("stump degenerated to a leaf")
 	}
-	if got := d.Attrs[s.Attribute()].Name; got != "node-caps" && got != "deg-malig" {
+	if got := d.Attrs[stumpAttr(s)].Name; got != "node-caps" && got != "deg-malig" {
 		t.Fatalf("stump splits on %q", got)
 	}
 }
 
 func TestRandomTreeAndForest(t *testing.T) {
 	d := datagen.IrisLike(40, 41)
-	rt := &RandomTree{Seed: 1, MinLeaf: 1}
+	rt := &randomTree{Seed: 1, MinLeaf: 1}
 	if acc := trainAcc(t, rt, d); acc < 0.9 {
 		t.Fatalf("RandomTree = %v", acc)
 	}
@@ -329,11 +305,11 @@ func TestBaggingImprovesOverSingleTree(t *testing.T) {
 
 func TestAdaBoostBeatsStump(t *testing.T) {
 	d := datagen.BreastCancer()
-	stumpCV, err := CrossValidateContext(context.Background(), func() Classifier { return &DecisionStump{} }, d, 5, 2)
+	stumpCV, err := CrossValidateContext(context.Background(), func() Classifier { return &decisionStump{} }, d, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	boostCV, err := CrossValidateContext(context.Background(), func() Classifier { return &AdaBoostM1{Rounds: 15, Seed: 2} }, d, 5, 2)
+	boostCV, err := CrossValidateContext(context.Background(), func() Classifier { return &adaBoostM1{Rounds: 15, Seed: 2} }, d, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,4 +368,12 @@ func TestDistributionProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// stumpAttr is the stump's splitting column, or -1 for a single leaf.
+func stumpAttr(s *decisionStump) int {
+	if s.inner == nil || s.inner.nodes == nil {
+		return -1
+	}
+	return int(s.inner.nodes[0].attr)
 }

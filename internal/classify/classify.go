@@ -3,9 +3,9 @@
 // its getClassifiers / getOptions / classifyInstance operations (§4.1).
 //
 // Every classifier implements Classifier; classifiers with tunable run-time
-// parameters additionally implement Parameterized so the service layer can
-// answer getOptions; incremental learners implement Updateable so they can
-// consume remote data streams (§1, §3).
+// parameters additionally implement algo.Parameterized so the service layer
+// can answer getOptions; incremental learners (NaiveBayes, IBk) take
+// Begin and Update so they can consume remote data streams (§1, §3).
 package classify
 
 import (
@@ -28,25 +28,11 @@ type Classifier interface {
 	Distribution(in *dataset.Instance) ([]float64, error)
 }
 
-// Parameterized exposes run-time options, mirroring the getOptions operation
-// of the general Classifier Web Service.
-type Parameterized = algo.Parameterized
-
-// Updateable marks classifiers that can learn one instance at a time
-// (streamed data, §3's "streaming of data from a remote machine").
-type Updateable interface {
-	Classifier
-	// Begin prepares the model for incremental updates against the schema.
-	Begin(schema *dataset.Dataset) error
-	// Update folds one instance into the model.
-	Update(in *dataset.Instance) error
-}
-
-// ContextTrainer marks classifiers whose training honours context
+// contextTrainer marks classifiers whose training honours context
 // cancellation — long-running ensemble or search-based learners. The
 // evaluation layer trains through TrainWith, so a remote caller's
 // deadline cancels in-flight member training instead of waiting it out.
-type ContextTrainer interface {
+type contextTrainer interface {
 	Classifier
 	// TrainContext is Train with cooperative cancellation: it returns
 	// ctx.Err() promptly once the context is done.
@@ -61,7 +47,7 @@ func TrainWith(ctx context.Context, c Classifier, d *dataset.Dataset) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if ct, ok := c.(ContextTrainer); ok {
+	if ct, ok := c.(contextTrainer); ok {
 		return ct.TrainContext(ctx, d)
 	}
 	if err := c.Train(d); err != nil {
@@ -70,9 +56,9 @@ func TrainWith(ctx context.Context, c Classifier, d *dataset.Dataset) error {
 	return ctx.Err()
 }
 
-// Option describes one run-time parameter of an algorithm, the unit of the
+// option describes one run-time parameter of an algorithm, the unit of the
 // getOptions reply.
-type Option = algo.Option
+type option = algo.Option
 
 // Predict returns the index of the most probable class label.
 func Predict(c Classifier, in *dataset.Instance) (int, error) {
@@ -99,8 +85,8 @@ type Factory func() Classifier
 // offers: getClassifiers lists it, getOptions describes its entries.
 var Registry = algo.NewRegistry[Classifier]("classify", "classifier")
 
-// Register adds a classifier factory under name; see algo.Registry.
-func Register(name string, f Factory) { Registry.Register(name, f) }
+// register adds a classifier factory under name; see algo.Registry.
+func register(name string, f Factory) { Registry.Register(name, f) }
 
 // New constructs a registered classifier by name.
 func New(name string) (Classifier, error) { return Registry.New(name) }

@@ -12,10 +12,10 @@ import (
 	"repro/internal/parallel"
 )
 
-// RandomTree grows an unpruned decision tree considering a random subset of
+// randomTree grows an unpruned decision tree considering a random subset of
 // sqrt(#attributes) candidates at each split; the building block of
 // RandomForest.
-type RandomTree struct {
+type randomTree struct {
 	Seed    int64
 	MinLeaf float64
 
@@ -26,21 +26,21 @@ type RandomTree struct {
 }
 
 func init() {
-	Register("RandomTree", func() Classifier { return &RandomTree{Seed: 1, MinLeaf: 1} })
+	register("RandomTree", func() Classifier { return &randomTree{Seed: 1, MinLeaf: 1} })
 }
 
 // Name implements Classifier.
-func (t *RandomTree) Name() string { return "RandomTree" }
+func (t *randomTree) Name() string { return "RandomTree" }
 
 // Snapshot codes the trained model for the model store.
-func (t *RandomTree) Snapshot(c binfmt.Codec) {
+func (t *randomTree) Snapshot(c binfmt.Codec) {
 	c.Int64(&t.Seed)
 	c.F64(&t.MinLeaf)
 	t.treeModel.snapshot(c)
 }
 
 // Train implements Classifier.
-func (t *RandomTree) Train(d *dataset.Dataset) error {
+func (t *randomTree) Train(d *dataset.Dataset) error {
 	if err := checkTrainable(d); err != nil {
 		return err
 	}
@@ -55,7 +55,7 @@ func (t *RandomTree) Train(d *dataset.Dataset) error {
 	return nil
 }
 
-func (t *RandomTree) grow(d *dataset.Dataset, ins []*dataset.Instance, depth int) *TreeNode {
+func (t *randomTree) grow(d *dataset.Dataset, ins []*dataset.Instance, depth int) *TreeNode {
 	node := newLeaf(classDist(ins, t.classIndex, t.classAttr.NumValues()))
 	total := sum(node.Dist)
 	if total < 2*t.MinLeaf || node.Dist[node.ClassIdx] == total || depth > 40 {
@@ -104,7 +104,7 @@ func (t *RandomTree) grow(d *dataset.Dataset, ins []*dataset.Instance, depth int
 }
 
 // Distribution implements Classifier.
-func (t *RandomTree) Distribution(in *dataset.Instance) ([]float64, error) {
+func (t *randomTree) Distribution(in *dataset.Instance) ([]float64, error) {
 	return t.distribution(t.Name(), in, nil)
 }
 
@@ -123,20 +123,20 @@ type Bagging struct {
 	members []Classifier
 }
 
-func init() { Register("Bagging", func() Classifier { return &Bagging{Size: 10, Seed: 1} }) }
+func init() { register("Bagging", func() Classifier { return &Bagging{Size: 10, Seed: 1} }) }
 
 // Name implements Classifier.
 func (b *Bagging) Name() string { return "Bagging" }
 
-// Options implements Parameterized.
-func (b *Bagging) Options() []Option {
-	return []Option{
+// Options implements algo.Parameterized.
+func (b *Bagging) Options() []option {
+	return []option{
 		algo.Int("size", "number of bagged models", &b.Size, 1),
 		algo.Seed("seed", "bootstrap seed", &b.Seed),
 	}
 }
 
-// SetOption implements Parameterized.
+// SetOption implements algo.Parameterized.
 func (b *Bagging) SetOption(name, value string) error { return Registry.Set(b, name, value) }
 
 // Train implements Classifier.
@@ -144,7 +144,7 @@ func (b *Bagging) Train(d *dataset.Dataset) error {
 	return b.TrainContext(context.Background(), d)
 }
 
-// TrainContext implements ContextTrainer: member training stops promptly
+// TrainContext implements contextTrainer: member training stops promptly
 // once ctx is cancelled.
 func (b *Bagging) TrainContext(ctx context.Context, d *dataset.Dataset) error {
 	if err := checkTrainable(d); err != nil {
@@ -164,7 +164,7 @@ func (b *Bagging) TrainContext(ctx context.Context, d *dataset.Dataset) error {
 		rng := rand.New(rand.NewSource(seed))
 		sample := dataset.ResampleView(d, d.NumInstances(), rng).Materialize()
 		m := base()
-		if rt, ok := m.(*RandomTree); ok {
+		if rt, ok := m.(*randomTree); ok {
 			rt.Seed = seed
 		}
 		if err := m.Train(sample); err != nil {
@@ -222,17 +222,17 @@ func (b *Bagging) Snapshot(c binfmt.Codec) {
 	codeMembers(c, &b.members)
 }
 
-// RandomForest is Bagging over RandomTree members.
+// RandomForest is Bagging over randomTree members.
 type RandomForest struct {
 	Bagging
 }
 
 func init() {
-	Register("RandomForest", func() Classifier {
+	register("RandomForest", func() Classifier {
 		f := &RandomForest{}
 		f.Size = 20
 		f.Seed = 1
-		f.Base = func() Classifier { return &RandomTree{Seed: 1, MinLeaf: 1} }
+		f.Base = func() Classifier { return &randomTree{Seed: 1, MinLeaf: 1} }
 		return f
 	})
 }
@@ -240,13 +240,13 @@ func init() {
 // Name implements Classifier.
 func (f *RandomForest) Name() string { return "RandomForest" }
 
-// SetOption implements Parameterized: Bagging's options, under the
+// SetOption implements algo.Parameterized: Bagging's options, under the
 // forest's name.
 func (f *RandomForest) SetOption(name, value string) error { return Registry.Set(f, name, value) }
 
-// AdaBoostM1 implements the AdaBoost.M1 boosting meta-algorithm over
+// adaBoostM1 implements the AdaBoost.M1 boosting meta-algorithm over
 // decision stumps (or any supplied base learner).
-type AdaBoostM1 struct {
+type adaBoostM1 struct {
 	Rounds int
 	Seed   int64
 	Base   func() Classifier
@@ -256,13 +256,13 @@ type AdaBoostM1 struct {
 	numCls  int
 }
 
-func init() { Register("AdaBoostM1", func() Classifier { return &AdaBoostM1{Rounds: 10, Seed: 1} }) }
+func init() { register("AdaBoostM1", func() Classifier { return &adaBoostM1{Rounds: 10, Seed: 1} }) }
 
 // Name implements Classifier.
-func (a *AdaBoostM1) Name() string { return "AdaBoostM1" }
+func (a *adaBoostM1) Name() string { return "AdaBoostM1" }
 
 // Snapshot codes the trained model for the model store.
-func (a *AdaBoostM1) Snapshot(c binfmt.Codec) {
+func (a *adaBoostM1) Snapshot(c binfmt.Codec) {
 	c.Int(&a.Rounds)
 	c.Int64(&a.Seed)
 	// Scoring sizes its votes by the class count: hold it to the input.
@@ -273,26 +273,26 @@ func (a *AdaBoostM1) Snapshot(c binfmt.Codec) {
 	}
 }
 
-// Options implements Parameterized.
-func (a *AdaBoostM1) Options() []Option {
-	return []Option{
+// Options implements algo.Parameterized.
+func (a *adaBoostM1) Options() []option {
+	return []option{
 		algo.Int("rounds", "number of boosting rounds", &a.Rounds, 1),
 		algo.Seed("seed", "resampling seed", &a.Seed),
 	}
 }
 
-// SetOption implements Parameterized.
-func (a *AdaBoostM1) SetOption(name, value string) error { return Registry.Set(a, name, value) }
+// SetOption implements algo.Parameterized.
+func (a *adaBoostM1) SetOption(name, value string) error { return Registry.Set(a, name, value) }
 
 // Train implements Classifier.
-func (a *AdaBoostM1) Train(d *dataset.Dataset) error {
+func (a *adaBoostM1) Train(d *dataset.Dataset) error {
 	if err := checkTrainable(d); err != nil {
 		return err
 	}
 	d = d.DeleteWithMissingClass()
 	base := a.Base
 	if base == nil {
-		base = func() Classifier { return &DecisionStump{} }
+		base = func() Classifier { return &decisionStump{} }
 	}
 	a.numCls = d.NumClasses()
 	// Boost on a weighted copy.
@@ -362,7 +362,7 @@ func (a *AdaBoostM1) Train(d *dataset.Dataset) error {
 }
 
 // Distribution implements Classifier.
-func (a *AdaBoostM1) Distribution(in *dataset.Instance) ([]float64, error) {
+func (a *adaBoostM1) Distribution(in *dataset.Instance) ([]float64, error) {
 	if len(a.members) == 0 {
 		return nil, fmt.Errorf("classify: AdaBoostM1 is untrained")
 	}

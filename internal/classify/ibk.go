@@ -36,7 +36,7 @@ type IBk struct {
 	tree    *ibkTree // built by Train or a restore, then only read
 }
 
-func init() { Register("IBk", func() Classifier { return &IBk{K: 1} }) }
+func init() { register("IBk", func() Classifier { return &IBk{K: 1} }) }
 
 // Name implements Classifier.
 func (k *IBk) Name() string { return "IBk" }
@@ -76,18 +76,18 @@ func (k *IBk) Snapshot(c binfmt.Codec) {
 	k.index(ibkLeaf)
 }
 
-// Options implements Parameterized.
-func (k *IBk) Options() []Option {
-	return []Option{
+// Options implements algo.Parameterized.
+func (k *IBk) Options() []option {
+	return []option{
 		algo.Int("k", "number of neighbours", &k.K, 1),
 		algo.Bool("distanceWeighting", "weight votes by inverse distance (true/false)", &k.DistanceWeight),
 	}
 }
 
-// SetOption implements Parameterized.
+// SetOption implements algo.Parameterized.
 func (k *IBk) SetOption(name, value string) error { return Registry.Set(k, name, value) }
 
-// Begin implements Updateable.
+// Begin prepares the model for incremental updates against the schema.
 func (k *IBk) Begin(schema *dataset.Dataset) error {
 	ca := schema.ClassAttribute()
 	if ca == nil || !ca.IsNominal() || ca.NumValues() < 2 {
@@ -105,7 +105,7 @@ func (k *IBk) Begin(schema *dataset.Dataset) error {
 	return nil
 }
 
-// Update implements Updateable. The case is copied in, so the caller may
+// Update folds one instance into the model. The case is copied in, so the caller may
 // reuse or edit in afterwards.
 func (k *IBk) Update(in *dataset.Instance) error {
 	if k.schema == nil {
@@ -334,6 +334,3 @@ func (k *IBk) DistributionBatch(d *dataset.Dataset) ([][]float64, error) {
 	}
 	return out, nil
 }
-
-// NumCases returns the current size of the case base.
-func (k *IBk) NumCases() int { return len(k.cls) }

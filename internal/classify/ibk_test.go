@@ -437,8 +437,8 @@ func TestIBkUpdateVisibleToBothPaths(t *testing.T) {
 		}
 	}
 	for _, c := range []*IBk{trained, fed} {
-		if c.NumCases() != full.NumInstances() {
-			t.Fatalf("NumCases = %d, want %d", c.NumCases(), full.NumInstances())
+		if len(c.cls) != full.NumInstances() {
+			t.Fatalf("NumCases = %d, want %d", len(c.cls), full.NumInstances())
 		}
 		checkIBk(t, c, full, perturbed(full))
 	}

@@ -57,7 +57,7 @@ type TreeNode struct {
 }
 
 func init() {
-	Register("J48", func() Classifier { return NewJ48() })
+	register("J48", func() Classifier { return NewJ48() })
 }
 
 // NewJ48 returns a J48 with C4.5's default parameters.
@@ -77,9 +77,9 @@ func (j *J48) Snapshot(c binfmt.Codec) {
 	j.treeModel.snapshot(c)
 }
 
-// Options implements Parameterized, mirroring WEKA's -C and -M flags.
-func (j *J48) Options() []Option {
-	return []Option{
+// Options implements algo.Parameterized, mirroring WEKA's -C and -M flags.
+func (j *J48) Options() []option {
+	return []option{
 		algo.Float("confidenceFactor", "pruning confidence factor (smaller prunes more)", &j.ConfidenceFactor, algo.Above(0).AtMost(0.5)),
 		algo.Float("minLeaf", "minimum instance weight per split branch", &j.MinLeaf, algo.AtLeast(1)),
 		algo.Bool("unpruned", "disable pruning (true/false)", &j.Unpruned),
@@ -87,7 +87,7 @@ func (j *J48) Options() []Option {
 	}
 }
 
-// SetOption implements Parameterized.
+// SetOption implements algo.Parameterized.
 func (j *J48) SetOption(name, value string) error { return Registry.Set(j, name, value) }
 
 // Train implements Classifier.

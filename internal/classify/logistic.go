@@ -107,9 +107,9 @@ func (e *encoder) encode(in *dataset.Instance, out []float64) {
 	}
 }
 
-// Logistic is a multinomial logistic-regression classifier trained with
+// logistic is a multinomial logistic-regression classifier trained with
 // mini-batch-free SGD and L2 regularisation over one-hot encoded features.
-type Logistic struct {
+type logistic struct {
 	Epochs       int
 	LearningRate float64
 	Lambda       float64
@@ -122,16 +122,16 @@ type Logistic struct {
 }
 
 func init() {
-	Register("Logistic", func() Classifier {
-		return &Logistic{Epochs: 100, LearningRate: 0.1, Lambda: 1e-4, Seed: 1}
+	register("Logistic", func() Classifier {
+		return &logistic{Epochs: 100, LearningRate: 0.1, Lambda: 1e-4, Seed: 1}
 	})
 }
 
 // Name implements Classifier.
-func (l *Logistic) Name() string { return "Logistic" }
+func (l *logistic) Name() string { return "Logistic" }
 
 // Snapshot codes the trained model for the model store.
-func (l *Logistic) Snapshot(c binfmt.Codec) {
+func (l *logistic) Snapshot(c binfmt.Codec) {
 	c.Int(&l.Epochs)
 	c.F64(&l.LearningRate)
 	c.F64(&l.Lambda)
@@ -148,9 +148,9 @@ func (l *Logistic) Snapshot(c binfmt.Codec) {
 	}
 }
 
-// Options implements Parameterized.
-func (l *Logistic) Options() []Option {
-	return []Option{
+// Options implements algo.Parameterized.
+func (l *logistic) Options() []option {
+	return []option{
 		algo.Int("epochs", "SGD passes over the data", &l.Epochs, 1),
 		algo.Float("learningRate", "SGD step size", &l.LearningRate, algo.Above(0)),
 		algo.Float("lambda", "L2 regularisation strength", &l.Lambda, algo.AtLeast(0)),
@@ -158,11 +158,11 @@ func (l *Logistic) Options() []Option {
 	}
 }
 
-// SetOption implements Parameterized.
-func (l *Logistic) SetOption(name, value string) error { return Registry.Set(l, name, value) }
+// SetOption implements algo.Parameterized.
+func (l *logistic) SetOption(name, value string) error { return Registry.Set(l, name, value) }
 
 // Train implements Classifier.
-func (l *Logistic) Train(d *dataset.Dataset) error {
+func (l *logistic) Train(d *dataset.Dataset) error {
 	if err := checkTrainable(d); err != nil {
 		return err
 	}
@@ -207,7 +207,7 @@ func (l *Logistic) Train(d *dataset.Dataset) error {
 	return nil
 }
 
-func (l *Logistic) forward(x, logits []float64) {
+func (l *logistic) forward(x, logits []float64) {
 	for c := 0; c < l.numClasses; c++ {
 		s := l.bias[c]
 		w := l.weights[c]
@@ -238,7 +238,7 @@ func softmaxInPlace(z []float64) {
 }
 
 // Distribution implements Classifier.
-func (l *Logistic) Distribution(in *dataset.Instance) ([]float64, error) {
+func (l *logistic) Distribution(in *dataset.Instance) ([]float64, error) {
 	if l.enc == nil {
 		return nil, fmt.Errorf("classify: Logistic is untrained")
 	}

@@ -10,12 +10,12 @@ import (
 	"repro/internal/dataset"
 )
 
-// MLP is a single-hidden-layer multilayer perceptron trained with
+// mlp is a single-hidden-layer multilayer perceptron trained with
 // backpropagation. Its run-time options are exactly the ones the paper's
 // §4.4 walkthrough names for the neural-network backpropagation algorithm:
 // "the number of neurons in the hidden layer, the momentum and the learning
 // rate".
-type MLP struct {
+type mlp struct {
 	Hidden       int
 	LearningRate float64
 	Momentum     float64
@@ -32,16 +32,16 @@ type MLP struct {
 }
 
 func init() {
-	Register("MultilayerPerceptron", func() Classifier {
-		return &MLP{Hidden: 8, LearningRate: 0.3, Momentum: 0.2, Epochs: 200, Seed: 1}
+	register("MultilayerPerceptron", func() Classifier {
+		return &mlp{Hidden: 8, LearningRate: 0.3, Momentum: 0.2, Epochs: 200, Seed: 1}
 	})
 }
 
 // Name implements Classifier.
-func (m *MLP) Name() string { return "MultilayerPerceptron" }
+func (m *mlp) Name() string { return "MultilayerPerceptron" }
 
 // Snapshot codes the trained model for the model store.
-func (m *MLP) Snapshot(c binfmt.Codec) {
+func (m *mlp) Snapshot(c binfmt.Codec) {
 	c.Int(&m.Hidden)
 	c.F64(&m.LearningRate)
 	c.F64(&m.Momentum)
@@ -62,9 +62,9 @@ func (m *MLP) Snapshot(c binfmt.Codec) {
 	}
 }
 
-// Options implements Parameterized.
-func (m *MLP) Options() []Option {
-	return []Option{
+// Options implements algo.Parameterized.
+func (m *mlp) Options() []option {
+	return []option{
 		algo.Int("hiddenNeurons", "number of neurons in the hidden layer", &m.Hidden, 1),
 		algo.Float("learningRate", "backpropagation learning rate", &m.LearningRate, algo.Above(0)),
 		algo.Float("momentum", "backpropagation momentum", &m.Momentum, algo.AtLeast(0).Below(1)),
@@ -73,11 +73,11 @@ func (m *MLP) Options() []Option {
 	}
 }
 
-// SetOption implements Parameterized.
-func (m *MLP) SetOption(name, value string) error { return Registry.Set(m, name, value) }
+// SetOption implements algo.Parameterized.
+func (m *mlp) SetOption(name, value string) error { return Registry.Set(m, name, value) }
 
 // Train implements Classifier.
-func (m *MLP) Train(d *dataset.Dataset) error {
+func (m *mlp) Train(d *dataset.Dataset) error {
 	if err := checkTrainable(d); err != nil {
 		return err
 	}
@@ -168,7 +168,7 @@ func (m *MLP) Train(d *dataset.Dataset) error {
 	return nil
 }
 
-func (m *MLP) forward(x, h, o []float64) {
+func (m *mlp) forward(x, h, o []float64) {
 	for j := range h {
 		s := m.b1[j]
 		w := m.w1[j]
@@ -193,7 +193,7 @@ func (m *MLP) forward(x, h, o []float64) {
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
 // Distribution implements Classifier.
-func (m *MLP) Distribution(in *dataset.Instance) ([]float64, error) {
+func (m *mlp) Distribution(in *dataset.Instance) ([]float64, error) {
 	if m.enc == nil {
 		return nil, fmt.Errorf("classify: MultilayerPerceptron is untrained")
 	}

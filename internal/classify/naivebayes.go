@@ -23,7 +23,7 @@ type NaiveBayes struct {
 	sum, sumSq, cnt [][]float64
 }
 
-func init() { Register("NaiveBayes", func() Classifier { return &NaiveBayes{} }) }
+func init() { register("NaiveBayes", func() Classifier { return &NaiveBayes{} }) }
 
 // Name implements Classifier.
 func (nb *NaiveBayes) Name() string { return "NaiveBayes" }
@@ -61,7 +61,7 @@ func (nb *NaiveBayes) Snapshot(c binfmt.Codec) {
 	}
 }
 
-// Begin implements Updateable.
+// Begin prepares the model for incremental updates against the schema.
 func (nb *NaiveBayes) Begin(schema *dataset.Dataset) error {
 	ca := schema.ClassAttribute()
 	if ca == nil || !ca.IsNominal() || ca.NumValues() < 2 {
@@ -95,7 +95,7 @@ func (nb *NaiveBayes) Begin(schema *dataset.Dataset) error {
 	return nil
 }
 
-// Update implements Updateable.
+// Update folds one instance into the model.
 func (nb *NaiveBayes) Update(in *dataset.Instance) error {
 	if nb.classCount == nil {
 		return fmt.Errorf("classify: NaiveBayes.Update before Begin/Train")

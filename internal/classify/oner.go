@@ -10,11 +10,11 @@ import (
 	"repro/internal/dataset"
 )
 
-// OneR learns a one-attribute rule: for the single best attribute it maps
+// oneR learns a one-attribute rule: for the single best attribute it maps
 // each value (or numeric bucket) to the majority class. Numeric attributes
 // are discretised greedily with a minimum bucket size, following Holte's
 // original method.
-type OneR struct {
+type oneR struct {
 	minBucket int
 
 	attr       int
@@ -26,13 +26,13 @@ type OneR struct {
 	numClasses int
 }
 
-func init() { Register("OneR", func() Classifier { return &OneR{minBucket: 6} }) }
+func init() { register("OneR", func() Classifier { return &oneR{minBucket: 6} }) }
 
 // Name implements Classifier.
-func (o *OneR) Name() string { return "OneR" }
+func (o *oneR) Name() string { return "OneR" }
 
 // Snapshot codes the trained model for the model store.
-func (o *OneR) Snapshot(c binfmt.Codec) {
+func (o *oneR) Snapshot(c binfmt.Codec) {
 	c.Int(&o.minBucket)
 	c.Int(&o.classIndex)
 	if c.F64s(&o.fallback); c.Reading() {
@@ -44,18 +44,18 @@ func (o *OneR) Snapshot(c binfmt.Codec) {
 	c.F64Rows(&o.valueClass, o.numClasses)
 }
 
-// Options implements Parameterized.
-func (o *OneR) Options() []Option {
-	return []Option{
+// Options implements algo.Parameterized.
+func (o *oneR) Options() []option {
+	return []option{
 		algo.Int("minBucket", "minimum instances per bucket when discretising numeric attributes", &o.minBucket, 1),
 	}
 }
 
-// SetOption implements Parameterized.
-func (o *OneR) SetOption(name, value string) error { return Registry.Set(o, name, value) }
+// SetOption implements algo.Parameterized.
+func (o *oneR) SetOption(name, value string) error { return Registry.Set(o, name, value) }
 
 // Train implements Classifier.
-func (o *OneR) Train(d *dataset.Dataset) error {
+func (o *oneR) Train(d *dataset.Dataset) error {
 	if err := checkTrainable(d); err != nil {
 		return err
 	}
@@ -96,7 +96,7 @@ func (o *OneR) Train(d *dataset.Dataset) error {
 	return nil
 }
 
-func (o *OneR) nominalRule(d *dataset.Dataset, col int) (float64, [][]float64) {
+func (o *oneR) nominalRule(d *dataset.Dataset, col int) (float64, [][]float64) {
 	a := d.Attrs[col]
 	tbl := make([][]float64, a.NumValues())
 	for i := range tbl {
@@ -123,7 +123,7 @@ func (o *OneR) nominalRule(d *dataset.Dataset, col int) (float64, [][]float64) {
 	return errW, tbl
 }
 
-func (o *OneR) numericRule(d *dataset.Dataset, col int) (float64, []float64, [][]float64) {
+func (o *oneR) numericRule(d *dataset.Dataset, col int) (float64, []float64, [][]float64) {
 	type pair struct{ v, cls, w float64 }
 	var pairs []pair
 	for _, in := range d.Instances {
@@ -195,7 +195,7 @@ func maxIdx(xs []float64) int {
 }
 
 // Distribution implements Classifier.
-func (o *OneR) Distribution(in *dataset.Instance) ([]float64, error) {
+func (o *oneR) Distribution(in *dataset.Instance) ([]float64, error) {
 	if o.valueClass == nil {
 		return nil, fmt.Errorf("classify: OneR is untrained")
 	}
@@ -226,6 +226,3 @@ func (o *OneR) Distribution(in *dataset.Instance) ([]float64, error) {
 	copy(out, row)
 	return normalize(out), nil
 }
-
-// Attribute returns the index of the selected attribute (after Train).
-func (o *OneR) Attribute() int { return o.attr }

@@ -8,11 +8,11 @@ import (
 	"repro/internal/dataset"
 )
 
-// Prism is Cendrowska's PRISM covering rule learner over nominal
+// prism is Cendrowska's PRISM covering rule learner over nominal
 // attributes, another classic of the WEKA library the paper wraps: for
 // each class it repeatedly builds a maximally precise conjunctive rule and
 // removes the covered instances.
-type Prism struct {
+type prism struct {
 	rules      []prismRule
 	classAttr  *dataset.Attribute
 	classIndex int
@@ -31,13 +31,13 @@ type prismCond struct {
 	Label string
 }
 
-func init() { Register("Prism", func() Classifier { return &Prism{} }) }
+func init() { register("Prism", func() Classifier { return &prism{} }) }
 
 // Name implements Classifier.
-func (p *Prism) Name() string { return "Prism" }
+func (p *prism) Name() string { return "Prism" }
 
 // Snapshot codes the trained model for the model store.
-func (p *Prism) Snapshot(c binfmt.Codec) {
+func (p *prism) Snapshot(c binfmt.Codec) {
 	if !c.Has(p.rules != nil) {
 		return
 	}
@@ -63,7 +63,7 @@ func (p *Prism) Snapshot(c binfmt.Codec) {
 }
 
 // Train implements Classifier.
-func (p *Prism) Train(d *dataset.Dataset) error {
+func (p *prism) Train(d *dataset.Dataset) error {
 	if err := checkTrainable(d); err != nil {
 		return err
 	}
@@ -118,7 +118,7 @@ func hasClass(ins []*dataset.Instance, classIndex, cls int) bool {
 // buildRule grows a conjunction for cls, greedily adding the condition with
 // the best precision (p/t) until the rule is perfect or no attributes
 // remain. It returns the rule and the set of covered instances.
-func (p *Prism) buildRule(d *dataset.Dataset, ins []*dataset.Instance, cls int) (*prismRule, map[*dataset.Instance]bool) {
+func (p *prism) buildRule(d *dataset.Dataset, ins []*dataset.Instance, cls int) (*prismRule, map[*dataset.Instance]bool) {
 	rule := &prismRule{Class: cls}
 	covered := ins
 	used := map[int]bool{}
@@ -205,7 +205,7 @@ func pure(ins []*dataset.Instance, classIndex, cls int) bool {
 	return true
 }
 
-func (p *Prism) matches(r *prismRule, in *dataset.Instance) bool {
+func (p *prism) matches(r *prismRule, in *dataset.Instance) bool {
 	for _, c := range r.Conds {
 		v := in.Values[c.Attr]
 		if dataset.IsMissing(v) || int(v) != c.Value {
@@ -217,7 +217,7 @@ func (p *Prism) matches(r *prismRule, in *dataset.Instance) bool {
 
 // Distribution implements Classifier: the first matching rule wins; with no
 // match the training prior is returned.
-func (p *Prism) Distribution(in *dataset.Instance) ([]float64, error) {
+func (p *prism) Distribution(in *dataset.Instance) ([]float64, error) {
 	if p.rules == nil {
 		return nil, fmt.Errorf("classify: Prism is untrained")
 	}
@@ -232,11 +232,8 @@ func (p *Prism) Distribution(in *dataset.Instance) ([]float64, error) {
 	return normalize(out), nil
 }
 
-// NumRules returns the number of learned rules.
-func (p *Prism) NumRules() int { return len(p.rules) }
-
 // String renders the rule list in WEKA's Prism layout.
-func (p *Prism) String() string {
+func (p *prism) String() string {
 	if p.rules == nil {
 		return "Prism: untrained"
 	}

@@ -12,7 +12,7 @@ func TestPrismContactLenses(t *testing.T) {
 	// PRISM's original evaluation dataset: it must fit the deterministic
 	// contact-lenses function perfectly.
 	d := datagen.ContactLenses()
-	p := &Prism{}
+	p := &prism{}
 	if err := p.Train(d); err != nil {
 		t.Fatal(err)
 	}
@@ -26,8 +26,8 @@ func TestPrismContactLenses(t *testing.T) {
 	if ev.Accuracy() != 1 {
 		t.Fatalf("Prism training accuracy = %v\n%s", ev.Accuracy(), p.String())
 	}
-	if p.NumRules() < 3 {
-		t.Fatalf("only %d rules", p.NumRules())
+	if len(p.rules) < 3 {
+		t.Fatalf("only %d rules", len(p.rules))
 	}
 	s := p.String()
 	if !strings.Contains(s, "If tear-prod-rate = reduced then none") {
@@ -37,7 +37,7 @@ func TestPrismContactLenses(t *testing.T) {
 
 func TestPrismWeather(t *testing.T) {
 	d := datagen.Weather()
-	p := &Prism{}
+	p := &prism{}
 	if err := p.Train(d); err != nil {
 		t.Fatal(err)
 	}
@@ -51,14 +51,14 @@ func TestPrismWeather(t *testing.T) {
 }
 
 func TestPrismRejectsNumeric(t *testing.T) {
-	if err := (&Prism{}).Train(datagen.WeatherNumeric()); err == nil {
+	if err := (&prism{}).Train(datagen.WeatherNumeric()); err == nil {
 		t.Fatal("numeric attributes accepted")
 	}
 }
 
 func TestPrismBreastCancerBeatsBaseline(t *testing.T) {
 	d := datagen.BreastCancer()
-	ev, err := CrossValidateContext(context.Background(), func() Classifier { return &Prism{} }, d, 5, 3)
+	ev, err := CrossValidateContext(context.Background(), func() Classifier { return &prism{} }, d, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

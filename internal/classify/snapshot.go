@@ -33,7 +33,7 @@ func codeMembers(c binfmt.Codec, ms *[]Classifier) {
 		}
 		s, ok := m.(snapshotter)
 		switch m.(type) {
-		case *Bagging, *RandomForest, *AdaBoostM1:
+		case *Bagging, *RandomForest, *adaBoostM1:
 			ok = false
 		}
 		if !ok {
@@ -51,23 +51,45 @@ func codeMembers(c binfmt.Codec, ms *[]Classifier) {
 // codeAttr codes an attribute: name, kind and declared values. A decoded
 // attribute is never nil, even after a failure. Decoding into an attribute
 // keeps it when the bytes declare the same one, so ensemble members share
-// their class attribute.
+// their class attribute; the values are then compared as they are read,
+// and a list is built only from the first that differs.
 func codeAttr(c binfmt.Codec, p **dataset.Attribute) {
-	name, kind, vals := "", 0, []string(nil)
 	if !c.Reading() {
-		name, kind, vals = (*p).Name, int((*p).Kind), (*p).Values()
+		name, kind, vals := (*p).Name, int((*p).Kind), (*p).Values()
+		c.Sym(&name)
+		c.Int(&kind)
+		binfmt.List(c, &vals, 1)
+		for i := range vals {
+			c.Sym(&vals[i])
+		}
+		return
 	}
+	var name string
+	var kind, n int
 	c.Sym(&name)
 	c.Int(&kind)
-	binfmt.List(c, &vals, 1)
-	for i := range vals {
-		c.Sym(&vals[i])
+	c.Count(&n, 1)
+	old := *p
+	same := old != nil && old.Name == name && int(old.Kind) == kind && old.NumValues() == n
+	var vals []string
+	if !same && n > 0 {
+		vals = make([]string, 0, n)
 	}
-	same := *p != nil && (*p).Name == name && int((*p).Kind) == kind && (*p).NumValues() == len(vals)
-	for i := 0; same && i < len(vals); i++ {
-		same = (*p).Value(i) == vals[i]
+	for i := 0; i < n; i++ {
+		var v string
+		if c.Sym(&v); same && v == old.Value(i) {
+			continue
+		}
+		if same {
+			same = false
+			vals = make([]string, i, n)
+			for j := range vals {
+				vals[j] = old.Value(j)
+			}
+		}
+		vals = append(vals, v)
 	}
-	if !c.Reading() || same {
+	if same {
 		return
 	}
 	// Every kind keeps its declared values in order, as a nominal

@@ -2,10 +2,12 @@ package classify
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/binfmt"
 	"repro/internal/datagen"
+	"repro/internal/dataset"
 )
 
 // encodeBody and decodeBody are the snapshot codec without model's outer
@@ -90,11 +92,11 @@ func TestNaiveBayesGobRoundTrip(t *testing.T) {
 
 func TestZeroRGobRoundTrip(t *testing.T) {
 	d := datagen.Weather()
-	z := &ZeroR{}
+	z := &zeroR{}
 	if err := z.Train(d); err != nil {
 		t.Fatal(err)
 	}
-	z2 := roundTrip(t, z).(*ZeroR)
+	z2 := roundTrip(t, z).(*zeroR)
 	a, _ := z.Distribution(d.Instances[0])
 	b, _ := z2.Distribution(d.Instances[0])
 	if a[0] != b[0] || a[1] != b[1] {
@@ -104,14 +106,14 @@ func TestZeroRGobRoundTrip(t *testing.T) {
 
 func TestOneRGobRoundTrip(t *testing.T) {
 	d := datagen.WeatherNumeric()
-	o := &OneR{}
+	o := &oneR{}
 	if err := o.SetOption("minBucket", "3"); err != nil {
 		t.Fatal(err)
 	}
 	if err := o.Train(d); err != nil {
 		t.Fatal(err)
 	}
-	o2 := roundTrip(t, o).(*OneR)
+	o2 := roundTrip(t, o).(*oneR)
 	for _, in := range d.Instances {
 		a, _ := Predict(o, in)
 		b, _ := Predict(o2, in)
@@ -119,7 +121,7 @@ func TestOneRGobRoundTrip(t *testing.T) {
 			t.Fatal("OneR predictions diverge after round trip")
 		}
 	}
-	if o2.Attribute() != o.Attribute() {
+	if o2.attr != o.attr {
 		t.Fatal("selected attribute lost")
 	}
 }
@@ -131,8 +133,8 @@ func TestIBkGobRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	k2 := roundTrip(t, k).(*IBk)
-	if k2.NumCases() != k.NumCases() {
-		t.Fatalf("case base %d -> %d", k.NumCases(), k2.NumCases())
+	if len(k2.cls) != len(k.cls) {
+		t.Fatalf("case base %d -> %d", len(k.cls), len(k2.cls))
 	}
 	for _, in := range d.Instances {
 		a, _ := Predict(k, in)
@@ -169,13 +171,13 @@ func TestIBkGobDecodeRejectsMalformed(t *testing.T) {
 
 func TestPrismGobRoundTrip(t *testing.T) {
 	d := datagen.ContactLenses()
-	p := &Prism{}
+	p := &prism{}
 	if err := p.Train(d); err != nil {
 		t.Fatal(err)
 	}
-	p2 := roundTrip(t, p).(*Prism)
-	if p2.NumRules() != p.NumRules() {
-		t.Fatalf("rules %d -> %d", p.NumRules(), p2.NumRules())
+	p2 := roundTrip(t, p).(*prism)
+	if len(p2.rules) != len(p.rules) {
+		t.Fatalf("rules %d -> %d", len(p.rules), len(p2.rules))
 	}
 	if p2.String() != p.String() {
 		t.Fatal("rule list differs after round trip")
@@ -186,5 +188,58 @@ func TestPrismGobRoundTrip(t *testing.T) {
 		if a != b {
 			t.Fatal("Prism predictions diverge after round trip")
 		}
+	}
+}
+
+// TestCodeAttrSharesOnlyWhatMatches decodes an attribute into an existing
+// one, as a forest member's class attribute is read into the forest's. The
+// existing attribute is kept when the bytes declare the same one; from the
+// first difference on, a fresh attribute is built from the bytes and the
+// existing one is left as it was.
+func TestCodeAttrSharesOnlyWhatMatches(t *testing.T) {
+	decode := func(t *testing.T, into, from *dataset.Attribute) *dataset.Attribute {
+		t.Helper()
+		var w binfmt.Writer
+		codeAttr(binfmt.Codec{W: &w}, &from)
+		r := binfmt.NewReader("model", append(w.AppendSyms(nil), w.Buf...))
+		r.ReadSyms()
+		got := into
+		codeAttr(binfmt.Codec{R: r}, &got)
+		if err := r.End(); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	class := func(vals ...string) *dataset.Attribute { return dataset.NewNominalAttribute("class", vals...) }
+	for _, tc := range []struct {
+		name     string
+		into     *dataset.Attribute
+		from     *dataset.Attribute
+		wantKept bool
+	}{
+		{"same", class("a", "b", "c"), class("a", "b", "c"), true},
+		{"first value differs", class("a", "b", "c"), class("x", "b", "c"), false},
+		{"last value differs", class("a", "b", "c"), class("a", "b", "x"), false},
+		{"more values", class("a", "b"), class("a", "b", "c"), false},
+		{"other name", class("a", "b"), dataset.NewNominalAttribute("label", "a", "b"), false},
+		{"into nil", nil, class("a", "b"), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before []string
+			if tc.into != nil {
+				before = slices.Clone(tc.into.Values())
+			}
+			got := decode(t, tc.into, tc.from)
+			if kept := got == tc.into; kept != tc.wantKept {
+				t.Fatalf("kept the existing attribute: %v, want %v", kept, tc.wantKept)
+			}
+			if got.Name != tc.from.Name || got.Kind != tc.from.Kind || !slices.Equal(got.Values(), tc.from.Values()) {
+				t.Fatalf("decoded %s %v %v, want %s %v %v",
+					got.Name, got.Kind, got.Values(), tc.from.Name, tc.from.Kind, tc.from.Values())
+			}
+			if tc.into != nil && !slices.Equal(tc.into.Values(), before) {
+				t.Fatalf("existing attribute changed to %v, was %v", tc.into.Values(), before)
+			}
+		})
 	}
 }

@@ -7,19 +7,19 @@ import (
 	"repro/internal/dataset"
 )
 
-// DecisionStump is a one-level decision tree (single J48 split), the classic
+// decisionStump is a one-level decision tree (single J48 split), the classic
 // weak learner for boosting.
-type DecisionStump struct {
+type decisionStump struct {
 	inner *J48
 }
 
-func init() { Register("DecisionStump", func() Classifier { return &DecisionStump{} }) }
+func init() { register("DecisionStump", func() Classifier { return &decisionStump{} }) }
 
 // Name implements Classifier.
-func (s *DecisionStump) Name() string { return "DecisionStump" }
+func (s *decisionStump) Name() string { return "DecisionStump" }
 
 // Snapshot codes the trained model for the model store.
-func (s *DecisionStump) Snapshot(c binfmt.Codec) {
+func (s *decisionStump) Snapshot(c binfmt.Codec) {
 	if c.Has(s.inner != nil) {
 		if c.Reading() {
 			s.inner = &J48{}
@@ -29,7 +29,7 @@ func (s *DecisionStump) Snapshot(c binfmt.Codec) {
 }
 
 // Train implements Classifier.
-func (s *DecisionStump) Train(d *dataset.Dataset) error {
+func (s *decisionStump) Train(d *dataset.Dataset) error {
 	j := NewJ48()
 	j.Unpruned = true
 	j.MinLeaf = 1
@@ -51,18 +51,9 @@ func (s *DecisionStump) Train(d *dataset.Dataset) error {
 }
 
 // Distribution implements Classifier.
-func (s *DecisionStump) Distribution(in *dataset.Instance) ([]float64, error) {
+func (s *decisionStump) Distribution(in *dataset.Instance) ([]float64, error) {
 	if s.inner == nil {
 		return nil, fmt.Errorf("classify: DecisionStump is untrained")
 	}
 	return s.inner.Distribution(in)
-}
-
-// Attribute returns the splitting column of the stump, or -1 when the stump
-// degenerated to a single leaf.
-func (s *DecisionStump) Attribute() int {
-	if s.inner == nil || s.inner.nodes == nil {
-		return -1
-	}
-	return int(s.inner.nodes[0].attr)
 }

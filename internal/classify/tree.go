@@ -10,7 +10,7 @@ import (
 	"repro/internal/dataset"
 )
 
-// treeModel is the trained state J48 and RandomTree share: the tree laid
+// treeModel is the trained state J48 and randomTree share: the tree laid
 // out breadth first, the order DMM1 stores it in, so a split's children
 // are consecutive nodes. Training grows a *TreeNode tree and flattens it
 // once; a snapshot decodes straight into the slabs; Tree builds a

@@ -12,22 +12,22 @@ import (
 type ScoreKind int
 
 const (
-	// ScoreNone means the assigner produces no score columns (the row-path
+	// scoreNone means the assigner produces no score columns (the row-path
 	// fallback, and algorithms without a natural per-cluster score).
-	ScoreNone ScoreKind = iota
-	// ScoreDistance marks euclidean distances to each centroid.
-	ScoreDistance
-	// ScoreResponsibility marks posterior component probabilities.
-	ScoreResponsibility
+	scoreNone ScoreKind = iota
+	// scoreDistance marks euclidean distances to each centroid.
+	scoreDistance
+	// scoreResponsibility marks posterior component probabilities.
+	scoreResponsibility
 )
 
 // String returns the wire-level name of the kind ("", "distance",
 // "responsibility") — the vocabulary internal/wire's DMC1 block encodes.
 func (k ScoreKind) String() string {
 	switch k {
-	case ScoreDistance:
+	case scoreDistance:
 		return "distance"
-	case ScoreResponsibility:
+	case scoreResponsibility:
 		return "responsibility"
 	default:
 		return ""
@@ -63,14 +63,14 @@ func AssignAll(c Clusterer, d *dataset.Dataset) ([]int, [][]float64, ScoreKind, 
 	}
 	if ra, ok := c.(rowAssigner); ok {
 		if err := checkBatchCols(c.Name(), ra.fittedCols(), d); err != nil {
-			return nil, nil, ScoreNone, err
+			return nil, nil, scoreNone, err
 		}
 	}
 	assign, err := Assignments(c, d)
 	if err != nil {
-		return nil, nil, ScoreNone, err
+		return nil, nil, scoreNone, err
 	}
-	return assign, nil, ScoreNone, nil
+	return assign, nil, scoreNone, nil
 }
 
 // checkBatchCols verifies the fitted feature columns exist in the batch
@@ -132,39 +132,39 @@ func centroidAssignBatch(name string, d *dataset.Dataset, centroids [][]float64,
 // centroid distances.
 func (km *KMeans) AssignBatch(d *dataset.Dataset) ([]int, [][]float64, ScoreKind, error) {
 	if km.Centroids == nil {
-		return nil, nil, ScoreNone, fmt.Errorf("cluster: SimpleKMeans is unbuilt")
+		return nil, nil, scoreNone, fmt.Errorf("cluster: SimpleKMeans is unbuilt")
 	}
 	assign, scores, err := centroidAssignBatch("SimpleKMeans", d, km.Centroids, km.cols)
 	if err != nil {
-		return nil, nil, ScoreNone, err
+		return nil, nil, scoreNone, err
 	}
-	return assign, scores, ScoreDistance, nil
+	return assign, scores, scoreDistance, nil
 }
 
 // AssignBatch implements batchAssigner; the score columns are euclidean
 // centroid distances.
 func (ff *FarthestFirst) AssignBatch(d *dataset.Dataset) ([]int, [][]float64, ScoreKind, error) {
 	if ff.Centroids == nil {
-		return nil, nil, ScoreNone, fmt.Errorf("cluster: FarthestFirst is unbuilt")
+		return nil, nil, scoreNone, fmt.Errorf("cluster: FarthestFirst is unbuilt")
 	}
 	assign, scores, err := centroidAssignBatch("FarthestFirst", d, ff.Centroids, ff.cols)
 	if err != nil {
-		return nil, nil, ScoreNone, err
+		return nil, nil, scoreNone, err
 	}
-	return assign, scores, ScoreDistance, nil
+	return assign, scores, scoreDistance, nil
 }
 
 // AssignBatch implements batchAssigner; the score columns are euclidean
 // distances to the dendrogram's cut centroids.
 func (h *Hierarchical) AssignBatch(d *dataset.Dataset) ([]int, [][]float64, ScoreKind, error) {
 	if h.Centroids == nil {
-		return nil, nil, ScoreNone, fmt.Errorf("cluster: Hierarchical is unbuilt")
+		return nil, nil, scoreNone, fmt.Errorf("cluster: Hierarchical is unbuilt")
 	}
 	assign, scores, err := centroidAssignBatch("Hierarchical", d, h.Centroids, h.cols)
 	if err != nil {
-		return nil, nil, ScoreNone, err
+		return nil, nil, scoreNone, err
 	}
-	return assign, scores, ScoreDistance, nil
+	return assign, scores, scoreDistance, nil
 }
 
 // AssignBatch implements batchAssigner; the score columns are the
@@ -173,10 +173,10 @@ func (h *Hierarchical) AssignBatch(d *dataset.Dataset) ([]int, [][]float64, Scor
 // logGauss's row loop, so the strict-> argmax matches Assign bit for bit.
 func (em *EM) AssignBatch(d *dataset.Dataset) ([]int, [][]float64, ScoreKind, error) {
 	if em.means == nil {
-		return nil, nil, ScoreNone, fmt.Errorf("cluster: EM is unbuilt")
+		return nil, nil, scoreNone, fmt.Errorf("cluster: EM is unbuilt")
 	}
 	if err := checkBatchCols("EM", em.cols, d); err != nil {
-		return nil, nil, ScoreNone, err
+		return nil, nil, scoreNone, err
 	}
 	rows := d.NumInstances()
 	dcols := d.Columns()
@@ -228,5 +228,5 @@ func (em *EM) AssignBatch(d *dataset.Dataset) ([]int, [][]float64, ScoreKind, er
 			resp[c][i] /= sum
 		}
 	}
-	return assign, resp, ScoreResponsibility, nil
+	return assign, resp, scoreResponsibility, nil
 }

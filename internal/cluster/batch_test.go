@@ -65,7 +65,7 @@ func TestBatchMatchesRowPathAllClusterers(t *testing.T) {
 				t.Fatalf("%s row %d: batch assigned %d, row path %d", name, i, got[i], want[i])
 			}
 		}
-		if kind != ScoreNone {
+		if kind != scoreNone {
 			if len(scores) != c.NumClusters() {
 				t.Fatalf("%s: %d score columns for %d clusters", name, len(scores), c.NumClusters())
 			}
@@ -125,7 +125,7 @@ func TestBatchDistanceScoresMatchEuclidean(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if kind != ScoreDistance {
+		if kind != scoreDistance {
 			t.Fatalf("%s: score kind %v, want distance", name, kind)
 		}
 		for cl, cent := range cents {
@@ -151,7 +151,7 @@ func TestBatchResponsibilitiesMatchLogGauss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind != ScoreResponsibility {
+	if kind != scoreResponsibility {
 		t.Fatalf("score kind %v, want responsibility", kind)
 	}
 	for i, in := range d.Instances {

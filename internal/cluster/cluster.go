@@ -26,9 +26,9 @@ type Clusterer interface {
 	Assign(in *dataset.Instance) (int, error)
 }
 
-// ContextBuilder marks clusterers whose Build honours context
+// contextBuilder marks clusterers whose Build honours context
 // cancellation (the iterative k-means/EM fitters).
-type ContextBuilder interface {
+type contextBuilder interface {
 	Clusterer
 	// BuildContext is Build with cooperative cancellation: it returns
 	// ctx.Err() promptly once the context is done.
@@ -41,7 +41,7 @@ func BuildWith(ctx context.Context, c Clusterer, d *dataset.Dataset) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if cb, ok := c.(ContextBuilder); ok {
+	if cb, ok := c.(contextBuilder); ok {
 		return cb.BuildContext(ctx, d)
 	}
 	if err := c.Build(d); err != nil {
@@ -53,15 +53,15 @@ func BuildWith(ctx context.Context, c Clusterer, d *dataset.Dataset) error {
 // Parameterized exposes run-time options (the getOptions operation).
 type Parameterized = algo.Parameterized
 
-// Option describes one run-time parameter (getOptions reply unit).
-type Option = algo.Option
+// option describes one run-time parameter (getOptions reply unit).
+type option = algo.Option
 
 // Registry holds every clusterer the general Clustering Web Service
 // offers.
 var Registry = algo.NewRegistry[Clusterer]("cluster", "clusterer")
 
-// Register adds a clusterer factory; it panics on duplicate names.
-func Register(name string, f func() Clusterer) { Registry.Register(name, f) }
+// register adds a clusterer factory; it panics on duplicate names.
+func register(name string, f func() Clusterer) { Registry.Register(name, f) }
 
 // New constructs a registered clusterer by name.
 func New(name string) (Clusterer, error) { return Registry.New(name) }

@@ -52,9 +52,6 @@ func TestKMeansRecoversPlantedClusters(t *testing.T) {
 	if purity < 0.98 {
 		t.Fatalf("k-means purity = %v on well-separated data", purity)
 	}
-	if km.Iterations() < 1 {
-		t.Fatal("no iterations recorded")
-	}
 }
 
 func TestKMeansSSEDecreasesWithK(t *testing.T) {
@@ -143,14 +140,11 @@ func TestEMRecoversMixture(t *testing.T) {
 	if purity < 0.98 {
 		t.Fatalf("EM purity = %v", purity)
 	}
-	if em.LogLikelihood() == 0 {
-		t.Fatal("log likelihood not recorded")
-	}
 }
 
 func TestHierarchicalLinkages(t *testing.T) {
 	d := datagen.GaussianClusters(3, 90, 2, 12, 13)
-	for _, link := range []Linkage{SingleLink, CompleteLink, AverageLink} {
+	for _, link := range []Linkage{singleLink, completeLink, AverageLink} {
 		h := &Hierarchical{K: 3, Linkage: link}
 		if err := h.Build(d); err != nil {
 			t.Fatalf("%v: %v", link, err)
@@ -173,7 +167,7 @@ func TestHierarchicalMergeDistancesMonotoneForComplete(t *testing.T) {
 	// With complete linkage over a metric, merge distances are produced in
 	// non-decreasing order (reducibility); check on a small instance.
 	d := datagen.GaussianClusters(2, 40, 2, 6, 15)
-	h := &Hierarchical{K: 2, Linkage: CompleteLink}
+	h := &Hierarchical{K: 2, Linkage: completeLink}
 	if err := h.Build(d); err != nil {
 		t.Fatal(err)
 	}
@@ -192,14 +186,14 @@ func TestDBSCANFindsDenseClustersAndNoise(t *testing.T) {
 	out := make([]float64, 3)
 	out[0], out[1], out[2] = 100, 100, 0
 	d.MustAdd(dataset.NewInstance(out))
-	db := &DBSCAN{Eps: 1.5, MinPts: 4}
+	db := &dbscan{Eps: 1.5, MinPts: 4}
 	if err := db.Build(d); err != nil {
 		t.Fatal(err)
 	}
 	if db.NumClusters() != 2 {
 		t.Fatalf("DBSCAN found %d clusters, want 2", db.NumClusters())
 	}
-	labels := db.Labels()
+	labels := db.labels
 	if labels[len(labels)-1] != -1 {
 		t.Fatalf("outlier labelled %d, want noise (-1)", labels[len(labels)-1])
 	}
@@ -224,7 +218,7 @@ func TestAssignConsistentWithBuild(t *testing.T) {
 func TestUnbuiltErrors(t *testing.T) {
 	in := dataset.NewInstance([]float64{0, 0, 0})
 	for _, c := range []Clusterer{&KMeans{K: 2}, &FarthestFirst{K: 2}, &EM{K: 2},
-		&Hierarchical{K: 2}, &DBSCAN{Eps: 1, MinPts: 3}, &Cobweb{Acuity: 1, Cutoff: 0.002}} {
+		&Hierarchical{K: 2}, &dbscan{Eps: 1, MinPts: 3}, &Cobweb{Acuity: 1, Cutoff: 0.002}} {
 		if _, err := c.Assign(in); err == nil {
 			t.Errorf("%s: Assign before Build succeeded", c.Name())
 		}

@@ -40,14 +40,14 @@ type ConceptNode struct {
 	Sum, SumSq []float64
 }
 
-func init() { Register("Cobweb", func() Clusterer { return &Cobweb{Acuity: 1.0, Cutoff: 0.0028} }) }
+func init() { register("Cobweb", func() Clusterer { return &Cobweb{Acuity: 1.0, Cutoff: 0.0028} }) }
 
 // Name implements Clusterer.
 func (cw *Cobweb) Name() string { return "Cobweb" }
 
 // Options implements Parameterized.
-func (cw *Cobweb) Options() []Option {
-	return []Option{
+func (cw *Cobweb) Options() []option {
+	return []option{
 		algo.Float("acuity", "minimum numeric standard deviation (CLASSIT)", &cw.Acuity, algo.Above(0)),
 		algo.Float("cutoff", "category utility threshold for keeping concepts", &cw.Cutoff, algo.AtLeast(0)),
 	}

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/algo"
-	"repro/internal/binfmt"
 	"repro/internal/dataset"
 	"repro/internal/parallel"
 )
@@ -26,36 +25,16 @@ type EM struct {
 	weights []float64
 	means   [][]float64
 	vars    [][]float64
-	logLik  float64
 }
 
-func init() { Register("EM", func() Clusterer { return &EM{K: 2, MaxIter: 100, Seed: 1, Tol: 1e-6} }) }
+func init() { register("EM", func() Clusterer { return &EM{K: 2, MaxIter: 100, Seed: 1, Tol: 1e-6} }) }
 
 // Name implements Clusterer.
 func (em *EM) Name() string { return "EM" }
 
-// Snapshot codes the fitted model for the model store (see KMeans.Snapshot).
-func (em *EM) Snapshot(c binfmt.Codec) {
-	c.Int(&em.K)
-	c.Int(&em.MaxIter)
-	c.Int64(&em.Seed)
-	c.F64(&em.Tol)
-	var reserved int // was the parallelism setting: written as 0, ignored on read
-	c.Signed(&reserved)
-	c.F64(&em.logLik)
-	c.Ints(&em.cols)
-	c.F64s(&em.weights)
-	c.F64Rows(&em.means, len(em.cols))
-	c.F64Rows(&em.vars, len(em.cols))
-	if em.means != nil && (len(em.weights) != em.K || len(em.means) != em.K || len(em.vars) != em.K) {
-		c.Failf("EM has %d weights, %d means and %d variances for %d components",
-			len(em.weights), len(em.means), len(em.vars), em.K)
-	}
-}
-
 // Options implements Parameterized.
-func (em *EM) Options() []Option {
-	return []Option{
+func (em *EM) Options() []option {
+	return []option{
 		algo.Int("k", "number of mixture components", &em.K, 1).Require(),
 		algo.Int("maxIterations", "EM iteration cap", &em.MaxIter, 1),
 		algo.Seed("seed", "initialisation seed", &em.Seed),
@@ -70,7 +49,7 @@ func (em *EM) Build(d *dataset.Dataset) error {
 	return em.BuildContext(context.Background(), d)
 }
 
-// BuildContext implements ContextBuilder: the fit checks ctx inside the
+// BuildContext implements contextBuilder: the fit checks ctx inside the
 // E and M steps of every iteration.
 func (em *EM) BuildContext(ctx context.Context, d *dataset.Dataset) error {
 	cols, err := numericColumns(d)
@@ -140,7 +119,6 @@ func (em *EM) BuildContext(ctx context.Context, d *dataset.Dataset) error {
 		for _, v := range contrib {
 			ll += v
 		}
-		em.logLik = ll / float64(n)
 		// M step: components update independently (disjoint writes).
 		err = parallel.ForEach(ctx, em.K, func(c int) error {
 			var rc float64
@@ -208,9 +186,6 @@ func (em *EM) logGauss(in *dataset.Instance, c int) float64 {
 
 // NumClusters implements Clusterer.
 func (em *EM) NumClusters() int { return em.K }
-
-// LogLikelihood returns the final per-instance log likelihood.
-func (em *EM) LogLikelihood() float64 { return em.logLik }
 
 // Assign implements Clusterer.
 func (em *EM) Assign(in *dataset.Instance) (int, error) {

@@ -13,19 +13,19 @@ import (
 type Linkage int
 
 const (
-	// SingleLink merges on the minimum pairwise distance.
-	SingleLink Linkage = iota
-	// CompleteLink merges on the maximum pairwise distance.
-	CompleteLink
+	// singleLink merges on the minimum pairwise distance.
+	singleLink Linkage = iota
+	// completeLink merges on the maximum pairwise distance.
+	completeLink
 	// AverageLink merges on the mean pairwise distance.
 	AverageLink
 )
 
 func (l Linkage) String() string {
 	switch l {
-	case SingleLink:
+	case singleLink:
 		return "single"
-	case CompleteLink:
+	case completeLink:
 		return "complete"
 	case AverageLink:
 		return "average"
@@ -55,17 +55,17 @@ type Hierarchical struct {
 }
 
 func init() {
-	Register("Hierarchical", func() Clusterer { return &Hierarchical{K: 2, Linkage: AverageLink} })
+	register("Hierarchical", func() Clusterer { return &Hierarchical{K: 2, Linkage: AverageLink} })
 }
 
 // Name implements Clusterer.
 func (h *Hierarchical) Name() string { return "Hierarchical" }
 
 // Options implements Parameterized.
-func (h *Hierarchical) Options() []Option {
-	return []Option{
+func (h *Hierarchical) Options() []option {
+	return []option{
 		algo.Int("k", "number of clusters after cutting", &h.K, 1).Require(),
-		algo.Enum("linkage", "single | complete | average", &h.Linkage, SingleLink, CompleteLink, AverageLink),
+		algo.Enum("linkage", "single | complete | average", &h.Linkage, singleLink, completeLink, AverageLink),
 	}
 }
 
@@ -146,9 +146,9 @@ func (h *Hierarchical) Build(d *dataset.Dataset) error {
 				continue
 			}
 			switch h.Linkage {
-			case SingleLink:
+			case singleLink:
 				dist[bi][k] = math.Min(dist[bi][k], dist[bj][k])
-			case CompleteLink:
+			case completeLink:
 				dist[bi][k] = math.Max(dist[bi][k], dist[bj][k])
 			case AverageLink:
 				dist[bi][k] = (size[bi]*dist[bi][k] + size[bj]*dist[bj][k]) / (size[bi] + size[bj])
@@ -237,9 +237,9 @@ func (h *Hierarchical) Assign(in *dataset.Instance) (int, error) {
 	return nearestCentroid(in.Values, h.Centroids, h.cols), nil
 }
 
-// DBSCAN is density-based clustering with parameters Eps and MinPts; noise
+// dbscan is density-based clustering with parameters Eps and MinPts; noise
 // points are assigned cluster index -1 by Assign.
-type DBSCAN struct {
+type dbscan struct {
 	Eps    float64
 	MinPts int
 
@@ -249,24 +249,24 @@ type DBSCAN struct {
 	k      int
 }
 
-func init() { Register("DBSCAN", func() Clusterer { return &DBSCAN{Eps: 0.9, MinPts: 4} }) }
+func init() { register("DBSCAN", func() Clusterer { return &dbscan{Eps: 0.9, MinPts: 4} }) }
 
 // Name implements Clusterer.
-func (db *DBSCAN) Name() string { return "DBSCAN" }
+func (db *dbscan) Name() string { return "DBSCAN" }
 
 // Options implements Parameterized.
-func (db *DBSCAN) Options() []Option {
-	return []Option{
+func (db *dbscan) Options() []option {
+	return []option{
 		algo.Float("eps", "neighbourhood radius", &db.Eps, algo.Above(0)).Require(),
 		algo.Int("minPts", "minimum neighbours for a core point", &db.MinPts, 1),
 	}
 }
 
 // SetOption implements Parameterized.
-func (db *DBSCAN) SetOption(name, value string) error { return Registry.Set(db, name, value) }
+func (db *dbscan) SetOption(name, value string) error { return Registry.Set(db, name, value) }
 
 // Build implements Clusterer.
-func (db *DBSCAN) Build(d *dataset.Dataset) error {
+func (db *dbscan) Build(d *dataset.Dataset) error {
 	cols, err := numericColumns(d)
 	if err != nil {
 		return err
@@ -339,16 +339,13 @@ func (db *DBSCAN) Build(d *dataset.Dataset) error {
 }
 
 // NumClusters implements Clusterer (noise excluded).
-func (db *DBSCAN) NumClusters() int { return db.k }
-
-// Labels returns the per-training-instance labels (-1 = noise).
-func (db *DBSCAN) Labels() []int { return db.labels }
+func (db *dbscan) NumClusters() int { return db.k }
 
 // fittedCols implements rowAssigner.
-func (db *DBSCAN) fittedCols() []int { return db.cols }
+func (db *dbscan) fittedCols() []int { return db.cols }
 
 // Assign implements Clusterer: the label of the nearest training point.
-func (db *DBSCAN) Assign(in *dataset.Instance) (int, error) {
+func (db *dbscan) Assign(in *dataset.Instance) (int, error) {
 	if db.points == nil {
 		return -1, fmt.Errorf("cluster: DBSCAN is unbuilt")
 	}

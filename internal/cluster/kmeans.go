@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/algo"
-	"repro/internal/binfmt"
 	"repro/internal/dataset"
 	"repro/internal/parallel"
 )
@@ -25,32 +24,18 @@ type KMeans struct {
 
 	cols      []int
 	Centroids [][]float64
-	iters     int
 }
 
 func init() {
-	Register("SimpleKMeans", func() Clusterer { return &KMeans{K: 2, MaxIter: 100, Seed: 1} })
+	register("SimpleKMeans", func() Clusterer { return &KMeans{K: 2, MaxIter: 100, Seed: 1} })
 }
 
 // Name implements Clusterer.
 func (km *KMeans) Name() string { return "SimpleKMeans" }
 
-// Snapshot codes the fitted model for the model store, where re-fitting at
-// production scale is what it saves. A restored clusterer only assigns.
-func (km *KMeans) Snapshot(c binfmt.Codec) {
-	c.Int(&km.K)
-	c.Int(&km.MaxIter)
-	c.Int64(&km.Seed)
-	var reserved int // was the parallelism setting: written as 0, ignored on read
-	c.Signed(&reserved)
-	c.Int(&km.iters)
-	c.Ints(&km.cols)
-	c.F64Rows(&km.Centroids, len(km.cols))
-}
-
 // Options implements Parameterized.
-func (km *KMeans) Options() []Option {
-	return []Option{
+func (km *KMeans) Options() []option {
+	return []option{
 		algo.Int("k", "number of clusters", &km.K, 1).Require(),
 		algo.Int("maxIterations", "iteration cap", &km.MaxIter, 1),
 		algo.Seed("seed", "k-means++ seeding RNG seed", &km.Seed),
@@ -65,7 +50,7 @@ func (km *KMeans) Build(d *dataset.Dataset) error {
 	return km.BuildContext(context.Background(), d)
 }
 
-// BuildContext implements ContextBuilder: the fit checks ctx between
+// BuildContext implements contextBuilder: the fit checks ctx between
 // iterations and inside the assignment scan.
 func (km *KMeans) BuildContext(ctx context.Context, d *dataset.Dataset) error {
 	cols, err := numericColumns(d)
@@ -98,7 +83,6 @@ func (km *KMeans) BuildContext(ctx context.Context, d *dataset.Dataset) error {
 		if err != nil {
 			return err
 		}
-		km.iters = iter + 1
 		if !changedFlag.Load() {
 			break
 		}
@@ -191,9 +175,6 @@ func (km *KMeans) seedPlusPlus(d *dataset.Dataset, rng *rand.Rand) [][]float64 {
 // NumClusters implements Clusterer.
 func (km *KMeans) NumClusters() int { return len(km.Centroids) }
 
-// Iterations returns the number of Lloyd iterations performed.
-func (km *KMeans) Iterations() int { return km.iters }
-
 // Assign implements Clusterer.
 func (km *KMeans) Assign(in *dataset.Instance) (int, error) {
 	if km.Centroids == nil {
@@ -212,14 +193,14 @@ type FarthestFirst struct {
 	Centroids [][]float64
 }
 
-func init() { Register("FarthestFirst", func() Clusterer { return &FarthestFirst{K: 2, Seed: 1} }) }
+func init() { register("FarthestFirst", func() Clusterer { return &FarthestFirst{K: 2, Seed: 1} }) }
 
 // Name implements Clusterer.
 func (ff *FarthestFirst) Name() string { return "FarthestFirst" }
 
 // Options implements Parameterized.
-func (ff *FarthestFirst) Options() []Option {
-	return []Option{
+func (ff *FarthestFirst) Options() []option {
+	return []option{
 		algo.Int("k", "number of clusters", &ff.K, 1).Require(),
 		algo.Seed("seed", "first-centre RNG seed", &ff.Seed),
 	}

@@ -163,38 +163,6 @@ func (c *Client) Train(ctx context.Context, o TrainOptions) (*TrainResult, error
 	}, nil
 }
 
-// CVResult is a crossValidate reply.
-type CVResult struct {
-	Evaluation string
-	Accuracy   float64
-	Folds      int
-}
-
-// CrossValidate runs stratified k-fold cross-validation on the server.
-// folds <= 0 uses the service default (10); seed <= 0 uses 1.
-func (c *Client) CrossValidate(ctx context.Context, o TrainOptions, folds, seed int) (*CVResult, error) {
-	parts, err := o.parts()
-	if err != nil {
-		return nil, err
-	}
-	if folds > 0 {
-		parts[services.PartFolds] = strconv.Itoa(folds)
-	}
-	if seed > 0 {
-		parts[services.PartSeed] = strconv.Itoa(seed)
-	}
-	out, err := c.call(ctx, c.Endpoint("Classifier"), "crossValidate", parts)
-	if err != nil {
-		return nil, err
-	}
-	acc, err := strconv.ParseFloat(out[services.PartAccuracy], 64)
-	if err != nil {
-		return nil, fmt.Errorf("dm: crossValidate returned no accuracy: %w", err)
-	}
-	gotFolds, _ := strconv.Atoi(out[services.PartFolds])
-	return &CVResult{Evaluation: out[services.PartEvaluation], Accuracy: acc, Folds: gotFolds}, nil
-}
-
 // CreateSession trains once and mints a replica-portable session token
 // for interactive use.
 func (c *Client) CreateSession(ctx context.Context, o TrainOptions) (string, error) {
@@ -258,25 +226,6 @@ func (c *Client) ClassifyBatch(ctx context.Context, token string, v *dataset.Vie
 		return nil, err
 	}
 	out, err := c.call(ctx, c.Endpoint("Session"), "classifyBatch", parts)
-	if err != nil {
-		return nil, err
-	}
-	return decodeLabels(out, n)
-}
-
-// TrainClassifyBatch trains (or restores, via the content-addressed
-// model store) a classifier and scores a batch in one Classifier-
-// service call — batched scoring without session setup.
-func (c *Client) TrainClassifyBatch(ctx context.Context, o TrainOptions, v *dataset.View) ([]Label, error) {
-	parts, err := o.parts()
-	if err != nil {
-		return nil, err
-	}
-	n, err := viewPart(parts, v)
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.call(ctx, c.Endpoint("Classifier"), "classifyBatch", parts)
 	if err != nil {
 		return nil, err
 	}

@@ -70,12 +70,10 @@ func TestClientAtRoutesEveryCall(t *testing.T) {
 			// Each call faults at the recorder; only where it went matters.
 			at.Classifiers(ctx)
 			at.Train(ctx, opts)
-			at.CrossValidate(ctx, opts, 3, 1)
 			at.CreateSession(ctx, opts)
 			at.CloseSession(ctx, "token")
 			at.Classify(ctx, "token", d)
 			at.ClassifyBatch(ctx, "token", v)
-			at.TrainClassifyBatch(ctx, opts, v)
 			at.ClusterBatch(ctx, ClusterBatchOptions{Batch: num, Clusterer: "SimpleKMeans"})
 			at.RegressBatch(ctx, RegressBatchOptions{Train: num, Batch: num, Regressor: "LinearRegression"})
 			at.FilterBatch(ctx, FilterBatchOptions{Dataset: num, Filter: "Normalize"})
@@ -84,8 +82,8 @@ func TestClientAtRoutesEveryCall(t *testing.T) {
 	}
 	wg.Wait()
 
-	want := []string{"classify", "classifyBatch", "classifyBatch", "classifyInstance", "closeSession",
-		"clusterBatch", "createSession", "crossValidate", "filterBatch", "getClassifiers", "regressBatch"}
+	want := []string{"classify", "classifyBatch", "classifyInstance", "closeSession",
+		"clusterBatch", "createSession", "filterBatch", "getClassifiers", "regressBatch"}
 	for i, r := range pinned {
 		if got := r.seen(); !reflect.DeepEqual(got, want) {
 			t.Errorf("pinned endpoint %d saw %v\nwant %v", i, got, want)

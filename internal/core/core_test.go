@@ -63,10 +63,10 @@ func TestToolboxArchitecture(t *testing.T) {
 	if _, err := tk.NewUnit("Nonexistent"); err == nil {
 		t.Fatal("phantom tool constructed")
 	}
-	if err := tk.Register(Tool{}); err == nil {
+	if err := tk.register(tool{}); err == nil {
 		t.Fatal("anonymous tool registered")
 	}
-	if err := tk.Register(Tool{Name: "TreeViewer", Make: func() workflow.Unit { return nil }}); err == nil {
+	if err := tk.register(tool{Name: "TreeViewer", Make: func() workflow.Unit { return nil }}); err == nil {
 		t.Fatal("duplicate tool registered")
 	}
 }

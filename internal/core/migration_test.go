@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -181,7 +182,8 @@ func TestImportFromRegistry(t *testing.T) {
 // deployment (dmserver -backend serialising) must handle every
 // serialisable single-model algorithm, not just J48.
 func TestSerialisingDeploymentServesAllCommonClassifiers(t *testing.T) {
-	store, err := model.NewStore(t.TempDir())
+	dir := t.TempDir()
+	store, err := model.NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +210,7 @@ func TestSerialisingDeploymentServesAllCommonClassifiers(t *testing.T) {
 			t.Fatalf("%s second invocation: %v", name, err)
 		}
 	}
-	if ids, _ := store.List(); len(ids) != 6 {
+	if ids, _ := filepath.Glob(filepath.Join(dir, "*.model")); len(ids) != 6 {
 		t.Fatalf("store holds %d models, want 6", len(ids))
 	}
 }

@@ -25,8 +25,8 @@ import (
 	"repro/internal/wsdl"
 )
 
-// Tool is a toolbox entry: a named unit factory living in a folder.
-type Tool struct {
+// tool is a toolbox entry: a named unit factory living in a folder.
+type tool struct {
 	Name   string
 	Folder string
 	Doc    string
@@ -36,27 +36,27 @@ type Tool struct {
 // Toolkit is the composition environment's toolbox.
 type Toolkit struct {
 	mu    sync.RWMutex
-	tools map[string]Tool // by name
+	tools map[string]tool // by name
 }
 
 // NewToolkit returns a toolbox pre-populated with the local tools of §4.3
 // and §4.4: data-manipulation, processing, visualisation and signal tools.
 func NewToolkit() *Toolkit {
-	tk := &Toolkit{tools: map[string]Tool{}}
+	tk := &Toolkit{tools: map[string]tool{}}
 	for _, t := range builtinTools() {
 		tk.mustRegister(t)
 	}
 	return tk
 }
 
-func (tk *Toolkit) mustRegister(t Tool) {
-	if err := tk.Register(t); err != nil {
+func (tk *Toolkit) mustRegister(t tool) {
+	if err := tk.register(t); err != nil {
 		panic(err)
 	}
 }
 
-// Register adds a tool; names must be unique across folders.
-func (tk *Toolkit) Register(t Tool) error {
+// register adds a tool; names must be unique across folders.
+func (tk *Toolkit) register(t tool) error {
 	if t.Name == "" || t.Make == nil {
 		return fmt.Errorf("core: tool needs a name and a factory")
 	}
@@ -140,7 +140,7 @@ func (tk *Toolkit) ImportDescription(desc *wsdl.Description) ([]string, error) {
 		if op := desc.Operation(unit.Operation); op != nil {
 			doc = op.Doc
 		}
-		if err := tk.Register(Tool{
+		if err := tk.register(tool{
 			Name:   name,
 			Folder: "RemoteServices/" + desc.Service,
 			Doc:    doc,
@@ -193,8 +193,8 @@ func (tk *Toolkit) ImportFromRegistry(registryURL, category string) ([]string, e
 
 // builtinTools assembles the pre-defined local tools (§4.3's three tool
 // families plus the Common and signal-processing folders).
-func builtinTools() []Tool {
-	return []Tool{
+func builtinTools() []tool {
+	return []tool{
 		{
 			Name: "StringInput", Folder: "Common",
 			Doc:  "Emit a fixed string value.",

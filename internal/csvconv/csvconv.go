@@ -30,10 +30,10 @@ type Options struct {
 	Relation string
 }
 
-// Parse reads CSV from r, inferring each column's type: a column is numeric
+// parse reads CSV from r, inferring each column's type: a column is numeric
 // when every non-missing cell parses as a float, nominal otherwise (the
 // nominal domain is the sorted set of observed values).
-func Parse(r io.Reader, opt Options) (*dataset.Dataset, error) {
+func parse(r io.Reader, opt Options) (*dataset.Dataset, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
 	cr.TrimLeadingSpace = true
@@ -125,13 +125,13 @@ func Parse(r io.Reader, opt Options) (*dataset.Dataset, error) {
 	return d, nil
 }
 
-// ParseString is a convenience wrapper over Parse.
+// ParseString parses CSV text.
 func ParseString(s string, opt Options) (*dataset.Dataset, error) {
-	return Parse(strings.NewReader(s), opt)
+	return parse(strings.NewReader(s), opt)
 }
 
-// Write renders d as CSV with a header row; missing cells become "?".
-func Write(w io.Writer, d *dataset.Dataset) error {
+// write renders d as CSV with a header row; missing cells become "?".
+func write(w io.Writer, d *dataset.Dataset) error {
 	cw := csv.NewWriter(w)
 	header := make([]string, d.NumAttributes())
 	for i, a := range d.Attrs {
@@ -156,6 +156,6 @@ func Write(w io.Writer, d *dataset.Dataset) error {
 // Format renders d as a CSV string.
 func Format(d *dataset.Dataset) string {
 	var b strings.Builder
-	_ = Write(&b, d)
+	_ = write(&b, d)
 	return b.String()
 }

@@ -43,13 +43,6 @@ func (db *Database) CreateTable(name string, d *dataset.Dataset) error {
 	return nil
 }
 
-// DropTable removes a table (no error when absent).
-func (db *Database) DropTable(name string) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	delete(db.tables, name)
-}
-
 // Tables lists the table names, sorted.
 func (db *Database) Tables() []string {
 	db.mu.RLock()
@@ -77,27 +70,27 @@ func (db *Database) Describe(name string) ([]string, error) {
 	return specs, nil
 }
 
-// Op is a comparison operator in a Condition.
-type Op int
+// op is a comparison operator in a Condition.
+type op int
 
 const (
 	// Eq matches equal values (nominal label or numeric equality).
-	Eq Op = iota
-	// Ne matches unequal values.
-	Ne
+	Eq op = iota
+	// ne matches unequal values.
+	ne
 	// Lt, Le, Gt, Ge compare numeric attributes.
-	Lt
-	Le
-	Gt
-	Ge
+	lt
+	le
+	gt
+	ge
 )
 
-var opNames = map[string]Op{"=": Eq, "!=": Ne, "<": Lt, "<=": Le, ">": Gt, ">=": Ge}
+var opNames = map[string]op{"=": Eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 // Condition is one predicate of a query's where clause (conjunctive).
 type Condition struct {
 	Attribute string
-	Op        Op
+	Op        op
 	Value     string
 }
 
@@ -136,7 +129,7 @@ func (db *Database) Run(q Query) (*dataset.Dataset, error) {
 			if idx < 0 {
 				return nil, fmt.Errorf("dataaccess: column %q has no value %q", c.Attribute, c.Value)
 			}
-			if c.Op != Eq && c.Op != Ne {
+			if c.Op != Eq && c.Op != ne {
 				return nil, fmt.Errorf("dataaccess: ordering comparison on nominal column %q", c.Attribute)
 			}
 			p.nomVal = idx
@@ -179,7 +172,7 @@ func (db *Database) Run(q Query) (*dataset.Dataset, error) {
 // pred is a resolved where-clause predicate.
 type pred struct {
 	col     int
-	op      Op
+	op      op
 	numeric bool
 	numVal  float64
 	nomVal  int
@@ -197,30 +190,30 @@ func rowMatches(in *dataset.Instance, preds []pred) bool {
 				if v != p.numVal {
 					return false
 				}
-			case Ne:
+			case ne:
 				if v == p.numVal {
 					return false
 				}
-			case Lt:
+			case lt:
 				if !(v < p.numVal) {
 					return false
 				}
-			case Le:
+			case le:
 				if !(v <= p.numVal) {
 					return false
 				}
-			case Gt:
+			case gt:
 				if !(v > p.numVal) {
 					return false
 				}
-			case Ge:
+			case ge:
 				if !(v >= p.numVal) {
 					return false
 				}
 			}
 		} else {
 			eq := int(v) == p.nomVal
-			if (p.op == Eq && !eq) || (p.op == Ne && eq) {
+			if (p.op == Eq && !eq) || (p.op == ne && eq) {
 				return false
 			}
 		}

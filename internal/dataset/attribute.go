@@ -58,7 +58,8 @@ func NewNumericAttribute(name string) *Attribute {
 
 // NewNominalAttribute returns a nominal attribute with the given labels.
 func NewNominalAttribute(name string, labels ...string) *Attribute {
-	a := &Attribute{Name: name, Kind: Nominal, index: make(map[string]int, len(labels))}
+	a := &Attribute{Name: name, Kind: Nominal, index: make(map[string]int, len(labels)),
+		values: make([]string, 0, len(labels))}
 	for _, l := range labels {
 		a.addValue(l)
 	}

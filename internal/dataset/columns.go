@@ -48,9 +48,6 @@ func (d *Dataset) Columns() [][]float64 {
 	return cols
 }
 
-// Column returns attribute j's contiguous value slice (see Columns).
-func (d *Dataset) Column(j int) []float64 { return d.Columns()[j] }
-
 // HasColumns reports whether a current column mirror exists without
 // building one — true for column-first datasets and for row-first
 // datasets whose mirror is cached and not stale.

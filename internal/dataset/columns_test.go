@@ -61,7 +61,7 @@ func TestInvalidateColumnsAfterCellWrite(t *testing.T) {
 	_ = d.Columns()
 	d.Instances[0].Values[0] = 42
 	d.InvalidateColumns()
-	if got := d.Column(0)[0]; got != 42 {
+	if got := d.Columns()[0][0]; got != 42 {
 		t.Fatalf("column sees %v after invalidate, want 42", got)
 	}
 }

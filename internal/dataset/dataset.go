@@ -3,7 +3,6 @@ package dataset
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -94,9 +93,6 @@ func (d *Dataset) NumInstances() int { return len(d.Instances) }
 // NumAttributes returns the number of columns.
 func (d *Dataset) NumAttributes() int { return len(d.Attrs) }
 
-// Attribute returns the attribute at index i.
-func (d *Dataset) Attribute(i int) *Attribute { return d.Attrs[i] }
-
 // AttributeByName returns the attribute with the given name and its index,
 // or (nil, -1) when absent.
 func (d *Dataset) AttributeByName(name string) (*Attribute, int) {
@@ -134,9 +130,6 @@ func (d *Dataset) NumClasses() int {
 	}
 	return ca.NumValues()
 }
-
-// ClassValue returns the class cell of instance in.
-func (d *Dataset) ClassValue(in *Instance) float64 { return in.Values[d.ClassIndex] }
 
 // Add appends an instance after validating its width and nominal indices.
 func (d *Dataset) Add(in *Instance) error {
@@ -256,15 +249,6 @@ func (d *Dataset) Shuffle(rng *rand.Rand) {
 	d.InvalidateColumns()
 }
 
-// TotalWeight returns the sum of instance weights.
-func (d *Dataset) TotalWeight() float64 {
-	var w float64
-	for _, in := range d.Instances {
-		w += in.Weight
-	}
-	return w
-}
-
 // ClassCounts returns the per-label weight mass of the class attribute,
 // ignoring instances with a missing class.
 func (d *Dataset) ClassCounts() []float64 {
@@ -278,18 +262,6 @@ func (d *Dataset) ClassCounts() []float64 {
 		counts[int(cv)] += in.Weight
 	}
 	return counts
-}
-
-// MajorityClass returns the index of the heaviest class label.
-func (d *Dataset) MajorityClass() int {
-	counts := d.ClassCounts()
-	best, bestW := 0, math.Inf(-1)
-	for i, w := range counts {
-		if w > bestW {
-			best, bestW = i, w
-		}
-	}
-	return best
 }
 
 // DeleteWithMissingClass returns a shallow dataset without instances whose

@@ -143,13 +143,6 @@ func TestClassHelpers(t *testing.T) {
 	}
 }
 
-func TestMajorityClass(t *testing.T) {
-	d := twoClassSet(t, 9) // 5 of class a (even i), 4 of class b
-	if got := d.MajorityClass(); got != 0 {
-		t.Fatalf("MajorityClass = %d, want 0", got)
-	}
-}
-
 func TestCellString(t *testing.T) {
 	d := twoClassSet(t, 1)
 	in := d.Instances[0]
@@ -267,21 +260,6 @@ func TestEntropyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSortByAttribute(t *testing.T) {
-	d := New("s", NewNumericAttribute("x"))
-	for _, v := range []float64{3, Missing, 1, 2} {
-		d.MustAdd(NewInstance([]float64{v}))
-	}
-	d.SortByAttribute(0)
-	got := []float64{d.Instances[0].Values[0], d.Instances[1].Values[0], d.Instances[2].Values[0]}
-	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("sorted prefix = %v", got)
-	}
-	if !d.Instances[3].IsMissing(0) {
-		t.Fatal("missing value not sorted last")
 	}
 }
 

@@ -5,30 +5,6 @@ import (
 	"math/rand"
 )
 
-// TrainTestSplit partitions the dataset into train/test shares, with trainFrac
-// of the instances (after shuffling with rng) in the training share. The
-// returned datasets share the schema with d but not the instance slice.
-func TrainTestSplit(d *Dataset, trainFrac float64, rng *rand.Rand) (train, test *Dataset, err error) {
-	if trainFrac <= 0 || trainFrac >= 1 {
-		return nil, nil, fmt.Errorf("dataset: trainFrac %v out of (0,1)", trainFrac)
-	}
-	idx := rng.Perm(len(d.Instances))
-	nTrain := int(float64(len(idx)) * trainFrac)
-	if nTrain == 0 || nTrain == len(idx) {
-		return nil, nil, fmt.Errorf("dataset: split leaves an empty share (%d instances)", len(idx))
-	}
-	trIns := make([]*Instance, 0, nTrain)
-	teIns := make([]*Instance, 0, len(idx)-nTrain)
-	for i, j := range idx {
-		if i < nTrain {
-			trIns = append(trIns, d.Instances[j])
-		} else {
-			teIns = append(teIns, d.Instances[j])
-		}
-	}
-	return d.ShallowWith(trIns), d.ShallowWith(teIns), nil
-}
-
 // StratifiedSplit partitions the dataset preserving the class distribution in
 // both shares. The class attribute must be nominal.
 func StratifiedSplit(d *Dataset, trainFrac float64, rng *rand.Rand) (train, test *Dataset, err error) {
@@ -61,33 +37,4 @@ func StratifiedSplit(d *Dataset, trainFrac float64, rng *rand.Rand) (train, test
 	rng.Shuffle(len(trIns), func(i, j int) { trIns[i], trIns[j] = trIns[j], trIns[i] })
 	rng.Shuffle(len(teIns), func(i, j int) { teIns[i], teIns[j] = teIns[j], teIns[i] })
 	return d.ShallowWith(trIns), d.ShallowWith(teIns), nil
-}
-
-// WeightedResample draws n instances with replacement with probability
-// proportional to instance weight; the drawn copies have unit weight
-// (boosting substrate).
-func WeightedResample(d *Dataset, n int, rng *rand.Rand) *Dataset {
-	cum := make([]float64, len(d.Instances))
-	var total float64
-	for i, in := range d.Instances {
-		total += in.Weight
-		cum[i] = total
-	}
-	ins := make([]*Instance, n)
-	for i := range ins {
-		r := rng.Float64() * total
-		lo, hi := 0, len(cum)-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cum[mid] < r {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		c := d.Instances[lo].Clone()
-		c.Weight = 1
-		ins[i] = c
-	}
-	return d.ShallowWith(ins)
 }

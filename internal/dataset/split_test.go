@@ -6,39 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestTrainTestSplit(t *testing.T) {
-	d := twoClassSet(t, 100)
-	train, test, err := TrainTestSplit(d, 0.66, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatalf("TrainTestSplit: %v", err)
-	}
-	if train.NumInstances() != 66 || test.NumInstances() != 34 {
-		t.Fatalf("split sizes %d/%d", train.NumInstances(), test.NumInstances())
-	}
-	// Shares are disjoint and cover everything.
-	seen := map[*Instance]int{}
-	for _, in := range train.Instances {
-		seen[in]++
-	}
-	for _, in := range test.Instances {
-		seen[in]++
-	}
-	if len(seen) != 100 {
-		t.Fatalf("shares cover %d distinct instances", len(seen))
-	}
-	for _, n := range seen {
-		if n != 1 {
-			t.Fatal("instance appears in both shares")
-		}
-	}
-	if _, _, err := TrainTestSplit(d, 0, rand.New(rand.NewSource(1))); err == nil {
-		t.Fatal("trainFrac 0 accepted")
-	}
-	if _, _, err := TrainTestSplit(d, 1.5, rand.New(rand.NewSource(1))); err == nil {
-		t.Fatal("trainFrac > 1 accepted")
-	}
-}
-
 func TestStratifiedSplitPreservesDistribution(t *testing.T) {
 	d := twoClassSet(t, 100) // exactly 50/50
 	train, test, err := StratifiedSplit(d, 0.7, rand.New(rand.NewSource(2)))
@@ -131,33 +98,5 @@ func TestResample(t *testing.T) {
 	r := ResampleView(d, 25, rand.New(rand.NewSource(4)))
 	if r.NumInstances() != 25 {
 		t.Fatalf("ResampleView size = %d", r.NumInstances())
-	}
-}
-
-func TestWeightedResampleFavoursHeavy(t *testing.T) {
-	d := twoClassSet(t, 10)
-	// Make instance 0 dominate the weight mass.
-	for i, in := range d.Instances {
-		if i == 0 {
-			in.Weight = 1000
-		} else {
-			in.Weight = 1
-		}
-	}
-	r := WeightedResample(d, 200, rand.New(rand.NewSource(5)))
-	heavy := 0
-	for _, in := range r.Instances {
-		if in.Values[0] == 0 {
-			heavy++
-		}
-	}
-	if heavy < 150 {
-		t.Fatalf("heavy instance drawn only %d/200 times", heavy)
-	}
-	// Draws carry unit weight.
-	for _, in := range r.Instances {
-		if in.Weight != 1 {
-			t.Fatalf("resampled weight = %v", in.Weight)
-		}
 	}
 }

@@ -3,7 +3,6 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -189,23 +188,4 @@ func Entropy(counts []float64) float64 {
 		}
 	}
 	return h
-}
-
-// SortByAttribute stably sorts the instances by the value of numeric column
-// col, missing values last.
-func (d *Dataset) SortByAttribute(col int) {
-	sort.SliceStable(d.Instances, func(i, j int) bool {
-		a, b := d.Instances[i].Values[col], d.Instances[j].Values[col]
-		am, bm := IsMissing(a), IsMissing(b)
-		switch {
-		case am && bm:
-			return false
-		case am:
-			return false
-		case bm:
-			return true
-		default:
-			return a < b
-		}
-	})
 }

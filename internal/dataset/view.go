@@ -36,9 +36,6 @@ func All(d *Dataset) *View {
 // Parent returns the dataset the view selects from.
 func (v *View) Parent() *Dataset { return v.parent }
 
-// Rows returns the selected parent row indices (not a copy).
-func (v *View) Rows() []int { return v.rows }
-
 // NumInstances returns the number of selected rows.
 func (v *View) NumInstances() int { return len(v.rows) }
 

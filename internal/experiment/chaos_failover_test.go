@@ -18,8 +18,8 @@ import (
 )
 
 // breakerCfg is shorthand for a hair-trigger breaker in tests.
-func breakerCfg(threshold int, cooldown time.Duration) resilience.BreakerConfig {
-	return resilience.BreakerConfig{FailureThreshold: threshold, Cooldown: cooldown}
+func breakerCfg(threshold int) resilience.BreakerConfig {
+	return resilience.BreakerConfig{FailureThreshold: threshold}
 }
 
 // hostChaoticClassifier mounts the Classifier service behind a chaos
@@ -64,7 +64,7 @@ func TestBatchSurvivesChaoticEndpoint(t *testing.T) {
 	// built pool (Endpoints() included).
 	observer := obs.NewRegistry()
 	remote.Observer = observer
-	remote.Breaker = breakerCfg(1, time.Minute)
+	remote.Breaker = breakerCfg(1)
 	if got := len(remote.Endpoints()); got != 2 {
 		t.Fatalf("discovered %d endpoints, want 2 (same name, two hosts)", got)
 	}
@@ -111,7 +111,7 @@ func TestBatchRoutesAroundTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	remote.Observer = obs.NewRegistry()
-	remote.Breaker = breakerCfg(1, time.Minute)
+	remote.Breaker = breakerCfg(1)
 
 	spec := &Spec{
 		Name:       "truncate-batch",
@@ -141,7 +141,7 @@ func TestBatchReportsWhenAllEndpointsDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	remote.Observer = obs.NewRegistry()
-	remote.Breaker = breakerCfg(1, time.Minute)
+	remote.Breaker = breakerCfg(1)
 
 	spec := &Spec{
 		Name:       "doomed-batch",

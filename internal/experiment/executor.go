@@ -63,11 +63,11 @@ func (Local) Attempt(ctx context.Context, job Job, d *dataset.Dataset) (Metrics,
 		return Metrics{}, fmt.Errorf("experiment: job %s: no dataset %q", job.ID, job.Dataset)
 	}
 	switch job.Task {
-	case "", TaskClassify:
+	case "", taskClassify:
 		return localClassify(ctx, job, d)
-	case TaskCluster:
+	case taskCluster:
 		return localCluster(ctx, job, d)
-	case TaskAttrSel:
+	case taskAttrSel:
 		return localAttrSel(ctx, job, d)
 	default:
 		return Metrics{}, fmt.Errorf("experiment: job %s: unknown task %q", job.ID, job.Task)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"time"
 
 	"repro/internal/arff"
 	"repro/internal/core"
@@ -37,9 +36,6 @@ type Remote struct {
 	// Breaker tunes the per-endpoint circuit breakers; the zero value
 	// uses the resilience defaults. Set before the first Execute.
 	Breaker resilience.BreakerConfig
-	// RefreshInterval bounds how often a registry-discovered Remote
-	// re-inquires for endpoints; 0 uses the pool default.
-	RefreshInterval time.Duration
 	// Observer receives the pool and breaker metrics; nil means obs.Default.
 	Observer *obs.Registry
 
@@ -95,7 +91,7 @@ func DiscoverRemote(registryURL string, httpClient *http.Client) (*Remote, error
 
 // ensurePool builds the endpoint pool, and the core.Client facade jobs
 // are dispatched through, on first use: after the caller has had the
-// chance to set Client/Breaker/Observer/RefreshInterval. The facade's
+// chance to set Client/Breaker/Observer. The facade's
 // base URL is irrelevant: every call is pinned with At to an endpoint
 // from the pool.
 func (r *Remote) ensurePool() *resilience.Pool {
@@ -107,9 +103,6 @@ func (r *Remote) ensurePool() *resilience.Pool {
 		opts := []resilience.PoolOption{resilience.WithObserver(reg), resilience.WithBreakerConfig(r.Breaker)}
 		if r.source != nil {
 			opts = append(opts, resilience.WithSource(r.source))
-		}
-		if r.RefreshInterval > 0 {
-			opts = append(opts, resilience.WithRefreshInterval(r.RefreshInterval))
 		}
 		r.pool = resilience.NewPool(r.endpoints, opts...)
 		var copts []core.ClientOption
@@ -145,7 +138,7 @@ func (r *Remote) arffText(name string, d *dataset.Dataset) string {
 // failures and soap:Server faults are retryable, soap:Client faults
 // permanent (resilience.ClassifyErr).
 func (r *Remote) Execute(ctx context.Context, t *Tries, job Job, d *dataset.Dataset) (Metrics, error) {
-	if job.Task != "" && job.Task != TaskClassify {
+	if job.Task != "" && job.Task != taskClassify {
 		return Metrics{}, fmt.Errorf("experiment: remote executor supports classify jobs only, not %q", job.Task)
 	}
 	if d == nil {

@@ -357,8 +357,8 @@ func TestLocalExecutorOtherTasks(t *testing.T) {
 			{Name: "iris", Builtin: "iris"},
 		},
 		Algorithms: []AlgorithmSpec{
-			{Task: TaskCluster, Name: "SimpleKMeans", Grid: map[string][]string{"k": {"3"}}},
-			{Task: TaskAttrSel, Name: "InfoGain"},
+			{Task: taskCluster, Name: "SimpleKMeans", Grid: map[string][]string{"k": {"3"}}},
+			{Task: taskAttrSel, Name: "InfoGain"},
 		},
 	}
 	jobs, data := mustExpand(t, spec)

@@ -34,9 +34,9 @@ import (
 // Task kinds a job can carry. Classification is the default and the only
 // kind the remote executor supports (the paper's Classifier service).
 const (
-	TaskClassify = "classify"
-	TaskCluster  = "cluster"
-	TaskAttrSel  = "attrsel"
+	taskClassify = "classify"
+	taskCluster  = "cluster"
+	taskAttrSel  = "attrsel"
 )
 
 // Spec is a declarative experiment set: every algorithm (with its
@@ -92,11 +92,11 @@ func LoadSpec(path string) (*Spec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
-	return ParseSpec(b)
+	return parseSpec(b)
 }
 
-// ParseSpec decodes a Spec from JSON and validates it.
-func ParseSpec(b []byte) (*Spec, error) {
+// parseSpec decodes a Spec from JSON and validates it.
+func parseSpec(b []byte) (*Spec, error) {
 	var s Spec
 	if err := json.Unmarshal(b, &s); err != nil {
 		return nil, fmt.Errorf("experiment: malformed spec: %w", err)
@@ -138,7 +138,7 @@ func (s *Spec) validate() error {
 			return fmt.Errorf("experiment: algorithm %d has no name", i)
 		}
 		switch a.Task {
-		case "", TaskClassify, TaskCluster, TaskAttrSel:
+		case "", taskClassify, taskCluster, taskAttrSel:
 		default:
 			return fmt.Errorf("experiment: algorithm %q: unknown task %q", a.Name, a.Task)
 		}
@@ -161,7 +161,7 @@ func (s *Spec) Expand() ([]Job, error) {
 	for _, a := range s.Algorithms {
 		task := a.Task
 		if task == "" {
-			task = TaskClassify
+			task = taskClassify
 		}
 		for _, opts := range gridConfigs(a.Grid) {
 			for _, d := range s.Datasets {
@@ -254,8 +254,8 @@ func builtinDatasets(seed int64) map[string]func() *dataset.Dataset {
 	}
 }
 
-// BuiltinDatasetNames lists the datasets a spec can reference by Builtin.
-func BuiltinDatasetNames() []string {
+// builtinDatasetNames lists the datasets a spec can reference by Builtin.
+func builtinDatasetNames() []string {
 	m := builtinDatasets(0)
 	out := make([]string, 0, len(m))
 	for n := range m {
@@ -282,7 +282,7 @@ func (s *Spec) Materialize() (map[string]*dataset.Dataset, error) {
 			mk, ok := builtins[ds.Builtin]
 			if !ok {
 				return nil, fmt.Errorf("experiment: dataset %q: unknown builtin %q (known: %v)",
-					ds.Name, ds.Builtin, BuiltinDatasetNames())
+					ds.Name, ds.Builtin, builtinDatasetNames())
 			}
 			d = mk()
 		case ds.Path != "":

@@ -89,8 +89,8 @@ func sweepFilters() []Filter {
 		&Discretize{Bins: 3, Columns: []int{0, 3}},
 		RemoveAttributes{Names: []string{"x1"}},
 		KeepAttributes{Names: []string{"x0", "colour"}},
-		Chain{ReplaceMissing{}, Normalize{}, &Discretize{Bins: 4}},
-		Chain{Standardize{}, RemoveAttributes{Names: []string{"colour"}}},
+		chain{ReplaceMissing{}, Normalize{}, &Discretize{Bins: 4}},
+		chain{Standardize{}, RemoveAttributes{Names: []string{"colour"}}},
 	}
 }
 
@@ -190,7 +190,7 @@ func TestBatchErrorsMatchRowPath(t *testing.T) {
 // transpose.
 func TestChainBatchUsesColumnsEndToEnd(t *testing.T) {
 	d := batchFilterData(t, 40, 17)
-	chain := Chain{ReplaceMissing{}, Normalize{}, &Discretize{Bins: 3}}
+	chain := chain{ReplaceMissing{}, Normalize{}, &Discretize{Bins: 3}}
 	got, err := chain.Apply(d)
 	if err != nil {
 		t.Fatal(err)

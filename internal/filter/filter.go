@@ -404,11 +404,11 @@ func (f KeepAttributes) keepColumns(d *dataset.Dataset) ([]int, error) {
 	return cols, nil
 }
 
-// Chain applies filters in order.
-type Chain []Filter
+// chain applies filters in order.
+type chain []Filter
 
 // Name implements Filter.
-func (c Chain) Name() string {
+func (c chain) Name() string {
 	names := make([]string, len(c))
 	for i, f := range c {
 		names[i] = f.Name()
@@ -417,7 +417,7 @@ func (c Chain) Name() string {
 }
 
 // Apply implements Filter.
-func (c Chain) Apply(d *dataset.Dataset) (*dataset.Dataset, error) {
+func (c chain) Apply(d *dataset.Dataset) (*dataset.Dataset, error) {
 	cur := d
 	for _, f := range c {
 		next, err := f.Apply(cur)

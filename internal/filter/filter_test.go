@@ -175,7 +175,7 @@ func TestRemoveAndKeep(t *testing.T) {
 
 func TestChain(t *testing.T) {
 	d := datagen.WeatherNumeric()
-	c := Chain{ReplaceMissing{}, Normalize{}, &Discretize{Bins: 3}}
+	c := chain{ReplaceMissing{}, Normalize{}, &Discretize{Bins: 3}}
 	if c.Name() != "ReplaceMissingValues->Normalize->Discretize" {
 		t.Fatalf("chain name = %q", c.Name())
 	}
@@ -187,7 +187,7 @@ func TestChain(t *testing.T) {
 		t.Fatal("chain did not discretise")
 	}
 	// Chain failure propagates with context.
-	bad := Chain{RemoveAttributes{Names: []string{"ghost"}}}
+	bad := chain{RemoveAttributes{Names: []string{"ghost"}}}
 	if _, err := bad.Apply(d); err == nil {
 		t.Fatal("failing chain succeeded")
 	}

@@ -142,9 +142,6 @@ func (l *Log[T]) Len() int {
 	return len(l.records)
 }
 
-// Path returns the journal's file path.
-func (l *Log[T]) Path() string { return l.path }
-
 // Close closes the underlying file.
 func (l *Log[T]) Close() error {
 	l.mu.Lock()

@@ -29,7 +29,8 @@ func mustOpen(t *testing.T, path string) *Log[rec] {
 // the torn one, and leaves a file that accepts appends and reloads.
 func TestTruncateAtEveryBytePrefix(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, filepath.Join(dir, "full.jsonl"))
+	full := filepath.Join(dir, "full.jsonl")
+	l := mustOpen(t, full)
 	want := []rec{
 		{ID: "a", Done: true, Note: "first"},
 		{ID: "b", Done: false, Note: "failed \"quoted\" \n newline"},
@@ -44,7 +45,7 @@ func TestTruncateAtEveryBytePrefix(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(l.Path())
+	raw, err := os.ReadFile(full)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,11 +86,11 @@ func TestAdvertisedDefaultsAreTheDefaults(t *testing.T) {
 	if err := wn.SetClassByName("temperature"); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range regress.Names() {
+	for _, name := range regress.Registry.Names() {
 		t.Run(name, func(t *testing.T) {
 			var pred [2][]float64
 			for i := range pred {
-				r, err := regress.New(name)
+				r, err := regress.Registry.New(name)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/binfmt"
 	"repro/internal/classify"
-	"repro/internal/cluster"
 )
 
 // A snapshot is one frame (integers little-endian, uvarints as in
@@ -35,28 +34,17 @@ const (
 	version = 1
 )
 
-// snapshotter is the codec every registered classifier, SimpleKMeans and
-// EM carry: one Snapshot method, run once to write and once to read.
+// snapshotter is the codec every registered classifier carries: one
+// Snapshot method, run once to write and once to read.
 type snapshotter interface{ Snapshot(c binfmt.Codec) }
-
-// Marshal serialises a trained classifier, algorithm tag included.
-func Marshal(c classify.Classifier) ([]byte, error) { return marshal(c.Name(), c) }
-
-// Unmarshal reverses Marshal. Malformed input is a *binfmt.FormatError,
-// never a panic.
-func Unmarshal(b []byte) (classify.Classifier, error) { return unmarshal(b, classify.New) }
-
-// MarshalClusterer serialises a fitted clusterer, algorithm tag included.
-func MarshalClusterer(c cluster.Clusterer) ([]byte, error) { return marshal(c.Name(), c) }
-
-// UnmarshalClusterer reverses MarshalClusterer.
-func UnmarshalClusterer(b []byte) (cluster.Clusterer, error) { return unmarshal(b, cluster.New) }
 
 // bodies recycles body writers: a snapshot's one lasting allocation is its frame.
 var bodies = sync.Pool{New: func() any { return new(binfmt.Writer) }}
 
-func marshal(tag string, m any) ([]byte, error) {
-	s, ok := m.(snapshotter)
+// Marshal serialises a trained classifier, algorithm tag included.
+func Marshal(c classify.Classifier) ([]byte, error) {
+	tag := c.Name()
+	s, ok := c.(snapshotter)
 	if !ok {
 		return nil, fmt.Errorf("model: %s has no snapshot form", tag)
 	}
@@ -76,24 +64,24 @@ func marshal(tag string, m any) ([]byte, error) {
 	return f.Buf, nil
 }
 
-// unmarshal restores a model of the frame's tag from its registry factory,
-// so fields a snapshot does not carry (an ensemble's Base learner) keep
-// their defaults.
-func unmarshal[T any](b []byte, newModel func(string) (T, error)) (T, error) {
-	var zero T
+// Unmarshal reverses Marshal. Malformed input is a *binfmt.FormatError,
+// never a panic. The model comes from its registry factory, so fields a
+// snapshot does not carry (an ensemble's Base learner) keep their
+// defaults.
+func Unmarshal(b []byte) (classify.Classifier, error) {
 	r := binfmt.NewReader("model", b)
 	r.Header(magic, version)
 	tag := r.Str()
 	if r.ReadSyms(); r.Err() != nil {
-		return zero, r.Err()
+		return nil, r.Err()
 	}
-	m, err := newModel(tag)
-	s, ok := any(m).(snapshotter)
+	m, err := classify.New(tag)
+	s, ok := m.(snapshotter)
 	if err != nil || !ok {
-		return zero, binfmt.Errorf("model", "no snapshot form for %q", tag)
+		return nil, binfmt.Errorf("model", "no snapshot form for %q", tag)
 	}
 	if s.Snapshot(binfmt.Codec{R: r}); r.End() != nil {
-		return zero, r.Err()
+		return nil, r.Err()
 	}
 	return m, nil
 }
@@ -155,36 +143,4 @@ func (s *Store) Load(id string) (classify.Classifier, error) {
 		return nil, fmt.Errorf("model: %w", err)
 	}
 	return Unmarshal(b)
-}
-
-// Delete removes the model stored under id (no error if absent).
-func (s *Store) Delete(id string) error {
-	p, err := s.path(id)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("model: %w", err)
-	}
-	return nil
-}
-
-// List returns the stored model IDs.
-func (s *Store) List() ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("model: %w", err)
-	}
-	var out []string
-	for _, e := range entries {
-		name := e.Name()
-		if filepath.Ext(name) == ".model" {
-			out = append(out, name[:len(name)-len(".model")])
-		}
-	}
-	return out, nil
 }

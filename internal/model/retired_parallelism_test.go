@@ -9,16 +9,16 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/algo"
 	"repro/internal/classify"
 	"repro/internal/cluster"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 )
 
-// answerDigest hashes a model's answers on d bit for bit: every class
-// distribution for a classifier; the assignments, then the score columns,
-// for a clusterer.
-func answerDigest(t testing.TB, m any, d *dataset.Dataset) string {
+// answerDigest hashes a classifier's answers on d bit for bit: every
+// class distribution.
+func answerDigest(t testing.TB, m classify.Classifier, d *dataset.Dataset) string {
 	t.Helper()
 	h := sha256.New()
 	var buf [8]byte
@@ -26,41 +26,22 @@ func answerDigest(t testing.TB, m any, d *dataset.Dataset) string {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	switch m := m.(type) {
-	case classify.Classifier:
-		for _, in := range d.Instances {
-			dist, err := m.Distribution(in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, p := range dist {
-				put(math.Float64bits(p))
-			}
-		}
-	case cluster.Clusterer:
-		assign, scores, _, err := cluster.AssignAll(m, d)
+	for _, in := range d.Instances {
+		dist, err := m.Distribution(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, a := range assign {
-			put(uint64(a))
+		for _, p := range dist {
+			put(math.Float64bits(p))
 		}
-		for _, col := range scores {
-			for _, s := range col {
-				put(math.Float64bits(s))
-			}
-		}
-	default:
-		t.Fatalf("%T is neither a classifier nor a clusterer", m)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestParentSnapshotsRestore feeds the decoder DMM1 records that an
 // earlier release wrote for models trained with the since-retired
-// "parallelism" option set to 4 (testdata/parent/; RandomForest on
-// RandomNominal(200, 6, 3, 0.2, 5), the clusterers with k=3 on
-// GaussianClusters(3, 60, 4, 3.0, 11)). Each restores and answers bit for
+// "parallelism" option set to 4 (testdata/parent/: RandomForest on
+// RandomNominal(200, 6, 3, 0.2, 5)). It restores and answers bit for
 // bit as that release did (the digests were recorded there), and
 // re-marshals with exactly one byte changed: the reserved slot, read as 4
 // and written as 0.
@@ -71,36 +52,19 @@ func TestParentSnapshotsRestore(t *testing.T) {
 		digest string
 	}{
 		{"RandomForest", datagen.RandomNominal(200, 6, 3, 0.2, 5), "ebe526e0ac202f5f800a4eeaa1c4b541ebf19bdda96649d865fdbfa9f39b2aac"},
-		{"SimpleKMeans", datagen.GaussianClusters(3, 60, 4, 3.0, 11), "98e41a05cc3431b8390b045042cc3fd72d963f1c066660ee149f2b854bee9bc6"},
-		{"EM", datagen.GaussianClusters(3, 60, 4, 3.0, 11), "9b77d0f26ea5013e9bfd62f9baf110df98ba7767040f6615c033918c96dfb818"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			old, err := os.ReadFile("testdata/parent/" + tc.name + ".dmm1")
 			if err != nil {
 				t.Fatal(err)
 			}
-			var m any
-			var again []byte
-			if tc.name == "RandomForest" {
-				c, err := Unmarshal(old)
-				if err != nil {
-					t.Fatal(err)
-				}
-				m = c
-				again, err = Marshal(c)
-				if err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				c, err := UnmarshalClusterer(old)
-				if err != nil {
-					t.Fatal(err)
-				}
-				m = c
-				again, err = MarshalClusterer(c)
-				if err != nil {
-					t.Fatal(err)
-				}
+			m, err := Unmarshal(old)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := Marshal(m)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if got := answerDigest(t, m, tc.data); got != tc.digest {
 				t.Fatalf("answer digest %s, want the earlier release's %s", got, tc.digest)
@@ -143,7 +107,7 @@ func TestParallelismIsNotAnOption(t *testing.T) {
 		}
 		var names []string
 		switch a := tc.algo.(type) {
-		case classify.Parameterized:
+		case algo.Parameterized:
 			for _, o := range a.Options() {
 				names = append(names, o.Name)
 			}

@@ -62,52 +62,17 @@ func ParseLevel(s string) (Level, error) {
 }
 
 var (
-	logMu   sync.Mutex // serialises writes to logOut and updates of the tables below
+	logMu   sync.Mutex // serialises writes to logOut and updates of loggers
 	logOut  io.Writer  = os.Stderr
 	loggers            = map[string]*Logger{}
-	// logLevels is the level table Enabled consults on every log call. It
-	// is replaced whole, never written in place, so reading it takes no
-	// lock.
-	logLevels atomic.Pointer[levelTable]
+	// logLevel is the level Enabled consults on every log call.
+	logLevel atomic.Int32
 )
 
-// levelTable is one immutable snapshot of the configured levels.
-type levelTable struct {
-	def       Level
-	component map[string]Level
-}
+func init() { logLevel.Store(int32(LevelWarn)) }
 
-func init() { logLevels.Store(&levelTable{def: LevelWarn}) }
-
-// setLevels publishes the current table as changed by edit.
-func setLevels(edit func(*levelTable)) {
-	logMu.Lock()
-	defer logMu.Unlock()
-	old := logLevels.Load()
-	next := &levelTable{def: old.def, component: make(map[string]Level, len(old.component)+1)}
-	for c, l := range old.component {
-		next.component[c] = l
-	}
-	edit(next)
-	logLevels.Store(next)
-}
-
-// SetOutput redirects all structured log output (default os.Stderr).
-func SetOutput(w io.Writer) {
-	logMu.Lock()
-	defer logMu.Unlock()
-	logOut = w
-}
-
-// SetDefaultLevel sets the level for components without an override.
-func SetDefaultLevel(l Level) {
-	setLevels(func(t *levelTable) { t.def = l })
-}
-
-// SetLevel overrides the level for one component (e.g. "soap.server").
-func SetLevel(component string, l Level) {
-	setLevels(func(t *levelTable) { t.component[component] = l })
-}
+// SetDefaultLevel sets the level every component logs at.
+func SetDefaultLevel(l Level) { logLevel.Store(int32(l)) }
 
 // Logger emits structured events for one component.
 type Logger struct{ component string }
@@ -126,11 +91,7 @@ func L(component string) *Logger {
 
 // Enabled reports whether events at lvl would be written.
 func (l *Logger) Enabled(lvl Level) bool {
-	t := logLevels.Load()
-	min, ok := t.component[l.component]
-	if !ok {
-		min = t.def
-	}
+	min := Level(logLevel.Load())
 	return lvl >= min && min != LevelOff
 }
 

@@ -21,10 +21,10 @@ import (
 	"time"
 )
 
-// DefaultLatencyBuckets are the histogram upper bounds, in milliseconds.
+// defaultLatencyBuckets are the histogram upper bounds, in milliseconds.
 // The range covers sub-millisecond in-process handlers up to the paper's
 // multi-second WAN classifier calls.
-var DefaultLatencyBuckets = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
+var defaultLatencyBuckets = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
 
 // Counter is a monotonically increasing metric.
 type Counter struct{ v atomic.Int64 }
@@ -81,25 +81,18 @@ func (h *Histogram) Count() int64 {
 	return h.samples
 }
 
-// Sum returns the sum of all observed samples.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// HistogramSnapshot is the JSON form of a histogram.
-type HistogramSnapshot struct {
+// histogramSnapshot is the JSON form of a histogram.
+type histogramSnapshot struct {
 	Count   int64     `json:"count"`
 	Sum     float64   `json:"sum"`
 	Bounds  []float64 `json:"bounds"`
 	Buckets []int64   `json:"buckets"` // cumulative per bound, then +Inf
 }
 
-func (h *Histogram) snapshot() HistogramSnapshot {
+func (h *Histogram) snapshot() histogramSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := HistogramSnapshot{Count: h.samples, Sum: h.sum,
+	s := histogramSnapshot{Count: h.samples, Sum: h.sum,
 		Bounds: append([]float64(nil), h.bounds...)}
 	var cum int64
 	for _, c := range h.counts {
@@ -189,7 +182,7 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 }
 
 // Histogram returns (creating on first use) the named histogram with
-// DefaultLatencyBuckets.
+// defaultLatencyBuckets.
 func (r *Registry) Histogram(name string, labels ...string) *Histogram {
 	k := Key(name, labels...)
 	r.mu.RLock()
@@ -203,8 +196,8 @@ func (r *Registry) Histogram(name string, labels ...string) *Histogram {
 	if h, ok := r.histograms[k]; ok {
 		return h
 	}
-	h = &Histogram{bounds: DefaultLatencyBuckets,
-		counts: make([]int64, len(DefaultLatencyBuckets)+1)}
+	h = &Histogram{bounds: defaultLatencyBuckets,
+		counts: make([]int64, len(defaultLatencyBuckets)+1)}
 	r.histograms[k] = h
 	return h
 }
@@ -214,7 +207,7 @@ type Snapshot struct {
 	UptimeSeconds float64                      `json:"uptime_seconds"`
 	Counters      map[string]int64             `json:"counters"`
 	Gauges        map[string]int64             `json:"gauges"`
-	Histograms    map[string]HistogramSnapshot `json:"histograms"`
+	Histograms    map[string]histogramSnapshot `json:"histograms"`
 }
 
 // Snapshot captures every metric's current value.
@@ -225,7 +218,7 @@ func (r *Registry) Snapshot() Snapshot {
 		UptimeSeconds: time.Since(r.start).Seconds(),
 		Counters:      make(map[string]int64, len(r.counters)),
 		Gauges:        make(map[string]int64, len(r.gauges)),
-		Histograms:    make(map[string]HistogramSnapshot, len(r.histograms)),
+		Histograms:    make(map[string]histogramSnapshot, len(r.histograms)),
 	}
 	for k, c := range r.counters {
 		s.Counters[k] = c.Value()
@@ -253,26 +246,11 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// HealthCheck reports one subsystem's liveness; return an error to fail
-// the health endpoint.
-type HealthCheck func() error
-
-// StatusFunc reports a server's lifecycle status for /healthz: "ok"
-// while serving; any other value (e.g. "draining") is reported verbatim
-// with a 503, so health-checking clients stop routing to the endpoint
-// before it closes.
-type StatusFunc func() string
-
-// HealthHandler serves /healthz: 200 {"status":"ok"} while every check
-// passes, 503 with the failing checks otherwise.
-func HealthHandler(checks ...HealthCheck) http.Handler {
-	return HealthHandlerStatus(nil, checks...)
-}
-
-// HealthHandlerStatus is HealthHandler with a lifecycle status source: a
-// non-"ok" status (a draining or stopped server) answers 503 carrying
-// the status, even when every check passes.
-func HealthHandlerStatus(status StatusFunc, checks ...HealthCheck) http.Handler {
+// HealthHandlerStatus serves /healthz: 200 {"status":"ok"} while status
+// (nil: always "ok") reports "ok". Any other status (e.g. "draining") is
+// reported verbatim with a 503, so health-checking clients stop routing
+// to a server before it closes.
+func HealthHandlerStatus(status func() string) http.Handler {
 	start := time.Now()
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet {
@@ -289,19 +267,6 @@ func HealthHandlerStatus(status StatusFunc, checks ...HealthCheck) http.Handler 
 				body["status"] = s
 				unhealthy = true
 			}
-		}
-		var failures []string
-		for _, check := range checks {
-			if err := check(); err != nil {
-				failures = append(failures, err.Error())
-			}
-		}
-		if len(failures) > 0 {
-			if !unhealthy {
-				body["status"] = "degraded"
-			}
-			body["failures"] = failures
-			unhealthy = true
 		}
 		w.Header().Set("Content-Type", "application/json")
 		if unhealthy {

@@ -157,17 +157,16 @@ func TestMetricsHandler(t *testing.T) {
 
 func TestHealthHandler(t *testing.T) {
 	rec := httptest.NewRecorder()
-	HealthHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	HealthHandlerStatus(nil).ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"ok"`) {
 		t.Errorf("healthy: code=%d body=%s", rec.Code, rec.Body.String())
 	}
 
-	failing := HealthHandler(func() error { return nil },
-		func() error { return errors.New("pool exhausted") })
+	draining := HealthHandlerStatus(func() string { return "draining" })
 	rec = httptest.NewRecorder()
-	failing.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
-	if rec.Code != 503 || !strings.Contains(rec.Body.String(), "pool exhausted") {
-		t.Errorf("degraded: code=%d body=%s", rec.Code, rec.Body.String())
+	draining.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	if rec.Code != 503 || !strings.Contains(rec.Body.String(), `"draining"`) {
+		t.Errorf("draining: code=%d body=%s", rec.Code, rec.Body.String())
 	}
 }
 
@@ -235,8 +234,8 @@ func TestSpanPropagationAndCollector(t *testing.T) {
 	if len(spans) != 2 {
 		t.Fatalf("collected %d spans, want 2", len(spans))
 	}
-	if spans[0].ParentID != root.SpanID() {
-		t.Errorf("child parent = %s, want %s", spans[0].ParentID, root.SpanID())
+	if spans[0].ParentID != rootTC.SpanID {
+		t.Errorf("child parent = %s, want %s", spans[0].ParentID, rootTC.SpanID)
 	}
 	if spans[0].Err != "boom" {
 		t.Errorf("child err = %q", spans[0].Err)
@@ -276,7 +275,7 @@ func TestEnsureTrace(t *testing.T) {
 func TestCollectorBound(t *testing.T) {
 	c := &Collector{maxSpans: 2}
 	for i := 0; i < 5; i++ {
-		c.record(Span{TraceID: "t", SpanID: fmt.Sprintf("s%d", i)})
+		c.record(span{TraceID: "t", SpanID: fmt.Sprintf("s%d", i)})
 	}
 	if got := len(c.Spans()); got != 2 {
 		t.Errorf("spans kept = %d, want 2", got)
@@ -291,12 +290,18 @@ func TestCollectorBound(t *testing.T) {
 
 func TestLogLevelsAndTraceStamping(t *testing.T) {
 	var buf bytes.Buffer
-	SetOutput(&buf)
-	t.Cleanup(func() { SetOutput(os.Stderr) })
+	logMu.Lock()
+	logOut = &buf
+	logMu.Unlock()
+	t.Cleanup(func() {
+		logMu.Lock()
+		logOut = os.Stderr
+		logMu.Unlock()
+	})
 
 	lg := L("obstest")
-	SetLevel("obstest", LevelInfo)
-	t.Cleanup(func() { SetLevel("obstest", LevelWarn) })
+	SetDefaultLevel(LevelInfo)
+	t.Cleanup(func() { SetDefaultLevel(LevelWarn) })
 
 	lg.Debug(nil, "hidden")
 	if buf.Len() != 0 {
@@ -322,7 +327,7 @@ func TestLogLevelsAndTraceStamping(t *testing.T) {
 		t.Errorf("float64 value not written to one decimal place: %q", line)
 	}
 
-	SetLevel("obstest", LevelOff)
+	SetDefaultLevel(LevelOff)
 	buf.Reset()
 	lg.Error(nil, "silenced")
 	if buf.Len() != 0 {

@@ -88,8 +88,8 @@ func EnsureTrace(ctx context.Context) (context.Context, TraceContext) {
 	return ContextWithTrace(ctx, tc), tc
 }
 
-// Span is one finished timed operation in a trace tree.
-type Span struct {
+// span is one finished timed operation in a trace tree.
+type span struct {
 	TraceID    string            `json:"trace"`
 	SpanID     string            `json:"span"`
 	ParentID   string            `json:"parent,omitempty"`
@@ -106,7 +106,7 @@ type Span struct {
 // but dropped.
 type Collector struct {
 	mu       sync.Mutex
-	spans    []Span
+	spans    []span
 	dropped  int
 	maxSpans int
 }
@@ -120,8 +120,8 @@ func ContextWithCollector(ctx context.Context, c *Collector) context.Context {
 	return context.WithValue(ctx, collectorKey{}, c)
 }
 
-// CollectorFrom returns the collector carried by ctx, or nil.
-func CollectorFrom(ctx context.Context) *Collector {
+// collectorFrom returns the collector carried by ctx, or nil.
+func collectorFrom(ctx context.Context) *Collector {
 	if ctx == nil {
 		return nil
 	}
@@ -129,7 +129,7 @@ func CollectorFrom(ctx context.Context) *Collector {
 	return c
 }
 
-func (c *Collector) record(s Span) {
+func (c *Collector) record(s span) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.maxSpans > 0 && len(c.spans) >= c.maxSpans {
@@ -140,10 +140,10 @@ func (c *Collector) record(s Span) {
 }
 
 // Spans returns a copy of the recorded spans in completion order.
-func (c *Collector) Spans() []Span {
+func (c *Collector) Spans() []span {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]Span(nil), c.spans...)
+	return append([]span(nil), c.spans...)
 }
 
 // Dropped returns how many spans were discarded over the bound.
@@ -155,7 +155,7 @@ func (c *Collector) Dropped() int {
 
 // ActiveSpan is a span under construction; call End exactly once.
 type ActiveSpan struct {
-	span      Span
+	span      span
 	collector *Collector
 	ended     bool
 	mu        sync.Mutex
@@ -175,7 +175,7 @@ func StartSpan(ctx context.Context, component, name string) (context.Context, *A
 	}
 	tc.SpanID = NewSpanID()
 	s := &ActiveSpan{
-		span: Span{
+		span: span{
 			TraceID:   tc.TraceID,
 			SpanID:    tc.SpanID,
 			ParentID:  parent,
@@ -183,16 +183,10 @@ func StartSpan(ctx context.Context, component, name string) (context.Context, *A
 			Name:      name,
 			Start:     time.Now(),
 		},
-		collector: CollectorFrom(ctx),
+		collector: collectorFrom(ctx),
 	}
 	return ContextWithTrace(ctx, tc), s
 }
-
-// TraceID returns the trace this span belongs to.
-func (s *ActiveSpan) TraceID() string { return s.span.TraceID }
-
-// SpanID returns the span's own ID.
-func (s *ActiveSpan) SpanID() string { return s.span.SpanID }
 
 // DurationMS returns the span's recorded duration; zero until End.
 func (s *ActiveSpan) DurationMS() float64 {
@@ -240,8 +234,8 @@ func (c *Collector) TreeString() string {
 	if len(spans) == 0 {
 		return "(no spans recorded)\n"
 	}
-	children := map[string][]Span{} // parent span ID -> spans
-	byTrace := map[string][]Span{}  // trace ID -> roots
+	children := map[string][]span{} // parent span ID -> spans
+	byTrace := map[string][]span{}  // trace ID -> roots
 	ids := map[string]bool{}
 	for _, s := range spans {
 		ids[s.SpanID] = true
@@ -260,8 +254,8 @@ func (c *Collector) TreeString() string {
 	sort.Strings(traceIDs)
 
 	var b strings.Builder
-	var render func(s Span, depth int)
-	render = func(s Span, depth int) {
+	var render func(s span, depth int)
+	render = func(s span, depth int) {
 		fmt.Fprintf(&b, "%s%s %s %.1fms", strings.Repeat("  ", depth+1), s.Component, s.Name, s.DurationMS)
 		if s.Err != "" {
 			fmt.Fprintf(&b, " error=%q", s.Err)
@@ -275,7 +269,7 @@ func (c *Collector) TreeString() string {
 			fmt.Fprintf(&b, " %s=%s", k, s.Attrs[k])
 		}
 		b.WriteByte('\n')
-		kids := append([]Span(nil), children[s.SpanID]...)
+		kids := append([]span(nil), children[s.SpanID]...)
 		sort.Slice(kids, func(i, j int) bool { return kids[i].Start.Before(kids[j].Start) })
 		for _, kid := range kids {
 			render(kid, depth+1)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/algo"
 	"repro/internal/dataset"
 )
 
@@ -49,8 +50,8 @@ func regressTestData(t testing.TB, rows int, seed int64) *dataset.Dataset {
 func TestBatchMatchesRowPathAllRegressors(t *testing.T) {
 	train := regressTestData(t, 60, 4)
 	batch := regressTestData(t, 40, 11)
-	for _, name := range Names() {
-		r, err := New(name)
+	for _, name := range Registry.Names() {
+		r, err := Registry.New(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,15 +132,15 @@ func TestPredictBatchRejectsNarrowSchema(t *testing.T) {
 
 // TestRegistry pins the registry surface the Regressor service exposes.
 func TestRegistry(t *testing.T) {
-	names := Names()
+	names := Registry.Names()
 	if len(names) != 2 || names[0] != "KNNRegressor" || names[1] != "LinearRegression" {
-		t.Fatalf("Names() = %v", names)
+		t.Fatalf("Registry.Names() = %v", names)
 	}
-	r, err := New("LinearRegression")
+	r, err := Registry.New("LinearRegression")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, ok := r.(Parameterized)
+	p, ok := r.(algo.Parameterized)
 	if !ok {
 		t.Fatal("LinearRegression is not Parameterized")
 	}
@@ -154,11 +155,11 @@ func TestRegistry(t *testing.T) {
 	if err := p.SetOption("nope", "1"); err == nil {
 		t.Error("unknown option accepted")
 	}
-	if _, err := New("GradientBoost"); err == nil {
+	if _, err := Registry.New("GradientBoost"); err == nil {
 		t.Error("unknown regressor constructed")
 	}
-	k, _ := New("KNNRegressor")
-	kp := k.(Parameterized)
+	k, _ := Registry.New("KNNRegressor")
+	kp := k.(algo.Parameterized)
 	if err := kp.SetOption("k", "5"); err != nil {
 		t.Fatal(err)
 	}

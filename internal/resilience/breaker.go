@@ -7,50 +7,43 @@ import (
 	"repro/internal/obs"
 )
 
-// State is a breaker's position in the closed → open → half-open cycle.
-type State int
+// state is a breaker's position in the closed → open → half-open cycle.
+type state int
 
 const (
-	// StateClosed admits all traffic.
-	StateClosed State = iota
-	// StateHalfOpen admits a bounded number of probe calls.
-	StateHalfOpen
-	// StateOpen rejects traffic until the cooldown elapses.
-	StateOpen
+	// stateClosed admits all traffic.
+	stateClosed state = iota
+	// stateHalfOpen admits a bounded number of probe calls.
+	stateHalfOpen
+	// stateOpen rejects traffic until the cooldown elapses.
+	stateOpen
 )
 
 // String renders the state for logs and metric labels.
-func (s State) String() string {
+func (s state) String() string {
 	switch s {
-	case StateClosed:
+	case stateClosed:
 		return "closed"
-	case StateHalfOpen:
+	case stateHalfOpen:
 		return "half-open"
-	case StateOpen:
+	case stateOpen:
 		return "open"
 	default:
 		return "unknown"
 	}
 }
 
-// BreakerConfig tunes a circuit breaker. The zero value uses the
-// defaults noted per field.
+// BreakerConfig tunes a circuit breaker. An open breaker admits one
+// half-open probe after breakerCooldown, and one probe success closes it.
 type BreakerConfig struct {
 	// FailureThreshold trips the breaker after this many consecutive
 	// retryable failures; <=0 means 5.
 	FailureThreshold int
-	// ErrorRate additionally trips the breaker when the failure fraction
-	// over the rolling Window reaches it; 0 disables rate tripping.
-	ErrorRate float64
-	// Window is the rolling outcome window backing ErrorRate; <=0 means 20.
-	Window int
-	// Cooldown is how long an open breaker rejects before allowing a
-	// half-open probe; <=0 means 5s.
-	Cooldown time.Duration
-	// HalfOpenSuccesses is how many consecutive probe successes close a
-	// half-open breaker; <=0 means 1.
-	HalfOpenSuccesses int
 }
+
+// breakerCooldown is how long an open breaker rejects before it admits a
+// half-open probe.
+const breakerCooldown = 5 * time.Second
 
 func (c BreakerConfig) failureThreshold() int {
 	if c.FailureThreshold <= 0 {
@@ -59,55 +52,30 @@ func (c BreakerConfig) failureThreshold() int {
 	return c.FailureThreshold
 }
 
-func (c BreakerConfig) window() int {
-	if c.Window <= 0 {
-		return 20
-	}
-	return c.Window
-}
-
-func (c BreakerConfig) cooldown() time.Duration {
-	if c.Cooldown <= 0 {
-		return 5 * time.Second
-	}
-	return c.Cooldown
-}
-
-func (c BreakerConfig) halfOpenSuccesses() int {
-	if c.HalfOpenSuccesses <= 0 {
-		return 1
-	}
-	return c.HalfOpenSuccesses
-}
-
-// Breaker is a three-state circuit breaker for one endpoint. A nil
-// *Breaker admits everything and records nothing, so callers can thread
+// breaker is a three-state circuit breaker for one endpoint. A nil
+// *breaker admits everything and records nothing, so callers can thread
 // an optional breaker without nil checks.
-type Breaker struct {
+type breaker struct {
 	cfg      BreakerConfig
 	endpoint string
 	observer *obs.Registry
 	now      func() time.Time
 
 	mu          sync.Mutex
-	state       State
-	consecutive int    // consecutive retryable failures while closed
-	outcomes    []bool // rolling window of outcomes (true = success)
-	outcomeIdx  int
-	outcomeFill int
+	state       state
+	consecutive int // consecutive retryable failures while closed
 	openedAt    time.Time
 	probeInUse  bool // a half-open probe call is in flight
-	probePassed int  // consecutive probe successes while half-open
 }
 
-// NewBreaker returns a closed breaker for an endpoint. reg receives the
+// newBreaker returns a closed breaker for an endpoint. reg receives the
 // breaker's metrics; nil means obs.Default.
-func NewBreaker(endpoint string, cfg BreakerConfig, reg *obs.Registry) *Breaker {
+func newBreaker(endpoint string, cfg BreakerConfig, reg *obs.Registry) *breaker {
 	if reg == nil {
 		reg = obs.Default
 	}
-	b := &Breaker{cfg: cfg, endpoint: endpoint, observer: reg, now: time.Now}
-	b.setStateGauge(StateClosed)
+	b := &breaker{cfg: cfg, endpoint: endpoint, observer: reg, now: time.Now}
+	b.setStateGauge(stateClosed)
 	return b
 }
 
@@ -115,23 +83,23 @@ func NewBreaker(endpoint string, cfg BreakerConfig, reg *obs.Registry) *Breaker 
 // cooldown has elapsed it transitions to half-open and admits one probe;
 // every admitted half-open call must be answered with Record or the
 // probe slot stays occupied.
-func (b *Breaker) Allow() bool {
+func (b *breaker) Allow() bool {
 	if b == nil {
 		return true
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
-	case StateClosed:
+	case stateClosed:
 		return true
-	case StateOpen:
-		if b.now().Sub(b.openedAt) < b.cfg.cooldown() {
+	case stateOpen:
+		if b.now().Sub(b.openedAt) < breakerCooldown {
 			return false
 		}
 		b.toHalfOpenLocked()
 		b.probeInUse = true
 		return true
-	case StateHalfOpen:
+	case stateHalfOpen:
 		if b.probeInUse {
 			return false
 		}
@@ -146,9 +114,8 @@ func (b *Breaker) Allow() bool {
 // caller erred, not the endpoint); Retryable counts as a failure;
 // Aborted and Busy release any probe slot without judging the endpoint —
 // a shed (ServerBusy) request is deliberate admission control by a live
-// server, so it must neither trip the consecutive-failure counter nor
-// count toward the rolling error rate.
-func (b *Breaker) Record(cls Class) {
+// server, so it must not trip the consecutive-failure counter.
+func (b *breaker) Record(cls Class) {
 	if b == nil {
 		return
 	}
@@ -166,135 +133,90 @@ func (b *Breaker) Record(cls Class) {
 
 // State returns the breaker's current state (open breakers whose
 // cooldown has elapsed still report open until a call probes them).
-func (b *Breaker) State() State {
+func (b *breaker) State() state {
 	if b == nil {
-		return StateClosed
+		return stateClosed
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
 }
 
-// Endpoint returns the endpoint the breaker guards.
-func (b *Breaker) Endpoint() string {
-	if b == nil {
-		return ""
-	}
-	return b.endpoint
-}
-
-func (b *Breaker) recordSuccessLocked() {
-	b.pushOutcomeLocked(true)
+func (b *breaker) recordSuccessLocked() {
 	switch b.state {
-	case StateClosed:
+	case stateClosed:
 		b.consecutive = 0
-	case StateHalfOpen:
-		b.probeInUse = false
-		b.probePassed++
-		if b.probePassed >= b.cfg.halfOpenSuccesses() {
-			b.toClosedLocked()
-		}
-	case StateOpen:
+	case stateHalfOpen:
+		b.toClosedLocked()
+	case stateOpen:
 		// A straggler from before the trip; ignore.
 	}
 }
 
-func (b *Breaker) recordFailureLocked() {
-	b.pushOutcomeLocked(false)
+func (b *breaker) recordFailureLocked() {
 	switch b.state {
-	case StateClosed:
+	case stateClosed:
 		b.consecutive++
-		if b.consecutive >= b.cfg.failureThreshold() || b.rateTrippedLocked() {
+		if b.consecutive >= b.cfg.failureThreshold() {
 			b.toOpenLocked()
 		}
-	case StateHalfOpen:
+	case stateHalfOpen:
 		b.probeInUse = false
 		b.toOpenLocked()
-	case StateOpen:
+	case stateOpen:
 	}
 }
 
-// rateTrippedLocked reports whether the rolling-window failure rate has
-// reached the configured trip rate (only once the window is full, so a
-// single early failure cannot trip a 100% rate).
-func (b *Breaker) rateTrippedLocked() bool {
-	rate := b.cfg.ErrorRate
-	if rate <= 0 || b.outcomeFill < b.cfg.window() {
-		return false
-	}
-	failures := 0
-	for i := 0; i < b.outcomeFill; i++ {
-		if !b.outcomes[i] {
-			failures++
-		}
-	}
-	return float64(failures)/float64(b.outcomeFill) >= rate
-}
-
-func (b *Breaker) pushOutcomeLocked(success bool) {
-	if b.outcomes == nil {
-		b.outcomes = make([]bool, b.cfg.window())
-	}
-	b.outcomes[b.outcomeIdx] = success
-	b.outcomeIdx = (b.outcomeIdx + 1) % len(b.outcomes)
-	if b.outcomeFill < len(b.outcomes) {
-		b.outcomeFill++
-	}
-}
-
-func (b *Breaker) toOpenLocked() {
-	b.state = StateOpen
+func (b *breaker) toOpenLocked() {
+	b.state = stateOpen
 	b.openedAt = b.now()
 	b.consecutive = 0
-	b.probePassed = 0
 	b.observer.Counter("resilience_breaker_opens_total", "endpoint="+b.endpoint).Inc()
-	b.setStateGauge(StateOpen)
+	b.setStateGauge(stateOpen)
 	resLog.Warn(nil, "breaker_open", "endpoint", b.endpoint)
 }
 
-func (b *Breaker) toHalfOpenLocked() {
-	b.state = StateHalfOpen
-	b.probePassed = 0
+func (b *breaker) toHalfOpenLocked() {
+	b.state = stateHalfOpen
 	b.probeInUse = false
 	b.observer.Counter("resilience_breaker_halfopen_total", "endpoint="+b.endpoint).Inc()
-	b.setStateGauge(StateHalfOpen)
+	b.setStateGauge(stateHalfOpen)
 	resLog.Info(nil, "breaker_half_open", "endpoint", b.endpoint)
 }
 
-func (b *Breaker) toClosedLocked() {
-	b.state = StateClosed
+func (b *breaker) toClosedLocked() {
+	b.state = stateClosed
 	b.consecutive = 0
-	b.probePassed = 0
 	b.probeInUse = false
 	b.observer.Counter("resilience_breaker_closes_total", "endpoint="+b.endpoint).Inc()
-	b.setStateGauge(StateClosed)
+	b.setStateGauge(stateClosed)
 	resLog.Info(nil, "breaker_closed", "endpoint", b.endpoint)
 }
 
 // setStateGauge exports the state as 0 (closed) / 1 (half-open) / 2 (open).
-func (b *Breaker) setStateGauge(s State) {
+func (b *breaker) setStateGauge(s state) {
 	b.observer.Gauge("resilience_breaker_state", "endpoint="+b.endpoint).Set(int64(s))
 }
 
-// BreakerSet lazily manages one breaker per endpoint under a shared
-// configuration. A nil *BreakerSet hands out nil breakers, which admit
+// breakerSet lazily manages one breaker per endpoint under a shared
+// configuration. A nil *breakerSet hands out nil breakers, which admit
 // everything.
-type BreakerSet struct {
+type breakerSet struct {
 	cfg      BreakerConfig
 	observer *obs.Registry
 
 	mu sync.Mutex
-	m  map[string]*Breaker
+	m  map[string]*breaker
 }
 
-// NewBreakerSet returns an empty set. reg receives every breaker's
+// newBreakerSet returns an empty set. reg receives every breaker's
 // metrics; nil means obs.Default.
-func NewBreakerSet(cfg BreakerConfig, reg *obs.Registry) *BreakerSet {
-	return &BreakerSet{cfg: cfg, observer: reg, m: map[string]*Breaker{}}
+func newBreakerSet(cfg BreakerConfig, reg *obs.Registry) *breakerSet {
+	return &breakerSet{cfg: cfg, observer: reg, m: map[string]*breaker{}}
 }
 
 // For returns (creating on first use) the endpoint's breaker.
-func (s *BreakerSet) For(endpoint string) *Breaker {
+func (s *breakerSet) For(endpoint string) *breaker {
 	if s == nil {
 		return nil
 	}
@@ -302,7 +224,7 @@ func (s *BreakerSet) For(endpoint string) *Breaker {
 	defer s.mu.Unlock()
 	b, ok := s.m[endpoint]
 	if !ok {
-		b = NewBreaker(endpoint, s.cfg, s.observer)
+		b = newBreaker(endpoint, s.cfg, s.observer)
 		s.m[endpoint] = b
 	}
 	return b
@@ -310,7 +232,7 @@ func (s *BreakerSet) For(endpoint string) *Breaker {
 
 // Prune drops breakers for endpoints no longer in keep, so a registry
 // refresh does not leak state for services that left the rotation.
-func (s *BreakerSet) Prune(keep map[string]bool) {
+func (s *breakerSet) Prune(keep map[string]bool) {
 	if s == nil {
 		return
 	}

@@ -13,22 +13,22 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
-func newTestBreaker(cfg BreakerConfig) (*Breaker, *fakeClock, *obs.Registry) {
+func newTestBreaker(cfg BreakerConfig) (*breaker, *fakeClock, *obs.Registry) {
 	reg := obs.NewRegistry()
-	b := NewBreaker("http://svc", cfg, reg)
+	b := newBreaker("http://svc", cfg, reg)
 	clock := &fakeClock{t: time.Unix(1000, 0)}
 	b.now = clock.now
 	return b, clock, reg
 }
 
 func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
-	b, _, reg := newTestBreaker(BreakerConfig{FailureThreshold: 3, Cooldown: time.Second})
+	b, _, reg := newTestBreaker(BreakerConfig{FailureThreshold: 3})
 	for i := 0; i < 2; i++ {
 		if !b.Allow() {
 			t.Fatalf("closed breaker rejected call %d", i)
 		}
 		b.Record(Retryable)
-		if b.State() != StateClosed {
+		if b.State() != stateClosed {
 			t.Fatalf("tripped after %d failures, threshold is 3", i+1)
 		}
 	}
@@ -36,11 +36,11 @@ func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
 	b.Record(Success)
 	b.Record(Retryable)
 	b.Record(Retryable)
-	if b.State() != StateClosed {
+	if b.State() != stateClosed {
 		t.Fatal("success did not reset the consecutive-failure count")
 	}
 	b.Record(Retryable)
-	if b.State() != StateOpen {
+	if b.State() != stateOpen {
 		t.Fatal("breaker did not open at the threshold")
 	}
 	if b.Allow() {
@@ -52,16 +52,16 @@ func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
 }
 
 func TestBreakerHalfOpenProbeCycle(t *testing.T) {
-	b, clock, _ := newTestBreaker(BreakerConfig{FailureThreshold: 1, Cooldown: time.Second})
+	b, clock, _ := newTestBreaker(BreakerConfig{FailureThreshold: 1})
 	b.Record(Retryable)
-	if b.State() != StateOpen {
+	if b.State() != stateOpen {
 		t.Fatal("breaker not open")
 	}
-	clock.advance(2 * time.Second)
+	clock.advance(breakerCooldown)
 	if !b.Allow() {
 		t.Fatal("cooled-down breaker rejected the probe")
 	}
-	if b.State() != StateHalfOpen {
+	if b.State() != stateHalfOpen {
 		t.Fatalf("state = %v, want half-open", b.State())
 	}
 	// Only one probe at a time.
@@ -70,15 +70,15 @@ func TestBreakerHalfOpenProbeCycle(t *testing.T) {
 	}
 	// Failed probe reopens.
 	b.Record(Retryable)
-	if b.State() != StateOpen {
+	if b.State() != stateOpen {
 		t.Fatal("failed probe did not reopen the breaker")
 	}
-	clock.advance(2 * time.Second)
+	clock.advance(breakerCooldown)
 	if !b.Allow() {
 		t.Fatal("second probe rejected")
 	}
 	b.Record(Success)
-	if b.State() != StateClosed {
+	if b.State() != stateClosed {
 		t.Fatal("successful probe did not close the breaker")
 	}
 	if !b.Allow() {
@@ -86,45 +86,56 @@ func TestBreakerHalfOpenProbeCycle(t *testing.T) {
 	}
 }
 
-func TestBreakerErrorRateTrip(t *testing.T) {
-	b, _, _ := newTestBreaker(BreakerConfig{
-		FailureThreshold: 100, // out of reach: only the rate can trip
-		ErrorRate:        0.5,
-		Window:           4,
-		Cooldown:         time.Second,
-	})
-	// Alternate success/failure: 50% failure rate over a full window.
+// An open breaker rejects for the whole of breakerCooldown and admits its
+// probe once that has passed.
+func TestBreakerCooldownBoundary(t *testing.T) {
+	b, clock, _ := newTestBreaker(BreakerConfig{FailureThreshold: 1})
 	b.Record(Retryable)
-	b.Record(Success)
-	b.Record(Retryable)
-	if b.State() != StateClosed {
-		t.Fatal("rate tripped before the window filled")
+	clock.advance(breakerCooldown - time.Millisecond)
+	if b.Allow() {
+		t.Fatal("breaker admitted a probe before the cooldown ended")
 	}
-	b.Record(Success)
-	// Window full at 2/4 failures; next failure evaluates at >= 0.5.
+	if b.State() != stateOpen {
+		t.Fatalf("state = %v, want open during the cooldown", b.State())
+	}
+	clock.advance(time.Millisecond)
+	if !b.Allow() {
+		t.Fatal("breaker rejected the probe once the cooldown ended")
+	}
+}
+
+// A zero FailureThreshold means five consecutive failures.
+func TestBreakerDefaultThreshold(t *testing.T) {
+	b, _, _ := newTestBreaker(BreakerConfig{})
+	for i := 0; i < 4; i++ {
+		b.Record(Retryable)
+	}
+	if b.State() != stateClosed {
+		t.Fatal("tripped after 4 failures, default threshold is 5")
+	}
 	b.Record(Retryable)
-	if b.State() != StateOpen {
-		t.Fatalf("state = %v, want open at 50%% error rate", b.State())
+	if b.State() != stateOpen {
+		t.Fatal("did not trip at the default threshold of 5")
 	}
 }
 
 // soap:Client faults mean the caller erred, not the endpoint: they must
 // never trip the breaker. Aborted outcomes release the probe slot.
 func TestBreakerOutcomeSemantics(t *testing.T) {
-	b, clock, _ := newTestBreaker(BreakerConfig{FailureThreshold: 1, Cooldown: time.Second})
+	b, clock, _ := newTestBreaker(BreakerConfig{FailureThreshold: 1})
 	for i := 0; i < 10; i++ {
 		b.Record(Permanent)
 	}
-	if b.State() != StateClosed {
+	if b.State() != stateClosed {
 		t.Fatal("permanent (caller) faults tripped the breaker")
 	}
 	b.Record(Retryable)
-	clock.advance(2 * time.Second)
+	clock.advance(breakerCooldown)
 	if !b.Allow() {
 		t.Fatal("probe rejected")
 	}
 	b.Record(Aborted) // caller gave up; endpoint unjudged
-	if b.State() != StateHalfOpen {
+	if b.State() != stateHalfOpen {
 		t.Fatalf("state = %v, want half-open after aborted probe", b.State())
 	}
 	if !b.Allow() {
@@ -133,15 +144,15 @@ func TestBreakerOutcomeSemantics(t *testing.T) {
 }
 
 func TestNilBreakerIsOpenBar(t *testing.T) {
-	var b *Breaker
+	var b *breaker
 	if !b.Allow() {
 		t.Fatal("nil breaker rejected a call")
 	}
 	b.Record(Retryable) // must not panic
-	if b.State() != StateClosed {
+	if b.State() != stateClosed {
 		t.Fatal("nil breaker not closed")
 	}
-	var s *BreakerSet
+	var s *breakerSet
 	if s.For("x") != nil {
 		t.Fatal("nil set returned a breaker")
 	}
@@ -149,11 +160,11 @@ func TestNilBreakerIsOpenBar(t *testing.T) {
 }
 
 func TestBreakerSetPrune(t *testing.T) {
-	s := NewBreakerSet(BreakerConfig{FailureThreshold: 1}, obs.NewRegistry())
+	s := newBreakerSet(BreakerConfig{FailureThreshold: 1}, obs.NewRegistry())
 	s.For("a").Record(Retryable)
 	s.For("b")
 	s.Prune(map[string]bool{"b": true})
-	if got := s.For("a").State(); got != StateClosed {
+	if got := s.For("a").State(); got != stateClosed {
 		t.Fatalf("pruned breaker kept state %v", got)
 	}
 }

@@ -48,33 +48,32 @@ func TestRetryAfterExtraction(t *testing.T) {
 // answer to a half-open probe must release the probe slot without
 // closing or re-opening the breaker.
 func TestBreakerBusyIsNeutral(t *testing.T) {
-	cfg := BreakerConfig{FailureThreshold: 2, ErrorRate: 0.5, Window: 4, Cooldown: time.Minute}
-	b := NewBreaker("ep", cfg, obs.NewRegistry())
+	cfg := BreakerConfig{FailureThreshold: 2}
+	b := newBreaker("ep", cfg, obs.NewRegistry())
 
 	for i := 0; i < 20; i++ {
 		b.Record(Busy)
 	}
-	if got := b.State(); got != StateClosed {
+	if got := b.State(); got != stateClosed {
 		t.Fatalf("breaker opened on Busy outcomes alone: %v", got)
 	}
-	// Busy outcomes must not feed the rolling error-rate window either:
-	// one real failure after many sheds is 1 consecutive, not a trip.
+	// One real failure after many sheds is 1 consecutive, not a trip.
 	b.Record(Retryable)
-	if got := b.State(); got != StateClosed {
+	if got := b.State(); got != stateClosed {
 		t.Fatalf("one failure after sheds tripped the breaker: %v", got)
 	}
 
 	// Trip it for real, then probe half-open with a Busy answer.
 	b.Record(Retryable)
-	if got := b.State(); got != StateOpen {
+	if got := b.State(); got != stateOpen {
 		t.Fatalf("two consecutive failures should open: %v", got)
 	}
-	b.now = func() time.Time { return time.Now().Add(2 * time.Minute) }
+	b.now = func() time.Time { return time.Now().Add(breakerCooldown) }
 	if !b.Allow() {
 		t.Fatal("cooldown elapsed; breaker should admit a probe")
 	}
 	b.Record(Busy)
-	if got := b.State(); got != StateHalfOpen {
+	if got := b.State(); got != stateHalfOpen {
 		t.Fatalf("busy probe moved breaker to %v, want half-open", got)
 	}
 	if !b.Allow() {

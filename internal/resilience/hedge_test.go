@@ -155,7 +155,7 @@ func TestDoHedgedLoserBreakerNeutral(t *testing.T) {
 			t.Fatalf("round %d: %v", i, err)
 		}
 	}
-	if st := p.BreakerFor("slow").State(); st != StateClosed {
+	if st := p.breakers.For("slow").State(); st != stateClosed {
 		t.Fatalf("slow endpoint breaker = %v after 20 lost races, want closed", st)
 	}
 }
@@ -195,7 +195,7 @@ func TestDoHedgedSingleEndpoint(t *testing.T) {
 	if err != nil || ep != "only" {
 		t.Fatalf("hedged Do = %q, %v", ep, err)
 	}
-	if st := p.BreakerFor("only").State(); st != StateClosed {
+	if st := p.breakers.For("only").State(); st != stateClosed {
 		t.Fatalf("breaker = %v, want closed", st)
 	}
 }

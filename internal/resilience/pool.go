@@ -23,7 +23,7 @@ type SourceFunc func(ctx context.Context) ([]string, error)
 // from the registry — the paper's UDDI failover step — so newly
 // published equivalent services join the rotation and dead ones leave.
 type Pool struct {
-	breakers     *BreakerSet
+	breakers     *breakerSet
 	observer     *obs.Registry
 	source       SourceFunc
 	refreshEvery time.Duration
@@ -56,7 +56,7 @@ func WithRefreshInterval(d time.Duration) PoolOption {
 
 // WithBreakerConfig tunes the per-endpoint breakers.
 func WithBreakerConfig(cfg BreakerConfig) PoolOption {
-	return func(p *Pool) { p.breakers = NewBreakerSet(cfg, p.observer) }
+	return func(p *Pool) { p.breakers = newBreakerSet(cfg, p.observer) }
 }
 
 // WithObserver directs the pool's (and its breakers') metrics to reg
@@ -65,7 +65,7 @@ func WithBreakerConfig(cfg BreakerConfig) PoolOption {
 func WithObserver(reg *obs.Registry) PoolOption {
 	return func(p *Pool) {
 		p.observer = reg
-		p.breakers = NewBreakerSet(p.breakers.cfg, reg)
+		p.breakers = newBreakerSet(p.breakers.cfg, reg)
 	}
 }
 
@@ -73,7 +73,7 @@ func WithObserver(reg *obs.Registry) PoolOption {
 // a source is attached: the first refresh fills it).
 func NewPool(endpoints []string, opts ...PoolOption) *Pool {
 	p := &Pool{observer: obs.Default}
-	p.breakers = NewBreakerSet(BreakerConfig{}, p.observer)
+	p.breakers = newBreakerSet(BreakerConfig{}, p.observer)
 	for _, o := range opts {
 		o(p)
 	}
@@ -101,9 +101,6 @@ func (p *Pool) Endpoints() []string {
 	defer p.mu.Unlock()
 	return append([]string(nil), p.endpoints...)
 }
-
-// BreakerFor exposes an endpoint's breaker (for state inspection).
-func (p *Pool) BreakerFor(endpoint string) *Breaker { return p.breakers.For(endpoint) }
 
 // Pick returns the next endpoint whose breaker admits traffic,
 // preferring endpoints not in skip — the per-call "don't hand a retry
@@ -147,7 +144,7 @@ func (p *Pool) Record(endpoint string, err error) {
 	before := br.State()
 	br.Record(ClassifyErr(err))
 	after := br.State()
-	if before != StateOpen && after == StateOpen {
+	if before != stateOpen && after == stateOpen {
 		p.observer.Counter("resilience_endpoint_ejections_total", "endpoint="+endpoint).Inc()
 		resLog.Warn(nil, "endpoint_ejected", "endpoint", endpoint)
 	}
@@ -158,7 +155,7 @@ func (p *Pool) exportHealth() {
 	p.mu.Lock()
 	healthy := 0
 	for _, ep := range p.endpoints {
-		if p.breakers.For(ep).State() != StateOpen {
+		if p.breakers.For(ep).State() != stateOpen {
 			healthy++
 		}
 	}

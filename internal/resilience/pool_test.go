@@ -45,7 +45,7 @@ func TestPoolSkippedEndpointIsLastResort(t *testing.T) {
 	reg := obs.NewRegistry()
 	p := NewPool([]string{"a", "b"},
 		WithObserver(reg),
-		WithBreakerConfig(BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute}))
+		WithBreakerConfig(BreakerConfig{FailureThreshold: 1}))
 	// Trip b; only a remains, and a is skipped — it must still be offered.
 	p.Record("b", serverFault{})
 	ep, err := p.Pick("a")
@@ -62,7 +62,7 @@ func TestPoolEjectsTrippedEndpoints(t *testing.T) {
 	reg := obs.NewRegistry()
 	p := NewPool([]string{"bad", "good"},
 		WithObserver(reg),
-		WithBreakerConfig(BreakerConfig{FailureThreshold: 2, Cooldown: time.Minute}))
+		WithBreakerConfig(BreakerConfig{FailureThreshold: 2}))
 	p.Record("bad", serverFault{})
 	p.Record("bad", serverFault{})
 	for i := 0; i < 4; i++ {
@@ -137,7 +137,7 @@ func TestPoolDoFailsOverToHealthyEndpoint(t *testing.T) {
 	reg := obs.NewRegistry()
 	p := NewPool([]string{"bad", "good"},
 		WithObserver(reg),
-		WithBreakerConfig(BreakerConfig{FailureThreshold: 2, Cooldown: time.Minute}))
+		WithBreakerConfig(BreakerConfig{FailureThreshold: 2}))
 	pol := &Policy{MaxAttempts: 3, BackoffBase: time.Millisecond}
 	var tried []string
 	ep, err := p.Do(context.Background(), pol, nil, func(ctx context.Context, endpoint string) error {
@@ -225,7 +225,7 @@ func TestPoolDoRefreshesWhenAllTripped(t *testing.T) {
 	p := NewPool([]string{"dead"},
 		WithObserver(obs.NewRegistry()),
 		WithSource(src),
-		WithBreakerConfig(BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute}))
+		WithBreakerConfig(BreakerConfig{FailureThreshold: 1}))
 	// Use up the first refresh so the pool starts from just {dead}… the
 	// source already lists only "fresh", so the first MaybeRefresh swaps
 	// it in. To exercise the all-tripped path, trip "fresh" too and

@@ -9,7 +9,7 @@
 //     deterministic jitter, Retry-After hints and fault classification
 //     (network errors and soap:Server faults are retryable, soap:Client
 //     faults are not, a dead caller context aborts).
-//   - Breaker: a per-endpoint three-state circuit breaker (closed →
+//   - breaker: a per-endpoint three-state circuit breaker (closed →
 //     open on consecutive-failure or error-rate threshold → half-open
 //     probe) so a dead service stops receiving traffic instead of
 //     burning every caller's retry budget.
@@ -34,10 +34,10 @@ import (
 	"repro/internal/obs"
 )
 
-// ErrOpen reports a call rejected because the endpoint's circuit breaker
+// errOpen reports a call rejected because the endpoint's circuit breaker
 // is open. It is retryable: a later attempt may find the breaker
 // half-open or another endpoint healthy.
-var ErrOpen = errors.New("resilience: circuit open")
+var errOpen = errors.New("resilience: circuit open")
 
 // ErrNoHealthyEndpoint reports a pool pick that found no endpoint whose
 // breaker admits traffic. It is retryable: cooldowns elapse and registry
@@ -143,7 +143,7 @@ func ClassifyErr(err error) Class {
 	if errors.As(err, &te) {
 		return Retryable
 	}
-	if errors.Is(err, ErrOpen) || errors.Is(err, ErrNoHealthyEndpoint) {
+	if errors.Is(err, errOpen) || errors.Is(err, ErrNoHealthyEndpoint) {
 		return Retryable
 	}
 	var fc interface{ FaultCode() string }
@@ -168,10 +168,10 @@ func ClassifyErr(err error) Class {
 	return Permanent
 }
 
-// Classify buckets an error in the light of the caller's context: once
+// classify buckets an error in the light of the caller's context: once
 // ctx itself is done the outcome is Aborted regardless of the error —
 // the caller's deadline has passed and no retry can run.
-func Classify(ctx context.Context, err error) Class {
+func classify(ctx context.Context, err error) Class {
 	if ctx != nil && ctx.Err() != nil {
 		return Aborted
 	}
@@ -257,7 +257,7 @@ func (p *Policy) Do(ctx context.Context, fn func(ctx context.Context) error, onR
 	attempts := p.Attempts()
 	for attempt := 1; ; attempt++ {
 		err := fn(ctx)
-		if attempt >= attempts || !Classify(ctx, err).Retries() {
+		if attempt >= attempts || !classify(ctx, err).Retries() {
 			return err
 		}
 		wait := p.Backoff(attempt)

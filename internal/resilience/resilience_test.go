@@ -37,7 +37,7 @@ func TestClassifyErr(t *testing.T) {
 		{"wrapped client fault", fmt.Errorf("job: %w", &fault{"soap:Client"}), Permanent},
 		{"net error", timeoutErr{}, Retryable},
 		{"url error", &url.Error{Op: "Post", URL: "http://x", Err: errors.New("refused")}, Retryable},
-		{"circuit open", fmt.Errorf("ep: %w", ErrOpen), Retryable},
+		{"circuit open", fmt.Errorf("ep: %w", errOpen), Retryable},
 		{"no endpoints", fmt.Errorf("pool: %w", ErrNoHealthyEndpoint), Retryable},
 		{"plain error", errors.New("boom"), Permanent},
 		{"transient client fault", Transient(&fault{"soap:Client"}), Retryable},
@@ -55,10 +55,10 @@ func TestClassifyErr(t *testing.T) {
 func TestClassifyAbortsOnDeadContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if got := Classify(ctx, &fault{"soap:Server"}); got != Aborted {
+	if got := classify(ctx, &fault{"soap:Server"}); got != Aborted {
 		t.Fatalf("dead context: Classify = %v, want Aborted", got)
 	}
-	if got := Classify(context.Background(), &fault{"soap:Server"}); got != Retryable {
+	if got := classify(context.Background(), &fault{"soap:Server"}); got != Retryable {
 		t.Fatalf("live context: Classify = %v, want Retryable", got)
 	}
 }

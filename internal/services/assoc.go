@@ -17,17 +17,17 @@ import (
 //	mine(dataset | transactions, minSupport, minConfidence, maxRules)
 //	    -> rules (one per line) + ruleCount
 func NewAssociationService() *Service {
-	return Register(ServiceDesc{
+	return register(serviceDesc{
 		Name:     "AssociationRules",
 		Version:  "1.1",
 		Category: "association",
 		Doc:      "Association-rule mining (Apriori or FPGrowth) over ARFF datasets or raw transactions (§1).",
-		Ops: []Op{
+		Ops: []op{
 			{
 				Name: "mine",
 				Doc:  "Mine association rules (Apriori or FPGrowth) from an ARFF dataset or raw transactions.",
-				In:   []string{PartDataset, PartTransactions, PartAlgorithm, PartMinSupport, PartMinConfidence, PartMaxRules},
-				Out:  []string{PartRules, PartRuleCount, PartItemsets},
+				In:   []string{PartDataset, partTransactions, partAlgorithm, partMinSupport, partMinConfidence, partMaxRules},
+				Out:  []string{partRules, partRuleCount, partItemsets},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					minSupport, minConfidence := 0.1, 0.9
 					if v := strings.TrimSpace(parts["minSupport"]); v != "" {
@@ -136,16 +136,16 @@ func NewAssociationService() *Service {
 //	rank(dataset, evaluator)                -> ranked attribute list
 //	select(dataset, evaluator, search)      -> selected attribute subset
 func NewAttributeSelectionService() *Service {
-	return Register(ServiceDesc{
+	return register(serviceDesc{
 		Name:     "AttributeSelection",
 		Version:  "1.1",
 		Category: "attribute-selection",
 		Doc:      "Attribute search-and-selection approaches, including the genetic search of §5.3.",
-		Ops: []Op{
+		Ops: []op{
 			{
 				Name: "getApproaches",
 				Doc:  "List the evaluator/search approaches available.",
-				Out:  []string{PartApproaches},
+				Out:  []string{partApproaches},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					return map[string]string{"approaches": strings.Join(attrselApproaches(), "\n")}, nil
 				},
@@ -153,8 +153,8 @@ func NewAttributeSelectionService() *Service {
 			{
 				Name: "rank",
 				Doc:  "Rank attributes with a single-attribute evaluator.",
-				In:   []string{PartDataset, PartEvaluator},
-				Out:  []string{PartRanking},
+				In:   []string{PartDataset, partEvaluator},
+				Out:  []string{partRanking},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					d, err := parseDataset(parts, "dataset")
 					if err != nil {
@@ -178,8 +178,8 @@ func NewAttributeSelectionService() *Service {
 			{
 				Name: "select",
 				Doc:  "Select an attribute subset with an evaluator and a search strategy.",
-				In:   []string{PartDataset, PartEvaluator, PartSearch},
-				Out:  []string{PartSelected},
+				In:   []string{PartDataset, partEvaluator, partSearch},
+				Out:  []string{partSelected},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					d, err := parseDataset(parts, "dataset")
 					if err != nil {

@@ -147,8 +147,8 @@ func TestRegressorServiceRegressBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Split(strings.TrimSpace(out[PartRegressors]), "\n"); len(got) != len(regress.Names()) {
-		t.Fatalf("getRegressors = %v, want %v", got, regress.Names())
+	if got := strings.Split(strings.TrimSpace(out[partRegressors]), "\n"); len(got) != len(regress.Registry.Names()) {
+		t.Fatalf("getRegressors = %v, want %v", got, regress.Registry.Names())
 	}
 
 	train := datagen.WeatherNumeric()
@@ -214,8 +214,8 @@ func TestRegressorServiceRegressBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out[PartSummary], "KNNRegressor") || !strings.Contains(out[PartEvaluation], "rmse") {
-		t.Fatalf("regress reply: summary %q evaluation %q", out[PartSummary], out[PartEvaluation])
+	if !strings.Contains(out[partSummary], "KNNRegressor") || !strings.Contains(out[PartEvaluation], "rmse") {
+		t.Fatalf("regress reply: summary %q evaluation %q", out[partSummary], out[PartEvaluation])
 	}
 
 	// Nominal target rejected as the caller's fault.

@@ -29,12 +29,12 @@ import (
 // harness.CachedBackend for the paper's in-memory harness or a
 // SerialisingBackend for the naive deployment.
 func NewClassifierService(backend harness.Backend) *Service {
-	return Register(ServiceDesc{
+	return register(serviceDesc{
 		Name:     "Classifier",
 		Version:  "1.1",
 		Category: "classifier",
 		Doc:      "General classifier wrapper: train any registered algorithm on an ARFF dataset (§4.1).",
-		Ops: []Op{
+		Ops: []op{
 			listOp("getClassifiers", "List the classification algorithms known to the service.",
 				PartClassifiers, classify.Registry),
 			optionsOp("Describe the run-time options of a classifier.", PartClassifier, classify.Registry),
@@ -65,8 +65,8 @@ func NewClassifierService(backend harness.Backend) *Service {
 			{
 				Name: "crossValidate",
 				Doc:  "Stratified k-fold cross-validation of the named classifier, with parallel folds.",
-				In:   []string{PartDataset, PartClassifier, PartOptions, PartAttribute, PartFolds, PartSeed},
-				Out:  []string{PartEvaluation, PartAccuracy, PartFolds},
+				In:   []string{PartDataset, PartClassifier, PartOptions, PartAttribute, partFolds, partSeed},
+				Out:  []string{PartEvaluation, PartAccuracy, partFolds},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					d, err := parseDataset(parts, "dataset")
 					if err != nil {
@@ -138,7 +138,7 @@ func NewClassifierService(backend harness.Backend) *Service {
 				Name: "classifyGraph",
 				Doc:  "Like classifyInstance but returns the decision tree as a DOT graph.",
 				In:   []string{PartDataset, PartClassifier, PartOptions, PartAttribute},
-				Out:  []string{PartGraph},
+				Out:  []string{partGraph},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					c, _, _, err := trainFromParts(ctx, backend, parts)
 					if err != nil {

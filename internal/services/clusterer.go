@@ -22,20 +22,20 @@ import (
 //	                                                  of clusterBatch)
 //	clusterBatch(dataset?, clusterer, options, payload) -> DMC1 result block
 func NewClustererService() *Service {
-	return Register(ServiceDesc{
+	return register(serviceDesc{
 		Name:     "Clusterer",
 		Version:  "1.1",
 		Category: "clustering",
 		Doc:      "General clustering wrapper: apply any registered clusterer to an ARFF dataset (§4.1).",
-		Ops: []Op{
+		Ops: []op{
 			listOp("getClusterers", "List the clustering algorithms known to the service.",
-				PartClusterers, cluster.Registry),
+				partClusterers, cluster.Registry),
 			optionsOp("Describe the run-time options of a clusterer.", PartClusterer, cluster.Registry),
 			{
 				Name: "cluster",
 				Doc:  "Apply the named clustering algorithm to an ARFF dataset.",
 				In:   []string{PartDataset, PartClusterer, PartOptions},
-				Out:  []string{PartSummary, PartClusters, PartSilhouette},
+				Out:  []string{partSummary, PartClusters, partSilhouette},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					d, err := parseDataset(parts, "dataset")
 					if err != nil {
@@ -189,17 +189,17 @@ func NewCobwebService() *Service {
 		}
 		return cw, nil
 	}
-	return Register(ServiceDesc{
+	return register(serviceDesc{
 		Name:     "Cobweb",
 		Version:  "1.1",
 		Category: "clustering",
 		Doc:      "Dedicated Cobweb conceptual-clustering service with concept-hierarchy output (§4.1).",
-		Ops: []Op{
+		Ops: []op{
 			{
 				Name: "cluster",
 				Doc:  "Apply the Cobweb algorithm to an ARFF dataset; returns a textual result.",
 				In:   []string{PartDataset, PartOptions},
-				Out:  []string{PartSummary, PartClusters},
+				Out:  []string{partSummary, PartClusters},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					cw, err := build(ctx, parts)
 					if err != nil {
@@ -215,7 +215,7 @@ func NewCobwebService() *Service {
 				Name: "getCobwebGraph",
 				Doc:  "Return the Cobweb concept hierarchy for plotting.",
 				In:   []string{PartDataset, PartOptions},
-				Out:  []string{PartGraph, PartText},
+				Out:  []string{partGraph, partText},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					cw, err := build(ctx, parts)
 					if err != nil {

@@ -17,16 +17,16 @@ import (
 //	describe(table)                       -> schema (ARFF attribute specs)
 //	query(table, columns, where, limit)   -> result as ARFF
 func NewDataAccessService(db *dataaccess.Database) *Service {
-	return Register(ServiceDesc{
+	return register(serviceDesc{
 		Name:     "DataAccess",
 		Version:  "1.1",
 		Category: "data-access",
 		Doc:      "OGSA-DAI-style relational data access: list, describe and query tables as ARFF (§5.4).",
-		Ops: []Op{
+		Ops: []op{
 			{
 				Name: "listTables",
 				Doc:  "List the relational tables available.",
-				Out:  []string{PartTables},
+				Out:  []string{partTables},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					return map[string]string{"tables": strings.Join(db.Tables(), "\n")}, nil
 				},
@@ -34,8 +34,8 @@ func NewDataAccessService(db *dataaccess.Database) *Service {
 			{
 				Name: "describe",
 				Doc:  "Describe a table's schema.",
-				In:   []string{PartTable},
-				Out:  []string{PartSchema},
+				In:   []string{partTable},
+				Out:  []string{partSchema},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					table, err := require(parts, "table")
 					if err != nil {
@@ -51,8 +51,8 @@ func NewDataAccessService(db *dataaccess.Database) *Service {
 			{
 				Name: "query",
 				Doc:  "Select/project rows from a table; result delivered as ARFF.",
-				In:   []string{PartTable, PartColumns, PartWhere, PartLimit},
-				Out:  []string{PartArff, PartRows},
+				In:   []string{partTable, partColumns, partWhere, partLimit},
+				Out:  []string{partArff, PartRows},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					table, err := require(parts, "table")
 					if err != nil {

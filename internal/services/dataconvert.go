@@ -29,17 +29,17 @@ func NewDataConvertService(fetch *http.Client) *Service {
 	if fetch == nil {
 		fetch = &http.Client{Timeout: 30 * time.Second}
 	}
-	return Register(ServiceDesc{
+	return register(serviceDesc{
 		Name:     "DataConvert",
 		Version:  "1.1",
 		Category: "data-manipulation",
 		Doc:      "Data-manipulation tools of §4.3: CSV↔ARFF conversion, URL reading and dataset summaries.",
-		Ops: []Op{
+		Ops: []op{
 			{
 				Name: "csv2arff",
 				Doc:  "Convert a CSV document to ARFF (types inferred).",
-				In:   []string{PartCSV, PartHeader, PartRelation},
-				Out:  []string{PartArff},
+				In:   []string{partCSV, partHeader, partRelation},
+				Out:  []string{partArff},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					text, err := require(parts, "csv")
 					if err != nil {
@@ -60,7 +60,7 @@ func NewDataConvertService(fetch *http.Client) *Service {
 				Name: "arff2csv",
 				Doc:  "Convert an ARFF document to CSV.",
 				In:   []string{PartDataset},
-				Out:  []string{PartCSV},
+				Out:  []string{partCSV},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					d, err := parseDataset(parts, "dataset")
 					if err != nil {
@@ -72,8 +72,8 @@ func NewDataConvertService(fetch *http.Client) *Service {
 			{
 				Name: "readURL",
 				Doc:  "Fetch a dataset from a URL and normalise it to ARFF.",
-				In:   []string{PartURL, PartFormat},
-				Out:  []string{PartArff},
+				In:   []string{partURL, partFormat},
+				Out:  []string{partArff},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					url, err := require(parts, "url")
 					if err != nil {
@@ -125,7 +125,7 @@ func NewDataConvertService(fetch *http.Client) *Service {
 				Name: "summarize",
 				Doc:  "Compute dataset statistics (instances, attributes, missing values).",
 				In:   []string{PartDataset},
-				Out:  []string{PartSummary, PartInstances, PartAttributes, PartMissing},
+				Out:  []string{partSummary, PartInstances, PartAttributes, partMissing},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					d, err := parseDataset(parts, "dataset")
 					if err != nil {

@@ -78,16 +78,16 @@ func filterFromParts(parts map[string]string) (filter.Filter, error) {
 // Filter options: Discretize takes bins and equalFrequency; Remove/Keep
 // take a comma-separated attributes list.
 func NewFilterService() *Service {
-	return Register(ServiceDesc{
+	return register(serviceDesc{
 		Name:     "Filter",
 		Version:  "1.1",
 		Category: "data-manipulation",
 		Doc:      "Dataset filters (discretize, normalise, standardise, missing-value replacement, attribute removal), textual and dmb1-batch.",
-		Ops: []Op{
+		Ops: []op{
 			{
 				Name: "getFilters",
 				Doc:  "List the dataset filters available.",
-				Out:  []string{PartFilters},
+				Out:  []string{partFilters},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					return map[string]string{"filters": strings.Join(filterNames, "\n")}, nil
 				},
@@ -98,7 +98,7 @@ func NewFilterService() *Service {
 					"Deprecated for bulk pipelines: the ARFF round-trip re-parses " +
 					"text at every hop — chain filterBatch payloads instead.",
 				In:  []string{PartDataset, PartFilter, PartBins, PartEqualFrequency, PartAttributes},
-				Out: []string{PartArff},
+				Out: []string{partArff},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					d, err := parseDataset(parts, "dataset")
 					if err != nil {

@@ -33,17 +33,17 @@ func NewJ48Service(backend harness.Backend) *Service {
 		}
 		return j, nil
 	}
-	return Register(ServiceDesc{
+	return register(serviceDesc{
 		Name:     "J48",
 		Version:  "1.1",
 		Category: "classifier",
 		Doc:      "Dedicated C4.5 (J48) decision-tree classifier service (§4.1).",
-		Ops: []Op{
+		Ops: []op{
 			{
 				Name: "classify",
 				Doc:  "Apply the C4.5 (J48) algorithm to an ARFF dataset; returns the textual decision tree.",
 				In:   []string{PartDataset, PartOptions, PartAttribute},
-				Out:  []string{PartTree},
+				Out:  []string{partTree},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					j, err := train(ctx, parts)
 					if err != nil {
@@ -56,7 +56,7 @@ func NewJ48Service(backend harness.Backend) *Service {
 				Name: "classifyGraph",
 				Doc:  "Like classify but returns a graphical (DOT) representation of the decision tree.",
 				In:   []string{PartDataset, PartOptions, PartAttribute},
-				Out:  []string{PartGraph},
+				Out:  []string{partGraph},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					j, err := train(ctx, parts)
 					if err != nil {

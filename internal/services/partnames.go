@@ -10,107 +10,103 @@ package services
 // a naming review — before it reaches the wire.
 const (
 	PartAccuracy       = "accuracy"
-	PartAlgorithm      = "algorithm"
-	PartApproaches     = "approaches"
-	PartArff           = "arff"
+	partAlgorithm      = "algorithm"
+	partApproaches     = "approaches"
+	partArff           = "arff"
 	PartAttribute      = "attribute"
 	PartAttributes     = "attributes"
 	PartBins           = "bins"
 	PartClassifier     = "classifier"
 	PartClassifiers    = "classifiers"
-	PartClosed         = "closed"
+	partClosed         = "closed"
 	PartClusterer      = "clusterer"
-	PartClusterers     = "clusterers"
+	partClusterers     = "clusterers"
 	PartClusters       = "clusters"
-	PartColumns        = "columns"
-	PartCSV            = "csv"
+	partColumns        = "columns"
+	partCSV            = "csv"
 	PartDataset        = "dataset"
-	PartDepth          = "depth"
+	partDepth          = "depth"
 	PartEncoding       = "encoding"
 	PartEqualFrequency = "equalFrequency"
 	PartEvaluation     = "evaluation"
-	PartEvaluator      = "evaluator"
+	partEvaluator      = "evaluator"
 	PartFilter         = "filter"
-	PartFilters        = "filters"
-	PartFolds          = "folds"
-	PartFormat         = "format"
-	PartGraph          = "graph"
-	PartHeader         = "header"
-	PartImage          = "image"
+	partFilters        = "filters"
+	partFolds          = "folds"
+	partFormat         = "format"
+	partGraph          = "graph"
+	partHeader         = "header"
+	partImage          = "image"
 	PartInstances      = "instances"
-	PartItemsets       = "itemsets"
-	PartKind           = "kind"
+	partItemsets       = "itemsets"
+	partKind           = "kind"
 	PartLabels         = "labels"
-	PartLeaves         = "leaves"
-	PartLimit          = "limit"
-	PartMaxRules       = "maxRules"
-	PartMinConfidence  = "minConfidence"
-	PartMinSupport     = "minSupport"
-	PartMissing        = "missing"
+	partLeaves         = "leaves"
+	partLimit          = "limit"
+	partMaxRules       = "maxRules"
+	partMinConfidence  = "minConfidence"
+	partMinSupport     = "minSupport"
+	partMissing        = "missing"
 	PartModel          = "model"
 	PartOptions        = "options"
 	PartPayload        = "payload"
-	PartPlot           = "plot"
-	PartPoints         = "points"
-	PartRanking        = "ranking"
+	partPlot           = "plot"
+	partPoints         = "points"
+	partRanking        = "ranking"
 	PartRegressor      = "regressor"
-	PartRegressors     = "regressors"
-	PartRelation       = "relation"
-	PartRoot           = "root"
+	partRegressors     = "regressors"
+	partRelation       = "relation"
+	partRoot           = "root"
 	PartRows           = "rows"
-	PartRuleCount      = "ruleCount"
-	PartRules          = "rules"
-	PartSchema         = "schema"
-	PartSearch         = "search"
-	PartSeed           = "seed"
-	PartSelected       = "selected"
+	partRuleCount      = "ruleCount"
+	partRules          = "rules"
+	partSchema         = "schema"
+	partSearch         = "search"
+	partSeed           = "seed"
+	partSelected       = "selected"
 	PartSession        = "session"
-	PartSilhouette     = "silhouette"
-	PartSummary        = "summary"
-	PartTable          = "table"
-	PartTables         = "tables"
-	PartText           = "text"
-	PartTransactions   = "transactions"
-	PartTree           = "tree"
-	PartURL            = "url"
-	PartWhere          = "where"
+	partSilhouette     = "silhouette"
+	partSummary        = "summary"
+	partTable          = "table"
+	partTables         = "tables"
+	partText           = "text"
+	partTransactions   = "transactions"
+	partTree           = "tree"
+	partURL            = "url"
+	partWhere          = "where"
 )
 
 // binaryParts are the part names whose values travel base64-encoded;
-// Register types them base64Binary in the generated WSDL.
+// register types them base64Binary in the generated WSDL.
 var binaryParts = map[string]bool{
-	PartImage:   true,
+	partImage:   true,
 	PartPayload: true,
 }
 
 // knownPartNames is the closed set the lint test checks In/Out lists
 // against.
 var knownPartNames = map[string]bool{
-	PartAccuracy: true, PartAlgorithm: true, PartApproaches: true,
-	PartArff: true, PartAttribute: true, PartAttributes: true,
+	PartAccuracy: true, partAlgorithm: true, partApproaches: true,
+	partArff: true, PartAttribute: true, PartAttributes: true,
 	PartBins: true, PartClassifier: true, PartClassifiers: true,
-	PartClosed: true, PartClusterer: true, PartClusterers: true,
-	PartClusters: true, PartColumns: true, PartCSV: true,
-	PartDataset: true, PartDepth: true, PartEncoding: true,
-	PartEqualFrequency: true, PartEvaluation: true, PartEvaluator: true,
-	PartFilter: true, PartFilters: true, PartFolds: true,
-	PartFormat: true, PartGraph: true, PartHeader: true,
-	PartImage: true, PartInstances: true, PartItemsets: true,
-	PartKind: true, PartLabels: true, PartLeaves: true,
-	PartLimit: true, PartMaxRules: true, PartMinConfidence: true,
-	PartMinSupport: true, PartMissing: true, PartModel: true,
+	partClosed: true, PartClusterer: true, partClusterers: true,
+	PartClusters: true, partColumns: true, partCSV: true,
+	PartDataset: true, partDepth: true, PartEncoding: true,
+	PartEqualFrequency: true, PartEvaluation: true, partEvaluator: true,
+	PartFilter: true, partFilters: true, partFolds: true,
+	partFormat: true, partGraph: true, partHeader: true,
+	partImage: true, PartInstances: true, partItemsets: true,
+	partKind: true, PartLabels: true, partLeaves: true,
+	partLimit: true, partMaxRules: true, partMinConfidence: true,
+	partMinSupport: true, partMissing: true, PartModel: true,
 	PartOptions: true, PartPayload: true,
-	PartPlot: true, PartPoints: true, PartRanking: true,
-	PartRegressor: true, PartRegressors: true,
-	PartRelation: true, PartRoot: true, PartRows: true,
-	PartRuleCount: true, PartRules: true, PartSchema: true,
-	PartSearch: true, PartSeed: true, PartSelected: true,
-	PartSession: true, PartSilhouette: true, PartSummary: true,
-	PartTable: true, PartTables: true, PartText: true,
-	PartTransactions: true, PartTree: true, PartURL: true,
-	PartWhere: true,
+	partPlot: true, partPoints: true, partRanking: true,
+	PartRegressor: true, partRegressors: true,
+	partRelation: true, partRoot: true, PartRows: true,
+	partRuleCount: true, partRules: true, partSchema: true,
+	partSearch: true, partSeed: true, partSelected: true,
+	PartSession: true, partSilhouette: true, partSummary: true,
+	partTable: true, partTables: true, partText: true,
+	partTransactions: true, partTree: true, partURL: true,
+	partWhere: true,
 }
-
-// KnownPartNames reports whether name belongs to the shared part-name
-// vocabulary.
-func KnownPartNames(name string) bool { return knownPartNames[name] }

@@ -39,13 +39,13 @@ func TestOpPartNamesAreRegistered(t *testing.T) {
 	for _, svc := range allServices() {
 		for _, op := range svc.Desc.Ops {
 			for _, p := range op.Inputs {
-				if !KnownPartNames(p.Name) {
+				if !knownPartNames[p.Name] {
 					t.Errorf("%s.%s input part %q is not in the shared part-name vocabulary (partnames.go)",
 						svc.Name, op.Name, p.Name)
 				}
 			}
 			for _, p := range op.Outputs {
-				if !KnownPartNames(p.Name) {
+				if !knownPartNames[p.Name] {
 					t.Errorf("%s.%s output part %q is not in the shared part-name vocabulary (partnames.go)",
 						svc.Name, op.Name, p.Name)
 				}

@@ -46,17 +46,17 @@ func parseXYSeries(text, name string) (viz.Series, error) {
 //	plot(points)     -> ASCII plot (GNUPlot "dumb terminal" style)
 //	plotPNG(points, kind) -> base64 PNG (scatter or line)
 func NewPlotService() *Service {
-	return Register(ServiceDesc{
+	return register(serviceDesc{
 		Name:     "Plot",
 		Version:  "1.1",
 		Category: "visualisation",
 		Doc:      "GNUPlot-substitute plotting: ASCII and PNG renderings of x,y point series (§1).",
-		Ops: []Op{
+		Ops: []op{
 			{
 				Name: "plot",
 				Doc:  "Plot x,y points as ASCII art (GNUPlot dumb-terminal style).",
-				In:   []string{PartPoints},
-				Out:  []string{PartPlot},
+				In:   []string{partPoints},
+				Out:  []string{partPlot},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					text, err := require(parts, "points")
 					if err != nil {
@@ -72,8 +72,8 @@ func NewPlotService() *Service {
 			{
 				Name: "plotPNG",
 				Doc:  "Plot x,y points as a PNG image (scatter or line).",
-				In:   []string{PartPoints, PartKind},
-				Out:  []string{PartImage},
+				In:   []string{partPoints, partKind},
+				Out:  []string{partImage},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					text, err := require(parts, "points")
 					if err != nil {
@@ -104,17 +104,17 @@ func NewPlotService() *Service {
 // CSV file in three dimension and return the plotted graph as an image file
 // (PNG format)".
 func NewMathService() *Service {
-	return Register(ServiceDesc{
+	return register(serviceDesc{
 		Name:     "Math",
 		Version:  "1.1",
 		Category: "visualisation",
 		Doc:      "Mathematica-substitute service: 3D plotting of CSV point clouds as PNG (§4.2).",
-		Ops: []Op{
+		Ops: []op{
 			{
 				Name: "plot3D",
 				Doc:  "Plot x,y,z CSV points in three dimensions; returns a PNG image.",
-				In:   []string{PartPoints},
-				Out:  []string{PartImage},
+				In:   []string{partPoints},
+				Out:  []string{partImage},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					text, err := require(parts, "points")
 					if err != nil {

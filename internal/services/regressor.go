@@ -36,21 +36,21 @@ func retarget(d *dataset.Dataset, parts map[string]string) error {
 //	regress(dataset, regressor, options, attribute) -> training-set evaluation
 //	regressBatch(dataset, regressor, options, attribute, payload) -> DMV1 block
 func NewRegressorService() *Service {
-	return Register(ServiceDesc{
+	return register(serviceDesc{
 		Name:     "Regressor",
 		Version:  "1.0",
 		Category: "regression",
 		Doc:      "Numeric prediction wrapper: apply any registered regressor to an ARFF dataset, with a dmb1 batch fast path.",
-		Ops: []Op{
+		Ops: []op{
 			listOp("getRegressors", "List the regression algorithms known to the service.",
-				PartRegressors, regress.Registry),
+				partRegressors, regress.Registry),
 			optionsOp("Describe the run-time options of a regressor.", PartRegressor, regress.Registry),
 			{
 				Name: "regress",
 				Doc: "Train the named regressor on an ARFF dataset (target = class " +
 					"attribute, or the attribute part) and report its training-set fit.",
 				In:  []string{PartDataset, PartRegressor, PartOptions, PartAttribute},
-				Out: []string{PartSummary, PartEvaluation},
+				Out: []string{partSummary, PartEvaluation},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					d, err := parseDataset(parts, "dataset")
 					if err != nil {
@@ -79,7 +79,7 @@ func NewRegressorService() *Service {
 					if err != nil {
 						return nil, err
 					}
-					return map[string]string{PartSummary: summary, PartEvaluation: eval}, nil
+					return map[string]string{partSummary: summary, PartEvaluation: eval}, nil
 				},
 			},
 			{

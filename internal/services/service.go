@@ -27,7 +27,7 @@ import (
 	"repro/internal/wsdl"
 )
 
-// Service bundles a deployable Web Service. Build one with Register.
+// Service bundles a deployable Web Service. Build one with register.
 type Service struct {
 	Name     string
 	Version  string
@@ -37,33 +37,33 @@ type Service struct {
 	Endpoint *soap.Endpoint
 }
 
-// Op declares one service operation exactly once: its interface metadata
+// op declares one service operation exactly once: its interface metadata
 // (names of the input and output parts, shared by the WSDL document and
 // the obs metric labels) together with its handler.
-type Op struct {
+type op struct {
 	Name    string
 	Doc     string
 	In, Out []string
 	Handle  soap.Handler
 }
 
-// ServiceDesc carries everything needed to deploy, describe, publish and
+// serviceDesc carries everything needed to deploy, describe, publish and
 // label a service: identity (name, version, category), a human description
 // reused as the registry entry text, and the operation set.
-type ServiceDesc struct {
+type serviceDesc struct {
 	Name     string
 	Version  string
 	Category string
 	Doc      string
-	Ops      []Op
+	Ops      []op
 }
 
-// Register materialises a ServiceDesc into a deployable Service: the SOAP
+// register materialises a serviceDesc into a deployable Service: the SOAP
 // endpoint gets one handler per operation and the WSDL description is
-// derived from the same Op metadata, so the wire interface and its
+// derived from the same op metadata, so the wire interface and its
 // published description cannot drift apart. This replaces the per-service
 // copy-pasted endpoint/WSDL wiring the constructors used to carry.
-func Register(desc ServiceDesc) *Service {
+func register(desc serviceDesc) *Service {
 	if desc.Name == "" {
 		panic("services: ServiceDesc has no name")
 	}
@@ -190,8 +190,8 @@ func parseOptions(parts map[string]string, part string) (map[string]string, erro
 
 // listOp is a general service's catalogue op (§4.1): the registry's
 // sorted names, one a line, in the out part.
-func listOp[T algo.Named](name, doc, out string, reg *algo.Registry[T]) Op {
-	return Op{
+func listOp[T algo.Named](name, doc, out string, reg *algo.Registry[T]) op {
+	return op{
 		Name: name,
 		Doc:  doc,
 		Out:  []string{out},
@@ -203,8 +203,8 @@ func listOp[T algo.Named](name, doc, out string, reg *algo.Registry[T]) Op {
 
 // optionsOp is a general service's getOptions op: the JSON option
 // descriptors of the algorithm named in the in part.
-func optionsOp[T algo.Named](doc, in string, reg *algo.Registry[T]) Op {
-	return Op{
+func optionsOp[T algo.Named](doc, in string, reg *algo.Registry[T]) op {
+	return op{
 		Name: "getOptions",
 		Doc:  doc,
 		In:   []string{in},

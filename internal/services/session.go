@@ -144,17 +144,17 @@ func NewSessionService(backend harness.Backend) *Service {
 		}
 		return harness.InvokeContext(ctx, backend, t.Key, build, fn)
 	}
-	return Register(ServiceDesc{
+	return register(serviceDesc{
 		Name:     "Session",
 		Version:  "1.2",
 		Category: "session-management",
 		Doc:      "Interactive sessions: a replica-portable token resumes the trained model from the shared store on any dmserver (§4.5).",
-		Ops: []Op{
+		Ops: []op{
 			{
 				Name: "createSession",
 				Doc:  "Train a classifier once and mint a portable session token for interactive use (§4.5).",
 				In:   []string{PartDataset, PartClassifier, PartOptions, PartAttribute},
-				Out:  []string{PartSession, PartAlgorithm},
+				Out:  []string{PartSession, partAlgorithm},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					// Validate by training once through the shared path; the
 					// backend snapshots the instance into the durable store
@@ -303,7 +303,7 @@ func NewSessionService(backend harness.Backend) *Service {
 				Name: "closeSession",
 				Doc:  "Release the session on this replica.",
 				In:   []string{PartSession},
-				Out:  []string{PartClosed},
+				Out:  []string{partClosed},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					id, err := require(parts, "session")
 					if err != nil {

@@ -17,23 +17,23 @@ import (
 //
 //	analyze(tree) -> root, depth, leaves, attributes, rules
 func NewTreeAnalyzerService() *Service {
-	return Register(ServiceDesc{
+	return register(serviceDesc{
 		Name:     "TreeAnalyzer",
 		Version:  "1.1",
 		Category: "processing",
 		Doc:      "Decision-tree output analysis: root attribute, depth, leaves and extracted rules (§5.3).",
-		Ops: []Op{
+		Ops: []op{
 			{
 				Name: "analyze",
 				Doc:  "Analyse a textual J48 decision tree: root attribute, depth, leaves, rules.",
-				In:   []string{PartTree},
-				Out:  []string{PartRoot, PartDepth, PartLeaves, PartAttributes, PartRules},
+				In:   []string{partTree},
+				Out:  []string{partRoot, partDepth, partLeaves, PartAttributes, partRules},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					text, err := require(parts, "tree")
 					if err != nil {
 						return nil, err
 					}
-					a, err := AnalyzeTreeText(text)
+					a, err := analyzeTreeText(text)
 					if err != nil {
 						return nil, &soap.Fault{Code: "soap:Client", String: "unparseable tree", Detail: err.Error()}
 					}
@@ -50,8 +50,8 @@ func NewTreeAnalyzerService() *Service {
 	})
 }
 
-// TreeAnalysis is the structural summary of a textual J48 tree.
-type TreeAnalysis struct {
+// treeAnalysis is the structural summary of a textual J48 tree.
+type treeAnalysis struct {
 	Root       string
 	Depth      int
 	Leaves     int
@@ -59,11 +59,11 @@ type TreeAnalysis struct {
 	Rules      []string
 }
 
-// AnalyzeTreeText parses the WEKA-style textual J48 layout produced by the
+// analyzeTreeText parses the WEKA-style textual J48 layout produced by the
 // classify operation (lines of "attr = value[: class (n/e)]" with "|   "
-// indentation) into a TreeAnalysis.
-func AnalyzeTreeText(text string) (*TreeAnalysis, error) {
-	a := &TreeAnalysis{}
+// indentation) into a treeAnalysis.
+func analyzeTreeText(text string) (*treeAnalysis, error) {
+	a := &treeAnalysis{}
 	attrs := map[string]bool{}
 	// path[d] holds the condition at depth d on the current branch.
 	var path []string

@@ -19,7 +19,7 @@ import (
 type Client struct {
 	httpClient *http.Client
 	timeout    time.Duration
-	observer   *obs.Registry
+	observer   *obs.Registry // nil means obs.Default; tests set their own
 }
 
 // Option configures a Client.
@@ -35,12 +35,6 @@ func WithHTTPClient(hc *http.Client) Option {
 // WithTimeout bounds each call that arrives without a context deadline.
 func WithTimeout(d time.Duration) Option {
 	return func(c *Client) { c.timeout = d }
-}
-
-// WithObserver directs the client's metrics (request counts, fault
-// classes, latency histograms) to reg instead of obs.Default.
-func WithObserver(reg *obs.Registry) Option {
-	return func(c *Client) { c.observer = reg }
 }
 
 // NewClient builds a client over the shared pooled transport.
@@ -172,7 +166,7 @@ func (c *Client) do(ctx context.Context, url, operation string, msg Message) (ma
 		if f, isFault := err.(*Fault); isFault {
 			// A shedding server says when a retry is worth trying; carry
 			// the hint on the fault for Retry-After-aware backoff.
-			f.Retry = RetryAfterFrom(resp.Header)
+			f.Retry = retryAfterFrom(resp.Header)
 			return nil, err
 		}
 		// No parseable envelope: a bare HTTP error (proxy page, plain-text

@@ -128,7 +128,8 @@ func TestTraceHeaderPropagation(t *testing.T) {
 func TestClientMetrics(t *testing.T) {
 	_, srv := newTestEndpoint(t)
 	reg := obs.NewRegistry()
-	c := NewClient(WithObserver(reg))
+	c := NewClient()
+	c.observer = reg
 
 	if _, err := c.CallContext(context.Background(), srv.URL, "echo", map[string]string{"x": "a"}); err != nil {
 		t.Fatal(err)
@@ -162,7 +163,8 @@ func TestConcurrentServer(t *testing.T) {
 	defer srv.Close()
 
 	const workers, perWorker = 16, 20
-	client := NewClient(WithObserver(obs.NewRegistry()))
+	client := NewClient()
+	client.observer = obs.NewRegistry()
 	var wg sync.WaitGroup
 	errs := make(chan error, workers*perWorker)
 	for w := 0; w < workers; w++ {

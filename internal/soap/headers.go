@@ -13,14 +13,14 @@ import (
 // cancelled instead of computed.
 const DeadlineHeaderName = "X-DM-Deadline"
 
-// RetryAfterHeaderName is the standard HTTP hint a shedding server sends
+// retryAfterHeaderName is the standard HTTP hint a shedding server sends
 // with a ServerBusy fault: whole seconds until a retry is worth trying.
-const RetryAfterHeaderName = "Retry-After"
+const retryAfterHeaderName = "Retry-After"
 
-// RetryAfterPreciseHeaderName carries the same hint as a Go duration
+// retryAfterPreciseHeaderName carries the same hint as a Go duration
 // string (e.g. "250ms"), because admission queues drain on sub-second
 // timescales the standard header cannot express.
-const RetryAfterPreciseHeaderName = "X-DM-Retry-After"
+const retryAfterPreciseHeaderName = "X-DM-Retry-After"
 
 // FormatDeadline renders an absolute deadline for DeadlineHeaderName.
 func FormatDeadline(t time.Time) string {
@@ -49,19 +49,19 @@ func SetRetryAfter(h http.Header, d time.Duration) {
 	if d%time.Second != 0 {
 		secs++ // round up: the standard header must not promise too early
 	}
-	h.Set(RetryAfterHeaderName, strconv.FormatInt(secs, 10))
-	h.Set(RetryAfterPreciseHeaderName, d.String())
+	h.Set(retryAfterHeaderName, strconv.FormatInt(secs, 10))
+	h.Set(retryAfterPreciseHeaderName, d.String())
 }
 
-// RetryAfterFrom extracts the server's retry hint from response headers,
+// retryAfterFrom extracts the server's retry hint from response headers,
 // preferring the precise duration form. Zero means no hint.
-func RetryAfterFrom(h http.Header) time.Duration {
-	if v := h.Get(RetryAfterPreciseHeaderName); v != "" {
+func retryAfterFrom(h http.Header) time.Duration {
+	if v := h.Get(retryAfterPreciseHeaderName); v != "" {
 		if d, err := time.ParseDuration(v); err == nil && d > 0 {
 			return d
 		}
 	}
-	if v := h.Get(RetryAfterHeaderName); v != "" {
+	if v := h.Get(retryAfterHeaderName); v != "" {
 		if secs, err := strconv.ParseInt(v, 10, 64); err == nil && secs > 0 {
 			return time.Duration(secs) * time.Second
 		}

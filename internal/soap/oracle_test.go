@@ -23,9 +23,9 @@ func oracleMarshal(m Message) ([]byte, error) {
 	}
 	var b bytes.Buffer
 	b.WriteString(xml.Header)
-	fmt.Fprintf(&b, `<soap:Envelope xmlns:soap=%q>`, EnvelopeNS)
+	fmt.Fprintf(&b, `<soap:Envelope xmlns:soap=%q>`, envelopeNS)
 	if m.Trace != "" {
-		fmt.Fprintf(&b, `<soap:Header><TraceContext xmlns=%q>`, TraceNS)
+		fmt.Fprintf(&b, `<soap:Header><TraceContext xmlns=%q>`, traceNS)
 		if err := xml.EscapeText(&b, []byte(m.Trace)); err != nil {
 			return nil, fmt.Errorf("soap: %w", err)
 		}
@@ -57,7 +57,7 @@ func oracleMarshal(m Message) ([]byte, error) {
 func oracleMarshalFault(f *Fault) []byte {
 	var b bytes.Buffer
 	b.WriteString(xml.Header)
-	fmt.Fprintf(&b, `<soap:Envelope xmlns:soap=%q><soap:Body><soap:Fault>`, EnvelopeNS)
+	fmt.Fprintf(&b, `<soap:Envelope xmlns:soap=%q><soap:Body><soap:Fault>`, envelopeNS)
 	fmt.Fprintf(&b, "<faultcode>%s</faultcode>", f.Code)
 	b.WriteString("<faultstring>")
 	_ = xml.EscapeText(&b, []byte(f.String))

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -46,18 +45,6 @@ func (e *Endpoint) Handle(operation string, h Handler) {
 		panic("soap: duplicate operation " + operation + " on " + e.ServiceName)
 	}
 	e.handlers[operation] = h
-}
-
-// Operations returns the registered operation names, sorted.
-func (e *Endpoint) Operations() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]string, 0, len(e.handlers))
-	for op := range e.handlers {
-		out = append(out, op)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func (e *Endpoint) obsReg() *obs.Registry {

@@ -19,12 +19,12 @@ import (
 	"unicode/utf8"
 )
 
-// EnvelopeNS is the SOAP 1.1 envelope namespace.
-const EnvelopeNS = "http://schemas.xmlsoap.org/soap/envelope/"
+// envelopeNS is the SOAP 1.1 envelope namespace.
+const envelopeNS = "http://schemas.xmlsoap.org/soap/envelope/"
 
-// TraceNS is the namespace of the TraceContext header block carrying the
+// traceNS is the namespace of the TraceContext header block carrying the
 // toolkit's trace propagation (see internal/obs).
-const TraceNS = "urn:faehim:trace"
+const traceNS = "urn:faehim:trace"
 
 // Message is an operation invocation or reply: the operation name plus
 // named string parts. Binary parts (e.g. PNG images) travel base64-encoded.
@@ -66,8 +66,8 @@ func (f *Fault) Error() string {
 
 const (
 	xmlDecl      = `<?xml version="1.0" encoding="UTF-8"?>` + "\n"
-	envelopeOpen = xmlDecl + `<soap:Envelope xmlns:soap="` + EnvelopeNS + `">`
-	traceOpen    = `<soap:Header><TraceContext xmlns="` + TraceNS + `">`
+	envelopeOpen = xmlDecl + `<soap:Envelope xmlns:soap="` + envelopeNS + `">`
+	traceOpen    = `<soap:Header><TraceContext xmlns="` + traceNS + `">`
 	traceClose   = `</TraceContext></soap:Header>`
 	bodyClose    = `</soap:Body></soap:Envelope>`
 	faultOpen    = envelopeOpen + `<soap:Body><soap:Fault>`

@@ -177,9 +177,8 @@ func TestEndpointRejectsGET(t *testing.T) {
 
 func TestEndpointOperations(t *testing.T) {
 	ep, _ := newTestEndpoint(t)
-	ops := ep.Operations()
-	if len(ops) != 3 || ops[0] != "clientFault" {
-		t.Fatalf("operations = %v", ops)
+	if len(ep.handlers) != 3 || ep.handlers["clientFault"] == nil {
+		t.Fatalf("operations = %v", ep.handlers)
 	}
 	defer func() {
 		if recover() == nil {

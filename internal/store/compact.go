@@ -39,7 +39,6 @@ package store
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -55,10 +54,6 @@ const (
 	currentFile  = "CURRENT"
 	manifestFile = "gc-manifest.json"
 )
-
-// ErrCompactionBusy reports that another process holds the compaction
-// lock; MaybeCompact treats it as "skip this sweep".
-var ErrCompactionBusy = errors.New("store: compaction already in progress")
 
 // GCPolicy decides when MaybeCompact actually compacts and which records
 // it retires. The zero value never triggers.
@@ -87,19 +82,6 @@ type CompactStats struct {
 	BytesAfter     int64 // indexed bytes after (all live)
 	ReclaimedBytes int64 // BytesBefore - BytesAfter
 	Duration       time.Duration
-}
-
-// CompactOption configures a Compact call.
-type CompactOption func(*compactCfg)
-
-type compactCfg struct {
-	maxAge time.Duration
-}
-
-// ExpireOlderThan additionally retires live records whose Created stamp
-// is older than d — the age half of the retention policy.
-func ExpireOlderThan(d time.Duration) CompactOption {
-	return func(c *compactCfg) { c.maxAge = d }
 }
 
 // currentDoc is the JSON schema of the CURRENT file.
@@ -345,26 +327,23 @@ func (s *Store) adoptGenerationLocked(gen int64, idxName string) error {
 // Compact rewrites every live record into fresh fsynced segments,
 // atomically swaps in a rewritten index, and deletes the old segments —
 // reclaiming all dead bytes (superseded duplicates, tombstones and the
-// records they killed, plus any ExpireOlderThan retirements). It blocks
-// until the exclusive lock is available, so concurrent Puts (which hold
-// the shared lock briefly) delay it only momentarily.
-func (s *Store) Compact(opts ...CompactOption) (CompactStats, error) {
-	var cfg compactCfg
-	for _, o := range opts {
-		o(&cfg)
-	}
+// records they killed). It blocks until the exclusive lock is available,
+// so concurrent Puts (which hold the shared lock briefly) delay it only
+// momentarily. MaybeCompact also retires records past GCPolicy.MaxAge.
+func (s *Store) Compact() (CompactStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.flock(syscall.LOCK_EX); err != nil {
 		return CompactStats{}, err
 	}
 	defer s.funlock()
-	return s.compactLocked(cfg.maxAge)
+	return s.compactLocked(0)
 }
 
 // MaybeCompact consults the policy and compacts only when due. It never
-// blocks on another process's compaction (ErrCompactionBusy is absorbed
-// into ran=false) — the background sweep just tries again next tick.
+// blocks on another store's compaction: when the exclusive lock is held
+// elsewhere it counts store_gc_skipped_total and returns ran=false with
+// no error, and the background sweep just tries again next tick.
 func (s *Store) MaybeCompact(pol GCPolicy) (CompactStats, bool, error) {
 	if !pol.enabled() {
 		return CompactStats{}, false, nil
@@ -633,7 +612,7 @@ func (s *Store) rawRecordLocked(e *Entry) ([]byte, error) {
 	if _, err := f.ReadAt(raw, e.Offset); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	if int64(len(raw)) < headerSize || binary.BigEndian.Uint32(raw[0:4]) != Magic {
+	if int64(len(raw)) < headerSize || binary.BigEndian.Uint32(raw[0:4]) != magic {
 		return nil, fmt.Errorf("store: record for %q has no magic", e.Key)
 	}
 	if crc32.ChecksumIEEE(raw[headerSize:]) != binary.BigEndian.Uint32(raw[12:16]) {

@@ -40,7 +40,7 @@ func copyDir(t *testing.T, src, dst string) {
 // the deleted keys.
 func buildDirtyDir(t *testing.T, dir string) (map[string][]byte, []string) {
 	t.Helper()
-	a, err := Open(dir, WithObs(testObs()), MaxSegmentBytes(200))
+	a, err := openWithSegment(dir, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestCompactCrashAtEveryByte(t *testing.T) {
 	// Run the real compaction on a copy to capture its exact artifacts.
 	ref := filepath.Join(t.TempDir(), "ref")
 	copyDir(t, src, ref)
-	rs, err := Open(ref, WithObs(testObs()), MaxSegmentBytes(200))
+	rs, err := openWithSegment(ref, 200)
 	if err != nil {
 		t.Fatal(err)
 	}

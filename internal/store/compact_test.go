@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -74,7 +75,7 @@ func TestDeleteAndDeadBytes(t *testing.T) {
 // reopen too.
 func TestCompactReclaims(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, WithObs(testObs()), MaxSegmentBytes(256))
+	s, err := openWithSegment(dir, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestCompactReclaims(t *testing.T) {
 	}
 }
 
-// TestCompactExpiresByAge: ExpireOlderThan retires old records.
+// TestCompactExpiresByAge: a GC policy's MaxAge retires old records.
 func TestCompactExpiresByAge(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, WithObs(testObs()))
@@ -171,9 +172,9 @@ func TestCompactExpiresByAge(t *testing.T) {
 		t.Fatal(err)
 	}
 	put(t, s, "fresh", []byte("fresh"))
-	st, err := s.Compact(ExpireOlderThan(time.Minute))
-	if err != nil {
-		t.Fatal(err)
+	st, ran, err := s.MaybeCompact(GCPolicy{MaxAge: time.Minute})
+	if err != nil || !ran {
+		t.Fatalf("MaybeCompact: ran=%v err=%v", ran, err)
 	}
 	if st.ExpiredRecords != 1 {
 		t.Fatalf("ExpiredRecords = %d, want 1", st.ExpiredRecords)
@@ -208,6 +209,42 @@ func TestMaybeCompact(t *testing.T) {
 	}
 	if _, ran, _ := s.MaybeCompact(GCPolicy{MaxDeadBytes: 1}); ran {
 		t.Fatal("back-to-back MaybeCompact ran again with nothing dead")
+	}
+}
+
+// TestMaybeCompactSkipsWhenLocked: a due sweep whose exclusive lock is
+// held by another open of the same directory skips without error and
+// counts the skip; it compacts once the lock is released.
+func TestMaybeCompactSkipsWhenLocked(t *testing.T) {
+	dir := t.TempDir()
+	reg := testObs()
+	s, err := Open(dir, WithObs(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	put(t, s, "a", blobFor(0))
+	if err := s.Delete("a"); err != nil {
+		t.Fatal(err)
+	}
+	holder, err := Open(dir, WithObs(testObs()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+	if err := holder.flock(syscall.LOCK_EX); err != nil {
+		t.Fatal(err)
+	}
+	_, ran, err := s.MaybeCompact(GCPolicy{MaxDeadBytes: 1})
+	if err != nil || ran {
+		t.Fatalf("MaybeCompact under a held lock: ran=%v err=%v, want false, nil", ran, err)
+	}
+	if got := reg.Counter("store_gc_skipped_total").Value(); got != 1 {
+		t.Fatalf("store_gc_skipped_total = %d, want 1", got)
+	}
+	holder.funlock()
+	if _, ran, err := s.MaybeCompact(GCPolicy{MaxDeadBytes: 1}); err != nil || !ran {
+		t.Fatalf("MaybeCompact after release: ran=%v err=%v", ran, err)
 	}
 }
 
@@ -261,7 +298,7 @@ func TestGenerationAdoption(t *testing.T) {
 func TestConcurrentPutDeleteCompact(t *testing.T) {
 	dir := t.TempDir()
 	openStore := func() *Store {
-		s, err := Open(dir, WithObs(testObs()), MaxSegmentBytes(4096))
+		s, err := openWithSegment(dir, 4096)
 		if err != nil {
 			t.Fatal(err)
 		}

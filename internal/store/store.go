@@ -51,8 +51,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Magic opens every segment record ("DMS1").
-const Magic uint32 = 0x444D5331
+// magic opens every segment record ("DMS1").
+const magic uint32 = 0x444D5331
 
 // headerSize is the fixed record prefix: magic(4) keyLen(2) metaLen(2)
 // valLen(4) crc(4).
@@ -64,9 +64,9 @@ const (
 	maxValLen  = 1 << 30
 )
 
-// DefaultMaxSegmentBytes bounds a segment before the writer rotates to a
+// defaultMaxSegmentBytes bounds a segment before the writer rotates to a
 // fresh one.
-const DefaultMaxSegmentBytes = 64 << 20
+const defaultMaxSegmentBytes = 64 << 20
 
 // Meta is the searchable description stored alongside a snapshot blob.
 type Meta struct {
@@ -121,15 +121,6 @@ type Stats struct {
 // Option configures an Open.
 type Option func(*Store)
 
-// MaxSegmentBytes overrides the segment rotation bound.
-func MaxSegmentBytes(n int64) Option {
-	return func(s *Store) {
-		if n > 0 {
-			s.maxSegment = n
-		}
-	}
-}
-
 // WithObs routes the store's metrics to reg instead of obs.Default.
 func WithObs(reg *obs.Registry) Option {
 	return func(s *Store) { s.obs = reg }
@@ -174,7 +165,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	}
 	s := &Store{
 		dir:        dir,
-		maxSegment: DefaultMaxSegmentBytes,
+		maxSegment: defaultMaxSegmentBytes,
 		index:      map[string]*Entry{},
 		tombstoned: map[string]bool{},
 		tombSeen:   map[string]int64{},
@@ -453,7 +444,7 @@ func readRecordAt(f *os.File, off int64) (*Entry, []byte, bool) {
 	if _, err := f.ReadAt(hdr[:], off); err != nil {
 		return nil, nil, false // short read: no record here
 	}
-	if binary.BigEndian.Uint32(hdr[0:4]) != Magic {
+	if binary.BigEndian.Uint32(hdr[0:4]) != magic {
 		return nil, nil, false
 	}
 	keyLen := int(binary.BigEndian.Uint16(hdr[4:6]))
@@ -589,7 +580,7 @@ func (s *Store) appendRecord(key string, meta Meta, blob []byte) (*Entry, error)
 		return nil, err
 	}
 	rec := make([]byte, headerSize, headerSize+len(key)+len(metaJSON)+len(blob))
-	binary.BigEndian.PutUint32(rec[0:4], Magic)
+	binary.BigEndian.PutUint32(rec[0:4], magic)
 	binary.BigEndian.PutUint16(rec[4:6], uint16(len(key)))
 	binary.BigEndian.PutUint16(rec[6:8], uint16(len(metaJSON)))
 	binary.BigEndian.PutUint32(rec[8:12], uint32(len(blob)))

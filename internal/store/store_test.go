@@ -238,9 +238,18 @@ func TestCrossStoreVisibility(t *testing.T) {
 	}
 }
 
+// openWithSegment opens dir with segments rotated at n bytes.
+func openWithSegment(dir string, n int64) (*Store, error) {
+	s, err := Open(dir, WithObs(testObs()))
+	if err == nil {
+		s.maxSegment = n
+	}
+	return s, err
+}
+
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, WithObs(testObs()), MaxSegmentBytes(256))
+	s, err := openWithSegment(dir, 256)
 	if err != nil {
 		t.Fatal(err)
 	}

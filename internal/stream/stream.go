@@ -20,15 +20,15 @@ import (
 )
 
 // Reader incrementally parses an ARFF stream: the header is consumed on
-// NewReader, instances are produced one at a time by Next.
+// newReader, instances are produced one at a time by Next.
 type Reader struct {
 	sc     *bufio.Scanner
 	schema *dataset.Dataset
 	lineNo int
 }
 
-// NewReader consumes the ARFF header from r and prepares to stream rows.
-func NewReader(r io.Reader) (*Reader, error) {
+// newReader consumes the ARFF header from r and prepares to stream rows.
+func newReader(r io.Reader) (*Reader, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	// Accumulate header lines until @data, then parse them with the arff
@@ -80,15 +80,15 @@ func (r *Reader) Next() (*dataset.Instance, error) {
 	return nil, io.EOF
 }
 
-// Updater is anything consuming instances incrementally (classify.Updateable
-// learners, the Cobweb clusterer, windowed statistics, ...).
-type Updater interface {
+// updater is anything consuming instances incrementally (the incremental
+// classifiers, the Cobweb clusterer, windowed statistics, ...).
+type updater interface {
 	Update(in *dataset.Instance) error
 }
 
-// Feed drives an Updater from a Reader until EOF and returns the number of
+// Feed drives an updater from a Reader until EOF and returns the number of
 // instances consumed.
-func Feed(r *Reader, u Updater) (int, error) {
+func Feed(r *Reader, u updater) (int, error) {
 	n := 0
 	for {
 		in, err := r.Next()
@@ -105,9 +105,9 @@ func Feed(r *Reader, u Updater) (int, error) {
 	}
 }
 
-// Serve writes d as an ARFF stream to w, flushing after every row when w is
+// serve writes d as an ARFF stream to w, flushing after every row when w is
 // flushable — the remote end of the streaming pipeline.
-func Serve(w io.Writer, d *dataset.Dataset) error {
+func serve(w io.Writer, d *dataset.Dataset) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "@relation %s\n", d.Relation)
 	for _, a := range d.Attrs {
@@ -148,7 +148,7 @@ func Listen(addr string, d *dataset.Dataset) (net.Listener, error) {
 			}
 			go func() {
 				defer conn.Close()
-				_ = Serve(conn, d)
+				_ = serve(conn, d)
 			}()
 		}
 	}()
@@ -162,7 +162,7 @@ func Dial(addr string) (*Reader, io.Closer, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("stream: %w", err)
 	}
-	r, err := NewReader(conn)
+	r, err := newReader(conn)
 	if err != nil {
 		conn.Close()
 		return nil, nil, err

@@ -14,7 +14,7 @@ import (
 func TestReaderParsesIncrementally(t *testing.T) {
 	d := datagen.Weather()
 	text := arff.Format(d)
-	r, err := NewReader(strings.NewReader(text))
+	r, err := newReader(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +45,10 @@ func TestReaderParsesIncrementally(t *testing.T) {
 }
 
 func TestReaderErrors(t *testing.T) {
-	if _, err := NewReader(strings.NewReader("@relation r\n@attribute x numeric\n")); err == nil {
+	if _, err := newReader(strings.NewReader("@relation r\n@attribute x numeric\n")); err == nil {
 		t.Fatal("header without @data accepted")
 	}
-	r, err := NewReader(strings.NewReader("@relation r\n@attribute x numeric\n@data\nnotanumber\n"))
+	r, err := newReader(strings.NewReader("@relation r\n@attribute x numeric\n@data\nnotanumber\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +159,10 @@ func TestMultipleConcurrentConsumers(t *testing.T) {
 func TestServeRoundTrip(t *testing.T) {
 	d := datagen.WeatherNumeric()
 	var b strings.Builder
-	if err := Serve(&b, d); err != nil {
+	if err := serve(&b, d); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(strings.NewReader(b.String()))
+	r, err := newReader(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

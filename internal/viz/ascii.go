@@ -86,8 +86,8 @@ func AsciiPlot(width, height int, series ...Series) string {
 	return b.String()
 }
 
-// Histogram renders counts as a horizontal ASCII bar chart with labels.
-func Histogram(labels []string, counts []float64, width int) string {
+// histogram renders counts as a horizontal ASCII bar chart with labels.
+func histogram(labels []string, counts []float64, width int) string {
 	if width < 10 {
 		width = 40
 	}

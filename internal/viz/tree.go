@@ -147,7 +147,7 @@ func ClusterSummary(assign []int, k int) string {
 	for i := range labels {
 		labels[i] = fmt.Sprintf("cluster %d", i)
 	}
-	s := Histogram(labels, counts, 40)
+	s := histogram(labels, counts, 40)
 	if noise > 0 {
 		s += fmt.Sprintf("noise/unassigned: %d\n", noise)
 	}

@@ -91,7 +91,7 @@ func TestAsciiPlot(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	out := Histogram([]string{"a", "bb"}, []float64{2, 4}, 20)
+	out := histogram([]string{"a", "bb"}, []float64{2, 4}, 20)
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("histogram lines: %v", lines)

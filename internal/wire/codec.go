@@ -165,7 +165,7 @@ func textReader(s string, stage []byte) reader {
 	return r
 }
 
-// Failf records a *FormatError unless one is already recorded.
+// Failf records a *binfmt.FormatError unless one is already recorded.
 func (r *reader) Failf(format string, args ...any) {
 	if r.err == nil {
 		r.err = errf(format, args...)

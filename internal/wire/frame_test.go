@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/binfmt"
 	"repro/internal/dataset"
 )
 
@@ -33,8 +34,8 @@ var blockKinds = []struct {
 				return "", err
 			}
 			if d.Relation != "fixture" || d.NumInstances() != 3 || d.ClassAttribute().Name != "class" ||
-				d.Column(0)[0] != 1.5 || !math.IsNaN(d.Column(0)[1]) || d.Attrs[1].Value(1) != "second" ||
-				d.Column(2)[2] != 1 || d.WeightsSlice()[1] != 2 {
+				d.Columns()[0][0] != 1.5 || !math.IsNaN(d.Columns()[0][1]) || d.Attrs[1].Value(1) != "second" ||
+				d.Columns()[2][2] != 1 || d.WeightsSlice()[1] != 2 {
 				return "", errors.New("decoded dataset differs from what the parent encoded")
 			}
 			return MarshalBase64(d)
@@ -84,7 +85,7 @@ var blockKinds = []struct {
 // share: a parent-encoded block round-trips to the same bytes; any other
 // kind's magic, an unknown version, each kind's own corruptions, every
 // proper prefix, a trailing byte and a payload that is not base64 are
-// each a *FormatError, never a panic.
+// each a *binfmt.FormatError, never a panic.
 func TestBlockFrameAllKinds(t *testing.T) {
 	for _, k := range blockKinds {
 		t.Run(k.magic, func(t *testing.T) {
@@ -100,9 +101,9 @@ func TestBlockFrameAllKinds(t *testing.T) {
 			reject := func(what, block string) {
 				t.Helper()
 				_, err := k.roundTrip(block)
-				var fe *FormatError
+				var fe *binfmt.FormatError
 				if !errors.As(err, &fe) {
-					t.Errorf("%s: err = %v, want a *FormatError", what, err)
+					t.Errorf("%s: err = %v, want a *binfmt.FormatError", what, err)
 				}
 			}
 			rejectBytes := func(what string, b []byte) {
@@ -130,7 +131,7 @@ func TestBlockFrameAllKinds(t *testing.T) {
 }
 
 // FuzzBlocks runs the raw decoders of all four kinds on any bytes: none
-// panics, every error is a *FormatError, and an accepted block marshals
+// panics, every error is a *binfmt.FormatError, and an accepted block marshals
 // back to exactly its bytes. The one exception is a value spelled in a
 // form no encoder writes — a NaN with another payload, or a weights
 // block of ones — which marshals to the canonical block instead, and
@@ -147,9 +148,9 @@ func FuzzBlocks(f *testing.F) {
 		c := codecs[int(kind)%len(codecs)]
 		v, err := c.fromBytes(b)
 		if err != nil {
-			var fe *FormatError
+			var fe *binfmt.FormatError
 			if !errors.As(err, &fe) {
-				t.Fatalf("%s: err = %v, want a *FormatError", c.magic, err)
+				t.Fatalf("%s: err = %v, want a *binfmt.FormatError", c.magic, err)
 			}
 			return
 		}

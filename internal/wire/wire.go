@@ -39,11 +39,8 @@ import (
 	"repro/internal/dataset"
 )
 
-// FormatError reports a malformed block. Decoders wrap it with positional
-// context; transports map any *FormatError to a caller fault (the payload
-// is wrong, not the server).
-type FormatError = binfmt.FormatError
-
+// errf reports a malformed block as a *binfmt.FormatError; transports map
+// it to a caller fault (the payload is wrong, not the server).
 func errf(format string, args ...any) error { return binfmt.Errorf("wire", format, args...) }
 
 const (

@@ -470,7 +470,7 @@ func TestShortRowEncodesZeros(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, got := range []*dataset.Dataset{got, fromText} {
-		if col := got.Column(1); col[0] != 2 || col[1] != 0 {
+		if col := got.Columns()[1]; col[0] != 2 || col[1] != 0 {
 			t.Fatalf("column b decodes as %v, want [2 0]", col)
 		}
 	}

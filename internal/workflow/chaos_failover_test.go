@@ -85,7 +85,7 @@ func TestSOAPUnitRegistrySpecRoundTrip(t *testing.T) {
 		Category:    "classifier",
 	}
 	spec := u.Spec()
-	unit, err := NewUnitOfKind(spec)
+	unit, err := newUnitOfKind(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +98,12 @@ func TestSOAPUnitRegistrySpecRoundTrip(t *testing.T) {
 	}
 	// Registry-only units (no fixed endpoint) are valid.
 	spec.Config["endpoint"] = ""
-	if _, err := NewUnitOfKind(spec); err != nil {
+	if _, err := newUnitOfKind(spec); err != nil {
 		t.Fatalf("registry-only soap unit rejected: %v", err)
 	}
 	// But a unit with neither endpoint nor registry is not.
 	spec.Config["registry"] = ""
-	if _, err := NewUnitOfKind(spec); err == nil {
+	if _, err := newUnitOfKind(spec); err == nil {
 		t.Fatal("endpoint-less, registry-less soap unit accepted")
 	}
 }

@@ -14,9 +14,9 @@ type Task struct {
 	Params Values
 }
 
-// Cable connects an output node of one task to an input node of another —
+// cable connects an output node of one task to an input node of another —
 // "dragging a cable from the output node ... to the input node" (§4).
-type Cable struct {
+type cable struct {
 	FromTask, FromPort string
 	ToTask, ToPort     string
 }
@@ -26,7 +26,7 @@ type Graph struct {
 	Name   string
 	tasks  map[string]*Task
 	order  []string // insertion order, for deterministic serialisation
-	cables []Cable
+	cables []cable
 }
 
 // NewGraph returns an empty workflow.
@@ -64,7 +64,7 @@ func (g *Graph) Task(id string) *Task { return g.tasks[id] }
 func (g *Graph) Tasks() []string { return append([]string(nil), g.order...) }
 
 // Cables returns a copy of the cable list.
-func (g *Graph) Cables() []Cable { return append([]Cable(nil), g.cables...) }
+func (g *Graph) Cables() []cable { return append([]cable(nil), g.cables...) }
 
 // Connect runs a cable from an output node to an input node, validating
 // that both ends exist and that the input node is not already fed.
@@ -90,7 +90,7 @@ func (g *Graph) Connect(fromTask, fromPort, toTask, toPort string) error {
 			return fmt.Errorf("workflow: input node %s.%s is already connected", toTask, toPort)
 		}
 	}
-	g.cables = append(g.cables, Cable{fromTask, fromPort, toTask, toPort})
+	g.cables = append(g.cables, cable{fromTask, fromPort, toTask, toPort})
 	return nil
 }
 
@@ -99,39 +99,6 @@ func (g *Graph) MustConnect(fromTask, fromPort, toTask, toPort string) {
 	if err := g.Connect(fromTask, fromPort, toTask, toPort); err != nil {
 		panic(err)
 	}
-}
-
-// Disconnect removes the cable feeding an input node, if any.
-func (g *Graph) Disconnect(toTask, toPort string) bool {
-	for i, c := range g.cables {
-		if c.ToTask == toTask && c.ToPort == toPort {
-			g.cables = append(g.cables[:i], g.cables[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// Remove deletes a task and every cable touching it.
-func (g *Graph) Remove(id string) bool {
-	if _, ok := g.tasks[id]; !ok {
-		return false
-	}
-	delete(g.tasks, id)
-	for i, oid := range g.order {
-		if oid == id {
-			g.order = append(g.order[:i], g.order[i+1:]...)
-			break
-		}
-	}
-	kept := g.cables[:0]
-	for _, c := range g.cables {
-		if c.FromTask != id && c.ToTask != id {
-			kept = append(kept, c)
-		}
-	}
-	g.cables = kept
-	return true
 }
 
 // predecessors returns the tasks feeding t via cables.

@@ -6,30 +6,30 @@ import (
 	"sort"
 )
 
-// PortMap binds an exposed port of a group to an inner task's port.
-type PortMap struct {
+// portMap binds an exposed port of a group to an inner task's port.
+type portMap struct {
 	Outer string // exposed name
 	Task  string // inner task ID
 	Port  string // inner port name
 }
 
-// GroupUnit wraps a whole graph as a single unit — the paper's "service
+// groupUnit wraps a whole graph as a single unit — the paper's "service
 // hierarchy (i.e. a single service made up of a number of others and made
 // available as a single interface)" (§2).
-type GroupUnit struct {
+type groupUnit struct {
 	GroupName string
 	Graph     *Graph
-	InMap     []PortMap
-	OutMap    []PortMap
+	InMap     []portMap
+	OutMap    []portMap
 	// Engine executes the inner graph; a parallel engine is used if nil.
 	Engine *Engine
 }
 
 // Name implements Unit.
-func (u *GroupUnit) Name() string { return u.GroupName }
+func (u *groupUnit) Name() string { return u.GroupName }
 
 // Inputs implements Unit.
-func (u *GroupUnit) Inputs() []string {
+func (u *groupUnit) Inputs() []string {
 	out := make([]string, 0, len(u.InMap))
 	for _, m := range u.InMap {
 		out = append(out, m.Outer)
@@ -39,7 +39,7 @@ func (u *GroupUnit) Inputs() []string {
 }
 
 // Outputs implements Unit.
-func (u *GroupUnit) Outputs() []string {
+func (u *groupUnit) Outputs() []string {
 	out := make([]string, 0, len(u.OutMap))
 	for _, m := range u.OutMap {
 		out = append(out, m.Outer)
@@ -50,7 +50,7 @@ func (u *GroupUnit) Outputs() []string {
 
 // Run implements Unit: exposed inputs become inner task params, the inner
 // graph runs, and mapped outputs are collected.
-func (u *GroupUnit) Run(ctx context.Context, in Values) (Values, error) {
+func (u *groupUnit) Run(ctx context.Context, in Values) (Values, error) {
 	for _, m := range u.InMap {
 		t := u.Graph.Task(m.Task)
 		if t == nil {
@@ -81,11 +81,11 @@ func (u *GroupUnit) Run(ctx context.Context, in Values) (Values, error) {
 	return out, nil
 }
 
-// LoopUnit repeatedly executes a body unit while Cond returns true on the
+// loopUnit repeatedly executes a body unit while Cond returns true on the
 // previous iteration's outputs, up to MaxIterations — the iteration support
 // §3.1 calls for ("the workflow can involve significant iteration and can
 // contain loops"). The body's outputs are fed back as its next inputs.
-type LoopUnit struct {
+type loopUnit struct {
 	LoopName      string
 	Body          Unit
 	Cond          func(iteration int, out Values) bool
@@ -93,16 +93,16 @@ type LoopUnit struct {
 }
 
 // Name implements Unit.
-func (u *LoopUnit) Name() string { return u.LoopName }
+func (u *loopUnit) Name() string { return u.LoopName }
 
 // Inputs implements Unit.
-func (u *LoopUnit) Inputs() []string { return u.Body.Inputs() }
+func (u *loopUnit) Inputs() []string { return u.Body.Inputs() }
 
 // Outputs implements Unit.
-func (u *LoopUnit) Outputs() []string { return u.Body.Outputs() }
+func (u *loopUnit) Outputs() []string { return u.Body.Outputs() }
 
 // Run implements Unit.
-func (u *LoopUnit) Run(ctx context.Context, in Values) (Values, error) {
+func (u *loopUnit) Run(ctx context.Context, in Values) (Values, error) {
 	if u.MaxIterations <= 0 {
 		u.MaxIterations = 100
 	}

@@ -90,7 +90,7 @@ func Replicate(g *Graph, taskID string, n int) ([]string, error) {
 		return nil, fmt.Errorf("workflow: no task %q", taskID)
 	}
 	var ids []string
-	incoming := []Cable{}
+	incoming := []cable{}
 	for _, c := range g.Cables() {
 		if c.ToTask == taskID {
 			incoming = append(incoming, c)
@@ -117,8 +117,8 @@ func Replicate(g *Graph, taskID string, n int) ([]string, error) {
 
 // Embed inserts a whole graph as a single grouped task — the structural
 // operator building service hierarchies.
-func Embed(g *Graph, taskID string, inner *Graph, inMap, outMap []PortMap) (*Task, error) {
-	group := &GroupUnit{GroupName: inner.Name, Graph: inner, InMap: inMap, OutMap: outMap}
+func Embed(g *Graph, taskID string, inner *Graph, inMap, outMap []portMap) (*Task, error) {
+	group := &groupUnit{GroupName: inner.Name, Graph: inner, InMap: inMap, OutMap: outMap}
 	return g.Add(taskID, group)
 }
 

@@ -163,11 +163,11 @@ func TestServiceGrouping(t *testing.T) {
 		}})
 	inner.MustConnect("up", "value", "wrap", "value")
 
-	group := &GroupUnit{
+	group := &groupUnit{
 		GroupName: "UpAndWrap",
 		Graph:     inner,
-		InMap:     []PortMap{{Outer: "text", Task: "up", Port: "value"}},
-		OutMap:    []PortMap{{Outer: "result", Task: "wrap", Port: "value"}},
+		InMap:     []portMap{{Outer: "text", Task: "up", Port: "value"}},
+		OutMap:    []portMap{{Outer: "result", Task: "wrap", Port: "value"}},
 	}
 	if got := group.Inputs(); len(got) != 1 || got[0] != "text" {
 		t.Fatalf("group inputs = %v", got)
@@ -184,8 +184,8 @@ func TestServiceGrouping(t *testing.T) {
 		t.Fatalf("group output = %q", got)
 	}
 	// Bad output mapping surfaces as an error.
-	badGroup := &GroupUnit{GroupName: "bad", Graph: inner,
-		OutMap: []PortMap{{Outer: "x", Task: "ghost", Port: "value"}}}
+	badGroup := &groupUnit{GroupName: "bad", Graph: inner,
+		OutMap: []portMap{{Outer: "x", Task: "ghost", Port: "value"}}}
 	if _, err := badGroup.Run(context.Background(), Values{}); err == nil {
 		t.Fatal("bad group mapping accepted")
 	}
@@ -202,7 +202,7 @@ func TestLoopUnit(t *testing.T) {
 			}
 			return Values{"n": fmt.Sprintf("%d", n*2)}, nil
 		}}
-	loop := &LoopUnit{LoopName: "until10", Body: body, MaxIterations: 50,
+	loop := &loopUnit{LoopName: "until10", Body: body, MaxIterations: 50,
 		Cond: func(i int, out Values) bool { return !strings.HasPrefix(out["n"], "1") || out["n"] == "1" }}
 	out, err := loop.Run(context.Background(), Values{"n": "1"})
 	if err != nil {
@@ -212,7 +212,7 @@ func TestLoopUnit(t *testing.T) {
 		t.Fatalf("loop output = %q", out["n"])
 	}
 	// Iteration bound enforced.
-	forever := &LoopUnit{LoopName: "forever", Body: body, MaxIterations: 3,
+	forever := &loopUnit{LoopName: "forever", Body: body, MaxIterations: 3,
 		Cond: func(i int, out Values) bool { return true }}
 	if _, err := forever.Run(context.Background(), Values{"n": "1"}); err == nil {
 		t.Fatal("unbounded loop terminated without error")

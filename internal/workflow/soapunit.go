@@ -150,7 +150,7 @@ func (u *SOAPUnit) Spec() Spec {
 }
 
 func init() {
-	RegisterUnitKind("soap", func(cfg map[string]string) (Unit, error) {
+	registerUnitKind("soap", func(cfg map[string]string) (Unit, error) {
 		u := &SOAPUnit{
 			Endpoint:    cfg["endpoint"],
 			Service:     cfg["service"],

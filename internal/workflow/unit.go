@@ -47,17 +47,17 @@ type Specced interface {
 	Spec() Spec
 }
 
-// UnitFactory rebuilds a unit from its serialised configuration.
-type UnitFactory func(config map[string]string) (Unit, error)
+// unitFactory rebuilds a unit from its serialised configuration.
+type unitFactory func(config map[string]string) (Unit, error)
 
 var (
 	unitRegMu sync.RWMutex
-	unitReg   = map[string]UnitFactory{}
+	unitReg   = map[string]unitFactory{}
 )
 
-// RegisterUnitKind installs a factory for deserialising units of a kind; it
+// registerUnitKind installs a factory for deserialising units of a kind; it
 // panics on duplicates.
-func RegisterUnitKind(kind string, f UnitFactory) {
+func registerUnitKind(kind string, f unitFactory) {
 	unitRegMu.Lock()
 	defer unitRegMu.Unlock()
 	if _, dup := unitReg[kind]; dup {
@@ -66,8 +66,8 @@ func RegisterUnitKind(kind string, f UnitFactory) {
 	unitReg[kind] = f
 }
 
-// NewUnitOfKind rebuilds a unit from a Spec.
-func NewUnitOfKind(s Spec) (Unit, error) {
+// newUnitOfKind rebuilds a unit from a Spec.
+func newUnitOfKind(s Spec) (Unit, error) {
 	unitRegMu.RLock()
 	f, ok := unitReg[s.Kind]
 	unitRegMu.RUnlock()
@@ -75,18 +75,6 @@ func NewUnitOfKind(s Spec) (Unit, error) {
 		return nil, fmt.Errorf("workflow: unknown unit kind %q", s.Kind)
 	}
 	return f(s.Config)
-}
-
-// UnitKinds returns the registered kinds, sorted.
-func UnitKinds() []string {
-	unitRegMu.RLock()
-	defer unitRegMu.RUnlock()
-	out := make([]string, 0, len(unitReg))
-	for k := range unitReg {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // FuncUnit adapts a Go function into a Unit.
@@ -203,7 +191,7 @@ func (u *ViewerUnit) Spec() Spec {
 }
 
 func init() {
-	RegisterUnitKind("const", func(cfg map[string]string) (Unit, error) {
+	registerUnitKind("const", func(cfg map[string]string) (Unit, error) {
 		u := &ConstUnit{UnitName: cfg["name"], Values: Values{}}
 		for k, v := range cfg {
 			if len(k) > 6 && k[:6] == "value." {
@@ -212,7 +200,7 @@ func init() {
 		}
 		return u, nil
 	})
-	RegisterUnitKind("viewer", func(cfg map[string]string) (Unit, error) {
+	registerUnitKind("viewer", func(cfg map[string]string) (Unit, error) {
 		return &ViewerUnit{UnitName: cfg["name"], Port: cfg["port"]}, nil
 	})
 }

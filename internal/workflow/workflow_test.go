@@ -193,29 +193,6 @@ func TestEngineContextCancellation(t *testing.T) {
 	}
 }
 
-func TestRemoveAndDisconnect(t *testing.T) {
-	g := NewGraph("edit")
-	g.MustAdd("a", &ConstUnit{UnitName: "a", Values: Values{"value": "1"}})
-	g.MustAdd("b", upperUnit("b"))
-	g.MustConnect("a", "value", "b", "value")
-	if !g.Disconnect("b", "value") {
-		t.Fatal("disconnect failed")
-	}
-	if g.Disconnect("b", "value") {
-		t.Fatal("double disconnect succeeded")
-	}
-	g.MustConnect("a", "value", "b", "value")
-	if !g.Remove("a") {
-		t.Fatal("remove failed")
-	}
-	if len(g.Cables()) != 0 {
-		t.Fatal("cables survived task removal")
-	}
-	if g.Remove("a") {
-		t.Fatal("double remove succeeded")
-	}
-}
-
 // TestDiamondFanIn: a diamond-shaped graph (source -> two branches -> sink)
 // must deliver both branch outputs to the sink exactly once, regardless of
 // scheduling order.

@@ -92,7 +92,7 @@ func MarshalXML(g *Graph) ([]byte, error) {
 }
 
 // UnmarshalXML rebuilds a graph from workflow XML; unit kinds must be
-// registered via RegisterUnitKind.
+// registered via registerUnitKind.
 func UnmarshalXML(r io.Reader) (*Graph, error) {
 	var xg xmlGraph
 	if err := xml.NewDecoder(r).Decode(&xg); err != nil {
@@ -104,7 +104,7 @@ func UnmarshalXML(r io.Reader) (*Graph, error) {
 		for _, c := range xt.Unit.Config {
 			cfg[c.Name] = c.Value
 		}
-		u, err := NewUnitOfKind(Spec{Kind: xt.Unit.Kind, Config: cfg})
+		u, err := newUnitOfKind(Spec{Kind: xt.Unit.Kind, Config: cfg})
 		if err != nil {
 			return nil, fmt.Errorf("workflow: task %q: %w", xt.ID, err)
 		}

@@ -117,19 +117,12 @@ func TestDAXRejectsCycles(t *testing.T) {
 }
 
 func TestUnitKindsRegistry(t *testing.T) {
-	kinds := UnitKinds()
 	for _, want := range []string{"const", "viewer", "soap"} {
-		found := false
-		for _, k := range kinds {
-			if k == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("kind %q unregistered (have %v)", want, kinds)
+		if unitReg[want] == nil {
+			t.Fatalf("kind %q unregistered", want)
 		}
 	}
-	if _, err := NewUnitOfKind(Spec{Kind: "bogus"}); err == nil {
+	if _, err := newUnitOfKind(Spec{Kind: "bogus"}); err == nil {
 		t.Fatal("bogus kind constructed")
 	}
 }

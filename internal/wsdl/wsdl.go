@@ -1,7 +1,7 @@
 // Package wsdl generates and parses WSDL 1.1 service descriptions. The
 // toolkit imports a Web Service "by providing its WSDL interface", after
 // which "Triana creates a tool for each operation provided by the service"
-// (§4); Parse + Description.Operations reproduce exactly that flow.
+// (§4); ParseBytes and Description.Ops reproduce exactly that flow.
 package wsdl
 
 import (
@@ -9,7 +9,6 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -33,16 +32,6 @@ type Description struct {
 	Service  string
 	Endpoint string // the location URL in the binding
 	Ops      []Operation
-}
-
-// Operations returns the operation names, sorted.
-func (d *Description) Operations() []string {
-	out := make([]string, 0, len(d.Ops))
-	for _, op := range d.Ops {
-		out = append(out, op.Name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Operation returns the named operation, or nil.
@@ -122,10 +111,10 @@ func escapeXML(s string) string {
 	return b.String()
 }
 
-// Parse reads a WSDL document back into a Description. It understands the
+// parse reads a WSDL document back into a Description. It understands the
 // subset Generate emits (which matches what the toolkit's import needs:
 // operation names, part names/types, documentation and the port address).
-func Parse(r io.Reader) (*Description, error) {
+func parse(r io.Reader) (*Description, error) {
 	type xmlPart struct {
 		Name string `xml:"name,attr"`
 		Type string `xml:"type,attr"`
@@ -208,7 +197,7 @@ func Parse(r io.Reader) (*Description, error) {
 	return d, nil
 }
 
-// ParseBytes is a convenience wrapper over Parse.
+// ParseBytes parses a WSDL document.
 func ParseBytes(b []byte) (*Description, error) {
-	return Parse(bytes.NewReader(b))
+	return parse(bytes.NewReader(b))
 }

@@ -67,8 +67,8 @@ func TestParseRoundTrip(t *testing.T) {
 	if d.Endpoint != "http://example.org/services/Classifier" {
 		t.Fatalf("endpoint = %q", d.Endpoint)
 	}
-	if got := d.Operations(); len(got) != 2 || got[0] != "classifyInstance" {
-		t.Fatalf("operations = %v", got)
+	if len(d.Ops) != 2 {
+		t.Fatalf("operations = %v", d.Ops)
 	}
 	op := d.Operation("classifyInstance")
 	if op == nil {

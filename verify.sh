@@ -5,7 +5,8 @@
 # internal/soap, no internal/journal import in non-test
 # internal/experiment, vet of the repo and of the
 # benchmark module (so a change that breaks an API benchmark/ pins fails
-# here, not in the benchmark run), the benchmark's own smoke (every workload for half a
+# here, not in the benchmark run), the benchmark module's own tests, the
+# benchmark's own smoke (every workload for half a
 # second, replies checked against the oracle: correctness only, no
 # timing), one plain and one -race pass over every test, twenty -race
 # passes over the model pool, the dataset column mirror (the code
@@ -147,6 +148,7 @@ stage "no resilience in soap" check_soap_no_resilience
 stage "no journal in experiment" check_experiment_no_journal
 stage vet check_vet go vet ./...
 stage "vet benchmark" check_vet go -C benchmark vet ./...
+stage "benchmark tests" go -C benchmark test ./...
 stage "benchmark smoke" bash benchmark/run.sh --smoke
 stage test go test ./...
 stage "test -race" go test -race ./...

@@ -388,8 +388,8 @@ func BenchmarkCrossValidation(b *testing.B) {
 //
 // These benches quantify the internal/parallel fan-out on the kernels
 // that use it: cross-validation folds, ensemble member training, and the
-// k-means and EM loops. The worker count is GOMAXPROCS, so compare
-// levels with -cpu:
+// k-means and EM loops. Each runs alone, so it gets the whole helper
+// budget (GOMAXPROCS − 1); compare budgets with -cpu:
 //
 //	go test -run '^$' -bench Parallel -benchmem -cpu 1,2 .
 //

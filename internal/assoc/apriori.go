@@ -43,8 +43,6 @@ type Apriori struct {
 	MinSupport float64
 	// MinConfidence is the minimum rule confidence (default 0.9).
 	MinConfidence float64
-	// MaxItems caps the frequent-itemset size (0 = unlimited).
-	MaxItems int
 
 	items    []string
 	itemIdx  map[string]int
@@ -108,7 +106,7 @@ func (ap *Apriori) Mine(transactions [][]string) ([]Rule, error) {
 	ap.frequent = append([]Itemset(nil), level...)
 
 	// Level-wise expansion with prefix join + subset pruning.
-	for k := 2; len(level) > 0 && (ap.MaxItems == 0 || k <= ap.MaxItems); k++ {
+	for k := 2; len(level) > 0; k++ {
 		prev := map[string]bool{}
 		for _, is := range level {
 			prev[key(is.Items)] = true

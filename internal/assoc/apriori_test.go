@@ -128,21 +128,6 @@ func TestAprioriErrors(t *testing.T) {
 	}
 }
 
-func TestMaxItemsCap(t *testing.T) {
-	trans := [][]string{{"a", "b", "c"}, {"a", "b", "c"}, {"a", "b", "c"}}
-	ap := NewApriori()
-	ap.MinSupport = 0.9
-	ap.MaxItems = 2
-	if _, err := ap.Mine(trans); err != nil {
-		t.Fatal(err)
-	}
-	for _, is := range ap.FrequentItemsets() {
-		if len(is.Items) > 2 {
-			t.Fatalf("itemset of size %d despite MaxItems=2", len(is.Items))
-		}
-	}
-}
-
 // TestSupportMonotonicity: the anti-monotone property — any frequent
 // itemset's sub-itemsets have at least its support.
 func TestSupportMonotonicity(t *testing.T) {

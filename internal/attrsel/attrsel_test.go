@@ -37,7 +37,7 @@ func TestRankersPutNodeCapsFirst(t *testing.T) {
 
 func TestReliefFFindsSignal(t *testing.T) {
 	d := datagen.BreastCancer()
-	ev := &reliefF{Samples: 60, Seed: 1}
+	ev := &reliefF{}
 	r, err := RankAttributes(ev, d)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestGeneticSearchSelectsNodeCaps(t *testing.T) {
 func TestSearchesAgreeOnStrongSignal(t *testing.T) {
 	d := datagen.BreastCancer()
 	for _, s := range []Search{greedyForward{}, BestFirst{MaxStale: 5},
-		GeneticSearch{Seed: 3}, randomSearch{Trials: 60, Seed: 3}} {
+		GeneticSearch{Seed: 3}, randomSearch{}} {
 		ev := &CFS{}
 		cols, err := s.Search(ev, d)
 		if err != nil {
@@ -167,7 +167,7 @@ func TestExhaustiveGuardsWidth(t *testing.T) {
 
 func TestWrapperEvaluator(t *testing.T) {
 	d := datagen.BreastCancer()
-	w := &wrapper{Folds: 3, Seed: 1}
+	w := &wrapper{}
 	if err := w.Prepare(d); err != nil {
 		t.Fatal(err)
 	}

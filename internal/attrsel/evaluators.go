@@ -324,14 +324,17 @@ func (e *correlation) Evaluate(col int) (float64, error) {
 	return math.Abs(cov / math.Sqrt(vx*vy)), nil
 }
 
-// reliefF estimates attribute relevance by contrasting each sampled
-// instance's K nearest hits and K nearest misses per class (Kononenko's
-// ReliefF; K defaults to 5).
-type reliefF struct {
-	Samples int
-	K       int
-	Seed    int64
+// ReliefF's sample size, neighbour count and sampling seed.
+const (
+	reliefSamples = 50
+	reliefK       = 5
+	reliefSeed    = 1
+)
 
+// reliefF estimates attribute relevance by contrasting each of
+// reliefSamples sampled instances' reliefK nearest hits and reliefK
+// nearest misses per class (Kononenko's ReliefF).
+type reliefF struct {
 	d    *dataset.Dataset
 	span []float64
 }
@@ -345,9 +348,6 @@ func (e *reliefF) Prepare(d *dataset.Dataset) error {
 		return fmt.Errorf("attrsel: ReliefF needs a nominal class")
 	}
 	e.d = d
-	if e.Samples == 0 {
-		e.Samples = 50
-	}
 	e.span = make([]float64, d.NumAttributes())
 	for col, a := range d.Attrs {
 		if !a.IsNumeric() {
@@ -404,16 +404,9 @@ func (e *reliefF) distance(a, b *dataset.Instance) float64 {
 
 // Evaluate implements AttributeEvaluator.
 func (e *reliefF) Evaluate(col int) (float64, error) {
-	rng := rand.New(rand.NewSource(e.Seed + 1))
+	rng := rand.New(rand.NewSource(reliefSeed))
 	n := e.d.NumInstances()
-	samples := e.Samples
-	if samples > n {
-		samples = n
-	}
-	k := e.K
-	if k <= 0 {
-		k = 5
-	}
+	samples := min(reliefSamples, n)
 	var w float64
 	for s := 0; s < samples; s++ {
 		ri := rng.Intn(n)
@@ -435,9 +428,9 @@ func (e *reliefF) Evaluate(col int) (float64, error) {
 			}
 			dd := e.distance(r, other)
 			if int(oc) == int(rc) {
-				hits = insertNB(hits, reliefNB{dd, other}, k)
+				hits = insertNB(hits, reliefNB{dd, other}, reliefK)
 			} else {
-				misses[int(oc)] = insertNB(misses[int(oc)], reliefNB{dd, other}, k)
+				misses[int(oc)] = insertNB(misses[int(oc)], reliefNB{dd, other}, reliefK)
 			}
 		}
 		for _, h := range hits {

@@ -286,31 +286,28 @@ func containsInt(xs []int, v int) bool {
 	return false
 }
 
-// randomSearch samples random subsets and keeps the best. All trial
-// subsets are drawn from the seeded rng up front (so the random stream is
-// untouched by scheduling), scored in parallel, and reduced in trial
-// order — the selected subset is the one the sequential scan would have
-// kept.
-type randomSearch struct {
-	Trials int
-	Seed   int64
-}
+// randomTrials is how many subsets randomSearch draws.
+const randomTrials = 100
+
+// randomSearch samples randomTrials random subsets and keeps the best.
+// All trial subsets are drawn from an rng seeded with 0 up front (so the
+// random stream is untouched by scheduling), scored in parallel, and
+// reduced in trial order — the selected subset is the one the sequential
+// scan would have kept.
+type randomSearch struct{}
 
 // Name implements Search.
 func (randomSearch) Name() string { return "RandomSearch" }
 
 // Search implements Search.
-func (r randomSearch) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
+func (randomSearch) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
 	if err := eval.Prepare(d); err != nil {
 		return nil, err
 	}
-	if r.Trials == 0 {
-		r.Trials = 100
-	}
 	cols := candidateColumns(d)
-	rng := rand.New(rand.NewSource(r.Seed))
+	rng := rand.New(rand.NewSource(0))
 	var trials [][]int
-	for t := 0; t < r.Trials; t++ {
+	for t := 0; t < randomTrials; t++ {
 		var set []int
 		for _, c := range cols {
 			if rng.Float64() < 0.5 {
@@ -393,17 +390,23 @@ func (exhaustive) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, error
 // "genetic search operator" of §1 used in §5.3 to automate attribute
 // selection.
 //
-// Each generation's genomes are bred sequentially from the seeded rng
-// (fitness consumes no randomness, so the stream is identical at any
-// GOMAXPROCS), then scored together in parallel and reduced in breeding
-// order — the evolved subset is byte-identical to a sequential run.
+// Each generation's genomes are bred from the seeded rng and then scored
+// in breeding order. Scoring runs on the caller's goroutine: a fan-out
+// over one generation costs about what it saves, and an evaluator that
+// fans out itself (WrapperSubset's cross-validation) still can.
 type GeneticSearch struct {
 	Population  int
 	Generations int
-	CrossonProb float64
-	MutateProb  float64
 	Seed        int64
 }
+
+// A GeneticSearch child is a uniform crossover of its parents with
+// probability crossoverProb (else a copy of the first), and then has each
+// bit flipped with probability mutateProb.
+const (
+	crossoverProb = 0.6
+	mutateProb    = 0.033
+)
 
 // Name implements Search.
 func (GeneticSearch) Name() string { return "GeneticSearch" }
@@ -418,12 +421,6 @@ func (g GeneticSearch) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, 
 	}
 	if g.Generations == 0 {
 		g.Generations = 20
-	}
-	if g.CrossonProb == 0 {
-		g.CrossonProb = 0.6
-	}
-	if g.MutateProb == 0 {
-		g.MutateProb = 0.033
 	}
 	cols := candidateColumns(d)
 	n := len(cols)
@@ -444,23 +441,19 @@ func (g GeneticSearch) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, 
 		}
 		return set
 	}
-	// scoreAll evaluates a batch of genomes in parallel, writing each
-	// fitness into its genome's slot (an empty subset scores 0, as the
-	// sequential fitness helper did).
+	// scoreAll evaluates a batch of genomes in breeding order, writing
+	// each fitness into its genome's slot (an empty subset scores 0).
 	scoreAll := func(batch []genome) error {
-		return parallel.ForEach(context.Background(), len(batch), func(i int) error {
-			set := decode(batch[i].bits)
-			if len(set) == 0 {
-				batch[i].fit = 0
-				return nil
+		for i := range batch {
+			if set := decode(batch[i].bits); len(set) > 0 {
+				f, err := eval.EvaluateSubset(set)
+				if err != nil {
+					return err
+				}
+				batch[i].fit = f
 			}
-			f, err := eval.EvaluateSubset(set)
-			if err != nil {
-				return err
-			}
-			batch[i].fit = f
-			return nil
-		})
+		}
+		return nil
 	}
 	pop := make([]genome, g.Population)
 	for i := range pop {
@@ -494,7 +487,7 @@ func (g GeneticSearch) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, 
 		for len(next) < g.Population {
 			p1, p2 := tournament(), tournament()
 			child := make([]bool, n)
-			if rng.Float64() < g.CrossonProb {
+			if rng.Float64() < crossoverProb {
 				for j := range child {
 					if rng.Float64() < 0.5 {
 						child[j] = p1.bits[j]
@@ -506,7 +499,7 @@ func (g GeneticSearch) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, 
 				copy(child, p1.bits)
 			}
 			for j := range child {
-				if rng.Float64() < g.MutateProb {
+				if rng.Float64() < mutateProb {
 					child[j] = !child[j]
 				}
 			}

@@ -115,15 +115,15 @@ func (e *CFS) EvaluateSubset(cols []int) (float64, error) {
 // Nominal-class contingency over an attribute pair is computed against
 // an explicit class column (contingencyWith); see attrPairSU.
 
-// wrapper evaluates subsets by the cross-validated accuracy of a classifier
+// wrapperFolds and wrapperSeed set the wrapper's inner cross-validation.
+const (
+	wrapperFolds = 3
+	wrapperSeed  = 1
+)
+
+// wrapper evaluates subsets by the cross-validated accuracy of NaiveBayes
 // trained on the projected dataset.
 type wrapper struct {
-	// Factory builds the wrapped classifier; defaults to NaiveBayes.
-	Factory classify.Factory
-	// Folds for the inner cross-validation (default 3).
-	Folds int
-	Seed  int64
-
 	d *dataset.Dataset
 }
 
@@ -136,12 +136,6 @@ func (e *wrapper) Prepare(d *dataset.Dataset) error {
 		return fmt.Errorf("attrsel: Wrapper needs a nominal class")
 	}
 	e.d = d
-	if e.Factory == nil {
-		e.Factory = func() classify.Classifier { return &classify.NaiveBayes{} }
-	}
-	if e.Folds == 0 {
-		e.Folds = 3
-	}
 	return nil
 }
 
@@ -154,7 +148,8 @@ func (e *wrapper) EvaluateSubset(cols []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ev, err := classify.CrossValidateContext(context.Background(), e.Factory, proj, e.Folds, e.Seed+1)
+	ev, err := classify.CrossValidateContext(context.Background(),
+		func() classify.Classifier { return &classify.NaiveBayes{} }, proj, wrapperFolds, wrapperSeed)
 	if err != nil {
 		return 0, err
 	}
@@ -246,14 +241,15 @@ func appendInt(b []byte, v int) []byte {
 	return append(b, tmp[i:]...)
 }
 
+// sizePenalty is subtracted per attribute of a rankerAdapter subset, to
+// prefer smaller subsets at equal mean merit.
+const sizePenalty = 0.001
+
 // rankerAdapter lifts a single-attribute evaluator into a subset evaluator
 // whose merit is the mean per-attribute merit minus a redundancy-free size
 // penalty; it lets every ranking evaluator drive every subset search.
 type rankerAdapter struct {
 	Inner AttributeEvaluator
-	// SizePenalty is subtracted per attribute (default 0.001) to prefer
-	// smaller subsets at equal mean merit.
-	SizePenalty float64
 }
 
 // Name implements SubsetEvaluator.
@@ -261,9 +257,6 @@ func (e *rankerAdapter) Name() string { return e.Inner.Name() + "+mean" }
 
 // Prepare implements SubsetEvaluator.
 func (e *rankerAdapter) Prepare(d *dataset.Dataset) error {
-	if e.SizePenalty == 0 {
-		e.SizePenalty = 0.001
-	}
 	return e.Inner.Prepare(d)
 }
 
@@ -280,5 +273,5 @@ func (e *rankerAdapter) EvaluateSubset(cols []int) (float64, error) {
 		}
 		total += v
 	}
-	return total/float64(len(cols)) - e.SizePenalty*float64(len(cols)), nil
+	return total/float64(len(cols)) - sizePenalty*float64(len(cols)), nil
 }

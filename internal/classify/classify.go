@@ -78,15 +78,12 @@ func Predict(c Classifier, in *dataset.Instance) (int, error) {
 	return best, nil
 }
 
-// Factory constructs a fresh, untrained classifier.
-type Factory func() Classifier
-
 // Registry holds every classifier the general Classifier Web Service
 // offers: getClassifiers lists it, getOptions describes its entries.
 var Registry = algo.NewRegistry[Classifier]("classify", "classifier")
 
 // register adds a classifier factory under name; see algo.Registry.
-func register(name string, f Factory) { Registry.Register(name, f) }
+func register(name string, f func() Classifier) { Registry.Register(name, f) }
 
 // New constructs a registered classifier by name.
 func New(name string) (Classifier, error) { return Registry.New(name) }

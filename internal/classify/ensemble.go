@@ -245,11 +245,10 @@ func (f *RandomForest) Name() string { return "RandomForest" }
 func (f *RandomForest) SetOption(name, value string) error { return Registry.Set(f, name, value) }
 
 // adaBoostM1 implements the AdaBoost.M1 boosting meta-algorithm over
-// decision stumps (or any supplied base learner).
+// decision stumps.
 type adaBoostM1 struct {
 	Rounds int
 	Seed   int64
-	Base   func() Classifier
 
 	members []Classifier
 	alphas  []float64
@@ -290,10 +289,6 @@ func (a *adaBoostM1) Train(d *dataset.Dataset) error {
 		return err
 	}
 	d = d.DeleteWithMissingClass()
-	base := a.Base
-	if base == nil {
-		base = func() Classifier { return &decisionStump{} }
-	}
 	a.numCls = d.NumClasses()
 	// Boost on a weighted copy.
 	work := d.CloneSchema()
@@ -309,7 +304,7 @@ func (a *adaBoostM1) Train(d *dataset.Dataset) error {
 	a.members = a.members[:0]
 	a.alphas = a.alphas[:0]
 	for round := 0; round < a.Rounds; round++ {
-		m := base()
+		m := &decisionStump{}
 		if err := m.Train(work); err != nil {
 			return fmt.Errorf("classify: AdaBoostM1 round %d: %w", round, err)
 		}
@@ -351,7 +346,7 @@ func (a *adaBoostM1) Train(d *dataset.Dataset) error {
 	}
 	if len(a.members) == 0 {
 		// Fall back to a single base model trained on uniform weights.
-		m := base()
+		m := &decisionStump{}
 		if err := m.Train(d); err != nil {
 			return err
 		}

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -162,6 +164,13 @@ type record struct {
 	weight            float64
 }
 
+// cvMs and cvRuns are the kernel_ms and kernel_runs_total series that
+// every CrossValidateContext records its fold phase in.
+var (
+	cvMs   = obs.Default.Histogram("kernel_ms", "kernel=crossvalidate")
+	cvRuns = obs.Default.Counter("kernel_runs_total", "kernel=crossvalidate")
+)
+
 // CrossValidateContext runs stratified k-fold cross-validation,
 // constructing a fresh classifier via factory for each fold, training
 // folds in parallel, and returns the pooled evaluation. Fold membership
@@ -169,7 +178,7 @@ type record struct {
 // the pooled Evaluation replays them in fold order, so the float sums
 // are bit-identical at any GOMAXPROCS. Cancelling ctx aborts remaining
 // folds and returns ctx.Err().
-func CrossValidateContext(ctx context.Context, factory Factory, d *dataset.Dataset, k int, seed int64) (*Evaluation, error) {
+func CrossValidateContext(ctx context.Context, factory func() Classifier, d *dataset.Dataset, k int, seed int64) (*Evaluation, error) {
 	if err := checkTrainable(d); err != nil {
 		return nil, err
 	}
@@ -182,7 +191,8 @@ func CrossValidateContext(ctx context.Context, factory Factory, d *dataset.Datas
 		return nil, err
 	}
 	recs := make([][]record, len(folds))
-	st, err := parallel.ForEachStats(ctx, len(folds), func(i int) error {
+	start := time.Now()
+	err = parallel.ForEach(ctx, len(folds), func(i int) error {
 		train, test := dataset.TrainTestViewForFold(d, folds, i)
 		c := factory()
 		if err := TrainWith(ctx, c, train.Materialize()); err != nil {
@@ -195,7 +205,8 @@ func CrossValidateContext(ctx context.Context, factory Factory, d *dataset.Datas
 		recs[i] = buf
 		return nil
 	})
-	parallel.Observe(nil, "crossvalidate", st)
+	cvMs.Observe(float64(time.Since(start)) / float64(time.Millisecond))
+	cvRuns.Inc()
 	if err != nil {
 		return nil, err
 	}

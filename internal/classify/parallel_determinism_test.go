@@ -3,6 +3,7 @@ package classify
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -10,14 +11,34 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/dataset"
+	"repro/internal/obs"
+	"repro/internal/parallel"
 )
 
 // setProcs sets GOMAXPROCS to p, restoring the original when t ends.
-// Kernels take their worker count from GOMAXPROCS, so this is how a test
-// varies it.
+// Kernels size their helper budget from GOMAXPROCS, so this is how a
+// test varies it.
 func setProcs(t *testing.T, p int) {
 	prev := runtime.GOMAXPROCS(p)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// contended builds 4 copies of a kernel inside an outer ForEach at
+// GOMAXPROCS 2, so the copies compete for the one helper token and each
+// kernel's blocks run partly inline and partly on a helper.
+func contended[T any](t *testing.T, build func() (T, error)) []T {
+	t.Helper()
+	runtime.GOMAXPROCS(2)
+	out := make([]T, 4)
+	err := parallel.ForEach(context.Background(), len(out), func(i int) error {
+		var err error
+		out[i], err = build()
+		return err
+	})
+	if err != nil {
+		t.Fatalf("contended: %v", err)
+	}
+	return out
 }
 
 // TestCrossValidateParallelDeterminism checks the tentpole guarantee: the
@@ -31,22 +52,49 @@ func TestCrossValidateParallelDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	check := func(run string, ev *Evaluation) {
+		if math.Float64bits(ev.Accuracy()) != math.Float64bits(base.Accuracy()) {
+			t.Fatalf("%s: accuracy %v != %v", run, ev.Accuracy(), base.Accuracy())
+		}
+		if math.Float64bits(ev.Kappa()) != math.Float64bits(base.Kappa()) {
+			t.Fatalf("%s: kappa %v != %v", run, ev.Kappa(), base.Kappa())
+		}
+		if ev.String() != base.String() {
+			t.Fatalf("%s: evaluation text differs from sequential:\n%s\n---\n%s",
+				run, ev.String(), base.String())
+		}
+	}
+	cv := func() (*Evaluation, error) {
+		return CrossValidateContext(context.Background(), factory, d, 5, 42)
+	}
 	for _, p := range []int{2, 8} {
 		runtime.GOMAXPROCS(p)
-		ev, err := CrossValidateContext(context.Background(), factory, d, 5, 42)
+		ev, err := cv()
 		if err != nil {
 			t.Fatalf("GOMAXPROCS %d: %v", p, err)
 		}
-		if math.Float64bits(ev.Accuracy()) != math.Float64bits(base.Accuracy()) {
-			t.Fatalf("GOMAXPROCS %d: accuracy %v != %v", p, ev.Accuracy(), base.Accuracy())
-		}
-		if math.Float64bits(ev.Kappa()) != math.Float64bits(base.Kappa()) {
-			t.Fatalf("GOMAXPROCS %d: kappa %v != %v", p, ev.Kappa(), base.Kappa())
-		}
-		if ev.String() != base.String() {
-			t.Fatalf("GOMAXPROCS %d: evaluation text differs from sequential:\n%s\n---\n%s",
-				p, ev.String(), base.String())
-		}
+		check(fmt.Sprintf("GOMAXPROCS %d", p), ev)
+	}
+	for i, ev := range contended(t, cv) {
+		check(fmt.Sprintf("contended copy %d", i), ev)
+	}
+}
+
+// TestCrossValidateRecordsKernelMetrics: every run lands in the
+// kernel_ms histogram and the kernel_runs_total counter that /metrics
+// serves for kernel=crossvalidate.
+func TestCrossValidateRecordsKernelMetrics(t *testing.T) {
+	runs := obs.Default.Counter("kernel_runs_total", "kernel=crossvalidate")
+	ms := obs.Default.Histogram("kernel_ms", "kernel=crossvalidate")
+	runsBefore, msBefore := runs.Value(), ms.Count()
+	if _, err := CrossValidateContext(context.Background(), func() Classifier { return &NaiveBayes{} }, datagen.Weather(), 3, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := runs.Value() - runsBefore; got != 1 {
+		t.Fatalf("kernel_runs_total rose by %d, want 1", got)
+	}
+	if got := ms.Count() - msBefore; got != 1 {
+		t.Fatalf("kernel_ms took %d observations, want 1", got)
 	}
 }
 
@@ -57,17 +105,24 @@ func TestCrossValidateParallelDeterminism(t *testing.T) {
 func TestBaggingParallelDeterminism(t *testing.T) {
 	d := datagen.IrisLike(25, 3)
 	setProcs(t, 1)
+	build := func() (*Bagging, error) {
+		b := &Bagging{Size: 8, Seed: 11}
+		return b, b.Train(d)
+	}
 	train := func(p int) *Bagging {
 		runtime.GOMAXPROCS(p)
-		b := &Bagging{Size: 8, Seed: 11}
-		if err := b.Train(d); err != nil {
+		b, err := build()
+		if err != nil {
 			t.Fatalf("GOMAXPROCS %d: %v", p, err)
 		}
 		return b
 	}
 	base := train(1)
-	for _, p := range []int{2, 8} {
-		b := train(p)
+	runs := map[string]*Bagging{"GOMAXPROCS 2": train(2), "GOMAXPROCS 8": train(8)}
+	for i, b := range contended(t, build) {
+		runs[fmt.Sprintf("contended copy %d", i)] = b
+	}
+	for run, b := range runs {
 		for i, in := range d.Instances {
 			want, err := base.Distribution(in)
 			if err != nil {
@@ -78,12 +133,12 @@ func TestBaggingParallelDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("GOMAXPROCS %d: distribution length %d != %d", p, len(got), len(want))
+				t.Fatalf("%s: distribution length %d != %d", run, len(got), len(want))
 			}
 			for c := range got {
 				if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
-					t.Fatalf("GOMAXPROCS %d instance %d class %d: %v != %v",
-						p, i, c, got[c], want[c])
+					t.Fatalf("%s instance %d class %d: %v != %v",
+						run, i, c, got[c], want[c])
 				}
 			}
 		}

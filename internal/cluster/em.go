@@ -91,23 +91,23 @@ func (em *EM) BuildContext(ctx context.Context, d *dataset.Dataset) error {
 		// current parameters, so rows fill in parallel.
 		err := parallel.ForEach(ctx, n, func(i int) error {
 			in := d.Instances[i]
-			logs := make([]float64, em.K)
-			for c := 0; c < em.K; c++ {
-				logs[c] = math.Log(em.weights[c]) + em.logGauss(in, c)
-			}
+			// The row's own slot holds its log terms first: each is read
+			// once, just before it is overwritten.
+			r := resp[i]
 			maxLog := math.Inf(-1)
-			for _, v := range logs {
-				if v > maxLog {
-					maxLog = v
+			for c := range r {
+				r[c] = math.Log(em.weights[c]) + em.logGauss(in, c)
+				if r[c] > maxLog {
+					maxLog = r[c]
 				}
 			}
 			var sum float64
-			for c, v := range logs {
-				resp[i][c] = math.Exp(v - maxLog)
-				sum += resp[i][c]
+			for c, v := range r {
+				r[c] = math.Exp(v - maxLog)
+				sum += r[c]
 			}
-			for c := range resp[i] {
-				resp[i][c] /= sum
+			for c := range r {
+				r[c] /= sum
 			}
 			contrib[i] = maxLog + math.Log(sum)
 			return nil

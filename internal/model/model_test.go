@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/classify"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
+	"repro/internal/parallel"
 )
 
 func trainedJ48(t *testing.T) *classify.J48 {
@@ -221,22 +223,27 @@ func TestSnapshotGoldenDigests(t *testing.T) {
 // shape, trained on RandomNominal(512, 10, 4, 0.2, 11), to digests
 // recorded while trees were still decoded into *TreeNode graphs: a
 // 20-tree RandomForest, a J48 (fractional weights: the float64 dist
-// block) and a Bagging of unpruned J48s.
+// block) and a Bagging of unpruned J48s. Four copies trained side by
+// side at GOMAXPROCS 2, sharing its one helper token, write the same
+// bytes.
 func TestForestShapeGoldenDigests(t *testing.T) {
 	golden := map[string]string{
 		"RandomForest": "23bcf6a969dab8598b7922c6f8094a541f6f9b5e5b629bbfd73dc2f98ba05c12",
 		"J48":          "a941db114d5c4306f84c7b5e3b60591fd8aa4955f6b1789d43f8d67d38bb881c",
 		"Bagging":      "bf2dd8aa360e3d5aa516235590bf3f2f6b0ca769c6c1c71fb2e1bd7e1229a4ec",
 	}
-	for name, want := range golden {
+	train := func(name string) ([]byte, error) {
 		c, err := classify.New(name)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		if err := c.Train(datagen.RandomNominal(512, 10, 4, 0.2, 11)); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		b, err := Marshal(c)
+		return Marshal(c)
+	}
+	for name, want := range golden {
+		b, err := train(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,6 +255,21 @@ func TestForestShapeGoldenDigests(t *testing.T) {
 			t.Fatal(err)
 		} else if again, _ := Marshal(restored); !bytes.Equal(again, b) {
 			t.Errorf("%s: a restored model re-marshals differently", name)
+		}
+		prev := runtime.GOMAXPROCS(2)
+		copies := make([][]byte, 4)
+		err = parallel.ForEach(context.Background(), len(copies), func(i int) (err error) {
+			copies[i], err = train(name)
+			return err
+		})
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range copies {
+			if !bytes.Equal(c, b) {
+				t.Errorf("%s: contended copy %d writes a different snapshot", name, i)
+			}
 		}
 	}
 }

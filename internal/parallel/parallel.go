@@ -1,30 +1,49 @@
-// Package parallel provides the bounded, context-cancellable worker
-// helpers behind every compute kernel in the toolkit (cross-validation
-// folds, ensemble members, the k-means and EM loops, attribute-subset
-// scans). It is the only code that decides how many goroutines a kernel
-// uses: one per GOMAXPROCS, capped at the number of items. No caller
-// passes a worker count. The design constraint is determinism: work is
-// partitioned into contiguous index blocks, results are written to
-// index-addressed slots, and callers reduce them in index order, so a
-// kernel produces bit-identical output at any GOMAXPROCS. FlexDM
-// (PAPERS.md) demonstrates the throughput case for parallel WEKA
-// experiment execution; this package supplies the primitive without
-// giving up reproducibility.
+// Package parallel provides the bounded, context-cancellable fan-out
+// behind the toolkit's compute kernels (cross-validation folds, ensemble
+// members, the k-means and EM loops, attribute-subset scans).
+//
+// The process has one level of parallelism. Its outer levels (the batch
+// engine's jobs, the server's requests) already fill the cores, so a
+// kernel gets helpers only from one process-wide budget of
+// GOMAXPROCS − 1 tokens. ForEach takes what it can use without waiting,
+// starts one helper goroutine per token, and runs block 0 on the calling
+// goroutine; with no token free it runs the whole range inline, so a
+// kernel nested in another kernel, a batch job or a request never
+// oversubscribes. No caller passes a worker count.
+//
+// The design constraint is determinism: work is partitioned into
+// contiguous index blocks, results are written to index-addressed slots,
+// and callers reduce them in index order, so a kernel's output is
+// bit-identical whatever the budget gave it. FlexDM (PAPERS.md) makes the
+// throughput case for running independent WEKA experiments in parallel;
+// this package keeps that outer level from multiplying with the inner one
+// without giving up reproducibility.
 package parallel
 
 import (
 	"context"
 	"runtime"
-	"sync"
-	"time"
-
-	"repro/internal/obs"
+	"sync/atomic"
 )
 
-// workers is the goroutine count for a kernel over n items: GOMAXPROCS,
-// capped at n.
-func workers(n int) int {
-	return min(runtime.GOMAXPROCS(0), n)
+// held counts the helper tokens taken from the budget across the
+// process. The budget is GOMAXPROCS(0) − 1, read on every call, so a
+// runtime change of GOMAXPROCS takes effect at the next ForEach.
+var held atomic.Int64
+
+// acquire takes up to want tokens from a budget of limit without
+// blocking and returns how many it took.
+func acquire(want, limit int) int {
+	for {
+		h := held.Load()
+		take := min(int64(want), int64(limit)-h)
+		if take <= 0 {
+			return 0
+		}
+		if held.CompareAndSwap(h, h+take) {
+			return int(take)
+		}
+	}
 }
 
 // block is worker w's contiguous index range [lo, hi) when n items are
@@ -53,136 +72,68 @@ func DeriveSeed(base int64, i int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// Stats reports how a kernel run spent its time: Wall is the elapsed
-// time of the whole ForEachStats call, Busy the summed in-worker time.
-// Utilisation approaches Workers×100% when the partition is balanced.
-type Stats struct {
-	Workers int
-	Wall    time.Duration
-	Busy    time.Duration
-}
-
-// Utilisation returns Busy as a percentage of Workers×Wall — 100 means
-// every worker was busy for the whole wall-clock span.
-func (s Stats) Utilisation() float64 {
-	if s.Workers <= 0 || s.Wall <= 0 {
-		return 0
-	}
-	return 100 * float64(s.Busy) / (float64(s.Workers) * float64(s.Wall))
-}
-
-// ForEach runs fn(i) for every i in [0, n) on one goroutine per
-// GOMAXPROCS (at most n), partitioning the index space into contiguous
-// blocks (one per worker). It returns the error from the lowest index
-// that failed, or ctx.Err() if the context was cancelled first. With one
-// worker it runs inline on the calling goroutine, checking ctx between
-// items — the sequential path allocates nothing.
+// ForEach runs fn(i) for every i in [0, n). It takes up to
+// min(GOMAXPROCS, n) − 1 helpers from the process-wide budget, splits
+// the index space into one contiguous block per worker, and runs block 0
+// on the calling goroutine. It returns ctx.Err() if the context was
+// cancelled, and otherwise the error from the lowest index that failed;
+// ctx is checked before every item. With no helper it allocates nothing.
 func ForEach(ctx context.Context, n int, fn func(i int) error) error {
-	_, err := forEach(ctx, n, workers(n), fn, false)
-	return err
-}
-
-// ForEachStats is ForEach plus worker-granularity timing for obs
-// instrumentation.
-func ForEachStats(ctx context.Context, n int, fn func(i int) error) (Stats, error) {
-	return forEach(ctx, n, workers(n), fn, true)
-}
-
-// forEach is ForEach on k workers.
-func forEach(ctx context.Context, n, k int, fn func(i int) error, timed bool) (Stats, error) {
-	if n <= 0 {
-		return Stats{Workers: 1}, ctx.Err()
+	k := 1
+	if n > 1 {
+		procs := runtime.GOMAXPROCS(0)
+		k += acquire(min(procs, n)-1, procs-1)
 	}
-	if k <= 1 {
-		return sequential(ctx, n, fn, timed)
-	}
-
-	start := time.Now()
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		busy time.Duration
-		// firstErr is the error from the lowest failing index; errIdx
-		// tracks that index so later failures don't shadow earlier ones.
-		firstErr error
-		errIdx   int
-	)
-	record := func(i int, err error) {
-		mu.Lock()
-		if firstErr == nil || i < errIdx {
-			firstErr, errIdx = err, i
+	var done chan failure
+	if k > 1 {
+		done = make(chan failure, k-1)
+		for w := 1; w < k; w++ {
+			lo, hi := block(n, k, w)
+			go helper(ctx, fn, lo, hi, done)
 		}
-		mu.Unlock()
 	}
-	for w := 0; w < k; w++ {
-		lo, hi := block(n, k, w)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			var t0 time.Time
-			if timed {
-				t0 = time.Now()
-			}
-			for i := lo; i < hi; i++ {
-				if err := ctx.Err(); err != nil {
-					record(i, err)
-					break
-				}
-				if err := fn(i); err != nil {
-					record(i, err)
-					break
-				}
-			}
-			if timed {
-				d := time.Since(t0)
-				mu.Lock()
-				busy += d
-				mu.Unlock()
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	st := Stats{Workers: k, Busy: busy}
-	if timed {
-		st.Wall = time.Since(start)
+	lo, hi := block(n, k, 0)
+	first := run(ctx, fn, lo, hi)
+	for w := 1; w < k; w++ {
+		if f := <-done; f.err != nil && (first.err == nil || f.i < first.i) {
+			first = f
+		}
 	}
 	if err := ctx.Err(); err != nil {
-		return st, err
+		return err
 	}
-	return st, firstErr
+	return first.err
 }
 
-func sequential(ctx context.Context, n int, fn func(i int) error, timed bool) (Stats, error) {
-	var t0 time.Time
-	if timed {
-		t0 = time.Now()
-	}
-	st := Stats{Workers: 1}
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-		if err := fn(i); err != nil {
-			return st, err
-		}
-	}
-	if timed {
-		st.Wall = time.Since(t0)
-		st.Busy = st.Wall
-	}
-	return st, nil
+// failure is a block's first failing index and its error; err is nil
+// when the block ran to the end.
+type failure struct {
+	i   int
+	err error
 }
 
-// Observe records a kernel run in reg (obs.Default when nil): duration
-// histogram, worker/utilisation gauges, and a run counter, all labelled
-// kernel=<name>.
-func Observe(reg *obs.Registry, kernel string, s Stats) {
-	if reg == nil {
-		reg = obs.Default
+// run calls fn over [lo, hi) in order and stops at the first failure.
+func run(ctx context.Context, fn func(i int) error, lo, hi int) failure {
+	for i := lo; i < hi; i++ {
+		err := ctx.Err()
+		if err == nil {
+			err = fn(i)
+		}
+		if err != nil {
+			return failure{i, err}
+		}
 	}
-	label := "kernel=" + kernel
-	reg.Histogram("kernel_ms", label).Observe(float64(s.Wall) / float64(time.Millisecond))
-	reg.Gauge("kernel_workers", label).Set(int64(s.Workers))
-	reg.Gauge("kernel_utilisation_pct", label).Set(int64(s.Utilisation()))
-	reg.Counter("kernel_runs_total", label).Inc()
+	return failure{}
+}
+
+// helper runs one block on its own goroutine. It returns its token
+// itself, before it reports, so the budget is restored by the time
+// ForEach returns and however the caller's own block ends.
+func helper(ctx context.Context, fn func(i int) error, lo, hi int, done chan<- failure) {
+	var f failure
+	defer func() {
+		held.Add(-1)
+		done <- f
+	}()
+	f = run(ctx, fn, lo, hi)
 }

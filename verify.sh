@@ -114,7 +114,10 @@ soak() {
 # dataset column mirror, and the admission controller's in-flight tests
 # (the bound must hold on the handler and on the gauge); then ten over the
 # retry loop's callers, since the hedged race runs inside it; then twenty
-# over IBk scoring, whose neighbour index concurrent scorers share.
+# over IBk scoring, whose neighbour index concurrent scorers share; then
+# twenty over the kernels' helper budget, and five over the kernel
+# determinism tests, whose contended cases share that budget between
+# nested fan-outs.
 race_harness() {
 	go test -race -count=20 ./internal/harness ./internal/dataset
 	go test -race -count=20 -run 'InFlight' ./internal/admission
@@ -124,6 +127,8 @@ race_harness() {
 	fi
 	go test -race -count=10 -run 'Hedge|PoolDo|Retry' ./internal/resilience ./internal/workflow ./internal/admission ./internal/experiment
 	go test -race -count=20 -run 'IBkConcurrent|IBkUpdate|IBkPruned' ./internal/classify
+	go test -race -count=20 ./internal/parallel
+	go test -race -count=5 -run 'ParallelDeterminism|SearchDeterminismAcrossProcs' ./internal/classify ./internal/cluster ./internal/attrsel
 }
 
 # Ten seconds of every fuzz target in the module, found by

@@ -4,75 +4,125 @@
 package arff
 
 import (
-	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"repro/internal/dataset"
 )
 
-// Parse reads an ARFF document from r into a Dataset. Comments (%), blank
+// Parse reads an ARFF document from r into a Dataset; see ParseString.
+func Parse(r io.Reader) (*dataset.Dataset, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("arff: %w", err)
+	}
+	return ParseString(string(b))
+}
+
+// ParseString reads an ARFF document into a Dataset. Comments (%), blank
 // lines, quoted identifiers and sparse whitespace are handled; date and
 // relational attributes are not supported (the toolkit never uses them).
-func Parse(r io.Reader) (*dataset.Dataset, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	d := dataset.New("unnamed")
-	inData := false
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
-			continue
-		}
-		if !inData {
-			lower := strings.ToLower(line)
-			switch {
-			case strings.HasPrefix(lower, "@relation"):
-				name := strings.TrimSpace(line[len("@relation"):])
-				d.Relation = unquote(name)
-			case strings.HasPrefix(lower, "@attribute"):
-				attr, err := parseAttribute(strings.TrimSpace(line[len("@attribute"):]))
-				if err != nil {
-					return nil, fmt.Errorf("arff: line %d: %w", lineNo, err)
-				}
-				d.Attrs = append(d.Attrs, attr)
-			case strings.HasPrefix(lower, "@data"):
-				if len(d.Attrs) == 0 {
-					return nil, fmt.Errorf("arff: line %d: @data before any @attribute", lineNo)
-				}
-				inData = true
-			default:
-				return nil, fmt.Errorf("arff: line %d: unrecognised declaration %q", lineNo, line)
+// By toolkit convention the last attribute is the class.
+//
+// The header, the text before the @data line, is parsed once per distinct
+// text: later documents with the same header take its attributes from
+// the dataset package's schema intern table. The rows are parsed in place,
+// into value storage sized from the number of data lines.
+func ParseString(s string) (*dataset.Dataset, error) {
+	header, rest, lineNo := "", s, 0
+	for {
+		if rest == "" {
+			// No @data line: the whole document is header, and parsing it
+			// reports its first bad line before the missing section.
+			if _, _, err := parseHeader(s); err != nil {
+				return nil, err
 			}
+			return nil, fmt.Errorf("arff: missing @data section")
+		}
+		start := len(s) - len(rest)
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		lineNo++
+		if hasKeyword(strings.TrimSpace(line), "@data") {
+			header = s[:start]
+			break
+		}
+	}
+	schema, ok := dataset.LookupSchema(header)
+	if !ok {
+		// Names and labels are cut from a copy of the header, which is also
+		// the table's key, so neither pins the document.
+		key := strings.Clone(header)
+		relation, attrs, err := parseHeader(key)
+		if err != nil {
+			return nil, err
+		}
+		if len(attrs) == 0 {
+			return nil, fmt.Errorf("arff: line %d: @data before any @attribute", lineNo)
+		}
+		schema = dataset.Schema{Relation: relation, ClassIndex: len(attrs) - 1, Attrs: attrs}
+		dataset.InternSchema(key, schema)
+	}
+	d := dataset.New(schema.Relation, schema.Attrs...)
+	d.ClassIndex = schema.ClassIndex
+
+	// A row is at least one byte per attribute, separators and line break
+	// included, which bounds the storage a run of blank lines can claim.
+	rows := strings.Count(rest, "\n")
+	if rest != "" && rest[len(rest)-1] != '\n' {
+		rows++
+	}
+	d.Grow(min(rows, len(rest)/len(schema.Attrs)+1))
+	cells := make([]string, 0, len(schema.Attrs))
+	for rest != "" {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		lineNo++
+		line = strings.TrimSpace(line)
+		if line == "" || line[0] == '%' {
 			continue
 		}
-		cells, err := splitDataLine(line)
-		if err != nil {
+		var err error
+		if cells, err = splitDataLine(cells[:0], line); err != nil {
 			return nil, fmt.Errorf("arff: line %d: %w", lineNo, err)
 		}
 		if err := d.AddRow(cells); err != nil {
 			return nil, fmt.Errorf("arff: line %d: %w", lineNo, err)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("arff: %w", err)
-	}
-	if !inData {
-		return nil, fmt.Errorf("arff: missing @data section")
-	}
-	// By toolkit convention the last attribute is the class unless changed.
-	if len(d.Attrs) > 0 {
-		d.ClassIndex = len(d.Attrs) - 1
-	}
 	return d, nil
 }
 
-// ParseString is a convenience wrapper over Parse.
-func ParseString(s string) (*dataset.Dataset, error) {
-	return Parse(strings.NewReader(s))
+// parseHeader parses the declarations in h, which holds the lines before
+// @data (or, when there is none, the whole document).
+func parseHeader(h string) (relation string, attrs []*dataset.Attribute, err error) {
+	relation = "unnamed"
+	for lineNo := 1; h != ""; lineNo++ {
+		var line string
+		line, h, _ = strings.Cut(h, "\n")
+		line = strings.TrimSpace(line)
+		switch {
+		case line == "" || line[0] == '%':
+		case hasKeyword(line, "@relation"):
+			relation = unquote(line[len("@relation"):])
+		case hasKeyword(line, "@attribute"):
+			attr, err := parseAttribute(strings.TrimSpace(line[len("@attribute"):]))
+			if err != nil {
+				return "", nil, fmt.Errorf("arff: line %d: %w", lineNo, err)
+			}
+			attrs = append(attrs, attr)
+		default:
+			return "", nil, fmt.Errorf("arff: line %d: unrecognised declaration %q", lineNo, line)
+		}
+	}
+	return relation, attrs, nil
+}
+
+// hasKeyword reports whether line opens with kw, in any letter case.
+func hasKeyword(line, kw string) bool {
+	return len(line) >= len(kw) && strings.EqualFold(line[:len(kw)], kw)
 }
 
 func parseAttribute(spec string) (*dataset.Attribute, error) {
@@ -89,12 +139,9 @@ func parseAttribute(spec string) (*dataset.Attribute, error) {
 			return nil, fmt.Errorf("unterminated nominal specification %q", rest)
 		}
 		inner := rest[1:end]
-		labels, err := splitDataLine(inner)
+		labels, err := splitDataLine(nil, inner)
 		if err != nil {
 			return nil, err
-		}
-		for i := range labels {
-			labels[i] = strings.TrimSpace(labels[i])
 		}
 		return dataset.NewNominalAttribute(name, labels...), nil
 	case lower == "numeric" || lower == "real" || lower == "integer":
@@ -132,9 +179,20 @@ func takeName(s string) (name, rest string, err error) {
 	return s[:i], s[i+1:], nil
 }
 
-// splitDataLine splits a comma-separated ARFF data row honouring quotes.
-func splitDataLine(line string) ([]string, error) {
-	var cells []string
+// splitDataLine appends the cells of a comma-separated ARFF data row to
+// dst, each trimmed, honouring quotes. A line without quotes is cut in
+// place; only a quoted cell is copied out.
+func splitDataLine(dst []string, line string) ([]string, error) {
+	if !strings.ContainsAny(line, `'"`) {
+		for {
+			cell, rest, more := strings.Cut(line, ",")
+			dst = append(dst, strings.TrimSpace(cell))
+			if !more {
+				return dst, nil
+			}
+			line = rest
+		}
+	}
 	var cur strings.Builder
 	inQuote := byte(0)
 	for i := 0; i < len(line); i++ {
@@ -152,7 +210,7 @@ func splitDataLine(line string) ([]string, error) {
 		case c == '\'' || c == '"':
 			inQuote = c
 		case c == ',':
-			cells = append(cells, strings.TrimSpace(cur.String()))
+			dst = append(dst, strings.TrimSpace(cur.String()))
 			cur.Reset()
 		default:
 			cur.WriteByte(c)
@@ -161,8 +219,7 @@ func splitDataLine(line string) ([]string, error) {
 	if inQuote != 0 {
 		return nil, fmt.Errorf("unterminated quote in %q", line)
 	}
-	cells = append(cells, strings.TrimSpace(cur.String()))
-	return cells, nil
+	return append(dst, strings.TrimSpace(cur.String())), nil
 }
 
 func unquote(s string) string {
@@ -184,39 +241,55 @@ func unescape(s string) string {
 	return b.String()
 }
 
-// write renders d as an ARFF document.
-func write(w io.Writer, d *dataset.Dataset) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "@relation %s\n\n", quoteToken(d.Relation))
-	for _, a := range d.Attrs {
-		fmt.Fprintln(bw, a.SpecString())
-	}
-	fmt.Fprintln(bw, "\n@data")
-	for _, in := range d.Instances {
-		for col := range d.Attrs {
-			if col > 0 {
-				bw.WriteByte(',')
-			}
-			bw.WriteString(quoteToken(d.CellString(in, col)))
-		}
-		bw.WriteByte('\n')
-	}
-	return bw.Flush()
-}
-
-// Format renders d as an ARFF string.
+// Format renders d as an ARFF document, written straight into one string
+// grown to an estimate of its length.
 func Format(d *dataset.Dataset) string {
 	var b strings.Builder
-	_ = write(&b, d)
+	b.Grow(formatSize(d))
+	b.WriteString("@relation ")
+	dataset.WriteToken(&b, d.Relation)
+	b.WriteString("\n\n")
+	for _, a := range d.Attrs {
+		a.WriteSpec(&b)
+		b.WriteByte('\n')
+	}
+	b.WriteString("\n@data\n")
+	var num [32]byte
+	for _, in := range d.Instances {
+		for col, a := range d.Attrs {
+			if col > 0 {
+				b.WriteByte(',')
+			}
+			switch v := in.Values[col]; {
+			case dataset.IsMissing(v):
+				b.WriteByte('?')
+			case a.Kind == dataset.Numeric:
+				b.Write(strconv.AppendFloat(num[:0], v, 'g', -1, 64))
+			default:
+				dataset.WriteToken(&b, a.Value(int(v)))
+			}
+		}
+		b.WriteByte('\n')
+	}
 	return b.String()
 }
 
-func quoteToken(s string) string {
-	if s == "" {
-		return "''"
+// formatSize estimates Format's length: exact for bare tokens, with the
+// widest label (or 24 bytes, a float's longest form) for every cell.
+func formatSize(d *dataset.Dataset) int {
+	n, row := 20+len(d.Relation), 0
+	for _, a := range d.Attrs {
+		n += 24 + len(a.Name)
+		cell := 24
+		if a.Kind != dataset.Numeric {
+			cell = 1
+			for i := 0; i < a.NumValues(); i++ {
+				l := len(a.Value(i))
+				n += l + 1
+				cell = max(cell, l)
+			}
+		}
+		row += cell + 1
 	}
-	if strings.ContainsAny(s, " \t,{}%") && s != "?" {
-		return "'" + strings.ReplaceAll(s, "'", `\'`) + "'"
-	}
-	return s
+	return n + row*len(d.Instances)
 }

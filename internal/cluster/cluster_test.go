@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"math"
+	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -308,5 +312,52 @@ func TestBuildIsDeterministic(t *testing.T) {
 				t.Fatalf("%s: build %d labels the data differently from build 0", name, run)
 			}
 		}
+	}
+}
+
+// countdownCtx reports cancellation once Err has been asked more than
+// left times: a cancellation that lands at a chosen point of a scan.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestKMeansSeedingHonoursCancellation: k-means++ seeding runs under the
+// build's ctx. Cancelled before the first distance pass, it returns
+// ctx.Err() with only the random first centroid; cancelled after one
+// whole pass (n item checks and ForEach's final one), with the two seeded
+// by then; and BuildContext returns that error without centroids.
+func TestKMeansSeedingHonoursCancellation(t *testing.T) {
+	d := datagen.GaussianClusters(4, 200, 3, 3.0, 1)
+	cols, err := numericColumns(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(d.NumInstances())
+	for _, c := range []struct {
+		checks int64
+		seeded int
+	}{{0, 1}, {n + 1, 2}} {
+		km := &KMeans{K: 4, MaxIter: 10, Seed: 1, cols: cols}
+		ctx := &countdownCtx{Context: context.Background()}
+		ctx.left.Store(c.checks)
+		cents, err := km.seedPlusPlus(ctx, d, rand.New(rand.NewSource(1)))
+		if !errors.Is(err, context.Canceled) || len(cents) != c.seeded {
+			t.Errorf("cancelled after %d checks: %d centroids, err %v; want %d, context.Canceled",
+				c.checks, len(cents), err, c.seeded)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	km := &KMeans{K: 4, MaxIter: 10, Seed: 1}
+	if err := km.BuildContext(ctx, d); !errors.Is(err, context.Canceled) || km.Centroids != nil {
+		t.Errorf("BuildContext under a cancelled ctx: err %v, %d centroids", err, len(km.Centroids))
 	}
 }

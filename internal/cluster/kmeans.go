@@ -62,7 +62,11 @@ func (km *KMeans) BuildContext(ctx context.Context, d *dataset.Dataset) error {
 	}
 	km.cols = cols
 	rng := rand.New(rand.NewSource(km.Seed))
-	km.Centroids = km.seedPlusPlus(d, rng)
+	cents, err := km.seedPlusPlus(ctx, d, rng)
+	if err != nil {
+		return err
+	}
+	km.Centroids = cents
 	assign := make([]int, d.NumInstances())
 	for i := range assign {
 		assign[i] = -1
@@ -121,8 +125,10 @@ func (km *KMeans) BuildContext(ctx context.Context, d *dataset.Dataset) error {
 	return nil
 }
 
-// seedPlusPlus performs k-means++ centroid initialisation.
-func (km *KMeans) seedPlusPlus(d *dataset.Dataset, rng *rand.Rand) [][]float64 {
+// seedPlusPlus performs k-means++ centroid initialisation. Each seeding
+// pass checks ctx per instance; a cancelled pass returns ctx's error with
+// the centroids seeded before it.
+func (km *KMeans) seedPlusPlus(ctx context.Context, d *dataset.Dataset, rng *rand.Rand) ([][]float64, error) {
 	cents := make([][]float64, 0, km.K)
 	pick := func(i int) []float64 {
 		c := make([]float64, len(km.cols))
@@ -140,7 +146,7 @@ func (km *KMeans) seedPlusPlus(d *dataset.Dataset, rng *rand.Rand) [][]float64 {
 		// Parallel fill of per-instance distances, then a sequential
 		// index-order sum so the float total (and hence the rng draw
 		// mapping) matches the sequential fit exactly.
-		_ = parallel.ForEach(context.Background(), d.NumInstances(), func(i int) error {
+		err := parallel.ForEach(ctx, d.NumInstances(), func(i int) error {
 			best := math.Inf(1)
 			for _, c := range cents {
 				if dd := euclidean(d.Instances[i].Values, c, km.cols); dd < best {
@@ -150,6 +156,9 @@ func (km *KMeans) seedPlusPlus(d *dataset.Dataset, rng *rand.Rand) [][]float64 {
 			dist2[i] = best * best
 			return nil
 		})
+		if err != nil {
+			return cents, err
+		}
 		var total float64
 		for _, w := range dist2 {
 			total += w
@@ -169,7 +178,7 @@ func (km *KMeans) seedPlusPlus(d *dataset.Dataset, rng *rand.Rand) [][]float64 {
 		}
 		cents = append(cents, pick(idx))
 	}
-	return cents
+	return cents, nil
 }
 
 // NumClusters implements Clusterer.

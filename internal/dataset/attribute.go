@@ -123,7 +123,12 @@ func (a *Attribute) Intern(label string) (int, error) {
 		return -1, fmt.Errorf("dataset: attribute %q has no value %q (declared: %s)",
 			a.Name, label, strings.Join(a.values, ","))
 	case String:
-		return a.addValue(label), nil
+		if i, ok := a.index[label]; ok {
+			return i, nil
+		}
+		// A cell is often a substring of a whole document; a copy keeps
+		// the attribute from pinning it.
+		return a.addValue(strings.Clone(label)), nil
 	default:
 		return -1, fmt.Errorf("dataset: attribute %q is numeric; cannot intern %q", a.Name, label)
 	}
@@ -154,19 +159,56 @@ func (a *Attribute) Clone() *Attribute {
 // SpecString returns the ARFF declaration of the attribute, e.g.
 // "@attribute age {young,old}" or "@attribute weight numeric".
 func (a *Attribute) SpecString() string {
+	var b strings.Builder
+	a.WriteSpec(&b)
+	return b.String()
+}
+
+// WriteSpec writes SpecString's text to b. A name or label is quoted when
+// an ARFF reader would otherwise split, trim or unquote it.
+func (a *Attribute) WriteSpec(b *strings.Builder) {
+	b.WriteString("@attribute ")
+	WriteToken(b, a.Name)
 	switch a.Kind {
 	case Nominal:
-		return fmt.Sprintf("@attribute %s {%s}", quoteName(a.Name), strings.Join(a.values, ","))
+		b.WriteString(" {")
+		for i, v := range a.values {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			if strings.ContainsAny(v, ",'\"") {
+				writeQuoted(b, v)
+			} else {
+				b.WriteString(v)
+			}
+		}
+		b.WriteByte('}')
 	case String:
-		return fmt.Sprintf("@attribute %s string", quoteName(a.Name))
+		b.WriteString(" string")
 	default:
-		return fmt.Sprintf("@attribute %s numeric", quoteName(a.Name))
+		b.WriteString(" numeric")
 	}
 }
 
-func quoteName(s string) string {
-	if strings.ContainsAny(s, " \t,{}'\"%") {
-		return "'" + strings.ReplaceAll(s, "'", `\'`) + "'"
+// WriteToken writes s to b as an ARFF token: bare, or in single quotes
+// when an ARFF reader would otherwise split, trim or unquote it.
+func WriteToken(b *strings.Builder, s string) {
+	if s == "" || s != strings.TrimSpace(s) || strings.ContainsAny(s, " \t,{}%'\"") {
+		writeQuoted(b, s)
+		return
 	}
-	return s
+	b.WriteString(s)
+}
+
+// writeQuoted writes s to b in single quotes, its backslashes and single
+// quotes escaped by a backslash, as ARFF readers unquote it.
+func writeQuoted(b *strings.Builder, s string) {
+	b.WriteByte('\'')
+	for i := 0; i < len(s); i++ {
+		if s[i] == '\\' || s[i] == '\'' {
+			b.WriteByte('\\')
+		}
+		b.WriteByte(s[i])
+	}
+	b.WriteByte('\'')
 }

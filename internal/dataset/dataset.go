@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -58,27 +59,39 @@ type Dataset struct {
 	slab []float64
 }
 
-// rowSlabChunk is the float64 count of one row-storage slab chunk (32 KiB).
+// rowSlabChunk is the float64 count of the largest row-storage slab
+// chunk (32 KiB).
 const rowSlabChunk = 4096
 
-// rowSlice carves one row's value storage off the slab, growing it by a
-// chunk when exhausted. The carved slice has full capacity m, so callers
-// appending to it can never clobber a neighbouring row.
+// rowSlice carves one row's value storage off the slab. An exhausted slab
+// is replaced by one holding as many rows as the dataset already has (one
+// at first), up to a rowSlabChunk, so a dataset streamed in by AddRow costs
+// a logarithmic number of allocations and a one-row dataset one row. The
+// carved slice has full capacity m, so callers appending to it can never
+// clobber a neighbouring row.
 func (d *Dataset) rowSlice() []float64 {
 	m := len(d.Attrs)
 	if m == 0 {
 		return nil
 	}
 	if len(d.slab) < m {
-		rows := rowSlabChunk / m
-		if rows < 16 {
-			rows = 16
-		}
-		d.slab = make([]float64, rows*m)
+		d.slab = make([]float64, min(max(len(d.Instances), 1), max(rowSlabChunk/m, 16))*m)
 	}
 	v := d.slab[:m:m]
 	d.slab = d.slab[m:]
 	return v
+}
+
+// Grow makes room for rows more rows, so that the next rows AddRow calls
+// take their value storage from one allocation and append to Instances
+// without regrowing it.
+func (d *Dataset) Grow(rows int) {
+	m := len(d.Attrs)
+	if m == 0 || rows <= len(d.slab)/m {
+		return
+	}
+	d.slab = make([]float64, rows*m)
+	d.Instances = slices.Grow(d.Instances, rows)
 }
 
 // New returns an empty dataset with the given relation name and attributes.
@@ -294,10 +307,7 @@ func (d *Dataset) Project(cols []int) (*Dataset, error) {
 	}
 	out := New(d.Relation, attrs...)
 	out.ClassIndex = classAt
-	// One slab sized for the whole projection instead of one allocation
-	// per row; rowSlice then carves every row from it.
-	out.slab = make([]float64, len(d.Instances)*len(cols))
-	out.Instances = make([]*Instance, 0, len(d.Instances))
+	out.Grow(len(d.Instances))
 	for _, in := range d.Instances {
 		vals := out.rowSlice()
 		for i, c := range cols {

@@ -195,8 +195,12 @@ func (s *ActiveSpan) DurationMS() float64 {
 	return s.span.DurationMS
 }
 
-// SetAttr records one key=value annotation on the span.
+// SetAttr records one key=value annotation on the span. Only a collector
+// reads annotations, so without one SetAttr keeps nothing.
 func (s *ActiveSpan) SetAttr(k, v string) {
+	if s.collector == nil {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.span.Attrs == nil {

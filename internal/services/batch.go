@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/classify"
@@ -36,10 +37,30 @@ func decodeBatchPayload(parts map[string]string, op string) (*dataset.Dataset, e
 		return nil, &soap.Fault{Code: "soap:Client",
 			String: "malformed dmb1 payload", Detail: err.Error()}
 	}
-	obs.Default.Histogram("batch_decode_ms", "op="+op).
-		Observe(float64(time.Since(began).Microseconds()) / 1e3)
-	obs.Default.Counter("batch_rows_total", "op="+op).Add(int64(d.NumInstances()))
+	m := batchMetricsFor(op)
+	m.decodeMS.Observe(float64(time.Since(began).Microseconds()) / 1e3)
+	m.rows.Add(int64(d.NumInstances()))
 	return d, nil
+}
+
+// batchMetrics are one batch op's decode metrics in obs.Default, looked
+// up by labelled key on the op's first call only.
+type batchMetrics struct {
+	decodeMS *obs.Histogram
+	rows     *obs.Counter
+}
+
+var batchOps sync.Map // op name -> *batchMetrics
+
+func batchMetricsFor(op string) *batchMetrics {
+	if m, ok := batchOps.Load(op); ok {
+		return m.(*batchMetrics)
+	}
+	m, _ := batchOps.LoadOrStore(op, &batchMetrics{
+		decodeMS: obs.Default.Histogram("batch_decode_ms", "op="+op),
+		rows:     obs.Default.Counter("batch_rows_total", "op="+op),
+	})
+	return m.(*batchMetrics)
 }
 
 // scoreBatch runs the columnar scoring path over a decoded batch and

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -20,6 +21,9 @@ type Client struct {
 	httpClient *http.Client
 	timeout    time.Duration
 	observer   *obs.Registry // nil means obs.Default; tests set their own
+
+	mu  sync.RWMutex
+	ops map[string]*instruments // by operation
 }
 
 // Option configures a Client.
@@ -97,8 +101,9 @@ func (c *Client) CallContext(ctx context.Context, url, operation string, parts m
 	span.End(err)
 
 	reg := c.obsReg()
-	reg.Counter("soap_client_requests_total", "op="+operation).Inc()
-	reg.Histogram("soap_client_latency_ms", "op="+operation).Observe(span.DurationMS())
+	inst := c.instruments(operation, reg)
+	inst.requests.Inc()
+	inst.latency.Observe(span.DurationMS())
 	if err != nil && errors.Is(ctx.Err(), context.Canceled) {
 		// A cancelled in-flight call — typically the losing attempt of a
 		// hedged race or an abandoned workflow — is bookkeeping, not a
@@ -108,11 +113,30 @@ func (c *Client) CallContext(ctx context.Context, url, operation string, parts m
 	} else if err != nil {
 		reg.Counter("soap_client_faults_total", "op="+operation, "class="+obs.FaultClass(err)).Inc()
 		clientLog.Warn(ctx, operation, "endpoint", url, "err", err)
-	} else {
+	} else if clientLog.Enabled(obs.LevelInfo) {
 		clientLog.Info(ctx, operation, "endpoint", url, "status", "ok",
 			"dur_ms", span.DurationMS())
 	}
 	return out, err
+}
+
+// instruments returns operation's instruments in reg, looking them up
+// there on the operation's first call and whenever reg has changed.
+func (c *Client) instruments(operation string, reg *obs.Registry) *instruments {
+	c.mu.RLock()
+	in := c.ops[operation]
+	c.mu.RUnlock()
+	if in != nil && in.reg == reg {
+		return in
+	}
+	in = lookupInstruments(reg, "soap_client_requests_total", "soap_client_latency_ms", "op="+operation)
+	c.mu.Lock()
+	if c.ops == nil {
+		c.ops = map[string]*instruments{}
+	}
+	c.ops[operation] = in
+	c.mu.Unlock()
+	return in
 }
 
 // do renders msg into a pooled envelope and performs one HTTP round trip.

@@ -123,6 +123,47 @@ func TestTraceHeaderPropagation(t *testing.T) {
 	}
 }
 
+// TestInstrumentsFollowObserver: the client and the endpoint resolve an
+// operation's instruments once, but a registry set after the first call
+// (Observer may be assigned after Handle) receives every later call, and
+// an operation the endpoint does not serve leaves no per-op entry.
+func TestInstrumentsFollowObserver(t *testing.T) {
+	ep, srv := newTestEndpoint(t)
+	c := NewClient()
+	first, second := obs.NewRegistry(), obs.NewRegistry()
+	call := func(op string) {
+		t.Helper()
+		_, _ = c.CallContext(context.Background(), srv.URL, op, map[string]string{"x": "a"})
+	}
+	ep.Observer, c.observer = first, first
+	call("echo")
+	ep.Observer, c.observer = second, second
+	call("echo")
+	call("echo")
+	for _, r := range []struct {
+		reg  *obs.Registry
+		want int64
+	}{{first, 1}, {second, 2}} {
+		if got := r.reg.Counter("soap_server_requests_total", "service=Echo", "op=echo").Value(); got != r.want {
+			t.Errorf("server requests in registry: %d, want %d", got, r.want)
+		}
+		if got := r.reg.Counter("soap_client_requests_total", "op=echo").Value(); got != r.want {
+			t.Errorf("client requests in registry: %d, want %d", got, r.want)
+		}
+	}
+	call("noSuchOp")
+	call("noSuchOp")
+	if got := second.Counter("soap_server_requests_total", "service=Echo", "op=noSuchOp").Value(); got != 2 {
+		t.Errorf("unknown op counted %d times, want 2", got)
+	}
+	ep.mu.RLock()
+	_, cached := ep.ops["noSuchOp"]
+	ep.mu.RUnlock()
+	if cached {
+		t.Error("an unknown operation got a per-op entry")
+	}
+}
+
 // TestClientMetrics checks that an injected observer registry receives the
 // request counter, latency histogram and fault-class counter.
 func TestClientMetrics(t *testing.T) {

@@ -29,6 +29,19 @@ type Endpoint struct {
 
 	mu       sync.RWMutex
 	handlers map[string]Handler
+	ops      map[string]*instruments // by registered operation
+}
+
+// instruments is one operation's request counter and latency histogram,
+// looked up in reg once instead of by labelled key on every call.
+type instruments struct {
+	reg      *obs.Registry
+	requests *obs.Counter
+	latency  *obs.Histogram
+}
+
+func lookupInstruments(reg *obs.Registry, requests, latency string, labels ...string) *instruments {
+	return &instruments{reg: reg, requests: reg.Counter(requests, labels...), latency: reg.Histogram(latency, labels...)}
 }
 
 // NewEndpoint returns an empty endpoint for a named service.
@@ -133,8 +146,10 @@ func (e *Endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer reply.release() // Write has copied or sent the bytes by the time it returns
-	serverLog.Info(ctx, msg.Operation, "service", e.ServiceName, "status", "ok",
-		"dur_ms", span.DurationMS())
+	if serverLog.Enabled(obs.LevelInfo) {
+		serverLog.Info(ctx, msg.Operation, "service", e.ServiceName, "status", "ok",
+			"dur_ms", span.DurationMS())
+	}
 	writeEnvelope(w, http.StatusOK, reply.data)
 }
 
@@ -177,12 +192,36 @@ func (e *Endpoint) safeCall(ctx context.Context, operation string, h Handler, pa
 // observe records one request's metrics.
 func (e *Endpoint) observe(operation string, durMS float64, err error) {
 	reg := e.obsReg()
-	svc := "service=" + e.ServiceName
-	reg.Counter("soap_server_requests_total", svc, "op="+operation).Inc()
-	reg.Histogram("soap_server_latency_ms", svc, "op="+operation).Observe(durMS)
+	inst := e.instruments(operation, reg)
+	inst.requests.Inc()
+	inst.latency.Observe(durMS)
 	if err != nil {
-		reg.Counter("soap_server_faults_total", svc, "class="+obs.FaultClass(err)).Inc()
+		reg.Counter("soap_server_faults_total", "service="+e.ServiceName, "class="+obs.FaultClass(err)).Inc()
 	}
+}
+
+// instruments returns operation's instruments in reg. A registered
+// operation's are looked up on its first call and whenever reg has
+// changed (Observer may be set after Handle); an unknown operation's on
+// every call, so that callers cannot grow the table.
+func (e *Endpoint) instruments(operation string, reg *obs.Registry) *instruments {
+	e.mu.RLock()
+	in := e.ops[operation]
+	e.mu.RUnlock()
+	if in != nil && in.reg == reg {
+		return in
+	}
+	in = lookupInstruments(reg, "soap_server_requests_total", "soap_server_latency_ms",
+		"service="+e.ServiceName, "op="+operation)
+	e.mu.Lock()
+	if _, known := e.handlers[operation]; known {
+		if e.ops == nil {
+			e.ops = map[string]*instruments{}
+		}
+		e.ops[operation] = in
+	}
+	e.mu.Unlock()
+	return in
 }
 
 // fault answers with f on HTTP 500, the status SOAP 1.1 gives every fault.

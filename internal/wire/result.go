@@ -175,8 +175,9 @@ func readClusterResult(r *reader) (*ClusterResult, error) {
 			return nil, errf("%d clusters x %d rows of scores exceeds the payload", clusters, rows)
 		}
 		scores = make([][]float64, clusters)
+		slab := columnSlab(r, rows, len(scores))
 		for c := range scores {
-			scores[c] = readColumn(r, rows)
+			scores[c] = readColumn(r, rows, &slab)
 		}
 	}
 	if err := r.End(); err != nil {
@@ -255,7 +256,7 @@ func readRegressResult(r *reader) (*RegressResult, error) {
 	if uint64(rows)*8 > maxBlockBytes {
 		r.Failf("%d rows exceeds payload limit", rows)
 	}
-	vals := readColumn(r, rows)
+	vals := readColumn(r, rows, nil)
 	if err := r.End(); err != nil {
 		return nil, err
 	}

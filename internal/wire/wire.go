@@ -105,56 +105,81 @@ func schemaSize(relation string, attrs []*dataset.Attribute) int {
 	return n
 }
 
-// readSchema parses the schema section, verifying its digest.
+// readSchema reads the schema section and its digest. The block's bytes
+// from its magic through the digest are the key of the dataset package's
+// schema intern table: a block whose key is interned takes its schema
+// from there, a verified copy of those very bytes, and any other is
+// parsed, checked against its digest, and interned. The reader's window
+// must still hold the block from offset 0.
 func readSchema(r *reader) (relation string, classIndex int, attrs []*dataset.Attribute) {
 	start := r.Offset()
-	r.keep = start // the digest covers the section: keep it in the window
+	walkSchema(r)
+	if r.Err() != nil {
+		return "", -1, nil
+	}
+	key := r.Since(0)
+	if s, ok := dataset.LookupSchema(key); ok {
+		return s.Relation, s.ClassIndex, s.Attrs
+	}
+	relation, classIndex, attrs = parseSchema(key[start:])
+	sum := sha256.Sum256(key[start : len(key)-8])
+	switch {
+	case string(key[len(key)-8:]) != string(sum[:8]):
+		r.Failf("schema digest mismatch: payload corrupt")
+	case classIndex >= len(attrs):
+		r.Failf("class index %d out of range for %d attributes", classIndex, len(attrs))
+	default:
+		dataset.InternSchema(string(key), dataset.Schema{Relation: relation, ClassIndex: classIndex, Attrs: attrs})
+	}
+	return relation, classIndex, attrs
+}
+
+// walkSchema reads past the schema section and its digest, making every
+// framing check parseSchema relies on and keeping nothing.
+func walkSchema(r *reader) {
+	r.Take(int(r.U32())) // relation
+	r.U32()              // class index
+	n := r.U32()
+	if n > 1<<20 {
+		r.Failf("attribute count %d exceeds limit", n)
+	}
+	for i := uint32(0); i < n && r.Err() == nil; i++ {
+		name, kind, values := r.Take(int(r.U32())), r.U8(), r.U32()
+		if values > 1<<24 {
+			r.Failf("attribute %q declares %d values", string(name), values)
+		}
+		for v := uint32(0); v < values && r.Err() == nil; v++ {
+			r.Take(int(r.U32()))
+		}
+		if kind > uint8(dataset.String) {
+			r.Failf("unknown attribute kind code %d", kind)
+		}
+	}
+	r.Take(8) // digest
+}
+
+// parseSchema decodes a schema section that walkSchema has read.
+func parseSchema(sec []byte) (relation string, classIndex int, attrs []*dataset.Attribute) {
+	r := rawReader(sec)
 	relation, classIndex = r.Str(), -1
 	if ci := r.U32(); ci != noClass {
 		classIndex = int(ci)
 	}
-	if n := r.U32(); n > 1<<20 {
-		r.Failf("attribute count %d exceeds limit", n)
-	} else {
-		attrs = make([]*dataset.Attribute, 0, min(n, uint32(r.Len()/9)))
-		for i := uint32(0); i < n && r.Err() == nil; i++ {
-			attrs = append(attrs, readAttr(r))
+	attrs = make([]*dataset.Attribute, r.U32())
+	for i := range attrs {
+		name, kind, vals := r.Str(), dataset.Kind(r.U8()), make([]string, r.U32())
+		for v := range vals {
+			vals[v] = r.Str()
+		}
+		switch kind {
+		case dataset.Nominal, dataset.String: // both keep their labels in order
+			attrs[i] = dataset.NewNominalAttribute(name, vals...)
+			attrs[i].Kind = kind
+		default:
+			attrs[i] = dataset.NewNumericAttribute(name)
 		}
 	}
-	if r.Err() == nil {
-		sum := sha256.Sum256(r.Since(start))
-		if digest := r.Take(8); digest != nil && string(digest) != string(sum[:8]) {
-			r.Failf("schema digest mismatch: payload corrupt")
-		}
-	}
-	if classIndex >= len(attrs) {
-		r.Failf("class index %d out of range for %d attributes", classIndex, len(attrs))
-	}
-	r.keep = noKeep
 	return relation, classIndex, attrs
-}
-
-// readAttr parses one attribute of the schema table; it never returns nil.
-func readAttr(r *reader) *dataset.Attribute {
-	name, kind, n := r.Str(), dataset.Kind(r.U8()), r.U32()
-	if n > 1<<24 {
-		r.Failf("attribute %q declares %d values", name, n)
-		n = 0
-	}
-	vals := make([]string, 0, min(n, uint32(r.Len()/4)))
-	for v := uint32(0); v < n && r.Err() == nil; v++ {
-		vals = append(vals, r.Str())
-	}
-	switch kind {
-	case dataset.Nominal, dataset.String: // both keep their labels in order
-		a := dataset.NewNominalAttribute(name, vals...)
-		a.Kind = kind
-		return a
-	case dataset.Numeric:
-	default:
-		r.Failf("unknown attribute kind code %d", kind)
-	}
-	return dataset.NewNumericAttribute(name)
 }
 
 // writeColumn writes a length-prefixed float64 block, a window at a time.
@@ -170,12 +195,18 @@ func writeColumn(w *writer, col []float64) {
 }
 
 // readColumn parses a length-prefixed float64 block of exactly rows
-// values, a window at a time.
-func readColumn(r *reader, rows int) []float64 {
+// values, a window at a time, into the front of *slab when it has room
+// (slab may be nil), else into a slice of its own.
+func readColumn(r *reader, rows int, slab *[]float64) []float64 {
 	if !readPrefix(r, rows, 8, "column") {
 		return nil
 	}
-	col := make([]float64, rows)
+	var col []float64
+	if slab != nil && rows > 0 && len(*slab) >= rows {
+		col, *slab = (*slab)[:rows:rows], (*slab)[rows:]
+	} else {
+		col = make([]float64, rows)
+	}
 	for i := 0; i < rows; {
 		b := r.next(8, rows-i)
 		if b == nil {
@@ -186,6 +217,16 @@ func readColumn(r *reader, rows int) []float64 {
 		}
 	}
 	return col
+}
+
+// columnSlab is storage for n columns of rows values, when what is left
+// of the block could fill it: a corrupt row count must not make the
+// decoder allocate more than the payload holds.
+func columnSlab(r *reader, rows, n int) []float64 {
+	if need := uint64(rows) * uint64(n); need == 0 || 8*need > uint64(r.Len()) {
+		return nil
+	}
+	return make([]float64, rows*n)
 }
 
 // readPrefix reads a u32 byte length, which must be rows*width, and
@@ -371,6 +412,7 @@ func decodeText[T any](s, what string, decode func([]byte) (*T, error)) (*T, err
 }
 
 func readDataset(r *reader) (*dataset.Dataset, error) {
+	r.keep = 0 // readSchema keys the table by the block's head
 	r.Header(magicDataset, version)
 	weighted := false
 	if flags := r.U8(); flags&^flagWeights != 0 {
@@ -379,17 +421,23 @@ func readDataset(r *reader) (*dataset.Dataset, error) {
 		weighted = flags != 0
 	}
 	relation, classIndex, attrs := readSchema(r)
+	r.keep = noKeep
 	rows := int(r.U32())
 	if uint64(rows)*uint64(len(attrs))*8 > maxBlockBytes {
 		r.Failf("%d rows x %d attributes exceeds payload limit", rows, len(attrs))
 	}
 	cols := make([][]float64, len(attrs))
+	n := len(attrs)
+	if weighted {
+		n++
+	}
+	slab := columnSlab(r, rows, n)
 	for j := range cols {
-		cols[j] = readColumn(r, rows)
+		cols[j] = readColumn(r, rows, &slab)
 	}
 	var weights []float64
 	if weighted {
-		weights = readColumn(r, rows)
+		weights = readColumn(r, rows, &slab)
 	}
 	if err := r.End(); err != nil {
 		return nil, err
@@ -512,8 +560,9 @@ func readResult(r *reader) (*Result, error) {
 	rows := int(r.U32())
 	labels := readIndexColumn(r, rows, classCount, false, "label")
 	dists := make([][]float64, len(classes))
+	slab := columnSlab(r, rows, len(dists))
 	for c := range dists {
-		dists[c] = readColumn(r, rows)
+		dists[c] = readColumn(r, rows, &slab)
 	}
 	if err := r.End(); err != nil {
 		return nil, err

@@ -358,7 +358,7 @@ func BenchmarkGeneticSearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cols, err := attrsel.GeneticSearch{Population: 20, Generations: 10, Seed: int64(i)}.
-			Search(&attrsel.CFS{}, d)
+			Search(context.Background(), &attrsel.CFS{}, d)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -105,7 +105,7 @@ func main() {
 		fmt.Sprintf("%d classifiers offered; full protocol exercised (see TestClassifierServiceProtocol)", nAlgo))
 
 	// E9 (§5.3): genetic attribute search.
-	cols, err := attrsel.GeneticSearch{Population: 24, Generations: 15, Seed: 7}.Search(&attrsel.CFS{}, d)
+	cols, err := attrsel.GeneticSearch{Population: 24, Generations: 15, Seed: 7}.Search(context.Background(), &attrsel.CFS{}, d)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		r, err := attrsel.RankAttributes(ev, d)
+		r, err := attrsel.RankAttributes(context.Background(), ev, d)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -40,7 +41,7 @@ func main() {
 	}
 
 	fmt.Println("\n== Genetic search over CFS subsets (§5.3) ==")
-	cols, err := attrsel.GeneticSearch{Population: 24, Generations: 20, Seed: 7}.Search(&attrsel.CFS{}, d)
+	cols, err := attrsel.GeneticSearch{Population: 24, Generations: 20, Seed: 7}.Search(context.Background(), &attrsel.CFS{}, d)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func main() {
 	fmt.Println()
 
 	// Compare against best-first search on the same evaluator.
-	bf, err := attrsel.BestFirst{MaxStale: 5}.Search(&attrsel.CFS{}, d)
+	bf, err := attrsel.BestFirst{MaxStale: 5}.Search(context.Background(), &attrsel.CFS{}, d)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -60,8 +60,9 @@ func main() {
 	// Dispatch each fold through a pool of the nodes' endpoints, which
 	// takes them in turn; a fold that lands on the dead node migrates to a
 	// live one on the pool's retry (resilience.Pool.Do).
-	reg := obs.NewRegistry()
-	pool := resilience.NewPool(endpoints, resilience.WithObserver(reg))
+	retries := obs.Default.Counter("resilience_retries_total")
+	retriesBefore := retries.Value()
+	pool := resilience.NewPool(endpoints)
 	pol := &resilience.Policy{MaxAttempts: len(endpoints), BackoffBase: time.Millisecond}
 	var remote []string
 	for i := 0; i < k; i++ {
@@ -80,7 +81,7 @@ func main() {
 		}
 		remote = append(remote, fmt.Sprintf("%.3f", res.Accuracy))
 	}
-	migrations := reg.Counter("resilience_retries_total").Value()
+	migrations := retries.Value() - retriesBefore
 	fmt.Printf("\n%d fold jobs completed, %d migrated off the dead node\n", k, migrations)
 	fmt.Printf("per-fold remote training accuracies: %s\n", strings.Join(remote, " "))
 

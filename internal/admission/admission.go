@@ -146,13 +146,6 @@ func (c *Controller) HealthStatus() string {
 	return "ok"
 }
 
-// InFlight returns the number of currently executing requests.
-func (c *Controller) InFlight() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.inflight
-}
-
 // rejection describes a request the controller refused.
 type rejection struct {
 	fault      *soap.Fault

@@ -275,8 +275,9 @@ func TestRetryAfterHonored(t *testing.T) {
 	c := NewController(Config{MaxInFlight: 1, MaxQueue: -1, Observer: reg})
 	srv, _ := slowEchoEndpoint(t, c, 40*time.Millisecond)
 
-	poolReg := obs.NewRegistry()
-	pool := resilience.NewPool([]string{srv.URL}, resilience.WithObserver(poolReg))
+	retries := obs.Default.Counter("resilience_retries_total")
+	retriesBefore := retries.Value()
+	pool := resilience.NewPool([]string{srv.URL})
 	client := soap.NewClient()
 	blocker := make(chan struct{})
 	go func() {
@@ -302,7 +303,7 @@ func TestRetryAfterHonored(t *testing.T) {
 		t.Fatalf("retrying pool call should outlast the busy window: %v", err)
 	}
 	<-blocker
-	if got := poolReg.Counter("resilience_retries_total").Value(); got == 0 {
+	if got := retries.Value() - retriesBefore; got == 0 {
 		t.Error("no pool retries counted; the busy fault was not retried")
 	}
 	if hint := resilience.RetryAfter(shed); hint <= 0 || gap < hint {
@@ -407,7 +408,7 @@ func TestInFlightPeakHoldsUnderChurn(t *testing.T) {
 	if g := reg.Gauge("admission_inflight_peak").Value(); g > 1 {
 		t.Errorf("admission_inflight_peak = %d, want <= 1", g)
 	}
-	if n := c.InFlight(); n != 0 {
+	if n := reg.Gauge("admission_inflight").Value(); n != 0 {
 		t.Errorf("%d requests still in flight after every release", n)
 	}
 }

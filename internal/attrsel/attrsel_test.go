@@ -1,6 +1,8 @@
 package attrsel
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/datagen"
@@ -17,7 +19,7 @@ func TestRankersPutNodeCapsFirst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := RankAttributes(ev, d)
+		r, err := RankAttributes(context.Background(), ev, d)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -38,7 +40,7 @@ func TestRankersPutNodeCapsFirst(t *testing.T) {
 func TestReliefFFindsSignal(t *testing.T) {
 	d := datagen.BreastCancer()
 	ev := &reliefF{}
-	r, err := RankAttributes(ev, d)
+	r, err := RankAttributes(context.Background(), ev, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func TestReliefFFindsSignal(t *testing.T) {
 func TestCorrelationNumeric(t *testing.T) {
 	d := datagen.GaussianClusters(2, 200, 2, 8, 3)
 	ev := &correlation{}
-	r, err := RankAttributes(ev, d)
+	r, err := RankAttributes(context.Background(), ev, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func TestCorrelationNumeric(t *testing.T) {
 func TestGeneticSearchSelectsNodeCaps(t *testing.T) {
 	d := datagen.BreastCancer()
 	ev := &CFS{}
-	cols, err := GeneticSearch{Population: 24, Generations: 15, Seed: 7}.Search(ev, d)
+	cols, err := GeneticSearch{Population: 24, Generations: 15, Seed: 7}.Search(context.Background(), ev, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +93,9 @@ func TestSearchesAgreeOnStrongSignal(t *testing.T) {
 	for _, s := range []Search{greedyForward{}, BestFirst{MaxStale: 5},
 		GeneticSearch{Seed: 3}, randomSearch{}} {
 		ev := &CFS{}
-		cols, err := s.Search(ev, d)
+		cols, err := s.Search(context.Background(), ev, d)
 		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
+			t.Fatalf("%T: %v", s, err)
 		}
 		found := false
 		for _, c := range cols {
@@ -106,7 +108,7 @@ func TestSearchesAgreeOnStrongSignal(t *testing.T) {
 			for _, c := range cols {
 				names = append(names, d.Attrs[c].Name)
 			}
-			t.Fatalf("%s selected %v without node-caps", s.Name(), names)
+			t.Fatalf("%T selected %v without node-caps", s, names)
 		}
 	}
 }
@@ -114,7 +116,7 @@ func TestSearchesAgreeOnStrongSignal(t *testing.T) {
 func TestGreedyBackwardKeepsMerit(t *testing.T) {
 	d := datagen.BreastCancer()
 	ev := &CFS{}
-	cols, err := greedyBackward{}.Search(ev, d)
+	cols, err := greedyBackward{}.Search(context.Background(), ev, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func TestGreedyBackwardKeepsMerit(t *testing.T) {
 func TestExhaustiveOnSmallData(t *testing.T) {
 	d := datagen.Weather()
 	ev := &CFS{}
-	cols, err := exhaustive{}.Search(ev, d)
+	cols, err := exhaustive{}.Search(context.Background(), ev, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +139,7 @@ func TestExhaustiveOnSmallData(t *testing.T) {
 	if err := ev.Prepare(d); err != nil {
 		t.Fatal(err)
 	}
-	best, err := ev.EvaluateSubset(cols)
+	best, err := ev.EvaluateSubset(context.Background(), cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +150,7 @@ func TestExhaustiveOnSmallData(t *testing.T) {
 				set = append(set, i)
 			}
 		}
-		m, err := ev.EvaluateSubset(set)
+		m, err := ev.EvaluateSubset(context.Background(), set)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +162,7 @@ func TestExhaustiveOnSmallData(t *testing.T) {
 
 func TestExhaustiveGuardsWidth(t *testing.T) {
 	d := datagen.RandomNominal(10, 25, 2, 0, 1)
-	if _, err := (exhaustive{}).Search(&consistency{}, d); err == nil {
+	if _, err := (exhaustive{}).Search(context.Background(), &consistency{}, d); err == nil {
 		t.Fatal("25-attribute exhaustive search accepted")
 	}
 }
@@ -172,11 +174,11 @@ func TestWrapperEvaluator(t *testing.T) {
 		t.Fatal(err)
 	}
 	// node-caps alone should beat breast alone.
-	strong, err := w.EvaluateSubset([]int{4})
+	strong, err := w.EvaluateSubset(context.Background(), []int{4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	weak, err := w.EvaluateSubset([]int{6})
+	weak, err := w.EvaluateSubset(context.Background(), []int{6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +194,7 @@ func TestConsistencyEvaluator(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The full attribute set determines the class exactly.
-	full, err := c.EvaluateSubset([]int{0, 1, 2, 3})
+	full, err := c.EvaluateSubset(context.Background(), []int{0, 1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +202,7 @@ func TestConsistencyEvaluator(t *testing.T) {
 		t.Fatalf("full-set consistency = %v, want 1", full)
 	}
 	// A single weak attribute cannot be fully consistent.
-	one, _ := c.EvaluateSubset([]int{0})
+	one, _ := c.EvaluateSubset(context.Background(), []int{0})
 	if one >= full {
 		t.Fatalf("single-attribute consistency %v >= full %v", one, full)
 	}
@@ -258,8 +260,8 @@ func TestRankerAdapterPrefersSmallSubsets(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Adding a noise attribute to {node-caps} should lower the mean merit.
-	strong, _ := ra.EvaluateSubset([]int{4})
-	mixed, _ := ra.EvaluateSubset([]int{4, 6})
+	strong, _ := ra.EvaluateSubset(context.Background(), []int{4})
+	mixed, _ := ra.EvaluateSubset(context.Background(), []int{4, 6})
 	if mixed >= strong {
 		t.Fatalf("mean-merit adapter: %v >= %v", mixed, strong)
 	}
@@ -279,55 +281,45 @@ func TestEvaluatorRequiresNominalClass(t *testing.T) {
 }
 
 func TestNamesAreStable(t *testing.T) {
-	// Name() strings are the public identifiers the services use; pin them.
-	want := map[string]string{}
-	for _, n := range []string{"InfoGain", "GainRatio", "SymmetricalUncertainty",
-		"ChiSquared", "OneRAccuracy", "Correlation", "ReliefF"} {
-		ev, err := NewAttributeEvaluator(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[n] = ev.Name()
-	}
-	for n, got := range want {
-		if got != n {
-			t.Errorf("evaluator %q reports Name() %q", n, got)
-		}
-	}
-	for _, n := range []string{"CfsSubset", "ConsistencySubset", "WrapperSubset"} {
-		ev, err := NewSubsetEvaluator(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ev.Name() != n {
-			t.Errorf("subset evaluator %q reports %q", n, ev.Name())
+	// The constructor names are the public identifiers the services and
+	// Approaches use; pin each to the implementation it stands for,
+	// down to a mean-merit adapter's inner ranker.
+	for n, want := range map[string]AttributeEvaluator{
+		"InfoGain":               &infoGain{},
+		"GainRatio":              &gainRatio{},
+		"SymmetricalUncertainty": &symmetricalUncertainty{},
+		"ChiSquared":             &chiSquared{},
+		"OneRAccuracy":           &oneRAccuracy{},
+		"Correlation":            &correlation{},
+		"ReliefF":                &reliefF{},
+	} {
+		if got, err := NewAttributeEvaluator(n); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("attribute evaluator %q = %#v (err %v), want %#v", n, got, err, want)
 		}
 	}
-	adapters := map[string]string{
-		"InfoGain+mean":               "InfoGain+mean",
-		"GainRatio+mean":              "GainRatio+mean",
-		"SymmetricalUncertainty+mean": "SymmetricalUncertainty+mean",
-		"ChiSquared+mean":             "ChiSquared+mean",
-	}
-	for n, wantName := range adapters {
-		ev, err := NewSubsetEvaluator(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ev.Name() != wantName {
-			t.Errorf("adapter %q reports %q", n, ev.Name())
+	for n, want := range map[string]SubsetEvaluator{
+		"CfsSubset":                   &CFS{},
+		"ConsistencySubset":           &consistency{},
+		"WrapperSubset":               &wrapper{},
+		"InfoGain+mean":               &rankerAdapter{Inner: &infoGain{}},
+		"GainRatio+mean":              &rankerAdapter{Inner: &gainRatio{}},
+		"SymmetricalUncertainty+mean": &rankerAdapter{Inner: &symmetricalUncertainty{}},
+		"ChiSquared+mean":             &rankerAdapter{Inner: &chiSquared{}},
+	} {
+		if got, err := NewSubsetEvaluator(n); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("subset evaluator %q = %#v (err %v), want %#v", n, got, err, want)
 		}
 	}
-	searches := map[string]Search{}
-	for _, n := range []string{"BestFirst", "GreedyStepwise(forward)",
-		"GreedyStepwise(backward)", "GeneticSearch", "RandomSearch", "Exhaustive"} {
-		s, err := NewSearch(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		searches[n] = s
-		if s.Name() != n {
-			t.Errorf("search %q reports %q", n, s.Name())
+	for n, want := range map[string]Search{
+		"BestFirst":                BestFirst{},
+		"GreedyStepwise(forward)":  greedyForward{},
+		"GreedyStepwise(backward)": greedyBackward{},
+		"GeneticSearch":            GeneticSearch{},
+		"RandomSearch":             randomSearch{},
+		"Exhaustive":               exhaustive{},
+	} {
+		if got, err := NewSearch(n); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("search %q = %#v (err %v), want %#v", n, got, err, want)
 		}
 	}
 }
@@ -341,7 +333,7 @@ func TestEvaluatorsOnNumericData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := RankAttributes(ev, d)
+		r, err := RankAttributes(context.Background(), ev, d)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -357,14 +349,14 @@ func TestWrapperDefaultFactory(t *testing.T) {
 	if err := w.Prepare(d); err != nil {
 		t.Fatal(err)
 	}
-	m, err := w.EvaluateSubset([]int{0, 2})
+	m, err := w.EvaluateSubset(context.Background(), []int{0, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m <= 0 || m > 1 {
 		t.Fatalf("wrapper merit = %v", m)
 	}
-	if m2, _ := w.EvaluateSubset(nil); m2 != 0 {
+	if m2, _ := w.EvaluateSubset(context.Background(), nil); m2 != 0 {
 		t.Fatalf("empty subset merit = %v", m2)
 	}
 }

@@ -2,6 +2,7 @@ package attrsel
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -37,7 +38,7 @@ func TestSearchDeterminismAcrossProcs(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				cols, err := s.Search(e, d)
+				cols, err := s.Search(context.Background(), e, d)
 				if err != nil {
 					return nil, fmt.Errorf("%s/%s: %w", eval, search, err)
 				}
@@ -50,7 +51,7 @@ func TestSearchDeterminismAcrossProcs(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			r, err := RankAttributes(ev, d)
+			r, err := RankAttributes(context.Background(), ev, d)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", name, err)
 			}
@@ -95,5 +96,64 @@ func TestSearchDeterminismAcrossProcs(t *testing.T) {
 	})
 	for i := range got {
 		check(fmt.Sprintf("contended copy %d", i), got[i], err)
+	}
+}
+
+// countingEval is CfsSubset that counts its evaluations and cancels its
+// search's context on evaluation number at.
+type countingEval struct {
+	CFS
+	at     int
+	cancel context.CancelFunc
+	calls  int
+}
+
+func (e *countingEval) EvaluateSubset(ctx context.Context, cols []int) (float64, error) {
+	e.calls++
+	if e.calls == e.at {
+		e.cancel()
+	}
+	return e.CFS.EvaluateSubset(ctx, cols)
+}
+
+// TestSearchStopsWhenCancelled: a search whose context is done evaluates
+// no further subset and returns the context's error, whether the context
+// was done before the search began or ended between two evaluations (a
+// request deadline passing mid-search). At GOMAXPROCS 1 every scan runs
+// inline, so the count is exact.
+func TestSearchStopsWhenCancelled(t *testing.T) {
+	d := datagen.BreastCancer()
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	for _, name := range []string{"BestFirst", "GreedyStepwise(forward)", "GreedyStepwise(backward)",
+		"GeneticSearch", "RandomSearch", "Exhaustive"} {
+		s, err := NewSearch(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, at := range []int{0, 3} {
+			ctx, cancel := context.WithCancel(context.Background())
+			if at == 0 {
+				cancel()
+			}
+			e := &countingEval{at: at, cancel: cancel}
+			_, err := s.Search(ctx, e, d)
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s cancelled at evaluation %d: error %v, want %v", name, at, err, context.Canceled)
+			}
+			if e.calls != at {
+				t.Errorf("%s cancelled at evaluation %d: %d evaluations", name, at, e.calls)
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ev, err := NewAttributeEvaluator("InfoGain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RankAttributes(ctx, ev, d); !errors.Is(err, context.Canceled) {
+		t.Errorf("RankAttributes under a cancelled context: error %v, want %v", err, context.Canceled)
 	}
 }

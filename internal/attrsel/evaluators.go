@@ -7,6 +7,7 @@
 package attrsel
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -17,7 +18,6 @@ import (
 
 // AttributeEvaluator scores individual attributes against the class.
 type AttributeEvaluator interface {
-	Name() string
 	// Prepare precomputes statistics over the dataset.
 	Prepare(d *dataset.Dataset) error
 	// Evaluate returns the merit of attribute col (higher is better).
@@ -26,10 +26,11 @@ type AttributeEvaluator interface {
 
 // SubsetEvaluator scores attribute subsets.
 type SubsetEvaluator interface {
-	Name() string
 	Prepare(d *dataset.Dataset) error
 	// EvaluateSubset returns the merit of the subset (higher is better).
-	EvaluateSubset(cols []int) (float64, error)
+	// An evaluator whose work is long (WrapperSubset's cross-validation)
+	// stops when ctx is done.
+	EvaluateSubset(ctx context.Context, cols []int) (float64, error)
 }
 
 // ---------- contingency-table helpers ----------
@@ -140,9 +141,6 @@ func sum(xs []float64) float64 {
 // infoGain ranks attributes by information gain.
 type infoGain struct{ d *dataset.Dataset }
 
-// Name implements AttributeEvaluator.
-func (e *infoGain) Name() string { return "InfoGain" }
-
 // Prepare implements AttributeEvaluator.
 func (e *infoGain) Prepare(d *dataset.Dataset) error { e.d = d; return nil }
 
@@ -158,9 +156,6 @@ func (e *infoGain) Evaluate(col int) (float64, error) {
 
 // gainRatio ranks attributes by C4.5's gain ratio.
 type gainRatio struct{ d *dataset.Dataset }
-
-// Name implements AttributeEvaluator.
-func (e *gainRatio) Name() string { return "GainRatio" }
 
 // Prepare implements AttributeEvaluator.
 func (e *gainRatio) Prepare(d *dataset.Dataset) error { e.d = d; return nil }
@@ -181,9 +176,6 @@ func (e *gainRatio) Evaluate(col int) (float64, error) {
 // symmetricalUncertainty ranks attributes by 2*gain/(H(A)+H(C)).
 type symmetricalUncertainty struct{ d *dataset.Dataset }
 
-// Name implements AttributeEvaluator.
-func (e *symmetricalUncertainty) Name() string { return "SymmetricalUncertainty" }
-
 // Prepare implements AttributeEvaluator.
 func (e *symmetricalUncertainty) Prepare(d *dataset.Dataset) error { e.d = d; return nil }
 
@@ -203,9 +195,6 @@ func (e *symmetricalUncertainty) Evaluate(col int) (float64, error) {
 // chiSquared ranks attributes by the chi-squared statistic of their
 // contingency table with the class.
 type chiSquared struct{ d *dataset.Dataset }
-
-// Name implements AttributeEvaluator.
-func (e *chiSquared) Name() string { return "ChiSquared" }
 
 // Prepare implements AttributeEvaluator.
 func (e *chiSquared) Prepare(d *dataset.Dataset) error { e.d = d; return nil }
@@ -247,9 +236,6 @@ func (e *chiSquared) Evaluate(col int) (float64, error) {
 // built on it alone.
 type oneRAccuracy struct{ d *dataset.Dataset }
 
-// Name implements AttributeEvaluator.
-func (e *oneRAccuracy) Name() string { return "OneRAccuracy" }
-
 // Prepare implements AttributeEvaluator.
 func (e *oneRAccuracy) Prepare(d *dataset.Dataset) error { e.d = d; return nil }
 
@@ -283,9 +269,6 @@ type correlation struct {
 	d  *dataset.Dataset
 	su *symmetricalUncertainty
 }
-
-// Name implements AttributeEvaluator.
-func (e *correlation) Name() string { return "Correlation" }
 
 // Prepare implements AttributeEvaluator.
 func (e *correlation) Prepare(d *dataset.Dataset) error {
@@ -338,9 +321,6 @@ type reliefF struct {
 	d    *dataset.Dataset
 	span []float64
 }
-
-// Name implements AttributeEvaluator.
-func (e *reliefF) Name() string { return "ReliefF" }
 
 // Prepare implements AttributeEvaluator.
 func (e *reliefF) Prepare(d *dataset.Dataset) error {

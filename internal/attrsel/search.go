@@ -12,10 +12,10 @@ import (
 
 // Search explores the space of attribute subsets with a subset evaluator.
 type Search interface {
-	Name() string
 	// Search returns the selected attribute columns (class excluded),
-	// sorted ascending.
-	Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, error)
+	// sorted ascending. It evaluates no subset once ctx is done, and then
+	// returns ctx.Err().
+	Search(ctx context.Context, eval SubsetEvaluator, d *dataset.Dataset) ([]int, error)
 }
 
 // candidateColumns lists the selectable columns of d.
@@ -40,8 +40,9 @@ type Ranking struct {
 // evaluator and returns them best-first — the Ranker search. Columns are
 // scored across the machine's CPUs; every merit lands in its column's slot
 // and the stable sort runs over the same values in the same order, so the
-// ranking is identical to a sequential scan.
-func RankAttributes(eval AttributeEvaluator, d *dataset.Dataset) (Ranking, error) {
+// ranking is identical to a sequential scan. No column is scored once
+// ctx is done.
+func RankAttributes(ctx context.Context, eval AttributeEvaluator, d *dataset.Dataset) (Ranking, error) {
 	if err := eval.Prepare(d); err != nil {
 		return Ranking{}, err
 	}
@@ -51,7 +52,7 @@ func RankAttributes(eval AttributeEvaluator, d *dataset.Dataset) (Ranking, error
 		merit float64
 	}
 	ss := make([]scored, len(cols))
-	err := parallel.ForEach(context.Background(), len(cols), func(i int) error {
+	err := parallel.ForEach(ctx, len(cols), func(i int) error {
 		m, err := eval.Evaluate(cols[i])
 		if err != nil {
 			return err
@@ -77,11 +78,11 @@ func RankAttributes(eval AttributeEvaluator, d *dataset.Dataset) (Ranking, error
 // callers reduce in candidate order — a parallel search therefore visits
 // improvements in exactly the sequence the sequential loop did, and on
 // failure the lowest-indexed error is returned, matching the sequential
-// loop's first error.
-func evalSubsets(eval SubsetEvaluator, sets [][]int) ([]float64, error) {
+// loop's first error. No subset is evaluated once ctx is done.
+func evalSubsets(ctx context.Context, eval SubsetEvaluator, sets [][]int) ([]float64, error) {
 	merits := make([]float64, len(sets))
-	err := parallel.ForEach(context.Background(), len(sets), func(i int) error {
-		m, err := eval.EvaluateSubset(sets[i])
+	err := parallel.ForEach(ctx, len(sets), func(i int) error {
+		m, err := eval.EvaluateSubset(ctx, sets[i])
 		if err != nil {
 			return err
 		}
@@ -100,11 +101,8 @@ func evalSubsets(eval SubsetEvaluator, sets [][]int) ([]float64, error) {
 // at any GOMAXPROCS.
 type greedyForward struct{}
 
-// Name implements Search.
-func (greedyForward) Name() string { return "GreedyStepwise(forward)" }
-
 // Search implements Search.
-func (greedyForward) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
+func (greedyForward) Search(ctx context.Context, eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
 	if err := eval.Prepare(d); err != nil {
 		return nil, err
 	}
@@ -120,7 +118,7 @@ func (greedyForward) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, er
 			}
 			trials = append(trials, append(append([]int(nil), current...), c))
 		}
-		merits, err := evalSubsets(eval, trials)
+		merits, err := evalSubsets(ctx, eval, trials)
 		if err != nil {
 			return nil, err
 		}
@@ -150,19 +148,17 @@ func (greedyForward) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, er
 // did.
 type greedyBackward struct{}
 
-// Name implements Search.
-func (greedyBackward) Name() string { return "GreedyStepwise(backward)" }
-
 // Search implements Search.
-func (greedyBackward) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
+func (greedyBackward) Search(ctx context.Context, eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
 	if err := eval.Prepare(d); err != nil {
 		return nil, err
 	}
 	current := candidateColumns(d)
-	best, err := eval.EvaluateSubset(current)
+	start, err := evalSubsets(ctx, eval, [][]int{current})
 	if err != nil {
 		return nil, err
 	}
+	best := start[0]
 	for len(current) > 1 {
 		trials := make([][]int, len(current))
 		for i := range current {
@@ -171,7 +167,7 @@ func (greedyBackward) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, e
 			trial = append(trial, current[i+1:]...)
 			trials[i] = trial
 		}
-		merits, err := evalSubsets(eval, trials)
+		merits, err := evalSubsets(ctx, eval, trials)
 		if err != nil {
 			return nil, err
 		}
@@ -201,11 +197,8 @@ type BestFirst struct {
 	MaxStale int
 }
 
-// Name implements Search.
-func (BestFirst) Name() string { return "BestFirst" }
-
 // Search implements Search.
-func (b BestFirst) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
+func (b BestFirst) Search(ctx context.Context, eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
 	if err := eval.Prepare(d); err != nil {
 		return nil, err
 	}
@@ -253,7 +246,7 @@ func (b BestFirst) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, erro
 			visited[k] = true
 			children = append(children, child)
 		}
-		merits, err := evalSubsets(eval, children)
+		merits, err := evalSubsets(ctx, eval, children)
 		if err != nil {
 			return nil, err
 		}
@@ -296,11 +289,8 @@ const randomTrials = 100
 // scan would have kept.
 type randomSearch struct{}
 
-// Name implements Search.
-func (randomSearch) Name() string { return "RandomSearch" }
-
 // Search implements Search.
-func (randomSearch) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
+func (randomSearch) Search(ctx context.Context, eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
 	if err := eval.Prepare(d); err != nil {
 		return nil, err
 	}
@@ -319,7 +309,7 @@ func (randomSearch) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, err
 		}
 		trials = append(trials, set)
 	}
-	merits, err := evalSubsets(eval, trials)
+	merits, err := evalSubsets(ctx, eval, trials)
 	if err != nil {
 		return nil, err
 	}
@@ -341,11 +331,8 @@ func (randomSearch) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, err
 // of candidate slices.
 type exhaustive struct{}
 
-// Name implements Search.
-func (exhaustive) Name() string { return "Exhaustive" }
-
 // Search implements Search.
-func (exhaustive) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
+func (exhaustive) Search(ctx context.Context, eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
 	if err := eval.Prepare(d); err != nil {
 		return nil, err
 	}
@@ -371,7 +358,7 @@ func (exhaustive) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, error
 			}
 			sets = append(sets, set)
 		}
-		merits, err := evalSubsets(eval, sets)
+		merits, err := evalSubsets(ctx, eval, sets)
 		if err != nil {
 			return nil, err
 		}
@@ -408,11 +395,8 @@ const (
 	mutateProb    = 0.033
 )
 
-// Name implements Search.
-func (GeneticSearch) Name() string { return "GeneticSearch" }
-
 // Search implements Search.
-func (g GeneticSearch) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
+func (g GeneticSearch) Search(ctx context.Context, eval SubsetEvaluator, d *dataset.Dataset) ([]int, error) {
 	if err := eval.Prepare(d); err != nil {
 		return nil, err
 	}
@@ -445,8 +429,11 @@ func (g GeneticSearch) Search(eval SubsetEvaluator, d *dataset.Dataset) ([]int, 
 	// each fitness into its genome's slot (an empty subset scores 0).
 	scoreAll := func(batch []genome) error {
 		for i := range batch {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			if set := decode(batch[i].bits); len(set) > 0 {
-				f, err := eval.EvaluateSubset(set)
+				f, err := eval.EvaluateSubset(ctx, set)
 				if err != nil {
 					return err
 				}

@@ -23,9 +23,6 @@ type CFS struct {
 	pairSU map[[2]int]float64
 }
 
-// Name implements SubsetEvaluator.
-func (e *CFS) Name() string { return "CfsSubset" }
-
 // Prepare implements SubsetEvaluator.
 func (e *CFS) Prepare(d *dataset.Dataset) error {
 	if d.NumClasses() == 0 {
@@ -84,7 +81,7 @@ func (e *CFS) attrPairSU(a, b int) float64 {
 }
 
 // EvaluateSubset implements SubsetEvaluator.
-func (e *CFS) EvaluateSubset(cols []int) (float64, error) {
+func (e *CFS) EvaluateSubset(ctx context.Context, cols []int) (float64, error) {
 	if len(cols) == 0 {
 		return 0, nil
 	}
@@ -127,9 +124,6 @@ type wrapper struct {
 	d *dataset.Dataset
 }
 
-// Name implements SubsetEvaluator.
-func (e *wrapper) Name() string { return "WrapperSubset" }
-
 // Prepare implements SubsetEvaluator.
 func (e *wrapper) Prepare(d *dataset.Dataset) error {
 	if d.NumClasses() == 0 {
@@ -140,7 +134,7 @@ func (e *wrapper) Prepare(d *dataset.Dataset) error {
 }
 
 // EvaluateSubset implements SubsetEvaluator.
-func (e *wrapper) EvaluateSubset(cols []int) (float64, error) {
+func (e *wrapper) EvaluateSubset(ctx context.Context, cols []int) (float64, error) {
 	if len(cols) == 0 {
 		return 0, nil
 	}
@@ -148,7 +142,7 @@ func (e *wrapper) EvaluateSubset(cols []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ev, err := classify.CrossValidateContext(context.Background(),
+	ev, err := classify.CrossValidateContext(ctx,
 		func() classify.Classifier { return &classify.NaiveBayes{} }, proj, wrapperFolds, wrapperSeed)
 	if err != nil {
 		return 0, err
@@ -163,9 +157,6 @@ type consistency struct {
 	d *dataset.Dataset
 }
 
-// Name implements SubsetEvaluator.
-func (e *consistency) Name() string { return "ConsistencySubset" }
-
 // Prepare implements SubsetEvaluator.
 func (e *consistency) Prepare(d *dataset.Dataset) error {
 	if d.NumClasses() == 0 {
@@ -176,7 +167,7 @@ func (e *consistency) Prepare(d *dataset.Dataset) error {
 }
 
 // EvaluateSubset implements SubsetEvaluator.
-func (e *consistency) EvaluateSubset(cols []int) (float64, error) {
+func (e *consistency) EvaluateSubset(ctx context.Context, cols []int) (float64, error) {
 	if len(cols) == 0 {
 		return 0, nil
 	}
@@ -252,16 +243,13 @@ type rankerAdapter struct {
 	Inner AttributeEvaluator
 }
 
-// Name implements SubsetEvaluator.
-func (e *rankerAdapter) Name() string { return e.Inner.Name() + "+mean" }
-
 // Prepare implements SubsetEvaluator.
 func (e *rankerAdapter) Prepare(d *dataset.Dataset) error {
 	return e.Inner.Prepare(d)
 }
 
 // EvaluateSubset implements SubsetEvaluator.
-func (e *rankerAdapter) EvaluateSubset(cols []int) (float64, error) {
+func (e *rankerAdapter) EvaluateSubset(ctx context.Context, cols []int) (float64, error) {
 	if len(cols) == 0 {
 		return 0, nil
 	}

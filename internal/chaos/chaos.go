@@ -119,8 +119,6 @@ var chaosLog = obs.L("chaos")
 // Injector applies rules to requests passing through Wrap. The nil
 // *Injector injects nothing, so wiring can be unconditional.
 type Injector struct {
-	// Observer receives injection counters; nil means obs.Default.
-	Observer *obs.Registry
 	// AllowHeaderFromAnyPeer honors the X-DM-Chaos header regardless of
 	// the peer address. Off (the default) the header is honored only for
 	// requests from loopback peers, so a production deployment cannot
@@ -141,13 +139,6 @@ func New(seed int64, rules ...Rule) *Injector {
 		seed = 1
 	}
 	return &Injector{rules: rules, rng: rand.New(rand.NewSource(seed))}
-}
-
-func (inj *Injector) obsReg() *obs.Registry {
-	if inj.Observer != nil {
-		return inj.Observer
-	}
-	return obs.Default
 }
 
 // roll reports whether an injection with probability rate fires. Rates
@@ -187,7 +178,7 @@ func (inj *Injector) headerAllowed(r *http.Request) bool {
 func (inj *Injector) ruleFor(r *http.Request) (Rule, bool) {
 	if h := r.Header.Get(headerName); h != "" {
 		if !inj.headerAllowed(r) {
-			inj.obsReg().Counter("chaos_header_denied_total").Inc()
+			obs.Default.Counter("chaos_header_denied_total").Inc()
 			chaosLog.Warn(r.Context(), "header_denied", "peer", r.RemoteAddr)
 		} else if rule, err := parseRule(h); err == nil {
 			return rule, true
@@ -213,7 +204,7 @@ func (inj *Injector) count(kind, op string) {
 	if op == "" {
 		op = "unknown"
 	}
-	inj.obsReg().Counter("chaos_injections_total", "kind="+kind, "op="+op).Inc()
+	obs.Default.Counter("chaos_injections_total", "kind="+kind, "op="+op).Inc()
 }
 
 // Wrap returns next with fault injection in front of it.

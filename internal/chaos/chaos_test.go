@@ -50,9 +50,9 @@ func echoEndpoint(t *testing.T, inj *Injector) (string, *soap.Client) {
 }
 
 func TestInjectFault(t *testing.T) {
-	reg := obs.NewRegistry()
+	injected := obs.Default.Counter("chaos_injections_total", "kind=fault", "op=ping")
+	before := injected.Value()
 	inj := New(1, Rule{Op: "ping", FaultRate: 1})
-	inj.Observer = reg
 	url, client := echoEndpoint(t, inj)
 	_, err := client.CallContext(context.Background(), url, "ping", map[string]string{"v": "x"})
 	var f *soap.Fault
@@ -62,14 +62,13 @@ func TestInjectFault(t *testing.T) {
 	if !strings.Contains(f.String, "chaos") {
 		t.Fatalf("fault string %q does not identify the injection", f.String)
 	}
-	if got := reg.Counter("chaos_injections_total", "kind=fault", "op=ping").Value(); got != 1 {
-		t.Fatalf("injection counter = %d, want 1", got)
+	if got := injected.Value() - before; got != 1 {
+		t.Fatalf("injection counter rose by %d, want 1", got)
 	}
 }
 
 func TestOpScopedRulePassesOtherOps(t *testing.T) {
 	inj := New(1, Rule{Op: "someOtherOp", FaultRate: 1})
-	inj.Observer = obs.NewRegistry()
 	url, client := echoEndpoint(t, inj)
 	out, err := client.CallContext(context.Background(), url, "ping", map[string]string{"v": "ok"})
 	if err != nil {
@@ -82,7 +81,6 @@ func TestOpScopedRulePassesOtherOps(t *testing.T) {
 
 func TestInjectDropIsTransportError(t *testing.T) {
 	inj := New(1, Rule{DropRate: 1})
-	inj.Observer = obs.NewRegistry()
 	url, client := echoEndpoint(t, inj)
 	_, err := client.CallContext(context.Background(), url, "ping", nil)
 	if err == nil {
@@ -96,7 +94,6 @@ func TestInjectDropIsTransportError(t *testing.T) {
 
 func TestInjectTruncateYieldsRetryableFault(t *testing.T) {
 	inj := New(1, Rule{TruncateRate: 1})
-	inj.Observer = obs.NewRegistry()
 	url, client := echoEndpoint(t, inj)
 	_, err := client.CallContext(context.Background(), url, "ping", map[string]string{"v": "x"})
 	// The client maps an unparseable 2xx body to a soap:Server fault so
@@ -109,7 +106,6 @@ func TestInjectTruncateYieldsRetryableFault(t *testing.T) {
 
 func TestInjectLatency(t *testing.T) {
 	inj := New(1, Rule{Latency: 80 * time.Millisecond})
-	inj.Observer = obs.NewRegistry()
 	url, client := echoEndpoint(t, inj)
 	start := time.Now()
 	if _, err := client.CallContext(context.Background(), url, "ping", nil); err != nil {
@@ -122,9 +118,9 @@ func TestInjectLatency(t *testing.T) {
 
 func TestHeaderOverride(t *testing.T) {
 	// No configured rules: only the per-request header injects.
-	reg := obs.NewRegistry()
+	injected := obs.Default.Counter("chaos_injections_total", "kind=fault", "op=ping")
+	before := injected.Value()
 	inj := New(1)
-	inj.Observer = reg
 	url, client := echoEndpoint(t, inj)
 	if _, err := client.CallContext(context.Background(), url, "ping", nil); err != nil {
 		t.Fatalf("clean call failed: %v", err)
@@ -149,8 +145,8 @@ func TestHeaderOverride(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500 from header-forced fault", resp.StatusCode)
 	}
-	if got := reg.Counter("chaos_injections_total", "kind=fault", "op=ping").Value(); got != 1 {
-		t.Fatalf("injection counter = %d, want 1", got)
+	if got := injected.Value() - before; got != 1 {
+		t.Fatalf("injection counter rose by %d, want 1", got)
 	}
 }
 
@@ -159,7 +155,6 @@ func TestHeaderOverride(t *testing.T) {
 func TestDeterministicSequence(t *testing.T) {
 	pattern := func(seed int64) []bool {
 		inj := New(seed, Rule{FaultRate: 0.5})
-		inj.Observer = obs.NewRegistry()
 		var out []bool
 		for i := 0; i < 32; i++ {
 			out = append(out, inj.roll(0.5))

@@ -85,15 +85,15 @@ func TestCrossValidateParallelDeterminism(t *testing.T) {
 // serves for kernel=crossvalidate.
 func TestCrossValidateRecordsKernelMetrics(t *testing.T) {
 	runs := obs.Default.Counter("kernel_runs_total", "kernel=crossvalidate")
-	ms := obs.Default.Histogram("kernel_ms", "kernel=crossvalidate")
-	runsBefore, msBefore := runs.Value(), ms.Count()
+	ms := obs.Key("kernel_ms", "kernel=crossvalidate")
+	runsBefore, msBefore := runs.Value(), obs.Default.Snapshot().Histograms[ms].Count
 	if _, err := CrossValidateContext(context.Background(), func() Classifier { return &NaiveBayes{} }, datagen.Weather(), 3, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := runs.Value() - runsBefore; got != 1 {
 		t.Fatalf("kernel_runs_total rose by %d, want 1", got)
 	}
-	if got := ms.Count() - msBefore; got != 1 {
+	if got := obs.Default.Snapshot().Histograms[ms].Count - msBefore; got != 1 {
 		t.Fatalf("kernel_ms took %d observations, want 1", got)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/arff"
 	"repro/internal/dataset"
@@ -48,13 +47,12 @@ func optionsPart(parts map[string]string, opts map[string]string) error {
 	return nil
 }
 
-// ClusterBatchOptions names the inputs of a clusterBatch call.
+// ClusterBatchOptions names the inputs of a clusterBatch call. The
+// clusterer is built on the batch itself; the service's separate
+// dataset part is reached through Client.Raw.
 type ClusterBatchOptions struct {
 	// Batch holds the rows to assign; it ships as one dmb1 block.
-	Batch *dataset.Dataset
-	// Train, when non-nil, is the build set (sent as ARFF). Nil builds
-	// the clusterer on the batch itself.
-	Train     *dataset.Dataset
+	Batch     *dataset.Dataset
 	Clusterer string
 	Options   map[string]string
 }
@@ -82,9 +80,6 @@ func (c *Client) ClusterBatch(ctx context.Context, o ClusterBatchOptions) (*Clus
 	if err := batchPart(parts, o.Batch); err != nil {
 		return nil, err
 	}
-	if o.Train != nil {
-		parts[services.PartDataset] = arff.Format(o.Train)
-	}
 	if err := optionsPart(parts, o.Options); err != nil {
 		return nil, err
 	}
@@ -109,14 +104,15 @@ func (c *Client) ClusterBatch(ctx context.Context, o ClusterBatchOptions) (*Clus
 	}, nil
 }
 
-// RegressBatchOptions names the inputs of a regressBatch call.
+// RegressBatchOptions names the inputs of a regressBatch call. The
+// regressor runs with its defaults; the service's options part is
+// reached through Client.Raw.
 type RegressBatchOptions struct {
 	// Train is the training set (sent as ARFF); required.
 	Train *dataset.Dataset
 	// Batch holds the rows to predict; it ships as one dmb1 block.
 	Batch     *dataset.Dataset
 	Regressor string
-	Options   map[string]string
 	// Target optionally names the numeric attribute to predict; blank
 	// uses Train's designated class attribute.
 	Target string
@@ -149,9 +145,6 @@ func (c *Client) RegressBatch(ctx context.Context, o RegressBatchOptions) (*Regr
 	if o.Target != "" {
 		parts[services.PartAttribute] = o.Target
 	}
-	if err := optionsPart(parts, o.Options); err != nil {
-		return nil, err
-	}
 	out, err := c.call(ctx, c.Endpoint("Regressor"), "regressBatch", parts)
 	if err != nil {
 		return nil, err
@@ -174,7 +167,10 @@ func (c *Client) RegressBatch(ctx context.Context, o RegressBatchOptions) (*Regr
 // FilterBatchOptions names the inputs of a filterBatch call. Provide the
 // rows either as a Dataset (encoded here) or as the Payload of a
 // previous FilterBatchResult — chaining payloads keeps a multi-hop
-// pipeline binary end to end, never materialising ARFF text.
+// pipeline binary end to end, never materialising ARFF text. Filters run
+// with the service's defaults; Remove/Keep's attributes part and
+// Discretize's bins and equalFrequency parts are reached through
+// Client.Raw.
 type FilterBatchOptions struct {
 	Dataset *dataset.Dataset
 	// Payload is a base64 dmb1 block to transform, typically the
@@ -182,14 +178,8 @@ type FilterBatchOptions struct {
 	// set.
 	Payload string
 	// Filter names the transformation: Discretize, Normalize,
-	// Standardize, ReplaceMissingValues, Remove or Keep.
+	// Standardize or ReplaceMissingValues.
 	Filter string
-	// Bins and EqualFrequency configure Discretize (zero values use the
-	// service defaults).
-	Bins           int
-	EqualFrequency bool
-	// Attributes configures Remove/Keep.
-	Attributes []string
 }
 
 // FilterBatchResult is a filterBatch reply: the transformed block,
@@ -217,15 +207,6 @@ func (c *Client) FilterBatch(ctx context.Context, o FilterBatchOptions) (*Filter
 		}
 	} else if o.Payload == "" {
 		return nil, fmt.Errorf("dm: FilterBatch needs a dataset or a payload")
-	}
-	if o.Bins > 0 {
-		parts[services.PartBins] = strconv.Itoa(o.Bins)
-	}
-	if o.EqualFrequency {
-		parts[services.PartEqualFrequency] = "true"
-	}
-	if len(o.Attributes) > 0 {
-		parts[services.PartAttributes] = strings.Join(o.Attributes, ",")
 	}
 	out, err := c.call(ctx, c.Endpoint("Filter"), "filterBatch", parts)
 	if err != nil {

@@ -45,14 +45,21 @@ func TestClientBatchPipeline(t *testing.T) {
 	}
 
 	// Hop 2: chain by payload — no re-encode, no ARFF.
-	f2, err := c.FilterBatch(ctx, FilterBatchOptions{
-		Payload: f1.Payload, Filter: "Remove", Attributes: []string{"xa"},
-	})
+	f2, err := c.FilterBatch(ctx, FilterBatchOptions{Payload: f1.Payload, Filter: "Standardize"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f2.Dataset.NumAttributes() != raw.NumAttributes()-1 {
-		t.Fatalf("hop 2 kept %d attributes", f2.Dataset.NumAttributes())
+	wantF2, err := filter.Standardize{}.Apply(wantF1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range wantF2.Instances {
+		for j := range wantF2.Instances[i].Values {
+			if math.Float64bits(f2.Dataset.Instances[i].Values[j]) != math.Float64bits(wantF2.Instances[i].Values[j]) {
+				t.Fatalf("hop 2 row %d col %d: %v, want %v", i, j,
+					f2.Dataset.Instances[i].Values[j], wantF2.Instances[i].Values[j])
+			}
+		}
 	}
 
 	// Cluster the filtered block.

@@ -342,13 +342,9 @@ func (d *Deployment) WSDLURL(service string) string {
 // RegistryURL returns the base URL of the deployment's registry.
 func (d *Deployment) RegistryURL() string { return d.BaseURL + "/registry" }
 
-// Admission exposes the deployment's admission controller (state,
-// in-flight count) for probes and tests.
-func (d *Deployment) Admission() *admission.Controller { return d.adm }
-
 // ModelStore exposes the deployment's durable snapshot store (nil unless
-// WithModelStore was given) for inspection and the failover drill's
-// per-replica hit assertions.
+// WithModelStore was given), for inspection and for a second harness
+// pool over the same store.
 func (d *Deployment) ModelStore() *store.Store { return d.modelStore }
 
 // Close shuts the deployment down gracefully, in the order that keeps

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/soap"
 )
@@ -39,6 +40,7 @@ func TestCloseDrainsGracefully(t *testing.T) {
 		t.Fatal("deployment did not publish to the external registry")
 	}
 
+	admitted := admittedOnce()
 	callDone := make(chan error, 1)
 	go func() {
 		_, err := soap.CallContext(context.Background(),
@@ -46,7 +48,7 @@ func TestCloseDrainsGracefully(t *testing.T) {
 		callDone <- err
 	}()
 	// Wait until the request is admitted (inside the chaos delay).
-	waitUntil(t, time.Second, func() bool { return d.Admission().InFlight() > 0 })
+	waitUntil(t, time.Second, admitted)
 
 	closeDone := make(chan error, 1)
 	go func() { closeDone <- d.Close() }()
@@ -97,14 +99,25 @@ func TestDrainRejectsNewRequests(t *testing.T) {
 	}
 	defer d.Close()
 
+	admitted := admittedOnce()
 	hold := make(chan error, 1)
 	go func() {
 		_, err := soap.CallContext(context.Background(),
 			d.EndpointURL("Classifier"), "getClassifiers", nil)
 		hold <- err
 	}()
-	waitUntil(t, time.Second, func() bool { return d.Admission().InFlight() > 0 })
-	d.Admission().BeginDrain()
+	waitUntil(t, time.Second, admitted)
+	closeDone := make(chan error, 1)
+	go func() { closeDone <- d.Close() }()
+	waitUntil(t, time.Second, func() bool {
+		resp, err := http.Get(d.BaseURL + "/healthz")
+		if err != nil {
+			return false
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return strings.Contains(string(body), `"draining"`)
+	})
 
 	_, err = soap.CallContext(context.Background(),
 		d.EndpointURL("Classifier"), "getClassifiers", nil)
@@ -118,6 +131,18 @@ func TestDrainRejectsNewRequests(t *testing.T) {
 	if err := <-hold; err != nil {
 		t.Errorf("in-flight request failed: %v", err)
 	}
+	if err := <-closeDone; err != nil {
+		t.Errorf("close: %v", err)
+	}
+}
+
+// admittedOnce returns a condition that holds once an admission
+// controller has admitted a request since the call: a delta on the
+// admission_admitted_total counter every controller exports.
+func admittedOnce() func() bool {
+	c := obs.Default.Counter("admission_admitted_total")
+	base := c.Value()
+	return func() bool { return c.Value() > base }
 }
 
 func waitUntil(t *testing.T, timeout time.Duration, cond func() bool) {

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/arff"
 	"repro/internal/datagen"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/registry"
-	"repro/internal/resilience"
 	"repro/internal/soap"
 	"repro/internal/workflow"
 	"repro/internal/wsdl"
@@ -50,7 +48,6 @@ func TestJobMigrationAcrossDeployments(t *testing.T) {
 		In:          []string{"dataset", "options", "attribute"},
 		Out:         []string{"tree"},
 		RegistryURL: regSrv.URL,
-		Policy:      &resilience.Policy{MaxAttempts: 3, BackoffBase: time.Millisecond},
 	})
 	task.Params["dataset"] = arff.Format(datagen.BreastCancer())
 	task.Params["attribute"] = "Class"

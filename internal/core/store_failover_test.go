@@ -9,6 +9,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/harness"
+	"repro/internal/obs"
 	"repro/internal/soap"
 	"repro/internal/store"
 )
@@ -48,7 +49,7 @@ func TestSessionFailoverAcrossReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.ModelStore().Stats().Puts == 0 {
+	if a.ModelStore().Len() == 0 {
 		t.Fatal("replica A never snapshotted the trained model")
 	}
 	// Replica A dies. Its in-memory harness state dies with it.
@@ -57,6 +58,7 @@ func TestSessionFailoverAcrossReplicas(t *testing.T) {
 	}
 
 	backendB := harness.NewCachedBackend(16)
+	backendB.Obs = obs.NewRegistry()
 	b, err := Deploy("127.0.0.1:0", backendB, WithModelStore(storeDir))
 	if err != nil {
 		t.Fatal(err)
@@ -70,10 +72,10 @@ func TestSessionFailoverAcrossReplicas(t *testing.T) {
 	if got["labels"] != want["labels"] {
 		t.Fatal("restored model's labels differ from the original model's")
 	}
-	if backendB.Builds() != 0 {
-		t.Fatalf("replica B retrained %d times, want 0", backendB.Builds())
+	if n := backendB.Obs.Counter("harness_builds_total").Value(); n != 0 {
+		t.Fatalf("replica B retrained %d times, want 0", n)
 	}
-	if b.ModelStore().Stats().Hits == 0 {
+	if backendB.Obs.Counter("harness_store_restores_total").Value() == 0 {
 		t.Fatal("replica B did not read the stored snapshot")
 	}
 	// The rest of the session protocol also works on the survivor.
@@ -161,6 +163,7 @@ func TestSessionSurvivesCompactionAndFailover(t *testing.T) {
 
 	// A fresh replica restores the session from the compacted store.
 	backendB := harness.NewCachedBackend(16)
+	backendB.Obs = obs.NewRegistry()
 	b, err := Deploy("127.0.0.1:0", backendB, WithModelStore(storeDir))
 	if err != nil {
 		t.Fatal(err)
@@ -174,8 +177,8 @@ func TestSessionSurvivesCompactionAndFailover(t *testing.T) {
 	if got["labels"] != want["labels"] {
 		t.Fatal("restored-from-compaction labels differ")
 	}
-	if backendB.Builds() != 0 {
-		t.Fatalf("replica B retrained %d times, want 0", backendB.Builds())
+	if n := backendB.Obs.Counter("harness_builds_total").Value(); n != 0 {
+		t.Fatalf("replica B retrained %d times, want 0", n)
 	}
 	if gen := b.ModelStore().Generation(); gen != 1 {
 		t.Fatalf("replica B generation = %d, want 1", gen)
@@ -217,6 +220,7 @@ func TestClassifyInstanceWarmAcrossReplicas(t *testing.T) {
 	}
 
 	backendB := harness.NewCachedBackend(16)
+	backendB.Obs = obs.NewRegistry()
 	b, err := Deploy("127.0.0.1:0", backendB, WithModelStore(storeDir))
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +229,7 @@ func TestClassifyInstanceWarmAcrossReplicas(t *testing.T) {
 	if _, err := soap.CallContext(context.Background(), b.EndpointURL("Classifier"), "classifyInstance", parts); err != nil {
 		t.Fatal(err)
 	}
-	if backendB.Builds() != 0 {
-		t.Fatalf("replica B retrained %d times, want 0", backendB.Builds())
+	if n := backendB.Obs.Counter("harness_builds_total").Value(); n != 0 {
+		t.Fatalf("replica B retrained %d times, want 0", n)
 	}
 }

@@ -53,15 +53,15 @@ func TestInternSharesAttributesNotSlices(t *testing.T) {
 		}
 	}
 
-	block, err := wire.Marshal(d2)
+	block, err := wire.MarshalBase64(d2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.Unmarshal(block); err != nil {
+	if _, err := wire.UnmarshalBase64(block); err != nil {
 		t.Fatal(err)
 	}
-	b1, err1 := wire.Unmarshal(block)
-	b2, err2 := wire.Unmarshal(block)
+	b1, err1 := wire.UnmarshalBase64(block)
+	b2, err2 := wire.UnmarshalBase64(block)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -91,12 +91,12 @@ func TestStringSchemasNeverInterned(t *testing.T) {
 	if n := d2.Attrs[1].NumValues(); n != 1 {
 		t.Fatalf("d2's string attribute holds %d values after a row was added to d1", n)
 	}
-	block, err := wire.Marshal(d1)
+	block, err := wire.MarshalBase64(d1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, _ := wire.Unmarshal(block)
-	b2, _ := wire.Unmarshal(block)
+	b1, _ := wire.UnmarshalBase64(block)
+	b2, _ := wire.UnmarshalBase64(block)
 	if b1 == nil || b2 == nil || b1.Attrs[1] == b2.Attrs[1] {
 		t.Fatal("a dmb1 schema with a String attribute is shared")
 	}

@@ -28,7 +28,6 @@ func hostChaoticClassifier(t *testing.T, rules ...chaos.Rule) string {
 	t.Helper()
 	mux := http.NewServeMux()
 	inj := chaos.New(1, rules...)
-	inj.Observer = obs.NewRegistry() // keep test injections out of obs.Default
 	srv := httptest.NewServer(inj.Wrap(mux))
 	t.Cleanup(srv.Close)
 	paths := services.Host(mux, srv.URL, services.NewClassifierService(harness.NewCachedBackend(16)))
@@ -60,11 +59,14 @@ func TestBatchSurvivesChaoticEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Breaker/Observer must be set before anything touches the lazily
-	// built pool (Endpoints() included).
-	observer := obs.NewRegistry()
-	remote.Observer = observer
+	// Breaker must be set before anything touches the lazily built pool
+	// (Endpoints() included).
 	remote.Breaker = breakerCfg(1)
+	before := obs.Default.Snapshot().Counters
+	rose := func(name, ep string) int64 {
+		key := obs.Key(name, "endpoint="+ep)
+		return obs.Default.Snapshot().Counters[key] - before[key]
+	}
 	if got := len(remote.Endpoints()); got != 2 {
 		t.Fatalf("discovered %d endpoints, want 2 (same name, two hosts)", got)
 	}
@@ -88,13 +90,13 @@ func TestBatchSurvivesChaoticEndpoint(t *testing.T) {
 			t.Fatalf("job %s failed despite a healthy replica: %s", res.Job.ID, res.Err)
 		}
 	}
-	if got := observer.Counter("resilience_breaker_opens_total", "endpoint="+badEp).Value(); got < 1 {
+	if got := rose("resilience_breaker_opens_total", badEp); got < 1 {
 		t.Fatalf("chaotic endpoint's breaker never opened (opens=%d)", got)
 	}
-	if got := observer.Counter("resilience_endpoint_ejections_total", "endpoint="+badEp).Value(); got < 1 {
+	if got := rose("resilience_endpoint_ejections_total", badEp); got < 1 {
 		t.Fatalf("chaotic endpoint was never ejected (ejections=%d)", got)
 	}
-	if got := observer.Counter("resilience_breaker_opens_total", "endpoint="+goodEp).Value(); got != 0 {
+	if got := rose("resilience_breaker_opens_total", goodEp); got != 0 {
 		t.Fatalf("healthy endpoint's breaker opened %d times", got)
 	}
 }
@@ -110,7 +112,6 @@ func TestBatchRoutesAroundTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote.Observer = obs.NewRegistry()
 	remote.Breaker = breakerCfg(1)
 
 	spec := &Spec{
@@ -140,7 +141,6 @@ func TestBatchReportsWhenAllEndpointsDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote.Observer = obs.NewRegistry()
 	remote.Breaker = breakerCfg(1)
 
 	spec := &Spec{

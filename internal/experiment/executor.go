@@ -161,7 +161,7 @@ func localAttrSel(ctx context.Context, job Job, d *dataset.Dataset) (Metrics, er
 	if err := ctx.Err(); err != nil {
 		return Metrics{}, err
 	}
-	ranking, err := attrsel.RankAttributes(eval, d)
+	ranking, err := attrsel.RankAttributes(ctx, eval, d)
 	if err != nil {
 		return Metrics{}, err
 	}

@@ -9,10 +9,8 @@ import (
 	"repro/internal/arff"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/resilience"
-	"repro/internal/soap"
 )
 
 // Remote dispatches classify jobs to SOAP classifier services — the
@@ -31,13 +29,9 @@ import (
 // Note the service evaluates on its training data (resubstitution), not by
 // cross-validation; use Local when fold-based estimates matter.
 type Remote struct {
-	// Client overrides the package-level default SOAP client when set.
-	Client *soap.Client
 	// Breaker tunes the per-endpoint circuit breakers; the zero value
 	// uses the resilience defaults. Set before the first Execute.
 	Breaker resilience.BreakerConfig
-	// Observer receives the pool and breaker metrics; nil means obs.Default.
-	Observer *obs.Registry
 
 	endpoints []string
 	source    resilience.SourceFunc
@@ -91,25 +85,16 @@ func DiscoverRemote(registryURL string, httpClient *http.Client) (*Remote, error
 
 // ensurePool builds the endpoint pool, and the core.Client facade jobs
 // are dispatched through, on first use: after the caller has had the
-// chance to set Client/Breaker/Observer. The facade's
-// base URL is irrelevant: every call is pinned with At to an endpoint
-// from the pool.
+// chance to set Breaker. The facade's base URL is irrelevant: every call
+// is pinned with At to an endpoint from the pool.
 func (r *Remote) ensurePool() *resilience.Pool {
 	r.once.Do(func() {
-		reg := r.Observer
-		if reg == nil {
-			reg = obs.Default
-		}
-		opts := []resilience.PoolOption{resilience.WithObserver(reg), resilience.WithBreakerConfig(r.Breaker)}
+		opts := []resilience.PoolOption{resilience.WithBreakerConfig(r.Breaker)}
 		if r.source != nil {
 			opts = append(opts, resilience.WithSource(r.source))
 		}
 		r.pool = resilience.NewPool(r.endpoints, opts...)
-		var copts []core.ClientOption
-		if r.Client != nil {
-			copts = append(copts, core.WithSOAPClient(r.Client))
-		}
-		r.typed = core.NewClient("", copts...)
+		r.typed = core.NewClient("")
 	})
 	return r.pool
 }

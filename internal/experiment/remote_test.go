@@ -204,7 +204,8 @@ func TestRetryRemoteAgainstBusyServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote.Observer = obs.NewRegistry()
+	retries := obs.Default.Counter("resilience_retries_total")
+	retriesBefore := retries.Value()
 	jobs, data := mustExpand(t, &Spec{
 		Name:       "busy",
 		Datasets:   []DatasetSpec{{Name: "weather", Builtin: "weather"}},
@@ -221,8 +222,8 @@ func TestRetryRemoteAgainstBusyServer(t *testing.T) {
 	if results[0].Status != StatusFailed || results[0].Attempts != 4 {
 		t.Fatalf("result %+v, want failed after 4 attempts", results[0])
 	}
-	if got := remote.Observer.Counter("resilience_retries_total").Value(); got != 3 {
-		t.Fatalf("resilience_retries_total = %d, want 3", got)
+	if got := retries.Value() - retriesBefore; got != 3 {
+		t.Fatalf("resilience_retries_total rose by %d, want 3", got)
 	}
 }
 
@@ -245,7 +246,6 @@ func TestRetryRemoteNeverReturnsToFailedEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote.Observer = obs.NewRegistry()
 	jobs, data := mustExpand(t, &Spec{
 		Name:     "two-bad-replicas",
 		Datasets: []DatasetSpec{{Name: "weather", Builtin: "weather"}},

@@ -88,11 +88,7 @@ func Run(ctx context.Context, e *workflow.Engine, jobs []Job, data map[string]*d
 		e = &bounded
 	}
 	expLog.Info(ctx, "run", "jobs", len(jobs), "executor", exec.Name(), "workers", e.Workers)
-	reg := e.Observer
-	if reg == nil {
-		reg = obs.Default
-	}
-	retries := reg.Counter("resilience_retries_total")
+	retries := obs.Default.Counter("resilience_retries_total")
 	g := workflow.NewGraph("batch")
 	units := make([]jobUnit, len(jobs))
 	results := make([]JobResult, len(jobs))

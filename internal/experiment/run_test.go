@@ -162,8 +162,9 @@ func TestRetryTransientFailures(t *testing.T) {
 	spec := specForTest()
 	spec.Datasets = spec.Datasets[1:] // contact-lenses only: 12 jobs
 	jobs, data := mustExpand(t, spec)
-	reg := obs.NewRegistry()
-	e := &workflow.Engine{Workers: 4, Observer: reg}
+	retries := obs.Default.Counter("resilience_retries_total")
+	retriesBefore := retries.Value()
+	e := &workflow.Engine{Workers: 4}
 	r := Retry{MaxRetries: 3, BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond}
 	flaky := dropRepExec{&flakyExec{failures: 2}}
 	results, err := Run(context.Background(), e, jobs, data, flaky, r, nil)
@@ -178,7 +179,7 @@ func TestRetryTransientFailures(t *testing.T) {
 			t.Fatalf("job %s took %d attempts, want 3", res.Job.ID, res.Attempts)
 		}
 	}
-	if got := reg.Counter("resilience_retries_total").Value(); got != int64(2*len(jobs)) {
+	if got := retries.Value() - retriesBefore; got != int64(2*len(jobs)) {
 		t.Fatalf("counted %d retries, want %d", got, 2*len(jobs))
 	}
 	for _, g := range Aggregate(results) {

@@ -152,15 +152,15 @@ func TestColdKeySharesOneBuild(t *testing.T) {
 	waitFor(t, "every caller missed", func() bool { return misses.Value() == n })
 	g.open()
 	within(t, "all callers", wg.Wait)
-	if b.Builds() != 1 {
-		t.Fatalf("Builds() = %d, want 1", b.Builds())
+	if n := b.Obs.Counter("harness_builds_total").Value(); n != 1 {
+		t.Fatalf("harness_builds_total = %d, want 1", n)
 	}
 	for i, c := range got {
 		if c != g.c {
 			t.Fatalf("caller %d got %p, want the one built instance %p", i, c, g.c)
 		}
 	}
-	if waits := b.Obs.Histogram("harness_acquire_wait_ms").Count(); waits != n-1 {
+	if waits := b.Obs.Snapshot().Histograms["harness_acquire_wait_ms"].Count; waits != n-1 {
 		t.Fatalf("wait observations = %d, want %d", waits, n-1)
 	}
 }
@@ -187,8 +187,8 @@ func TestBuildErrorReachesEveryWaiter(t *testing.T) {
 	waitFor(t, "every caller missed", func() bool { return misses.Value() == n })
 	g.open()
 	within(t, "all callers", wg.Wait)
-	if b.Len() != 0 || b.Builds() != 0 {
-		t.Fatalf("after failed flight: Len %d, Builds %d; want 0 and 0", b.Len(), b.Builds())
+	if built := b.Obs.Counter("harness_builds_total").Value(); b.Len() != 0 || built != 0 {
+		t.Fatalf("after failed flight: Len %d, builds %d; want 0 and 0", b.Len(), built)
 	}
 	var builds int64
 	if _, err := b.Acquire("k", j48Builder(t, &builds)); err != nil || builds != 1 {
@@ -227,8 +227,8 @@ func TestLeaderCancelledWaitersRetry(t *testing.T) {
 		t.Fatalf("leader got %v, want its own cancellation", err)
 	}
 	within(t, "waiters", wg.Wait)
-	if b.Builds() != 1 || b.Len() != 1 {
-		t.Fatalf("Builds %d, Len %d; want 1 and 1", b.Builds(), b.Len())
+	if built := b.Obs.Counter("harness_builds_total").Value(); built != 1 || b.Len() != 1 {
+		t.Fatalf("builds %d, Len %d; want 1 and 1", built, b.Len())
 	}
 }
 
@@ -264,8 +264,9 @@ func TestPanickingBuilderReleasesWaiters(t *testing.T) {
 			t.Error("waiter of a panicked flight got no error")
 		}
 	})
-	if _, err := b.Acquire("k", j48Builder(t, nil)); err != nil || b.Builds() != 1 {
-		t.Fatalf("after the panic: err %v, Builds %d; want a fresh build", err, b.Builds())
+	_, err := b.Acquire("k", j48Builder(t, nil))
+	if built := b.Obs.Counter("harness_builds_total").Value(); err != nil || built != 1 {
+		t.Fatalf("after the panic: err %v, builds %d; want a fresh build", err, built)
 	}
 }
 

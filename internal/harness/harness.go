@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/classify"
@@ -41,8 +40,6 @@ type Backend interface {
 	// Release signals invocation completion, giving the backend the chance
 	// to persist or retain state.
 	Release(key string, c classify.Classifier) error
-	// Invocations returns the number of completed Acquire/Release cycles.
-	Invocations() int64
 }
 
 // SerialisingBackend is the naive deployment: every Acquire deserialises
@@ -52,9 +49,7 @@ type Backend interface {
 type SerialisingBackend struct {
 	Store *model.Store
 
-	mu     sync.Mutex
-	calls  int64
-	builds int64
+	mu sync.Mutex
 }
 
 // Acquire implements Backend.
@@ -69,7 +64,6 @@ func (b *SerialisingBackend) Acquire(key string, build Builder) (classify.Classi
 	if err != nil {
 		return nil, fmt.Errorf("harness: building instance %q: %w", key, err)
 	}
-	b.builds++
 	obs.Default.Counter("harness_builds_total").Inc()
 	if err := b.Store.Save(key, c); err != nil {
 		return nil, err
@@ -77,26 +71,11 @@ func (b *SerialisingBackend) Acquire(key string, build Builder) (classify.Classi
 	return c, nil
 }
 
-// Builds returns how many times Acquire invoked a builder.
-func (b *SerialisingBackend) Builds() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.builds
-}
-
 // Release implements Backend: the state is serialised back to disk.
 func (b *SerialisingBackend) Release(key string, c classify.Classifier) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.calls++
 	return b.Store.Save(key, c)
-}
-
-// Invocations implements Backend.
-func (b *SerialisingBackend) Invocations() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.calls
 }
 
 // CachedBackend is the paper's harness: instances stay in memory between
@@ -121,8 +100,6 @@ type CachedBackend struct {
 	ll      *list.List // front = most recent
 	items   map[string]*list.Element
 	flights map[string]*flight
-	calls   atomic.Int64
-	builds  atomic.Int64
 }
 
 // flight is one in-progress restore or build of a key. c and err are
@@ -242,7 +219,6 @@ func (b *CachedBackend) load(reg *obs.Registry, key string, build Builder) (clas
 	if err != nil {
 		return nil, fmt.Errorf("harness: building instance %q: %w", key, err)
 	}
-	b.builds.Add(1)
 	reg.Counter("harness_builds_total").Inc()
 	if b.Durable != nil {
 		b.snapshot(reg, key, c)
@@ -250,10 +226,9 @@ func (b *CachedBackend) load(reg *obs.Registry, key string, build Builder) (clas
 	return c, nil
 }
 
-// Release implements Backend: a no-op beyond accounting — the instance
-// stays live in memory, which is the entire point of the harness.
+// Release implements Backend: a no-op — the instance stays live in
+// memory, which is the entire point of the harness.
 func (b *CachedBackend) Release(key string, c classify.Classifier) error {
-	b.calls.Add(1)
 	return nil
 }
 
@@ -274,15 +249,6 @@ func (b *CachedBackend) snapshot(reg *obs.Registry, key string, c classify.Class
 	}
 	reg.Histogram("snapshot_ms").Observe(float64(time.Since(began).Microseconds()) / 1e3)
 }
-
-// Invocations implements Backend.
-func (b *CachedBackend) Invocations() int64 { return b.calls.Load() }
-
-// Builds returns how many times Acquire had to invoke a builder — i.e.
-// actually (re)train — instead of serving the instance from memory or a
-// snapshot tier. The cross-replica failover drill asserts this stays 0 on
-// the replica that resumes a session it never trained.
-func (b *CachedBackend) Builds() int64 { return b.builds.Load() }
 
 // Len returns the number of pooled instances.
 func (b *CachedBackend) Len() int {

@@ -61,9 +61,6 @@ func TestHarnessEquivalence(t *testing.T) {
 			t.Fatalf("invocation %d: backends disagree (%d vs %d)", i, serPred, cachePred)
 		}
 	}
-	if ser.Invocations() != 5 || cache.Invocations() != 5 {
-		t.Fatalf("invocation counts: %d / %d", ser.Invocations(), cache.Invocations())
-	}
 }
 
 func TestCachedBackendBuildsOnce(t *testing.T) {

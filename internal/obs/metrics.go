@@ -74,13 +74,6 @@ func (h *Histogram) Observe(v float64) {
 	h.samples++
 }
 
-// Count returns the number of samples observed.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.samples
-}
-
 // histogramSnapshot is the JSON form of a histogram.
 type histogramSnapshot struct {
 	Count   int64     `json:"count"`

@@ -323,11 +323,6 @@ func (c *Client) PublishContext(ctx context.Context, e Entry) error {
 	})
 }
 
-// Publish posts an entry to the remote registry.
-func (c *Client) Publish(e Entry) error {
-	return c.PublishContext(context.Background(), e)
-}
-
 // InquireContext queries the remote registry, retrying under the
 // client's policy.
 func (c *Client) InquireContext(ctx context.Context, nameContains, category string) ([]Entry, error) {

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"net/http/httptest"
 	"testing"
 )
@@ -58,7 +59,7 @@ func TestHTTPInterface(t *testing.T) {
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
 	c := &Client{BaseURL: srv.URL}
-	if err := c.Publish(Entry{Name: "Cobweb", Category: "clustering", WSDLURL: "http://x/Cobweb"}); err != nil {
+	if err := c.PublishContext(context.Background(), Entry{Name: "Cobweb", Category: "clustering", WSDLURL: "http://x/Cobweb"}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.Inquire("cob", "")
@@ -97,7 +98,7 @@ func TestHTTPInterface(t *testing.T) {
 
 func TestClientAgainstDeadServer(t *testing.T) {
 	c := &Client{BaseURL: "http://127.0.0.1:1"}
-	if err := c.Publish(Entry{Name: "x"}); err == nil {
+	if err := c.PublishContext(context.Background(), Entry{Name: "x"}); err == nil {
 		t.Fatal("publish to dead server succeeded")
 	}
 	if _, err := c.Inquire("", ""); err == nil {
@@ -156,7 +157,7 @@ func TestClientCustomHTTPClient(t *testing.T) {
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
 	c := &Client{BaseURL: srv.URL, HTTPClient: srv.Client()}
-	if err := c.Publish(Entry{Name: "X", WSDLURL: "http://x"}); err != nil {
+	if err := c.PublishContext(context.Background(), Entry{Name: "X", WSDLURL: "http://x"}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.Inquire("", "")

@@ -237,11 +237,6 @@ func (lr *LinearRegression) Predict(in *dataset.Instance) (float64, error) {
 	return y, nil
 }
 
-// Coefficients returns the fitted weights (intercept last).
-func (lr *LinearRegression) Coefficients() []float64 {
-	return append([]float64(nil), lr.weights...)
-}
-
 // String renders the fitted model as an equation.
 func (lr *LinearRegression) String() string {
 	if lr.weights == nil {

@@ -31,7 +31,17 @@ func TestLinearRegressionRecoversCoefficients(t *testing.T) {
 	if err := lr.Train(d); err != nil {
 		t.Fatal(err)
 	}
-	w := lr.Coefficients()
+	// The intercept is the prediction at the origin, and each slope the
+	// change a unit step along its attribute makes.
+	at := func(x1, x2 float64) float64 {
+		y, err := lr.Predict(dataset.NewInstance([]float64{x1, x2, 0}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return y
+	}
+	b := at(0, 0)
+	w := []float64{at(1, 0) - b, at(0, 1) - b, b}
 	if math.Abs(w[0]-3) > 0.02 || math.Abs(w[1]+2) > 0.02 || math.Abs(w[2]-5) > 0.02 {
 		t.Fatalf("coefficients = %v, want [3 -2 5]", w)
 	}

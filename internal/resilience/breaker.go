@@ -58,7 +58,6 @@ func (c BreakerConfig) failureThreshold() int {
 type breaker struct {
 	cfg      BreakerConfig
 	endpoint string
-	observer *obs.Registry
 	now      func() time.Time
 
 	mu          sync.Mutex
@@ -68,13 +67,9 @@ type breaker struct {
 	probeInUse  bool // a half-open probe call is in flight
 }
 
-// newBreaker returns a closed breaker for an endpoint. reg receives the
-// breaker's metrics; nil means obs.Default.
-func newBreaker(endpoint string, cfg BreakerConfig, reg *obs.Registry) *breaker {
-	if reg == nil {
-		reg = obs.Default
-	}
-	b := &breaker{cfg: cfg, endpoint: endpoint, observer: reg, now: time.Now}
+// newBreaker returns a closed breaker for an endpoint.
+func newBreaker(endpoint string, cfg BreakerConfig) *breaker {
+	b := &breaker{cfg: cfg, endpoint: endpoint, now: time.Now}
 	b.setStateGauge(stateClosed)
 	return b
 }
@@ -171,7 +166,7 @@ func (b *breaker) toOpenLocked() {
 	b.state = stateOpen
 	b.openedAt = b.now()
 	b.consecutive = 0
-	b.observer.Counter("resilience_breaker_opens_total", "endpoint="+b.endpoint).Inc()
+	obs.Default.Counter("resilience_breaker_opens_total", "endpoint="+b.endpoint).Inc()
 	b.setStateGauge(stateOpen)
 	resLog.Warn(nil, "breaker_open", "endpoint", b.endpoint)
 }
@@ -179,7 +174,7 @@ func (b *breaker) toOpenLocked() {
 func (b *breaker) toHalfOpenLocked() {
 	b.state = stateHalfOpen
 	b.probeInUse = false
-	b.observer.Counter("resilience_breaker_halfopen_total", "endpoint="+b.endpoint).Inc()
+	obs.Default.Counter("resilience_breaker_halfopen_total", "endpoint="+b.endpoint).Inc()
 	b.setStateGauge(stateHalfOpen)
 	resLog.Info(nil, "breaker_half_open", "endpoint", b.endpoint)
 }
@@ -188,31 +183,29 @@ func (b *breaker) toClosedLocked() {
 	b.state = stateClosed
 	b.consecutive = 0
 	b.probeInUse = false
-	b.observer.Counter("resilience_breaker_closes_total", "endpoint="+b.endpoint).Inc()
+	obs.Default.Counter("resilience_breaker_closes_total", "endpoint="+b.endpoint).Inc()
 	b.setStateGauge(stateClosed)
 	resLog.Info(nil, "breaker_closed", "endpoint", b.endpoint)
 }
 
 // setStateGauge exports the state as 0 (closed) / 1 (half-open) / 2 (open).
 func (b *breaker) setStateGauge(s state) {
-	b.observer.Gauge("resilience_breaker_state", "endpoint="+b.endpoint).Set(int64(s))
+	obs.Default.Gauge("resilience_breaker_state", "endpoint="+b.endpoint).Set(int64(s))
 }
 
 // breakerSet lazily manages one breaker per endpoint under a shared
 // configuration. A nil *breakerSet hands out nil breakers, which admit
 // everything.
 type breakerSet struct {
-	cfg      BreakerConfig
-	observer *obs.Registry
+	cfg BreakerConfig
 
 	mu sync.Mutex
 	m  map[string]*breaker
 }
 
-// newBreakerSet returns an empty set. reg receives every breaker's
-// metrics; nil means obs.Default.
-func newBreakerSet(cfg BreakerConfig, reg *obs.Registry) *breakerSet {
-	return &breakerSet{cfg: cfg, observer: reg, m: map[string]*breaker{}}
+// newBreakerSet returns an empty set.
+func newBreakerSet(cfg BreakerConfig) *breakerSet {
+	return &breakerSet{cfg: cfg, m: map[string]*breaker{}}
 }
 
 // For returns (creating on first use) the endpoint's breaker.
@@ -224,7 +217,7 @@ func (s *breakerSet) For(endpoint string) *breaker {
 	defer s.mu.Unlock()
 	b, ok := s.m[endpoint]
 	if !ok {
-		b = newBreaker(endpoint, s.cfg, s.observer)
+		b = newBreaker(endpoint, s.cfg)
 		s.m[endpoint] = b
 	}
 	return b

@@ -13,16 +13,17 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
-func newTestBreaker(cfg BreakerConfig) (*breaker, *fakeClock, *obs.Registry) {
-	reg := obs.NewRegistry()
-	b := newBreaker("http://svc", cfg, reg)
+func newTestBreaker(cfg BreakerConfig) (*breaker, *fakeClock) {
+	b := newBreaker("http://svc", cfg)
 	clock := &fakeClock{t: time.Unix(1000, 0)}
 	b.now = clock.now
-	return b, clock, reg
+	return b, clock
 }
 
 func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
-	b, _, reg := newTestBreaker(BreakerConfig{FailureThreshold: 3})
+	b, _ := newTestBreaker(BreakerConfig{FailureThreshold: 3})
+	opens := obs.Default.Counter("resilience_breaker_opens_total", "endpoint=http://svc")
+	opensBefore := opens.Value()
 	for i := 0; i < 2; i++ {
 		if !b.Allow() {
 			t.Fatalf("closed breaker rejected call %d", i)
@@ -46,13 +47,13 @@ func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
 	if b.Allow() {
 		t.Fatal("open breaker admitted a call before cooldown")
 	}
-	if got := reg.Counter("resilience_breaker_opens_total", "endpoint=http://svc").Value(); got != 1 {
+	if got := opens.Value() - opensBefore; got != 1 {
 		t.Fatalf("opens counter = %d, want 1", got)
 	}
 }
 
 func TestBreakerHalfOpenProbeCycle(t *testing.T) {
-	b, clock, _ := newTestBreaker(BreakerConfig{FailureThreshold: 1})
+	b, clock := newTestBreaker(BreakerConfig{FailureThreshold: 1})
 	b.Record(Retryable)
 	if b.State() != stateOpen {
 		t.Fatal("breaker not open")
@@ -89,7 +90,7 @@ func TestBreakerHalfOpenProbeCycle(t *testing.T) {
 // An open breaker rejects for the whole of breakerCooldown and admits its
 // probe once that has passed.
 func TestBreakerCooldownBoundary(t *testing.T) {
-	b, clock, _ := newTestBreaker(BreakerConfig{FailureThreshold: 1})
+	b, clock := newTestBreaker(BreakerConfig{FailureThreshold: 1})
 	b.Record(Retryable)
 	clock.advance(breakerCooldown - time.Millisecond)
 	if b.Allow() {
@@ -106,7 +107,7 @@ func TestBreakerCooldownBoundary(t *testing.T) {
 
 // A zero FailureThreshold means five consecutive failures.
 func TestBreakerDefaultThreshold(t *testing.T) {
-	b, _, _ := newTestBreaker(BreakerConfig{})
+	b, _ := newTestBreaker(BreakerConfig{})
 	for i := 0; i < 4; i++ {
 		b.Record(Retryable)
 	}
@@ -122,7 +123,7 @@ func TestBreakerDefaultThreshold(t *testing.T) {
 // soap:Client faults mean the caller erred, not the endpoint: they must
 // never trip the breaker. Aborted outcomes release the probe slot.
 func TestBreakerOutcomeSemantics(t *testing.T) {
-	b, clock, _ := newTestBreaker(BreakerConfig{FailureThreshold: 1})
+	b, clock := newTestBreaker(BreakerConfig{FailureThreshold: 1})
 	for i := 0; i < 10; i++ {
 		b.Record(Permanent)
 	}
@@ -160,7 +161,7 @@ func TestNilBreakerIsOpenBar(t *testing.T) {
 }
 
 func TestBreakerSetPrune(t *testing.T) {
-	s := newBreakerSet(BreakerConfig{FailureThreshold: 1}, obs.NewRegistry())
+	s := newBreakerSet(BreakerConfig{FailureThreshold: 1})
 	s.For("a").Record(Retryable)
 	s.For("b")
 	s.Prune(map[string]bool{"b": true})

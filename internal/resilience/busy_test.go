@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // busyErr mimics a ServerBusy soap fault: classified Busy, carrying a
@@ -49,7 +47,7 @@ func TestRetryAfterExtraction(t *testing.T) {
 // closing or re-opening the breaker.
 func TestBreakerBusyIsNeutral(t *testing.T) {
 	cfg := BreakerConfig{FailureThreshold: 2}
-	b := newBreaker("ep", cfg, obs.NewRegistry())
+	b := newBreaker("ep", cfg)
 
 	for i := 0; i < 20; i++ {
 		b.Record(Busy)

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // The derived hedge delay: hedgeEWMAFactor times the pool's latency
@@ -140,7 +142,7 @@ func (p *Pool) hedgedRace(ctx context.Context, hp *HedgePolicy, primary string, 
 					winEp = r.ep
 					p.observeLatency(r.dur)
 					if launched > 1 && r.ep != primary {
-						p.observer.Counter("resilience_hedge_wins_total").Inc()
+						obs.Default.Counter("resilience_hedge_wins_total").Inc()
 						if hs != nil {
 							hs.Wins.Add(1)
 						}
@@ -166,7 +168,7 @@ func (p *Pool) hedgedRace(ctx context.Context, hp *HedgePolicy, primary string, 
 				p.Record(backup, context.Canceled)
 				continue
 			}
-			p.observer.Counter("resilience_hedges_total").Inc()
+			obs.Default.Counter("resilience_hedges_total").Inc()
 			if hs != nil {
 				hs.Launched.Add(1)
 			}

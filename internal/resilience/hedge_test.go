@@ -54,7 +54,7 @@ func TestHedgeDelay(t *testing.T) {
 }
 
 func TestPoolLatencyEWMA(t *testing.T) {
-	p := NewPool([]string{"a"}, WithObserver(obs.NewRegistry()))
+	p := NewPool([]string{"a"})
 	if p.LatencyEWMA() != 0 {
 		t.Fatalf("cold pool EWMA = %v, want 0", p.LatencyEWMA())
 	}
@@ -67,7 +67,7 @@ func TestPoolLatencyEWMA(t *testing.T) {
 		t.Fatalf("EWMA after 100ms,200ms = %v, want 125ms ((3*100+200)/4)", got)
 	}
 	// Do's success path must feed the EWMA.
-	p2 := NewPool([]string{"a"}, WithObserver(obs.NewRegistry()))
+	p2 := NewPool([]string{"a"})
 	_, err := p2.Do(context.Background(), nil, nil, func(ctx context.Context, ep string) error {
 		time.Sleep(5 * time.Millisecond)
 		return nil
@@ -84,8 +84,8 @@ func TestPoolLatencyEWMA(t *testing.T) {
 // backup answers, the call returns the backup's endpoint quickly, and
 // the loser is cancelled promptly rather than running out its stall.
 func TestDoHedgedBackupWins(t *testing.T) {
-	reg := obs.NewRegistry()
-	p := NewPool([]string{"slow", "fast"}, WithObserver(reg))
+	before := obs.Default.Snapshot().Counters
+	p := NewPool([]string{"slow", "fast"})
 	var slowLived atomic.Int64
 	slowLived.Store(-1)
 	var hs HedgeStats
@@ -111,20 +111,20 @@ func TestDoHedgedBackupWins(t *testing.T) {
 	if hs.Launched.Load() != 1 || hs.Wins.Load() != 1 {
 		t.Fatalf("stats launched=%d wins=%d, want 1/1", hs.Launched.Load(), hs.Wins.Load())
 	}
-	snap := reg.Snapshot()
-	if snap.Counters["resilience_hedges_total"] != 1 {
-		t.Fatalf("resilience_hedges_total = %d, want 1", snap.Counters["resilience_hedges_total"])
-	}
-	if snap.Counters["resilience_hedge_wins_total"] != 1 {
-		t.Fatalf("resilience_hedge_wins_total = %d, want 1", snap.Counters["resilience_hedge_wins_total"])
+	after := obs.Default.Snapshot().Counters
+	for _, name := range []string{"resilience_hedges_total", "resilience_hedge_wins_total"} {
+		if got := after[name] - before[name]; got != 1 {
+			t.Fatalf("%s rose by %d, want 1", name, got)
+		}
 	}
 }
 
 // TestDoHedgedPrimaryWins: a healthy primary answers inside the hedge
 // delay, so no backup launches at all.
 func TestDoHedgedPrimaryWins(t *testing.T) {
-	reg := obs.NewRegistry()
-	p := NewPool([]string{"fast", "other"}, WithObserver(reg))
+	hedges := obs.Default.Counter("resilience_hedges_total")
+	hedgesBefore := hedges.Value()
+	p := NewPool([]string{"fast", "other"})
 	var hs HedgeStats
 	ctx := WithHedgeStats(context.Background(), &hs)
 	ep, err := p.Do(ctx, nil, &HedgePolicy{Delay: 500 * time.Millisecond},
@@ -138,8 +138,8 @@ func TestDoHedgedPrimaryWins(t *testing.T) {
 	if hs.Launched.Load() != 0 {
 		t.Fatalf("launched %d hedges for a fast primary, want 0", hs.Launched.Load())
 	}
-	if got := reg.Snapshot().Counters["resilience_hedges_total"]; got != 0 {
-		t.Fatalf("resilience_hedges_total = %d, want 0", got)
+	if got := hedges.Value() - hedgesBefore; got != 0 {
+		t.Fatalf("resilience_hedges_total rose by %d, want 0", got)
 	}
 }
 
@@ -147,7 +147,7 @@ func TestDoHedgedPrimaryWins(t *testing.T) {
 // endpoint failure — many straight losses must leave the slow endpoint's
 // breaker closed.
 func TestDoHedgedLoserBreakerNeutral(t *testing.T) {
-	p := NewPool([]string{"slow", "fast"}, WithObserver(obs.NewRegistry()))
+	p := NewPool([]string{"slow", "fast"})
 	for i := 0; i < 20; i++ {
 		_, err := p.Do(context.Background(), nil, &HedgePolicy{Delay: 5 * time.Millisecond},
 			slowFastFns(5*time.Second, nil))
@@ -164,7 +164,7 @@ func TestDoHedgedLoserBreakerNeutral(t *testing.T) {
 // Do returns, so repeated hedged calls leave the goroutine count
 // where it started.
 func TestDoHedgedNoGoroutineLeak(t *testing.T) {
-	p := NewPool([]string{"slow", "fast"}, WithObserver(obs.NewRegistry()))
+	p := NewPool([]string{"slow", "fast"})
 	before := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
 		if _, err := p.Do(context.Background(), nil, &HedgePolicy{Delay: time.Millisecond},
@@ -186,7 +186,7 @@ func TestDoHedgedNoGoroutineLeak(t *testing.T) {
 // TestDoHedgedSingleEndpoint: with one endpoint there is nobody to hedge
 // to; the timer path must not wedge the call or poison the breaker.
 func TestDoHedgedSingleEndpoint(t *testing.T) {
-	p := NewPool([]string{"only"}, WithObserver(obs.NewRegistry()))
+	p := NewPool([]string{"only"})
 	ep, err := p.Do(context.Background(), nil, &HedgePolicy{Delay: time.Millisecond},
 		func(ctx context.Context, ep string) error {
 			time.Sleep(20 * time.Millisecond)
@@ -209,7 +209,7 @@ func (f *testFault) FaultCode() string { return f.code }
 // TestDoHedgedRetriesAcrossRounds: when a round fails retryably, the
 // outer retry loop moves to another round like Do does.
 func TestDoHedgedRetriesAcrossRounds(t *testing.T) {
-	p := NewPool([]string{"a", "b"}, WithObserver(obs.NewRegistry()))
+	p := NewPool([]string{"a", "b"})
 	var calls atomic.Int64
 	ep, err := p.Do(context.Background(), &Policy{MaxAttempts: 3, BackoffBase: time.Millisecond},
 		&HedgePolicy{Delay: 500 * time.Millisecond},
@@ -230,7 +230,7 @@ func TestDoHedgedRetriesAcrossRounds(t *testing.T) {
 // TestDoHedgedPermanentErrorStops: a permanent (caller) fault must not
 // burn retries or hedges.
 func TestDoHedgedPermanentErrorStops(t *testing.T) {
-	p := NewPool([]string{"a", "b"}, WithObserver(obs.NewRegistry()))
+	p := NewPool([]string{"a", "b"})
 	var calls atomic.Int64
 	_, err := p.Do(context.Background(), &Policy{MaxAttempts: 5, BackoffBase: time.Millisecond},
 		&HedgePolicy{Delay: 500 * time.Millisecond},

@@ -24,7 +24,6 @@ type SourceFunc func(ctx context.Context) ([]string, error)
 // published equivalent services join the rotation and dead ones leave.
 type Pool struct {
 	breakers     *breakerSet
-	observer     *obs.Registry
 	source       SourceFunc
 	refreshEvery time.Duration
 	label        string
@@ -56,29 +55,18 @@ func WithRefreshInterval(d time.Duration) PoolOption {
 
 // WithBreakerConfig tunes the per-endpoint breakers.
 func WithBreakerConfig(cfg BreakerConfig) PoolOption {
-	return func(p *Pool) { p.breakers = newBreakerSet(cfg, p.observer) }
-}
-
-// WithObserver directs the pool's (and its breakers') metrics to reg
-// instead of obs.Default. Order matters: pass it before
-// WithBreakerConfig.
-func WithObserver(reg *obs.Registry) PoolOption {
-	return func(p *Pool) {
-		p.observer = reg
-		p.breakers = newBreakerSet(p.breakers.cfg, reg)
-	}
+	return func(p *Pool) { p.breakers = newBreakerSet(cfg) }
 }
 
 // NewPool returns a pool seeded with endpoints (which may be empty when
 // a source is attached: the first refresh fills it).
 func NewPool(endpoints []string, opts ...PoolOption) *Pool {
-	p := &Pool{observer: obs.Default}
-	p.breakers = newBreakerSet(BreakerConfig{}, p.observer)
+	p := &Pool{breakers: newBreakerSet(BreakerConfig{})}
 	for _, o := range opts {
 		o(p)
 	}
 	p.endpoints = dedup(endpoints)
-	p.observer.Gauge("resilience_pool_size").Set(int64(len(p.endpoints)))
+	obs.Default.Gauge("resilience_pool_size").Set(int64(len(p.endpoints)))
 	return p
 }
 
@@ -145,7 +133,7 @@ func (p *Pool) Record(endpoint string, err error) {
 	br.Record(ClassifyErr(err))
 	after := br.State()
 	if before != stateOpen && after == stateOpen {
-		p.observer.Counter("resilience_endpoint_ejections_total", "endpoint="+endpoint).Inc()
+		obs.Default.Counter("resilience_endpoint_ejections_total", "endpoint="+endpoint).Inc()
 		resLog.Warn(nil, "endpoint_ejected", "endpoint", endpoint)
 	}
 	p.exportHealth()
@@ -161,8 +149,8 @@ func (p *Pool) exportHealth() {
 	}
 	n := len(p.endpoints)
 	p.mu.Unlock()
-	p.observer.Gauge("resilience_pool_size").Set(int64(n))
-	p.observer.Gauge("resilience_pool_healthy").Set(int64(healthy))
+	obs.Default.Gauge("resilience_pool_size").Set(int64(n))
+	obs.Default.Gauge("resilience_pool_healthy").Set(int64(healthy))
 }
 
 // Refresh replaces the rotation with the source's current endpoint
@@ -186,11 +174,11 @@ func (p *Pool) Refresh(ctx context.Context) error {
 		p.mu.Unlock()
 	}()
 
-	p.observer.Counter("resilience_pool_refreshes_total").Inc()
+	obs.Default.Counter("resilience_pool_refreshes_total").Inc()
 	eps, err := p.source(ctx)
 	now := time.Now()
 	if err != nil {
-		p.observer.Counter("resilience_pool_refresh_errors_total").Inc()
+		obs.Default.Counter("resilience_pool_refresh_errors_total").Inc()
 		resLog.Warn(ctx, "pool_refresh", "err", err)
 		p.mu.Lock()
 		p.lastRefresh = now
@@ -276,7 +264,7 @@ func (p *Pool) Do(ctx context.Context, pol *Policy, hp *HedgePolicy, fn func(ctx
 		}
 		return err
 	}, func(int, error, time.Duration) {
-		p.observer.Counter("resilience_retries_total").Inc()
+		obs.Default.Counter("resilience_retries_total").Inc()
 	})
 	return lastEp, err
 }

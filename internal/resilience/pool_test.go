@@ -17,7 +17,7 @@ func (serverFault) Error() string     { return "soap fault soap:Server" }
 func (serverFault) FaultCode() string { return "soap:Server" }
 
 func TestPoolRoundRobinAndSkip(t *testing.T) {
-	p := NewPool([]string{"a", "b", "c"}, WithObserver(obs.NewRegistry()))
+	p := NewPool([]string{"a", "b", "c"})
 	var got []string
 	for i := 0; i < 3; i++ {
 		ep, err := p.Pick()
@@ -42,9 +42,7 @@ func TestPoolRoundRobinAndSkip(t *testing.T) {
 }
 
 func TestPoolSkippedEndpointIsLastResort(t *testing.T) {
-	reg := obs.NewRegistry()
 	p := NewPool([]string{"a", "b"},
-		WithObserver(reg),
 		WithBreakerConfig(BreakerConfig{FailureThreshold: 1}))
 	// Trip b; only a remains, and a is skipped — it must still be offered.
 	p.Record("b", serverFault{})
@@ -59,9 +57,9 @@ func TestPoolSkippedEndpointIsLastResort(t *testing.T) {
 }
 
 func TestPoolEjectsTrippedEndpoints(t *testing.T) {
-	reg := obs.NewRegistry()
+	ejections := obs.Default.Counter("resilience_endpoint_ejections_total", "endpoint=bad")
+	ejectionsBefore := ejections.Value()
 	p := NewPool([]string{"bad", "good"},
-		WithObserver(reg),
 		WithBreakerConfig(BreakerConfig{FailureThreshold: 2}))
 	p.Record("bad", serverFault{})
 	p.Record("bad", serverFault{})
@@ -75,10 +73,10 @@ func TestPoolEjectsTrippedEndpoints(t *testing.T) {
 		}
 		p.Record(ep, nil)
 	}
-	if got := reg.Counter("resilience_endpoint_ejections_total", "endpoint=bad").Value(); got != 1 {
-		t.Fatalf("ejections counter = %d, want 1", got)
+	if got := ejections.Value() - ejectionsBefore; got != 1 {
+		t.Fatalf("ejections counter rose by %d, want 1", got)
 	}
-	if got := reg.Gauge("resilience_pool_healthy").Value(); got != 1 {
+	if got := obs.Default.Gauge("resilience_pool_healthy").Value(); got != 1 {
 		t.Fatalf("healthy gauge = %d, want 1", got)
 	}
 	// All tripped: Pick reports a retryable no-endpoint error.
@@ -99,7 +97,7 @@ func TestPoolRefreshFromSource(t *testing.T) {
 		calls++
 		return append([]string(nil), eps...), nil
 	}
-	p := NewPool(nil, WithObserver(obs.NewRegistry()), WithSource(src))
+	p := NewPool(nil, WithSource(src))
 	if err := p.Refresh(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -134,9 +132,9 @@ func TestPoolRefreshFromSource(t *testing.T) {
 }
 
 func TestPoolDoFailsOverToHealthyEndpoint(t *testing.T) {
-	reg := obs.NewRegistry()
+	retries := obs.Default.Counter("resilience_retries_total")
+	retriesBefore := retries.Value()
 	p := NewPool([]string{"bad", "good"},
-		WithObserver(reg),
 		WithBreakerConfig(BreakerConfig{FailureThreshold: 2}))
 	pol := &Policy{MaxAttempts: 3, BackoffBase: time.Millisecond}
 	var tried []string
@@ -156,8 +154,8 @@ func TestPoolDoFailsOverToHealthyEndpoint(t *testing.T) {
 	if len(tried) != 2 || tried[0] != "bad" || tried[1] != "good" {
 		t.Fatalf("attempt sequence = %v, want [bad good]", tried)
 	}
-	if got := reg.Counter("resilience_retries_total").Value(); got != 1 {
-		t.Fatalf("retries counter = %d, want 1", got)
+	if got := retries.Value() - retriesBefore; got != 1 {
+		t.Fatalf("retries counter rose by %d, want 1", got)
 	}
 }
 
@@ -166,7 +164,7 @@ func TestPoolDoFailsOverToHealthyEndpoint(t *testing.T) {
 // callers move the shared rotation between its attempts. Two of three
 // replicas always fail and the default breaker stays closed throughout.
 func TestPoolDoNeverReturnsToAFailedEndpoint(t *testing.T) {
-	p := NewPool([]string{"bad1", "bad2", "good"}, WithObserver(obs.NewRegistry()))
+	p := NewPool([]string{"bad1", "bad2", "good"})
 	call := func(endpoint string) error {
 		if endpoint != "good" {
 			return serverFault{}
@@ -204,7 +202,7 @@ func TestPoolDoNeverReturnsToAFailedEndpoint(t *testing.T) {
 }
 
 func TestPoolDoStopsOnPermanentFault(t *testing.T) {
-	p := NewPool([]string{"a", "b"}, WithObserver(obs.NewRegistry()))
+	p := NewPool([]string{"a", "b"})
 	calls := 0
 	clientFault := &fault{"soap:Client"}
 	_, err := p.Do(context.Background(), &Policy{MaxAttempts: 4, BackoffBase: time.Millisecond}, nil,
@@ -223,7 +221,6 @@ func TestPoolDoStopsOnPermanentFault(t *testing.T) {
 func TestPoolDoRefreshesWhenAllTripped(t *testing.T) {
 	src := func(ctx context.Context) ([]string, error) { return []string{"fresh"}, nil }
 	p := NewPool([]string{"dead"},
-		WithObserver(obs.NewRegistry()),
 		WithSource(src),
 		WithBreakerConfig(BreakerConfig{FailureThreshold: 1}))
 	// Use up the first refresh so the pool starts from just {dead}… the

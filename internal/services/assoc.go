@@ -164,7 +164,7 @@ func NewAttributeSelectionService() *Service {
 					if err != nil {
 						return nil, err
 					}
-					ranking, err := rankWith(evName, d)
+					ranking, err := rankWith(ctx, evName, d)
 					if err != nil {
 						return nil, &soap.Fault{Code: "soap:Client", String: err.Error()}
 					}
@@ -193,7 +193,7 @@ func NewAttributeSelectionService() *Service {
 					if err != nil {
 						return nil, err
 					}
-					names, err := selectWith(evName, searchName, d)
+					names, err := selectWith(ctx, evName, searchName, d)
 					if err != nil {
 						return nil, &soap.Fault{Code: "soap:Client", String: err.Error()}
 					}

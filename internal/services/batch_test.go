@@ -84,7 +84,7 @@ func TestClassifierServiceClassifyBatch(t *testing.T) {
 	if rowsAfter-rowsBefore != int64(batch.NumInstances()) {
 		t.Fatalf("batch_rows_total advanced by %d, want %d", rowsAfter-rowsBefore, batch.NumInstances())
 	}
-	if obs.Default.Histogram("batch_decode_ms", "op=classifyBatch").Count() == 0 {
+	if obs.Default.Snapshot().Histograms[obs.Key("batch_decode_ms", "op=classifyBatch")].Count == 0 {
 		t.Fatal("batch_decode_ms not observed")
 	}
 }

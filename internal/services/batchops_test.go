@@ -204,6 +204,49 @@ func TestRegressorServiceRegressBatch(t *testing.T) {
 		t.Fatalf("batch_rows_total advanced by %d, want %d", rowsAfter-rowsBefore, batch.NumInstances())
 	}
 
+	// The options part configures the regressor: KNNRegressor at k=1, in
+	// the JSON form, is bit-identical to the same model built locally and
+	// differs from the default k=3.
+	out, err = soap.CallContext(context.Background(), url, "regressBatch", map[string]string{
+		PartDataset:   arff.Format(train.Clone()),
+		PartRegressor: "KNNRegressor",
+		PartOptions:   `{"k":"1"}`,
+		PartAttribute: "temperature",
+		PartPayload:   payload,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	knnRes, err := wire.UnmarshalRegressResultBase64(out[PartPayload])
+	if err != nil {
+		t.Fatal(err)
+	}
+	predict := func(opts map[string]string) []float64 {
+		r, err := regress.Registry.Build("KNNRegressor", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Train(d.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		v, err := regress.PredictBatch(r, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	knnWant, knnDefault := predict(map[string]string{"k": "1"}), predict(nil)
+	differs := false
+	for i := range knnWant {
+		if math.Float64bits(knnRes.Values[i]) != math.Float64bits(knnWant[i]) {
+			t.Fatalf("k=1 row %d: %v, want %v", i, knnRes.Values[i], knnWant[i])
+		}
+		differs = differs || knnWant[i] != knnDefault[i]
+	}
+	if !differs {
+		t.Fatal("k=1 predicts exactly what the default k does; the options part is untested")
+	}
+
 	// The textual regress op reports a finite training fit.
 	out, err = soap.CallContext(context.Background(), url, "regress", map[string]string{
 		PartDataset:   arff.Format(train.Clone()),
@@ -277,7 +320,7 @@ func TestFilterServiceFilterBatch(t *testing.T) {
 	out2, err := soap.CallContext(context.Background(), url, "filterBatch", map[string]string{
 		PartPayload: out[PartPayload],
 		PartFilter:  "Discretize",
-		PartBins:    "3",
+		partBins:    "3",
 	})
 	if err != nil {
 		t.Fatal(err)

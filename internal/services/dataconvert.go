@@ -125,7 +125,7 @@ func NewDataConvertService(fetch *http.Client) *Service {
 				Name: "summarize",
 				Doc:  "Compute dataset statistics (instances, attributes, missing values).",
 				In:   []string{PartDataset},
-				Out:  []string{partSummary, PartInstances, PartAttributes, partMissing},
+				Out:  []string{partSummary, PartInstances, partAttributes, partMissing},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					d, err := parseDataset(parts, "dataset")
 					if err != nil {

@@ -97,7 +97,7 @@ func NewFilterService() *Service {
 				Doc: "Apply a dataset filter and return the transformed ARFF. " +
 					"Deprecated for bulk pipelines: the ARFF round-trip re-parses " +
 					"text at every hop — chain filterBatch payloads instead.",
-				In:  []string{PartDataset, PartFilter, PartBins, PartEqualFrequency, PartAttributes},
+				In:  []string{PartDataset, PartFilter, partBins, partEqualFrequency, partAttributes},
 				Out: []string{partArff},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					d, err := parseDataset(parts, "dataset")
@@ -121,7 +121,7 @@ func NewFilterService() *Service {
 					"fast path and return the transformed block — schema changes " +
 					"(Discretize, Remove, Keep) included, so chained filters never " +
 					"materialise ARFF text.",
-				In:  []string{PartPayload, PartEncoding, PartFilter, PartBins, PartEqualFrequency, PartAttributes},
+				In:  []string{PartPayload, PartEncoding, PartFilter, partBins, partEqualFrequency, partAttributes},
 				Out: []string{PartPayload, PartRows, PartEncoding},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					d, err := decodeBatchPayload(parts, "filterBatch")

@@ -22,13 +22,13 @@ func TestKernelsLeaveInternedSchemaAlone(t *testing.T) {
 	src := datagen.WeatherNumeric()
 	src.Instances[0].Values[1] = dataset.Missing // ReplaceMissingValues has work to do
 	doc := arff.Format(src)
-	block, err := wire.Marshal(src)
+	block, err := wire.MarshalBase64(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	decoded := func() []*dataset.Dataset {
 		a, errA := arff.ParseString(doc)
-		b, errB := wire.Unmarshal(block)
+		b, errB := wire.UnmarshalBase64(block)
 		if errA != nil || errB != nil {
 			t.Fatal(errA, errB)
 		}

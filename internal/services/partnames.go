@@ -14,8 +14,8 @@ const (
 	partApproaches     = "approaches"
 	partArff           = "arff"
 	PartAttribute      = "attribute"
-	PartAttributes     = "attributes"
-	PartBins           = "bins"
+	partAttributes     = "attributes"
+	partBins           = "bins"
 	PartClassifier     = "classifier"
 	PartClassifiers    = "classifiers"
 	partClosed         = "closed"
@@ -27,7 +27,7 @@ const (
 	PartDataset        = "dataset"
 	partDepth          = "depth"
 	PartEncoding       = "encoding"
-	PartEqualFrequency = "equalFrequency"
+	partEqualFrequency = "equalFrequency"
 	PartEvaluation     = "evaluation"
 	partEvaluator      = "evaluator"
 	PartFilter         = "filter"
@@ -87,12 +87,12 @@ var binaryParts = map[string]bool{
 // against.
 var knownPartNames = map[string]bool{
 	PartAccuracy: true, partAlgorithm: true, partApproaches: true,
-	partArff: true, PartAttribute: true, PartAttributes: true,
-	PartBins: true, PartClassifier: true, PartClassifiers: true,
+	partArff: true, PartAttribute: true, partAttributes: true,
+	partBins: true, PartClassifier: true, PartClassifiers: true,
 	partClosed: true, PartClusterer: true, partClusterers: true,
 	PartClusters: true, partColumns: true, partCSV: true,
 	PartDataset: true, partDepth: true, PartEncoding: true,
-	PartEqualFrequency: true, PartEvaluation: true, partEvaluator: true,
+	partEqualFrequency: true, PartEvaluation: true, partEvaluator: true,
 	PartFilter: true, partFilters: true, partFolds: true,
 	partFormat: true, partGraph: true, partHeader: true,
 	partImage: true, PartInstances: true, partItemsets: true,

@@ -11,6 +11,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/harness"
+	"repro/internal/obs"
 	"repro/internal/soap"
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -141,7 +142,7 @@ func TestSessionTokenPortableAcrossReplicas(t *testing.T) {
 	backendA := harness.NewCachedBackend(8)
 	backendA.Durable = storeA
 	backendB := harness.NewCachedBackend(8)
-	backendB.Durable = storeB
+	backendB.Durable, backendB.Obs = storeB, obs.NewRegistry()
 	urlA := hostServices(t, NewSessionService(backendA)) + "/services/Session"
 	urlB := hostServices(t, NewSessionService(backendB)) + "/services/Session"
 
@@ -171,10 +172,10 @@ func TestSessionTokenPortableAcrossReplicas(t *testing.T) {
 	if n := len(strings.Split(strings.TrimSpace(got["labels"]), "\n")); n != full.NumInstances() {
 		t.Fatalf("labelled %d of %d on the resuming replica", n, full.NumInstances())
 	}
-	if backendB.Builds() != 0 {
-		t.Fatalf("resuming replica retrained %d times, want 0", backendB.Builds())
+	if n := backendB.Obs.Counter("harness_builds_total").Value(); n != 0 {
+		t.Fatalf("resuming replica retrained %d times, want 0", n)
 	}
-	if storeB.Stats().Hits == 0 {
+	if backendB.Obs.Counter("harness_store_restores_total").Value() == 0 {
 		t.Fatal("resume did not read the stored snapshot")
 	}
 	// The labels must match what the creator's model produces.

@@ -27,7 +27,7 @@ func NewTreeAnalyzerService() *Service {
 				Name: "analyze",
 				Doc:  "Analyse a textual J48 decision tree: root attribute, depth, leaves, rules.",
 				In:   []string{partTree},
-				Out:  []string{partRoot, partDepth, partLeaves, PartAttributes, partRules},
+				Out:  []string{partRoot, partDepth, partLeaves, partAttributes, partRules},
 				Handle: func(ctx context.Context, parts map[string]string) (map[string]string, error) {
 					text, err := require(parts, "tree")
 					if err != nil {
@@ -64,6 +64,9 @@ type treeAnalysis struct {
 // indentation) into a treeAnalysis.
 func analyzeTreeText(text string) (*treeAnalysis, error) {
 	a := &treeAnalysis{}
+	// root is the first named top-level attribute, maxDepth the deepest
+	// level seen.
+	root, maxDepth := "", 0
 	attrs := map[string]bool{}
 	// path[d] holds the condition at depth d on the current branch.
 	var path []string
@@ -110,17 +113,15 @@ func analyzeTreeText(text string) (*treeAnalysis, error) {
 		if name != "" {
 			attrs[name] = true
 		}
-		if depth == 0 && a.Root == "" {
-			a.Root = name
+		if depth == 0 && root == "" {
+			root = name
 		}
 		if len(path) <= depth {
 			path = append(path, make([]string, depth+1-len(path))...)
 		}
 		path = path[:depth+1]
 		path[depth] = cond
-		if depth+1 > a.Depth {
-			a.Depth = depth + 1
-		}
+		maxDepth = max(maxDepth, depth+1)
 		if leafClass != "" {
 			a.Leaves++
 			a.Rules = append(a.Rules,
@@ -130,6 +131,7 @@ func analyzeTreeText(text string) (*treeAnalysis, error) {
 	if !sawNode {
 		return nil, fmt.Errorf("no tree nodes found")
 	}
+	a.Root, a.Depth = root, maxDepth
 	for name := range attrs {
 		a.Attributes = append(a.Attributes, name)
 	}

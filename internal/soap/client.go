@@ -20,7 +20,6 @@ import (
 type Client struct {
 	httpClient *http.Client
 	timeout    time.Duration
-	observer   *obs.Registry // nil means obs.Default; tests set their own
 
 	mu  sync.RWMutex
 	ops map[string]*instruments // by operation
@@ -73,13 +72,6 @@ func (c *Client) http() *http.Client {
 	return sharedHTTPClient
 }
 
-func (c *Client) obsReg() *obs.Registry {
-	if c.observer != nil {
-		return c.observer
-	}
-	return obs.Default
-}
-
 var clientLog = obs.L("soap.client")
 
 // CallContext posts an operation envelope to url and returns the response
@@ -100,18 +92,17 @@ func (c *Client) CallContext(ctx context.Context, url, operation string, parts m
 	out, err := c.do(ctx, url, operation, msg)
 	span.End(err)
 
-	reg := c.obsReg()
-	inst := c.instruments(operation, reg)
+	inst := c.instruments(operation)
 	inst.requests.Inc()
 	inst.latency.Observe(span.DurationMS())
 	if err != nil && errors.Is(ctx.Err(), context.Canceled) {
 		// A cancelled in-flight call — typically the losing attempt of a
 		// hedged race or an abandoned workflow — is bookkeeping, not a
 		// service fault; count it apart so fault dashboards stay honest.
-		reg.Counter("soap_client_cancelled_total", "op="+operation).Inc()
+		obs.Default.Counter("soap_client_cancelled_total", "op="+operation).Inc()
 		clientLog.Debug(ctx, operation, "endpoint", url, "status", "cancelled")
 	} else if err != nil {
-		reg.Counter("soap_client_faults_total", "op="+operation, "class="+obs.FaultClass(err)).Inc()
+		obs.Default.Counter("soap_client_faults_total", "op="+operation, "class="+obs.FaultClass(err)).Inc()
 		clientLog.Warn(ctx, operation, "endpoint", url, "err", err)
 	} else if clientLog.Enabled(obs.LevelInfo) {
 		clientLog.Info(ctx, operation, "endpoint", url, "status", "ok",
@@ -120,16 +111,16 @@ func (c *Client) CallContext(ctx context.Context, url, operation string, parts m
 	return out, err
 }
 
-// instruments returns operation's instruments in reg, looking them up
-// there on the operation's first call and whenever reg has changed.
-func (c *Client) instruments(operation string, reg *obs.Registry) *instruments {
+// instruments returns operation's instruments in obs.Default, looking
+// them up there on the operation's first call.
+func (c *Client) instruments(operation string) *instruments {
 	c.mu.RLock()
 	in := c.ops[operation]
 	c.mu.RUnlock()
-	if in != nil && in.reg == reg {
+	if in != nil {
 		return in
 	}
-	in = lookupInstruments(reg, "soap_client_requests_total", "soap_client_latency_ms", "op="+operation)
+	in = lookupInstruments(obs.Default, "soap_client_requests_total", "soap_client_latency_ms", "op="+operation)
 	c.mu.Lock()
 	if c.ops == nil {
 		c.ops = map[string]*instruments{}

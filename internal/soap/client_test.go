@@ -123,10 +123,11 @@ func TestTraceHeaderPropagation(t *testing.T) {
 	}
 }
 
-// TestInstrumentsFollowObserver: the client and the endpoint resolve an
-// operation's instruments once, but a registry set after the first call
-// (Observer may be assigned after Handle) receives every later call, and
-// an operation the endpoint does not serve leaves no per-op entry.
+// TestInstrumentsFollowObserver: the endpoint resolves an operation's
+// instruments once, but a registry set after the first call (Observer
+// may be assigned after Handle) receives every later call, while the
+// client counts every call in obs.Default; an operation the endpoint does
+// not serve leaves no per-op entry.
 func TestInstrumentsFollowObserver(t *testing.T) {
 	ep, srv := newTestEndpoint(t)
 	c := NewClient()
@@ -135,9 +136,11 @@ func TestInstrumentsFollowObserver(t *testing.T) {
 		t.Helper()
 		_, _ = c.CallContext(context.Background(), srv.URL, op, map[string]string{"x": "a"})
 	}
-	ep.Observer, c.observer = first, first
+	clientRequests := obs.Default.Counter("soap_client_requests_total", "op=echo")
+	clientBefore := clientRequests.Value()
+	ep.Observer = first
 	call("echo")
-	ep.Observer, c.observer = second, second
+	ep.Observer = second
 	call("echo")
 	call("echo")
 	for _, r := range []struct {
@@ -147,9 +150,9 @@ func TestInstrumentsFollowObserver(t *testing.T) {
 		if got := r.reg.Counter("soap_server_requests_total", "service=Echo", "op=echo").Value(); got != r.want {
 			t.Errorf("server requests in registry: %d, want %d", got, r.want)
 		}
-		if got := r.reg.Counter("soap_client_requests_total", "op=echo").Value(); got != r.want {
-			t.Errorf("client requests in registry: %d, want %d", got, r.want)
-		}
+	}
+	if got := clientRequests.Value() - clientBefore; got != 3 {
+		t.Errorf("client requests rose by %d, want 3", got)
 	}
 	call("noSuchOp")
 	call("noSuchOp")
@@ -164,13 +167,14 @@ func TestInstrumentsFollowObserver(t *testing.T) {
 	}
 }
 
-// TestClientMetrics checks that an injected observer registry receives the
+// TestClientMetrics checks that obs.Default receives the client's
 // request counter, latency histogram and fault-class counter.
 func TestClientMetrics(t *testing.T) {
 	_, srv := newTestEndpoint(t)
-	reg := obs.NewRegistry()
 	c := NewClient()
-	c.observer = reg
+	requests, latency := obs.Key("soap_client_requests_total", "op=echo"), obs.Key("soap_client_latency_ms", "op=echo")
+	faults := obs.Key("soap_client_faults_total", "class=soap:Server", "op=fail")
+	before := obs.Default.Snapshot()
 
 	if _, err := c.CallContext(context.Background(), srv.URL, "echo", map[string]string{"x": "a"}); err != nil {
 		t.Fatal(err)
@@ -179,14 +183,15 @@ func TestClientMetrics(t *testing.T) {
 		t.Fatal("fail op succeeded")
 	}
 
-	if got := reg.Counter("soap_client_requests_total", "op=echo").Value(); got != 1 {
-		t.Errorf("echo requests = %d", got)
+	after := obs.Default.Snapshot()
+	if got := after.Counters[requests] - before.Counters[requests]; got != 1 {
+		t.Errorf("echo requests rose by %d", got)
 	}
-	if got := reg.Histogram("soap_client_latency_ms", "op=echo").Count(); got != 1 {
-		t.Errorf("echo latency samples = %d", got)
+	if got := after.Histograms[latency].Count - before.Histograms[latency].Count; got != 1 {
+		t.Errorf("echo latency samples rose by %d", got)
 	}
-	if got := reg.Counter("soap_client_faults_total", "op=fail", "class=soap:Server").Value(); got != 1 {
-		t.Errorf("fail faults = %d; snapshot=%v", got, reg.Snapshot().Counters)
+	if got := after.Counters[faults] - before.Counters[faults]; got != 1 {
+		t.Errorf("fail faults rose by %d; snapshot=%v", got, after.Counters)
 	}
 }
 
@@ -205,7 +210,6 @@ func TestConcurrentServer(t *testing.T) {
 
 	const workers, perWorker = 16, 20
 	client := NewClient()
-	client.observer = obs.NewRegistry()
 	var wg sync.WaitGroup
 	errs := make(chan error, workers*perWorker)
 	for w := 0; w < workers; w++ {

@@ -284,7 +284,6 @@ func (s *Store) checkGenerationLocked() (bool, error) {
 	if err := s.adoptGenerationLocked(gen, idxName); err != nil {
 		return false, err
 	}
-	s.stats.GenResets++
 	s.obsReg().Counter("store_generation_resets_total").Inc()
 	return true, nil
 }
@@ -473,7 +472,6 @@ func (s *Store) compactLocked(maxAge time.Duration) (CompactStats, error) {
 		if err != nil {
 			// An indexed record that no longer verifies is unreadable via
 			// Get too; dropping it from the rewrite loses nothing.
-			s.stats.Dropped++
 			placedSeg[i] = ""
 			continue
 		}
@@ -581,7 +579,6 @@ func (s *Store) compactLocked(maxAge time.Duration) (CompactStats, error) {
 	if err := s.adoptGenerationLocked(newGen, newIdxName); err != nil {
 		return CompactStats{}, err
 	}
-	s.stats.Compacted++
 
 	st := CompactStats{
 		Generation:     newGen,

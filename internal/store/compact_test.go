@@ -19,7 +19,8 @@ func blobFor(i int) []byte {
 // survive reopen without resurrection.
 func TestDeleteAndDeadBytes(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, WithObs(testObs()))
+	reg := testObs()
+	s, err := Open(dir, WithObs(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +48,8 @@ func TestDeleteAndDeadBytes(t *testing.T) {
 	if s.DeadBytes() == 0 {
 		t.Fatal("deletes accounted no dead bytes")
 	}
-	if got := s.Stats().Deletes; got != 2 {
-		t.Fatalf("Deletes = %d, want 2", got)
+	if got := reg.Counter("store_deletes_total").Value(); got != 2 {
+		t.Fatalf("store_deletes_total = %d, want 2", got)
 	}
 	s.Close()
 
@@ -258,7 +259,8 @@ func TestGenerationAdoption(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := Open(dir, WithObs(testObs()))
+	bReg := testObs()
+	b, err := Open(dir, WithObs(bReg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +286,7 @@ func TestGenerationAdoption(t *testing.T) {
 	if b.Generation() != 1 {
 		t.Fatalf("b generation = %d, want 1", b.Generation())
 	}
-	if b.Stats().GenResets == 0 {
+	if bReg.Counter("store_generation_resets_total").Value() == 0 {
 		t.Fatal("b never counted a generation reset")
 	}
 	if got, _, err := a.Get("z"); err != nil || string(got) != "zval" {

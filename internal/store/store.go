@@ -103,21 +103,6 @@ type indexLine struct {
 	Del       bool   `json:"del,omitempty"`
 }
 
-// Stats are per-open-store counters (process-local, unlike the shared obs
-// metrics) so tests and tools can assert on one replica's traffic.
-type Stats struct {
-	Hits      int64 // Get found the key
-	Misses    int64 // Get did not, even after an index refresh
-	Puts      int64 // records written by this store
-	DupPuts   int64 // content-addressed no-ops (key already stored)
-	Recovered int64 // records re-indexed from segment scans at Open
-	Dropped   int64 // torn/invalid index entries discarded at Open
-	Deletes   int64 // tombstones written by this store
-	Supersede int64 // records another record or tombstone made dead
-	GenResets int64 // times this store adopted a new compaction generation
-	Compacted int64 // compactions this store committed
-}
-
 // Option configures an Open.
 type Option func(*Store)
 
@@ -150,7 +135,6 @@ type Store struct {
 	activeSize int64
 	bytes      int64 // indexed record bytes, live + dead
 	deadBytes  int64 // superseded records + tombstones and their victims
-	stats      Stats
 }
 
 // Open opens (creating if needed) the store rooted at dir, recovering the
@@ -280,7 +264,6 @@ func (s *Store) consumeIndexLocked() error {
 		s.idxOff += int64(len(line))
 		var il indexLine
 		if json.Unmarshal(line, &il) != nil || il.Key == "" || il.RecLen < headerSize {
-			s.stats.Dropped++
 			continue
 		}
 		// Validate against the segment: an entry whose record extends past
@@ -296,7 +279,6 @@ func (s *Store) consumeIndexLocked() error {
 			segSizes[il.Segment] = size
 		}
 		if size < 0 || il.Offset+il.RecLen > size {
-			s.stats.Dropped++
 			continue
 		}
 		if il.Del {
@@ -327,7 +309,6 @@ func (s *Store) addEntry(e *Entry) {
 		if old.Segment != e.Segment || old.Offset != e.Offset {
 			s.bytes += e.recLen
 			s.deadBytes += old.recLen
-			s.stats.Supersede++
 		}
 		s.index[e.Key] = e
 		return
@@ -349,7 +330,6 @@ func (s *Store) applyTombstone(key string, recLen int64) {
 			}
 		}
 		s.deadBytes += old.recLen
-		s.stats.Supersede++
 	}
 	s.tombstoned[key] = true
 	s.bytes += recLen
@@ -415,7 +395,6 @@ func (s *Store) recoverSegments() error {
 					}
 					s.tombSeen[loc] = off + e.recLen
 					s.applyTombstone(e.Key, e.recLen)
-					s.stats.Recovered++
 				}
 			case s.tombstoned[e.Key]:
 				// A stale copy of a deleted key must not resurrect it.
@@ -426,7 +405,6 @@ func (s *Store) recoverSegments() error {
 						return err
 					}
 					s.addEntry(e)
-					s.stats.Recovered++
 				}
 			}
 			off += e.recLen
@@ -548,7 +526,6 @@ func (s *Store) Put(key string, meta Meta, blob []byte) error {
 		return err
 	}
 	if _, ok := s.index[key]; ok {
-		s.stats.DupPuts++
 		s.obsReg().Counter("store_dup_puts_total").Inc()
 		return nil
 	}
@@ -560,7 +537,6 @@ func (s *Store) Put(key string, meta Meta, blob []byte) error {
 		return err
 	}
 	s.addEntry(e)
-	s.stats.Puts++
 	s.obsReg().Counter("store_puts_total").Inc()
 	s.publishGauges()
 	return nil
@@ -626,7 +602,6 @@ func (s *Store) Delete(key string) error {
 	}
 	s.tombSeen[fmt.Sprintf("%s:%d", e.Segment, e.Offset)] = e.Offset + e.recLen
 	s.applyTombstone(key, e.recLen)
-	s.stats.Deletes++
 	s.obsReg().Counter("store_deletes_total").Inc()
 	s.publishGauges()
 	return nil
@@ -650,7 +625,6 @@ func (s *Store) Get(key string) ([]byte, Meta, error) {
 			e, ok = s.index[key]
 		}
 		if !ok {
-			s.stats.Misses++
 			s.mu.Unlock()
 			s.obsReg().Counter("store_misses_total").Inc()
 			return nil, Meta{}, fmt.Errorf("store: no artifact for key %q", key)
@@ -658,7 +632,6 @@ func (s *Store) Get(key string) ([]byte, Meta, error) {
 		f, err := s.readerLocked(e.Segment)
 		if err == nil {
 			if got, blob, valid := readRecordAt(f, e.Offset); valid && got.Key == key {
-				s.stats.Hits++
 				s.mu.Unlock()
 				s.obsReg().Counter("store_hits_total").Inc()
 				return blob, got.Meta, nil
@@ -669,7 +642,6 @@ func (s *Store) Get(key string) ([]byte, Meta, error) {
 				continue // the files moved; re-resolve against the new index
 			}
 		}
-		s.stats.Misses++
 		s.mu.Unlock()
 		s.obsReg().Counter("store_misses_total").Inc()
 		return nil, Meta{}, fmt.Errorf("store: artifact for key %q failed verification", key)
@@ -759,13 +731,6 @@ func (s *Store) Generation() int64 {
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
-
-// Stats returns this open store's counters.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
 
 // Close releases every file handle. The on-disk state needs no shutdown
 // step: every record and index line was already fsynced by its Put.

@@ -49,34 +49,6 @@ func TreeDOT(root *classify.TreeNode) string {
 	return b.String()
 }
 
-// TreeASCII renders a decision tree as an indented outline (the TreeViewer
-// textual mode of the case study).
-func TreeASCII(root *classify.TreeNode) string {
-	var b strings.Builder
-	var walk func(n *classify.TreeNode, prefix string)
-	walk = func(n *classify.TreeNode, prefix string) {
-		if n.Attr < 0 {
-			fmt.Fprintf(&b, "%s-> %s\n", prefix, n.ClassName)
-			return
-		}
-		for i, c := range n.Children {
-			label := ""
-			if i < len(n.Labels) {
-				label = n.Labels[i]
-			}
-			if !n.Numeric {
-				label = "= " + label
-			}
-			fmt.Fprintf(&b, "%s%s %s\n", prefix, n.AttrName, label)
-			walk(c, prefix+"    ")
-		}
-	}
-	if root != nil {
-		walk(root, "")
-	}
-	return b.String()
-}
-
 // CobwebDOT renders a COBWEB concept hierarchy in Graphviz DOT — the
 // getCobwebGraph payload for the tree plotter (§4.1).
 func CobwebDOT(root *cluster.ConceptNode) string {

@@ -33,13 +33,6 @@ func TestTreeDOT(t *testing.T) {
 	}
 }
 
-func TestTreeASCII(t *testing.T) {
-	out := TreeASCII(trainedTree(t))
-	if !strings.Contains(out, "node-caps = yes") || !strings.Contains(out, "-> ") {
-		t.Fatalf("ASCII tree:\n%s", out)
-	}
-}
-
 func TestCobwebDOT(t *testing.T) {
 	cw := &cluster.Cobweb{Acuity: 1, Cutoff: 0.0028}
 	if err := cw.Build(datagen.Weather()); err != nil {

@@ -14,8 +14,9 @@ import (
 // *Base64 functions must give exactly what its two passes give — the
 // same text out, the same value or the same error in.
 
-// codec is one block kind's four exported conversions, typed as any so
-// that one table drives them all.
+// codec is one block kind's three exported conversions, and the raw
+// encoding the oracle derives from its text, typed as any so that one
+// table drives them all.
 type codec struct {
 	magic, what string
 	fromText    func(string) (any, error)
@@ -26,24 +27,24 @@ type codec struct {
 }
 
 func codecOf[T any](magic, what string, fromText func(string) (*T, error), fromBytes func([]byte) (*T, error),
-	toText func(*T) (string, error), toBytes func(*T) ([]byte, error), floats func(*T) [][]float64) codec {
+	toText func(*T) (string, error), floats func(*T) [][]float64) codec {
 	return codec{magic, what,
 		func(s string) (any, error) { return fromText(s) },
 		func(b []byte) (any, error) { return fromBytes(b) },
 		func(v any) (string, error) { return toText(v.(*T)) },
-		func(v any) ([]byte, error) { return toBytes(v.(*T)) },
+		func(v any) ([]byte, error) { return raw(toText(v.(*T))) },
 		func(v any) [][]float64 { return floats(v.(*T)) },
 	}
 }
 
 var codecs = []codec{
-	codecOf(magicDataset, "payload", UnmarshalBase64, Unmarshal, MarshalBase64, Marshal, datasetFloats),
-	codecOf(magicResult, "result", UnmarshalResultBase64, UnmarshalResult, MarshalResultBase64, MarshalResult,
+	codecOf(magicDataset, "payload", UnmarshalBase64, Unmarshal, MarshalBase64, datasetFloats),
+	codecOf(magicResult, "result", UnmarshalResultBase64, UnmarshalResult, MarshalResultBase64,
 		func(r *Result) [][]float64 { return r.Distributions }),
 	codecOf(magicCluster, "cluster result", UnmarshalClusterResultBase64, UnmarshalClusterResult,
-		MarshalClusterResultBase64, MarshalClusterResult, func(r *ClusterResult) [][]float64 { return r.Scores }),
+		MarshalClusterResultBase64, func(r *ClusterResult) [][]float64 { return r.Scores }),
 	codecOf(magicRegress, "regression result", UnmarshalRegressResultBase64, UnmarshalRegressResult,
-		MarshalRegressResultBase64, MarshalRegressResult, func(r *RegressResult) [][]float64 { return [][]float64{r.Values} }),
+		MarshalRegressResultBase64, func(r *RegressResult) [][]float64 { return [][]float64{r.Values} }),
 }
 
 func datasetFloats(d *dataset.Dataset) [][]float64 {

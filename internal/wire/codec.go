@@ -6,9 +6,9 @@ import (
 	"strings"
 )
 
-// One reader and one writer serve every block kind in both of its forms:
-// the raw bytes (Marshal, Unmarshal, ...) and the base64 text a SOAP part
-// carries (the *Base64 pairs). In text form the bytes exist only a
+// One reader serves every block kind in both of its forms: the raw bytes
+// (Unmarshal, ...) and the base64 text a SOAP part carries (the *Base64
+// pairs). One writer produces the text form. In text form the bytes exist only a
 // stage at a time — an L1-sized window on the caller's stack that the
 // writer encodes from and the reader decodes into — so a column goes
 // straight between its float64s and the text, with no whole-block
@@ -19,16 +19,13 @@ import (
 // loops never split a group.
 const stageBytes = 3072
 
-// writer appends a block. Raw: buf is the block, allocated once at its
-// exact size. Text: buf holds the bytes not yet encoded, and each time it
-// fills, its whole quanta are encoded onto text.
+// writer appends a block as base64 text: buf holds the bytes not yet
+// encoded, and each time it fills, its whole quanta are encoded onto
+// text.
 type writer struct {
 	buf  []byte
 	text *strings.Builder
 }
-
-// rawWriter writes a block of exactly size bytes.
-func rawWriter(size int) writer { return writer{buf: make([]byte, 0, size)} }
 
 // textWriter writes the base64 text of a block of size bytes into text,
 // grown once to its exact length. stage is the window; contiguous bytes
@@ -48,11 +45,6 @@ func textWriter(text *strings.Builder, stage []byte, size, contiguous int) write
 func (w *writer) space(width, n int) []byte {
 	if cap(w.buf)-len(w.buf) < width {
 		w.flush(false)
-	}
-	if cap(w.buf)-len(w.buf) < width { // only if a block's size was miscounted
-		grown := make([]byte, len(w.buf), 2*cap(w.buf)+width)
-		copy(grown, w.buf)
-		w.buf = grown
 	}
 	l := len(w.buf)
 	k := min(n, (cap(w.buf)-l)/width)
@@ -86,11 +78,8 @@ func putF64(b []byte, v float64) {
 }
 
 // flush encodes buf's whole quanta onto the text, or all of buf, padded,
-// when final; a raw writer has nothing to flush.
+// when final.
 func (w *writer) flush(final bool) {
-	if w.text == nil {
-		return
-	}
 	var out [stageBytes / 3 * 4]byte
 	n := len(w.buf) / 3 * 3
 	if final {
@@ -106,7 +95,7 @@ func (w *writer) flush(final bool) {
 	w.buf = w.buf[:rest]
 }
 
-// finish returns the text of a text writer.
+// finish returns the writer's text.
 func (w *writer) finish() string {
 	w.flush(true)
 	return w.text.String()

@@ -58,7 +58,8 @@ type ClusterResult struct {
 	Scores      [][]float64 // Scores[c][i]; len == Clusters iff ScoreKind != ScoreNone
 }
 
-// MarshalClusterResult encodes a clustering result as one DMC1 block:
+// MarshalClusterResultBase64 encodes a cluster result straight into the
+// base64 text of its DMC1 block:
 //
 //	"DMC1" u8 version
 //	u8  scoreKind     0 none, 1 distance, 2 responsibility
@@ -66,20 +67,6 @@ type ClusterResult struct {
 //	u32 rows
 //	assignment block: u32 byte length, rows u32 indices (0xFFFFFFFF = noise)
 //	per cluster:      length-prefixed float64 column, present iff scoreKind != 0
-func MarshalClusterResult(res *ClusterResult) ([]byte, error) {
-	kc, err := res.check()
-	if err != nil {
-		return nil, err
-	}
-	w := rawWriter(res.size())
-	if err := res.write(&w, kc); err != nil {
-		return nil, err
-	}
-	return w.buf, nil
-}
-
-// MarshalClusterResultBase64 encodes a cluster result straight into the
-// base64 text of its DMC1 block.
 func MarshalClusterResultBase64(res *ClusterResult) (string, error) {
 	kc, err := res.check()
 	if err != nil {
@@ -198,20 +185,13 @@ type RegressResult struct {
 	Values []float64
 }
 
-// MarshalRegressResult encodes predictions as one DMV1 block:
+// MarshalRegressResultBase64 encodes predictions straight into the base64
+// text of their DMV1 block:
 //
 //	"DMV1" u8 version
 //	str target        the attribute the predictions estimate
 //	u32 rows
 //	length-prefixed float64 column of rows predictions
-func MarshalRegressResult(res *RegressResult) ([]byte, error) {
-	w := rawWriter(res.size())
-	res.write(&w)
-	return w.buf, nil
-}
-
-// MarshalRegressResultBase64 encodes predictions straight into the base64
-// text of their DMV1 block.
 func MarshalRegressResultBase64(res *RegressResult) (string, error) {
 	var stage [stageBytes]byte
 	var text strings.Builder

@@ -45,7 +45,7 @@ func TestClusterResultRoundTripRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 50; trial++ {
 		res := randomClusterResult(rng, rng.Intn(40))
-		b, err := MarshalClusterResult(res)
+		b, err := raw(MarshalClusterResultBase64(res))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -77,13 +77,13 @@ func TestClusterResultRoundTripRandom(t *testing.T) {
 }
 
 func TestClusterResultValidation(t *testing.T) {
-	if _, err := MarshalClusterResult(&ClusterResult{
+	if _, err := MarshalClusterResultBase64(&ClusterResult{
 		Clusters:    1,
 		Assignments: []int{3},
 	}); err == nil {
 		t.Error("out-of-range assignment marshalled")
 	}
-	if _, err := MarshalClusterResult(&ClusterResult{
+	if _, err := MarshalClusterResultBase64(&ClusterResult{
 		Clusters:    2,
 		ScoreKind:   ScoreDistance,
 		Assignments: []int{0},
@@ -91,14 +91,14 @@ func TestClusterResultValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("cluster/score-column count mismatch marshalled")
 	}
-	if _, err := MarshalClusterResult(&ClusterResult{
+	if _, err := MarshalClusterResultBase64(&ClusterResult{
 		Clusters:    1,
 		Assignments: []int{0},
 		Scores:      [][]float64{{1}},
 	}); err == nil {
 		t.Error("score columns without a score kind marshalled")
 	}
-	if _, err := MarshalClusterResult(&ClusterResult{
+	if _, err := MarshalClusterResultBase64(&ClusterResult{
 		Clusters:    1,
 		ScoreKind:   "sqrt", // not a registered kind
 		Assignments: []int{0},
@@ -120,7 +120,7 @@ func TestRegressResultRoundTripRandom(t *testing.T) {
 			}
 		}
 		res := &RegressResult{Target: "price", Values: vals}
-		b, err := MarshalRegressResult(res)
+		b, err := raw(MarshalRegressResultBase64(res))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -353,18 +353,6 @@ func writeRowColumn(w *writer, rows []*dataset.Instance, j int) {
 	}
 }
 
-// Marshal encodes the dataset as one dmb1 block. Weights are encoded
-// only when any instance weight differs from 1. The block is allocated
-// once, at its exact size.
-func Marshal(d *dataset.Dataset) ([]byte, error) {
-	weights, size, _ := datasetLayout(d)
-	w := rawWriter(size)
-	if err := writeDataset(&w, d, weights); err != nil {
-		return nil, err
-	}
-	return w.buf, nil
-}
-
 // MarshalBase64 encodes the dataset straight into the standard base64
 // text of its dmb1 block; the string is the one allocation.
 func MarshalBase64(d *dataset.Dataset) (string, error) {
@@ -468,26 +456,14 @@ func (res *Result) size() int {
 	return n
 }
 
-// MarshalResult encodes a scoring result as one DMR1 block:
+// MarshalResultBase64 encodes a scoring result straight into the base64
+// text of its DMR1 block:
 //
 //	"DMR1" u8 version
 //	u32 classCount, then classCount length-prefixed names
 //	u32 rows
 //	labels block: u32 byte length, rows u32 indices
 //	per class: length-prefixed float64 column of rows probabilities
-func MarshalResult(res *Result) ([]byte, error) {
-	if err := res.check(); err != nil {
-		return nil, err
-	}
-	w := rawWriter(res.size())
-	if err := res.write(&w); err != nil {
-		return nil, err
-	}
-	return w.buf, nil
-}
-
-// MarshalResultBase64 encodes a scoring result straight into the base64
-// text of its DMR1 block.
 func MarshalResultBase64(res *Result) (string, error) {
 	if err := res.check(); err != nil {
 		return "", err

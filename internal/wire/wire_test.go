@@ -11,6 +11,15 @@ import (
 	"repro/internal/dataset"
 )
 
+// raw is the block behind a *Base64 encoder's text, decoded by
+// encoding/base64, the codec's oracle.
+func raw(text string, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return base64.StdEncoding.DecodeString(text)
+}
+
 // randomDataset builds a random schema and fill for property testing.
 func randomDataset(rng *rand.Rand, rows int) *dataset.Dataset {
 	attrCount := 1 + rng.Intn(6)
@@ -110,17 +119,17 @@ func TestRoundTripRandomSchemas(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		d := randomDataset(rng, rng.Intn(40))
-		b, err := Marshal(d)
+		b, err := raw(MarshalBase64(d))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if len(b) != cap(b) {
-			t.Fatalf("trial %d: block of %d bytes was sized %d", trial, len(b), cap(b))
+		if _, size, _ := datasetLayout(d); len(b) != size {
+			t.Fatalf("trial %d: block of %d bytes was sized %d", trial, len(b), size)
 		}
 		// The same rows without the column mirror take the row-gathering
 		// path: same bytes, and the same text as encoding/base64's.
 		rowBacked := d.ShallowWith(d.Instances)
-		if fromRows, err := Marshal(rowBacked); err != nil || !bytes.Equal(fromRows, b) {
+		if fromRows, err := raw(MarshalBase64(rowBacked)); err != nil || !bytes.Equal(fromRows, b) {
 			t.Fatalf("trial %d: row-backed encoding differs from column-backed (err %v)", trial, err)
 		}
 		want := base64.StdEncoding.EncodeToString(b)
@@ -154,7 +163,7 @@ func TestRoundTripAllNominal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Marshal(d)
+	b, err := raw(MarshalBase64(d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +187,7 @@ func TestRoundTripAllMissing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Marshal(d)
+	b, err := raw(MarshalBase64(d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +203,7 @@ func TestRoundTripZeroRows(t *testing.T) {
 		dataset.NewNumericAttribute("x"),
 		dataset.NewNominalAttribute("class", "a", "b"))
 	d.ClassIndex = 1
-	b, err := Marshal(d)
+	b, err := raw(MarshalBase64(d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +229,7 @@ func TestRoundTripOver64kRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Marshal(d)
+	b, err := raw(MarshalBase64(d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +252,7 @@ func TestCorruptNominalIndexRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Marshal(d)
+	b, err := raw(MarshalBase64(d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +276,7 @@ func TestResultRoundTrip(t *testing.T) {
 			{0.1, 0.7, 0.3, 0.05},
 		},
 	}
-	b, err := MarshalResult(res)
+	b, err := raw(MarshalResultBase64(res))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,21 +310,21 @@ func TestResultRoundTrip(t *testing.T) {
 }
 
 func TestResultValidation(t *testing.T) {
-	if _, err := MarshalResult(&Result{
+	if _, err := MarshalResultBase64(&Result{
 		Classes:       []string{"a"},
 		Labels:        []int{2},
 		Distributions: [][]float64{{1}},
 	}); err == nil {
 		t.Error("out-of-range label marshalled")
 	}
-	if _, err := MarshalResult(&Result{
+	if _, err := MarshalResultBase64(&Result{
 		Classes:       []string{"a", "b"},
 		Labels:        []int{0},
 		Distributions: [][]float64{{1}},
 	}); err == nil {
 		t.Error("class/distribution count mismatch marshalled")
 	}
-	if _, err := MarshalResult(&Result{
+	if _, err := MarshalResultBase64(&Result{
 		Classes:       []string{"a"},
 		Labels:        []int{0, 0},
 		Distributions: [][]float64{{1}},
@@ -324,13 +333,13 @@ func TestResultValidation(t *testing.T) {
 	}
 }
 
-func BenchmarkMarshal1024(b *testing.B) {
+func BenchmarkMarshalBase641024(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	d := randomDataset(rng, 1024)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Marshal(d); err != nil {
+		if _, err := MarshalBase64(d); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -339,7 +348,7 @@ func BenchmarkMarshal1024(b *testing.B) {
 func BenchmarkUnmarshal1024(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	d := randomDataset(rng, 1024)
-	buf, err := Marshal(d)
+	buf, err := raw(MarshalBase64(d))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -353,9 +362,9 @@ func BenchmarkUnmarshal1024(b *testing.B) {
 }
 
 // TestBulkBlockAllocations is the copy guard on the dmb1 codec at the
-// classify_bulk block size, 4096 rows x 11 attributes: encoding allocates
-// the block — or, straight into base64, the string — and nothing else, at
-// its exact size, whether the dataset is column- or row-backed; decoding
+// classify_bulk block size, 4096 rows x 11 attributes: encoding straight
+// into base64 allocates the string and nothing else, whether the dataset
+// is column- or row-backed; decoding
 // allocates per column and per slab, never per row or per value, and
 // from text no more than from the block.
 func TestBulkBlockAllocations(t *testing.T) {
@@ -373,12 +382,12 @@ func TestBulkBlockAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var block []byte
-	if n := testing.AllocsPerRun(10, func() { block, _ = Marshal(d) }); n != 1 {
-		t.Errorf("Marshal allocates %v times, want once", n)
+	block, err := raw(MarshalBase64(d))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(block) != cap(block) {
-		t.Errorf("Marshal sized its block %d bytes for %d", cap(block), len(block))
+	if _, size, _ := datasetLayout(d); len(block) != size {
+		t.Errorf("MarshalBase64 sized its block %d bytes for %d", size, len(block))
 	}
 	for _, in := range []struct {
 		name string
@@ -388,27 +397,27 @@ func TestBulkBlockAllocations(t *testing.T) {
 			t.Errorf("MarshalBase64 of a %s dataset allocates %v times, want once (the string)", in.name, n)
 		}
 	}
-	raw := testing.AllocsPerRun(10, func() {
+	rawAllocs := testing.AllocsPerRun(10, func() {
 		if _, err := Unmarshal(block); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if perRow := raw / rows; perRow > 0.05 {
-		t.Errorf("Unmarshal allocates %v times, %.3f per row; want <= 0.05 per row", raw, perRow)
+	if perRow := rawAllocs / rows; perRow > 0.05 {
+		t.Errorf("Unmarshal allocates %v times, %.3f per row; want <= 0.05 per row", rawAllocs, perRow)
 	}
 	text := base64.StdEncoding.EncodeToString(block)
 	if n := testing.AllocsPerRun(10, func() {
 		if _, err := UnmarshalBase64(text); err != nil {
 			t.Fatal(err)
 		}
-	}); n > raw {
-		t.Errorf("UnmarshalBase64 allocates %v times, Unmarshal %v; want no more", n, raw)
+	}); n > rawAllocs {
+		t.Errorf("UnmarshalBase64 allocates %v times, Unmarshal %v; want no more", n, rawAllocs)
 	}
 }
 
 // TestResultBlocksExactSize: each result kind, at 4096 rows (the DMR1
-// case is classify_bulk's reply), is encoded into one allocation of
-// exactly its length.
+// case is classify_bulk's reply), is encoded into one allocation, the
+// text, sized up front from a block size that is exact.
 func TestResultBlocksExactSize(t *testing.T) {
 	const rows = 4096
 	cols := func(k int) [][]float64 {
@@ -424,25 +433,28 @@ func TestResultBlocksExactSize(t *testing.T) {
 	regress := &RegressResult{Target: "price", Values: cols(1)[0]}
 	for _, tc := range []struct {
 		name    string
-		marshal func() ([]byte, error)
+		size    int
+		marshal func() (string, error)
 	}{
-		{"DMR1", func() ([]byte, error) { return MarshalResult(res) }},
-		{"DMC1", func() ([]byte, error) { return MarshalClusterResult(cluster) }},
-		{"DMV1", func() ([]byte, error) { return MarshalRegressResult(regress) }},
+		{"DMR1", res.size(), func() (string, error) { return MarshalResultBase64(res) }},
+		{"DMC1", cluster.size(), func() (string, error) { return MarshalClusterResultBase64(cluster) }},
+		{"DMV1", regress.size(), func() (string, error) { return MarshalRegressResultBase64(regress) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var block []byte
 			n := testing.AllocsPerRun(10, func() {
-				var err error
-				if block, err = tc.marshal(); err != nil {
+				if _, err := tc.marshal(); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if n != 1 {
 				t.Errorf("allocates %v times, want once", n)
 			}
-			if len(block) != cap(block) {
-				t.Errorf("block of %d bytes was sized %d", len(block), cap(block))
+			block, err := raw(tc.marshal())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(block) != tc.size {
+				t.Errorf("block of %d bytes was sized %d", len(block), tc.size)
 			}
 		})
 	}
@@ -453,7 +465,7 @@ func TestResultBlocksExactSize(t *testing.T) {
 func TestShortRowEncodesZeros(t *testing.T) {
 	d := dataset.New("short", dataset.NewNumericAttribute("a"), dataset.NewNumericAttribute("b"))
 	d.Instances = []*dataset.Instance{dataset.NewInstance([]float64{1, 2}), dataset.NewInstance([]float64{3})}
-	b, err := Marshal(d)
+	b, err := raw(MarshalBase64(d))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/harness"
@@ -35,7 +34,6 @@ func hostClassifierService(t *testing.T, inj *chaos.Injector) string {
 // injected faults.
 func TestSOAPUnitFailsOverViaRegistry(t *testing.T) {
 	inj := chaos.New(1, chaos.Rule{FaultRate: 1})
-	inj.Observer = obs.NewRegistry()
 	badEp := hostClassifierService(t, inj)
 	goodEp := hostClassifierService(t, nil)
 
@@ -56,14 +54,11 @@ func TestSOAPUnitFailsOverViaRegistry(t *testing.T) {
 		Out:         []string{"classifiers"},
 		RegistryURL: regSrv.URL,
 		Category:    "classifier",
-		Policy:      &resilience.Policy{MaxAttempts: 4, BackoffBase: time.Millisecond},
 	}
 	g := NewGraph("failover")
 	g.MustAdd("list", u)
 
-	e := NewEngine()
-	e.Observer = obs.NewRegistry()
-	res, err := e.Run(context.Background(), g)
+	res, err := NewEngine().Run(context.Background(), g)
 	if err != nil {
 		t.Fatalf("workflow failed despite a healthy replica: %v", err)
 	}
@@ -155,7 +150,6 @@ func TestFaultToleranceMigratesToAnotherEndpoint(t *testing.T) {
 	g.MustAdd("job", &SOAPUnit{
 		Endpoint: dead, Service: "Classifier", Operation: "getClassifiers",
 		Out: []string{"classifiers"}, RegistryURL: regURL, Category: "classifier",
-		Policy: &resilience.Policy{MaxAttempts: 3, BackoffBase: time.Millisecond},
 	})
 	before := obs.Default.Counter("resilience_retries_total").Value()
 	res, err := NewEngine().Run(context.Background(), g)
@@ -171,7 +165,8 @@ func TestFaultToleranceMigratesToAnotherEndpoint(t *testing.T) {
 }
 
 // TestFaultToleranceExhaustsEndpoints: with every listed replica dead
-// the task fails after the policy's attempts, and so does the run.
+// the task fails after the default policy's three attempts, and so does
+// the run.
 func TestFaultToleranceExhaustsEndpoints(t *testing.T) {
 	dead := deadEndpoint(t)
 	regURL := publishAll(t,
@@ -181,7 +176,6 @@ func TestFaultToleranceExhaustsEndpoints(t *testing.T) {
 	g.MustAdd("job", &SOAPUnit{
 		Endpoint: dead, Service: "Classifier", Operation: "getClassifiers",
 		Out: []string{"classifiers"}, RegistryURL: regURL, Category: "classifier",
-		Policy: &resilience.Policy{MaxAttempts: 3, BackoffBase: time.Millisecond},
 	})
 	before := obs.Default.Counter("resilience_retries_total").Value()
 	if _, err := NewEngine().Run(context.Background(), g); err == nil {
@@ -193,8 +187,8 @@ func TestFaultToleranceExhaustsEndpoints(t *testing.T) {
 }
 
 // TestRetryOnceAgainstBusyServer: a registry-backed unit against a
-// server that sheds every call makes exactly its policy's MaxAttempts
-// calls. The unit's pool is the only retry layer: the engine runs the
+// server that sheds every call makes exactly the default policy's
+// attempts. The unit's pool is the only retry layer: the engine runs the
 // unit once.
 func TestRetryOnceAgainstBusyServer(t *testing.T) {
 	var calls atomic.Int64
@@ -209,7 +203,6 @@ func TestRetryOnceAgainstBusyServer(t *testing.T) {
 	g.MustAdd("list", &SOAPUnit{
 		Service: "Classifier", Operation: "getClassifiers", Out: []string{"classifiers"},
 		RegistryURL: publishAll(t, registry.Entry{Name: "Classifier", Endpoint: srv.URL}),
-		Policy:      &resilience.Policy{MaxAttempts: 4, BackoffBase: time.Millisecond},
 	})
 	j, err := OpenJournal(filepath.Join(t.TempDir(), "busy.jsonl"))
 	if err != nil {
@@ -219,10 +212,11 @@ func TestRetryOnceAgainstBusyServer(t *testing.T) {
 	if _, err := NewEngine().Resume(context.Background(), g, j); err == nil {
 		t.Fatal("task succeeded against a server that sheds every call")
 	}
-	if got := calls.Load(); got != 4 {
-		t.Fatalf("server saw %d calls, want the policy's 4", got)
+	attempts := (*resilience.Policy)(nil).Attempts()
+	if got := calls.Load(); got != int64(attempts) {
+		t.Fatalf("server saw %d calls, want the default policy's %d", got, attempts)
 	}
-	if recs := j.Records(); len(recs) != 1 || recs[0].Attempts != 4 {
-		t.Fatalf("journal = %+v, want one record of 4 attempts", recs)
+	if recs := j.Records(); len(recs) != 1 || recs[0].Attempts != attempts {
+		t.Fatalf("journal = %+v, want one record of %d attempts", recs, attempts)
 	}
 }

@@ -80,8 +80,6 @@ type Engine struct {
 	Workers int
 	// Monitor, when set, receives progress events.
 	Monitor Monitor
-	// Observer receives the engine's metrics; nil means obs.Default.
-	Observer *obs.Registry
 }
 
 // NewEngine returns an engine that runs every ready task at once.
@@ -93,28 +91,20 @@ func (e *Engine) emit(ev Event) {
 	}
 }
 
-// runMetrics are the engine's instruments, looked up once per run.
-type runMetrics struct {
+// metrics holds the engine's instruments in obs.Default, looked up once.
+var metrics = struct {
 	ok, failed, cancelled, resumed *obs.Counter
 	wall, budget                   *obs.Histogram
 	inflight, pending              *obs.Gauge
-}
-
-func (e *Engine) metrics() *runMetrics {
-	reg := e.Observer
-	if reg == nil {
-		reg = obs.Default
-	}
-	return &runMetrics{
-		ok:        reg.Counter("workflow_tasks_total", "status=ok"),
-		failed:    reg.Counter("workflow_tasks_total", "status=failed"),
-		cancelled: reg.Counter("workflow_tasks_total", "status=cancelled"),
-		resumed:   reg.Counter("workflow_steps_resumed_total"),
-		wall:      reg.Histogram("workflow_task_wall_ms"),
-		budget:    reg.Histogram("workflow_step_budget_ms"),
-		inflight:  reg.Gauge("workflow_inflight_tasks"),
-		pending:   reg.Gauge("workflow_pending_tasks"),
-	}
+}{
+	ok:        obs.Default.Counter("workflow_tasks_total", "status=ok"),
+	failed:    obs.Default.Counter("workflow_tasks_total", "status=failed"),
+	cancelled: obs.Default.Counter("workflow_tasks_total", "status=cancelled"),
+	resumed:   obs.Default.Counter("workflow_steps_resumed_total"),
+	wall:      obs.Default.Histogram("workflow_task_wall_ms"),
+	budget:    obs.Default.Histogram("workflow_step_budget_ms"),
+	inflight:  obs.Default.Gauge("workflow_inflight_tasks"),
+	pending:   obs.Default.Gauge("workflow_pending_tasks"),
 }
 
 // Result holds the output values of every executed task.
@@ -192,7 +182,6 @@ func (e *Engine) run(ctx context.Context, g *Graph, j *Journal) (*Result, error)
 		}
 	}
 	heights := criticalHeights(order, dependents, j)
-	m := e.metrics()
 
 	// halt is set once a step's outcome could not be journaled: the run
 	// then starts no more steps, as a cancelled one does.
@@ -226,7 +215,7 @@ func (e *Engine) run(ctx context.Context, g *Graph, j *Journal) (*Result, error)
 			err = errHalted
 		}
 		if err == nil {
-			out, err = e.execTask(ctx, g, id, res, &mu, j, heights[id], m)
+			out, err = e.execTask(ctx, g, id, res, &mu, j, heights[id])
 		}
 		if err == nil {
 			mu.Lock()
@@ -258,7 +247,7 @@ func (e *Engine) run(ctx context.Context, g *Graph, j *Journal) (*Result, error)
 			enqueue(id)
 		}
 	}
-	m.pending.Set(int64(len(order)))
+	metrics.pending.Set(int64(len(order)))
 	var firstErr error
 	var je *journalError
 	for finished < ready {
@@ -269,7 +258,7 @@ func (e *Engine) run(ctx context.Context, g *Graph, j *Journal) (*Result, error)
 			o = <-done
 		}
 		finished++
-		m.pending.Set(int64(len(order) - finished))
+		metrics.pending.Set(int64(len(order) - finished))
 		switch {
 		case o.err == nil:
 			for _, dep := range dependents[o.id] {
@@ -353,7 +342,7 @@ func assembleInputs(g *Graph, t *Task, res *Result, mu *sync.Mutex) (Values, []s
 // execTask assembles a task's inputs, replays it from the journal when
 // its digest matches a completed record, and otherwise runs its unit
 // under its deadline slice, journaling the terminal outcome.
-func (e *Engine) execTask(ctx context.Context, g *Graph, id string, res *Result, mu *sync.Mutex, j *Journal, height int, m *runMetrics) (Values, error) {
+func (e *Engine) execTask(ctx context.Context, g *Graph, id string, res *Result, mu *sync.Mutex, j *Journal, height int) (Values, error) {
 	t := g.Task(id)
 	in, upstream, err := assembleInputs(g, t, res, mu)
 	if err != nil {
@@ -365,7 +354,7 @@ func (e *Engine) execTask(ctx context.Context, g *Graph, id string, res *Result,
 		digest = StepDigest(t.Unit, in)
 		if rec, ok := j.Completed(id); ok && rec.InputDigest == digest {
 			e.emit(Event{Kind: TaskReplayed, TaskID: id, UnitName: t.Unit.Name()})
-			m.resumed.Inc()
+			metrics.resumed.Inc()
 			wfLog.Info(ctx, "replay", "id", id, "unit", t.Unit.Name(), "digest", digest)
 			out := Values{}
 			for k, v := range rec.Outputs {
@@ -385,14 +374,14 @@ func (e *Engine) execTask(ctx context.Context, g *Graph, id string, res *Result,
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithDeadline(ctx, time.Now().Add(slice))
 			defer cancel()
-			m.budget.Observe(float64(slice) / float64(time.Millisecond))
+			metrics.budget.Observe(float64(slice) / float64(time.Millisecond))
 		} else {
-			m.budget.Observe(float64(remaining) / float64(time.Millisecond))
+			metrics.budget.Observe(float64(remaining) / float64(time.Millisecond))
 		}
 	}
 
 	if j == nil {
-		out, _, err := e.runTask(ctx, t, in, upstream, m)
+		out, _, err := e.runTask(ctx, t, in, upstream)
 		return out, err
 	}
 	// Per-step attempt and hedge counts feed the journal record; fold the
@@ -401,7 +390,7 @@ func (e *Engine) execTask(ctx context.Context, g *Graph, id string, res *Result,
 	var attempts atomic.Int64
 	var hs resilience.HedgeStats
 	stepCtx := resilience.WithHedgeStats(context.WithValue(ctx, attemptsKey{}, &attempts), &hs)
-	out, started, runErr := e.runTask(stepCtx, t, in, upstream, m)
+	out, started, runErr := e.runTask(stepCtx, t, in, upstream)
 	if outer, ok := resilience.HedgeStatsFrom(ctx); ok {
 		outer.Launched.Add(hs.Launched.Load())
 		outer.Wins.Add(hs.Wins.Load())
@@ -438,25 +427,25 @@ func (e *Engine) execTask(ctx context.Context, g *Graph, id string, res *Result,
 // span (child of the run span) annotated with its unit and the upstream
 // tasks it is cabled to, so a trace tree mirrors the workflow graph. It
 // returns when the unit started.
-func (e *Engine) runTask(ctx context.Context, t *Task, in Values, upstream []string, m *runMetrics) (Values, time.Time, error) {
+func (e *Engine) runTask(ctx context.Context, t *Task, in Values, upstream []string) (Values, time.Time, error) {
 	u := t.Unit
 	ctx, span := obs.StartSpan(ctx, "workflow", "task:"+t.ID)
 	span.SetAttr("unit", u.Name())
 	if len(upstream) > 0 {
 		span.SetAttr("upstream", strings.Join(upstream, ","))
 	}
-	m.inflight.Add(1)
-	defer m.inflight.Add(-1)
+	metrics.inflight.Add(1)
+	defer metrics.inflight.Add(-1)
 
 	e.emit(Event{Kind: TaskStarted, TaskID: t.ID, UnitName: u.Name()})
 	began := time.Now()
 	out, err := u.Run(ctx, in)
 	dur := time.Since(began)
-	m.wall.Observe(float64(dur) / float64(time.Millisecond))
+	metrics.wall.Observe(float64(dur) / float64(time.Millisecond))
 	if err == nil {
 		span.End(nil)
 		e.emit(Event{Kind: TaskFinished, TaskID: t.ID, UnitName: u.Name(), Duration: dur})
-		m.ok.Inc()
+		metrics.ok.Inc()
 		if wfLog.Enabled(obs.LevelDebug) {
 			wfLog.Debug(ctx, "task", "id", t.ID, "unit", u.Name(), "dur_ms", float64(dur)/float64(time.Millisecond))
 		}
@@ -468,9 +457,9 @@ func (e *Engine) runTask(ctx context.Context, t *Task, in Values, upstream []str
 		// The run was cancelled or the step's deadline slice ran out:
 		// report that, not whatever the unit made of it.
 		err = ctx.Err()
-		m.cancelled.Inc()
+		metrics.cancelled.Inc()
 	} else {
-		m.failed.Inc()
+		metrics.failed.Inc()
 	}
 	span.End(err)
 	return nil, began, err

@@ -21,8 +21,6 @@ type groupUnit struct {
 	Graph     *Graph
 	InMap     []portMap
 	OutMap    []portMap
-	// Engine executes the inner graph; a parallel engine is used if nil.
-	Engine *Engine
 }
 
 // Name implements Unit.
@@ -61,11 +59,7 @@ func (u *groupUnit) Run(ctx context.Context, in Values) (Values, error) {
 			t.Params[m.Port] = v
 		}
 	}
-	eng := u.Engine
-	if eng == nil {
-		eng = NewEngine()
-	}
-	res, err := eng.Run(ctx, u.Graph)
+	res, err := NewEngine().Run(ctx, u.Graph)
 	if err != nil {
 		return nil, fmt.Errorf("workflow: group %s: %w", u.GroupName, err)
 	}

@@ -85,7 +85,7 @@ func refWorkflow(counts *invokeCounts, crash *crashCtl) *Graph {
 }
 
 func seqEngine() *Engine {
-	return &Engine{Workers: 1, Observer: obs.NewRegistry()}
+	return &Engine{Workers: 1}
 }
 
 // TestResumeAfterCrashAtEveryStep is the SIGKILL-at-every-step sweep:
@@ -238,9 +238,7 @@ func TestResumeParallelEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine()
-	e.Observer = obs.NewRegistry()
-	first, err := e.Resume(context.Background(), refWorkflow(newInvokeCounts(), nil), j)
+	first, err := NewEngine().Resume(context.Background(), refWorkflow(newInvokeCounts(), nil), j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,9 +250,9 @@ func TestResumeParallelEngine(t *testing.T) {
 	}
 	defer j2.Close()
 	counts := newInvokeCounts()
-	reg := obs.NewRegistry()
+	resumed := obs.Default.Counter("workflow_steps_resumed_total")
+	resumedBefore := resumed.Value()
 	e2 := NewEngine()
-	e2.Observer = reg
 	var replayed atomic.Int64
 	e2.Monitor = func(ev Event) {
 		if ev.Kind == TaskReplayed {
@@ -274,8 +272,8 @@ func TestResumeParallelEngine(t *testing.T) {
 	if replayed.Load() != 5 {
 		t.Fatalf("replayed %d steps, want 5", replayed.Load())
 	}
-	if got := reg.Snapshot().Counters["workflow_steps_resumed_total"]; got != 5 {
-		t.Fatalf("workflow_steps_resumed_total = %d, want 5", got)
+	if got := resumed.Value() - resumedBefore; got != 5 {
+		t.Fatalf("workflow_steps_resumed_total rose by %d, want 5", got)
 	}
 }
 

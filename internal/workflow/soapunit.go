@@ -23,9 +23,9 @@ import (
 // live registry entry whose name matches Service (and Category, if set)
 // joins a health-aware pool, and a failing call moves to the next healthy
 // endpoint — the paper's "complete the task if a fault occurs by moving
-// the job to another resource" (§3). The pool's Policy is the task's only
-// retry: the engine runs each unit once. A unit with a fixed Endpoint and
-// no registry makes one call.
+// the job to another resource" (§3). The pool's retry, on the resilience
+// defaults, is the task's only retry: the engine runs each unit once. A
+// unit with a fixed Endpoint and no registry makes one call.
 type SOAPUnit struct {
 	Endpoint  string
 	Service   string
@@ -38,9 +38,6 @@ type SOAPUnit struct {
 	RegistryURL string
 	// Category optionally narrows the registry inquiry.
 	Category string
-	// Policy governs retries across pool endpoints; nil uses the
-	// resilience defaults when a pool is active.
-	Policy *resilience.Policy
 	// Hedge, when set, enables tail-latency hedging while a registry pool
 	// is active: an attempt that outlives the hedge delay races a backup
 	// attempt on a different healthy endpoint, first success wins, loser
@@ -109,7 +106,7 @@ func (u *SOAPUnit) Run(ctx context.Context, in Values) (Values, error) {
 			}
 			return callErr
 		}
-		if _, err := pool.Do(ctx, u.Policy, u.Hedge, attempt); err != nil {
+		if _, err := pool.Do(ctx, nil, u.Hedge, attempt); err != nil {
 			return nil, err
 		}
 		return Values(out), nil

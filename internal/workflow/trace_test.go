@@ -78,26 +78,26 @@ func TestTracePropagatesClientServerWorkflow(t *testing.T) {
 	}
 }
 
-// TestEngineMetrics checks the engine's per-task accounting against an
-// injected registry.
+// TestEngineMetrics checks the engine's per-task accounting in
+// obs.Default.
 func TestEngineMetrics(t *testing.T) {
 	g := NewGraph("counted")
 	g.MustAdd("a", &ConstUnit{UnitName: "a", Values: Values{"x": "1"}})
 	g.MustAdd("b", &ConstUnit{UnitName: "b", Values: Values{"y": "2"}})
 
-	reg := obs.NewRegistry()
-	e := NewEngine()
-	e.Observer = reg
-	if _, err := e.Run(context.Background(), g); err != nil {
+	ok, wall := obs.Key("workflow_tasks_total", "status=ok"), "workflow_task_wall_ms"
+	before := obs.Default.Snapshot()
+	if _, err := NewEngine().Run(context.Background(), g); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("workflow_tasks_total", "status=ok").Value(); got != 2 {
-		t.Errorf("ok tasks = %d, want 2", got)
+	after := obs.Default.Snapshot()
+	if got := after.Counters[ok] - before.Counters[ok]; got != 2 {
+		t.Errorf("ok tasks rose by %d, want 2", got)
 	}
-	if got := reg.Histogram("workflow_task_wall_ms").Count(); got != 2 {
-		t.Errorf("task wall samples = %d, want 2", got)
+	if got := after.Histograms[wall].Count - before.Histograms[wall].Count; got != 2 {
+		t.Errorf("task wall samples rose by %d, want 2", got)
 	}
-	if got := reg.Gauge("workflow_inflight_tasks").Value(); got != 0 {
+	if got := after.Gauges["workflow_inflight_tasks"]; got != 0 {
 		t.Errorf("inflight after run = %d", got)
 	}
 }

@@ -11,7 +11,8 @@
 # timing), one plain and one -race pass over every test, twenty -race
 # passes over the model pool, the dataset column mirror (the code
 # concurrent requests share) and the admission in-flight bound, ten over
-# the retry loop's hedge/pool/retry tests, ten seconds of
+# the retry loop's hedge/pool/retry tests (each -run pattern first
+# checked to match a test in every package it names), ten seconds of
 # every fuzz target the packages declare, the deterministic
 # short-mode replica-churn soak, then the end-to-end smoke
 # (scripts/smoke.sh: live dmserver probes, traced dmexp batch, chaos
@@ -110,6 +111,22 @@ soak() {
 	rm -f "$out"
 }
 
+# race_run COUNT PATTERN PKG...: COUNT -race passes of the tests in every
+# PKG that match PATTERN, after a `go test -list` check that each PKG has
+# one, so a renamed test cannot drop out of the harness unnoticed.
+race_run() {
+	count=$1
+	pattern=$2
+	shift 2
+	for pkg in "$@"; do
+		if ! go test -list "$pattern" "$pkg" | grep -q '^Test'; then
+			echo "race harness: no $pkg test matches '$pattern'" >&2
+			return 1
+		fi
+	done
+	go test -race -count="$count" -run "$pattern" "$@"
+}
+
 # Twenty -race passes over the shared-state code: the model pool, the
 # dataset column mirror, and the admission controller's in-flight tests
 # (the bound must hold on the handler and on the gauge); then ten over the
@@ -120,15 +137,11 @@ soak() {
 # nested fan-outs.
 race_harness() {
 	go test -race -count=20 ./internal/harness ./internal/dataset
-	go test -race -count=20 -run 'InFlight' ./internal/admission
-	if ! go test -list 'Hedge|PoolDo|Retry' ./internal/experiment | grep -q '^Test'; then
-		echo "race harness: no internal/experiment test matches 'Hedge|PoolDo|Retry'" >&2
-		return 1
-	fi
-	go test -race -count=10 -run 'Hedge|PoolDo|Retry' ./internal/resilience ./internal/workflow ./internal/admission ./internal/experiment
-	go test -race -count=20 -run 'IBkConcurrent|IBkUpdate|IBkPruned' ./internal/classify
+	race_run 20 'InFlight' ./internal/admission
+	race_run 10 'Hedge|PoolDo|Retry' ./internal/resilience ./internal/workflow ./internal/admission ./internal/experiment
+	race_run 20 'IBkConcurrent|IBkUpdate|IBkPruned' ./internal/classify
 	go test -race -count=20 ./internal/parallel
-	go test -race -count=5 -run 'ParallelDeterminism|SearchDeterminismAcrossProcs' ./internal/classify ./internal/cluster ./internal/attrsel
+	race_run 5 'ParallelDeterminism|SearchDeterminismAcrossProcs' ./internal/classify ./internal/cluster ./internal/attrsel
 }
 
 # Ten seconds of every fuzz target in the module, found by
